@@ -68,14 +68,20 @@ func (v *Vector) Clone() *Vector {
 // Sparse returns the vector's non-zero entries as parallel index/value
 // slices sorted by index.
 func (v *Vector) Sparse() (indices []int, values []float64) {
-	indices = make([]int, 0, len(v.counts))
+	return v.sparseInto(make([]int, 0, len(v.counts)), make([]float64, 0, len(v.counts)))
+}
+
+// sparseInto is Sparse reusing the capacity of indices and values, which
+// it overwrites.
+func (v *Vector) sparseInto(indices []int, values []float64) ([]int, []float64) {
+	indices = indices[:0]
 	for k := range v.counts {
 		indices = append(indices, k)
 	}
 	sort.Ints(indices)
-	values = make([]float64, len(indices))
-	for i, k := range indices {
-		values[i] = v.counts[k]
+	values = values[:0]
+	for _, k := range indices {
+		values = append(values, v.counts[k])
 	}
 	return indices, values
 }
@@ -155,12 +161,22 @@ func (d *Dataset) MaxBlockID() int {
 // dense row per interval. Empty intervals (no instructions) are rejected
 // with an error because they cannot be normalized.
 func (d *Dataset) Project(outDim int, rng *xrand.Stream) ([][]float64, error) {
+	m, err := d.ProjectMatrix(outDim, rng)
+	if err != nil {
+		return nil, err
+	}
+	return m.RowViews(), nil
+}
+
+// ProjectMatrix is Project returning the rows as one contiguous matrix
+// (row i is interval i), filled in place without a per-row allocation.
+func (d *Dataset) ProjectMatrix(outDim int, rng *xrand.Stream) (vecmath.Matrix, error) {
 	if d.Len() == 0 {
-		return nil, fmt.Errorf("bbv: empty dataset")
+		return vecmath.Matrix{}, fmt.Errorf("bbv: empty dataset")
 	}
 	for i, v := range d.vectors {
 		if v.instructions == 0 {
-			return nil, fmt.Errorf("bbv: interval %d is empty", i)
+			return vecmath.Matrix{}, fmt.Errorf("bbv: interval %d is empty", i)
 		}
 	}
 	inDim := d.MaxBlockID() + 1
@@ -171,12 +187,11 @@ func (d *Dataset) Project(outDim int, rng *xrand.Stream) ([][]float64, error) {
 		outDim = inDim
 	}
 	proj := vecmath.NewProjection(inDim, outDim, rng)
-	rows := make([][]float64, d.Len())
+	m := vecmath.NewMatrix(d.Len(), outDim)
+	var idx []int
+	var vals []float64
 	for i, v := range d.vectors {
-		if v.instructions == 0 {
-			return nil, fmt.Errorf("bbv: interval %d is empty", i)
-		}
-		idx, vals := v.Sparse()
+		idx, vals = v.sparseInto(idx, vals)
 		// L1-normalize the sparse values before projecting; projection is
 		// linear so this equals projecting then scaling, but normalizing
 		// first keeps magnitudes uniform.
@@ -187,9 +202,9 @@ func (d *Dataset) Project(outDim int, rng *xrand.Stream) ([][]float64, error) {
 		for j := range vals {
 			vals[j] /= norm
 		}
-		rows[i] = proj.ApplySparse(idx, vals)
+		proj.ApplySparseInto(m.Row(i), idx, vals)
 	}
-	return rows, nil
+	return m, nil
 }
 
 // Weights returns the interval lengths as float64 clustering weights.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xbsim/internal/vecmath"
 	"xbsim/internal/xrand"
 )
 
@@ -131,6 +132,38 @@ func TestProjectShapes(t *testing.T) {
 	for _, r := range rows {
 		if len(r) != 15 {
 			t.Fatalf("row dim = %d", len(r))
+		}
+	}
+}
+
+// ProjectMatrix fills one contiguous matrix with exactly the rows the
+// per-row path produces: each vector's sorted sparse entries,
+// L1-normalized, projected on its own.
+func TestProjectMatrixMatchesPerRowProjection(t *testing.T) {
+	d := buildDataset(t, 9)
+	m, err := d.ProjectMatrix(15, xrand.New("flat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj := vecmath.NewProjection(d.MaxBlockID()+1, 15, xrand.New("flat"))
+	if m.Rows != d.Len() || m.Cols != proj.OutDim() {
+		t.Fatalf("matrix %dx%d, want %dx%d", m.Rows, m.Cols, d.Len(), proj.OutDim())
+	}
+	for i := 0; i < d.Len(); i++ {
+		idx, vals := d.Vector(i).Sparse()
+		var norm float64
+		for _, x := range vals {
+			norm += x
+		}
+		for j := range vals {
+			vals[j] /= norm
+		}
+		want := make([]float64, proj.OutDim())
+		proj.ApplySparseInto(want, idx, vals)
+		for j, x := range m.Row(i) {
+			if math.Float64bits(x) != math.Float64bits(want[j]) {
+				t.Fatalf("row %d dim %d: %v, per-row projection %v", i, j, x, want[j])
+			}
 		}
 	}
 }

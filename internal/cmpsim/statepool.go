@@ -3,8 +3,9 @@ package cmpsim
 import "sync"
 
 // StatePool recycles cache-hierarchy state across simulations. A
-// hierarchy's dominant allocation is its line arrays (~1.5MB of
-// cacheLine structs for the paper's Table 1 geometry); the evaluate
+// hierarchy's dominant allocation is its line arrays (≈0.66 MB for the
+// paper's Table 1 geometry by HierarchyConfig.StateBytes: 25,088
+// 24-byte cacheLine structs plus 2,304 set headers); the evaluate
 // stage builds one hierarchy per walk per binary, so reallocating per
 // evaluation dominated the pipeline's allocation profile. Get returns a
 // recycled hierarchy when one with the same configuration digest is

@@ -24,6 +24,10 @@ func TestPipelineAttribution(t *testing.T) {
 	// never reach RecordEval; TestMemoRedundancyEliminated covers that.)
 	cfg := testConfig("gzip")
 	cfg.DisableMemo = true
+	// The wall-coverage bound below (attributed walk time within the
+	// evaluate stage's wall time) holds only when the per-binary walks run
+	// one after another; concurrent walks sum to more than the stage took.
+	cfg.Workers = 1
 	res, err := RunBenchmarkCtx(ctx, "gzip", cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,22 @@
 // al., JILP 2005). For variable length intervals each point carries a
 // weight — its dynamic instruction count — and both the centroid updates
 // and the BIC likelihood treat a point of weight w like w identical copies.
+//
+// Lloyd's assignment step is pruned with Hamerly's bounds (Hamerly, "Making
+// k-means even faster", SDM 2010) under a conservative floating-point
+// margin: a point skips its scan over the centroids only when the bounds
+// prove its centroid strictly nearest, so every assignment, centroid and
+// distortion is bit-identical to the brute-force index-order scan. Each
+// restart works in reusable scratch, so a warmed Run allocates its Result
+// and a few fixed-size values however many restarts and iterations it
+// runs.
 package kmeans
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"xbsim/internal/obs"
 	"xbsim/internal/pool"
@@ -43,12 +54,13 @@ type Config struct {
 	Init InitMethod
 	// Rng supplies all randomness. Required.
 	Rng *xrand.Stream
-	// Obs, when non-nil, receives clustering metrics (restart and Lloyd
-	// iteration counters, iteration histograms). Nil records nothing.
+	// Obs, when non-nil, receives clustering metrics (restart, Lloyd
+	// iteration and distance counters, iteration histograms). Nil records
+	// nothing.
 	Obs *obs.Observer
 	// Pool, when non-nil, runs the restarts concurrently. Each restart
-	// draws from its own SplitIndexed stream and lands in an
-	// index-addressed slot, so the result is identical to a serial run.
+	// draws from its own SplitIndexed stream and the winner is chosen by
+	// the serial rule, so the result is identical to a serial run.
 	Pool *pool.Pool
 }
 
@@ -80,12 +92,16 @@ type Result struct {
 	ClusterSizes []int
 }
 
-// Run clusters points into (at most) k clusters. weights may be nil for
-// unweighted clustering; otherwise it must be the same length as points
-// with positive entries. It returns an error for invalid inputs.
-func Run(points [][]float64, weights []float64, k int, cfg Config) (*Result, error) {
-	if len(points) == 0 {
+// Run clusters the rows of points into (at most) k clusters. weights may
+// be nil for unweighted clustering; otherwise it must have one positive
+// entry per point. It returns an error for invalid inputs.
+func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, error) {
+	n, dim := points.Rows, points.Cols
+	if n <= 0 {
 		return nil, fmt.Errorf("kmeans: no points")
+	}
+	if len(points.Data) != n*dim {
+		return nil, fmt.Errorf("kmeans: %d values for %dx%d points", len(points.Data), n, dim)
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("kmeans: k = %d", k)
@@ -93,15 +109,9 @@ func Run(points [][]float64, weights []float64, k int, cfg Config) (*Result, err
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("kmeans: Config.Rng is required")
 	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return nil, fmt.Errorf("kmeans: point %d has dim %d, want %d", i, len(p), dim)
-		}
-	}
 	if weights != nil {
-		if len(weights) != len(points) {
-			return nil, fmt.Errorf("kmeans: %d weights for %d points", len(weights), len(points))
+		if len(weights) != n {
+			return nil, fmt.Errorf("kmeans: %d weights for %d points", len(weights), n)
 		}
 		for i, w := range weights {
 			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
@@ -109,136 +119,358 @@ func Run(points [][]float64, weights []float64, k int, cfg Config) (*Result, err
 			}
 		}
 	}
-	if k > len(points) {
-		k = len(points)
+	if k > n {
+		k = n
 	}
 	cfg = cfg.withDefaults()
 
-	// Restarts run concurrently (when a pool is configured) into
-	// index-addressed slots; the reduction below scans them in restart
-	// order, so the winner — including tie-breaks on equal distortion —
-	// is exactly the one the serial loop would keep.
-	results := make([]*Result, cfg.Restarts)
-	iters := make([]uint64, cfg.Restarts)
+	// Restarts run concurrently (when a pool is configured), each in its
+	// own scratch. A finished restart that beats the held winner trades
+	// its assignment and centroid buffers with the holder, so only the
+	// winner's are ever copied into a Result. wins orders restarts by the
+	// serial loop's rule, so the winner is independent of finishing order.
+	held := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(held)
+	var (
+		mu    sync.Mutex
+		best  = outcome{restart: -1}
+		total work
+	)
 	_ = cfg.Pool.Run(cfg.Restarts, func(r int) error {
-		results[r], iters[r] = runOnce(points, weights, k, cfg, cfg.Rng.SplitIndexed("restart", r))
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		rng := cfg.Rng.SplitIndexedValue("restart", r)
+		out := s.lloyd(points, weights, k, cfg, &rng)
+		out.restart = r
+		cfg.Obs.Histogram("kmeans.iterations_per_restart").Observe(out.iters)
+
+		mu.Lock()
+		defer mu.Unlock()
+		total.iters += out.iters
+		total.distances += out.distances
+		total.pruned += out.pruned
+		if out.wins(best) {
+			best = out
+			s.assign, held.assign = held.assign, s.assign
+			s.cent, held.cent = held.cent, s.cent
+		}
 		return nil
 	})
-	var best *Result
-	var totalIters uint64
-	for r, res := range results {
-		totalIters += iters[r]
-		cfg.Obs.Histogram("kmeans.iterations_per_restart").Observe(iters[r])
-		if best == nil || res.Distortion < best.Distortion {
-			best = res
-		}
-	}
 	cfg.Obs.Counter("kmeans.runs").Inc()
 	cfg.Obs.Counter("kmeans.restarts").Add(uint64(cfg.Restarts))
-	cfg.Obs.Counter("kmeans.iterations").Add(totalIters)
-	return best, nil
+	cfg.Obs.Counter("kmeans.iterations").Add(total.iters)
+	cfg.Obs.Counter("kmeans.distances").Add(total.distances)
+	cfg.Obs.Counter("kmeans.distances_pruned").Add(total.pruned)
+	return newResult(points, weights, best, held), nil
 }
 
-// runOnce performs one seeded clustering, returning the result and the
-// number of Lloyd iterations it took.
-func runOnce(points [][]float64, weights []float64, k int, cfg Config, rng *xrand.Stream) (*Result, uint64) {
-	dim := len(points[0])
-	centroids := initCentroids(points, weights, k, cfg.Init, rng)
-	k = len(centroids) // may shrink if fewer distinct points
-	assign := make([]int, len(points))
-	for i := range assign {
-		assign[i] = -1
-	}
+// work is a restart's effort: Lloyd iterations, and point–centroid squared
+// distances the assignment steps evaluated or skipped (together, the
+// brute-force count of points × clusters per step).
+type work struct {
+	iters, distances, pruned uint64
+}
 
-	var iters uint64
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		iters++
-		changed := assignAll(points, centroids, assign)
-		recomputeCentroids(points, weights, assign, centroids, dim, rng)
-		if !changed && iter > 0 {
-			break
+// outcome is one finished restart.
+type outcome struct {
+	work
+	restart    int
+	k          int
+	distortion float64
+}
+
+// wins reports whether o displaces the held winner under the serial
+// reduction's rule — keep restart 0, then take each later restart whose
+// distortion is strictly lower. As a total order over (distortion,
+// restart) that rule keeps restart 0 when its distortion is NaN, and
+// otherwise the lowest-index restart among those with the least non-NaN
+// distortion.
+func (o outcome) wins(held outcome) bool {
+	if held.restart < 0 {
+		return true
+	}
+	rank := func(x outcome) int {
+		switch {
+		case x.restart == 0 && math.IsNaN(x.distortion):
+			return 0
+		case math.IsNaN(x.distortion):
+			return 2
 		}
+		return 1
 	}
-	// Final assignment against the final centroids.
-	assignAll(points, centroids, assign)
+	if a, b := rank(o), rank(held); a != b {
+		return a < b
+	}
+	if o.distortion != held.distortion && rank(o) == 1 {
+		return o.distortion < held.distortion
+	}
+	return o.restart < held.restart
+}
 
+// newResult copies the winning restart's buffers out of scratch.
+func newResult(points vecmath.Matrix, weights []float64, best outcome, held *scratch) *Result {
+	k, n, dim := best.k, points.Rows, points.Cols
+	cent := vecmath.Matrix{Rows: k, Cols: dim, Data: slices.Clone(held.cent[:k*dim])}
 	res := &Result{
 		K:              k,
-		Assignments:    assign,
-		Centroids:      centroids,
+		Assignments:    slices.Clone(held.assign[:n]),
+		Centroids:      cent.RowViews(),
+		Distortion:     best.distortion,
 		ClusterWeights: make([]float64, k),
 		ClusterSizes:   make([]int, k),
 	}
-	for i, c := range assign {
+	for i, c := range res.Assignments {
 		w := 1.0
 		if weights != nil {
 			w = weights[i]
 		}
 		res.ClusterWeights[c] += w
 		res.ClusterSizes[c]++
-		res.Distortion += w * vecmath.SquaredDistance(points[i], centroids[c])
 	}
-	return res, iters
+	return res
 }
 
-// assignAll assigns each point to its nearest centroid, returning whether
-// any assignment changed.
-func assignAll(points [][]float64, centroids [][]float64, assign []int) bool {
+// Hamerly's bounds are kept as Euclidean distances, rounded outward when
+// they are made so each stays a true bound on the exact distance between
+// the float64 vectors:
+//
+//   - upper[i] >= the distance from point i to its assigned centroid;
+//   - lower[i] <= the distance from point i to every other centroid;
+//   - half[c] <= half the distance from centroid c to its nearest other.
+//
+// A point keeps its centroid a without a scan when separated(upper[i],
+// max(half[a], lower[i])) holds. The test's own margin makes the gap wide
+// enough that the squared distances the scan would compute — each within
+// a relative (dim+2)·2⁻⁵³ of exact — order a strictly before every other
+// centroid, so the scan would have picked a whatever the index order. Every
+// other point runs the exact index-order scan with strict <.
+const (
+	// relSlack is the relative part of the outward rounding and of the
+	// separation margin; reset widens it for very high dimensions.
+	relSlack = 1e-9
+	// absSlack covers squared-distance terms that underflow to zero.
+	absSlack = 1e-150
+	// maxDist caps lower bounds taken from squared distances that
+	// overflowed to +Inf; it is just below sqrt(math.MaxFloat64).
+	maxDist = 1.3e154
+	// bumpUp and bumpDown round an accumulated bound outward past the
+	// rounding error of the addition that produced it.
+	bumpUp   = 1 + 0x1p-50
+	bumpDown = 1 - 0x1p-50
+)
+
+// scratch is one restart's reusable state. A Run takes one per running
+// restart, plus one that holds the winner's buffers, from scratchPool and
+// returns them when done, so steady-state clustering allocates nothing
+// here.
+type scratch struct {
+	assign       []int
+	cent, next   []float64 // k×dim centroids, and the update's accumulator
+	totals       []float64 // per-cluster weight in the update
+	upper, lower []float64 // per-point bounds
+	half, drift  []float64 // per-centroid separation and last movement
+	minDist      []float64 // k-means++ distances; re-seeding distances
+	probs        []float64 // k-means++ sampling weights
+	perm         []int     // InitRandom's permutation
+	empty, used  []int     // clusters emptied by an update; points re-seeded into them
+	rho          float64   // relative slack for this run's dimension
+	work
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns s resized to n, reallocating only when it is too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (s *scratch) up(d float64) float64   { return d*(1+s.rho) + absSlack }
+func (s *scratch) down(d float64) float64 { return d*(1-s.rho) - absSlack }
+
+// separated reports whether bounds u (on the assigned centroid's distance)
+// and m (on every other centroid's) prove the assigned centroid strictly
+// nearest. NaN or infinite u never passes.
+func (s *scratch) separated(u, m float64) bool { return s.up(u) < s.down(m) }
+
+// row returns centroid c of a k×dim buffer.
+func row(buf []float64, c, dim int) []float64 {
+	return buf[c*dim : (c+1)*dim : (c+1)*dim]
+}
+
+// reset sizes s for n points, k clusters and dim dimensions and clears
+// its work counts.
+func (s *scratch) reset(n, k, dim int) {
+	s.assign = grow(s.assign, n)
+	s.upper, s.lower = grow(s.upper, n), grow(s.lower, n)
+	s.minDist, s.probs = grow(s.minDist, n), grow(s.probs, n)
+	s.cent, s.next = grow(s.cent, k*dim), grow(s.next, k*dim)
+	s.totals, s.half, s.drift = grow(s.totals, k), grow(s.half, k), grow(s.drift, k)
+	s.rho = relSlack + float64(dim)*0x1p-50
+	s.work = work{}
+}
+
+// lloyd performs one seeded clustering in s, leaving the assignments in
+// s.assign and the centroids in s.cent.
+func (s *scratch) lloyd(points vecmath.Matrix, weights []float64, k int, cfg Config, rng *xrand.Stream) outcome {
+	n := points.Rows
+	s.reset(n, k, points.Cols)
+
+	// k may shrink if there are fewer distinct points. k-means++ computes
+	// every point's distance to every seed, which is exactly the first
+	// assignment step's scan, so it leaves that assignment and its bounds
+	// behind; random seeding does not.
+	seeded := cfg.Init != InitRandom
+	if seeded {
+		k = s.initPlusPlus(points, weights, k, rng)
+	} else {
+		k = s.initRandom(points, k, rng)
+	}
+	for iter := 0; iter < cfg.MaxIters; iter++ {
+		s.iters++
+		changed := true // every point leaves its initial unassigned state
+		if iter == 0 && seeded {
+			s.pruned += uint64(n * k)
+		} else {
+			changed = s.assignAll(points, k, iter == 0)
+		}
+		s.update(points, weights, k)
+		if !changed && iter > 0 {
+			break
+		}
+	}
+	// Final assignment against the final centroids.
+	s.assignAll(points, k, false)
+
+	var distortion float64
+	for i, c := range s.assign {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		distortion += w * vecmath.SquaredDistance(points.Row(i), row(s.cent, c, points.Cols))
+	}
+	return outcome{work: s.work, k: k, distortion: distortion}
+}
+
+// assignAll assigns each point to its nearest centroid — the lowest index
+// among equally near ones — returning whether any assignment changed.
+// With fresh set the bounds are not yet valid and every point is scanned.
+func (s *scratch) assignAll(points vecmath.Matrix, k int, fresh bool) bool {
+	dim := points.Cols
+	if !fresh {
+		s.separations(k, dim)
+	}
 	changed := false
-	for i, p := range points {
-		bestC, bestD := 0, math.Inf(1)
-		for c, ctr := range centroids {
-			if d := vecmath.SquaredDistance(p, ctr); d < bestD {
-				bestC, bestD = c, d
+	for i := range s.assign {
+		x := points.Row(i)
+		a, da := s.assign[i], 0.0
+		if !fresh {
+			m := max(s.half[a], s.lower[i])
+			if s.separated(s.upper[i], m) {
+				s.pruned += uint64(k)
+				continue
+			}
+			// Tighten the upper bound to the exact distance and retry.
+			da = vecmath.SquaredDistance(x, row(s.cent, a, dim))
+			s.distances++
+			s.upper[i] = s.up(math.Sqrt(da))
+			if s.separated(s.upper[i], m) {
+				s.pruned += uint64(k - 1)
+				continue
 			}
 		}
-		if assign[i] != bestC {
-			assign[i] = bestC
+		bestC, bestD, second := 0, math.Inf(1), math.Inf(1)
+		for c := 0; c < k; c++ {
+			d := da
+			if fresh || c != a {
+				d = vecmath.SquaredDistance(x, row(s.cent, c, dim))
+				s.distances++
+			}
+			if d < bestD {
+				bestC, bestD, second = c, d, bestD
+			} else if d < second {
+				second = d
+			}
+		}
+		s.upper[i] = s.up(math.Sqrt(bestD))
+		s.lower[i] = s.down(min(math.Sqrt(second), maxDist))
+		if a != bestC || fresh {
+			s.assign[i] = bestC
 			changed = true
 		}
 	}
 	return changed
 }
 
-// recomputeCentroids sets each centroid to the weighted mean of its points.
-// An empty cluster is re-seeded with the point farthest from its centroid.
-func recomputeCentroids(points [][]float64, weights []float64, assign []int, centroids [][]float64, dim int, rng *xrand.Stream) {
-	sums := make([][]float64, len(centroids))
-	totals := make([]float64, len(centroids))
-	for c := range sums {
-		sums[c] = make([]float64, dim)
+// separations sets half[c] to a lower bound on half the distance from
+// centroid c to its nearest other centroid.
+func (s *scratch) separations(k, dim int) {
+	for c := 0; c < k; c++ {
+		s.half[c] = math.Inf(1)
 	}
-	for i, c := range assign {
+	for c := 0; c < k; c++ {
+		for o := c + 1; o < k; o++ {
+			d := vecmath.SquaredDistance(row(s.cent, c, dim), row(s.cent, o, dim))
+			s.half[c] = min(s.half[c], d)
+			s.half[o] = min(s.half[o], d)
+		}
+	}
+	for c := 0; c < k; c++ {
+		s.half[c] = s.down(0.5 * min(math.Sqrt(s.half[c]), maxDist))
+	}
+}
+
+// update sets each centroid to the weighted mean of its points. An empty
+// cluster is re-seeded with the point farthest from its centroid. The
+// bounds then move by how far the centroids did.
+func (s *scratch) update(points vecmath.Matrix, weights []float64, k int) {
+	dim := points.Cols
+	next, totals := s.next[:k*dim], s.totals[:k]
+	vecmath.Zero(next)
+	vecmath.Zero(totals)
+	for i, c := range s.assign {
 		w := 1.0
 		if weights != nil {
 			w = weights[i]
 		}
-		vecmath.AddScaled(sums[c], points[i], w)
+		vecmath.AddScaled(row(next, c, dim), points.Row(i), w)
 		totals[c] += w
 	}
-	var empty []int
-	for c := range centroids {
+	s.empty = s.empty[:0]
+	for c := range totals {
 		if totals[c] > 0 {
-			vecmath.Scale(sums[c], 1/totals[c])
-			centroids[c] = sums[c]
+			vecmath.Scale(row(next, c, dim), 1/totals[c])
 		} else {
-			empty = append(empty, c)
+			s.empty = append(s.empty, c)
 		}
 	}
-	// Empty clusters are re-seeded with the point farthest from its
-	// assigned centroid, which splits the most spread-out cluster. The
-	// re-seeding is iterative: each pick sees the centroids refreshed by
-	// earlier picks and excludes already-used points, so two clusters
-	// emptied in the same pass never adopt the same point.
-	used := make(map[int]bool, len(empty))
-	for _, c := range empty {
+	// s.next now keeps the previous centroids until the bounds have moved.
+	s.cent, s.next = s.next, s.cent
+	if len(s.empty) > 0 {
+		s.reseed(points)
+	}
+	s.moveBounds(len(s.assign), k, dim)
+}
+
+// reseed fills each empty cluster with the point farthest from its
+// assigned centroid, which splits the most spread-out cluster. Each pick
+// excludes points already used, so two clusters emptied in the same pass
+// never adopt the same point. No point is assigned to an empty cluster,
+// so the distances do not change between picks and are computed once.
+func (s *scratch) reseed(points vecmath.Matrix) {
+	dim := points.Cols
+	far := s.minDist
+	for i, c := range s.assign {
+		far[i] = vecmath.SquaredDistance(points.Row(i), row(s.cent, c, dim))
+	}
+	s.used = s.used[:0]
+	for _, c := range s.empty {
 		farthest, farD := -1, -1.0
-		for i, p := range points {
-			if used[i] {
-				continue
-			}
-			d := vecmath.SquaredDistance(p, centroids[assign[i]])
-			if d > farD {
+		for i, d := range far {
+			if d > farD && !slices.Contains(s.used, i) {
 				farthest, farD = i, d
 			}
 		}
@@ -247,34 +479,60 @@ func recomputeCentroids(points [][]float64, weights []float64, assign []int, cen
 			// makes this unreachable, but degrade gracefully anyway.
 			farthest = 0
 		}
-		used[farthest] = true
-		centroids[c] = append([]float64(nil), points[farthest]...)
-	}
-	_ = rng // reserved for randomized tie-breaking strategies
-}
-
-func initCentroids(points [][]float64, weights []float64, k int, method InitMethod, rng *xrand.Stream) [][]float64 {
-	switch method {
-	case InitRandom:
-		return initRandom(points, k, rng)
-	default:
-		return initPlusPlus(points, weights, k, rng)
+		s.used = append(s.used, farthest)
+		copy(row(s.cent, c, dim), points.Row(farthest))
 	}
 }
 
-func initRandom(points [][]float64, k int, rng *xrand.Stream) [][]float64 {
-	perm := rng.Perm(len(points))
-	centroids := make([][]float64, 0, k)
-	for _, i := range perm {
-		if containsVec(centroids, points[i]) {
+// moveBounds widens each point's bounds by the movement of the centroids
+// (the previous ones are in s.next): the assigned centroid's for the upper
+// bound, the largest other one's for the lower.
+func (s *scratch) moveBounds(n, k, dim int) {
+	max1, max2, arg := 0.0, 0.0, -1
+	for c := 0; c < k; c++ {
+		d := s.up(math.Sqrt(vecmath.SquaredDistance(row(s.next, c, dim), row(s.cent, c, dim))))
+		s.drift[c] = d
+		switch {
+		case math.IsNaN(d):
+			// An unmeasurable move voids every lower bound.
+			max1, max2, arg = math.Inf(1), math.Inf(1), -1
+		case d > max1:
+			max1, max2, arg = d, max1, c
+		case d > max2:
+			max2 = d
+		}
+	}
+	for i := 0; i < n; i++ {
+		a := s.assign[i]
+		s.upper[i] = (s.upper[i] + s.drift[a]) * bumpUp
+		md := max1
+		if a == arg {
+			md = max2
+		}
+		s.lower[i] = (s.lower[i] - md) * bumpDown
+	}
+}
+
+// initRandom seeds with the first k distinct points of a random
+// permutation, returning how many it found.
+func (s *scratch) initRandom(points vecmath.Matrix, k int, rng *xrand.Stream) int {
+	n, dim := points.Rows, points.Cols
+	s.perm = grow(s.perm, n)
+	for i := range s.perm {
+		s.perm[i] = i
+	}
+	rng.ShuffleInts(s.perm)
+	got := 0
+	for _, i := range s.perm {
+		if containsRow(s.cent, got, dim, points.Row(i)) {
 			continue
 		}
-		centroids = append(centroids, append([]float64(nil), points[i]...))
-		if len(centroids) == k {
+		copy(row(s.cent, got, dim), points.Row(i))
+		if got++; got == k {
 			break
 		}
 	}
-	return centroids
+	return got
 }
 
 // sameVec reports whether two vectors are numerically identical. IEEE
@@ -292,30 +550,48 @@ func sameVec(a, b []float64) bool {
 	return true
 }
 
-// containsVec reports whether vs contains a vector equal to p.
-func containsVec(vs [][]float64, p []float64) bool {
-	for _, v := range vs {
-		if sameVec(v, p) {
+// containsRow reports whether the first rows dim-wide rows of buf
+// include p.
+func containsRow(buf []float64, rows, dim int, p []float64) bool {
+	for c := 0; c < rows; c++ {
+		if sameVec(row(buf, c, dim), p) {
 			return true
 		}
 	}
 	return false
 }
 
-func initPlusPlus(points [][]float64, weights []float64, k int, rng *xrand.Stream) [][]float64 {
-	n := len(points)
-	centroids := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	centroids = append(centroids, append([]float64(nil), points[first]...))
-
-	// minDist[i] is the squared distance from point i to its nearest
-	// chosen centroid so far.
-	minDist := make([]float64, n)
-	for i := range minDist {
-		minDist[i] = vecmath.SquaredDistance(points[i], centroids[0])
+// initPlusPlus is k-means++ seeding, returning the number of seeds chosen.
+// Alongside each point's distance to its nearest seed it tracks the index-
+// order scan's nearest seed and runner-up, leaving the first assignment
+// and its bounds in s.assign, s.upper and s.lower.
+func (s *scratch) initPlusPlus(points vecmath.Matrix, weights []float64, k int, rng *xrand.Stream) int {
+	n, dim := points.Rows, points.Cols
+	minDist, probs := s.minDist, s.probs
+	for i := 0; i < n; i++ {
+		// Until converted below, upper and lower hold the scan's nearest
+		// and runner-up squared distances.
+		s.assign[i], s.upper[i], s.lower[i] = 0, math.Inf(1), math.Inf(1)
 	}
-	probs := make([]float64, n)
-	for len(centroids) < k {
+	// seed adds point p as centroid c and folds it into the distances.
+	seed := func(c, p int) {
+		ctr := row(s.cent, c, dim)
+		copy(ctr, points.Row(p))
+		for i := 0; i < n; i++ {
+			d := vecmath.SquaredDistance(points.Row(i), ctr)
+			if c == 0 || d < minDist[i] {
+				minDist[i] = d
+			}
+			if d < s.upper[i] {
+				s.assign[i], s.upper[i], s.lower[i] = c, d, s.upper[i]
+			} else if d < s.lower[i] {
+				s.lower[i] = d
+			}
+		}
+	}
+	seed(0, rng.Intn(n))
+	got := 1
+	for got < k {
 		var total float64
 		for i := range probs {
 			w := 1.0
@@ -330,15 +606,14 @@ func initPlusPlus(points [][]float64, weights []float64, k int, rng *xrand.Strea
 			// distinct points than k.
 			break
 		}
-		next := rng.Pick(probs)
-		centroids = append(centroids, append([]float64(nil), points[next]...))
-		for i := range minDist {
-			if d := vecmath.SquaredDistance(points[i], centroids[len(centroids)-1]); d < minDist[i] {
-				minDist[i] = d
-			}
-		}
+		seed(got, rng.Pick(probs))
+		got++
 	}
-	return centroids
+	for i := 0; i < n; i++ {
+		s.upper[i] = s.up(math.Sqrt(s.upper[i]))
+		s.lower[i] = s.down(min(math.Sqrt(s.lower[i]), maxDist))
+	}
+	return got
 }
 
 // BIC returns the Bayesian Information Criterion score of a clustering, in
@@ -346,12 +621,12 @@ func initPlusPlus(points [][]float64, weights []float64, k int, rng *xrand.Strea
 // weighted points: a point of weight w contributes like w copies. Higher is
 // better. Weights are rescaled so their total equals the point count, which
 // keeps scores comparable across weighting schemes.
-func BIC(points [][]float64, weights []float64, res *Result) float64 {
-	n := len(points)
+func BIC(points vecmath.Matrix, weights []float64, res *Result) float64 {
+	n := points.Rows
 	if n == 0 || res == nil {
 		return math.Inf(-1)
 	}
-	d := float64(len(points[0]))
+	d := float64(points.Cols)
 	k := float64(res.K)
 
 	// Effective (rescaled) weights.
@@ -375,7 +650,7 @@ func BIC(points [][]float64, weights []float64, res *Result) float64 {
 	clusterW := make([]float64, res.K)
 	for i, c := range res.Assignments {
 		w := eff(i)
-		distortion += w * vecmath.SquaredDistance(points[i], res.Centroids[c])
+		distortion += w * vecmath.SquaredDistance(points.Row(i), res.Centroids[c])
 		clusterW[c] += w
 	}
 	R := float64(n)

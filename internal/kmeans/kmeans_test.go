@@ -27,6 +27,22 @@ func blobs(rng *xrand.Stream, centers [][]float64, n int, spread float64) ([][]f
 	return points, labels
 }
 
+// mat copies points, which must all have the same dimension, into a
+// matrix.
+func mat(points [][]float64) vecmath.Matrix {
+	if len(points) == 0 {
+		return vecmath.Matrix{}
+	}
+	m := vecmath.NewMatrix(len(points), len(points[0]))
+	for i, p := range points {
+		if len(p) != m.Cols {
+			panic("ragged points")
+		}
+		copy(m.Row(i), p)
+	}
+	return m
+}
+
 func defaultCfg(seed string) Config {
 	return Config{Rng: xrand.New(seed)}
 }
@@ -35,7 +51,7 @@ func TestRecoverWellSeparatedClusters(t *testing.T) {
 	rng := xrand.New("blobs")
 	centers := [][]float64{{0, 0}, {10, 0}, {0, 10}}
 	points, labels := blobs(rng, centers, 30, 0.3)
-	res, err := Run(points, nil, 3, defaultCfg("run"))
+	res, err := Run(mat(points), nil, 3, defaultCfg("run"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +78,7 @@ func TestRecoverWellSeparatedClusters(t *testing.T) {
 func TestWeightsPullCentroid(t *testing.T) {
 	// One cluster, two points; the heavy point should dominate the centroid.
 	points := [][]float64{{0}, {10}}
-	res, err := Run(points, []float64{9, 1}, 1, defaultCfg("w"))
+	res, err := Run(mat(points), []float64{9, 1}, 1, defaultCfg("w"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +95,7 @@ func TestWeightsPullCentroid(t *testing.T) {
 
 func TestKClampedToDistinctPoints(t *testing.T) {
 	points := [][]float64{{1, 1}, {1, 1}, {2, 2}}
-	res, err := Run(points, nil, 5, defaultCfg("clamp"))
+	res, err := Run(mat(points), nil, 5, defaultCfg("clamp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +108,22 @@ func TestKClampedToDistinctPoints(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Run(nil, nil, 2, defaultCfg("e")); err == nil {
+	if _, err := Run(vecmath.Matrix{}, nil, 2, defaultCfg("e")); err == nil {
 		t.Error("no error for empty input")
 	}
-	if _, err := Run([][]float64{{1}}, nil, 0, defaultCfg("e")); err == nil {
+	if _, err := Run(mat([][]float64{{1}}), nil, 0, defaultCfg("e")); err == nil {
 		t.Error("no error for k=0")
 	}
-	if _, err := Run([][]float64{{1}}, nil, 1, Config{}); err == nil {
+	if _, err := Run(mat([][]float64{{1}}), nil, 1, Config{}); err == nil {
 		t.Error("no error for missing rng")
 	}
-	if _, err := Run([][]float64{{1}, {1, 2}}, nil, 1, defaultCfg("e")); err == nil {
-		t.Error("no error for ragged points")
+	if _, err := Run(vecmath.Matrix{Rows: 2, Cols: 1, Data: []float64{1}}, nil, 1, defaultCfg("e")); err == nil {
+		t.Error("no error for a matrix missing values")
 	}
-	if _, err := Run([][]float64{{1}}, []float64{0}, 1, defaultCfg("e")); err == nil {
+	if _, err := Run(mat([][]float64{{1}}), []float64{0}, 1, defaultCfg("e")); err == nil {
 		t.Error("no error for zero weight")
 	}
-	if _, err := Run([][]float64{{1}}, []float64{1, 2}, 1, defaultCfg("e")); err == nil {
+	if _, err := Run(mat([][]float64{{1}}), []float64{1, 2}, 1, defaultCfg("e")); err == nil {
 		t.Error("no error for weight length mismatch")
 	}
 }
@@ -115,11 +131,11 @@ func TestErrors(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	rng := xrand.New("det-data")
 	points, _ := blobs(rng, [][]float64{{0, 0}, {5, 5}}, 20, 0.5)
-	a, err := Run(points, nil, 2, defaultCfg("det"))
+	a, err := Run(mat(points), nil, 2, defaultCfg("det"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(points, nil, 2, defaultCfg("det"))
+	b, err := Run(mat(points), nil, 2, defaultCfg("det"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +152,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestAssignmentsAreNearest(t *testing.T) {
 	rng := xrand.New("nearest")
 	points, _ := blobs(rng, [][]float64{{0, 0}, {8, 8}, {-8, 8}}, 25, 1.0)
-	res, err := Run(points, nil, 3, defaultCfg("nearest-run"))
+	res, err := Run(mat(points), nil, 3, defaultCfg("nearest-run"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +172,7 @@ func TestDistortionDecreasesWithK(t *testing.T) {
 	points, _ := blobs(rng, [][]float64{{0, 0}, {6, 0}, {0, 6}, {6, 6}}, 20, 0.8)
 	prev := math.Inf(1)
 	for k := 1; k <= 6; k++ {
-		res, err := Run(points, nil, k, Config{Rng: xrand.New("m"), Restarts: 8})
+		res, err := Run(mat(points), nil, k, Config{Rng: xrand.New("m"), Restarts: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +188,7 @@ func TestDistortionDecreasesWithK(t *testing.T) {
 func TestInitRandomWorks(t *testing.T) {
 	rng := xrand.New("init-random")
 	points, _ := blobs(rng, [][]float64{{0}, {100}}, 10, 0.1)
-	res, err := Run(points, nil, 2, Config{Rng: xrand.New("ir"), Init: InitRandom, Restarts: 4})
+	res, err := Run(mat(points), nil, 2, Config{Rng: xrand.New("ir"), Init: InitRandom, Restarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +205,11 @@ func TestBICPrefersTrueK(t *testing.T) {
 	points, _ := blobs(rng, [][]float64{{0, 0}, {20, 0}, {0, 20}}, 40, 0.5)
 	scores := map[int]float64{}
 	for k := 1; k <= 6; k++ {
-		res, err := Run(points, nil, k, Config{Rng: xrand.New("bic-run"), Restarts: 8})
+		res, err := Run(mat(points), nil, k, Config{Rng: xrand.New("bic-run"), Restarts: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores[k] = BIC(points, nil, res)
+		scores[k] = BIC(mat(points), nil, res)
 	}
 	// The true k=3 must score better than underfit k=1,2.
 	if scores[3] <= scores[1] || scores[3] <= scores[2] {
@@ -211,17 +227,17 @@ func TestBICWeightedMatchesReplicated(t *testing.T) {
 			replicated = append(replicated, p)
 		}
 	}
-	resW, err := Run(base, weights, 2, defaultCfg("bw"))
+	resW, err := Run(mat(base), weights, 2, defaultCfg("bw"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR, err := Run(replicated, nil, 2, defaultCfg("bw"))
+	resR, err := Run(mat(replicated), nil, 2, defaultCfg("bw"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same total weight (6) and same geometry => same BIC up to numerics.
-	bw := BIC(base, weights, resW)
-	br := BIC(replicated, nil, resR)
+	bw := BIC(mat(base), weights, resW)
+	br := BIC(mat(replicated), nil, resR)
 	// The rescaling maps weighted n=3 to R=3, while replication has R=6;
 	// so the scores differ by a deterministic function of R. We only check
 	// the centroids match, which is the property clustering relies on.
@@ -246,7 +262,7 @@ func TestBICWeightedMatchesReplicated(t *testing.T) {
 }
 
 func TestBICEmptyInput(t *testing.T) {
-	if !math.IsInf(BIC(nil, nil, nil), -1) {
+	if !math.IsInf(BIC(vecmath.Matrix{}, nil, nil), -1) {
 		t.Fatal("BIC of nothing should be -inf")
 	}
 }
@@ -262,7 +278,7 @@ func TestClusterAccountingProperty(t *testing.T) {
 			points[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 			weights[i] = rng.Float64() + 0.1
 		}
-		res, err := Run(points, weights, k, Config{Rng: rng.SplitIndexed("q", int(nRaw)*7+int(kRaw)), Restarts: 2})
+		res, err := Run(mat(points), weights, k, Config{Rng: rng.SplitIndexed("q", int(nRaw)*7+int(kRaw)), Restarts: 2})
 		if err != nil {
 			return false
 		}
@@ -297,7 +313,9 @@ func TestClusterAccountingProperty(t *testing.T) {
 
 func BenchmarkKMeans(b *testing.B) {
 	rng := xrand.New("bench-km")
-	points, _ := blobs(rng, [][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}, 250, 1.0)
+	pts, _ := blobs(rng, [][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}, 250, 1.0)
+	points := mat(pts)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(points, nil, 4, Config{Rng: xrand.NewFromUint64(uint64(i)), Restarts: 1}); err != nil {

@@ -17,11 +17,11 @@ func TestParallelRestartsMatchSerial(t *testing.T) {
 	centers := [][]float64{{0, 0}, {8, 0}, {0, 8}, {8, 8}}
 	points, _ := blobs(rng, centers, 25, 0.5)
 
-	serial, err := Run(points, nil, 4, Config{Rng: xrand.New("pr"), Restarts: 8})
+	serial, err := Run(mat(points), nil, 4, Config{Rng: xrand.New("pr"), Restarts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(points, nil, 4, Config{Rng: xrand.New("pr"), Restarts: 8, Pool: pool.New(8)})
+	parallel, err := Run(mat(points), nil, 4, Config{Rng: xrand.New("pr"), Restarts: 8, Pool: pool.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,24 +30,36 @@ func TestParallelRestartsMatchSerial(t *testing.T) {
 	}
 }
 
-// Two clusters emptied in the same recomputeCentroids pass must be
-// re-seeded with two distinct points: the second pick excludes the
-// first pick's point and sees the refreshed centroids.
+// Two clusters emptied in the same update must be re-seeded with two
+// distinct points: the second pick excludes the first pick's point. The
+// update must also match the reference recomputation bit for bit.
 func TestEmptyClustersReseedDistinctPoints(t *testing.T) {
 	points := [][]float64{{0}, {1}, {10}, {11}}
 	assign := []int{0, 0, 0, 0} // clusters 1 and 2 both empty
 	centroids := [][]float64{{5.5}, {100}, {100}}
-	recomputeCentroids(points, nil, assign, centroids, 1, xrand.New("reseed"))
 
-	if got := centroids[0][0]; got != 5.5 {
-		t.Fatalf("non-empty cluster mean = %v, want 5.5", got)
+	var s scratch
+	s.reset(len(points), len(centroids), 1)
+	copy(s.assign, assign)
+	copy(s.cent, []float64{5.5, 100, 100})
+	s.update(mat(points), nil, len(centroids))
+	got := [][]float64{row(s.cent, 0, 1), row(s.cent, 1, 1), row(s.cent, 2, 1)}
+
+	refRecomputeCentroids(points, nil, assign, centroids, 1, xrand.New("reseed"))
+	for c := range centroids {
+		if !sameBits(got[c], centroids[c]) {
+			t.Fatalf("centroid %d = %v, reference %v", c, got[c], centroids[c])
+		}
 	}
-	if sameVec(centroids[1], centroids[2]) {
-		t.Fatalf("both empty clusters re-seeded with the same point %v", centroids[1])
+	if mean := got[0][0]; mean != 5.5 {
+		t.Fatalf("non-empty cluster mean = %v, want 5.5", mean)
+	}
+	if sameVec(got[1], got[2]) {
+		t.Fatalf("both empty clusters re-seeded with the same point %v", got[1])
 	}
 	for c := 1; c <= 2; c++ {
-		if !containsVec(points, centroids[c]) {
-			t.Fatalf("re-seeded centroid %v is not a dataset point", centroids[c])
+		if !refContainsVec(points, got[c]) {
+			t.Fatalf("re-seeded centroid %v is not a dataset point", got[c])
 		}
 	}
 }
@@ -61,7 +73,7 @@ func TestEmptyClusterReseedEndToEnd(t *testing.T) {
 		{0, 0}, {0.01, 0}, {0, 0.01}, {0.01, 0.01},
 		{50, 50}, {-50, 50},
 	}
-	res, err := Run(points, nil, 6, Config{Rng: xrand.New("reseed-e2e"), Restarts: 3})
+	res, err := Run(mat(points), nil, 6, Config{Rng: xrand.New("reseed-e2e"), Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,13 @@ func TestEmptyClusterReseedEndToEnd(t *testing.T) {
 func TestInitRandomDedupsExactVectors(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	points := [][]float64{{0, 1}, {negZero, 1}, {2, 3}, {2, 3}, {4, 5}}
-	centroids := initRandom(points, 5, xrand.New("dedup"))
+	var s scratch
+	s.reset(len(points), 5, 2)
+	got := s.initRandom(mat(points), 5, xrand.New("dedup"))
+	var centroids [][]float64
+	for c := 0; c < got; c++ {
+		centroids = append(centroids, row(s.cent, c, 2))
+	}
 	if len(centroids) != 3 {
 		t.Fatalf("%d distinct centroids, want 3 (0/-0 and duplicate rows must collapse): %v",
 			len(centroids), centroids)

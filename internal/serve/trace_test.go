@@ -120,15 +120,20 @@ func TestTraceHeaderAndTimelineEndpoint(t *testing.T) {
 // The load test's client-observed quantiles and the server's live
 // serve.submit_to_result_ms histogram measure the same latencies from
 // the two ends of the HTTP pipe; they must agree within one
-// power-of-two bucket.
+// power-of-two bucket. The jobs are sized to run well past the client's
+// 50ms poll interval, so that the poll cannot by itself span two buckets.
 func TestLoadTestQuantilesMatchHistogram(t *testing.T) {
 	o := obs.New()
 	s := startTestServer(t, Options{Concurrency: 2, Observer: o})
+	cfg := testConfig() // spec jobs ignore TargetOps; lengthen the clustering
+	cfg.IntervalSize = 2_000
+	cfg.Restarts = 50
 	rec, err := LoadTest(context.Background(), LoadTestOptions{
 		BaseURL: "http://" + s.Addr(),
 		Jobs:    6,
 		Unique:  6, // all fresh: every submission lands in the histogram
 		Clients: 2,
+		Config:  cfg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 	rng := xrand.New("simpoint/" + cfg.Seed)
 	_, pspan := obs.StartSpan(ctx, "stage.projection")
 	pspan.Annotate(cfg.Seed)
-	points, err := ds.Project(cfg.Dim, rng.Split("projection"))
+	points, err := ds.ProjectMatrix(cfg.Dim, rng.Split("projection"))
 	pspan.End()
 	if err != nil {
 		return nil, fmt.Errorf("simpoint: %w", err)
@@ -281,7 +281,7 @@ func chooseK(bics []float64, threshold float64) int {
 	return len(bics)
 }
 
-func buildResult(ds *bbv.Dataset, projected [][]float64, clus *kmeans.Result, bics []float64, earlyTol float64) (*Result, error) {
+func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result, bics []float64, earlyTol float64) (*Result, error) {
 	k := clus.K
 	total := float64(ds.TotalInstructions())
 	if total <= 0 {
@@ -304,7 +304,7 @@ func buildResult(ds *bbv.Dataset, projected [][]float64, clus *kmeans.Result, bi
 		best[p] = math.Inf(1)
 	}
 	for i, p := range clus.Assignments {
-		d := vecmath.SquaredDistance(projected[i], clus.Centroids[p])
+		d := vecmath.SquaredDistance(projected.Row(i), clus.Centroids[p])
 		if d < best[p] {
 			best[p], repr[p] = d, i
 		}
@@ -316,7 +316,7 @@ func buildResult(ds *bbv.Dataset, projected [][]float64, clus *kmeans.Result, bi
 			if i >= repr[p] {
 				continue // not earlier than the current pick
 			}
-			d := vecmath.SquaredDistance(projected[i], clus.Centroids[p])
+			d := vecmath.SquaredDistance(projected.Row(i), clus.Centroids[p])
 			if d <= best[p]*factor {
 				repr[p] = i
 			}

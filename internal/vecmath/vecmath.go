@@ -94,14 +94,40 @@ func NormalizeL1(v []float64) (ok bool) {
 	return true
 }
 
+// Matrix is a dense row-major matrix: row i is Data[i*Cols : (i+1)*Cols].
+// Keeping every row in one backing array lets hot loops walk points and
+// centroids without a slice header per row.
+type Matrix struct {
+	Rows, Cols int
+	Data       []float64
+}
+
+// NewMatrix returns a zeroed rows x cols matrix.
+func NewMatrix(rows, cols int) Matrix {
+	return Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+}
+
+// Row returns row i as a view into the matrix's backing array.
+func (m Matrix) Row(i int) []float64 {
+	return m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
+}
+
+// RowViews returns every row as a view into the backing array, for
+// callers that index points as [][]float64.
+func (m Matrix) RowViews() [][]float64 {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
+}
+
 // Projection is a dense inDim x outDim random projection matrix. Rows are
 // indexed by input dimension so sparse inputs can be projected by walking
 // only their non-zero entries.
 type Projection struct {
-	inDim  int
-	outDim int
-	// rows[i] is the outDim-length row for input dimension i.
-	rows [][]float64
+	// m's row i is the outDim-length row for input dimension i.
+	m Matrix
 }
 
 // NewProjection builds a random projection from inDim to outDim dimensions.
@@ -111,54 +137,53 @@ func NewProjection(inDim, outDim int, rng *xrand.Stream) *Projection {
 	if inDim <= 0 || outDim <= 0 {
 		panic(fmt.Sprintf("vecmath: invalid projection dims %dx%d", inDim, outDim))
 	}
-	rows := make([][]float64, inDim)
-	flat := make([]float64, inDim*outDim)
-	for i := range rows {
-		row := flat[i*outDim : (i+1)*outDim]
-		for j := range row {
-			row[j] = 2*rng.Float64() - 1
-		}
-		rows[i] = row
+	m := NewMatrix(inDim, outDim)
+	for j := range m.Data {
+		m.Data[j] = 2*rng.Float64() - 1
 	}
-	return &Projection{inDim: inDim, outDim: outDim, rows: rows}
+	return &Projection{m: m}
 }
 
 // InDim returns the input dimensionality.
-func (p *Projection) InDim() int { return p.inDim }
+func (p *Projection) InDim() int { return p.m.Rows }
 
 // OutDim returns the output dimensionality.
-func (p *Projection) OutDim() int { return p.outDim }
+func (p *Projection) OutDim() int { return p.m.Cols }
 
 // Apply projects the dense vector v (length InDim) into a new vector of
 // length OutDim.
 func (p *Projection) Apply(v []float64) []float64 {
-	if len(v) != p.inDim {
-		panic(fmt.Sprintf("vecmath: projection input dim %d, want %d", len(v), p.inDim))
+	if len(v) != p.InDim() {
+		panic(fmt.Sprintf("vecmath: projection input dim %d, want %d", len(v), p.InDim()))
 	}
-	out := make([]float64, p.outDim)
+	out := make([]float64, p.OutDim())
 	for i, x := range v {
 		if x == 0 {
 			continue
 		}
-		AddScaled(out, p.rows[i], x)
+		AddScaled(out, p.m.Row(i), x)
 	}
 	return out
 }
 
-// ApplySparse projects a sparse vector given as parallel index/value slices.
-// Indices must be in [0, InDim).
-func (p *Projection) ApplySparse(indices []int, values []float64) []float64 {
+// ApplySparseInto projects a sparse vector, given as parallel index/value
+// slices with indices in [0, InDim), into dst (length OutDim), which it
+// overwrites. It allocates nothing, so a caller projecting many vectors
+// can fill the rows of one matrix.
+func (p *Projection) ApplySparseInto(dst []float64, indices []int, values []float64) {
 	if len(indices) != len(values) {
 		panic("vecmath: sparse index/value length mismatch")
 	}
-	out := make([]float64, p.outDim)
-	for k, i := range indices {
-		if i < 0 || i >= p.inDim {
-			panic(fmt.Sprintf("vecmath: sparse index %d out of range [0,%d)", i, p.inDim))
-		}
-		AddScaled(out, p.rows[i], values[k])
+	if len(dst) != p.OutDim() {
+		panic(fmt.Sprintf("vecmath: projection output dim %d, want %d", len(dst), p.OutDim()))
 	}
-	return out
+	Zero(dst)
+	for k, i := range indices {
+		if i < 0 || i >= p.InDim() {
+			panic(fmt.Sprintf("vecmath: sparse index %d out of range [0,%d)", i, p.InDim()))
+		}
+		AddScaled(dst, p.m.Row(i), values[k])
+	}
 }
 
 // Mean returns the (optionally weighted) mean of the given vectors. All

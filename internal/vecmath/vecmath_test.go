@@ -157,11 +157,48 @@ func TestProjectionSparseMatchesDense(t *testing.T) {
 		vals = append(vals, dense[i])
 	}
 	d := p.Apply(dense)
-	s := p.ApplySparse(idx, vals)
+	s := make([]float64, p.OutDim())
+	p.ApplySparseInto(s, idx, vals)
 	for j := range d {
 		if !almostEqual(d[j], s[j], 1e-12) {
 			t.Fatalf("sparse projection mismatch at %d: %v vs %v", j, d[j], s[j])
 		}
+	}
+}
+
+// ApplySparseInto must overwrite whatever dst held and allocate nothing.
+func TestApplySparseIntoOverwritesAndAllocatesNothing(t *testing.T) {
+	rng := xrand.New("proj-into")
+	p := NewProjection(40, 7, rng)
+	idx := []int{0, 3, 11, 39}
+	vals := []float64{0.25, -1.5, 3, 0.125}
+	want := make([]float64, p.OutDim())
+	p.ApplySparseInto(want, idx, vals)
+	dst := []float64{9, 9, 9, 9, 9, 9, 9}
+	p.ApplySparseInto(dst, idx, vals)
+	for j := range want {
+		if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("dim %d: %v into a used buffer, %v into a zeroed one", j, dst[j], want[j])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.ApplySparseInto(dst, idx, vals) }); n != 0 {
+		t.Fatalf("ApplySparseInto allocates %.0f times per call, want 0", n)
+	}
+}
+
+func TestMatrixRows(t *testing.T) {
+	m := NewMatrix(3, 2)
+	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
+	if got := m.Row(2); got[0] != 5 || got[1] != 6 {
+		t.Fatalf("row 2 = %v", got)
+	}
+	views := m.RowViews()
+	views[1][0] = 30 // views alias the backing array
+	if m.Row(1)[0] != 30 || m.Data[2] != 30 {
+		t.Fatalf("row view does not alias the matrix: %v", m.Data)
+	}
+	if r := m.Row(0); cap(r) != 2 {
+		t.Fatalf("row capacity %d lets an append overwrite the next row", cap(r))
 	}
 }
 
@@ -204,7 +241,7 @@ func TestProjectionSparseIndexOutOfRangePanics(t *testing.T) {
 			t.Fatal("no panic on out-of-range sparse index")
 		}
 	}()
-	p.ApplySparse([]int{5}, []float64{1})
+	p.ApplySparseInto(make([]float64, 2), []int{5}, []float64{1})
 }
 
 func BenchmarkProjectSparse(b *testing.B) {
@@ -216,8 +253,10 @@ func BenchmarkProjectSparse(b *testing.B) {
 		idx[i] = rng.Intn(10000)
 		vals[i] = rng.Float64()
 	}
+	dst := make([]float64, p.OutDim())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ApplySparse(idx, vals)
+		p.ApplySparseInto(dst, idx, vals)
 	}
 }

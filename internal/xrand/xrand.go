@@ -14,10 +14,7 @@
 // parent's sequence.
 package xrand
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Stream is a deterministic pseudo-random number stream. The zero value is
 // a valid stream seeded with 0; prefer New or NewFromUint64 so the seed is
@@ -36,9 +33,18 @@ type Stream struct {
 // New returns a stream deterministically derived from the given string key.
 // The same key always yields the same stream.
 func New(key string) *Stream {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return NewFromUint64(h.Sum64())
+	return NewFromUint64(fnv64a(key))
+}
+
+// fnv64a is the 64-bit FNV-1a hash of s, computed without the allocations
+// of the hash/fnv interface.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // NewFromUint64 returns a stream seeded with the given 64-bit value.
@@ -50,17 +56,28 @@ func NewFromUint64(seed uint64) *Stream {
 // own sequence is not advanced, so adding or removing Split calls never
 // changes sibling streams.
 func (s *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	// Mix the parent's creation seed (not its evolving position) with the label.
-	return NewFromUint64(mix64(s.seed ^ h.Sum64()))
+	return NewFromUint64(s.splitSeed(label))
+}
+
+// splitSeed is the seed of Split(label): the parent's creation seed (not
+// its evolving position) mixed with the label.
+func (s *Stream) splitSeed(label string) uint64 {
+	return mix64(s.seed ^ fnv64a(label))
 }
 
 // SplitIndexed derives an independent child stream named by a label and an
 // index, convenient for per-element streams in loops.
 func (s *Stream) SplitIndexed(label string, i int) *Stream {
-	child := s.Split(label)
-	return NewFromUint64(mix64(child.seed + uint64(i)*0x9E3779B97F4A7C15))
+	c := s.SplitIndexedValue(label, i)
+	return &c
+}
+
+// SplitIndexedValue is SplitIndexed returning the stream by value, so a
+// hot loop can keep per-element streams on the stack instead of
+// allocating one per element.
+func (s *Stream) SplitIndexedValue(label string, i int) Stream {
+	seed := mix64(s.splitSeed(label) + uint64(i)*0x9E3779B97F4A7C15)
+	return Stream{seed: seed, state: seed}
 }
 
 // mix64 is the SplitMix64 finalizer: a bijective mixing function on uint64.

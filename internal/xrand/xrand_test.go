@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,25 @@ func TestSplitIndexedDistinct(t *testing.T) {
 			t.Fatalf("SplitIndexed %d and %d produced identical first draw", i, j)
 		}
 		seen[v] = i
+	}
+}
+
+// The inline FNV-1a must hash exactly as hash/fnv does, or every seeded
+// stream in the repository would change; SplitIndexedValue must be the
+// stream SplitIndexed points to.
+func TestSeedDerivationUnchanged(t *testing.T) {
+	for _, key := range []string{"", "a", "simpoint/", "restart", "kmeans\x00\xff"} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		if got, want := fnv64a(key), h.Sum64(); got != want {
+			t.Errorf("fnv64a(%q) = %#x, hash/fnv %#x", key, got, want)
+		}
+	}
+	s := New("parent")
+	for i := 0; i < 4; i++ {
+		if v, p := s.SplitIndexedValue("restart", i), s.SplitIndexed("restart", i); v != *p {
+			t.Errorf("index %d: SplitIndexedValue %+v, SplitIndexed %+v", i, v, *p)
+		}
 	}
 }
 
