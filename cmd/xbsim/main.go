@@ -296,8 +296,6 @@ func run(ctx context.Context, command string, args []string, w io.Writer) error 
 		return cmdSelfcheck(ctx, args, w)
 	case "chaos":
 		return cmdChaos(ctx, args, w)
-	case "bench":
-		return cmdBench(ctx, args, w)
 	case "samplers":
 		return cmdSamplers(ctx, args, w)
 	case "serve":
@@ -353,12 +351,6 @@ commands:
                                      run randomized programs under injected
                                      fault schedules; recovered runs must be
                                      bit-identical to the fault-free baseline
-  bench    [-quick] [-n N] [-o F] [-against F] [-tolerance T]
-                                     run the suite N times, record wall
-                                     time/allocation/per-stage resources,
-                                     compare against a baseline JSON
-                                     (-samplers adds the cross-backend
-                                     sampler comparison to the record)
   samplers [-benchmarks L] [-budgets 8,16] [-json]
                                      compare sampler backends: CPI error
                                      vs simulated-instruction budget
@@ -366,9 +358,6 @@ commands:
                                      run the durable analysis service:
                                      POST /jobs, crash-safe job journal,
                                      graceful drain on SIGTERM
-                                     (-loadtest [-jobs N] [-unique K]
-                                     [-clients C] [-o F] measures
-                                     throughput/latency/cache hits)
   callgraph -bench B [-target T]     annotated call-loop graph
   phases   -bench B [-flavor F]      phase timeline of the execution
   similarity -bench B [-target T]    interval similarity heat map

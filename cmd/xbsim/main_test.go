@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"xbsim/internal/bench"
 	"xbsim/internal/obs"
 	"xbsim/internal/pinpoints"
 )
@@ -400,26 +399,6 @@ func TestCmdSelfcheckObservability(t *testing.T) {
 	}
 	if snap.Counters["selfcheck.weight-sum.pass"] != 1 {
 		t.Errorf("selfcheck.weight-sum.pass = %d, want 1", snap.Counters["selfcheck.weight-sum.pass"])
-	}
-}
-
-// `serve -loadtest` must run the mixed-stream harness end to end and
-// save an additive bench-schema record with the serve section.
-func TestCmdServeLoadtest(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "serve.json")
-	text := runCmd(t, "serve", "-loadtest", "-jobs", "3", "-unique", "1", "-clients", "2", "-o", out)
-	if !strings.Contains(text, "serve loadtest:") || !strings.Contains(text, "cache hits") {
-		t.Fatalf("loadtest output: %q", text)
-	}
-	res, err := bench.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schema != bench.SchemaVersion || res.Serve == nil {
-		t.Fatalf("saved record: schema %d, serve %+v", res.Schema, res.Serve)
-	}
-	if res.Serve.Completed != 3 || res.Serve.CacheHits == 0 {
-		t.Fatalf("serve record: %+v", res.Serve)
 	}
 }
 

@@ -8,31 +8,23 @@ import (
 	"runtime"
 	"time"
 
-	"xbsim/internal/bench"
 	"xbsim/internal/faults"
 	"xbsim/internal/obs"
 	"xbsim/internal/serve"
 )
 
-// cmdServe runs the durable analysis service (or its load-test harness
-// under -loadtest). The service drains gracefully on SIGINT/SIGTERM:
-// admission closes, running suites checkpoint and re-spool, and the
-// process exits 0 with every accepted job journaled in the spool for
-// the next start to resume.
+// cmdServe runs the durable analysis service. The service drains
+// gracefully on SIGINT/SIGTERM: admission closes, running suites
+// checkpoint and re-spool, and the process exits 0 with every accepted
+// job journaled in the spool for the next start to resume.
 func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("serve")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	spool := fs.String("spool", "", "durable job spool directory (required unless -loadtest)")
+	spool := fs.String("spool", "", "durable job spool directory (required)")
 	concurrency := fs.Int("concurrency", 2, "jobs executed in parallel")
 	maxPending := fs.Int("max-pending", 64, "pending-queue depth cap; beyond it submissions get 429")
 	workers := fs.Int("workers", 0, "worker pool shared by all jobs (0 = GOMAXPROCS)")
 	inject := fs.String("inject", "", "fault rules to inject, comma-separated stage@index:kind (testing; serve.crash simulates process death)")
-	loadtest := fs.Bool("loadtest", false, "run the load-test harness against an in-process server instead of serving")
-	ltJobs := fs.Int("jobs", 12, "loadtest: total submissions")
-	ltUnique := fs.Int("unique", 4, "loadtest: distinct work items (the rest are duplicates)")
-	ltClients := fs.Int("clients", 4, "loadtest: concurrent submitters")
-	ltSeed := fs.Uint64("seed", 11, "loadtest: program-spec seed")
-	ltOut := fs.String("o", "", "loadtest: write a bench-schema JSON record here")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -42,9 +34,6 @@ func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 			return usageError{err}
 		}
 		ctx = faults.With(ctx, faults.NewInjector(rules...))
-	}
-	if *loadtest {
-		return runLoadTest(ctx, w, *spool, *concurrency, *workers, *ltJobs, *ltUnique, *ltClients, *ltSeed, *ltOut)
 	}
 	if *spool == "" {
 		return usagef("-spool is required")
@@ -91,58 +80,4 @@ func poolSize(workers int) int {
 		return workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// runLoadTest boots an in-process server (temp spool unless one is
-// given), drives the mixed fresh/duplicate stream at it, renders the
-// record, and optionally saves it in the additive bench schema.
-func runLoadTest(ctx context.Context, w io.Writer, spool string, concurrency, workers, jobs, unique, clients int, seed uint64, out string) error {
-	if spool == "" {
-		dir, err := os.MkdirTemp("", "xbsim-loadtest-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		spool = dir
-	}
-	s, err := serve.Start(ctx, serve.Options{
-		Addr:        "127.0.0.1:0",
-		Spool:       spool,
-		Concurrency: concurrency,
-		Workers:     workers,
-	})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	fmt.Fprintf(os.Stderr, "xbsim: loadtest against http://%s: %d jobs (%d unique), %d client(s)\n",
-		s.Addr(), jobs, unique, clients)
-
-	rec, err := serve.LoadTest(ctx, serve.LoadTestOptions{
-		BaseURL:  "http://" + s.Addr(),
-		Jobs:     jobs,
-		Unique:   unique,
-		Clients:  clients,
-		Seed:     seed,
-		Progress: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	if err := rec.Write(w); err != nil {
-		return err
-	}
-	if out != "" {
-		res := &bench.Result{
-			Schema:    bench.SchemaVersion,
-			Label:     "serve-loadtest",
-			GoVersion: runtime.Version(),
-			Serve:     rec,
-		}
-		if err := res.Save(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", out)
-	}
-	return nil
 }

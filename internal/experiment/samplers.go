@@ -12,8 +12,7 @@ import (
 // same suite under every sampler backend (and, for budgeted backends,
 // several budgets) and reduces each run to the two numbers the backends
 // compete on — CPI estimation error and detailed-simulation cost. The
-// JSON tags make the comparison embeddable in bench results (schema 3)
-// so CI tracks both backends over time.
+// JSON tags shape the `xbsim samplers -json` output.
 
 // SamplerRow is one (backend, budget) configuration's aggregate outcome
 // over the whole suite.

@@ -132,8 +132,8 @@ func (s HistogramSnapshot) Mean() float64 {
 // QuantileBucket returns the index of the power-of-two bucket holding
 // the q-quantile observation (nearest-rank over bucket counts), -1 when
 // the histogram is empty. Because buckets are log2-spaced, "within one
-// power-of-two bucket" comparisons — e.g. a load test's client-observed
-// p50 against the live histogram's — are index arithmetic.
+// power-of-two bucket" comparisons — e.g. a client-observed p50
+// against the live histogram's — are index arithmetic.
 func (s HistogramSnapshot) QuantileBucket(q float64) int {
 	if s.Count == 0 {
 		return -1

@@ -321,40 +321,3 @@ func TestResolveSubmission(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 }
-
-// The load-test harness against a live server: every submission
-// completes, duplicates hit the cache, and the record's accounting adds
-// up.
-func TestLoadTestSmoke(t *testing.T) {
-	s := startTestServer(t, Options{Concurrency: 2})
-	cfg := testConfig()
-	cfg.TargetOps = 400_000
-
-	rec, err := LoadTest(context.Background(), LoadTestOptions{
-		BaseURL: "http://" + s.Addr(),
-		Jobs:    6,
-		Unique:  2,
-		Clients: 2,
-		Seed:    11,
-		Config:  cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Completed != 6 || rec.Failed != 0 || rec.Rejected != 0 {
-		t.Fatalf("record = %+v", rec)
-	}
-	if rec.CacheHits == 0 {
-		t.Fatalf("no cache hits across %d duplicates: %+v", rec.Duplicates, rec)
-	}
-	if rec.P50US == 0 || rec.P99US < rec.P50US {
-		t.Errorf("latency quantiles: p50=%d p99=%d", rec.P50US, rec.P99US)
-	}
-	if rec.ThroughputJobsPerSec <= 0 {
-		t.Errorf("throughput = %f", rec.ThroughputJobsPerSec)
-	}
-	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil || !strings.Contains(buf.String(), "cache hits") {
-		t.Errorf("record rendering: %v %q", err, buf.String())
-	}
-}

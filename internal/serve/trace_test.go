@@ -2,15 +2,17 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math/bits"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xbsim/internal/jobqueue"
 	"xbsim/internal/obs"
+	"xbsim/internal/program"
 )
 
 // A client-supplied trace must ride the submission end to end: echoed
@@ -117,29 +119,65 @@ func TestTraceHeaderAndTimelineEndpoint(t *testing.T) {
 	}
 }
 
-// The load test's client-observed quantiles and the server's live
-// serve.submit_to_result_ms histogram measure the same latencies from
-// the two ends of the HTTP pipe; they must agree within one
-// power-of-two bucket. The jobs are sized to run well past the client's
-// 50ms poll interval, so that the poll cannot by itself span two buckets.
-func TestLoadTestQuantilesMatchHistogram(t *testing.T) {
+// Client-observed submit-to-result latencies and the server's live
+// serve.submit_to_result_ms histogram measure the same jobs from the two
+// ends of the HTTP pipe; their quantiles must agree within one
+// power-of-two bucket. The client here submits six fresh spec jobs, then
+// polls every pending result each 50ms and stops a job's clock at its
+// first 200. The jobs are sized to run well past that poll interval, so
+// that the poll cannot by itself span two buckets.
+func TestClientQuantilesMatchHistogram(t *testing.T) {
 	o := obs.New()
 	s := startTestServer(t, Options{Concurrency: 2, Observer: o})
+	base := "http://" + s.Addr()
 	cfg := testConfig() // spec jobs ignore TargetOps; lengthen the clustering
 	cfg.IntervalSize = 2_000
 	cfg.Restarts = 50
-	rec, err := LoadTest(context.Background(), LoadTestOptions{
-		BaseURL: "http://" + s.Addr(),
-		Jobs:    6,
-		Unique:  6, // all fresh: every submission lands in the histogram
-		Clients: 2,
-		Config:  cfg,
-	})
-	if err != nil {
-		t.Fatal(err)
+
+	type pending struct {
+		id    string
+		start time.Time
 	}
-	if rec.Completed != 6 || rec.Failed != 0 || rec.Rejected != 0 {
-		t.Fatalf("loadtest record: %+v", rec)
+	var jobs []pending
+	for i := 0; i < 6; i++ { // all fresh: every submission lands in the histogram
+		start := time.Now()
+		resp, data := postJSON(t, base+"/jobs", SubmitRequest{Request: jobqueue.Request{
+			Specs: []program.Spec{program.RandomSpec(11, i)}, Config: cfg,
+		}})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		var sub SubmitResponse
+		if err := json.Unmarshal(data, &sub); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, pending{sub.Job.ID, start})
+	}
+	var latencies []time.Duration
+	deadline := time.Now().Add(120 * time.Second)
+	for len(jobs) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d job(s) never produced a result", len(jobs))
+		}
+		time.Sleep(50 * time.Millisecond)
+		waiting := jobs[:0]
+		for _, j := range jobs {
+			resp, data := get(t, base+"/jobs/"+j.id+"/result")
+			switch resp.StatusCode {
+			case http.StatusOK:
+				latencies = append(latencies, time.Since(j.start))
+			case http.StatusConflict:
+				waiting = append(waiting, j)
+			default:
+				t.Fatalf("result %s: status %d: %s", j.id, resp.StatusCode, data)
+			}
+		}
+		jobs = waiting
+	}
+	slices.Sort(latencies)
+	// Nearest rank, the rule QuantileBucket applies to bucket counts.
+	quantileUS := func(q float64) uint64 {
+		return uint64(latencies[int(q*float64(len(latencies))+0.5)-1].Microseconds())
 	}
 
 	h := o.Metrics.Snapshot().Histograms["serve.submit_to_result_ms"]
@@ -160,8 +198,8 @@ func TestLoadTestQuantilesMatchHistogram(t *testing.T) {
 				name, clientBucket, float64(clientUS)/1000, serverBucket, h.QuantileBound(q), diff)
 		}
 	}
-	check("p50", rec.P50US, 0.50)
-	check("p99", rec.P99US, 0.99)
+	check("p50", quantileUS(0.50), 0.50)
+	check("p99", quantileUS(0.99), 0.99)
 }
 
 func readAll(t *testing.T, resp *http.Response) []byte {
