@@ -22,7 +22,6 @@ package cmpsim
 
 import (
 	"fmt"
-	"unsafe"
 
 	"xbsim/internal/fingerprint"
 	"xbsim/internal/xrand"
@@ -163,38 +162,30 @@ func (c HierarchyConfig) Digest() string {
 	return h.Sum()
 }
 
-// StateBytes estimates the resident cache-state footprint of one
-// simulated hierarchy: the line arrays every level allocates plus the
-// per-set slice headers. It is the per-walk figure the pipeline's
-// pipeline.memo.bytes_saved counter charges for each simulation the memo
-// table avoided, and the per-reuse figure the state pool recycles.
+// StateBytes is the cache-state footprint of one simulated hierarchy:
+// every level's tag and stamp words and dirty flags, exactly the arrays
+// NewHierarchy allocates for them. It is the per-walk figure the
+// pipeline's pipeline.memo.bytes_saved counter charges for each
+// simulation the memo table avoided, and the per-reuse figure the state
+// pool recycles.
 func (c HierarchyConfig) StateBytes() uint64 {
-	const sliceHeader = 24 // ptr + len + cap on 64-bit
+	const perLine = 8 + 8 + 1 // tag + stamp + dirty
 	var total uint64
-	lineSize := uint64(unsafe.Sizeof(cacheLine{}))
 	for _, l := range c.Levels {
 		if l.LineSize == 0 || l.Associativity <= 0 {
 			continue
 		}
-		lines := l.CapacityBytes / l.LineSize
-		sets := lines / uint64(l.Associativity)
-		total += lines*lineSize + sets*sliceHeader
+		total += l.CapacityBytes / l.LineSize * perLine
 	}
 	return total
 }
 
-// cacheLine is one way of one set.
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	// dirty marks a line written since fill; evicting it counts as a
-	// writeback (these are write-back caches).
-	dirty bool
-	// use is the LRU timestamp (bigger = more recent).
-	use uint64
-}
-
 // Cache is one set-associative, write-allocate cache level.
+//
+// Its state is flat: way w of set s is slot s*assoc + w of tags, stamp
+// and dirty. stamp is the replacement clock at the line's fill (and, unless
+// the policy is FIFO, at its last hit); 0 marks an invalid way. The clock
+// advances before every fill, so a valid line's stamp is at least 1.
 //
 // The exported fields are event counters, incremented on every access —
 // demand or prefetch, gated or warming — so they attribute the cache's
@@ -203,11 +194,17 @@ type cacheLine struct {
 // them (see Simulator.PublishMetrics).
 type Cache struct {
 	cfg       CacheConfig
-	sets      [][]cacheLine
+	tags      []uint64
+	stamp     []uint64
+	dirty     []bool
+	assoc     int
 	setMask   uint64
 	lineShift uint
 	clock     uint64
-	rng       *xrand.Stream // Random policy only
+	// refresh is false under FIFO, which ranks by fill time only, so a
+	// hit does not restamp the line.
+	refresh bool
+	rng     *xrand.Stream // Random policy only
 
 	// Hits and Misses count accesses at this level.
 	Hits, Misses uint64
@@ -231,21 +228,19 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	lines := cfg.CapacityBytes / cfg.LineSize
-	numSets := lines / uint64(cfg.Associativity)
-	sets := make([][]cacheLine, numSets)
-	backing := make([]cacheLine, lines)
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Associativity) : (uint64(i)+1)*uint64(cfg.Associativity)]
-	}
 	shift := uint(0)
 	for sz := cfg.LineSize; sz > 1; sz >>= 1 {
 		shift++
 	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		setMask:   numSets - 1,
+		tags:      make([]uint64, lines),
+		stamp:     make([]uint64, lines),
+		dirty:     make([]bool, lines),
+		assoc:     cfg.Associativity,
+		setMask:   lines/uint64(cfg.Associativity) - 1,
 		lineShift: shift,
+		refresh:   cfg.Replacement != FIFO,
 	}
 	if cfg.Replacement == Random {
 		c.rng = xrand.New("cmpsim/random-replacement/" + cfg.Name)
@@ -264,92 +259,93 @@ func (c *Cache) Access(addr uint64) bool { return c.AccessRW(addr, false) }
 // changes only the event counters, never the fill or victim decisions,
 // so hit/miss behavior is identical to Access.
 func (c *Cache) AccessRW(addr uint64, write bool) bool {
+	_, hit := c.access(addr, write)
+	return hit
+}
+
+// access is AccessRW that also returns the slot holding the line
+// afterwards: the hit way, or the way the miss filled.
+func (c *Cache) access(addr uint64, write bool) (slot int, hit bool) {
 	c.clock++
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr // the full line address is trivially injective per set
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			if c.cfg.Replacement != FIFO {
-				// FIFO ranks by fill time only; reuse does not refresh.
-				set[i].use = c.clock
-			}
-			if write {
-				set[i].dirty = true
-			}
-			c.Hits++
-			return true
-		}
+	tag := addr >> c.lineShift // the full line address is trivially injective per set
+	j, hit := c.lookup(tag)
+	if hit {
+		c.hit(j, write)
+		return j, true
 	}
 	c.Misses++
-	// Fill: prefer an invalid way, otherwise the policy's victim.
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if victim < 0 || set[i].use < set[victim].use {
-			victim = i
-		}
-	}
-	if victim >= 0 && set[victim].valid && c.cfg.Replacement == Random {
-		victim = c.rng.Intn(len(set))
-	}
-	if set[victim].valid {
+	if c.stamp[j] != 0 {
 		c.Evictions++
-		if set[victim].dirty {
+		if c.dirty[j] {
 			c.Writebacks++
 		}
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write, use: c.clock}
+	c.tags[j], c.stamp[j], c.dirty[j] = tag, c.clock, write
 	if c.cfg.NextLinePrefetch {
 		c.prefetch(addr + c.cfg.LineSize)
 	}
-	return false
+	return j, false
+}
+
+// hit applies a hit on slot j at the current clock.
+func (c *Cache) hit(j int, write bool) {
+	if c.refresh {
+		c.stamp[j] = c.clock
+	}
+	if write {
+		c.dirty[j] = true
+	}
+	c.Hits++
+}
+
+// lookup scans tag's set once. It returns the slot holding tag and true,
+// or the slot to fill and false: the first invalid way in index order,
+// otherwise the first way with the smallest stamp — one minimum, since
+// invalid ways carry the smallest stamp, 0 — or, under the Random policy,
+// a random way of a full set.
+func (c *Cache) lookup(tag uint64) (slot int, hit bool) {
+	first := int(tag&c.setMask) * c.assoc
+	tags := c.tags[first : first+c.assoc]
+	stamps := c.stamp[first : first+len(tags)]
+	v, oldest := 0, stamps[0]
+	for i, t := range tags {
+		s := stamps[i]
+		if t == tag && s != 0 {
+			return first + i, true
+		}
+		if s < oldest {
+			v, oldest = i, s
+		}
+	}
+	if oldest != 0 && c.rng != nil {
+		v = c.rng.Intn(len(tags))
+	}
+	return first + v, false
 }
 
 // prefetch inserts a line without touching the demand hit/miss counters.
 func (c *Cache) prefetch(addr uint64) {
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return // already resident
-		}
-	}
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if victim < 0 || set[i].use < set[victim].use {
-			victim = i
-		}
-	}
-	if victim >= 0 && set[victim].valid && c.cfg.Replacement == Random {
-		victim = c.rng.Intn(len(set))
-	}
+	tag := addr >> c.lineShift
+	j, resident := c.lookup(tag)
 	// Never evict the line the triggering demand access just filled
-	// (it is the only line with use == clock, since clock advances once
-	// per Access). In 1-way or single-set caches it is the sole victim
-	// candidate, and evicting it would make every prefetch undo its own
-	// demand fill — a thrash that turns sequential sweeps into 100% misses.
-	if set[victim].valid && set[victim].use == c.clock {
+	// (it is the only line stamped with the current clock, since clock
+	// advances once per Access). In 1-way or single-set caches it is the
+	// sole victim candidate, and evicting it would make every prefetch
+	// undo its own demand fill — a thrash that turns sequential sweeps
+	// into 100% misses.
+	if resident || c.stamp[j] == c.clock {
 		return
 	}
-	if set[victim].valid {
+	if c.stamp[j] != 0 {
 		c.PrefetchEvictions++
-		if set[victim].dirty {
+		if c.dirty[j] {
 			c.Writebacks++
 		}
 	}
-	// Insert at LRU-adjacent priority (use = clock, like a demand fill;
-	// simple and adequate for a next-line prefetcher). Prefetched lines
-	// arrive clean.
-	set[victim] = cacheLine{tag: tag, valid: true, use: c.clock}
+	// Insert at LRU-adjacent priority (stamped with the clock, like a
+	// demand fill; simple and adequate for a next-line prefetcher).
+	// Prefetched lines arrive clean.
+	c.tags[j], c.stamp[j], c.dirty[j] = tag, c.clock, false
 	c.PrefetchFills++
 }
 
@@ -358,14 +354,12 @@ func (c *Cache) prefetch(addr uint64) {
 // stream is re-seeded too, so a reused cache makes bit-identical victim
 // choices to a fresh one — the invariant the state pool relies on.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
+	clear(c.tags)
+	clear(c.stamp)
+	clear(c.dirty)
 	c.clock, c.Hits, c.Misses, c.PrefetchFills = 0, 0, 0, 0
 	c.Evictions, c.Writebacks, c.PrefetchEvictions = 0, 0, 0
-	if c.cfg.Replacement == Random {
+	if c.rng != nil {
 		c.rng = xrand.New("cmpsim/random-replacement/" + c.cfg.Name)
 	}
 }
@@ -376,7 +370,8 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // Hierarchy is the multi-level memory system.
 type Hierarchy struct {
 	levels []*Cache
-	memLat int
+	// latency[i] is level i's hit latency; latency[len(levels)] is DRAM's.
+	latency []int
 	// digest is the builder configuration's Digest(), recorded so a
 	// StatePool can file a returned hierarchy under the right free list.
 	digest string
@@ -387,14 +382,16 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{memLat: cfg.MemoryLatency, digest: cfg.Digest()}
+	h := &Hierarchy{digest: cfg.Digest()}
 	for i, l := range cfg.Levels {
 		c, err := NewCache(l)
 		if err != nil {
 			return nil, fmt.Errorf("level %d: %w", i, err)
 		}
 		h.levels = append(h.levels, c)
+		h.latency = append(h.latency, l.HitLatency)
 	}
+	h.latency = append(h.latency, cfg.MemoryLatency)
 	return h, nil
 }
 
@@ -408,12 +405,24 @@ func (h *Hierarchy) Access(addr uint64) int { return h.AccessRW(addr, false) }
 // accounting (see Cache.AccessRW); latency and fill behavior are
 // identical to Access.
 func (h *Hierarchy) AccessRW(addr uint64, write bool) int {
-	for _, c := range h.levels {
-		if c.AccessRW(addr, write) {
-			return c.cfg.HitLatency
+	level, _ := h.walk(addr, write)
+	return h.latency[level]
+}
+
+// walk performs one access nearest level first and returns the level
+// that served it (len(levels) for DRAM) and the first-level slot that
+// holds the line afterwards.
+func (h *Hierarchy) walk(addr uint64, write bool) (level, l1Slot int) {
+	l1Slot, hit := h.levels[0].access(addr, write)
+	if hit {
+		return 0, l1Slot
+	}
+	for level = 1; level < len(h.levels); level++ {
+		if _, hit := h.levels[level].access(addr, write); hit {
+			break
 		}
 	}
-	return h.memLat
+	return level, l1Slot
 }
 
 // Levels exposes the cache levels for statistics reporting.
@@ -432,9 +441,14 @@ func (h *Hierarchy) Reset() {
 // working set; the rest are uniform over the whole set. Without this,
 // multi-megabyte random working sets would miss on essentially every
 // access and produce CPIs far beyond anything the paper's machines show.
+//
+// The hot test reads the hash's top byte x as float64(x)/256 <
+// hotFraction, which holds exactly when x <= hotTopByteMax; hotSetBytes
+// is a power of two, so the hot offset is a mask.
 const (
-	hotSetBytes = 16 << 10
-	hotFraction = 0.9
+	hotSetBytes   = 16 << 10
+	hotFraction   = 0.9
+	hotTopByteMax = 230
 )
 
 // addressGen synthesizes the address stream for one *source* compute
@@ -444,33 +458,36 @@ const (
 //
 // Generators are shared per source statement (keyed by source line), not
 // per static block, and the random addresses are a pure function of
-// (seed, line, access ordinal). Because every binary of a program executes
-// the same semantic access sequence, the i-th access of a statement hits
-// the same address in every binary — as real data-dependent access
-// patterns do. Without this, sampled regions would see independent
-// address noise per binary, which breaks the cross-binary bias
-// consistency the paper measures.
+// (seed, line, access ordinal): key is xrand.Hash3Prefix(seed, line).
+// Because every binary of a program executes the same semantic access
+// sequence, the i-th access of a statement hits the same address in every
+// binary — as real data-dependent access patterns do. Without this,
+// sampled regions would see independent address noise per binary, which
+// breaks the cross-binary bias consistency the paper measures.
+//
+// l1Slot is the first-level cache slot that held the generator's last
+// line, a hint the simulator verifies before it trusts (see
+// Simulator.drive).
 type addressGen struct {
 	base    uint64
 	ws      uint64
 	stride  uint64
 	random  bool
 	cursor  uint64
-	seed    uint64
-	line    uint64
+	key     uint64
 	counter uint64
+	l1Slot  int
 }
 
 func (g *addressGen) next() uint64 {
 	if g.random {
-		h := xrand.Hash3(g.seed, g.line, g.counter)
+		h := xrand.Hash3Finish(g.key, g.counter)
 		g.counter++
-		span := g.ws
 		// Top byte decides hot vs cold; the rest picks the line.
-		if span > hotSetBytes && float64(h>>56)/256 < hotFraction {
-			span = hotSetBytes
+		if g.ws > hotSetBytes && h>>56 <= hotTopByteMax {
+			return g.base + (h&(hotSetBytes-1))&^63
 		}
-		return g.base + ((h % span) &^ 63)
+		return g.base + (h%g.ws)&^63
 	}
 	a := g.base + g.cursor
 	g.cursor += g.stride

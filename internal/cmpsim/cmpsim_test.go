@@ -8,6 +8,7 @@ import (
 	"xbsim/internal/compiler"
 	"xbsim/internal/exec"
 	"xbsim/internal/program"
+	"xbsim/internal/xrand"
 )
 
 // mustCache builds a cache from a config the test knows is valid.
@@ -338,22 +339,68 @@ func TestAddressGenStride(t *testing.T) {
 			t.Fatalf("step %d: %#x want %#x", i, got, w)
 		}
 	}
+	// Random generators, with working sets below, at and above the hot
+	// set and one that is not a power of two, against the reference.
+	seed := uint64(0x5EED)
+	for _, ws := range []uint64{64, 4 << 10, hotSetBytes, hotSetBytes + 64, 1 << 20, 3<<20 + 192} {
+		for _, line := range []uint64{0, 1, 417} {
+			g := &addressGen{base: 3 << 36, ws: ws, random: true, key: xrand.Hash3Prefix(seed, line)}
+			ref := &refAddressGen{base: 3 << 36, ws: ws, random: true, seed: seed, line: line}
+			for i := 0; i < 20000; i++ {
+				if got, want := g.next(), ref.next(); got != want {
+					t.Fatalf("ws %d line %d step %d: %#x want %#x", ws, line, i, got, want)
+				}
+			}
+		}
+	}
 }
 
+// blockRecorder records the dynamic block stream of one execution.
+type blockRecorder []int
+
+func (r *blockRecorder) OnBlock(block int) { *r = append(*r, block) }
+func (r *blockRecorder) OnMarker(int)      {}
+
+// BenchmarkSimulatorFullRun times full-run simulations of a spill-heavy
+// binary (gzip 32-bit O0) and a random-access-heavy one (mcf 64-bit O2).
+// The block stream is recorded once and replayed, and the hierarchy comes
+// from a StatePool as in the pipeline, so an op is the simulator's own
+// work rather than the block walk or the allocation of fresh cache state.
+// ns/access is that time per simulated load or store, the unit of the
+// benchmark's cmpsim.ns_per_access.
 func BenchmarkSimulatorFullRun(b *testing.B) {
-	p, err := program.Generate("gzip", program.GenConfig{TargetOps: 150_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := NewSimulator(bin, DefaultHierarchyConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := exec.Run(bin, refInput, sim); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name, prog string
+		tg         compiler.Target
+	}{
+		{"gzip-32-O0", "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0}},
+		{"mcf-64-O2", "mcf", compiler.Target{Arch: compiler.Arch64, Opt: compiler.O2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := program.Generate(c.prog, program.GenConfig{TargetOps: 2_000_000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bin := compiler.MustCompile(p, c.tg)
+			var blocks blockRecorder
+			if err := exec.Run(bin, refInput, &blocks); err != nil {
+				b.Fatal(err)
+			}
+			pool := NewStatePool()
+			var accesses uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim, err := NewSimulatorPooled(bin, DefaultHierarchyConfig(), pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, blk := range blocks {
+					sim.OnBlock(blk)
+				}
+				accesses += sim.Stats().Loads + sim.Stats().Stores
+				sim.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+		})
 	}
 }

@@ -98,7 +98,13 @@ type Simulator struct {
 	// stackGen is the shared spill-address generator.
 	stackGen *addressGen
 
-	core    CoreConfig
+	core CoreConfig
+	// loadPenalty[i] and storePenalty[i] are the stall cycles charged to a
+	// load or store served by level i (len(levels) for DRAM): the latency
+	// less the one issue cycle, and a StoreLatencyShare fraction of that
+	// for stores, which retire through a store buffer.
+	loadPenalty, storePenalty []uint64
+
 	enabled bool
 	warming bool
 	stats   Stats
@@ -150,6 +156,10 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig, po
 	}
 	s.stats.LevelHits = make([]uint64, len(hier.levels))
 	s.stats.LevelMisses = make([]uint64, len(hier.levels))
+	for _, lat := range hier.latency {
+		s.loadPenalty = append(s.loadPenalty, uint64(lat-1))
+		s.storePenalty = append(s.storePenalty, uint64(lat-1)/uint64(core.StoreLatencyShare))
+	}
 	// The address seed is keyed by the PROGRAM, not the binary: the same
 	// source statement touches the same addresses in every binary of the
 	// program (see addressGen).
@@ -191,8 +201,7 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig, po
 			ws:     ws,
 			stride: b.Mem.Stride,
 			random: b.Mem.Class == program.MemRandom,
-			seed:   seed,
-			line:   uint64(b.SrcLine),
+			key:    xrand.Hash3Prefix(seed, uint64(b.SrcLine)),
 		})
 		if g.stride == 0 && !g.random {
 			g.stride = 8
@@ -318,29 +327,11 @@ func (s *Simulator) OnBlock(block int) {
 		base = (base + w - 1) / w
 	}
 	cycles := base + uint64(b.FPInstrs)*uint64(s.core.FPExtraCycles)
-	storeShare := uint64(s.core.StoreLatencyShare)
-
 	if g := s.gens[block]; g != nil {
-		for i := 0; i < b.Loads; i++ {
-			lat := s.access(g.next(), false, enabled)
-			cycles += uint64(lat - 1)
-		}
-		for i := 0; i < b.Stores; i++ {
-			lat := s.access(g.next(), true, enabled)
-			// Stores retire through a store buffer; charge a fraction of
-			// the miss latency.
-			cycles += uint64(lat-1) / storeShare
-		}
+		cycles += s.drive(g, b.Loads, b.Stores, enabled)
 	}
 	if b.SpillLoads+b.SpillStores > 0 {
-		for i := 0; i < b.SpillLoads; i++ {
-			lat := s.access(s.stackGen.next(), false, enabled)
-			cycles += uint64(lat - 1)
-		}
-		for i := 0; i < b.SpillStores; i++ {
-			lat := s.access(s.stackGen.next(), true, enabled)
-			cycles += uint64(lat-1) / storeShare
-		}
+		cycles += s.drive(s.stackGen, b.SpillLoads, b.SpillStores, enabled)
 	}
 	if enabled {
 		s.stats.Instructions += uint64(b.Instrs)
@@ -353,23 +344,55 @@ func (s *Simulator) OnBlock(block int) {
 // OnMarker implements exec.Visitor.
 func (s *Simulator) OnMarker(int) {}
 
-// access performs one hierarchy access, recording per-level outcomes only
-// when stats recording is on. write marks the touched line dirty for
-// writeback accounting; it never changes latency or fill decisions.
-func (s *Simulator) access(addr uint64, write, record bool) int {
-	for li, c := range s.hier.levels {
-		if c.AccessRW(addr, write) {
+// drive performs g's next loads+stores accesses, the loads first, and
+// returns their stall cycles, recording per-level outcomes only when
+// record is set. A store marks the touched line dirty for writeback
+// accounting; that never changes latency or fill decisions.
+//
+// Most accesses touch the line the generator touched last, so each
+// generator keeps the first-level slot of that line. The hint is used
+// only after checking that the slot still holds the line (its tag) and
+// that the line is valid (a nonzero stamp); then the access is exactly a
+// first-level hit and is applied inline. Anything else — another line, a
+// line evicted or moved since — takes the full walk, which reports the
+// line's new slot.
+func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 {
+	l1 := s.hier.levels[0]
+	var cycles uint64
+	for i := 0; i < loads+stores; i++ {
+		write := i >= loads
+		addr := g.next()
+		level := 0
+		if j := g.l1Slot; l1.tags[j] == addr>>l1.lineShift && l1.stamp[j] != 0 {
+			l1.clock++
+			l1.hit(j, write)
 			if record {
-				s.stats.LevelHits[li]++
+				s.stats.LevelHits[0]++
 			}
-			return c.cfg.HitLatency
+		} else {
+			level, g.l1Slot = s.hier.walk(addr, write)
+			if record {
+				s.record(level)
+			}
 		}
-		if record {
-			s.stats.LevelMisses[li]++
+		if write {
+			cycles += s.storePenalty[level]
+		} else {
+			cycles += s.loadPenalty[level]
 		}
 	}
-	if record {
+	return cycles
+}
+
+// record counts an access served by level (len(levels) for DRAM) in the
+// statistics window: a miss at every nearer level and a hit at level.
+func (s *Simulator) record(level int) {
+	for i := 0; i < level; i++ {
+		s.stats.LevelMisses[i]++
+	}
+	if level < len(s.stats.LevelHits) {
+		s.stats.LevelHits[level]++
+	} else {
 		s.stats.MemoryAccesses++
 	}
-	return s.hier.memLat
 }

@@ -3,10 +3,10 @@ package cmpsim
 import "sync"
 
 // StatePool recycles cache-hierarchy state across simulations. A
-// hierarchy's dominant allocation is its line arrays (≈0.66 MB for the
-// paper's Table 1 geometry by HierarchyConfig.StateBytes: 25,088
-// 24-byte cacheLine structs plus 2,304 set headers); the evaluate
-// stage builds one hierarchy per walk per binary, so reallocating per
+// hierarchy's dominant allocation is its line arrays (≈0.43 MB for the
+// paper's Table 1 geometry by HierarchyConfig.StateBytes: 25,088 lines of
+// an 8-byte tag, an 8-byte stamp and a dirty byte); the evaluate stage
+// builds one hierarchy per walk per binary, so reallocating per
 // evaluation dominated the pipeline's allocation profile. Get returns a
 // recycled hierarchy when one with the same configuration digest is
 // free, and Put resets a hierarchy (contents, counters, and the Random

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"runtime"
 	"testing"
 
 	"xbsim/internal/compiler"
@@ -170,5 +171,31 @@ func TestStatePoolCutsAllocs(t *testing.T) {
 	})
 	if pooled >= fresh {
 		t.Fatalf("pooled construction allocs/op %.0f not below fresh %.0f", pooled, fresh)
+	}
+}
+
+// TestStateBytesMatchesAllocation pins StateBytes to what NewHierarchy
+// really allocates: the bytes it adds to TotalAlloc, less a fixed
+// overhead for the Hierarchy and Cache structs, the level and latency
+// slices, the digest and the Random policy's stream.
+func TestStateBytesMatchesAllocation(t *testing.T) {
+	const overhead = 2 << 10
+	for _, cfg := range []HierarchyConfig{DefaultHierarchyConfig(), randomHierarchy()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, err := NewHierarchy(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(h)
+		got, want := after.TotalAlloc-before.TotalAlloc, cfg.StateBytes()
+		if got < want || got-want > overhead {
+			t.Errorf("%s: NewHierarchy allocated %d bytes, StateBytes %d (+ at most %d overhead)",
+				cfg.Levels[0].Name, got, want, overhead)
+		}
+	}
+	if got := DefaultHierarchyConfig().StateBytes(); got != 25088*17 {
+		t.Errorf("Table 1 StateBytes = %d, want %d (25,088 lines x 17 bytes)", got, 25088*17)
 	}
 }

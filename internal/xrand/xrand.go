@@ -92,7 +92,19 @@ func mix64(z uint64) uint64 {
 // such as loop trip counts: the same (seed, id, ordinal) always hashes to
 // the same value, with no stream state involved.
 func Hash3(a, b, c uint64) uint64 {
-	return mix64(mix64(a^0x9E3779B97F4A7C15) + mix64(b+0xBF58476D1CE4E5B9) + mix64(c+0x94D049BB133111EB))
+	return Hash3Finish(Hash3Prefix(a, b), c)
+}
+
+// Hash3Prefix is the (a, b) half of Hash3. A caller hashing many values of
+// c under one (a, b) computes it once and finishes each value with
+// Hash3Finish: Hash3(a, b, c) == Hash3Finish(Hash3Prefix(a, b), c).
+func Hash3Prefix(a, b uint64) uint64 {
+	return mix64(a^0x9E3779B97F4A7C15) + mix64(b+0xBF58476D1CE4E5B9)
+}
+
+// Hash3Finish completes Hash3 from a Hash3Prefix value and the third input.
+func Hash3Finish(prefix, c uint64) uint64 {
+	return mix64(prefix + mix64(c+0x94D049BB133111EB))
 }
 
 // Uint64 returns the next 64 uniformly random bits.

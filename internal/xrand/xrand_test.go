@@ -228,6 +228,29 @@ func TestMix64Bijective(t *testing.T) {
 	}
 }
 
+// Hash3 and its split form must both equal the one-expression hash every
+// trip count and synthesized address in the repository was derived from.
+func TestHash3SplitIdentity(t *testing.T) {
+	ref := func(a, b, c uint64) uint64 {
+		return mix64(mix64(a^0x9E3779B97F4A7C15) + mix64(b+0xBF58476D1CE4E5B9) + mix64(c+0x94D049BB133111EB))
+	}
+	s := New("hash3")
+	edge := []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	for i := 0; i < 20000; i++ {
+		a, b, c := s.Uint64(), s.Uint64(), s.Uint64()
+		if i < len(edge)*len(edge) {
+			a, b, c = edge[i%len(edge)], edge[i/len(edge)], edge[(i+2)%len(edge)]
+		}
+		want := ref(a, b, c)
+		if got := Hash3(a, b, c); got != want {
+			t.Fatalf("Hash3(%#x, %#x, %#x) = %#x, want %#x", a, b, c, got, want)
+		}
+		if got := Hash3Finish(Hash3Prefix(a, b), c); got != want {
+			t.Fatalf("Hash3Finish(Hash3Prefix(%#x, %#x), %#x) = %#x, want %#x", a, b, c, got, want)
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New("bench")
 	var sink uint64
