@@ -47,6 +47,35 @@ func (m Multi) OnMarker(marker int) {
 	}
 }
 
+// flatten returns vs as one Multi, with every nested Multi member
+// spliced in place, so a wrapped visitor costs no extra dispatch per
+// event. The event order each visitor sees is unchanged.
+func flatten(vs ...Visitor) Multi {
+	return appendFlat(make(Multi, 0, flatLen(vs)), vs)
+}
+
+// flatLen is the length of flatten(vs...), so flatten allocates once.
+func flatLen(vs []Visitor) int {
+	n := len(vs)
+	for _, v := range vs {
+		if inner, ok := v.(Multi); ok {
+			n += flatLen(inner) - 1
+		}
+	}
+	return n
+}
+
+func appendFlat(m Multi, vs []Visitor) Multi {
+	for _, v := range vs {
+		if inner, ok := v.(Multi); ok {
+			m = appendFlat(m, inner)
+		} else {
+			m = append(m, v)
+		}
+	}
+	return m
+}
+
 // TripCount returns the number of iterations loop `spec` executes on its
 // ordinal-th entry (0-based) under the given input seed. It is exported so
 // tests and analyses can predict execution without running it.
@@ -162,14 +191,14 @@ func RunCtx(ctx context.Context, bin *compiler.Binary, in program.Input, v Visit
 				err = fmt.Errorf("exec %s: %w", bin.Name, stop.err)
 			}
 		}()
-		v = Multi{&cancelChecker{ctx: ctx}, v}
+		v = flatten(&cancelChecker{ctx: ctx}, v)
 	}
 	if o == nil || o.Metrics == nil {
 		return Run(bin, in, v)
 	}
 	ic := NewInstructionCounter(bin)
 	var markers markerTally
-	err = Run(bin, in, Multi{v, ic, &markers})
+	err = Run(bin, in, flatten(v, ic, &markers))
 	o.Counter("exec.runs").Inc()
 	o.Counter("exec.instructions").Add(ic.Instructions)
 	o.Counter("exec.blocks").Add(ic.BlockExecs)

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"xbsim/internal/compiler"
+	"xbsim/internal/obs"
 	"xbsim/internal/program"
 )
 
@@ -310,6 +313,62 @@ func TestMultiVisitorFansOut(t *testing.T) {
 	}
 	if a.Instructions != b.Instructions || a.Instructions == 0 {
 		t.Fatalf("multi visitor mismatch: %d vs %d", a.Instructions, b.Instructions)
+	}
+}
+
+// eventLog records, for every visitor sharing it, each event in arrival
+// order: visitor ID, then the block (non-negative) or ^marker.
+type eventLog struct{ events []int }
+
+type recorder struct {
+	id  int
+	log *eventLog
+}
+
+func (r recorder) OnBlock(b int)  { r.log.events = append(r.log.events, r.id, b) }
+func (r recorder) OnMarker(m int) { r.log.events = append(r.log.events, r.id, ^m) }
+
+func TestFlattenSplicesNestedMulti(t *testing.T) {
+	log := &eventLog{}
+	r := func(id int) Visitor { return recorder{id, log} }
+	args := []Visitor{r(0), Multi{r(1), Multi{r(2), Multi{}}, r(3)}, r(4)}
+	got := flatten(args...)
+	want := Multi{r(0), r(1), r(2), r(3), r(4)}
+	if !slices.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("flatten = %v (cap %d), want %v", got, cap(got), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { got = flatten(args...) }); allocs != 1 {
+		t.Fatalf("flatten allocates %v times, want 1", allocs)
+	}
+}
+
+// RunCtx splices its cancellation checker and metrics visitors into the
+// caller's Multi; every visitor must still see the same events in the
+// same interleaving as a plain Run of the nested Multi.
+func TestRunCtxFlatFanOutKeepsEventOrder(t *testing.T) {
+	p := smallProgram(t, "mcf")
+	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch64, Opt: compiler.O2})
+	nested := func(log *eventLog) Visitor {
+		return Multi{recorder{0, log}, Multi{recorder{1, log}, recorder{2, log}}, recorder{3, log}}
+	}
+	var want eventLog
+	if err := Run(bin, refInput, nested(&want)); err != nil {
+		t.Fatal(err)
+	}
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{
+		"cancelable": cancelable,
+		"observed":   obs.With(context.Background(), obs.New()),
+		"both":       obs.With(cancelable, obs.New()),
+	} {
+		var got eventLog
+		if err := RunCtx(ctx, bin, refInput, nested(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.events, want.events) {
+			t.Fatalf("%s: RunCtx delivered %d events differently from Run's %d", name, len(got.events), len(want.events))
+		}
 	}
 }
 

@@ -202,9 +202,11 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 		return nil, err
 	}
 
-	// Walk 1 per binary: call/branch profile + FLI BBVs + totals. The
-	// walks are independent per binary, so they fan out on the pool;
-	// each writes its own profiles[bi]/fliRes[bi] slot.
+	// Walk 1 per binary: call/branch profile + FLI BBVs. The total
+	// instruction count is the end of the last FLI interval, so the walk
+	// counts instructions once; walk 3 cross-checks it. The walks are
+	// independent per binary, so they fan out on the pool; each writes
+	// its own profiles[bi]/fliRes[bi] slot.
 	var profiles []*profile.Profile
 	var fliRes []*profile.FLIResult
 	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
@@ -218,18 +220,17 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 			}
 			bin := bins[bi]
 			o.Report(obs.Event{Benchmark: name, Binary: bin.Name, Stage: "profile"})
-			ic := exec.NewInstructionCounter(bin)
 			mc := exec.NewMarkerCounter(bin)
 			fc, err := profile.NewFLICollector(bin, cfg.IntervalSize)
 			if err != nil {
 				return err
 			}
-			if err := exec.RunCtx(pctx, bin, cfg.Input, exec.Multi{ic, mc, fc}); err != nil {
+			if err := exec.RunCtx(pctx, bin, cfg.Input, exec.Multi{mc, fc}); err != nil {
 				return err
 			}
 			fliRes[bi] = fc.Finish()
 			o.Counter("pipeline.intervals.fli").Add(uint64(len(fliRes[bi].Ends)))
-			profiles[bi], err = profile.BuildProfile(bin, cfg.Input, ic.Instructions, mc.Counts)
+			profiles[bi], err = profile.BuildProfile(bin, cfg.Input, fliRes[bi].TotalInstructions(), mc.Counts)
 			return err
 		})
 	})
@@ -369,8 +370,8 @@ func evaluateBinary(ctx context.Context, cfg Config, bins []*compiler.Binary, bi
 	var fliKey, vliKey func(interval int) string
 	if att.Enabled() {
 		digest := "/" + cfg.Hierarchy.Digest()
-		fliKey = func(iv int) string { return fli.Dataset.Vector(iv).Fingerprint() + digest }
-		vliKey = func(iv int) string { return vli.Dataset.Vector(iv).Fingerprint() + digest }
+		fliKey = func(iv int) string { return fli.Dataset.Fingerprint(iv) + digest }
+		vliKey = func(iv int) string { return vli.Dataset.Fingerprint(iv) + digest }
 	}
 	// Memo keys: binary content digest × input × hierarchy digest ×
 	// warming mode × boundary-set digest. Only built with functional

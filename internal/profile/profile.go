@@ -147,6 +147,15 @@ type FLIResult struct {
 	Ends []uint64
 }
 
+// TotalInstructions returns the dynamic instruction count of the whole
+// run: the end of the last interval, or 0 when there is none.
+func (r *FLIResult) TotalInstructions() uint64 {
+	if len(r.Ends) == 0 {
+		return 0
+	}
+	return r.Ends[len(r.Ends)-1]
+}
+
 // FLICollector is an exec.Visitor that cuts intervals every Size
 // instructions (at the next block boundary) and records each interval's
 // basic block vector. This is per-binary SimPoint's front end (§2.1).

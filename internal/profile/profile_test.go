@@ -131,7 +131,7 @@ func TestFLICollectorCoversExecution(t *testing.T) {
 		}
 		prev = end
 	}
-	if res.Ends[len(res.Ends)-1] != ic.Instructions {
+	if res.Ends[len(res.Ends)-1] != ic.Instructions || res.TotalInstructions() != ic.Instructions {
 		t.Fatal("last interval does not end at program end")
 	}
 }
@@ -327,6 +327,62 @@ func TestFLITrackerMatchesCollector(t *testing.T) {
 	}
 	if transitions[0] != 0 || len(transitions) != len(res.Ends)+1 {
 		t.Fatalf("transitions %v for %d intervals", transitions, len(res.Ends))
+	}
+}
+
+func TestFLIResultTotalInstructionsEmpty(t *testing.T) {
+	if got := (&FLIResult{}).TotalInstructions(); got != 0 {
+		t.Fatalf("empty result TotalInstructions = %d", got)
+	}
+}
+
+// unitBinary is a binary of n one-instruction blocks, enough for the
+// collectors, which read only the block table.
+func unitBinary(n int) *compiler.Binary {
+	bin := &compiler.Binary{Blocks: make([]compiler.Block, n)}
+	for i := range bin.Blocks {
+		bin.Blocks[i] = compiler.Block{ID: i, Instrs: 1}
+	}
+	return bin
+}
+
+// FLICollector.OnBlock allocates nothing between cuts, and a cut
+// allocates a constant number of times however many distinct blocks the
+// interval touched: its exact-size row plus amortized slice growth, never
+// a per-block cost.
+func TestFLICollectorAllocations(t *testing.T) {
+	const n = 1000
+	c, err := NewFLICollector(unitBinary(n), 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < n; b++ {
+		c.OnBlock(b) // grow the dense vector once
+	}
+	var b int
+	if allocs := testing.AllocsPerRun(10*n, func() { c.OnBlock(b % n); b++ }); allocs != 0 {
+		t.Fatalf("OnBlock between cuts allocates %v times", allocs)
+	}
+
+	perCut := func(distinct int) float64 {
+		c, err := NewFLICollector(unitBinary(distinct), uint64(distinct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < distinct; b++ {
+			c.OnBlock(b)
+		}
+		// Each run touches every block once; the last one cuts.
+		return testing.AllocsPerRun(200, func() {
+			for b := 0; b < distinct; b++ {
+				c.OnBlock(b)
+			}
+		})
+	}
+	few, many := perCut(10), perCut(n)
+	t.Logf("a cut allocates %v times (10 and %d distinct blocks)", many, n)
+	if few != many || many > 3 {
+		t.Fatalf("a cut allocates %v times with 10 distinct blocks and %v with %d; want the same small constant", few, many, n)
 	}
 }
 
