@@ -323,7 +323,7 @@ commands:
   profile  [-top N] [-flame-out F] [-benchmarks L] [-json]
                                      (no -bench) run the quick suite with
                                      cost attribution on: per-walk cost
-                                     table, redundancy summary, optional
+                                     table, walk-3 accounting, optional
                                      speedscope flamegraph
   map      -bench B                  cross-binary mappable point summary
   points   -bench B -flavor F -target T [-o FILE]

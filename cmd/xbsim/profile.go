@@ -23,8 +23,8 @@ import (
 //     suite serially with the obs.Attribution profiler enabled and
 //     reports where the evaluate stage's wall time, allocation, and
 //     simulated instructions go, per (benchmark, binary, walk, point),
-//     plus the redundancy analyzer's duplicate-evaluation summary and,
-//     with -flame-out, a speedscope-compatible flamegraph JSON.
+//     plus how many gate points walk 3 answered and, with -flame-out, a
+//     speedscope-compatible flamegraph JSON.
 func cmdProfile(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("profile")
 	bench := fs.String("bench", "", "benchmark name (per-binary call/branch profile mode)")
@@ -138,7 +138,7 @@ func cmdProfileCost(ctx context.Context, w io.Writer, benchList string, top int,
 
 // writeCostProfile renders the attribution snapshot: the top-N cost
 // table over walk-level nodes, the evaluate-stage coverage line, and the
-// redundancy summary.
+// walk-3 accounting.
 func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
 	wall time.Duration, top int) error {
 
@@ -181,13 +181,6 @@ func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
 	}
 
 	r := snap.Redundancy
-	fmt.Fprintf(w, "redundancy: %d point evaluations, %d unique, %d duplicate (%.0f%%)\n",
-		r.Evaluations, r.Unique, r.Duplicates, r.DuplicateFraction()*100)
-	fmt.Fprintf(w, "  %d of %d simulated instructions re-simulated identical content\n",
-		r.DuplicateInstructions, r.TotalInstructions)
-	if r.Duplicates > 0 {
-		fmt.Fprintln(w, "  (a content-addressed memoization layer would skip these; see ROADMAP.md)")
-	}
 	fmt.Fprintf(w, "memo: %d hits, %d misses (%.0f%% hit rate), %d instructions not re-simulated\n",
 		r.MemoHits, r.MemoMisses, r.MemoHitRate()*100, r.MemoSavedInstructions)
 	return nil

@@ -16,7 +16,7 @@ var profileArgs = []string{"-benchmarks", "swim", "-ops", "400000", "-interval",
 
 // TestCmdProfileCostMode is the CI profile-smoke check in library form:
 // `xbsim profile` (no -bench) must report a per-(binary, walk) cost
-// table, a coverage line, and a non-empty redundancy summary.
+// table, a coverage line, and the walk-3 accounting line.
 func TestCmdProfileCostMode(t *testing.T) {
 	out := runCmd(t, "profile", append([]string{"-top", "50"}, profileArgs...)...)
 
@@ -34,16 +34,9 @@ func TestCmdProfileCostMode(t *testing.T) {
 	if !strings.Contains(out, "coverage:") {
 		t.Errorf("no coverage line:\n%s", out)
 	}
-	// With the evaluation memo on (the default), the gated walks are
-	// answered from walk 3's table: the redundancy analyzer, which
-	// counts *executed* evaluations, must see none, and the memo line
-	// must report a 100% hit rate.
-	if !strings.Contains(out, "redundancy:") {
-		t.Fatalf("no redundancy summary:\n%s", out)
-	}
-	if !strings.Contains(out, "redundancy: 0 point evaluations") {
-		t.Errorf("memoized run still executed point evaluations:\n%s", out)
-	}
+	// With functional warming on (the default), every gate point is
+	// answered from walk 3's deltas: the memo line must report a 100%
+	// hit rate.
 	if !strings.Contains(out, "memo:") || !strings.Contains(out, "(100% hit rate)") {
 		t.Errorf("memo summary missing or below full hit rate:\n%s", out)
 	}
@@ -91,7 +84,7 @@ func TestCmdProfileLegacyMode(t *testing.T) {
 			t.Errorf("legacy profile missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "redundancy:") {
+	if strings.Contains(out, "memo:") {
 		t.Errorf("legacy mode leaked cost-profiler output:\n%s", out)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"math"
 	"slices"
 
-	"xbsim/internal/fingerprint"
 	"xbsim/internal/vecmath"
 	"xbsim/internal/xrand"
 )
@@ -109,25 +108,6 @@ func (v *Vector) Sparse() (indices []int, values []float64) {
 	return indices, values
 }
 
-// Fingerprint returns a short deterministic content digest of the
-// vector: the sparse (block, weight) pairs in index order plus the
-// accumulated instruction count, hashed bit-exactly. Two intervals share
-// a fingerprint exactly when they executed an identical instruction-
-// weighted block mix — the interval half of the redundancy analyzer's
-// (interval, cache-config) evaluation key.
-func (v *Vector) Fingerprint() string {
-	indices, values := v.Sparse()
-	return fingerprintOf(v.instructions, indices, values)
-}
-
-func fingerprintOf(instructions uint64, indices []int, values []float64) string {
-	h := fingerprint.New()
-	h.Uint64(instructions)
-	h.Ints(indices)
-	h.Float64s(values)
-	return h.Sum()
-}
-
 // appendInts appends the block IDs of row to dst as ints.
 func appendInts(dst []int, row []int32) []int {
 	for _, b := range row {
@@ -203,12 +183,6 @@ func (d *Dataset) Vector(i int) *Vector {
 		v.touched = slices.Clone(idx)
 	}
 	return v
-}
-
-// Fingerprint returns interval i's Vector.Fingerprint, hashed straight
-// from its row.
-func (d *Dataset) Fingerprint(i int) string {
-	return fingerprintOf(d.lengths[i], appendInts(make([]int, 0, len(d.indices[i])), d.indices[i]), d.values[i])
 }
 
 // MaxBlockID returns the largest basic block ID present across all

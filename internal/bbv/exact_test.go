@@ -80,9 +80,6 @@ func sameVector(v *Vector, r *refVector) error {
 	if !sameBits(vals, rvals) {
 		return fmt.Errorf("Sparse values %v, oracle %v", vals, rvals)
 	}
-	if f, rf := v.Fingerprint(), r.Fingerprint(); f != rf {
-		return fmt.Errorf("Fingerprint %s, oracle %s", f, rf)
-	}
 	return nil
 }
 
@@ -97,9 +94,6 @@ func sameDataset(d *Dataset, rd *refDataset) error {
 	for i := 0; i < d.Len(); i++ {
 		if err := sameVector(d.Vector(i), rd.Vector(i)); err != nil {
 			return fmt.Errorf("interval %d: %w", i, err)
-		}
-		if f, rf := d.Fingerprint(i), rd.Vector(i).Fingerprint(); f != rf {
-			return fmt.Errorf("interval %d: dataset Fingerprint %s, oracle %s", i, f, rf)
 		}
 	}
 	for _, dim := range []int{3, 15} {

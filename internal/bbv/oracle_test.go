@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"xbsim/internal/fingerprint"
 	"xbsim/internal/vecmath"
 	"xbsim/internal/xrand"
 )
@@ -79,21 +78,6 @@ func (v *refVector) sparseInto(indices []int, values []float64) ([]int, []float6
 		values = append(values, v.counts[k])
 	}
 	return indices, values
-}
-
-// Fingerprint returns a short deterministic content digest of the
-// vector: the sparse (block, weight) pairs in index order plus the
-// accumulated instruction count, hashed bit-exactly. Two intervals share
-// a fingerprint exactly when they executed an identical instruction-
-// weighted block mix — the interval half of the redundancy analyzer's
-// (interval, cache-config) evaluation key.
-func (v *refVector) Fingerprint() string {
-	indices, values := v.Sparse()
-	h := fingerprint.New()
-	h.Uint64(v.instructions)
-	h.Ints(indices)
-	h.Float64s(values)
-	return h.Sum()
 }
 
 // refDataset is the map-based collection of interval BBVs plus the interval

@@ -138,10 +138,8 @@ func (c HierarchyConfig) Validate() error {
 // configuration — every level's geometry, latency, policy, and
 // prefetcher plus the memory latency. Two configurations share a digest
 // exactly when a simulation under one is interchangeable with a
-// simulation under the other, which makes the digest the cache-config
-// half of the redundancy analyzer's evaluation key (interval
-// fingerprint + config digest) and the natural memoization key for
-// content-addressed result reuse.
+// simulation under the other, which makes the digest the key the state
+// pool recycles hierarchy state under.
 func (c HierarchyConfig) Digest() string {
 	h := fingerprint.New()
 	h.Int(len(c.Levels))
@@ -165,9 +163,9 @@ func (c HierarchyConfig) Digest() string {
 // StateBytes is the cache-state footprint of one simulated hierarchy:
 // every level's tag and stamp words and dirty flags, exactly the arrays
 // NewHierarchy allocates for them. It is the per-walk figure the
-// pipeline's pipeline.memo.bytes_saved counter charges for each
-// simulation the memo table avoided, and the per-reuse figure the state
-// pool recycles.
+// pipeline's pipeline.memo.bytes_saved counter charges for each gated
+// walk answered from walk 3, and the per-reuse figure the state pool
+// recycles.
 func (c HierarchyConfig) StateBytes() uint64 {
 	const perLine = 8 + 8 + 1 // tag + stamp + dirty
 	var total uint64

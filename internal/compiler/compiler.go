@@ -39,7 +39,6 @@ package compiler
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"xbsim/internal/program"
 	"xbsim/internal/xrand"
@@ -268,10 +267,6 @@ type Binary struct {
 	Procs []*LBody
 	// StackRegion is the distinct region ID used for spill traffic.
 	StackRegion int
-
-	// digestOnce/digest back the cached content digest (see Digest).
-	digestOnce sync.Once
-	digest     string
 }
 
 // Entry returns the lowered entry procedure (main).

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"xbsim/internal/compiler"
@@ -57,18 +58,31 @@ func summaryRow(label string, s *Suite) AblationRow {
 	return AblationRow{Label: label, Values: []float64{p, ix, ce, sf, sv}}
 }
 
+// pickSweep runs cfg's suite once per variant i < n, where vary sets
+// variant i's pick-side settings. Each benchmark's walks 1–3 run once
+// and every variant picks from them. Any failure fails the sweep.
+func pickSweep(cfg Config, n int, vary func(c *Config, i int)) ([]*Suite, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	cfgs := make([]Config, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		vary(&cfgs[i], i)
+	}
+	return runVariants(context.Background(), cfgs)
+}
+
 // AblationBICThreshold sweeps SimPoint's BIC model-selection threshold.
 // Lower thresholds accept smaller k (fewer points, coarser phases).
 func AblationBICThreshold(cfg Config, thresholds []float64) (*AblationTable, error) {
 	t := &AblationTable{Title: "BIC threshold ablation", Columns: ablationColumns}
-	for _, th := range thresholds {
-		c := cfg
-		c.BICThreshold = th
-		s, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, summaryRow(fmt.Sprintf("threshold=%.2f", th), s))
+	suites, err := pickSweep(cfg, len(thresholds), func(c *Config, i int) { c.BICThreshold = thresholds[i] })
+	if err != nil {
+		return nil, err
+	}
+	for i, th := range thresholds {
+		t.Rows = append(t.Rows, summaryRow(fmt.Sprintf("threshold=%.2f", th), suites[i]))
 	}
 	return t, nil
 }
@@ -77,14 +91,12 @@ func AblationBICThreshold(cfg Config, thresholds []float64) (*AblationTable, err
 // SimPoint's default is 15; too few dimensions blur distinct behaviors.
 func AblationProjectionDim(cfg Config, dims []int) (*AblationTable, error) {
 	t := &AblationTable{Title: "Projection dimension ablation", Columns: ablationColumns}
-	for _, d := range dims {
-		c := cfg
-		c.Dim = d
-		s, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, summaryRow(fmt.Sprintf("dim=%d", d), s))
+	suites, err := pickSweep(cfg, len(dims), func(c *Config, i int) { c.Dim = dims[i] })
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range dims {
+		t.Rows = append(t.Rows, summaryRow(fmt.Sprintf("dim=%d", d), suites[i]))
 	}
 	return t, nil
 }
@@ -140,13 +152,12 @@ func AblationEarlyPoints(cfg Config, tolerances []float64) (*AblationTable, erro
 		Title:   "Early simulation points ablation",
 		Columns: []string{"avg_point_position", "vli_cpi_err", "fli_speedup_err", "vli_speedup_err"},
 	}
-	for _, tol := range tolerances {
-		c := cfg
-		c.EarlyTolerance = tol
-		s, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
+	suites, err := pickSweep(cfg, len(tolerances), func(c *Config, i int) { c.EarlyTolerance = tolerances[i] })
+	if err != nil {
+		return nil, err
+	}
+	for i, tol := range tolerances {
+		s := suites[i]
 		// Average normalized position of the chosen VLI points: 0 = start
 		// of execution, 1 = end.
 		var pos float64
@@ -178,18 +189,12 @@ func AblationEarlyPoints(cfg Config, tolerances []float64) (*AblationTable, erro
 // reason CMP$im-style functional simulators warm during fast-forward.
 func AblationWarming(cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Functional warming ablation", Columns: ablationColumns}
-	for _, v := range []struct {
-		label   string
-		disable bool
-	}{{"warming-on", false}, {"warming-off", true}} {
-		c := cfg
-		c.DisableWarming = v.disable
-		s, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, summaryRow(v.label, s))
+	// Walk 3 always simulates with warming, so both rows share it.
+	suites, err := pickSweep(cfg, 2, func(c *Config, i int) { c.DisableWarming = i == 1 })
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = append(t.Rows, summaryRow("warming-on", suites[0]), summaryRow("warming-off", suites[1]))
 	return t, nil
 }
 

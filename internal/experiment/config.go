@@ -61,9 +61,9 @@ type Config struct {
 	// Sampler selects the point-selection backend: "simpoint" (default,
 	// empty means simpoint) runs the SimPoint k-means picker unchanged;
 	// "stratified" runs two-phase stratified sampling (see
-	// internal/sampler). The choice flows into the evaluation memo keys
-	// and — for non-default backends — the checkpoint fingerprint, so
-	// results from different backends never cross-contaminate.
+	// internal/sampler). For non-default backends the choice joins the
+	// checkpoint fingerprint, so results from different backends never
+	// cross-contaminate.
 	Sampler string
 	// SamplerBudget is the stratified backend's deep-simulation budget
 	// (total simulation points per clustering run). <= 0 means the
@@ -107,23 +107,11 @@ type Config struct {
 	// sharing deadlock-free). Like Workers, this is a wall-clock knob:
 	// results are bit-identical with or without it.
 	SharedPool *pool.Pool
-	// DisableMemo turns off the content-addressed evaluation memo table
-	// (see internal/experiment/memo.go). Memoization is on by default and
-	// never changes results — a memoized suite is fingerprint-identical
-	// to an unmemoized one — so this knob exists for A/B measurement
-	// (the bench harness, the memo-determinism tests) and as an escape
-	// hatch. It is deliberately excluded from the checkpoint
-	// configuration fingerprint.
-	DisableMemo bool
-
 	// workerPool is the shared bounded pool threaded through the
 	// pipeline. RunCtx installs one pool for the whole suite so
 	// concurrent benchmarks share a single Workers budget;
 	// RunBenchmarkCtx creates its own when none is installed.
 	workerPool *pool.Pool
-	// memo is the suite-wide content-addressed evaluation memo table,
-	// installed alongside workerPool (nil when DisableMemo).
-	memo *evalMemo
 	// simPool recycles cmpsim cache-hierarchy state across evaluation
 	// walks, installed alongside workerPool.
 	simPool *cmpsim.StatePool
@@ -154,6 +142,20 @@ func FullConfig() Config {
 		Input:        program.Input{Name: "ref", Seed: 0x5EED},
 		Hierarchy:    cmpsim.DefaultHierarchyConfig(),
 	}
+}
+
+// prepareSide returns c with every pick-side setting zeroed: the
+// sampler, its budget and strata, MaxK, Dim, BICThreshold, Restarts,
+// EarlyTolerance, Seed and DisableWarming. Walks 1–3 read none of them
+// (walk 3 always simulates with warming), so configs with equal prepare
+// sides share one prepare per benchmark.
+func (c Config) prepareSide() Config {
+	c.Sampler, c.SamplerBudget, c.SamplerStrata = "", 0, 0
+	c.MaxK, c.Dim, c.Restarts = 0, 0, 0
+	c.BICThreshold, c.EarlyTolerance = 0, 0
+	c.Seed = ""
+	c.DisableWarming = false
+	return c
 }
 
 func (c Config) withDefaults() (Config, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -91,12 +92,15 @@ type BenchmarkResult struct {
 // pipeline passes through, in execution order. Plain names fire once per
 // stage attempt (inside the stage's retry envelope); ".task" names fire
 // once per pool-fanned work unit inside that stage, so faults planted
-// there exercise the worker pool's panic isolation as well. The chaos
-// subcommand draws its random fault plans from this list.
+// there exercise the worker pool's panic isolation as well. "evaluate"
+// and "evaluate.task" fire in prepare's walk 3 and again in each pick's
+// point statistics. The chaos subcommand draws its random fault plans
+// from this list.
 var PipelineStages = []string{
 	"compile", "profile", "profile.task", "mapping", "vli",
+	"evaluate", "evaluate.task",
 	"clustering", "clustering.task", "sampler.stratify", "sampler.allocate",
-	"evaluate", "evaluate.task", "evaluate.walk",
+	"evaluate.walk",
 }
 
 // RunBenchmark executes the full pipeline for one benchmark.
@@ -107,9 +111,9 @@ func RunBenchmark(name string, cfg Config) (*BenchmarkResult, error) {
 // RunBenchmarkCtx is RunBenchmark with observability and fault
 // tolerance. When the context carries an obs.Observer, every pipeline
 // stage is recorded as a span under a per-benchmark root (compile →
-// profile → mapping → VLI slicing → projection → clustering → full/gated
-// simulation → weighting), stage progress is reported per binary, and
-// the metrics registry accumulates interval, marker, clustering, and
+// profile → mapping → VLI slicing → full simulation → clustering →
+// gated simulation → weighting), stage progress is reported per binary,
+// and the metrics registry accumulates interval, marker, clustering, and
 // simulator counters. Without an observer it behaves — and costs —
 // exactly like RunBenchmark.
 //
@@ -134,9 +138,10 @@ func RunBenchmarkCtx(ctx context.Context, name string, cfg Config) (*BenchmarkRe
 	if err != nil {
 		return nil, err
 	}
-	return runPipeline(ctx, name, func() (*program.Program, error) {
+	rs, errs := runPipeline(ctx, name, func() (*program.Program, error) {
 		return program.Generate(name, program.GenConfig{TargetOps: cfg.TargetOps})
-	}, cfg)
+	}, []Config{cfg})
+	return rs[0], errs[0]
 }
 
 // RunSpec runs the full benchmark pipeline on a synthesized program
@@ -154,64 +159,109 @@ func RunSpecCtx(ctx context.Context, spec program.Spec, cfg Config) (*BenchmarkR
 		return nil, err
 	}
 	spec = spec.Normalize()
-	return runPipeline(ctx, spec.Name(), func() (*program.Program, error) {
+	rs, errs := runPipeline(ctx, spec.Name(), func() (*program.Program, error) {
 		return program.GenerateSpec(spec)
-	}, cfg)
+	}, []Config{cfg})
+	return rs[0], errs[0]
 }
 
-// runPipeline is the staged pipeline body shared by RunBenchmarkCtx and
-// RunSpecCtx. gen produces the program (stage "compile" covers both
-// generation and compilation). Each stage closure is idempotent — it
-// allocates its result slots fresh on every attempt — so runStage can
-// re-run it after a transient failure without residue from the failed
-// attempt.
-func runPipeline(ctx context.Context, name string, gen func() (*program.Program, error), cfg Config) (*BenchmarkResult, error) {
-	o := obs.From(ctx)
-	if cfg.workerPool == nil {
-		cfg.workerPool = pool.New(cfg.Workers)
-		instrumentPool(cfg.workerPool, o)
-	}
-	// Suite-level runs (RunCtx) install one memo table and one simulator
-	// state pool for all benchmarks; a standalone benchmark run gets its
-	// own here.
-	if cfg.memo == nil && !cfg.DisableMemo {
-		cfg.memo = newEvalMemo()
-	}
-	if cfg.simPool == nil {
-		cfg.simPool = cmpsim.NewStatePool()
+// runPipeline evaluates one benchmark under every config in cfgs, which
+// differ only in pick-side settings (Config.prepareSide): prepare runs
+// once under cfgs[0], then pick runs once per config. A prepare failure
+// fails every config; a pick failure fails only its own. gen produces
+// the program (stage "compile" covers both generation and compilation).
+// A standalone run (no suite-installed pools) gets its own worker pool
+// and simulator state pool here.
+func runPipeline(ctx context.Context, name string, gen func() (*program.Program, error), cfgs []Config) ([]*BenchmarkResult, []error) {
+	if cfgs[0].workerPool == nil {
+		wp := pool.New(cfgs[0].Workers)
+		instrumentPool(wp, obs.From(ctx))
+		sp := cmpsim.NewStatePool()
+		for v := range cfgs {
+			cfgs[v].workerPool, cfgs[v].simPool = wp, sp
+		}
 	}
 	ctx, bspan := obs.StartSpan(ctx, "benchmark")
 	bspan.Annotate(name)
 	defer bspan.End()
 
-	var prog *program.Program
-	var bins []*compiler.Binary
+	results := make([]*BenchmarkResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	p, err := prepare(ctx, name, gen, cfgs[0])
+	for v, cfg := range cfgs {
+		if err != nil {
+			errs[v] = err
+			continue
+		}
+		results[v], errs[v] = pick(ctx, p, cfg)
+	}
+	return results, errs
+}
+
+// prepared is the pick-independent half of one benchmark's evaluation:
+// the binaries, walk 1's FLI results, walk 2's VLI result, the mapping,
+// and walk 3's per-binary product. It depends only on the prepare-side
+// settings (Config.prepareSide), never on the sampler, its knobs or
+// warming, so every pick-side variant of a Config picks from one
+// prepared value. It is immutable once prepare returns.
+type prepared struct {
+	name    string
+	prog    *program.Program
+	bins    []*compiler.Binary
+	fli     []*profile.FLIResult
+	vli     *profile.VLIResult
+	mapped  *mapping.Result
+	primary int
+	// walk3[bi] is bins[bi]'s full simulation.
+	walk3 []walk3Result
+}
+
+// walk3Result is one binary's full simulation: its true totals and every
+// interval's statistics delta under both boundary sets.
+type walk3Result struct {
+	// vliEnds are the primary's VLI boundaries translated into this
+	// binary's marker space.
+	vliEnds              []profile.Boundary
+	instructions, cycles uint64
+	cpi                  float64
+	fli, vli             *intervalDeltas
+	// events are the walk's full-stream cache event counters.
+	events []levelEvents
+}
+
+// prepare runs compile, walk 1, the mapping, walk 2 and walk 3 for one
+// benchmark. Each stage closure is idempotent — it allocates its result
+// slots fresh on every attempt — so runStage can re-run it after a
+// transient failure without residue from the failed attempt.
+func prepare(ctx context.Context, name string, gen func() (*program.Program, error), cfg Config) (*prepared, error) {
+	o := obs.From(ctx)
+	p := &prepared{name: name, primary: cfg.Primary}
 	err := runStage(ctx, cfg, name, "compile", func(sctx context.Context) error {
 		o.Report(obs.Event{Benchmark: name, Stage: "compile"})
 		_, cspan := obs.StartSpan(sctx, "stage.compile")
 		cspan.Annotate(name)
 		defer cspan.End()
 		var err error
-		if prog, err = gen(); err != nil {
+		if p.prog, err = gen(); err != nil {
 			return err
 		}
-		bins, err = compiler.CompileAll(prog)
+		p.bins, err = compiler.CompileAll(p.prog)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	bins := p.bins
 
 	// Walk 1 per binary: call/branch profile + FLI BBVs. The total
 	// instruction count is the end of the last FLI interval, so the walk
 	// counts instructions once; walk 3 cross-checks it. The walks are
 	// independent per binary, so they fan out on the pool; each writes
-	// its own profiles[bi]/fliRes[bi] slot.
+	// its own profiles[bi]/p.fli[bi] slot.
 	var profiles []*profile.Profile
-	var fliRes []*profile.FLIResult
 	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
 		profiles = make([]*profile.Profile, len(bins))
-		fliRes = make([]*profile.FLIResult, len(bins))
+		p.fli = make([]*profile.FLIResult, len(bins))
 		pctx, pspan := obs.StartSpan(sctx, "stage.profile")
 		defer pspan.End()
 		return cfg.workerPool.Run(len(bins), func(bi int) error {
@@ -228,9 +278,9 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 			if err := exec.RunCtx(pctx, bin, cfg.Input, exec.Multi{mc, fc}); err != nil {
 				return err
 			}
-			fliRes[bi] = fc.Finish()
-			o.Counter("pipeline.intervals.fli").Add(uint64(len(fliRes[bi].Ends)))
-			profiles[bi], err = profile.BuildProfile(bin, cfg.Input, fliRes[bi].TotalInstructions(), mc.Counts)
+			p.fli[bi] = fc.Finish()
+			o.Counter("pipeline.intervals.fli").Add(uint64(len(p.fli[bi].Ends)))
+			profiles[bi], err = profile.BuildProfile(bin, cfg.Input, p.fli[bi].TotalInstructions(), mc.Counts)
 			return err
 		})
 	})
@@ -239,11 +289,10 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 	}
 
 	// Mappable points across all binaries.
-	var mapped *mapping.Result
 	err = runStage(ctx, cfg, name, "mapping", func(sctx context.Context) error {
 		o.Report(obs.Event{Benchmark: name, Stage: "mapping"})
 		var err error
-		mapped, err = mapping.FindCtx(sctx, profiles, cfg.Mapping)
+		p.mapped, err = mapping.FindCtx(sctx, profiles, cfg.Mapping)
 		return err
 	})
 	if err != nil {
@@ -252,91 +301,134 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 
 	// Walk 2 (primary only): VLI BBV collection at mappable markers.
 	primary := cfg.Primary
-	var vliRes *profile.VLIResult
 	err = runStage(ctx, cfg, name, "vli", func(sctx context.Context) error {
 		o.Report(obs.Event{Benchmark: name, Stage: "vli slicing"})
 		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing")
 		vspan.Annotate(bins[primary].Name)
 		defer vspan.End()
-		vc, err := profile.NewVLICollector(bins[primary], cfg.IntervalSize, mapped.MarkersFor(primary))
+		vc, err := profile.NewVLICollector(bins[primary], cfg.IntervalSize, p.mapped.MarkersFor(primary))
 		if err != nil {
 			return err
 		}
 		if err := exec.RunCtx(vctx, bins[primary], cfg.Input, vc); err != nil {
 			return err
 		}
-		vliRes = vc.Finish()
+		p.vli = vc.Finish()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	o.Counter("pipeline.intervals.vli").Add(uint64(len(vliRes.Ends)))
+	o.Counter("pipeline.intervals.vli").Add(uint64(len(p.vli.Ends)))
 
-	// Point selection: per-binary FLI (independent runs, independently
-	// seeded — exactly what an engineer running the picker per binary
-	// would do), and one VLI run on the primary. All len(bins)+1 runs are
-	// independent and fan out together; the SimPoint backend additionally
-	// parallelizes its own k sweep and k-means restarts on the same
-	// shared pool, while the stratified backend is serial arithmetic. The
-	// seed strings are backend-independent, so switching backends changes
-	// the algorithm, never the stream naming.
-	smp, err := sampler.New(cfg.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	var fliPicks []*simpoint.Result
-	var vliPick *simpoint.Result
-	err = runStage(ctx, cfg, name, "clustering", func(sctx context.Context) error {
-		o.Report(obs.Event{Benchmark: name, Stage: "clustering"})
-		spCfg := sampler.Config{
-			MaxK: cfg.MaxK, Dim: cfg.Dim, BICThreshold: cfg.BICThreshold,
-			Restarts: cfg.Restarts, EarlyTolerance: cfg.EarlyTolerance,
-			Pool:   cfg.workerPool,
-			Budget: cfg.SamplerBudget, Strata: cfg.SamplerStrata,
-		}
-		fliPicks = make([]*simpoint.Result, len(bins))
-		vliPick = nil
-		return cfg.workerPool.Run(len(bins)+1, func(i int) error {
-			if err := faults.Hit(sctx, "clustering.task"); err != nil {
+	// Walk 3 per binary: full simulation with both interval attributions.
+	// Each binary owns its simulator and its walk3[bi] slot.
+	err = runStage(ctx, cfg, name, "evaluate", func(sctx context.Context) error {
+		p.walk3 = make([]walk3Result, len(bins))
+		return cfg.workerPool.Run(len(bins), func(bi int) error {
+			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
 				return err
 			}
-			pickCfg := spCfg
-			if i == len(bins) {
-				pickCfg.Seed = fmt.Sprintf("%s/vli/%s", cfg.Seed, prog.Name)
-				var err error
-				vliPick, err = smp.Pick(sctx, vliRes.Dataset, pickCfg)
-				if err != nil {
-					return fmt.Errorf("%s vli %s: %w", prog.Name, smp.Name(), err)
-				}
-				return nil
-			}
-			pickCfg.Seed = fmt.Sprintf("%s/fli/%s", cfg.Seed, bins[i].Name)
-			var err error
-			fliPicks[i], err = smp.Pick(sctx, fliRes[i].Dataset, pickCfg)
+			w3, err := simulateFull(sctx, cfg, p, bi, profiles[bi].TotalInstructions)
 			if err != nil {
-				return fmt.Errorf("%s fli %s: %w", bins[i].Name, smp.Name(), err)
+				return fmt.Errorf("%s: %w", bins[bi].Name, err)
 			}
+			p.walk3[bi] = w3
 			return nil
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
+	return p, nil
+}
 
-	// Walks 3-5 per binary: full + gated simulation and the method
-	// statistics. Each binary owns its simulators and its Runs[bi] slot.
+// simulateFull performs walk 3 for one binary: the full simulation,
+// attributed per interval under the binary's FLI boundaries and under
+// the translated VLI boundaries. total is walk 1's instruction count,
+// which the simulation must reproduce.
+func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total uint64) (walk3Result, error) {
+	o := obs.From(ctx)
+	bin := p.bins[bi]
+	var w3 walk3Result
+	var err error
+	w3.vliEnds, err = p.mapped.TranslateEnds(p.primary, bi, p.vli.Ends)
+	if err != nil {
+		return w3, fmt.Errorf("translating VLI boundaries: %w", err)
+	}
+
+	o.Report(obs.Event{Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
+	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim")
+	fspan.Annotate(bin.Name)
+	defer fspan.End()
+	fws := o.Attribution().StartWalk(bin.Program.Name, bin.Name, "full")
+	defer fws.Abort() // close the sample on every error path; Done wins
+	fullSim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
+	if err != nil {
+		return w3, err
+	}
+	defer fullSim.Release()
+	fliSnap := newSnapshotter(fullSim, len(p.fli[bi].Ends))
+	vliSnap := newSnapshotter(fullSim, len(w3.vliEnds))
+	fliTr := profile.NewFLITracker(bin, p.fli[bi].Ends, fliSnap)
+	vliTr := profile.NewVLITracker(bin, w3.vliEnds, vliSnap)
+	if err := exec.RunCtx(fctx, bin, cfg.Input, exec.Multi{fullSim, fliTr, vliTr}); err != nil {
+		return w3, err
+	}
+	fliSnap.close()
+	vliSnap.close()
+	trueStats := fullSim.Stats()
+	fws.Done(trueStats.Instructions, trueStats.Cycles)
+	if o != nil {
+		// "sim" is the legacy walk-3 family; "sim.full" the per-walk one.
+		fullSim.PublishMetrics(o.Metrics, "sim")
+		fullSim.PublishMetrics(o.Metrics, "sim.full")
+	}
+	if trueStats.Instructions != total {
+		return w3, fmt.Errorf("instruction count mismatch between walks: %d vs %d",
+			trueStats.Instructions, total)
+	}
+	w3.instructions, w3.cycles, w3.cpi = trueStats.Instructions, trueStats.Cycles, trueStats.CPI()
+	w3.fli, w3.vli = fliSnap.d, vliSnap.d
+	w3.events = captureEvents(fullSim.Hierarchy())
+	return w3, nil
+}
+
+// pick selects the simulation points and turns them into the benchmark's
+// result: the sampler, then walks 4/5's point statistics, the VLI weight
+// recalculation and the method statistics. It is a pure function of p
+// and cfg's pick-side settings, and never modifies p.
+func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error) {
+	o := obs.From(ctx)
+	smp, err := sampler.New(cfg.Sampler)
+	if err != nil {
+		return nil, err
+	}
+	var fliPicks []*simpoint.Result
+	var vliPick *simpoint.Result
+	err = runStage(ctx, cfg, p.name, "clustering", func(sctx context.Context) error {
+		o.Report(obs.Event{Benchmark: p.name, Stage: "clustering"})
+		var err error
+		fliPicks, vliPick, err = selectPoints(sctx, cfg, smp, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Walks 4/5 per binary and the method statistics. Each binary owns
+	// its Runs[bi] slot.
 	var res *BenchmarkResult
-	err = runStage(ctx, cfg, name, "evaluate", func(sctx context.Context) error {
-		res = &BenchmarkResult{Name: name, Mapping: mapped, Primary: primary,
-			Runs: make([]*BinaryRun, len(bins))}
-		return cfg.workerPool.Run(len(bins), func(bi int) error {
+	err = runStage(ctx, cfg, p.name, "evaluate", func(sctx context.Context) error {
+		res = &BenchmarkResult{Name: p.name, Mapping: p.mapped, Primary: p.primary,
+			Runs: make([]*BinaryRun, len(p.bins))}
+		return cfg.workerPool.Run(len(p.bins), func(bi int) error {
 			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
 				return err
 			}
-			run, err := evaluateBinary(sctx, cfg, bins, bi, profiles[bi], fliRes[bi], fliPicks[bi], vliRes, vliPick, mapped)
+			run, err := evaluateBinary(sctx, cfg, p, bi, fliPicks[bi], vliPick)
 			if err != nil {
-				return fmt.Errorf("%s: %w", bins[bi].Name, err)
+				return fmt.Errorf("%s: %w", p.bins[bi].Name, err)
 			}
 			res.Runs[bi] = run
 			return nil
@@ -349,104 +441,73 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 	return res, nil
 }
 
-// evaluateBinary performs walks 3-5 for one binary and assembles its
+// selectPoints runs the sampler: per-binary FLI (independent runs,
+// independently seeded — exactly what an engineer running the picker per
+// binary would do), and one VLI run on the primary. All len(bins)+1 runs
+// are independent and fan out together; the SimPoint backend
+// additionally parallelizes its own k sweep and k-means restarts on the
+// same shared pool, while the stratified backend is serial arithmetic.
+// The seed strings are backend-independent, so switching backends
+// changes the algorithm, never the stream naming.
+func selectPoints(ctx context.Context, cfg Config, smp sampler.Sampler, p *prepared) ([]*simpoint.Result, *simpoint.Result, error) {
+	spCfg := sampler.Config{
+		MaxK: cfg.MaxK, Dim: cfg.Dim, BICThreshold: cfg.BICThreshold,
+		Restarts: cfg.Restarts, EarlyTolerance: cfg.EarlyTolerance,
+		Pool:   cfg.workerPool,
+		Budget: cfg.SamplerBudget, Strata: cfg.SamplerStrata,
+	}
+	fliPicks := make([]*simpoint.Result, len(p.bins))
+	var vliPick *simpoint.Result
+	err := cfg.workerPool.Run(len(p.bins)+1, func(i int) error {
+		if err := faults.Hit(ctx, "clustering.task"); err != nil {
+			return err
+		}
+		pickCfg := spCfg
+		if i == len(p.bins) {
+			pickCfg.Seed = fmt.Sprintf("%s/vli/%s", cfg.Seed, p.prog.Name)
+			var err error
+			vliPick, err = smp.Pick(ctx, p.vli.Dataset, pickCfg)
+			if err != nil {
+				return fmt.Errorf("%s vli %s: %w", p.prog.Name, smp.Name(), err)
+			}
+			return nil
+		}
+		pickCfg.Seed = fmt.Sprintf("%s/fli/%s", cfg.Seed, p.bins[i].Name)
+		var err error
+		fliPicks[i], err = smp.Pick(ctx, p.fli[i].Dataset, pickCfg)
+		if err != nil {
+			return fmt.Errorf("%s fli %s: %w", p.bins[i].Name, smp.Name(), err)
+		}
+		return nil
+	})
+	return fliPicks, vliPick, err
+}
+
+// evaluateBinary measures walks 4/5 for one binary and assembles its
 // BinaryRun.
-func evaluateBinary(ctx context.Context, cfg Config, bins []*compiler.Binary, bi int,
-	prof *profile.Profile, fli *profile.FLIResult, fliPick *simpoint.Result,
-	vli *profile.VLIResult, vliPick *simpoint.Result, mapped *mapping.Result) (*BinaryRun, error) {
+func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
+	fliPick, vliPick *simpoint.Result) (*BinaryRun, error) {
 
 	o := obs.From(ctx)
-	att := o.Attribution()
-	bin := bins[bi]
-	vliEnds, err := mapped.TranslateEnds(cfg.Primary, bi, vli.Ends)
-	if err != nil {
-		return nil, fmt.Errorf("translating VLI boundaries: %w", err)
-	}
-	// Redundancy keys: interval-content fingerprint + hierarchy digest.
-	// Two point evaluations with equal keys simulate identical work — the
-	// duplicate count is the direct measurement of what content-addressed
-	// memoization would save. Built only when attribution is on; key
-	// construction costs a hash per point, never per block.
-	var fliKey, vliKey func(interval int) string
-	if att.Enabled() {
-		digest := "/" + cfg.Hierarchy.Digest()
-		fliKey = func(iv int) string { return fli.Dataset.Fingerprint(iv) + digest }
-		vliKey = func(iv int) string { return vli.Dataset.Fingerprint(iv) + digest }
-	}
-	// Memo keys: binary content digest × input × hierarchy digest ×
-	// warming mode × boundary-set digest. Only built with functional
-	// warming on — that is what makes the full walk's per-interval deltas
-	// bit-identical to the gated walks' region measurements (memo.go).
-	var fliMemoKey, vliMemoKey string
-	if cfg.memo != nil && !cfg.DisableWarming {
-		base := memoKeyBase(bin, &cfg)
-		fliMemoKey = base + "/" + digestFLIEnds(fli.Ends)
-		vliMemoKey = base + "/" + digestVLIEnds(vliEnds)
-	}
-
-	// Walk 3: full simulation with both interval attributions.
-	o.Report(obs.Event{Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
-	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim")
-	fspan.Annotate(bin.Name)
-	defer fspan.End()
-	fws := att.StartWalk(bin.Program.Name, bin.Name, "full")
-	defer fws.Abort() // close the sample on every error path; Done wins
-	fullSim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
-	if err != nil {
-		return nil, err
-	}
-	defer fullSim.Release()
-	fliSnap := newSnapshotter(fullSim, len(fli.Ends))
-	vliSnap := newSnapshotter(fullSim, len(vliEnds))
-	fliTr := profile.NewFLITracker(bin, fli.Ends, fliSnap)
-	vliTr := profile.NewVLITracker(bin, vliEnds, vliSnap)
-	if err := exec.RunCtx(fctx, bin, cfg.Input, exec.Multi{fullSim, fliTr, vliTr}); err != nil {
-		return nil, err
-	}
-	fliSnap.close()
-	vliSnap.close()
-	fspan.End()
-	trueStats := fullSim.Stats()
-	fws.Done(trueStats.Instructions, trueStats.Cycles)
-	if o != nil {
-		// "sim" is the legacy walk-3 family; "sim.full" the per-walk one.
-		fullSim.PublishMetrics(o.Metrics, "sim")
-		fullSim.PublishMetrics(o.Metrics, "sim.full")
-	}
-	// Populate the memo with walk 3's per-interval deltas under both
-	// boundary sets, then recycle the cache state — walks 4/5 below are
-	// answered from the table and never build a simulator on a hit.
-	if fliMemoKey != "" {
-		events := captureEvents(fullSim.Hierarchy())
-		cfg.memo.store(fliMemoKey, fliSnap.entry(events))
-		cfg.memo.store(vliMemoKey, vliSnap.entry(events))
-	}
-	fullSim.Release()
-
+	bin := p.bins[bi]
+	w3 := &p.walk3[bi]
 	run := &BinaryRun{
 		Binary:            bin,
-		TotalInstructions: trueStats.Instructions,
-		TrueCycles:        trueStats.Cycles,
-		TrueCPI:           trueStats.CPI(),
-	}
-	if run.TotalInstructions != prof.TotalInstructions {
-		return nil, fmt.Errorf("instruction count mismatch between walks: %d vs %d",
-			run.TotalInstructions, prof.TotalInstructions)
+		TotalInstructions: w3.instructions,
+		TrueCycles:        w3.cycles,
+		TrueCPI:           w3.cpi,
 	}
 
 	// Walk 4: FLI region simulation (this binary's own points).
 	o.Report(obs.Event{Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
-	fliPointCPI, fliPointIv, fliSimInstr, err := simulatePoints(ctx, cfg, bin, fliPick, "fli", fliKey, fliMemoKey,
-		func(sink profile.IntervalSink) exec.Visitor {
-			return profile.NewFLITracker(bin, fli.Ends, sink)
-		})
+	fliPointCPI, fliPointIv, fliSimInstr, err := measurePoints(ctx, cfg, p, bi, fliPick, "fli", cfg.DisableWarming)
 	if err != nil {
 		return nil, err
 	}
 	_, wspan := obs.StartSpan(ctx, "stage.weighting")
 	wspan.Annotate(bin.Name)
-	run.FLI, err = buildMethodStats(fliPick, fliSnap, fliPointCPI, fliPointIv,
-		len(fli.Ends), run, nil, fliSimInstr)
+	run.FLI, err = buildMethodStats(fliPick, w3.fli, fliPointCPI, fliPointIv,
+		len(p.fli[bi].Ends), run, nil, fliSimInstr)
 	wspan.End()
 	if err != nil {
 		return nil, err
@@ -454,10 +515,7 @@ func evaluateBinary(ctx context.Context, cfg Config, bins []*compiler.Binary, bi
 
 	// Walk 5: VLI region simulation (the shared cross-binary points
 	// located in this binary via translated boundaries).
-	vliPointCPI, vliPointIv, vliSimInstr, err := simulatePoints(ctx, cfg, bin, vliPick, "vli", vliKey, vliMemoKey,
-		func(sink profile.IntervalSink) exec.Visitor {
-			return profile.NewVLITracker(bin, vliEnds, sink)
-		})
+	vliPointCPI, vliPointIv, vliSimInstr, err := measurePoints(ctx, cfg, p, bi, vliPick, "vli", cfg.DisableWarming)
 	if err != nil {
 		return nil, err
 	}
@@ -465,13 +523,13 @@ func evaluateBinary(ctx context.Context, cfg Config, bins []*compiler.Binary, bi
 	// instruction counts (§3.2.6).
 	_, wspan = obs.StartSpan(ctx, "stage.weighting")
 	wspan.Annotate(bin.Name)
-	vliWeights, err := recalcWeights(vliPick, vliSnap, run.TotalInstructions)
+	vliWeights, err := recalcWeights(vliPick, w3.vli, run.TotalInstructions)
 	if err != nil {
 		wspan.End()
 		return nil, fmt.Errorf("%s VLI weights: %w", bin.Name, err)
 	}
-	run.VLI, err = buildMethodStats(vliPick, vliSnap, vliPointCPI, vliPointIv,
-		len(vliEnds), run, vliWeights, vliSimInstr)
+	run.VLI, err = buildMethodStats(vliPick, w3.vli, vliPointCPI, vliPointIv,
+		len(w3.vliEnds), run, vliWeights, vliSimInstr)
 	wspan.End()
 	if err != nil {
 		return nil, err
@@ -510,23 +568,22 @@ func instrumentPool(p *pool.Pool, o *obs.Observer) {
 	})
 }
 
-// simulatePoints measures one region-gated simulation walk and returns,
-// per phase, the measured CPI of its simulation point and the
-// representative interval index. walk names the walk for attribution and
-// the per-walk metric family ("fli" or "vli"); evalKey, when non-nil,
-// maps a chosen interval to its redundancy-analysis evaluation key.
+// measurePoints measures one gated walk (walk "fli" or "vli" of binary
+// bi) and returns, per phase, the measured CPI of its simulation point
+// and the representative interval index, plus the instructions simulated
+// in detail. walk names the walk for attribution and the per-walk metric
+// family.
 //
-// When memoKey is non-empty and walk 3 has already filed this
-// (binary, input, config, warming, boundary-set) combination in the memo
-// table, the walk is answered entirely from the table: no simulator is
-// built, no execution happens, and the synthesized results — point CPIs,
-// attribution, and the sim.gated / sim.<walk> metric families — are
-// bit-identical to what the executed walk would have produced (see
-// memo.go for the argument). Otherwise the walk simulates as before.
-func simulatePoints(ctx context.Context, cfg Config, bin *compiler.Binary, pick *simpoint.Result,
-	walk string, evalKey func(interval int) string, memoKey string,
-	makeTracker func(profile.IntervalSink) exec.Visitor) (cpi []float64, intervals []int, simInstr uint64, err error) {
+// With execute false the walk is answered from walk 3's deltas (see
+// walk3.go): nothing executes, and the point CPIs, attribution and the
+// sim.gated / sim.<walk> metric families are bit-identical to what the
+// executed walk would have produced under functional warming. With
+// execute true the gated walk runs on a simulator; the pipeline does so
+// only with warming off, and tests use it as the reference.
+func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
+	walk string, execute bool) (cpi []float64, intervals []int, simInstr uint64, err error) {
 
+	bin := p.bins[bi]
 	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim")
 	gspan.Annotate(bin.Name)
 	defer gspan.End()
@@ -539,60 +596,90 @@ func simulatePoints(ctx context.Context, cfg Config, bin *compiler.Binary, pick 
 		return nil, nil, 0, err
 	}
 
+	var regions []regionStat
+	if execute {
+		regions, err = executeGatedWalk(gctx, cfg, p, bi, pick, walk, ws)
+	} else {
+		regions, err = answerFromWalk3(o, cfg, &p.walk3[bi], pick, walk, ws)
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+
 	cpi = make([]float64, pick.K)
 	intervals = make([]int, pick.K)
 	for p := range cpi {
 		cpi[p] = math.NaN()
 		intervals[p] = -1
 	}
-
-	if entry := cfg.memo.lookup(memoKey); memoKey != "" && entry != nil && entry.covers(pick.Points) {
-		var win intervalStats // the gated walk's Stats window, synthesized
-		for _, p := range pick.Points {
-			st := &entry.intervals[p.Interval]
-			if st.instr == 0 {
-				return nil, nil, 0, fmt.Errorf("simulation point interval %d executed nothing in %s",
-					p.Interval, bin.Name)
-			}
-			win.add(st)
-			cpi[p.Phase] = float64(st.cycles) / float64(st.instr)
-			intervals[p.Phase] = p.Interval
-			att.AddPoint(bin.Program.Name, bin.Name, walk, p.Interval, st.instr, st.cycles)
+	for i, p := range pick.Points {
+		st := regions[i]
+		if st.instr == 0 {
+			return nil, nil, 0, fmt.Errorf("simulation point interval %d executed nothing in %s",
+				p.Interval, bin.Name)
 		}
-		ws.Done(win.instr, win.cycles)
-		if o != nil {
-			publishMemoMetrics(o.Metrics, "sim.gated", &win, entry.events)
-			publishMemoMetrics(o.Metrics, "sim."+walk, &win, entry.events)
-		}
-		o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
-		o.Counter("pipeline.memo.instructions_saved").Add(win.instr)
-		o.Counter("pipeline.memo.bytes_saved").Add(cfg.Hierarchy.StateBytes())
-		att.RecordMemo(uint64(len(pick.Points)), 0, win.instr)
-		// win.instr is exactly the sum of the chosen intervals' detailed
-		// instruction counts — the same total the executed walk reports.
-		return cpi, intervals, win.instr, nil
+		simInstr += st.instr
+		cpi[p.Phase] = float64(st.cycles) / float64(st.instr)
+		intervals[p.Phase] = p.Interval
+		att.AddPoint(bin.Program.Name, bin.Name, walk, p.Interval, st.instr, st.cycles)
 	}
-	if memoKey != "" {
-		// Memo enabled but no usable entry (shouldn't happen with warming
-		// on — walk 3 always populates first — but counted honestly).
-		o.Counter("pipeline.memo.misses").Add(uint64(len(pick.Points)))
-		att.RecordMemo(0, uint64(len(pick.Points)), 0)
-	}
+	return cpi, intervals, simInstr, nil
+}
 
+// answerFromWalk3 answers one gated walk from walk 3's deltas and
+// publishes what the executed walk would have: the walk sample, the
+// sim.gated / sim.<walk> families, and the pipeline.memo counters that
+// count gate points answered from walk 3.
+func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoint.Result,
+	walk string, ws *obs.WalkSample) ([]regionStat, error) {
+
+	deltas := w3.fli
+	if walk == "vli" {
+		deltas = w3.vli
+	}
+	win, regions, err := deltas.window(pick.Points)
+	if err != nil {
+		return nil, err
+	}
+	ws.Done(win.instr, win.cycles)
+	if o != nil {
+		publishWindowMetrics(o.Metrics, "sim.gated", &win, w3.events)
+		publishWindowMetrics(o.Metrics, "sim."+walk, &win, w3.events)
+	}
+	o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
+	o.Counter("pipeline.memo.instructions_saved").Add(win.instr)
+	o.Counter("pipeline.memo.bytes_saved").Add(cfg.Hierarchy.StateBytes())
+	o.Attribution().RecordMemo(uint64(len(pick.Points)), 0, win.instr)
+	return regions, nil
+}
+
+// executeGatedWalk runs one gated walk on a simulator, gated to the
+// chosen intervals, and returns each point's (instructions, cycles) in
+// point order. Its gate points count as pipeline.memo.misses.
+func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
+	walk string, ws *obs.WalkSample) ([]regionStat, error) {
+
+	o := obs.From(ctx)
+	bin := p.bins[bi]
 	sim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	defer sim.Release()
 	sim.SetFunctionalWarming(!cfg.DisableWarming)
 	chosen := make(map[int]bool, len(pick.Points))
-	for _, p := range pick.Points {
-		chosen[p.Interval] = true
+	for _, pt := range pick.Points {
+		chosen[pt.Interval] = true
 	}
 	gate := newGatedSnapshotter(sim, chosen)
-	tracker := makeTracker(gate)
-	if err := exec.RunCtx(gctx, bin, cfg.Input, exec.Multi{sim, tracker}); err != nil {
-		return nil, nil, 0, err
+	var tracker exec.Visitor
+	if walk == "vli" {
+		tracker = profile.NewVLITracker(bin, p.walk3[bi].vliEnds, gate)
+	} else {
+		tracker = profile.NewFLITracker(bin, p.fli[bi].Ends, gate)
+	}
+	if err := exec.RunCtx(ctx, bin, cfg.Input, exec.Multi{sim, tracker}); err != nil {
+		return nil, err
 	}
 	gate.close()
 	simStats := sim.Stats()
@@ -603,22 +690,13 @@ func simulatePoints(ctx context.Context, cfg Config, bin *compiler.Binary, pick 
 		sim.PublishMetrics(o.Metrics, "sim.gated")
 		sim.PublishMetrics(o.Metrics, "sim."+walk)
 	}
-
-	for _, p := range pick.Points {
-		st := gate.regions[p.Interval]
-		if st.instr == 0 {
-			return nil, nil, 0, fmt.Errorf("simulation point interval %d executed nothing in %s",
-				p.Interval, bin.Name)
-		}
-		simInstr += st.instr
-		cpi[p.Phase] = float64(st.cycles) / float64(st.instr)
-		intervals[p.Phase] = p.Interval
-		att.AddPoint(bin.Program.Name, bin.Name, walk, p.Interval, st.instr, st.cycles)
-		if att.Enabled() && evalKey != nil {
-			att.RecordEval(evalKey(p.Interval), st.instr)
-		}
+	o.Counter("pipeline.memo.misses").Add(uint64(len(pick.Points)))
+	o.Attribution().RecordMemo(0, uint64(len(pick.Points)), 0)
+	regions := make([]regionStat, len(pick.Points))
+	for i, pt := range pick.Points {
+		regions[i] = gate.regions[pt.Interval]
 	}
-	return cpi, intervals, simInstr, nil
+	return regions, nil
 }
 
 // recalcWeights computes per-phase weights from this binary's per-interval
@@ -626,14 +704,14 @@ func simulatePoints(ctx context.Context, cfg Config, bin *compiler.Binary, pick 
 // otherwise divide every weight into NaN and let the NaNs flow silently
 // through buildMethodStats' weights[p] <= 0 filter into EstCPI, so it is
 // rejected explicitly.
-func recalcWeights(pick *simpoint.Result, snap *snapshotter, total uint64) ([]float64, error) {
+func recalcWeights(pick *simpoint.Result, d *intervalDeltas, total uint64) ([]float64, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("no usable simulation points: binary executed no instructions")
 	}
 	w := make([]float64, pick.K)
 	for iv, phase := range pick.PhaseOf {
-		if iv < len(snap.instr) {
-			w[phase] += float64(snap.instr[iv])
+		if iv < len(d.instr) {
+			w[phase] += float64(d.instr[iv])
 		}
 	}
 	for p := range w {
@@ -645,7 +723,7 @@ func recalcWeights(pick *simpoint.Result, snap *snapshotter, total uint64) ([]fl
 // buildMethodStats assembles a MethodStats from the pieces. weights == nil
 // uses the clustering's own weights (FLI); otherwise the recalculated
 // per-binary weights (VLI).
-func buildMethodStats(pick *simpoint.Result, snap *snapshotter,
+func buildMethodStats(pick *simpoint.Result, d *intervalDeltas,
 	pointCPI []float64, pointIv []int, numIntervals int, run *BinaryRun,
 	weights []float64, simInstr uint64) (MethodStats, error) {
 
@@ -671,9 +749,9 @@ func buildMethodStats(pick *simpoint.Result, snap *snapshotter,
 	phaseInstr := make([]uint64, pick.K)
 	phaseCycles := make([]uint64, pick.K)
 	for iv, phase := range pick.PhaseOf {
-		if iv < len(snap.instr) {
-			phaseInstr[phase] += snap.instr[iv]
-			phaseCycles[phase] += snap.cycles[iv]
+		if iv < len(d.instr) {
+			phaseInstr[phase] += d.instr[iv]
+			phaseCycles[phase] += d.cycles[iv]
 		}
 	}
 	for p := range ms.PhaseTrueCPI {
@@ -700,101 +778,6 @@ func buildMethodStats(pick *simpoint.Result, snap *snapshotter,
 		ms.CPIError = math.Abs(ms.EstCPI-run.TrueCPI) / run.TrueCPI
 	}
 	return ms, nil
-}
-
-// snapshotter attributes a simulator's cumulative statistics to
-// intervals as an IntervalSink: on each transition the delta since the
-// previous snapshot is charged to the interval just left. It captures
-// the complete Stats delta — instructions, cycles, loads, stores, DRAM
-// accesses, and per-level hits/misses — because the full walk's
-// per-interval deltas are exactly what the memo table replays in place
-// of the gated walks (see memo.go); the per-level arrays are flat
-// ([interval*levels + level]) so the capture costs two allocations, not
-// two per interval.
-type snapshotter struct {
-	sim            *cmpsim.Simulator
-	cur            int
-	nlev           int
-	lastI          uint64
-	lastC          uint64
-	lastL          uint64
-	lastS          uint64
-	lastD          uint64
-	lastLH, lastLM []uint64
-
-	instr, cycles, loads, stores, dram []uint64
-	levelHits, levelMisses             []uint64 // flat [interval*nlev + level]
-}
-
-func newSnapshotter(sim *cmpsim.Simulator, numIntervals int) *snapshotter {
-	nlev := len(sim.Stats().LevelHits)
-	return &snapshotter{
-		sim:         sim,
-		nlev:        nlev,
-		lastLH:      make([]uint64, nlev),
-		lastLM:      make([]uint64, nlev),
-		instr:       make([]uint64, numIntervals),
-		cycles:      make([]uint64, numIntervals),
-		loads:       make([]uint64, numIntervals),
-		stores:      make([]uint64, numIntervals),
-		dram:        make([]uint64, numIntervals),
-		levelHits:   make([]uint64, numIntervals*nlev),
-		levelMisses: make([]uint64, numIntervals*nlev),
-	}
-}
-
-// Transition implements profile.IntervalSink.
-func (s *snapshotter) Transition(i int) {
-	if i == s.cur {
-		return
-	}
-	s.flush()
-	s.cur = i
-}
-
-func (s *snapshotter) flush() {
-	st := s.sim.Stats()
-	if s.cur < len(s.instr) {
-		s.instr[s.cur] += st.Instructions - s.lastI
-		s.cycles[s.cur] += st.Cycles - s.lastC
-		s.loads[s.cur] += st.Loads - s.lastL
-		s.stores[s.cur] += st.Stores - s.lastS
-		s.dram[s.cur] += st.MemoryAccesses - s.lastD
-		base := s.cur * s.nlev
-		for li := 0; li < s.nlev; li++ {
-			s.levelHits[base+li] += st.LevelHits[li] - s.lastLH[li]
-			s.levelMisses[base+li] += st.LevelMisses[li] - s.lastLM[li]
-		}
-	}
-	s.lastI, s.lastC = st.Instructions, st.Cycles
-	s.lastL, s.lastS, s.lastD = st.Loads, st.Stores, st.MemoryAccesses
-	copy(s.lastLH, st.LevelHits)
-	copy(s.lastLM, st.LevelMisses)
-}
-
-// close flushes the final interval; call after the run.
-func (s *snapshotter) close() { s.flush() }
-
-// entry packages the captured per-interval deltas as a memo entry;
-// events carries the walk's full-stream cache event counters (see
-// captureEvents). The level slices are three-index subslices of the flat
-// backings, so the entry shares the snapshotter's storage without
-// copying.
-func (s *snapshotter) entry(events []levelEvents) *memoEntry {
-	e := &memoEntry{intervals: make([]intervalStats, len(s.instr)), events: events}
-	for i := range e.intervals {
-		base := i * s.nlev
-		e.intervals[i] = intervalStats{
-			instr:       s.instr[i],
-			cycles:      s.cycles[i],
-			loads:       s.loads[i],
-			stores:      s.stores[i],
-			dram:        s.dram[i],
-			levelHits:   s.levelHits[base : base+s.nlev : base+s.nlev],
-			levelMisses: s.levelMisses[base : base+s.nlev : base+s.nlev],
-		}
-	}
-	return e
 }
 
 // regionStat is one simulated region's accumulation.
@@ -893,18 +876,39 @@ func Run(cfg Config) (*Suite, error) {
 // recomputed — so an interrupted suite resumes where it stopped and
 // finishes with results bit-identical to an uninterrupted run.
 func RunCtx(ctx context.Context, cfg Config) (*Suite, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	suites, err := runVariants(ctx, []Config{cfg})
+	if suites == nil {
 		return nil, err
 	}
-	items := make([]suiteItem, len(cfg.Benchmarks))
-	for i, name := range cfg.Benchmarks {
+	return suites[0], err
+}
+
+// runVariants runs the benchmark suite of cfgs[0] once per config, with
+// all of RunCtx's suite machinery. The configs may differ only in
+// pick-side settings (Config.prepareSide), so each benchmark's walks 1–3
+// run once and every variant picks from them. It returns one Suite per
+// config, in order, and the join of every variant's failures; a nil
+// slice means the configs themselves were rejected.
+func runVariants(ctx context.Context, cfgs []Config) ([]*Suite, error) {
+	cfgs = append([]Config(nil), cfgs...)
+	for v := range cfgs {
+		c, err := cfgs[v].withDefaults()
+		if err != nil {
+			return nil, err
+		}
+		if v > 0 && !reflect.DeepEqual(c.prepareSide(), cfgs[0].prepareSide()) {
+			return nil, fmt.Errorf("experiment: variant %d differs from variant 0 beyond pick-side settings", v)
+		}
+		cfgs[v] = c
+	}
+	items := make([]suiteItem, len(cfgs[0].Benchmarks))
+	for i, name := range cfgs[0].Benchmarks {
 		name := name
-		items[i] = suiteItem{name: name, run: func(ctx context.Context, cfg Config) (*BenchmarkResult, error) {
-			return RunBenchmarkCtx(ctx, name, cfg)
+		items[i] = suiteItem{name: name, gen: func() (*program.Program, error) {
+			return program.Generate(name, program.GenConfig{TargetOps: cfgs[0].TargetOps})
 		}}
 	}
-	return runSuite(ctx, cfg, items)
+	return runSuite(ctx, cfgs, items)
 }
 
 // RunSpecs evaluates a suite of synthesized program specs — the same
@@ -932,45 +936,49 @@ func RunSpecsCtx(ctx context.Context, specs []program.Spec, cfg Config) (*Suite,
 	for i, spec := range specs {
 		spec := spec.Normalize()
 		names[i] = spec.Name()
-		items[i] = suiteItem{name: spec.Name(), run: func(ctx context.Context, cfg Config) (*BenchmarkResult, error) {
-			return RunSpecCtx(ctx, spec, cfg)
+		items[i] = suiteItem{name: spec.Name(), gen: func() (*program.Program, error) {
+			return program.GenerateSpec(spec)
 		}}
 	}
 	cfg.Benchmarks = names
-	return runSuite(ctx, cfg, items)
+	suites, err := runSuite(ctx, []Config{cfg}, items)
+	return suites[0], err
 }
 
 // suiteItem is one unit of suite work: a stable name (a benchmark name
 // or a spec's content-derived name — used for checkpoints, progress,
-// and failure reporting) plus the pipeline invocation that computes it.
+// and failure reporting) plus the program it evaluates.
 type suiteItem struct {
 	name string
-	run  func(ctx context.Context, cfg Config) (*BenchmarkResult, error)
+	gen  func() (*program.Program, error)
 }
 
-// runSuite is the suite body shared by RunCtx and RunSpecsCtx. cfg must
-// already have defaults applied.
-func runSuite(ctx context.Context, cfg Config, items []suiteItem) (*Suite, error) {
+// runSuite is the suite body shared by RunCtx, RunSpecsCtx and the
+// pick-side sweeps. cfgs must already have defaults applied and differ
+// only in pick-side settings. Per item it loads each config's checkpoint
+// under that config's own fingerprint, then runs prepare once and pick
+// for each config still missing. It returns one Suite per config and the
+// join of every config's failures.
+func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, error) {
 	o := obs.From(ctx)
-	if cfg.SharedPool != nil {
-		// An injected pool is owned (and instrumented) by its installer.
-		cfg.workerPool = cfg.SharedPool
-	} else {
-		cfg.workerPool = pool.New(cfg.Workers)
-		instrumentPool(cfg.workerPool, o)
+	wp := cfgs[0].SharedPool // an injected pool is owned (and instrumented) by its installer
+	if wp == nil {
+		wp = pool.New(cfgs[0].Workers)
+		instrumentPool(wp, o)
 	}
-	// One memo table and one simulator state pool serve the whole suite,
-	// so identical evaluation work recurring across benchmarks (duplicate
-	// program specs, repeated configs) is reused and cache-hierarchy
+	// One simulator state pool serves the whole suite, so cache-hierarchy
 	// state is recycled across all benchmarks' walks.
-	if !cfg.DisableMemo {
-		cfg.memo = newEvalMemo()
+	sp := cmpsim.NewStatePool()
+	fps := make([]string, len(cfgs))
+	results := make([][]*BenchmarkResult, len(cfgs))
+	errs := make([][]error, len(cfgs))
+	for v := range cfgs {
+		cfgs[v].workerPool, cfgs[v].simPool = wp, sp
+		fps[v] = cfgs[v].fingerprint()
+		results[v] = make([]*BenchmarkResult, len(items))
+		errs[v] = make([]error, len(items))
 	}
-	cfg.simPool = cmpsim.NewStatePool()
-	cfgFP := cfg.fingerprint()
-	results := make([]*BenchmarkResult, len(items))
-	errs := make([]error, len(items))
-	sem := make(chan struct{}, cfg.Parallelism)
+	sem := make(chan struct{}, cfgs[0].Parallelism)
 	var wg sync.WaitGroup
 	var done atomic.Int64
 	for i, it := range items {
@@ -980,64 +988,85 @@ func runSuite(ctx context.Context, cfg Config, items []suiteItem) (*Suite, error
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			name := it.name
-			if cfg.CheckpointDir != "" {
-				r, err := loadCheckpoint(cfg.CheckpointDir, name, cfgFP)
-				switch {
-				case err == nil:
-					results[i] = r
-					o.Counter("pipeline.checkpoints_loaded").Inc()
-					o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "loaded"})
-					o.Report(obs.Event{Benchmark: name, Stage: "resumed from checkpoint",
-						Done: int(done.Add(1)), Total: len(items)})
-					return
-				case !errors.Is(err, errNoCheckpoint):
-					// Corrupt or stale checkpoint: recompute from scratch.
-					o.Counter("pipeline.checkpoints_invalid").Inc()
-					o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "invalid: " + err.Error()})
-					o.Report(obs.Event{Benchmark: name, Stage: "checkpoint invalid, recomputing"})
+			var missing []Config
+			var slots []int
+			for v, cfg := range cfgs {
+				if cfg.CheckpointDir != "" {
+					r, err := loadCheckpoint(cfg.CheckpointDir, name, fps[v])
+					switch {
+					case err == nil:
+						results[v][i] = r
+						o.Counter("pipeline.checkpoints_loaded").Inc()
+						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "loaded"})
+						continue
+					case !errors.Is(err, errNoCheckpoint):
+						// Corrupt or stale checkpoint: recompute from scratch.
+						o.Counter("pipeline.checkpoints_invalid").Inc()
+						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "invalid: " + err.Error()})
+						o.Report(obs.Event{Benchmark: name, Stage: "checkpoint invalid, recomputing"})
+					}
 				}
+				missing = append(missing, cfg)
+				slots = append(slots, v)
 			}
-			r, err := it.run(ctx, cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-				o.Counter("pipeline.benchmarks_failed").Inc()
-				o.Report(obs.Event{Benchmark: name, Stage: "failed",
+			if len(missing) == 0 {
+				o.Report(obs.Event{Benchmark: name, Stage: "resumed from checkpoint",
 					Done: int(done.Add(1)), Total: len(items)})
 				return
 			}
-			results[i] = r
-			if cfg.CheckpointDir != "" {
-				if err := saveCheckpoint(cfg.CheckpointDir, r, cfgFP); err != nil {
-					// A checkpoint write failure costs resumability, not
-					// correctness: report it and keep the result.
-					o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "write failed: " + err.Error()})
-					o.Report(obs.Event{Benchmark: name, Stage: "checkpoint write failed: " + err.Error()})
-				} else {
-					o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "saved"})
+			rs, rerrs := runPipeline(ctx, name, it.gen, missing)
+			failed := false
+			for k, v := range slots {
+				if rerrs[k] != nil {
+					errs[v][i] = fmt.Errorf("%s: %w", name, rerrs[k])
+					o.Counter("pipeline.benchmarks_failed").Inc()
+					failed = true
+					continue
+				}
+				results[v][i] = rs[k]
+				if dir := cfgs[v].CheckpointDir; dir != "" {
+					if err := saveCheckpoint(dir, rs[k], fps[v]); err != nil {
+						// A checkpoint write failure costs resumability, not
+						// correctness: report it and keep the result.
+						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "write failed: " + err.Error()})
+						o.Report(obs.Event{Benchmark: name, Stage: "checkpoint write failed: " + err.Error()})
+					} else {
+						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "saved"})
+					}
 				}
 			}
-			o.Report(obs.Event{Benchmark: name, Stage: "done",
+			stage := "done"
+			if failed {
+				stage = "failed"
+			}
+			o.Report(obs.Event{Benchmark: name, Stage: stage,
 				Done: int(done.Add(1)), Total: len(items)})
 		}(i, it)
 	}
 	wg.Wait()
-	suite := &Suite{Config: cfg}
-	for _, r := range results {
-		if r != nil {
-			suite.Results = append(suite.Results, r)
+	suites := make([]*Suite, len(cfgs))
+	var all []error
+	for v, cfg := range cfgs {
+		s := &Suite{Config: cfg}
+		for _, r := range results[v] {
+			if r != nil {
+				s.Results = append(s.Results, r)
+			}
 		}
-	}
-	for i, e := range errs {
-		if e != nil {
-			suite.Failures = append(suite.Failures, BenchmarkFailure{
-				Name: items[i].name, Err: e.Error()})
+		for i, e := range errs[v] {
+			if e != nil {
+				s.Failures = append(s.Failures, BenchmarkFailure{
+					Name: items[i].name, Err: e.Error()})
+			}
 		}
+		suites[v] = s
+		all = append(all, errs[v]...)
 	}
 	// Join every failure (in benchmark order) instead of surfacing only
 	// the first: a multi-failure run stays debuggable in one pass. The
-	// partial suite is returned alongside the error so completed work
+	// partial suites are returned alongside the error so completed work
 	// survives.
-	return suite, errors.Join(errs...)
+	return suites, errors.Join(all...)
 }
 
 // ByName returns the named benchmark's result, or nil.

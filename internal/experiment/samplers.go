@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"xbsim/internal/obs"
 	"xbsim/internal/sampler"
 )
 
@@ -62,38 +61,36 @@ type SamplerComparison struct {
 // CompareSamplers runs cfg's suite once per sampler configuration —
 // the simpoint backend, then the stratified backend at each budget in
 // budgets (default {8, 16}) — and aggregates each run into one
-// SamplerRow. Backends share everything but point selection: same
-// programs, same profiles, same hierarchy, same seeds. A benchmark
-// failure degrades the row (counted in Failures, aggregates cover the
-// completed benchmarks); only a configuration with zero completed
-// benchmarks aborts the comparison.
+// SamplerRow. Backends share everything but point selection: each
+// benchmark's walks 1–3 run once and every configuration picks from
+// them, with the same seeds. A benchmark failure degrades the row
+// (counted in Failures, aggregates cover the completed benchmarks); only
+// a configuration with zero completed benchmarks aborts the comparison.
 func CompareSamplers(ctx context.Context, cfg Config, budgets []int) (*SamplerComparison, error) {
 	if len(budgets) == 0 {
 		budgets = []int{8, 16}
 	}
-	type variant struct {
-		backend string
-		budget  int
-	}
-	variants := []variant{{sampler.BackendSimPoint, 0}}
+	c := cfg
+	c.Sampler, c.SamplerBudget = sampler.BackendSimPoint, 0
+	cfgs := []Config{c}
 	for _, b := range budgets {
 		if b <= 0 {
 			return nil, fmt.Errorf("experiment: sampler budget %d must be positive", b)
 		}
-		variants = append(variants, variant{sampler.BackendStratified, b})
+		c.Sampler, c.SamplerBudget = sampler.BackendStratified, b
+		cfgs = append(cfgs, c)
 	}
-	o := obs.From(ctx)
+	suites, err := runVariants(ctx, cfgs)
+	if suites == nil {
+		return nil, err
+	}
 	cmp := &SamplerComparison{Benchmarks: cfg.Benchmarks}
-	for _, v := range variants {
-		c := cfg
-		c.Sampler = v.backend
-		c.SamplerBudget = v.budget
-		o.Report(obs.Event{Stage: fmt.Sprintf("sampler %s%s", v.backend, budgetSuffix(v.budget))})
-		suite, err := RunCtx(ctx, c)
-		if suite == nil || len(suite.Results) == 0 {
-			return nil, fmt.Errorf("experiment: sampler %s%s: %w", v.backend, budgetSuffix(v.budget), err)
+	for v, suite := range suites {
+		backend, budget := cfgs[v].Sampler, cfgs[v].SamplerBudget
+		if len(suite.Results) == 0 {
+			return nil, fmt.Errorf("experiment: sampler %s%s: %w", backend, budgetSuffix(budget), err)
 		}
-		cmp.Rows = append(cmp.Rows, reduceSuite(suite, v.backend, v.budget))
+		cmp.Rows = append(cmp.Rows, reduceSuite(suite, backend, budget))
 	}
 	return cmp, nil
 }

@@ -3,9 +3,11 @@ package jobqueue
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -510,5 +512,37 @@ func TestRequestValidation(t *testing.T) {
 	bad.Sampler = "nope"
 	if _, _, err := q.Submit(Request{Benchmarks: []string{"mcf"}, Config: bad}); err == nil {
 		t.Fatal("invalid sampler accepted")
+	}
+}
+
+// A job file written before experiment.Config lost DisableMemo must be
+// rejected by its format version, not misreported as corrupt.
+func TestOldSpoolVersionRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1-pending-job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jf jobFile
+	if err := json.Unmarshal(data, &jf); err != nil {
+		t.Fatal(err)
+	}
+	// Without the version bump the file would fail here instead.
+	if fp, err := jobFingerprint(&jf.Job); err != nil || fp == jf.Fingerprint {
+		t.Fatalf("v1 job re-fingerprints as %q (err %v); the format change is not visible", fp, err)
+	}
+
+	s, err := OpenSpool(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.jobPath(StatePending, jf.Job.ID), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jobs, errs := s.Load()
+	if len(jobs) != 0 {
+		t.Fatalf("v1 job loaded: %+v", jobs[0])
+	}
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "version 1, want 2") {
+		t.Fatalf("load errors = %v, want one \"version 1, want 2\"", errs)
 	}
 }

@@ -32,7 +32,10 @@ type Spool struct {
 }
 
 // spoolVersion gates the job-file format; bump on incompatible change.
-const spoolVersion = 1
+// v2: experiment.Config lost DisableMemo, so a v1 job re-marshals
+// differently and would fail its fingerprint check as "corrupt"; the
+// version check rejects it by name instead.
+const spoolVersion = 2
 
 // jobFile is the on-disk job record: the payload plus a recomputed-on-
 // load fingerprint, so a corrupt or hand-edited record is detected and

@@ -10,13 +10,13 @@ import (
 // Attribution is the evaluate-stage cost-attribution profiler: a
 // hierarchical accumulator that charges wall time, allocations, simulated
 // instructions, and simulated cycles to (benchmark, binary, walk, point)
-// nodes, plus a redundancy analyzer that counts how many point
-// evaluations were content-identical to one already simulated.
+// nodes, plus the count of gate points answered from walk 3 instead of
+// executed.
 //
 // Like the rest of this package, it costs nothing when off: a nil
 // *Attribution is a valid no-op sink — StartWalk returns nil without
 // reading the clock, and a nil *WalkSample's Done, AddPoint, and
-// RecordEval return immediately without allocating (pinned by
+// RecordMemo return immediately without allocating (pinned by
 // TestAttributionDisabledZeroAlloc). Enabled, the recording granularity
 // is one sample per walk and one per simulation point, never per block,
 // so the overhead stays small relative to the simulation itself.
@@ -24,17 +24,8 @@ type Attribution struct {
 	mu    sync.Mutex
 	nodes map[AttribKey]*AttribValue
 
-	// Redundancy analysis: seen maps an evaluation key (interval
-	// fingerprint + cache-config digest) to how many times a point with
-	// that key has been evaluated.
-	seen      map[string]uint64
-	evals     uint64
-	dupEvals  uint64
-	evalInstr uint64
-	dupInstr  uint64
-
-	// Memoization accounting: point evaluations answered from the
-	// content-addressed memo table instead of being simulated.
+	// Walk-3 accounting: gate points answered from walk 3's deltas
+	// (hits) or executed (misses).
 	memoHits       uint64
 	memoMisses     uint64
 	memoSavedInstr uint64
@@ -47,10 +38,7 @@ type Attribution struct {
 
 // NewAttribution returns an empty, enabled attribution profiler.
 func NewAttribution() *Attribution {
-	return &Attribution{
-		nodes: map[AttribKey]*AttribValue{},
-		seen:  map[string]uint64{},
-	}
+	return &Attribution{nodes: map[AttribKey]*AttribValue{}}
 }
 
 // Enabled reports whether the profiler records anything.
@@ -194,32 +182,9 @@ func (a *Attribution) AddPoint(benchmark, binary, walk string, point int, instru
 		AttribValue{Instructions: instructions, Cycles: cycles, Evals: 1})
 }
 
-// RecordEval feeds the redundancy analyzer: key identifies the
-// evaluation's content (interval fingerprint + cache-config digest) and
-// instructions its simulated instruction count. An evaluation whose key
-// was already seen is a duplicate — work a content-addressed memoization
-// layer would have skipped.
-func (a *Attribution) RecordEval(key string, instructions uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.evals++
-	a.evalInstr += instructions
-	if a.seen[key] > 0 {
-		a.dupEvals++
-		a.dupInstr += instructions
-	}
-	a.seen[key]++
-	a.mu.Unlock()
-}
-
-// RecordMemo feeds the memoization accounting: hits point evaluations
-// were answered from the content-addressed memo table (instructionsSaved
-// simulated instructions not re-simulated), misses had to simulate.
-// Memoized evaluations never reach RecordEval — the redundancy analyzer
-// measures only work that actually executed, so with memoization on the
-// reported duplicate fraction is the post-memo residue (~0 expected).
+// RecordMemo feeds the walk-3 accounting: hits gate points were answered
+// from walk 3's per-interval deltas (instructionsSaved simulated
+// instructions not re-simulated), misses were executed.
 func (a *Attribution) RecordMemo(hits, misses, instructionsSaved uint64) {
 	if a == nil {
 		return
@@ -242,38 +207,18 @@ type AttribNode struct {
 	Value AttribValue `json:"value"`
 }
 
-// RedundancySummary is the redundancy analyzer's verdict: of Evaluations
-// point evaluations, Duplicates had an (interval fingerprint,
-// cache-config) key already evaluated — DuplicateInstructions of
-// TotalInstructions simulated instructions were re-simulation of
-// identical content.
+// RedundancySummary is the walk-3 accounting: of MemoHits+MemoMisses
+// gate points, MemoHits were answered from walk 3's deltas and MemoMisses
+// executed a gated walk; MemoSavedInstructions is the simulated
+// instruction volume the hits did not re-simulate.
 type RedundancySummary struct {
-	Evaluations           uint64 `json:"evaluations"`
-	Unique                uint64 `json:"unique"`
-	Duplicates            uint64 `json:"duplicates"`
-	TotalInstructions     uint64 `json:"total_instructions"`
-	DuplicateInstructions uint64 `json:"duplicate_instructions"`
-	// MemoHits/MemoMisses count point evaluations answered from /
-	// missed by the content-addressed memo table; MemoSavedInstructions
-	// is the simulated-instruction volume the hits avoided. Memoized
-	// evaluations are excluded from Evaluations above — the duplicate
-	// fraction always describes work that actually ran.
 	MemoHits              uint64 `json:"memo_hits"`
 	MemoMisses            uint64 `json:"memo_misses"`
 	MemoSavedInstructions uint64 `json:"memo_saved_instructions"`
 }
 
-// DuplicateFraction returns the fraction of evaluations that were
-// duplicates (0 when nothing was evaluated).
-func (r RedundancySummary) DuplicateFraction() float64 {
-	if r.Evaluations == 0 {
-		return 0
-	}
-	return float64(r.Duplicates) / float64(r.Evaluations)
-}
-
-// MemoHitRate returns the fraction of memo lookups that hit (0 when the
-// memo table saw no traffic, e.g. memoization disabled).
+// MemoHitRate returns the fraction of gate points answered from walk 3
+// (0 when no gated walk ran).
 func (r RedundancySummary) MemoHitRate() float64 {
 	total := r.MemoHits + r.MemoMisses
 	if total == 0 {
@@ -287,7 +232,7 @@ type AttribSnapshot struct {
 	// Nodes holds every attribution node, sorted by (benchmark, binary,
 	// walk, point) so any rendering is deterministic.
 	Nodes []AttribNode `json:"nodes"`
-	// Redundancy is the duplicate-evaluation summary.
+	// Redundancy is the walk-3 accounting.
 	Redundancy RedundancySummary `json:"redundancy"`
 }
 
@@ -307,11 +252,6 @@ func (a *Attribution) Snapshot() AttribSnapshot {
 		})
 	}
 	snap.Redundancy = RedundancySummary{
-		Evaluations:           a.evals,
-		Unique:                uint64(len(a.seen)),
-		Duplicates:            a.dupEvals,
-		TotalInstructions:     a.evalInstr,
-		DuplicateInstructions: a.dupInstr,
 		MemoHits:              a.memoHits,
 		MemoMisses:            a.memoMisses,
 		MemoSavedInstructions: a.memoSavedInstr,

@@ -93,29 +93,24 @@ func TestAttributionSnapshotOrder(t *testing.T) {
 	}
 }
 
-// TestAttributionRedundancy pins the redundancy analyzer: the first
-// evaluation of a key is unique, every later one is a duplicate, and
-// duplicate instructions count the re-simulated work.
+// TestAttributionRedundancy pins the walk-3 accounting: hits and misses
+// add up across calls, and the hit rate is hits over all gate points.
 func TestAttributionRedundancy(t *testing.T) {
 	a := NewAttribution()
-	a.RecordEval("iv0/cfgA", 100)
-	a.RecordEval("iv0/cfgA", 50)
-	a.RecordEval("iv0/cfgA", 25)
-	a.RecordEval("iv1/cfgA", 10)
+	a.RecordMemo(6, 0, 100)
+	a.RecordMemo(0, 2, 0)
+	a.RecordMemo(2, 0, 20)
 
 	r := a.Snapshot().Redundancy
-	want := RedundancySummary{
-		Evaluations: 4, Unique: 2, Duplicates: 2,
-		TotalInstructions: 185, DuplicateInstructions: 75,
-	}
+	want := RedundancySummary{MemoHits: 8, MemoMisses: 2, MemoSavedInstructions: 120}
 	if r != want {
 		t.Fatalf("redundancy = %+v, want %+v", r, want)
 	}
-	if got := r.DuplicateFraction(); got != 0.5 {
-		t.Errorf("DuplicateFraction = %v, want 0.5", got)
+	if got := r.MemoHitRate(); got != 0.8 {
+		t.Errorf("MemoHitRate = %v, want 0.8", got)
 	}
-	if (RedundancySummary{}).DuplicateFraction() != 0 {
-		t.Error("empty DuplicateFraction != 0")
+	if (RedundancySummary{}).MemoHitRate() != 0 {
+		t.Error("empty MemoHitRate != 0")
 	}
 }
 
@@ -132,9 +127,9 @@ func TestAttributionNilSafe(t *testing.T) {
 	}
 	ws.Done(1, 2)
 	a.AddPoint("b", "x", "full", 0, 1, 2)
-	a.RecordEval("k", 1)
+	a.RecordMemo(1, 1, 1)
 	snap := a.Snapshot()
-	if len(snap.Nodes) != 0 || snap.Redundancy.Evaluations != 0 {
+	if len(snap.Nodes) != 0 || snap.Redundancy != (RedundancySummary{}) {
 		t.Errorf("nil snapshot = %+v, want empty", snap)
 	}
 
@@ -149,14 +144,14 @@ func TestAttributionNilSafe(t *testing.T) {
 
 // TestAttributionDisabledZeroAlloc pins the zero-cost-when-off contract
 // the hot path relies on: the full disabled call sequence — StartWalk,
-// Done, AddPoint, RecordEval — performs no allocations.
+// Done, AddPoint, RecordMemo — performs no allocations.
 func TestAttributionDisabledZeroAlloc(t *testing.T) {
 	var a *Attribution
 	allocs := testing.AllocsPerRun(1000, func() {
 		ws := a.StartWalk("gcc", "gcc.32u", "full")
 		ws.Done(100, 200)
 		a.AddPoint("gcc", "gcc.32u", "fli", 3, 10, 20)
-		a.RecordEval("key", 10)
+		a.RecordMemo(1, 0, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled attribution path allocates %.1f bytes/op, want 0", allocs)
@@ -176,7 +171,7 @@ func BenchmarkAttributionDisabled(b *testing.B) {
 }
 
 // BenchmarkAttributionEnabled measures the enabled recording cost at the
-// real granularity (one walk sample + one point + one eval key).
+// real granularity (one walk sample + one point + one walk-3 answer).
 func BenchmarkAttributionEnabled(b *testing.B) {
 	a := NewAttribution()
 	b.ReportAllocs()
@@ -184,6 +179,6 @@ func BenchmarkAttributionEnabled(b *testing.B) {
 		ws := a.StartWalk("gcc", "gcc.32u", "full")
 		ws.Done(100, 200)
 		a.AddPoint("gcc", "gcc.32u", "fli", 3, 10, 20)
-		a.RecordEval("key", 10)
+		a.RecordMemo(1, 0, 10)
 	}
 }

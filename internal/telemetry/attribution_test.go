@@ -15,8 +15,7 @@ func TestServerAttributionEndpoint(t *testing.T) {
 	o.Attrib = obs.NewAttribution()
 	o.Attrib.StartWalk("gcc", "gcc.32u", "full").Done(1000, 1500)
 	o.Attrib.AddPoint("gcc", "gcc.32u", "fli", 4, 120, 180)
-	o.Attrib.RecordEval("iv4/cfg", 120)
-	o.Attrib.RecordEval("iv4/cfg", 120)
+	o.Attrib.RecordMemo(2, 0, 240)
 
 	resp, body := get(t, "http://"+s.Addr()+"/attribution")
 	if resp.StatusCode != http.StatusOK {
@@ -36,7 +35,7 @@ func TestServerAttributionEndpoint(t *testing.T) {
 		snap.Nodes[0].Value.Instructions != 120 {
 		t.Errorf("point node = %+v", snap.Nodes[0])
 	}
-	if snap.Redundancy.Evaluations != 2 || snap.Redundancy.Duplicates != 1 {
+	if snap.Redundancy.MemoHits != 2 || snap.Redundancy.MemoSavedInstructions != 240 {
 		t.Errorf("redundancy = %+v", snap.Redundancy)
 	}
 }

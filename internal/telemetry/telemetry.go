@@ -61,7 +61,7 @@ func (h *Handlers) Stop() <-chan struct{} { return h.stop }
 //	/progress    JSON: suite progress, per-benchmark state, span tree
 //	/events      JSON: the flight recorder's recent structured events
 //	             (?stream=1 follows live as JSONL until shutdown)
-//	/attribution JSON: the cost-attribution snapshot + redundancy summary
+//	/attribution JSON: the cost-attribution snapshot + walk-3 accounting
 //	/profile     speedscope-compatible flamegraph of the attribution tree
 //	/debug/pprof the standard runtime profiling endpoints
 //
@@ -148,7 +148,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"/metrics      Prometheus exposition\n" +
 		"/progress     suite + per-benchmark progress (JSON)\n" +
 		"/events       flight recorder events (JSON; ?stream=1 follows as JSONL)\n" +
-		"/attribution  cost attribution + redundancy summary (JSON)\n" +
+		"/attribution  cost attribution + walk-3 accounting (JSON)\n" +
 		"/profile      speedscope flamegraph of the attribution tree\n" +
 		"/debug/pprof  runtime profiles\n"))
 }
