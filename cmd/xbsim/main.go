@@ -1,18 +1,22 @@
 // Command xbsim drives the Cross Binary Simulation Points toolchain from
 // the shell: profile binaries, inspect mappable points, emit PinPoints-
-// style region files, simulate, and regenerate the paper's figures and
-// tables.
+// style region files, simulate, check the cross-binary invariants, and
+// regenerate the paper's figures and tables.
 //
 // Usage:
 //
 //	xbsim benchmarks
-//	xbsim profile   -bench gcc -target 32u
+//	xbsim callprofile -bench gcc -target 32u
 //	xbsim map       -bench gcc
 //	xbsim points    -bench gcc -flavor vli -target 64o -o points.json
 //	xbsim simulate  -bench gcc -target 32u
 //	xbsim estimate  -bench gcc -flavor vli
+//	xbsim verify    -bench gcc
 //	xbsim figures   [-quick] [-benchmarks gcc,apsi] [-only fig4]
 //	xbsim -v -trace-out trace.json figures -quick
+//
+// Every verb takes flags only, except trace, which takes one job or
+// trace ID after its flags; a stray argument is a usage error (exit 2).
 //
 // Global flags (before the command) enable observability: -v streams
 // per-stage progress to stderr, -trace-out writes a Chrome trace_event
@@ -28,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -36,18 +39,12 @@ import (
 	"syscall"
 
 	"xbsim"
-	"xbsim/internal/bbv"
-	"xbsim/internal/callloop"
 	"xbsim/internal/experiment"
 	"xbsim/internal/faults"
 	"xbsim/internal/invariant"
-	"xbsim/internal/markerstats"
 	"xbsim/internal/obs"
 	"xbsim/internal/report"
 	"xbsim/internal/telemetry"
-	"xbsim/internal/trace"
-	"xbsim/internal/validate"
-	"xbsim/internal/xrand"
 )
 
 func main() {
@@ -254,7 +251,15 @@ func newFlagSet(name string) *flag.FlagSet {
 
 // parseFlags parses args, translating failures into usage errors and
 // making -h/--help print the flag defaults and surface flag.ErrHelp.
+// Flag parsing stops at the first positional argument, so a stray one
+// would silently drop every flag after it: it is a usage error.
 func parseFlags(fs *flag.FlagSet, args []string) error {
+	return parseArgs(fs, args, 0)
+}
+
+// parseArgs is parseFlags for a verb that takes exactly n positional
+// arguments after its flags.
+func parseArgs(fs *flag.FlagSet, args []string, n int) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(os.Stderr)
@@ -263,55 +268,57 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 		}
 		return usageError{err}
 	}
-	return nil
+	switch {
+	case fs.NArg() == n:
+		return nil
+	case n == 0:
+		return usagef("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+	default:
+		return usagef("%s: want %d argument(s) after the flags, got %d", fs.Name(), n, fs.NArg())
+	}
 }
 
-// run dispatches a subcommand, writing its output to w. The context may
-// carry an obs.Observer to record metrics, spans, and progress.
+// commands maps every verb to its implementation. A verb writes its
+// output to w; the context may carry an obs.Observer to record metrics,
+// spans, and progress.
+var commands = map[string]func(ctx context.Context, args []string, w io.Writer) error{
+	"benchmarks":  cmdBenchmarks,
+	"callprofile": cmdCallprofile,
+	"profile":     cmdProfile,
+	"map":         cmdMap,
+	"points":      cmdPoints,
+	"simulate":    cmdSimulate,
+	"estimate":    cmdEstimate,
+	"phases":      cmdPhases,
+	"figures":     cmdFigures,
+	"experiment":  cmdFigures,
+	"ablations":   cmdAblations,
+	"samplers":    cmdSamplers,
+	"verify":      cmdVerify,
+	"selfcheck":   cmdSelfcheck,
+	"chaos":       cmdChaos,
+	"serve":       cmdServe,
+	"trace":       cmdTrace,
+	"help":        cmdHelp,
+	"-h":          cmdHelp,
+	"--help":      cmdHelp,
+}
+
+// run dispatches a subcommand.
 func run(ctx context.Context, command string, args []string, w io.Writer) error {
-	switch command {
-	case "benchmarks":
-		return cmdBenchmarks(w)
-	case "profile":
-		return cmdProfile(ctx, args, w)
-	case "map":
-		return cmdMap(ctx, args, w)
-	case "points":
-		return cmdPoints(ctx, args, w)
-	case "simulate":
-		return cmdSimulate(ctx, args, w)
-	case "estimate":
-		return cmdEstimate(ctx, args, w)
-	case "figures", "experiment":
-		return cmdFigures(ctx, args, w)
-	case "ablations":
-		return cmdAblations(args, w)
-	case "markers":
-		return cmdMarkers(args, w)
-	case "trace":
-		return cmdTrace(args, w)
-	case "verify":
-		return cmdVerify(args, w)
-	case "selfcheck":
-		return cmdSelfcheck(ctx, args, w)
-	case "chaos":
-		return cmdChaos(ctx, args, w)
-	case "samplers":
-		return cmdSamplers(ctx, args, w)
-	case "serve":
-		return cmdServe(ctx, args, w)
-	case "callgraph":
-		return cmdCallgraph(args, w)
-	case "phases":
-		return cmdPhases(ctx, args, w)
-	case "similarity":
-		return cmdSimilarity(args, w)
-	case "help", "-h", "--help":
-		usage()
-		return nil
-	default:
+	cmd, ok := commands[command]
+	if !ok {
 		return errUnknownCommand
 	}
+	return cmd(ctx, args, w)
+}
+
+func cmdHelp(_ context.Context, args []string, _ io.Writer) error {
+	if err := parseFlags(newFlagSet("help"), args); err != nil {
+		return err
+	}
+	usage()
+	return nil
 }
 
 func usage() {
@@ -319,48 +326,42 @@ func usage() {
 
 commands:
   benchmarks                         list synthesizable benchmarks
-  profile  -bench B -target T       call/branch profile of one binary
+  callprofile -bench B -target T     call/branch profile of one binary
   profile  [-top N] [-flame-out F] [-benchmarks L] [-json]
-                                     (no -bench) run the quick suite with
-                                     cost attribution on: per-walk cost
-                                     table, walk-3 accounting, optional
+                                     run the quick suite with cost
+                                     attribution on: per-walk cost table,
+                                     walk-3 accounting, optional
                                      speedscope flamegraph
   map      -bench B                  cross-binary mappable point summary
   points   -bench B -flavor F -target T [-o FILE]
                                      pick simulation points, emit regions
   simulate -bench B -target T       full-run CMP$im-style simulation
   estimate -bench B -flavor F       estimated vs true CPI, all binaries
+  phases   -bench B [-flavor F]      phase timeline of the execution
   figures  [-quick] [-benchmarks L] [-only ID]
                                      regenerate the paper's figures/tables
   ablations [-benchmarks L] [-only S]
                                      design-choice ablation studies
-  markers  -bench B -target T       rank phase-marker candidates by
-                                     firing-gap regularity
-  trace    -bench B -target T -o F   record an execution trace
-  trace    -info F                   inspect a recorded trace
-  trace    [-url U | -spool D] [-json] JOB-OR-TRACE-ID
-                                     reconstruct a served job's timeline:
-                                     phases (queue-wait, run, resume,
-                                     cache) + merged events and spans
-  verify   -bench B                  check the cross-binary invariants
-                                     hold for this workload
+  samplers [-benchmarks L] [-budgets 8,16] [-json]
+                                     compare sampler backends: CPI error
+                                     vs simulated-instruction budget
+  verify   -bench B                  check every cross-binary invariant
+                                     on this workload
   selfcheck [-n N] [-seed S] [-workers W]
-                                     metamorphic self-check: N randomized
-                                     programs through the full pipeline
+                                     the same invariants on N randomized
+                                     programs
   chaos    [-programs N] [-seed S] [-faults F] [-retries R]
                                      run randomized programs under injected
                                      fault schedules; recovered runs must be
                                      bit-identical to the fault-free baseline
-  samplers [-benchmarks L] [-budgets 8,16] [-json]
-                                     compare sampler backends: CPI error
-                                     vs simulated-instruction budget
   serve    -spool DIR [-addr A] [-concurrency N] [-max-pending N]
                                      run the durable analysis service:
                                      POST /jobs, crash-safe job journal,
                                      graceful drain on SIGTERM
-  callgraph -bench B [-target T]     annotated call-loop graph
-  phases   -bench B [-flavor F]      phase timeline of the execution
-  similarity -bench B [-target T]    interval similarity heat map
+  trace    (-url U | -spool D) [-json] JOB-OR-TRACE-ID
+                                     reconstruct a served job's timeline:
+                                     phases (queue-wait, run, resume,
+                                     cache) + merged events and spans
 
 common flags: -ops N (program scale), -interval N (interval size),
 -seed S (input seed), -workers N (pool size for clustering/pipeline
@@ -396,7 +397,10 @@ func samplerFlags(fs *flag.FlagSet) (backend *string, budget *int) {
 	return
 }
 
-func cmdBenchmarks(w io.Writer) error {
+func cmdBenchmarks(_ context.Context, args []string, w io.Writer) error {
+	if err := parseFlags(newFlagSet("benchmarks"), args); err != nil {
+		return err
+	}
 	for _, n := range xbsim.Benchmarks() {
 		fmt.Fprintln(w, n)
 	}
@@ -692,7 +696,7 @@ func renderSuite(ctx context.Context, w io.Writer, suite *xbsim.Suite, asJSON, d
 }
 
 // cmdAblations runs the design-choice ablation studies (DESIGN.md §5).
-func cmdAblations(args []string, w io.Writer) error {
+func cmdAblations(_ context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("ablations")
 	benchList := fs.String("benchmarks", "swim,crafty,applu", "comma-separated benchmark subset")
 	only := fs.String("only", "", "run one study: bic, dim, markers, inline, primary, warming, early")
@@ -750,111 +754,8 @@ func cmdAblations(args []string, w io.Writer) error {
 	return nil
 }
 
-// cmdMarkers ranks the binary's markers as phase-marker candidates by
-// firing-gap regularity (Lau et al. CGO 2006 style analysis).
-func cmdMarkers(args []string, w io.Writer) error {
-	fs := newFlagSet("markers")
-	bench := fs.String("bench", "", "benchmark name")
-	target := fs.String("target", "32u", "binary configuration")
-	top := fs.Int("top", 15, "show the N best candidates")
-	ops, interval, seed := commonFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	b, err := buildBenchmark(*bench, *ops)
-	if err != nil {
-		return err
-	}
-	bin, err := pickBinary(b, *target)
-	if err != nil {
-		return err
-	}
-	stats, err := markerstats.Collect(bin, xbsim.Input{Name: "ref", Seed: *seed})
-	if err != nil {
-		return err
-	}
-	ranked := markerstats.RankForInterval(stats, *interval)
-	if len(ranked) > *top {
-		ranked = ranked[:*top]
-	}
-	fmt.Fprintf(w, "%s: best interval-boundary candidates for target size %d\n", bin.Name, *interval)
-	fmt.Fprintf(w, "  %-12s %-12s %6s %10s %12s %8s\n", "kind", "symbol", "line", "fires", "mean gap", "CV")
-	for _, s := range ranked {
-		cv := "n/a"
-		if !math.IsNaN(s.CV) {
-			cv = fmt.Sprintf("%.3f", s.CV)
-		}
-		fmt.Fprintf(w, "  %-12s %-12s %6d %10d %12.0f %8s\n",
-			s.Kind, s.Symbol, s.Line, s.Count, s.MeanGap, cv)
-	}
-	return nil
-}
-
-// cmdTrace records an execution trace to a file, inspects one, or —
-// given a positional job/trace ID — reconstructs a served job's
-// end-to-end timeline (live via -url, offline via -spool).
-func cmdTrace(args []string, w io.Writer) error {
-	fs := newFlagSet("trace")
-	bench := fs.String("bench", "", "benchmark name")
-	target := fs.String("target", "32u", "binary configuration")
-	out := fs.String("o", "", "output trace file")
-	info := fs.String("info", "", "inspect an existing trace file instead of recording")
-	url := fs.String("url", "", "timeline mode: base URL of a running xbsim serve (e.g. http://127.0.0.1:8080)")
-	spool := fs.String("spool", "", "timeline mode: spool directory, read offline")
-	jsonOut := fs.Bool("json", false, "timeline mode: emit JSON instead of the table")
-	ops, _, seed := commonFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() >= 1 {
-		return traceTimeline(fs.Arg(0), *url, *spool, *jsonOut, w)
-	}
-	if *info != "" {
-		f, err := os.Open(*info)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		hdr, err := trace.ReadHeader(f)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s: trace of %s (%d static blocks, %d markers)\n",
-			*info, hdr.BinaryName, hdr.NumBlocks, hdr.NumMarkers)
-		return nil
-	}
-	if *out == "" {
-		return usagef("-o or -info is required")
-	}
-	b, err := buildBenchmark(*bench, *ops)
-	if err != nil {
-		return err
-	}
-	bin, err := pickBinary(b, *target)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.Record(f, bin, xbsim.Input{Name: "ref", Seed: *seed}); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	st, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "recorded %s to %s (%d bytes)\n", bin.Name, *out, st.Size())
-	return nil
-}
-
-// cmdVerify checks the cross-binary invariants for a benchmark.
-func cmdVerify(args []string, w io.Writer) error {
+// cmdVerify checks every cross-binary invariant on one named benchmark.
+func cmdVerify(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("verify")
 	bench := fs.String("bench", "", "benchmark name")
 	ops, interval, seed := commonFlags(fs)
@@ -865,21 +766,22 @@ func cmdVerify(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, err := validate.CrossBinary(b.Binaries, xbsim.Input{Name: "ref", Seed: *seed}, *interval)
-	if err != nil {
-		return err
+	pr := invariant.CheckBenchmark(ctx, b, xbsim.Input{Name: "ref", Seed: *seed},
+		invariant.Config{IntervalSize: *interval})
+	if pr.Err != "" {
+		return fmt.Errorf("%s: %s", pr.Name, pr.Err)
 	}
-	for _, c := range rep.Checks {
+	for _, c := range pr.Checks {
 		status := "ok  "
 		if !c.OK {
 			status = "FAIL"
 		}
 		fmt.Fprintf(w, "  %s %-28s %s\n", status, c.Name, c.Detail)
 	}
-	if !rep.OK() {
-		return fmt.Errorf("%s: cross-binary invariants violated", rep.Program)
+	if !pr.OK() {
+		return fmt.Errorf("%s: cross-binary invariants violated", pr.Name)
 	}
-	fmt.Fprintf(w, "%s: all cross-binary invariants hold\n", rep.Program)
+	fmt.Fprintf(w, "%s: all cross-binary invariants hold\n", pr.Name)
 	return nil
 }
 
@@ -939,43 +841,6 @@ func cmdSelfcheck(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
-// cmdCallgraph prints the annotated call-loop graph of one binary.
-func cmdCallgraph(args []string, w io.Writer) error {
-	fs := newFlagSet("callgraph")
-	bench := fs.String("bench", "", "benchmark name")
-	target := fs.String("target", "32u", "binary configuration")
-	hot := fs.Int("hot", 5, "also list the N hottest loops")
-	ops, _, seed := commonFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	b, err := buildBenchmark(*bench, *ops)
-	if err != nil {
-		return err
-	}
-	bin, err := pickBinary(b, *target)
-	if err != nil {
-		return err
-	}
-	g, err := callloop.Build(bin, xbsim.Input{Name: "ref", Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if err := g.Write(w); err != nil {
-		return err
-	}
-	hotLoops := g.HottestLoops()
-	if len(hotLoops) > *hot {
-		hotLoops = hotLoops[:*hot]
-	}
-	fmt.Fprintln(w, "hottest loops:")
-	for _, n := range hotLoops {
-		fmt.Fprintf(w, "  %-8s line=%-5d entries=%-8d iterations=%-10d instructions=%d\n",
-			n.Name, n.Line, n.Count, n.Iterations, n.TotalInstructions)
-	}
-	return nil
-}
-
 // cmdPhases prints a phase timeline (the classic SimPoint strip).
 func cmdPhases(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("phases")
@@ -1021,35 +886,4 @@ func cmdPhases(ctx context.Context, args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%s (%s):\n", *bench, *flavor)
 	return report.PhaseTimeline(w, ps.PhaseOf, *width)
-}
-
-// cmdSimilarity prints the interval similarity matrix heat map (the
-// Sherwood et al. PACT 2001 visualization that motivated SimPoint).
-func cmdSimilarity(args []string, w io.Writer) error {
-	fs := newFlagSet("similarity")
-	bench := fs.String("bench", "", "benchmark name")
-	target := fs.String("target", "32u", "binary configuration")
-	size := fs.Int("size", 48, "rendered matrix size in characters")
-	ops, interval, seed := commonFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	b, err := buildBenchmark(*bench, *ops)
-	if err != nil {
-		return err
-	}
-	bin, err := pickBinary(b, *target)
-	if err != nil {
-		return err
-	}
-	ds, err := xbsim.CollectIntervalBBVs(bin, xbsim.Input{Name: "ref", Seed: *seed}, *interval)
-	if err != nil {
-		return err
-	}
-	m, err := ds.SimilarityMatrix(15, xrand.New("similarity/"+bin.Name))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s:\n", bin.Name)
-	return bbv.WriteSimilarityMatrix(w, m, *size)
 }

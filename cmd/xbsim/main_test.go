@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"xbsim/internal/invariant"
 	"xbsim/internal/obs"
 	"xbsim/internal/pinpoints"
 )
@@ -49,8 +50,6 @@ func TestUsageErrors(t *testing.T) {
 	if err := run(context.Background(), "profile", []string{"-nope"}, &sb); !errors.As(err, &ue) {
 		t.Errorf("undefined flag: err = %v (%T), want usageError", err, err)
 	}
-	// (profile without -bench is no longer a usage error — it selects
-	// the cost-profiler mode; see profile_test.go.)
 	if err := run(context.Background(), "map", []string{"-bench", ""}, &sb); !errors.As(err, &ue) {
 		t.Errorf("missing -bench: err = %v (%T), want usageError", err, err)
 	}
@@ -59,7 +58,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 	// Runtime failures (here: an unknown benchmark name) must NOT be
 	// usage errors.
-	if err := run(context.Background(), "profile", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil || errors.As(err, &ue) {
+	if err := run(context.Background(), "callprofile", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil || errors.As(err, &ue) {
 		t.Errorf("unknown benchmark: err = %v (%T), want non-usage error", err, err)
 	}
 }
@@ -95,27 +94,62 @@ func TestCmdSimulateObservability(t *testing.T) {
 	}
 }
 
+// The per-binary call/branch profile is the callprofile verb.
 func TestCmdProfile(t *testing.T) {
-	out := runCmd(t, "profile", append([]string{"-bench", "gzip", "-target", "64o"}, smallFlags...)...)
-	for _, want := range []string{"gzip.64o", "procedures:", "main", "loops"} {
+	out := runCmd(t, "callprofile", append([]string{"-bench", "gzip", "-target", "64o"}, smallFlags...)...)
+	for _, want := range []string{"gzip.64o: ", "instructions,", "procedures:", "main", "loops"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("profile output missing %q", want)
+			t.Errorf("callprofile output missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestCmdProfileErrors(t *testing.T) {
 	var sb strings.Builder
-	// Without -bench profile is the cost profiler (see profile_test.go);
-	// an unknown benchmark there still fails.
+	var ue usageError
 	if err := run(context.Background(), "profile", append([]string{"-benchmarks", "nope"}, smallFlags...), &sb); err == nil {
 		t.Error("unknown benchmark subset accepted")
 	}
-	if err := run(context.Background(), "profile", append([]string{"-bench", "gzip", "-target", "99"}, smallFlags...), &sb); err == nil {
-		t.Error("bad target accepted")
+	// The per-binary profile is the callprofile verb: -bench is not a
+	// profile flag.
+	if err := run(context.Background(), "profile", []string{"-bench", "gzip"}, &sb); !errors.As(err, &ue) {
+		t.Errorf("profile -bench: err = %v (%T), want usageError", err, err)
 	}
-	if err := run(context.Background(), "profile", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil {
+	if err := run(context.Background(), "callprofile", append([]string{"-bench", "gzip", "-target", "99"}, smallFlags...), &sb); !errors.As(err, &ue) {
+		t.Errorf("bad target: err = %v (%T), want usageError", err, err)
+	}
+	if err := run(context.Background(), "callprofile", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// A positional argument ends flag parsing, so a stray one would silently
+// drop the flags after it. Every verb but trace must refuse it as a
+// usage error, before doing any work.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	var ue usageError
+	for name := range commands {
+		if name == "trace" {
+			continue
+		}
+		var sb strings.Builder
+		if err := run(context.Background(), name, []string{"stray"}, &sb); !errors.As(err, &ue) {
+			t.Errorf("%s stray: err = %v (%T), want usageError", name, err, err)
+		}
+	}
+	var sb strings.Builder
+	args := []string{"-bench", "gzip", "extra", "-target", "64o", "-ops", "200000"}
+	if err := run(context.Background(), "simulate", args, &sb); !errors.As(err, &ue) {
+		t.Errorf("simulate %v: err = %v (%T), want usageError", args, err, err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("simulate with a stray argument printed output:\n%s", sb.String())
+	}
+	// trace takes exactly one job or trace ID.
+	for _, args := range [][]string{{"-spool", t.TempDir()}, {"-spool", t.TempDir(), "a", "b"}} {
+		if err := run(context.Background(), "trace", args, &sb); !errors.As(err, &ue) {
+			t.Errorf("trace %v: err = %v (%T), want usageError", args, err, err)
+		}
 	}
 }
 
@@ -201,32 +235,6 @@ func TestCmdAblationsSingle(t *testing.T) {
 	}
 }
 
-func TestCmdMarkers(t *testing.T) {
-	out := runCmd(t, "markers", append([]string{"-bench", "gzip", "-target", "32u", "-top", "5"}, smallFlags...)...)
-	if !strings.Contains(out, "best interval-boundary candidates") || !strings.Contains(out, "mean gap") {
-		t.Fatalf("markers output wrong:\n%s", out)
-	}
-	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != 7 {
-		t.Fatalf("markers printed %d lines, want 2 header + 5 rows", len(lines))
-	}
-}
-
-func TestCmdTraceRecordAndInfo(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.xbtr")
-	out := runCmd(t, "trace", append([]string{"-bench", "art", "-target", "64o", "-o", path}, smallFlags...)...)
-	if !strings.Contains(out, "recorded art.64o") {
-		t.Fatalf("trace record output wrong:\n%s", out)
-	}
-	info := runCmd(t, "trace", "-info", path)
-	if !strings.Contains(info, "trace of art.64o") {
-		t.Fatalf("trace info output wrong:\n%s", info)
-	}
-	var sb strings.Builder
-	if err := run(context.Background(), "trace", smallFlags, &sb); err == nil {
-		t.Fatal("trace without -o/-info accepted")
-	}
-}
-
 func TestCmdFiguresJSON(t *testing.T) {
 	out := runCmd(t, "figures", "-quick", "-benchmarks", "swim", "-json")
 	if !strings.Contains(out, `"benchmarks"`) || !strings.Contains(out, `"figures"`) {
@@ -238,17 +246,21 @@ func TestCmdFiguresJSON(t *testing.T) {
 	}
 }
 
+// verify runs every invariant of package invariant on one named
+// benchmark, through the same checker selfcheck uses.
 func TestCmdVerify(t *testing.T) {
 	out := runCmd(t, "verify", append([]string{"-bench", "gzip"}, smallFlags...)...)
-	if !strings.Contains(out, "all cross-binary invariants hold") || strings.Contains(out, "FAIL") {
+	if !strings.Contains(out, "gzip: all cross-binary invariants hold") || strings.Contains(out, "FAIL") {
 		t.Fatalf("verify output wrong:\n%s", out)
 	}
-}
-
-func TestCmdCallgraph(t *testing.T) {
-	out := runCmd(t, "callgraph", append([]string{"-bench", "gzip", "-hot", "3"}, smallFlags...)...)
-	if !strings.Contains(out, "proc main") || !strings.Contains(out, "hottest loops:") {
-		t.Fatalf("callgraph output wrong:\n%.300s", out)
+	for _, name := range invariant.Invariants {
+		if !strings.Contains(out, "ok   "+name+" ") {
+			t.Errorf("verify output missing invariant %s:\n%s", name, out)
+		}
+	}
+	var sb strings.Builder
+	if err := run(context.Background(), "verify", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil {
+		t.Error("unknown benchmark accepted")
 	}
 }
 
@@ -260,15 +272,6 @@ func TestCmdPhases(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), "phases", append([]string{"-bench", "swim", "-flavor", "zzz"}, smallFlags...), &sb); err == nil {
 		t.Fatal("bad flavor accepted")
-	}
-}
-
-func TestCmdSimilarity(t *testing.T) {
-	// A size larger than the interval count renders cell-exact, so the
-	// zero diagonal must appear as the darkest shade.
-	out := runCmd(t, "similarity", append([]string{"-bench", "swim", "-size", "4096"}, smallFlags...)...)
-	if !strings.Contains(out, "interval similarity") || !strings.Contains(out, "@") {
-		t.Fatalf("similarity output wrong:\n%.400s", out)
 	}
 }
 
@@ -285,7 +288,8 @@ func TestCmdSelfcheck(t *testing.T) {
 	out := runCmd(t, "selfcheck", "-n", "2", "-seed", "1", "-ops", "90000", "-programs")
 	for _, want := range []string{
 		"selfcheck: 2 randomized programs, seed 1",
-		"marker-counts", "boundary-translate", "weight-sum",
+		"marker-counts", "symbol-counts", "boundary-translate",
+		"interval-coverage", "weight-sum",
 		"order-invariance", "worker-invariance", "cpi-sanity",
 		"spec-", "all invariants hold across 2 programs",
 	} {

@@ -15,46 +15,45 @@ import (
 	"xbsim/internal/obs"
 )
 
-// cmdProfile has two modes, selected by -bench:
-//
-//   - with -bench it is the original per-binary call/branch profile
-//     (procedures, loop pieces, entry counts);
-//   - without -bench it is the pipeline cost profiler: it runs the quick
-//     suite serially with the obs.Attribution profiler enabled and
-//     reports where the evaluate stage's wall time, allocation, and
-//     simulated instructions go, per (benchmark, binary, walk, point),
-//     plus how many gate points walk 3 answered and, with -flame-out, a
-//     speedscope-compatible flamegraph JSON.
+// cmdProfile is the pipeline cost profiler: it runs the quick suite
+// serially with the obs.Attribution profiler enabled and reports where
+// the evaluate stage's wall time, allocation, and simulated instructions
+// go, per (benchmark, binary, walk, point), plus how many gate points
+// walk 3 answered and, with -flame-out, a speedscope-compatible
+// flamegraph JSON.
 func cmdProfile(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("profile")
-	bench := fs.String("bench", "", "benchmark name (per-binary call/branch profile mode)")
-	target := fs.String("target", "32u", "binary configuration (with -bench)")
-	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (cost-profiler mode; default = quick suite)")
-	top := fs.Int("top", 15, "cost table rows (cost-profiler mode)")
-	flameOut := fs.String("flame-out", "", "write a speedscope-compatible flamegraph JSON here (cost-profiler mode)")
-	asJSON := fs.Bool("json", false, "emit the raw attribution snapshot as JSON (cost-profiler mode)")
-	ops, interval, seed := commonFlags(fs)
+	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (default = quick suite)")
+	top := fs.Int("top", 15, "cost table rows")
+	flameOut := fs.String("flame-out", "", "write a speedscope-compatible flamegraph JSON here")
+	asJSON := fs.Bool("json", false, "emit the raw attribution snapshot as JSON")
+	ops, interval, _ := commonFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if *bench != "" {
-		return cmdProfileBinary(ctx, w, *bench, *target, *ops, *seed)
 	}
 	return cmdProfileCost(ctx, w, *benchList, *top, *flameOut, *asJSON, *ops, *interval)
 }
 
-// cmdProfileBinary is the original profile mode: one binary's call and
-// loop profile.
-func cmdProfileBinary(ctx context.Context, w io.Writer, bench, target string, ops, seed uint64) error {
-	b, err := buildBenchmark(bench, ops)
+// cmdCallprofile prints one binary's Pin-style call and loop profile:
+// procedures with their call counts, loop pieces with their entry and
+// body counts.
+func cmdCallprofile(ctx context.Context, args []string, w io.Writer) error {
+	fs := newFlagSet("callprofile")
+	bench := fs.String("bench", "", "benchmark name")
+	target := fs.String("target", "32u", "binary configuration")
+	ops, _, seed := commonFlags(fs)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	b, err := buildBenchmark(*bench, *ops)
 	if err != nil {
 		return err
 	}
-	bin, err := pickBinary(b, target)
+	bin, err := pickBinary(b, *target)
 	if err != nil {
 		return err
 	}
-	p, err := xbsim.CollectProfileCtx(ctx, bin, xbsim.Input{Name: "ref", Seed: seed})
+	p, err := xbsim.CollectProfileCtx(ctx, bin, xbsim.Input{Name: "ref", Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -74,8 +73,7 @@ func cmdProfileBinary(ctx context.Context, w io.Writer, bench, target string, op
 
 // cmdProfileCost runs the suite with cost attribution on and renders the
 // breakdown. The run is forced serial (Workers=1, Parallelism=1) so the
-// process-wide allocation counters attribute exactly, same as `xbsim
-// bench`.
+// process-wide allocation counters attribute exactly.
 func cmdProfileCost(ctx context.Context, w io.Writer, benchList string, top int,
 	flameOut string, asJSON bool, ops, interval uint64) error {
 

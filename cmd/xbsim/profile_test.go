@@ -75,17 +75,18 @@ func TestCmdProfileJSON(t *testing.T) {
 	}
 }
 
-// TestCmdProfileLegacyMode pins that -bench still selects the original
-// call/branch profile, byte-compatible with the old command.
+// TestCmdProfileLegacyMode pins that the original call/branch profile,
+// once selected by profile -bench, lives on as the callprofile verb and
+// shares no output with profile, the cost profiler.
 func TestCmdProfileLegacyMode(t *testing.T) {
-	out := runCmd(t, "profile", "-bench", "swim", "-target", "32u", "-ops", "400000")
+	out := runCmd(t, "callprofile", "-bench", "swim", "-target", "32u", "-ops", "400000")
 	for _, want := range []string{"instructions,", "procedures:", "loops"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("legacy profile missing %q:\n%s", want, out)
+			t.Errorf("callprofile output missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "memo:") {
-		t.Errorf("legacy mode leaked cost-profiler output:\n%s", out)
+		t.Errorf("callprofile leaked cost-profiler output:\n%s", out)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,19 +13,27 @@ import (
 	"xbsim/internal/obs"
 )
 
-// traceTimeline implements `xbsim trace <job-id|trace-id>`: reconstruct
-// one served job's end-to-end timeline, either live from a running
-// service (-url, the normal path — includes this process's stage spans)
-// or offline from a spool directory (-spool — journal events only, for
+// cmdTrace implements `xbsim trace <job-id|trace-id>`: reconstruct one
+// served job's end-to-end timeline, either live from a running service
+// (-url, the normal path — includes this process's stage spans) or
+// offline from a spool directory (-spool — journal events only, for
 // post-mortem inspection of a stopped service).
-func traceTimeline(key, url, spool string, jsonOut bool, w io.Writer) error {
+func cmdTrace(_ context.Context, args []string, w io.Writer) error {
+	fs := newFlagSet("trace")
+	url := fs.String("url", "", "base URL of a running xbsim serve (e.g. http://127.0.0.1:8080)")
+	spool := fs.String("spool", "", "spool directory, read offline")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of the table")
+	if err := parseArgs(fs, args, 1); err != nil {
+		return err
+	}
+	key := fs.Arg(0)
 	switch {
-	case url != "":
-		return timelineFromURL(key, url, jsonOut, w)
-	case spool != "":
-		return timelineFromSpool(key, spool, jsonOut, w)
+	case *url != "":
+		return timelineFromURL(key, *url, *jsonOut, w)
+	case *spool != "":
+		return timelineFromSpool(key, *spool, *jsonOut, w)
 	default:
-		return usagef("timeline mode needs -url (running service) or -spool (offline)")
+		return usagef("trace needs -url (running service) or -spool (offline)")
 	}
 }
 

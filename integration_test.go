@@ -3,16 +3,11 @@ package xbsim
 // Integration tests: invariants that span several subsystems at once.
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
-	"xbsim/internal/exec"
 	"xbsim/internal/experiment"
-	"xbsim/internal/profile"
-	"xbsim/internal/simpoint"
-	"xbsim/internal/trace"
 )
 
 // TestSuiteBitReproducible runs the reduced evaluation twice and demands
@@ -36,43 +31,6 @@ func TestSuiteBitReproducible(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical suite runs produced different figures")
-	}
-}
-
-// TestTraceDrivenSimPointMatchesLive records a trace, collects interval
-// BBVs from the replay, and verifies SimPoint picks identical points —
-// i.e. the offline (trace-driven) and online workflows are equivalent.
-func TestTraceDrivenSimPointMatchesLive(t *testing.T) {
-	bench := testBenchmark(t, "vpr")
-	bin := bench.Binary("32o")
-
-	var buf bytes.Buffer
-	if err := trace.Record(&buf, bin, testInput); err != nil {
-		t.Fatal(err)
-	}
-
-	collect := func(driver func(v exec.Visitor) error) *simpoint.Result {
-		t.Helper()
-		fc, err := profile.NewFLICollector(bin, 8_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := driver(fc); err != nil {
-			t.Fatal(err)
-		}
-		pick, err := simpoint.Pick(fc.Finish().Dataset, simpoint.Config{Seed: "trace-vs-live"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pick
-	}
-	live := collect(func(v exec.Visitor) error { return exec.Run(bin, testInput, v) })
-	replayed := collect(func(v exec.Visitor) error {
-		_, err := trace.Replay(bytes.NewReader(buf.Bytes()), bin, v)
-		return err
-	})
-	if live.K != replayed.K || !reflect.DeepEqual(live.Points, replayed.Points) {
-		t.Fatalf("trace-driven SimPoint differs from live:\n%+v\n%+v", live.Points, replayed.Points)
 	}
 }
 

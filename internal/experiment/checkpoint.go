@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"xbsim/internal/atomicfile"
 	"xbsim/internal/compiler"
 	"xbsim/internal/fingerprint"
 	"xbsim/internal/mapping"
@@ -280,10 +281,9 @@ func checkpointPath(dir, cfgFP, name string) string {
 	return filepath.Join(checkpointScope(dir, cfgFP), name+".ckpt.json")
 }
 
-// saveCheckpoint atomically persists one completed benchmark. The write
-// goes to a temp file in the same directory and is renamed into place,
-// so a crash mid-write leaves either the old checkpoint or none — never
-// a torn file that parses.
+// saveCheckpoint atomically persists one completed benchmark, so a crash
+// mid-write leaves either the old checkpoint or none — never a torn file
+// that parses.
 func saveCheckpoint(dir string, r *BenchmarkResult, cfgFP string) error {
 	scope := checkpointScope(dir, cfgFP)
 	if err := os.MkdirAll(scope, 0o755); err != nil {
@@ -313,21 +313,7 @@ func saveCheckpoint(dir string, r *BenchmarkResult, cfgFP string) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(scope, "."+r.Name+".ckpt-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return errors.Join(werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), checkpointPath(dir, cfgFP, r.Name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return atomicfile.Write(checkpointPath(dir, cfgFP, r.Name), append(data, '\n'))
 }
 
 // loadCheckpoint loads and validates the benchmark's checkpoint,

@@ -125,8 +125,9 @@ func FuzzStratifiedSampler(f *testing.F) {
 }
 
 // FuzzCrossBinaryPoints runs the full cross-binary pipeline on
-// arbitrary spec encodings and checks the boundary-translation and
-// weight-distribution invariants on the result.
+// arbitrary spec encodings and checks the symbol-count,
+// boundary-translation, interval-coverage and weight-distribution
+// invariants on the result.
 func FuzzCrossBinaryPoints(f *testing.F) {
 	for i := 0; i < 6; i++ {
 		f.Add(program.RandomSpec(2, i).Encode())
@@ -144,11 +145,20 @@ func FuzzCrossBinaryPoints(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %s: pipeline: %v", s.Name(), err)
 		}
-		if c := checkBoundaryTranslate(cp); !c.OK {
-			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
+		profiles, err := collectProfiles(bench.Binaries, in)
+		if err != nil {
+			t.Fatalf("spec %s: profiles: %v", s.Name(), err)
 		}
-		if _, c := checkWeightSum(cp); !c.OK {
-			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
+		_, wcheck := checkWeightSum(cp)
+		for _, c := range []Check{
+			checkSymbolCounts(profiles),
+			checkBoundaryTranslate(cp),
+			checkIntervalCoverage(cp, in, profiles, 8000),
+			wcheck,
+		} {
+			if !c.OK {
+				t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
+			}
 		}
 	})
 }

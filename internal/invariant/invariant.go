@@ -1,21 +1,28 @@
-// Package invariant is the metamorphic self-check subsystem: it samples
-// randomized generator configurations (program.RandomSpec) from a seeded
-// deterministic distribution, runs the full cross-binary pipeline on
-// each synthesized program, and mechanically checks the paper-level
-// invariants the method rests on:
+// Package invariant checks the cross-binary invariants the method rests
+// on. It checks one named benchmark (CheckBenchmark, behind `xbsim
+// verify`), or an open-ended population of synthesized programs: Run
+// samples randomized generator configurations (program.RandomSpec) from
+// a seeded deterministic distribution and checks every one
+// (CheckProgram, behind `xbsim selfcheck`). The invariants are:
 //
 //   - marker-counts: every mappable point fires exactly its recorded
 //     count in every compiled target;
+//   - symbol-counts: every symbol the primary binary shares with another
+//     binary is called equally often in both;
 //   - boundary-translate: every variable-length-interval boundary
 //     resolves to the same (mappable point, execution count) in every
 //     binary, and translation round-trips exactly;
+//   - interval-coverage: the primary binary's variable length intervals
+//     are at least the target size (all but the last), and in every
+//     binary the mapped intervals cover the whole run with none empty;
 //   - weight-sum: recalculated per-binary phase weights form a
 //     probability distribution;
 //   - order-invariance: permuting the non-primary binaries leaves every
 //     binary's simulation points bit-identical (compared by
 //     fingerprint);
-//   - worker-invariance: the analysis fingerprint is bit-identical for
-//     every worker-pool size;
+//   - worker-invariance: two full analyses, serial and with a worker
+//     pool, have bit-identical fingerprints (this also covers
+//     run-to-run determinism);
 //   - cpi-sanity: sampled CPI estimates are finite, positive, and within
 //     a configured relative bound of full simulation;
 //   - budget-monotonicity: for budgeted sampler backends (stratified),
@@ -25,14 +32,10 @@
 //
 // Every invariant is checked under whichever sampler backend
 // Config.Sampler selects, so the same metamorphic relations gate both
-// the simpoint and the stratified point-selection paths.
-//
-// Where package validate checks one known benchmark the user hands it,
-// this package generates an open-ended population of programs beyond the
-// fixed benchmark table and checks the whole population — the test
-// oracle is the set of metamorphic relations, not golden outputs. The
-// same spec encoding drives the native fuzz targets (FuzzMapping,
-// FuzzCrossBinaryPoints) in this package's tests.
+// the simpoint and the stratified point-selection paths. The test
+// oracle is the set of relations, not golden outputs, and the same spec
+// encoding drives the native fuzz targets (FuzzMapping,
+// FuzzCrossBinaryPoints, FuzzStratifiedSampler) in this package's tests.
 package invariant
 
 import (
@@ -45,6 +48,7 @@ import (
 	"xbsim/internal/exec"
 	"xbsim/internal/obs"
 	"xbsim/internal/pool"
+	"xbsim/internal/profile"
 	"xbsim/internal/program"
 	"xbsim/internal/sampler"
 )
@@ -52,7 +56,9 @@ import (
 // Invariants lists every checked invariant in report order.
 var Invariants = []string{
 	"marker-counts",
+	"symbol-counts",
 	"boundary-translate",
+	"interval-coverage",
 	"weight-sum",
 	"order-invariance",
 	"worker-invariance",
@@ -272,29 +278,37 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return &Report{Config: cfg, Programs: results}, nil
 }
 
-// CheckProgram synthesizes the spec's program, compiles all targets,
-// runs the cross-binary pipeline, and checks every invariant. Failures
-// are recorded in the result, never returned: a spec that breaks the
+// CheckProgram synthesizes the spec's program, compiles all targets and
+// checks every invariant on it (see CheckBenchmark). Failures are
+// recorded in the result, never returned: a spec that breaks the
 // pipeline is a finding, not a harness error.
 func CheckProgram(ctx context.Context, s program.Spec, cfg Config) ProgramResult {
-	cfg = cfg.withDefaults()
 	s = s.Normalize()
 	if cfg.TargetOps != 0 {
 		s.TargetOps = cfg.TargetOps
 		s = s.Normalize()
 	}
-	pr := ProgramResult{Name: s.Name(), Spec: s}
+	bench, err := xbsim.NewBenchmarkFromSpec(s)
+	if err != nil {
+		return ProgramResult{Name: s.Name(), Spec: s, Err: err.Error()}
+	}
+	pr := CheckBenchmark(ctx, bench, xbsim.Input{Name: "selfcheck", Seed: 0x5EED ^ s.Variant}, cfg)
+	pr.Spec = s
+	return pr
+}
+
+// CheckBenchmark runs the cross-binary pipeline on the benchmark's
+// binaries and checks every invariant, in Invariants order. Only the
+// analysis knobs of cfg apply (IntervalSize, MaxK, CPIBound, Sampler,
+// SamplerBudget). Failures are recorded in the result, never returned.
+func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input, cfg Config) ProgramResult {
+	cfg = cfg.withDefaults()
+	pr := ProgramResult{Name: bench.Program.Name}
 
 	_, span := obs.StartSpan(ctx, "selfcheck.program")
 	defer span.End()
 	span.Annotate(pr.Name)
 
-	bench, err := xbsim.NewBenchmarkFromSpec(s)
-	if err != nil {
-		pr.Err = err.Error()
-		return pr
-	}
-	in := xbsim.Input{Name: "selfcheck", Seed: 0x5EED ^ s.Variant}
 	pcfg := xbsim.PointsConfig{
 		IntervalSize: cfg.IntervalSize,
 		MaxK:         cfg.MaxK,
@@ -309,9 +323,16 @@ func CheckProgram(ctx context.Context, s program.Spec, cfg Config) ProgramResult
 		pr.Err = err.Error()
 		return pr
 	}
+	profiles, err := collectProfiles(bench.Binaries, in)
+	if err != nil {
+		pr.Err = err.Error()
+		return pr
+	}
 
 	pr.Checks = append(pr.Checks, checkMarkerCounts(bench.Binaries, in, cp))
+	pr.Checks = append(pr.Checks, checkSymbolCounts(profiles))
 	pr.Checks = append(pr.Checks, checkBoundaryTranslate(cp))
+	pr.Checks = append(pr.Checks, checkIntervalCoverage(cp, in, profiles, cfg.IntervalSize))
 	sets, wcheck := checkWeightSum(cp)
 	pr.Checks = append(pr.Checks, wcheck)
 	pr.Checks = append(pr.Checks, checkOrderInvariance(bench.Binaries, in, pcfg, cp, sets))
@@ -319,6 +340,20 @@ func CheckProgram(ctx context.Context, s program.Spec, cfg Config) ProgramResult
 	pr.Checks = append(pr.Checks, checkCPISanity(bench.Binaries, in, sets, cfg.CPIBound))
 	pr.Checks = append(pr.Checks, checkBudgetMonotonicity(bench.Binaries, in, pcfg, cfg))
 	return pr
+}
+
+// collectProfiles profiles every binary: the call counts symbol-counts
+// compares and the run lengths interval-coverage checks against.
+func collectProfiles(bins []*xbsim.Binary, in xbsim.Input) ([]*xbsim.Profile, error) {
+	profiles := make([]*xbsim.Profile, len(bins))
+	for b, bin := range bins {
+		p, err := xbsim.CollectProfile(bin, in)
+		if err != nil {
+			return nil, err
+		}
+		profiles[b] = p
+	}
+	return profiles, nil
 }
 
 // checkMarkerCounts re-executes every binary with a raw marker counter
@@ -347,6 +382,39 @@ func checkMarkerCounts(bins []*xbsim.Binary, in xbsim.Input, cp *xbsim.CrossPoin
 	}
 	return Check{Name: "marker-counts", OK: true, Detail: fmt.Sprintf(
 		"%d mappable points fired their recorded counts in all %d binaries", len(cp.Mapping.Points), len(bins))}
+}
+
+// checkSymbolCounts verifies that every symbol the primary binary
+// shares with another binary has the same call count in both: the
+// compilations differ in code, never in what the program calls.
+func checkSymbolCounts(profiles []*xbsim.Profile) Check {
+	shared, bad := 0, 0
+	detail := ""
+	for _, pp := range profiles[0].Procs {
+		everywhere := true
+		for _, p := range profiles[1:] {
+			other := p.ProcBySymbol(pp.Symbol)
+			if other == nil {
+				everywhere = false
+				continue
+			}
+			if other.Count != pp.Count {
+				bad++
+				if detail == "" {
+					detail = fmt.Sprintf("symbol %q called %d times in %s, %d in %s",
+						pp.Symbol, pp.Count, profiles[0].Binary.Name, other.Count, p.Binary.Name)
+				}
+			}
+		}
+		if everywhere {
+			shared++
+		}
+	}
+	if bad > 0 {
+		return Check{Name: "symbol-counts", Detail: fmt.Sprintf("%d count mismatches; first: %s", bad, detail)}
+	}
+	return Check{Name: "symbol-counts", OK: true, Detail: fmt.Sprintf(
+		"%d symbols shared by all %d binaries, no count mismatches", shared, len(profiles))}
 }
 
 // checkBoundaryTranslate verifies every VLI boundary resolves to the
@@ -387,6 +455,44 @@ func checkBoundaryTranslate(cp *xbsim.CrossPoints) Check {
 	}
 	return Check{Name: "boundary-translate", OK: true, Detail: fmt.Sprintf(
 		"%d boundaries resolve identically in all %d binaries", len(ends), len(cp.Mapping.Binaries))}
+}
+
+// checkIntervalCoverage replays the interval boundaries in every binary
+// and verifies they partition each run: the primary binary's intervals
+// are at least the target size (all but the last, which ends with the
+// run), and every binary's intervals cover its whole execution, as its
+// profile counts it, with none empty.
+func checkIntervalCoverage(cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xbsim.Profile, target uint64) Check {
+	ends := cp.Ends()
+	for b, bin := range cp.Mapping.Binaries {
+		there, err := cp.Mapping.TranslateEnds(cp.Primary, b, ends)
+		if err != nil {
+			return Check{Name: "interval-coverage", Detail: fmt.Sprintf("to binary %d: %v", b, err)}
+		}
+		tr := profile.NewVLITracker(bin, there, nil)
+		if err := exec.Run(bin, in, tr); err != nil {
+			return Check{Name: "interval-coverage", Detail: err.Error()}
+		}
+		var sum uint64
+		for i, n := range tr.Instructions {
+			sum += n
+			if n == 0 {
+				return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
+					"%s interval %d of %d is empty", bin.Name, i, len(there))}
+			}
+			if b == cp.Primary && i < len(there)-1 && n < target {
+				return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
+					"%s interval %d has %d instructions, below the %d target", bin.Name, i, n, target)}
+			}
+		}
+		if total := profiles[b].TotalInstructions; sum != total {
+			return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
+				"%s intervals cover %d of %d instructions", bin.Name, sum, total)}
+		}
+	}
+	return Check{Name: "interval-coverage", OK: true, Detail: fmt.Sprintf(
+		"%d intervals, none empty, cover the runs of all %d binaries; primary ones at least %d instructions",
+		len(ends), len(cp.Mapping.Binaries), target)}
 }
 
 // checkWeightSum maps the points into every binary and verifies the
@@ -476,7 +582,9 @@ func checkOrderInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Point
 
 // checkWorkerInvariance reruns the analysis with a worker pool and
 // demands a bit-identical fingerprint against the serial baseline —
-// the pool's index-addressed determinism guarantee, end to end.
+// the pool's index-addressed determinism guarantee, end to end. Two
+// full analyses agreeing bit for bit also shows the run is
+// deterministic.
 func checkWorkerInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig, cp *xbsim.CrossPoints) Check {
 	pcfg.Workers = 3
 	cp2, err := xbsim.CrossBinaryPoints(bins, in, pcfg)

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"xbsim"
 	"xbsim/internal/obs"
+	"xbsim/internal/profile"
 	"xbsim/internal/program"
 )
 
@@ -194,5 +196,92 @@ func TestCheckProgramOpsOverride(t *testing.T) {
 	}
 	if pr.Spec.TargetOps != 90_000 {
 		t.Fatalf("spec ops %d, want override 90000", pr.Spec.TargetOps)
+	}
+}
+
+// TestCheckBenchmarkAllInvariantsHold checks named benchmarks — the
+// `xbsim verify` path — including applu, whose variable length intervals
+// are the suite's outliers.
+func TestCheckBenchmarkAllInvariantsHold(t *testing.T) {
+	in := xbsim.Input{Name: "ref", Seed: 404}
+	for _, name := range []string{"gzip", "applu", "gcc"} {
+		bench, err := xbsim.NewBenchmark(name, 250_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := CheckBenchmark(context.Background(), bench, in, Config{})
+		if pr.Err != "" {
+			t.Fatalf("%s: pipeline failed: %s", name, pr.Err)
+		}
+		if pr.Name != name || len(pr.Checks) != len(Invariants) {
+			t.Fatalf("%s: result %q with %d checks, want %d", name, pr.Name, len(pr.Checks), len(Invariants))
+		}
+		for _, c := range pr.Checks {
+			if !c.OK {
+				t.Errorf("%s: %s failed: %s", name, c.Name, c.Detail)
+			}
+		}
+	}
+}
+
+// A single binary has no cross-binary mapping: the pipeline failure is
+// recorded, not returned or panicked on.
+func TestCheckBenchmarkSingleBinary(t *testing.T) {
+	bench, err := xbsim.NewBenchmark("art", 250_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench.Binaries = bench.Binaries[:1]
+	pr := CheckBenchmark(context.Background(), bench, xbsim.Input{Name: "ref"}, Config{})
+	if pr.Err == "" || pr.OK() {
+		t.Fatalf("single binary checked without a pipeline error: %+v", pr)
+	}
+}
+
+func TestCheckSymbolCountsDetectsMismatch(t *testing.T) {
+	mk := func(name string, procs ...profile.ProcProfile) *xbsim.Profile {
+		return &xbsim.Profile{Binary: &xbsim.Binary{Name: name}, Procs: procs}
+	}
+	a := mk("p.32u", profile.ProcProfile{Symbol: "main", Count: 1}, profile.ProcProfile{Symbol: "f", Count: 7})
+	b := mk("p.32o", profile.ProcProfile{Symbol: "main", Count: 1}) // f inlined away
+	if c := checkSymbolCounts([]*xbsim.Profile{a, b}); !c.OK {
+		t.Fatalf("a symbol missing from one binary failed the check: %s", c.Detail)
+	}
+	bad := mk("p.64u", profile.ProcProfile{Symbol: "main", Count: 1}, profile.ProcProfile{Symbol: "f", Count: 8})
+	c := checkSymbolCounts([]*xbsim.Profile{a, b, bad})
+	if c.OK || !strings.Contains(c.Detail, `"f" called 7 times in p.32u, 8 in p.64u`) {
+		t.Fatalf("count mismatch not reported: %+v", c)
+	}
+}
+
+// checkIntervalCoverage must flag primary intervals below the target it
+// is given: checking against four times the target the intervals were
+// built for has to fail on a run with several intervals.
+func TestCheckIntervalCoverageDetectsUndersized(t *testing.T) {
+	bench, err := xbsim.NewBenchmark("gzip", 250_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := xbsim.Input{Name: "ref", Seed: 404}
+	cp, err := xbsim.CrossBinaryPoints(bench.Binaries, in, xbsim.PointsConfig{IntervalSize: 8000, MaxK: 6, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.NumIntervals() < 3 {
+		t.Fatalf("only %d intervals", cp.NumIntervals())
+	}
+	profiles, err := collectProfiles(bench.Binaries, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := checkIntervalCoverage(cp, in, profiles, 8000); !c.OK {
+		t.Fatalf("intervals fail at their own target: %s", c.Detail)
+	}
+	if c := checkIntervalCoverage(cp, in, profiles, 32_000); c.OK || !strings.Contains(c.Detail, "below the 32000 target") {
+		t.Fatalf("undersized intervals not reported: %+v", c)
+	}
+	profiles[2].TotalInstructions++
+	if c := checkIntervalCoverage(cp, in, profiles, 8000); c.OK || !strings.Contains(c.Detail, "intervals cover") {
+		t.Fatalf("uncovered instruction not reported: %+v", c)
 	}
 }

@@ -536,10 +536,8 @@ func (q *Queue) runJob(t *tracked) {
 	j.SuiteFingerprint = suite.Fingerprint()
 	q.observeDuration(j.Finished.Sub(start))
 	snap = j.clone()
-	q.mu.Unlock()
-	if merr := q.spool.Move(snap, StateRunning, StateDone); merr != nil {
-		q.emitQueue("done commit failed: " + merr.Error())
-	}
+	// The completion metrics are recorded before the lock is released,
+	// so anyone who sees the job done also sees them.
 	q.o.Counter("serve.jobs.completed").Inc()
 	q.o.Counter(obs.LabeledName("serve.tenant.completed", "tenant", snap.Tenant)).Inc()
 	q.o.Histogram("serve.job_duration_ms").Observe(uint64(time.Since(start).Milliseconds()))
@@ -549,6 +547,10 @@ func (q *Queue) runJob(t *tracked) {
 	// exactly what a waiting client experienced.
 	q.o.Histogram("serve.run_ms").Observe(uint64(snap.Finished.Sub(snap.Started).Milliseconds()))
 	q.o.Histogram("serve.submit_to_result_ms").Observe(uint64(snap.Finished.Sub(snap.Submitted).Milliseconds()))
+	q.mu.Unlock()
+	if merr := q.spool.Move(snap, StateRunning, StateDone); merr != nil {
+		q.emitQueue("done commit failed: " + merr.Error())
+	}
 	t.events.Record(obs.PipelineEvent{Kind: "job.done", Detail: "done: " + snap.SuiteFingerprint})
 }
 

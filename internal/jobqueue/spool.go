@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"xbsim/internal/atomicfile"
 	"xbsim/internal/fingerprint"
 )
 
@@ -109,27 +110,6 @@ func jobFingerprint(j *Job) (string, error) {
 	return h.Sum(), nil
 }
 
-// writeAtomic writes data to path via a temp file in the same directory
-// and an atomic rename.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return errors.Join(werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
 // Write journals the job into st's directory (atomically, leaving any
 // other state's file for the job untouched — Move handles transitions).
 func (s *Spool) Write(st State, j *Job) error {
@@ -141,7 +121,7 @@ func (s *Spool) Write(st State, j *Job) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(s.jobPath(st, j.ID), append(data, '\n'))
+	return atomicfile.Write(s.jobPath(st, j.ID), append(data, '\n'))
 }
 
 // Move transitions the job from one state to another, write-ahead: the
@@ -248,7 +228,7 @@ func (s *Spool) Load() ([]*Job, []error) {
 // Suite.WriteJSON output, stored verbatim so serving it back is
 // byte-identical to what a direct pipeline run prints.
 func (s *Spool) WriteResult(id string, data []byte) error {
-	return writeAtomic(s.ResultPath(id), data)
+	return atomicfile.Write(s.ResultPath(id), data)
 }
 
 // ReadResult returns the job's stored result bytes.

@@ -18,11 +18,17 @@ import (
 func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// Two benchmarks: the first's checkpoint signals mid-run, the second
-	// is still in flight when Kill strikes.
+	// is still in flight when Kill strikes. The second profile stage
+	// hangs until Kill cancels it, so the run can never finish first.
 	req := benchRequest("mcf", "gzip")
 	const trace = "t-client-supplied"
+	rules, err := faults.ParseRules("profile@1:hang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx := faults.With(context.Background(), faults.NewInjector(rules...))
 
-	q := openQueue(t, context.Background(), dir, obs.New())
+	q := openQueue(t, fctx, dir, obs.New())
 	j, cached, err := q.SubmitTraced(req, Submission{TraceID: trace, Tenant: "acme"})
 	if err != nil || cached {
 		t.Fatalf("submit: cached=%v err=%v", cached, err)
@@ -38,6 +44,9 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if n := countCheckpoints(t, scope); n != 1 {
+		t.Fatalf("%d benchmark checkpoints before Kill, want 1", n)
 	}
 	q.Kill()
 

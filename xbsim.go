@@ -39,14 +39,12 @@ import (
 	"io"
 
 	"xbsim/internal/bbv"
-	"xbsim/internal/callloop"
 	"xbsim/internal/cmpsim"
 	"xbsim/internal/compiler"
 	"xbsim/internal/exec"
 	"xbsim/internal/experiment"
 	"xbsim/internal/fingerprint"
 	"xbsim/internal/mapping"
-	"xbsim/internal/markerstats"
 	"xbsim/internal/obs"
 	"xbsim/internal/pinpoints"
 	"xbsim/internal/pool"
@@ -55,8 +53,6 @@ import (
 	"xbsim/internal/report"
 	"xbsim/internal/sampler"
 	"xbsim/internal/simpoint"
-	"xbsim/internal/trace"
-	"xbsim/internal/validate"
 )
 
 // Re-exported core types. The implementation lives in internal packages;
@@ -206,12 +202,12 @@ func (b *Benchmark) Binary(target string) *Binary {
 }
 
 // BBVDataset is an ordered collection of per-interval basic block
-// vectors, ready for clustering or similarity analysis.
+// vectors, ready for clustering.
 type BBVDataset = bbv.Dataset
 
 // CollectIntervalBBVs profiles the binary into fixed-length-interval
-// basic block vectors, the raw material for custom analyses (similarity
-// matrices, alternative clusterings).
+// basic block vectors, the raw material for custom analyses such as
+// alternative clusterings.
 func CollectIntervalBBVs(bin *Binary, in Input, intervalSize uint64) (*BBVDataset, error) {
 	fc, err := profile.NewFLICollector(bin, intervalSize)
 	if err != nil {
@@ -804,21 +800,8 @@ func (ps *PointSet) RegionFile(in Input) (*RegionFile, error) {
 	return f, nil
 }
 
-// Analysis and tooling types.
-type (
-	// Visitor observes a binary's dynamic execution (see exec.Visitor).
-	Visitor = exec.Visitor
-	// CoreConfig models the simulated in-order core.
-	CoreConfig = cmpsim.CoreConfig
-	// MarkerStat summarizes one marker's firing periodicity.
-	MarkerStat = markerstats.Stat
-	// CallLoopGraph is the annotated call-loop structure of a program.
-	CallLoopGraph = callloop.Graph
-	// ValidationReport lists the cross-binary invariant checks.
-	ValidationReport = validate.Report
-	// TraceHeader describes a stored execution trace.
-	TraceHeader = trace.Header
-)
+// CoreConfig models the simulated in-order core.
+type CoreConfig = cmpsim.CoreConfig
 
 // DefaultCore returns the paper's core configuration (single-issue,
 // 2-cycle FP, buffered stores).
@@ -839,43 +822,6 @@ func SimulateFullWithCore(bin *Binary, in Input, hierarchy *HierarchyConfig, cor
 		return nil, err
 	}
 	return sim.Stats(), nil
-}
-
-// CollectMarkerStats gathers per-marker firing-gap statistics (mean gap,
-// coefficient of variation) — the phase-marker periodicity analysis.
-func CollectMarkerStats(bin *Binary, in Input) ([]MarkerStat, error) {
-	return markerstats.Collect(bin, in)
-}
-
-// RankMarkers orders marker statistics by suitability as interval
-// boundaries for the target size.
-func RankMarkers(stats []MarkerStat, targetSize uint64) []MarkerStat {
-	return markerstats.RankForInterval(stats, targetSize)
-}
-
-// BuildCallLoopGraph builds the annotated call-loop graph of the binary's
-// program (use an unoptimized binary: its structure is complete).
-func BuildCallLoopGraph(bin *Binary, in Input) (*CallLoopGraph, error) {
-	return callloop.Build(bin, in)
-}
-
-// Verify checks the cross-binary invariants (determinism, count equality,
-// interval coverage) hold for this workload before trusting sampled
-// numbers from it.
-func Verify(bins []*Binary, in Input, intervalSize uint64) (*ValidationReport, error) {
-	return validate.CrossBinary(bins, in, intervalSize)
-}
-
-// RecordTrace executes the binary and writes its block/marker event trace
-// in the compact xbsim trace format.
-func RecordTrace(w io.Writer, bin *Binary, in Input) error {
-	return trace.Record(w, bin, in)
-}
-
-// ReplayTrace streams a recorded trace into the visitor, a drop-in
-// substitute for live execution.
-func ReplayTrace(r io.Reader, bin *Binary, v Visitor) (*TraceHeader, error) {
-	return trace.Replay(r, bin, v)
 }
 
 // QuickExperimentConfig returns the reduced five-benchmark evaluation

@@ -238,79 +238,6 @@ func TestQuickAndFullConfigs(t *testing.T) {
 	}
 }
 
-func TestPublicAnalysisSurface(t *testing.T) {
-	b := testBenchmark(t, "gzip")
-	bin := b.Binary("32u")
-
-	// Marker statistics + ranking.
-	stats, err := CollectMarkerStats(bin, testInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) == 0 {
-		t.Fatal("no marker stats")
-	}
-	ranked := RankMarkers(stats, 8_000)
-	if len(ranked) != len(stats) {
-		t.Fatal("ranking changed cardinality")
-	}
-
-	// Call-loop graph.
-	g, err := BuildCallLoopGraph(bin, testInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.HottestLoops()) == 0 {
-		t.Fatal("no loops in graph")
-	}
-
-	// Validation.
-	rep, err := Verify(b.Binaries, testInput, 8_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("invariants failed: %+v", rep.Checks)
-	}
-}
-
-func TestPublicTraceSurface(t *testing.T) {
-	b := testBenchmark(t, "art")
-	bin := b.Binary("64o")
-	var buf bytes.Buffer
-	if err := RecordTrace(&buf, bin, testInput); err != nil {
-		t.Fatal(err)
-	}
-	p1, err := CollectProfile(bin, testInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Replay must reproduce the total instruction count exactly.
-	type counter struct{ instrs uint64 }
-	c := struct {
-		counter
-		bin *Binary
-	}{bin: bin}
-	hdr, err := ReplayTrace(&buf, bin, visitorFunc(func(block int) {
-		c.instrs += uint64(bin.Blocks[block].Instrs)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.BinaryName != bin.Name {
-		t.Fatalf("header %+v", hdr)
-	}
-	if c.instrs != p1.TotalInstructions {
-		t.Fatalf("replay saw %d instructions, profile %d", c.instrs, p1.TotalInstructions)
-	}
-}
-
-// visitorFunc adapts a block callback to the Visitor interface.
-type visitorFunc func(block int)
-
-func (f visitorFunc) OnBlock(block int) { f(block) }
-func (f visitorFunc) OnMarker(int)      {}
-
 func TestSimulateFullWithCore(t *testing.T) {
 	b := testBenchmark(t, "crafty")
 	bin := b.Binary("32o")
