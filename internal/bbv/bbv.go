@@ -122,14 +122,32 @@ func appendInts(dst []int, row []int32) []int {
 // equal; for variable length intervals they differ and are used as
 // clustering weights, as in SimPoint 3.0.
 //
-// Each interval is stored as one exact-size row: its block IDs in
-// ascending order and their weights, in parallel slices.
+// Each interval is stored as one row: its block IDs in ascending order
+// and their weights, at the same offset of a pair of parallel chunks.
+// Chunks hold chunkLen entries and are never regrown, so a row never
+// moves once written; a row longer than chunkLen gets a chunk pair of
+// exactly its own length.
 type Dataset struct {
-	indices [][]int32
-	values  [][]float64
+	idxChunks [][]int32
+	valChunks [][]float64
+	// fill is the chunk short rows go to. An oversized chunk, or none at
+	// all, reads as full, so the zero value needs no set-up.
+	fill    int
+	rows    []rowRef
 	lengths []uint64
 	// dim is one more than the largest block ID appended, 0 when none.
 	dim int
+}
+
+// chunkLen is the entry count of a shared chunk. On the fine-stratified
+// suite 1<<10 allocated less than 1<<8, which needs more chunks, and
+// 1<<12, which leaves more unused tail room; DESIGN §21 has the numbers.
+const chunkLen = 1 << 10
+
+// rowRef locates one interval's entries: idxChunks[chunk][off:off+n] and
+// valChunks[chunk][off:off+n].
+type rowRef struct {
+	chunk, off, n int32
 }
 
 // NewDataset returns an empty dataset.
@@ -142,17 +160,41 @@ func NewDataset() *Dataset {
 // vector's touched list in place.
 func (d *Dataset) Append(v *Vector) {
 	slices.Sort(v.touched)
-	idx := slices.Clone(v.touched)
-	vals := make([]float64, len(idx))
-	for i, b := range idx {
-		vals[i] = v.weight[b]
+	n := len(v.touched)
+	c := d.fill
+	switch {
+	case n > chunkLen:
+		c = d.newChunk(n)
+	case c == len(d.idxChunks) || len(d.idxChunks[c])+n > chunkLen:
+		c = d.newChunk(chunkLen)
+		d.fill = c
 	}
-	if n := len(idx); n > 0 {
-		d.dim = max(d.dim, int(idx[n-1])+1)
+	off := len(d.idxChunks[c])
+	d.idxChunks[c] = append(d.idxChunks[c], v.touched...)
+	vals := d.valChunks[c]
+	for _, b := range v.touched {
+		vals = append(vals, v.weight[b])
 	}
-	d.indices = append(d.indices, idx)
-	d.values = append(d.values, vals)
+	d.valChunks[c] = vals
+	if n > 0 {
+		d.dim = max(d.dim, int(v.touched[n-1])+1)
+	}
+	d.rows = append(d.rows, rowRef{chunk: int32(c), off: int32(off), n: int32(n)})
 	d.lengths = append(d.lengths, v.Instructions())
+}
+
+// newChunk adds an empty chunk pair of capacity size and returns its index.
+func (d *Dataset) newChunk(size int) int {
+	d.idxChunks = append(d.idxChunks, make([]int32, 0, size))
+	d.valChunks = append(d.valChunks, make([]float64, 0, size))
+	return len(d.idxChunks) - 1
+}
+
+// row returns interval i's block IDs and weights, as views into its chunks.
+func (d *Dataset) row(i int) ([]int32, []float64) {
+	r := d.rows[i]
+	end := r.off + r.n
+	return d.idxChunks[r.chunk][r.off:end:end], d.valChunks[r.chunk][r.off:end:end]
 }
 
 // Len returns the number of intervals.
@@ -174,10 +216,10 @@ func (d *Dataset) TotalInstructions() uint64 {
 // Vector returns a copy of interval i's raw (unnormalized) vector.
 func (d *Dataset) Vector(i int) *Vector {
 	v := &Vector{instructions: d.lengths[i]}
-	if idx := d.indices[i]; len(idx) > 0 {
+	if idx, vals := d.row(i); len(idx) > 0 {
 		v.grow(int(idx[len(idx)-1]))
 		for k, b := range idx {
-			v.weight[b] = d.values[i][k]
+			v.weight[b] = vals[k]
 			v.present[b] = true
 		}
 		v.touched = slices.Clone(idx)
@@ -189,20 +231,11 @@ func (d *Dataset) Vector(i int) *Vector {
 // intervals, or -1 for an empty dataset.
 func (d *Dataset) MaxBlockID() int { return d.dim - 1 }
 
-// Project normalizes every interval vector to L1 norm 1 and projects it to
-// outDim dimensions with a random projection drawn from rng. It returns one
-// dense row per interval. Empty intervals (no instructions) are rejected
-// with an error because they cannot be normalized.
-func (d *Dataset) Project(outDim int, rng *xrand.Stream) ([][]float64, error) {
-	m, err := d.ProjectMatrix(outDim, rng)
-	if err != nil {
-		return nil, err
-	}
-	return m.RowViews(), nil
-}
-
-// ProjectMatrix is Project returning the rows as one contiguous matrix
-// (row i is interval i), filled in place without a per-row allocation.
+// ProjectMatrix normalizes every interval vector to L1 norm 1 and
+// projects it to outDim dimensions with a random projection drawn from
+// rng. Row i of the returned matrix is interval i. Empty intervals (no
+// instructions) are rejected with an error because they cannot be
+// normalized.
 func (d *Dataset) ProjectMatrix(outDim int, rng *xrand.Stream) (vecmath.Matrix, error) {
 	if d.Len() == 0 {
 		return vecmath.Matrix{}, fmt.Errorf("bbv: empty dataset")
@@ -223,9 +256,10 @@ func (d *Dataset) ProjectMatrix(outDim int, rng *xrand.Stream) (vecmath.Matrix, 
 	m := vecmath.NewMatrix(d.Len(), outDim)
 	var idx []int
 	var vals []float64
-	for i, row := range d.indices {
-		idx = appendInts(idx[:0], row)
-		vals = append(vals[:0], d.values[i]...)
+	for i := range d.rows {
+		rowIdx, rowVals := d.row(i)
+		idx = appendInts(idx[:0], rowIdx)
+		vals = append(vals[:0], rowVals...)
 		// L1-normalize the sparse values before projecting; projection is
 		// linear so this equals projecting then scaling, but normalizing
 		// first keeps magnitudes uniform.

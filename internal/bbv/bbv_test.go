@@ -122,16 +122,16 @@ func TestDatasetLengths(t *testing.T) {
 
 func TestProjectShapes(t *testing.T) {
 	d := buildDataset(t, 12)
-	rows, err := d.Project(15, xrand.New("proj"))
+	m, err := d.ProjectMatrix(15, xrand.New("proj"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d", len(rows))
+	if m.Rows != 12 {
+		t.Fatalf("rows = %d", m.Rows)
 	}
-	for _, r := range rows {
-		if len(r) != 15 {
-			t.Fatalf("row dim = %d", len(r))
+	for i := 0; i < m.Rows; i++ {
+		if len(m.Row(i)) != 15 {
+			t.Fatalf("row dim = %d", len(m.Row(i)))
 		}
 	}
 }
@@ -170,7 +170,7 @@ func TestProjectMatrixMatchesPerRowProjection(t *testing.T) {
 
 func TestProjectEmptyDataset(t *testing.T) {
 	d := NewDataset()
-	if _, err := d.Project(15, xrand.New("x")); err == nil {
+	if _, err := d.ProjectMatrix(15, xrand.New("x")); err == nil {
 		t.Fatal("expected error for empty dataset")
 	}
 }
@@ -178,24 +178,24 @@ func TestProjectEmptyDataset(t *testing.T) {
 func TestProjectEmptyIntervalRejected(t *testing.T) {
 	d := NewDataset()
 	d.Append(NewVector()) // empty interval
-	if _, err := d.Project(15, xrand.New("x")); err == nil {
+	if _, err := d.ProjectMatrix(15, xrand.New("x")); err == nil {
 		t.Fatal("expected error for empty interval")
 	}
 }
 
 func TestProjectDeterministic(t *testing.T) {
 	d := buildDataset(t, 6)
-	a, err := d.Project(15, xrand.New("same-seed"))
+	a, err := d.ProjectMatrix(15, xrand.New("same-seed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.Project(15, xrand.New("same-seed"))
+	b, err := d.ProjectMatrix(15, xrand.New("same-seed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
+	for i := 0; i < a.Rows; i++ {
+		for j, x := range a.Row(i) {
+			if x != b.Row(i)[j] {
 				t.Fatalf("projection not deterministic at [%d][%d]", i, j)
 			}
 		}
@@ -215,14 +215,15 @@ func TestProjectScaleInvariance(t *testing.T) {
 	b.Add(1, 1000, 4)
 	b.Add(2, 3000, 2)
 	d.Append(b)
-	rows, err := d.Project(8, xrand.New("scale"))
+	m, err := d.ProjectMatrix(8, xrand.New("scale"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := range rows[0] {
-		if math.Abs(rows[0][j]-rows[1][j]) > 1e-9 {
+	r0, r1 := m.Row(0), m.Row(1)
+	for j := range r0 {
+		if math.Abs(r0[j]-r1[j]) > 1e-9 {
 			t.Fatalf("scaled intervals project differently at dim %d: %v vs %v",
-				j, rows[0][j], rows[1][j])
+				j, r0[j], r1[j])
 		}
 	}
 }
@@ -235,12 +236,12 @@ func TestProjectSmallDimensionality(t *testing.T) {
 	v.Add(0, 1, 1)
 	v.Add(1, 2, 1)
 	d.Append(v)
-	rows, err := d.Project(15, xrand.New("tiny"))
+	m, err := d.ProjectMatrix(15, xrand.New("tiny"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows[0]) != 2 {
-		t.Fatalf("expected clamped dim 2, got %d", len(rows[0]))
+	if len(m.Row(0)) != 2 {
+		t.Fatalf("expected clamped dim 2, got %d", len(m.Row(0)))
 	}
 }
 

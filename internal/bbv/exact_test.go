@@ -215,3 +215,58 @@ func FuzzDatasetExact(f *testing.F) {
 		}
 	})
 }
+
+// TestDatasetChunkBoundaries appends rows that fill a chunk exactly,
+// overflow it by one, are empty, or exceed chunkLen and so take a chunk of
+// their own, and checks them against the oracle and the chunk layout: a
+// shared chunk never grows past chunkLen, a row opens a new one only when
+// the current one lacks room, and an oversized chunk holds exactly one
+// row.
+func TestDatasetChunkBoundaries(t *testing.T) {
+	lens := []int{chunkLen, 0, chunkLen - 1, 1, 2, chunkLen + 1, 3, chunkLen / 2,
+		chunkLen/2 + 1, 3 * chunkLen, 0, 7, chunkLen - 7, chunkLen + 5, 1}
+	d, rd := NewDataset(), newRefDataset()
+	v, r := NewVector(), newRefVector()
+	for k, n := range lens {
+		for j := 0; j < n; j++ {
+			b := (n-1-j)*3 + k%3 // distinct, added in descending order
+			v.Add(b, uint64(j%4+1), j%5+1)
+			r.Add(b, uint64(j%4+1), j%5+1)
+		}
+		d.Append(v)
+		rd.Append(r)
+		v.Reset()
+		r.Reset()
+	}
+	if err := sameDataset(d, rd); err != nil {
+		t.Fatal(err)
+	}
+	rowsIn := make([]int, len(d.idxChunks))
+	shared := -1
+	for i, ref := range d.rows {
+		if int(ref.n) != lens[i] {
+			t.Fatalf("row %d has %d entries, want %d", i, ref.n, lens[i])
+		}
+		if ref.n > 0 {
+			rowsIn[ref.chunk]++
+		}
+		if c := int(ref.chunk); cap(d.idxChunks[c]) <= chunkLen && c != shared {
+			// Rows never return to an earlier shared chunk, so its final
+			// length is its length when row i opened chunk c.
+			if shared >= 0 && len(d.idxChunks[shared])+lens[i] <= chunkLen {
+				t.Fatalf("row %d of %d entries opened chunk %d; chunk %d had room", i, lens[i], c, shared)
+			}
+			shared = c
+		}
+	}
+	for c, idx := range d.idxChunks {
+		switch {
+		case cap(idx) != cap(d.valChunks[c]) || len(idx) != len(d.valChunks[c]):
+			t.Fatalf("chunk %d: index and value chunks differ in shape", c)
+		case cap(idx) > chunkLen && (len(idx) != cap(idx) || rowsIn[c] != 1):
+			t.Fatalf("oversized chunk %d holds %d rows in %d of %d entries", c, rowsIn[c], len(idx), cap(idx))
+		case cap(idx) < chunkLen:
+			t.Fatalf("chunk %d has capacity %d, want chunkLen or one oversized row", c, cap(idx))
+		}
+	}
+}

@@ -1,15 +1,17 @@
 package sampler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"xbsim/internal/bbv"
 	"xbsim/internal/faults"
 	"xbsim/internal/obs"
 	"xbsim/internal/simpoint"
+	"xbsim/internal/vecmath"
 	"xbsim/internal/xrand"
 )
 
@@ -82,7 +84,7 @@ func (stratifiedSampler) Pick(ctx context.Context, ds *bbv.Dataset, cfg Config) 
 	}
 	_, sspan := obs.StartSpan(ctx, "stage.stratify")
 	sspan.Annotate(cfg.Seed)
-	feats, err := ds.Project(featureDim, rng.Split("features"))
+	feats, err := ds.ProjectMatrix(featureDim, rng.Split("features"))
 	if err != nil {
 		sspan.End()
 		return nil, fmt.Errorf("sampler: %w", err)
@@ -157,18 +159,18 @@ type stratum struct {
 	splitDim int // dimension with the largest splittable SSE, -1 when none
 }
 
-func newStratum(items []int, feats [][]float64, lengths []uint64) *stratum {
-	dims := len(feats[items[0]])
+func newStratum(items []int, feats vecmath.Matrix, lengths []uint64) *stratum {
+	dims := feats.Cols
 	s := &stratum{items: items, sse: make([]float64, dims), splitDim: -1}
 	mean := make([]float64, dims)
 	minV := make([]float64, dims)
 	maxV := make([]float64, dims)
-	copy(minV, feats[items[0]])
-	copy(maxV, feats[items[0]])
+	copy(minV, feats.Row(items[0]))
+	copy(maxV, feats.Row(items[0]))
 	for _, i := range items {
 		w := float64(lengths[i])
 		s.weight += w
-		for d, v := range feats[i] {
+		for d, v := range feats.Row(i) {
 			mean[d] += w * v
 			if v < minV[d] {
 				minV[d] = v
@@ -179,14 +181,14 @@ func newStratum(items []int, feats [][]float64, lengths []uint64) *stratum {
 		}
 	}
 	if s.weight <= 0 {
-		return s // unreachable: Project rejects empty intervals
+		return s // unreachable: ProjectMatrix rejects empty intervals
 	}
 	for d := range mean {
 		mean[d] /= s.weight
 	}
 	for _, i := range items {
 		w := float64(lengths[i])
-		for d, v := range feats[i] {
+		for d, v := range feats.Row(i) {
 			dv := v - mean[d]
 			s.sse[d] += w * dv * dv
 		}
@@ -221,11 +223,15 @@ func (s *stratum) score() float64 {
 // whose members have identical features (SSE 0) are unsplittable and the
 // loop stops early — the all-identical-BBVs degenerate case yields a
 // single stratum. The result is ordered by first member index.
-func stratify(feats [][]float64, lengths []uint64, maxStrata int) []*stratum {
-	all := make([]int, len(feats))
+//
+// Every stratum's items are a window of one index array, which split
+// partitions in place.
+func stratify(feats vecmath.Matrix, lengths []uint64, maxStrata int) []*stratum {
+	all := make([]int, feats.Rows)
 	for i := range all {
 		all[i] = i
 	}
+	scratch := make([]int, feats.Rows)
 	strata := []*stratum{newStratum(all, feats, lengths)}
 	for len(strata) < maxStrata {
 		best := -1
@@ -241,11 +247,11 @@ func stratify(feats [][]float64, lengths []uint64, maxStrata int) []*stratum {
 		if best < 0 {
 			break
 		}
-		left, right := split(strata[best], feats, lengths)
+		left, right := split(strata[best], feats, lengths, scratch)
 		strata[best] = left
 		strata = append(strata, right)
 	}
-	sort.Slice(strata, func(i, j int) bool { return strata[i].items[0] < strata[j].items[0] })
+	slices.SortFunc(strata, func(a, b *stratum) int { return cmp.Compare(a.items[0], b.items[0]) })
 	return strata
 }
 
@@ -253,46 +259,59 @@ func stratify(feats [][]float64, lengths []uint64, maxStrata int) []*stratum {
 // feature: members at or below the median value go left, the rest right.
 // When every member is at or below (the median equals the maximum) the
 // boundary tightens to strictly-below, which splitDim's min < max
-// guarantee leaves both sides nonempty. Membership order is preserved,
-// so items stay ascending.
-func split(s *stratum, feats [][]float64, lengths []uint64) (left, right *stratum) {
+// guarantee leaves both sides nonempty. The partition is stable, so items
+// stay ascending on both sides.
+//
+// split reorders s.items in place — s is discarded — and returns the two
+// sides as windows of it: left is items[:nl:nl], right is items[nl:].
+// scratch, at least len(s.items) long, holds the sort order and then the
+// right side.
+func split(s *stratum, feats vecmath.Matrix, lengths []uint64, scratch []int) (left, right *stratum) {
 	d := s.splitDim
-	order := append([]int(nil), s.items...)
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := feats[order[a]][d], feats[order[b]][d]
-		if va != vb {
-			return va < vb
+	feat := func(i int) float64 { return feats.Data[i*feats.Cols+d] }
+	order := append(scratch[:0], s.items...)
+	slices.SortFunc(order, func(a, b int) int {
+		switch va, vb := feat(a), feat(b); {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
-	median := feats[order[len(order)-1]][d]
+	median := feat(order[len(order)-1])
 	var acc float64
 	for _, i := range order {
 		acc += float64(lengths[i])
 		if acc >= s.weight/2 {
-			median = feats[i][d]
+			median = feat(i)
 			break
 		}
 	}
-	var li, ri []int
-	for _, i := range s.items {
-		if feats[i][d] <= median {
-			li = append(li, i)
+	items := s.items
+	nl := partition(items, scratch, func(i int) bool { return feat(i) <= median })
+	if nl == len(items) {
+		nl = partition(items, scratch, func(i int) bool { return feat(i) < median })
+	}
+	return newStratum(items[:nl:nl], feats, lengths), newStratum(items[nl:], feats, lengths)
+}
+
+// partition stably moves the items for which isLeft holds to the front,
+// the rest after them, using scratch for the rest, and returns how many
+// went to the front.
+func partition(items, scratch []int, isLeft func(int) bool) int {
+	nl, nr := 0, 0
+	for _, i := range items {
+		if isLeft(i) {
+			items[nl] = i
+			nl++
 		} else {
-			ri = append(ri, i)
+			scratch[nr] = i
+			nr++
 		}
 	}
-	if len(ri) == 0 {
-		li, ri = nil, nil
-		for _, i := range s.items {
-			if feats[i][d] < median {
-				li = append(li, i)
-			} else {
-				ri = append(ri, i)
-			}
-		}
-	}
-	return newStratum(li, feats, lengths), newStratum(ri, feats, lengths)
+	copy(items[nl:], scratch[:nr])
+	return nl
 }
 
 // allocate distributes the budget across strata: one point per stratum

@@ -1,12 +1,28 @@
 package sampler
 
 import (
+	"context"
 	"testing"
+
+	"xbsim/internal/compiler"
+	"xbsim/internal/exec"
+	"xbsim/internal/profile"
+	"xbsim/internal/program"
+	"xbsim/internal/vecmath"
 )
+
+// matrixOf packs feature rows of equal length into a matrix.
+func matrixOf(rows [][]float64) vecmath.Matrix {
+	m := vecmath.NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
 
 // mkStratum builds a stratum over synthetic one-dimensional features.
 func mkStratum(items []int, feats [][]float64, lengths []uint64) *stratum {
-	return newStratum(items, feats, lengths)
+	return newStratum(items, matrixOf(feats), lengths)
 }
 
 // TestAllocate is the budget-allocation rounding table: allocations must
@@ -83,7 +99,7 @@ func TestStratify(t *testing.T) {
 	}
 	lengths := []uint64{100, 100, 100, 100, 100, 100, 100, 100}
 
-	strata := stratify(feats, lengths, 2)
+	strata := stratify(matrixOf(feats), lengths, 2)
 	if len(strata) != 2 {
 		t.Fatalf("got %d strata, want 2", len(strata))
 	}
@@ -119,7 +135,7 @@ func TestStratify(t *testing.T) {
 
 	// Unsplittable input stops early regardless of maxStrata.
 	same := [][]float64{{1}, {1}, {1}, {1}}
-	if got := stratify(same, lengths[:4], 4); len(got) != 1 {
+	if got := stratify(matrixOf(same), lengths[:4], 4); len(got) != 1 {
 		t.Fatalf("identical features split into %d strata", len(got))
 	}
 }
@@ -136,11 +152,44 @@ func TestSplitSkewedMedian(t *testing.T) {
 	if s.splitDim != 0 {
 		t.Fatalf("splitDim = %d, want 0", s.splitDim)
 	}
-	left, right := split(s, feats, lengths)
+	left, right := split(s, matrixOf(feats), lengths, make([]int, len(s.items)))
 	if len(left.items) == 0 || len(right.items) == 0 {
 		t.Fatalf("split produced an empty side: left=%v right=%v", left.items, right.items)
 	}
 	if len(left.items)+len(right.items) != 4 {
 		t.Fatalf("split lost intervals: left=%v right=%v", left.items, right.items)
 	}
+}
+
+// BenchmarkStratifiedPick runs the stratified sampler at the
+// fine-stratified workload's size: one binary of the quick suite (gcc,
+// 1.2M operations) cut into 3k-instruction intervals. It reports B/op.
+func BenchmarkStratifiedPick(b *testing.B) {
+	p, err := program.Generate("gcc", program.GenConfig{TargetOps: 1_200_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
+	c, err := profile.NewFLICollector(bin, 3_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := exec.Run(bin, program.Input{Name: "ref", Seed: 0x5EED}, c); err != nil {
+		b.Fatal(err)
+	}
+	ds := c.Finish().Dataset
+	smp, err := New(BackendStratified)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Seed: "xbsim"}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := smp.Pick(ctx, ds, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ds.Len()), "intervals")
 }

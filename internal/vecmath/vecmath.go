@@ -30,11 +30,6 @@ func SquaredDistance(a, b []float64) float64 {
 	return sum
 }
 
-// Distance returns the Euclidean distance between a and b.
-func Distance(a, b []float64) float64 {
-	return math.Sqrt(SquaredDistance(a, b))
-}
-
 // ManhattanDistance returns the L1 distance between a and b. SimPoint's
 // original formulation compares BBVs with Manhattan distance; we expose it
 // for diagnostics even though clustering uses Euclidean distance after

@@ -18,8 +18,8 @@ func TestSquaredDistance(t *testing.T) {
 	if got := SquaredDistance(a, b); got != 9 {
 		t.Fatalf("SquaredDistance = %v, want 9", got)
 	}
-	if got := Distance(a, b); got != 3 {
-		t.Fatalf("Distance = %v, want 3", got)
+	if got := math.Sqrt(SquaredDistance(a, b)); got != 3 {
+		t.Fatalf("Euclidean distance = %v, want 3", got)
 	}
 }
 
@@ -40,6 +40,7 @@ func TestManhattanDistance(t *testing.T) {
 
 func TestDistanceProperties(t *testing.T) {
 	rng := xrand.New("dist-prop")
+	dist := func(a, b []float64) float64 { return math.Sqrt(SquaredDistance(a, b)) }
 	randVec := func(n int) []float64 {
 		v := make([]float64, n)
 		for i := range v {
@@ -51,15 +52,15 @@ func TestDistanceProperties(t *testing.T) {
 		dim := int(dimRaw%16) + 1
 		a, b, c := randVec(dim), randVec(dim), randVec(dim)
 		// Symmetry.
-		if !almostEqual(Distance(a, b), Distance(b, a), 1e-12) {
+		if !almostEqual(dist(a, b), dist(b, a), 1e-12) {
 			return false
 		}
 		// Identity.
-		if Distance(a, a) != 0 {
+		if dist(a, a) != 0 {
 			return false
 		}
 		// Triangle inequality.
-		return Distance(a, c) <= Distance(a, b)+Distance(b, c)+1e-9
+		return dist(a, c) <= dist(a, b)+dist(b, c)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -216,9 +217,10 @@ func TestProjectionPreservesRelativeDistances(t *testing.T) {
 		far[i] = base[i] + 1.0*rng.NormFloat64()
 	}
 	pb, pn, pf := p.Apply(base), p.Apply(near), p.Apply(far)
-	if Distance(pb, pn) >= Distance(pb, pf) {
+	near2, far2 := SquaredDistance(pb, pn), SquaredDistance(pb, pf)
+	if near2 >= far2 {
 		t.Fatalf("projection scrambled distances: near %v far %v",
-			Distance(pb, pn), Distance(pb, pf))
+			math.Sqrt(near2), math.Sqrt(far2))
 	}
 }
 
