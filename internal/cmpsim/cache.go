@@ -296,6 +296,20 @@ func (c *Cache) hit(j int, write bool) {
 	c.Hits++
 }
 
+// hitRun applies n consecutive hits on slot j, writing when write is
+// set: exactly n calls of hit, each at a clock one higher. Only the last
+// stamp survives, so one store does.
+func (c *Cache) hitRun(j int, n uint64, write bool) {
+	c.clock += n
+	if c.refresh {
+		c.stamp[j] = c.clock
+	}
+	if write {
+		c.dirty[j] = true
+	}
+	c.Hits += n
+}
+
 // lookup scans tag's set once. It returns the slot holding tag and true,
 // or the slot to fill and false: the first invalid way in index order,
 // otherwise the first way with the smallest stamp — one minimum, since
@@ -493,4 +507,38 @@ func (g *addressGen) next() uint64 {
 		g.cursor -= g.ws
 	}
 	return a
+}
+
+// run returns how many of a strided g's next accesses, at most n and at
+// least 1, fall in the line of the next one before the cursor wraps:
+// the next k addresses base+cursor, +stride, ... +(k-1)·stride keep
+// within lineSize bytes of the line and, after the first, below ws. A
+// cursor at or past ws (possible only for a degenerate working set) gives
+// a run of 1, and stride 0 stays in its line for good.
+func (g *addressGen) run(lineSize uint64, n int) int {
+	if g.cursor >= g.ws {
+		return 1
+	}
+	left := lineSize - (g.base+g.cursor)&(lineSize-1) // bytes left in the line
+	if g.stride == 0 {
+		return n
+	}
+	if g.stride >= left {
+		return 1
+	}
+	k := (left-1)/g.stride + 1
+	if room := g.ws - g.cursor; room < left {
+		k = min(k, (room-1)/g.stride+1)
+	}
+	return int(min(k, uint64(n)))
+}
+
+// skip advances a strided g past m accesses that follow a next() and
+// stay, with it, inside one run: the cursor moves m strides, and only
+// the last step can wrap.
+func (g *addressGen) skip(m uint64) {
+	g.cursor += m * g.stride
+	if g.cursor >= g.ws {
+		g.cursor -= g.ws
+	}
 }

@@ -362,7 +362,8 @@ func (r *blockRecorder) OnBlock(block int) { *r = append(*r, block) }
 func (r *blockRecorder) OnMarker(int)      {}
 
 // BenchmarkSimulatorFullRun times full-run simulations of a spill-heavy
-// binary (gzip 32-bit O0) and a random-access-heavy one (mcf 64-bit O2).
+// binary (gzip 32-bit O0), a random-access-heavy one (mcf 64-bit O2) and
+// a strided floating-point one (swim 64-bit O2).
 // The block stream is recorded once and replayed, and the hierarchy comes
 // from a StatePool as in the pipeline, so an op is the simulator's own
 // work rather than the block walk or the allocation of fresh cache state.
@@ -375,6 +376,7 @@ func BenchmarkSimulatorFullRun(b *testing.B) {
 	}{
 		{"gzip-32-O0", "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0}},
 		{"mcf-64-O2", "mcf", compiler.Target{Arch: compiler.Arch64, Opt: compiler.O2}},
+		{"swim-64-O2", "swim", compiler.Target{Arch: compiler.Arch64, Opt: compiler.O2}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := program.Generate(c.prog, program.GenConfig{TargetOps: 2_000_000})

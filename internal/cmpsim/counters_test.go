@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xbsim/internal/compiler"
+	"xbsim/internal/exec"
 	"xbsim/internal/obs"
 )
 
@@ -209,6 +210,38 @@ func TestPublishMetricsEventCounters(t *testing.T) {
 		t.Errorf("eviction/writeback counters zero after dirty sweep: %v/%v",
 			snap.Counters["sim.full.cache.l1.evictions"],
 			snap.Counters["sim.full.cache.l1.writebacks"])
+	}
+}
+
+// Release keeps the Stats value readable, so PublishMetrics after it
+// publishes the Stats-window families and skips the event families that
+// went back to the pool with the hierarchy.
+func TestPublishMetricsAfterRelease(t *testing.T) {
+	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
+	sim, err := NewSimulatorPooled(bin, DefaultHierarchyConfig(), NewStatePool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Run(bin, refInput, sim); err != nil {
+		t.Fatal(err)
+	}
+	before := obs.NewRegistry()
+	sim.PublishMetrics(before, "sim")
+	sim.Release()
+	after := obs.NewRegistry()
+	sim.PublishMetrics(after, "sim")
+	want, got := before.Snapshot().Counters, after.Snapshot().Counters
+	for name, v := range want {
+		event := strings.HasSuffix(name, "evictions") || strings.HasSuffix(name, "writebacks") ||
+			strings.HasSuffix(name, "prefetch_fills")
+		if g, ok := got[name]; event && ok {
+			t.Errorf("%s published after Release", name)
+		} else if !event && (!ok || g != v) {
+			t.Errorf("%s = %d (published %v) after Release, %d before", name, g, ok, v)
+		}
+	}
+	if got["sim.instructions"] == 0 || got["sim.cache.l1.hits"] == 0 {
+		t.Errorf("empty Stats window after Release: %v", got)
 	}
 }
 

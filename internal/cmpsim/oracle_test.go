@@ -325,29 +325,11 @@ func (s *refSimulator) OnBlock(block int) {
 		base = (base + w - 1) / w
 	}
 	cycles := base + uint64(b.FPInstrs)*uint64(s.core.FPExtraCycles)
-	storeShare := uint64(s.core.StoreLatencyShare)
-
 	if g := s.gens[block]; g != nil {
-		for i := 0; i < b.Loads; i++ {
-			lat := s.access(g.next(), false, enabled)
-			cycles += uint64(lat - 1)
-		}
-		for i := 0; i < b.Stores; i++ {
-			lat := s.access(g.next(), true, enabled)
-			// Stores retire through a store buffer; charge a fraction of
-			// the miss latency.
-			cycles += uint64(lat-1) / storeShare
-		}
+		cycles += s.drive(g, b.Loads, b.Stores, enabled)
 	}
 	if b.SpillLoads+b.SpillStores > 0 {
-		for i := 0; i < b.SpillLoads; i++ {
-			lat := s.access(s.stackGen.next(), false, enabled)
-			cycles += uint64(lat - 1)
-		}
-		for i := 0; i < b.SpillStores; i++ {
-			lat := s.access(s.stackGen.next(), true, enabled)
-			cycles += uint64(lat-1) / storeShare
-		}
+		cycles += s.drive(s.stackGen, b.SpillLoads, b.SpillStores, enabled)
 	}
 	if enabled {
 		s.stats.Instructions += uint64(b.Instrs)
@@ -355,6 +337,24 @@ func (s *refSimulator) OnBlock(block int) {
 		s.stats.Loads += uint64(b.Loads) + uint64(b.SpillLoads)
 		s.stats.Stores += uint64(b.Stores) + uint64(b.SpillStores)
 	}
+}
+
+// drive is the reference per-generator access loop: g's next loads, then
+// its next stores, one hierarchy access each.
+func (s *refSimulator) drive(g *refAddressGen, loads, stores int, record bool) uint64 {
+	storeShare := uint64(s.core.StoreLatencyShare)
+	var cycles uint64
+	for i := 0; i < loads; i++ {
+		lat := s.access(g.next(), false, record)
+		cycles += uint64(lat - 1)
+	}
+	for i := 0; i < stores; i++ {
+		lat := s.access(g.next(), true, record)
+		// Stores retire through a store buffer; charge a fraction of
+		// the miss latency.
+		cycles += uint64(lat-1) / storeShare
+	}
+	return cycles
 }
 
 func (s *refSimulator) access(addr uint64, write, record bool) int {

@@ -291,6 +291,7 @@ func (s *Simulator) Hierarchy() *Hierarchy { return s.hier }
 // and prefetch families come from the Cache event counters, which count
 // every access including functional warming — they attribute the cache's
 // real activity during the walk, which is what a cost profile needs.
+// After Release only the Stats-window families are published.
 func (s *Simulator) PublishMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -304,6 +305,9 @@ func (s *Simulator) PublishMetrics(reg *obs.Registry, prefix string) {
 	for i := range st.LevelHits {
 		reg.Counter(fmt.Sprintf("%s.cache.l%d.hits", prefix, i+1)).Add(st.LevelHits[i])
 		reg.Counter(fmt.Sprintf("%s.cache.l%d.misses", prefix, i+1)).Add(st.LevelMisses[i])
+	}
+	if s.hier == nil {
+		return // released: the event counters went back with the hierarchy
 	}
 	for i, c := range s.hier.levels {
 		reg.Counter(fmt.Sprintf("%s.cache.l%d.evictions", prefix, i+1)).Add(c.Evictions)
@@ -356,10 +360,22 @@ func (s *Simulator) OnMarker(int) {}
 // first-level hit and is applied inline. Anything else — another line, a
 // line evicted or moved since — takes the full walk, which reports the
 // line's new slot.
+//
+// A strided generator's accesses come in runs that stay in one line
+// (addressGen.run). Only a run's first access is checked or walked:
+// afterwards the line sits, valid, at g.l1Slot — a next-line prefetch
+// never evicts the line stamped with the current clock, and no other
+// generator runs inside one call — so each later access of the run is
+// exactly a first-level hit, and they are applied together.
 func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 {
 	l1 := s.hier.levels[0]
+	n := loads + stores
 	var cycles uint64
-	for i := 0; i < loads+stores; i++ {
+	for i := 0; i < n; {
+		k := 1
+		if !g.random {
+			k = g.run(l1.cfg.LineSize, n-i)
+		}
 		write := i >= loads
 		addr := g.next()
 		level := 0
@@ -380,6 +396,21 @@ func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 
 		} else {
 			cycles += s.loadPenalty[level]
 		}
+		i++
+		if k == 1 {
+			continue
+		}
+		// The run's other accesses, i through i+rest-1: the loads among
+		// them, then the stores.
+		rest := uint64(k - 1)
+		nLoads := uint64(min(max(loads-i, 0), k-1))
+		g.skip(rest)
+		l1.hitRun(g.l1Slot, rest, nLoads < rest)
+		if record {
+			s.stats.LevelHits[0] += rest
+		}
+		cycles += nLoads*s.loadPenalty[0] + (rest-nLoads)*s.storePenalty[0]
+		i += k - 1
 	}
 	return cycles
 }
