@@ -548,6 +548,9 @@ func cmdSimulate(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
+// cmdEstimate runs the one-benchmark suite and prints each binary's
+// sampled CPI against its full-run CPI: the numbers `figures -benchmarks
+// B -detail` reports.
 func cmdEstimate(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("estimate")
 	bench := fs.String("bench", "", "benchmark name")
@@ -558,45 +561,29 @@ func cmdEstimate(ctx context.Context, args []string, w io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	b, err := buildBenchmark(*bench, *ops)
+	if *bench == "" {
+		return usagef("-bench is required")
+	}
+	if *flavor != "fli" && *flavor != "vli" {
+		return usagef("unknown flavor %q", *flavor)
+	}
+	suite, err := xbsim.RunExperimentsCtx(ctx, xbsim.ExperimentConfig{
+		Benchmarks: []string{*bench}, TargetOps: *ops, IntervalSize: *interval,
+		Input:   xbsim.Input{Name: "ref", Seed: *seed},
+		Workers: *workers, Sampler: *sampler, SamplerBudget: *samplerBudget,
+	})
 	if err != nil {
 		return err
 	}
-	in := xbsim.Input{Name: "ref", Seed: *seed}
-	cfg := xbsim.PointsConfig{IntervalSize: *interval, Workers: *workers,
-		Sampler: *sampler, SamplerBudget: *samplerBudget}
-
-	var cross *xbsim.CrossPoints
-	if *flavor == "vli" {
-		cross, err = xbsim.CrossBinaryPointsCtx(ctx, b.Binaries, in, cfg)
-		if err != nil {
-			return err
-		}
-	} else if *flavor != "fli" {
-		return usagef("unknown flavor %q", *flavor)
-	}
 	fmt.Fprintf(w, "%-10s %12s %10s %10s %8s\n", "binary", "instructions", "true CPI", "est CPI", "error")
-	for bi, bin := range b.Binaries {
-		var ps *xbsim.PointSet
-		if cross != nil {
-			ps, err = cross.ForBinary(bi)
-		} else {
-			ps, err = xbsim.PerBinaryPointsCtx(ctx, bin, in, cfg)
+	for _, run := range suite.Results[0].Runs {
+		ms := run.VLI
+		if *flavor == "fli" {
+			ms = run.FLI
 		}
-		if err != nil {
-			return err
-		}
-		est, err := xbsim.EstimateCPICtx(ctx, bin, in, ps, nil)
-		if err != nil {
-			return err
-		}
-		full, err := xbsim.SimulateFullCtx(ctx, bin, in, nil)
-		if err != nil {
-			return err
-		}
-		e := (est - full.CPI()) / full.CPI()
+		e := (ms.EstCPI - run.TrueCPI) / run.TrueCPI
 		fmt.Fprintf(w, "%-10s %12d %10.3f %10.3f %+7.2f%%\n",
-			bin.Name, full.Instructions, full.CPI(), est, e*100)
+			run.Binary.Name, run.TotalInstructions, run.TrueCPI, ms.EstCPI, e*100)
 	}
 	return nil
 }

@@ -61,6 +61,17 @@ func TestUsageErrors(t *testing.T) {
 	if err := run(context.Background(), "callprofile", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil || errors.As(err, &ue) {
 		t.Errorf("unknown benchmark: err = %v (%T), want non-usage error", err, err)
 	}
+	// estimate checks its flags before it runs the suite: exit 2 for a
+	// missing -bench or a bad -flavor, exit 1 for an unknown benchmark.
+	if err := run(context.Background(), "estimate", smallFlags, &sb); !errors.As(err, &ue) {
+		t.Errorf("estimate without -bench: err = %v (%T), want usageError", err, err)
+	}
+	if err := run(context.Background(), "estimate", append([]string{"-bench", "art", "-flavor", "zzz"}, smallFlags...), &sb); !errors.As(err, &ue) {
+		t.Errorf("estimate bad flavor: err = %v (%T), want usageError", err, err)
+	}
+	if err := run(context.Background(), "estimate", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil || errors.As(err, &ue) {
+		t.Errorf("estimate unknown benchmark: err = %v (%T), want non-usage error", err, err)
+	}
 }
 
 // An observer threaded through run() must pick up simulator metrics and

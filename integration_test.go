@@ -136,3 +136,82 @@ func TestWarmingOffDegradesCacheSensitiveEstimate(t *testing.T) {
 		t.Fatalf("cold fast-forward improved mcf CPI error: %.4f -> %.4f", warm, cold)
 	}
 }
+
+// TestFacadeMatchesSuite pins the facade to the experiment suite: for
+// every binary, SimulateFull reproduces walk 3's totals, the facade's
+// points and phases are the suite's, and its FLI weights and estimate
+// equal the suite's bit for bit. VLI weights (and so the VLI estimate)
+// may differ in the last bits only: ForBinary sums per-interval
+// instruction fractions while the suite divides summed counts.
+func TestFacadeMatchesSuite(t *testing.T) {
+	const tol = 1e-15
+	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Abs(b) }
+	for _, backend := range []string{"simpoint", "stratified"} {
+		cfg := experiment.QuickConfig()
+		cfg.Benchmarks = []string{"gzip", "applu"}
+		cfg.Sampler = backend
+		suite, err := experiment.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := PointsConfig{IntervalSize: cfg.IntervalSize, Sampler: backend}
+		for _, res := range suite.Results {
+			b, err := NewBenchmark(res.Name, cfg.TargetOps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cross, err := CrossBinaryPoints(b.Binaries, cfg.Input, pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi, run := range res.Runs {
+				bin := b.Binaries[bi]
+				label := backend + " " + bin.Name
+				full, err := SimulateFull(bin, cfg.Input, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.Instructions != run.TotalInstructions || full.Cycles != run.TrueCycles {
+					t.Errorf("%s: SimulateFull %d instr / %d cycles, suite %d / %d", label,
+						full.Instructions, full.Cycles, run.TotalInstructions, run.TrueCycles)
+				}
+				fli, err := PerBinaryPoints(bin, cfg.Input, pcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vli, err := cross.ForBinary(bi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range []struct {
+					flavor string
+					ps     *PointSet
+					suite  experiment.MethodStats
+					exact  bool
+				}{{"fli", fli, run.FLI, true}, {"vli", vli, run.VLI, false}} {
+					if !reflect.DeepEqual(m.ps.PointInterval, m.suite.PointInterval) ||
+						!reflect.DeepEqual(m.ps.PhaseOf, m.suite.PhaseOf) {
+						t.Errorf("%s %s: facade points %v, suite %v", label, m.flavor,
+							m.ps.PointInterval, m.suite.PointInterval)
+						continue
+					}
+					est, err := EstimateCPI(bin, cfg.Input, m.ps, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := reflect.DeepEqual(m.ps.Weights, m.suite.PhaseWeights) && est == m.suite.EstCPI
+					if !m.exact {
+						same = len(m.ps.Weights) == len(m.suite.PhaseWeights) && near(est, m.suite.EstCPI)
+						for p, w := range m.ps.Weights {
+							same = same && near(w, m.suite.PhaseWeights[p])
+						}
+					}
+					if !same {
+						t.Errorf("%s %s: facade weights %v estimate %v, suite %v / %v", label, m.flavor,
+							m.ps.Weights, est, m.suite.PhaseWeights, m.suite.EstCPI)
+					}
+				}
+			}
+		}
+	}
+}

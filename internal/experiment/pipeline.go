@@ -224,7 +224,7 @@ type walk3Result struct {
 	vliEnds              []profile.Boundary
 	instructions, cycles uint64
 	cpi                  float64
-	fli, vli             *intervalDeltas
+	fli, vli             *IntervalDeltas
 	// events are the walk's full-stream cache event counters.
 	events []levelEvents
 }
@@ -363,34 +363,19 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total ui
 	defer fspan.End()
 	fws := o.Attribution().StartWalk(bin.Program.Name, bin.Name, "full")
 	defer fws.Abort() // close the sample on every error path; Done wins
-	fullSim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
+	fw, err := SimulateIntervals(fctx, bin, cfg.Input, cfg.Hierarchy, cfg.simPool,
+		Boundaries{FLI: p.fli[bi].Ends}, Boundaries{VLI: w3.vliEnds})
 	if err != nil {
 		return w3, err
 	}
-	defer fullSim.Release()
-	fliSnap := newSnapshotter(fullSim, len(p.fli[bi].Ends))
-	vliSnap := newSnapshotter(fullSim, len(w3.vliEnds))
-	fliTr := profile.NewFLITracker(bin, p.fli[bi].Ends, fliSnap)
-	vliTr := profile.NewVLITracker(bin, w3.vliEnds, vliSnap)
-	if err := exec.RunCtx(fctx, bin, cfg.Input, exec.Multi{fullSim, fliTr, vliTr}); err != nil {
-		return w3, err
-	}
-	fliSnap.close()
-	vliSnap.close()
-	trueStats := fullSim.Stats()
-	fws.Done(trueStats.Instructions, trueStats.Cycles)
-	if o != nil {
-		// "sim" is the legacy walk-3 family; "sim.full" the per-walk one.
-		fullSim.PublishMetrics(o.Metrics, "sim")
-		fullSim.PublishMetrics(o.Metrics, "sim.full")
-	}
-	if trueStats.Instructions != total {
+	st := &fw.Stats
+	fws.Done(st.Instructions, st.Cycles)
+	if st.Instructions != total {
 		return w3, fmt.Errorf("instruction count mismatch between walks: %d vs %d",
-			trueStats.Instructions, total)
+			st.Instructions, total)
 	}
-	w3.instructions, w3.cycles, w3.cpi = trueStats.Instructions, trueStats.Cycles, trueStats.CPI()
-	w3.fli, w3.vli = fliSnap.d, vliSnap.d
-	w3.events = captureEvents(fullSim.Hierarchy())
+	w3.instructions, w3.cycles, w3.cpi = st.Instructions, st.Cycles, st.CPI()
+	w3.fli, w3.vli, w3.events = fw.Deltas[0], fw.Deltas[1], fw.events
 	return w3, nil
 }
 
@@ -447,40 +432,45 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 // are independent and fan out together; the SimPoint backend
 // additionally parallelizes its own k sweep and k-means restarts on the
 // same shared pool, while the stratified backend is serial arithmetic.
-// The seed strings are backend-independent, so switching backends
-// changes the algorithm, never the stream naming.
 func selectPoints(ctx context.Context, cfg Config, smp sampler.Sampler, p *prepared) ([]*simpoint.Result, *simpoint.Result, error) {
-	spCfg := sampler.Config{
-		MaxK: cfg.MaxK, Dim: cfg.Dim, BICThreshold: cfg.BICThreshold,
-		Restarts: cfg.Restarts, EarlyTolerance: cfg.EarlyTolerance,
-		Pool:   cfg.workerPool,
-		Budget: cfg.SamplerBudget, Strata: cfg.SamplerStrata,
-	}
 	fliPicks := make([]*simpoint.Result, len(p.bins))
 	var vliPick *simpoint.Result
 	err := cfg.workerPool.Run(len(p.bins)+1, func(i int) error {
 		if err := faults.Hit(ctx, "clustering.task"); err != nil {
 			return err
 		}
-		pickCfg := spCfg
 		if i == len(p.bins) {
-			pickCfg.Seed = fmt.Sprintf("%s/vli/%s", cfg.Seed, p.prog.Name)
 			var err error
-			vliPick, err = smp.Pick(ctx, p.vli.Dataset, pickCfg)
+			vliPick, err = smp.Pick(ctx, p.vli.Dataset, cfg.SamplerConfig(cfg.workerPool, "vli", p.prog.Name))
 			if err != nil {
 				return fmt.Errorf("%s vli %s: %w", p.prog.Name, smp.Name(), err)
 			}
 			return nil
 		}
-		pickCfg.Seed = fmt.Sprintf("%s/fli/%s", cfg.Seed, p.bins[i].Name)
 		var err error
-		fliPicks[i], err = smp.Pick(ctx, p.fli[i].Dataset, pickCfg)
+		fliPicks[i], err = smp.Pick(ctx, p.fli[i].Dataset, cfg.SamplerConfig(cfg.workerPool, "fli", p.bins[i].Name))
 		if err != nil {
 			return fmt.Errorf("%s fli %s: %w", p.bins[i].Name, smp.Name(), err)
 		}
 		return nil
 	})
 	return fliPicks, vliPick, err
+}
+
+// SamplerConfig is the sampler configuration of one pick under c's
+// pick-side settings, fanning out on wp. The seed stream is
+// "<Seed>/<flavor>/<name>": "fli/<binary>" for a binary's own intervals,
+// "vli/<program>" for the primary's shared ones. The stream names are
+// backend-independent, so switching backends changes the algorithm,
+// never the stream naming.
+func (c Config) SamplerConfig(wp *pool.Pool, flavor, name string) sampler.Config {
+	return sampler.Config{
+		MaxK: c.MaxK, Dim: c.Dim, BICThreshold: c.BICThreshold,
+		Restarts: c.Restarts, EarlyTolerance: c.EarlyTolerance,
+		Pool:   wp,
+		Budget: c.SamplerBudget, Strata: c.SamplerStrata,
+		Seed: c.Seed + "/" + flavor + "/" + name,
+	}
 }
 
 // evaluateBinary measures walks 4/5 for one binary and assembles its
@@ -641,15 +631,15 @@ func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoin
 	if err != nil {
 		return nil, err
 	}
-	ws.Done(win.instr, win.cycles)
+	ws.Done(win.Instructions, win.Cycles)
 	if o != nil {
 		publishWindowMetrics(o.Metrics, "sim.gated", &win, w3.events)
 		publishWindowMetrics(o.Metrics, "sim."+walk, &win, w3.events)
 	}
 	o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
-	o.Counter("pipeline.memo.instructions_saved").Add(win.instr)
+	o.Counter("pipeline.memo.instructions_saved").Add(win.Instructions)
 	o.Counter("pipeline.memo.bytes_saved").Add(cfg.Hierarchy.StateBytes())
-	o.Attribution().RecordMemo(uint64(len(pick.Points)), 0, win.instr)
+	o.Attribution().RecordMemo(uint64(len(pick.Points)), 0, win.Instructions)
 	return regions, nil
 }
 
@@ -704,7 +694,7 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 // otherwise divide every weight into NaN and let the NaNs flow silently
 // through buildMethodStats' weights[p] <= 0 filter into EstCPI, so it is
 // rejected explicitly.
-func recalcWeights(pick *simpoint.Result, d *intervalDeltas, total uint64) ([]float64, error) {
+func recalcWeights(pick *simpoint.Result, d *IntervalDeltas, total uint64) ([]float64, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("no usable simulation points: binary executed no instructions")
 	}
@@ -723,7 +713,7 @@ func recalcWeights(pick *simpoint.Result, d *intervalDeltas, total uint64) ([]fl
 // buildMethodStats assembles a MethodStats from the pieces. weights == nil
 // uses the clustering's own weights (FLI); otherwise the recalculated
 // per-binary weights (VLI).
-func buildMethodStats(pick *simpoint.Result, d *intervalDeltas,
+func buildMethodStats(pick *simpoint.Result, d *IntervalDeltas,
 	pointCPI []float64, pointIv []int, numIntervals int, run *BinaryRun,
 	weights []float64, simInstr uint64) (MethodStats, error) {
 
@@ -760,24 +750,33 @@ func buildMethodStats(pick *simpoint.Result, d *intervalDeltas,
 		}
 	}
 
-	// Whole-program estimate: weighted average of point CPIs.
-	var est, wsum float64
-	for p := 0; p < pick.K; p++ {
-		if math.IsNaN(pointCPI[p]) || weights[p] <= 0 {
-			continue
-		}
-		est += weights[p] * pointCPI[p]
-		wsum += weights[p]
+	var err error
+	if ms.EstCPI, err = WeightedCPI(weights, pointCPI); err != nil {
+		return ms, err
 	}
-	if wsum <= 0 {
-		return ms, fmt.Errorf("no usable simulation points")
-	}
-	ms.EstCPI = est / wsum
 	ms.EstCycles = ms.EstCPI * float64(run.TotalInstructions)
 	if run.TrueCPI > 0 {
 		ms.CPIError = math.Abs(ms.EstCPI-run.TrueCPI) / run.TrueCPI
 	}
 	return ms, nil
+}
+
+// WeightedCPI is the sampled whole-program CPI estimate: the weighted
+// average of the per-phase point CPIs, skipping phases with no point
+// (NaN) or no weight (w <= 0), divided by the weight it kept.
+func WeightedCPI(weights, pointCPI []float64) (float64, error) {
+	var est, wsum float64
+	for p, cpi := range pointCPI {
+		if math.IsNaN(cpi) || weights[p] <= 0 {
+			continue
+		}
+		est += weights[p] * cpi
+		wsum += weights[p]
+	}
+	if wsum <= 0 {
+		return 0, fmt.Errorf("no usable simulation points")
+	}
+	return est / wsum, nil
 }
 
 // regionStat is one simulated region's accumulation.

@@ -1,15 +1,22 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"xbsim/internal/cmpsim"
+	"xbsim/internal/compiler"
+	"xbsim/internal/exec"
 	"xbsim/internal/obs"
+	"xbsim/internal/profile"
+	"xbsim/internal/program"
 	"xbsim/internal/simpoint"
 )
 
-// This file holds walk 3's per-interval statistics deltas and what
-// answers walks 4/5 from them.
+// This file holds the full walk with per-interval attribution
+// (SimulateIntervals: walk 3 here, and the root package's sampled
+// estimates), its per-interval statistics deltas, and what answers
+// walks 4/5 from them.
 //
 // Soundness (the full argument is DESIGN.md §15): with functional
 // warming on (the default), gating only suppresses statistics recording;
@@ -25,19 +32,19 @@ import (
 // walk skips accesses while fast-forwarding — so pick executes the gated
 // walk instead.
 
-// intervalDeltas is walk 3's statistics delta for every interval of one
-// boundary set: everything Simulator.Stats accumulates, so a gated walk
-// answered from it reproduces the executed walk's metric families
+// IntervalDeltas is a full walk's statistics delta for every interval of
+// one boundary set: everything Simulator.Stats accumulates, so a gated
+// walk answered from it reproduces the executed walk's metric families
 // exactly. The per-level arrays are flat ([interval*nlev + level]) so
 // the capture costs two allocations, not two per interval.
-type intervalDeltas struct {
+type IntervalDeltas struct {
 	nlev                               int
 	instr, cycles, loads, stores, dram []uint64
 	levelHits, levelMisses             []uint64
 }
 
-func newIntervalDeltas(numIntervals, nlev int) *intervalDeltas {
-	return &intervalDeltas{
+func newIntervalDeltas(numIntervals, nlev int) *IntervalDeltas {
+	return &IntervalDeltas{
 		nlev:        nlev,
 		instr:       make([]uint64, numIntervals),
 		cycles:      make([]uint64, numIntervals),
@@ -49,36 +56,96 @@ func newIntervalDeltas(numIntervals, nlev int) *intervalDeltas {
 	}
 }
 
+// Interval returns interval iv's statistics delta; ok is false when iv
+// lies outside the boundary set. The per-level slices alias d.
+func (d *IntervalDeltas) Interval(iv int) (st cmpsim.Stats, ok bool) {
+	if iv < 0 || iv >= len(d.instr) {
+		return st, false
+	}
+	lv := iv * d.nlev
+	return cmpsim.Stats{
+		Instructions: d.instr[iv], Cycles: d.cycles[iv],
+		Loads: d.loads[iv], Stores: d.stores[iv], MemoryAccesses: d.dram[iv],
+		LevelHits:   d.levelHits[lv : lv+d.nlev : lv+d.nlev],
+		LevelMisses: d.levelMisses[lv : lv+d.nlev : lv+d.nlev],
+	}, true
+}
+
 // window sums the chosen points' deltas into the gated walk's Stats
 // window and returns it with each point's (instructions, cycles), in
 // point order. A point interval outside the boundary set is an error.
-func (d *intervalDeltas) window(points []simpoint.Point) (intervalStats, []regionStat, error) {
-	win := intervalStats{levelHits: make([]uint64, d.nlev), levelMisses: make([]uint64, d.nlev)}
+func (d *IntervalDeltas) window(points []simpoint.Point) (cmpsim.Stats, []regionStat, error) {
+	win := cmpsim.Stats{LevelHits: make([]uint64, d.nlev), LevelMisses: make([]uint64, d.nlev)}
 	regions := make([]regionStat, len(points))
 	for i, p := range points {
-		iv := p.Interval
-		if iv < 0 || iv >= len(d.instr) {
-			return win, nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", iv, len(d.instr))
+		st, ok := d.Interval(p.Interval)
+		if !ok {
+			return win, nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.instr))
 		}
-		win.instr += d.instr[iv]
-		win.cycles += d.cycles[iv]
-		win.loads += d.loads[iv]
-		win.stores += d.stores[iv]
-		win.dram += d.dram[iv]
-		for li := 0; li < d.nlev; li++ {
-			win.levelHits[li] += d.levelHits[iv*d.nlev+li]
-			win.levelMisses[li] += d.levelMisses[iv*d.nlev+li]
-		}
-		regions[i] = regionStat{instr: d.instr[iv], cycles: d.cycles[iv]}
+		win.Add(&st)
+		regions[i] = regionStat{instr: st.Instructions, cycles: st.Cycles}
 	}
 	return win, regions, nil
 }
 
-// intervalStats is one synthesized gated-walk Stats window.
-type intervalStats struct {
-	instr, cycles, loads, stores, dram uint64
-	// levelHits/levelMisses are indexed by cache level.
-	levelHits, levelMisses []uint64
+// Boundaries is one boundary set of a binary's intervals: FLI ends in
+// instructions or, when VLI is non-nil, VLI ends in the binary's marker
+// space.
+type Boundaries struct {
+	FLI []uint64
+	VLI []profile.Boundary
+}
+
+// FullWalk is one binary's full simulation, attributed per interval.
+type FullWalk struct {
+	// Stats are the whole run's statistics.
+	Stats cmpsim.Stats
+	// Deltas[s] holds every interval's delta under the s-th boundary set.
+	Deltas []*IntervalDeltas
+	// events are the run's full-stream cache event counters.
+	events []levelEvents
+}
+
+// SimulateIntervals runs bin to completion on a simulator of hierarchy h,
+// drawing cache state from sp (nil builds fresh state), and attributes
+// every interval's statistics delta under each boundary set in sets. It
+// is where every sampled estimate is measured: under functional warming
+// a region's gated measurement equals its delta here, bit for bit. With
+// an observer on ctx the run's statistics are published as the full-run
+// families "sim" (legacy) and "sim.full".
+func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Input,
+	h cmpsim.HierarchyConfig, sp *cmpsim.StatePool, sets ...Boundaries) (*FullWalk, error) {
+
+	sim, err := cmpsim.NewSimulatorPooled(bin, h, sp)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.Release()
+	visitors := exec.Multi{sim}
+	snaps := make([]*snapshotter, len(sets))
+	for s, b := range sets {
+		if b.VLI != nil {
+			snaps[s] = newSnapshotter(sim, len(b.VLI))
+			visitors = append(visitors, profile.NewVLITracker(bin, b.VLI, snaps[s]))
+		} else {
+			snaps[s] = newSnapshotter(sim, len(b.FLI))
+			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, snaps[s]))
+		}
+	}
+	if err := exec.RunCtx(ctx, bin, in, visitors); err != nil {
+		return nil, err
+	}
+	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets)),
+		events: captureEvents(sim.Hierarchy())}
+	for s, snap := range snaps {
+		snap.close()
+		fw.Deltas[s] = snap.d
+	}
+	if o := obs.From(ctx); o != nil {
+		sim.PublishMetrics(o.Metrics, "sim")
+		sim.PublishMetrics(o.Metrics, "sim.full")
+	}
+	return fw, nil
 }
 
 // snapshotter attributes a simulator's cumulative statistics to
@@ -93,7 +160,7 @@ type snapshotter struct {
 	lastS          uint64
 	lastD          uint64
 	lastLH, lastLM []uint64
-	d              *intervalDeltas
+	d              *IntervalDeltas
 }
 
 func newSnapshotter(sim *cmpsim.Simulator, numIntervals int) *snapshotter {
@@ -166,18 +233,18 @@ func captureEvents(h *cmpsim.Hierarchy) []levelEvents {
 // window and events walk 3's full-stream cache event counters, so the
 // sim.gated / sim.<walk> families come out identical to what the
 // executed walk would have published.
-func publishWindowMetrics(reg *obs.Registry, prefix string, win *intervalStats, events []levelEvents) {
+func publishWindowMetrics(reg *obs.Registry, prefix string, win *cmpsim.Stats, events []levelEvents) {
 	if reg == nil {
 		return
 	}
-	reg.Counter(prefix + ".instructions").Add(win.instr)
-	reg.Counter(prefix + ".cycles").Add(win.cycles)
-	reg.Counter(prefix + ".loads").Add(win.loads)
-	reg.Counter(prefix + ".stores").Add(win.stores)
-	reg.Counter(prefix + ".dram_accesses").Add(win.dram)
-	for i := range win.levelHits {
-		reg.Counter(levelMetricName(prefix, i, "hits")).Add(win.levelHits[i])
-		reg.Counter(levelMetricName(prefix, i, "misses")).Add(win.levelMisses[i])
+	reg.Counter(prefix + ".instructions").Add(win.Instructions)
+	reg.Counter(prefix + ".cycles").Add(win.Cycles)
+	reg.Counter(prefix + ".loads").Add(win.Loads)
+	reg.Counter(prefix + ".stores").Add(win.Stores)
+	reg.Counter(prefix + ".dram_accesses").Add(win.MemoryAccesses)
+	for i := range win.LevelHits {
+		reg.Counter(levelMetricName(prefix, i, "hits")).Add(win.LevelHits[i])
+		reg.Counter(levelMetricName(prefix, i, "misses")).Add(win.LevelMisses[i])
 	}
 	for i, ev := range events {
 		reg.Counter(levelMetricName(prefix, i, "evictions")).Add(ev.evictions)

@@ -160,13 +160,49 @@ func TestCompareSamplersSimulatesWalk3Once(t *testing.T) {
 	}
 }
 
+// parityHierarchy is a named memory system for the parity tests.
+type parityHierarchy struct {
+	name string
+	h    cmpsim.HierarchyConfig
+}
+
+// parityHierarchies are the memory systems TestMemoMetricParity runs
+// under: Table 1 and five variants that change replacement, prefetching,
+// capacity and depth, so walk 3's answer is pinned for any hierarchy a
+// caller may pass, not only the paper's.
+func parityHierarchies() []parityHierarchy {
+	vary := func(name string, edit func(*cmpsim.HierarchyConfig)) parityHierarchy {
+		h := cmpsim.DefaultHierarchyConfig()
+		edit(&h)
+		return parityHierarchy{name, h}
+	}
+	return []parityHierarchy{
+		{"table1", cmpsim.DefaultHierarchyConfig()},
+		vary("random-l2", func(h *cmpsim.HierarchyConfig) { h.Levels[1].Replacement = cmpsim.Random }),
+		vary("fifo-l1", func(h *cmpsim.HierarchyConfig) { h.Levels[0].Replacement = cmpsim.FIFO }),
+		vary("prefetch-l2", func(h *cmpsim.HierarchyConfig) { h.Levels[1].NextLinePrefetch = true }),
+		vary("256k-l2", func(h *cmpsim.HierarchyConfig) { h.Levels[1].CapacityBytes = 256 << 10 }),
+		vary("no-l3", func(h *cmpsim.HierarchyConfig) { h.Levels = h.Levels[:2] }),
+	}
+}
+
 // TestMemoMetricParity pins walk 3's answer against the executed gated
-// walk, per binary and per walk: the point CPIs (bit for bit), point
-// intervals, simulated instructions and every sim.* counter must equal
-// what running the gated walk under functional warming produces.
+// walk, per hierarchy, binary and walk: the point CPIs (bit for bit),
+// point intervals, simulated instructions and every sim.* counter must
+// equal what running the gated walk under functional warming produces.
 func TestMemoMetricParity(t *testing.T) {
+	for _, ph := range parityHierarchies() {
+		t.Run(ph.name, func(t *testing.T) {
+			cfg := testConfig("gzip")
+			cfg.Hierarchy = ph.h
+			memoMetricParity(t, cfg)
+		})
+	}
+}
+
+func memoMetricParity(t *testing.T, cfg Config) {
 	ctx := context.Background()
-	p, cfg := prepareFor(t, ctx, "gzip", testConfig("gzip"))
+	p, cfg := prepareFor(t, ctx, "gzip", cfg)
 	smp, err := sampler.New(cfg.Sampler)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +362,7 @@ func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 // a real error, not NaN weights.
 func TestRecalcWeightsZeroTotal(t *testing.T) {
 	pick := &simpoint.Result{K: 2, PhaseOf: []int{0, 1, 0}}
-	d := &intervalDeltas{instr: []uint64{0, 0, 0}}
+	d := &IntervalDeltas{instr: []uint64{0, 0, 0}}
 	if _, err := recalcWeights(pick, d, 0); err == nil {
 		t.Fatal("zero-total recalcWeights returned no error")
 	} else if !strings.Contains(err.Error(), "no instructions") {

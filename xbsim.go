@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"xbsim/internal/bbv"
 	"xbsim/internal/cmpsim"
@@ -123,11 +124,6 @@ const (
 // Compilation targets, in the paper's order: 32u, 32o, 64u, 64o.
 var AllTargets = compiler.AllTargets
 
-// Compile lowers a (validated) program for one target.
-func Compile(p *Program, t Target) (*Binary, error) {
-	return compiler.Compile(p, t)
-}
-
 // CompileAll lowers a program for all four paper targets.
 func CompileAll(p *Program) ([]*Binary, error) {
 	return compiler.CompileAll(p)
@@ -142,14 +138,6 @@ func Benchmarks() []string { return program.Benchmarks() }
 // benchmark table. Specs drive the metamorphic self-check harness and
 // the fuzz targets.
 type Spec = program.Spec
-
-// RandomSpec draws the index-th spec from the seeded deterministic
-// distribution. The same (seed, index) always yields the same spec.
-func RandomSpec(seed uint64, index int) Spec { return program.RandomSpec(seed, index) }
-
-// SpecFromBytes decodes an arbitrary byte string into a valid canonical
-// spec; it is total, so fuzzers can feed it anything.
-func SpecFromBytes(data []byte) Spec { return program.SpecFromBytes(data) }
 
 // NewBenchmarkFromSpec generates the spec's synthetic program and
 // compiles all four targets, like NewBenchmark for randomized specs.
@@ -199,24 +187,6 @@ func (b *Benchmark) Binary(target string) *Binary {
 		}
 	}
 	return nil
-}
-
-// BBVDataset is an ordered collection of per-interval basic block
-// vectors, ready for clustering.
-type BBVDataset = bbv.Dataset
-
-// CollectIntervalBBVs profiles the binary into fixed-length-interval
-// basic block vectors, the raw material for custom analyses such as
-// alternative clusterings.
-func CollectIntervalBBVs(bin *Binary, in Input, intervalSize uint64) (*BBVDataset, error) {
-	fc, err := profile.NewFLICollector(bin, intervalSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := exec.Run(bin, in, fc); err != nil {
-		return nil, err
-	}
-	return fc.Finish().Dataset, nil
 }
 
 // CollectProfile runs the binary once and returns its call-and-branch
@@ -301,14 +271,16 @@ func (c PointsConfig) withDefaults() PointsConfig {
 	return c
 }
 
-func (c PointsConfig) samplerConfig(seed string) sampler.Config {
-	return sampler.Config{
-		MaxK: c.MaxK, Dim: c.Dim, BICThreshold: c.BICThreshold, Seed: seed,
-		EarlyTolerance: c.EarlyTolerance,
-		Pool:           pool.New(c.Workers),
-		Budget:         c.SamplerBudget,
-		Strata:         c.SamplerStrata,
+// pick runs the configured sampler on ds with the suite's sampler
+// settings and seed stream (experiment.Config.SamplerConfig).
+func (c PointsConfig) pick(ctx context.Context, ds *bbv.Dataset, flavor, name string) (*simpoint.Result, error) {
+	smp, err := sampler.New(c.Sampler)
+	if err != nil {
+		return nil, err
 	}
+	sc := experiment.Config{MaxK: c.MaxK, Dim: c.Dim, BICThreshold: c.BICThreshold, Seed: c.Seed,
+		EarlyTolerance: c.EarlyTolerance, SamplerBudget: c.SamplerBudget, SamplerStrata: c.SamplerStrata}
+	return smp.Pick(ctx, ds, sc.SamplerConfig(pool.New(c.Workers), flavor, name))
 }
 
 // PointSet is a chosen set of simulation regions for one binary, ready to
@@ -390,11 +362,7 @@ func PerBinaryPointsCtx(ctx context.Context, bin *Binary, in Input, cfg PointsCo
 	}
 	pspan.End()
 	res := fc.Finish()
-	smp, err := sampler.New(cfg.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	pick, err := smp.Pick(ctx, res.Dataset, cfg.samplerConfig(cfg.Seed+"/fli/"+bin.Name))
+	pick, err := cfg.pick(ctx, res.Dataset, "fli", bin.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -464,11 +432,7 @@ func CrossBinaryPointsCtx(ctx context.Context, bins []*Binary, in Input, cfg Poi
 	}
 	vspan.End()
 	res := vc.Finish()
-	smp, err := sampler.New(cfg.Sampler)
-	if err != nil {
-		return nil, err
-	}
-	pick, err := smp.Pick(ctx, res.Dataset, cfg.samplerConfig(cfg.Seed+"/vli/"+bins[primary].Program.Name))
+	pick, err := cfg.pick(ctx, res.Dataset, "vli", bins[primary].Program.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +544,7 @@ func SimulateFull(bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, er
 // as a "stage.full_sim" span and the simulator's statistics are published
 // under the "sim" metric prefix.
 func SimulateFullCtx(ctx context.Context, bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, error) {
-	sim, err := newSim(bin, hierarchy)
+	sim, err := cmpsim.NewSimulator(bin, orTable1(hierarchy))
 	if err != nil {
 		return nil, err
 	}
@@ -597,12 +561,11 @@ func SimulateFullCtx(ctx context.Context, bin *Binary, in Input, hierarchy *Hier
 	return sim.Stats(), nil
 }
 
-func newSim(bin *Binary, hierarchy *HierarchyConfig) (*cmpsim.Simulator, error) {
-	cfg := cmpsim.DefaultHierarchyConfig()
+func orTable1(hierarchy *HierarchyConfig) HierarchyConfig {
 	if hierarchy != nil {
-		cfg = *hierarchy
+		return *hierarchy
 	}
-	return cmpsim.NewSimulator(bin, cfg)
+	return Table1()
 }
 
 // SampledEstimate is a whole-program estimate computed as the weighted
@@ -617,9 +580,9 @@ type SampledEstimate struct {
 	DRAMPerKI float64
 }
 
-// EstimateCPI simulates only the point set's regions (fast-forwarding
-// with functional cache warming between them, as CMP$im does) and returns
-// the weighted whole-program CPI estimate. hierarchy == nil uses Table 1.
+// EstimateCPI measures the point set's regions and returns the weighted
+// whole-program CPI estimate. hierarchy == nil uses Table 1. See
+// EstimateStats for how the regions are measured.
 func EstimateCPI(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (float64, error) {
 	est, err := EstimateStats(bin, in, ps, hierarchy)
 	if err != nil {
@@ -628,139 +591,54 @@ func EstimateCPI(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig
 	return est.CPI, nil
 }
 
-// EstimateCPICtx is EstimateCPI with observability (see EstimateStatsCtx).
-func EstimateCPICtx(ctx context.Context, bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (float64, error) {
-	est, err := EstimateStatsCtx(ctx, bin, in, ps, hierarchy)
-	if err != nil {
-		return 0, err
-	}
-	return est.CPI, nil
-}
-
 // EstimateStats is EstimateCPI generalized to the other whole-program
 // metrics SimPoint users extrapolate: L1 miss rate and DRAM traffic.
+//
+// The regions are measured the way the experiment suite measures them:
+// one full walk attributes every interval's statistics, and each
+// simulation point reads its interval's. Under functional warming (which
+// CMP$im applies while fast-forwarding, and the simulator always does)
+// that equals simulating only the regions, bit for bit, and costs the
+// same, since a gated walk performs every cache access anyway. The CPI is
+// the suite's weighting (experiment.WeightedCPI).
 func EstimateStats(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (*SampledEstimate, error) {
-	return EstimateStatsCtx(context.Background(), bin, in, ps, hierarchy)
-}
-
-// EstimateStatsCtx is EstimateStats with observability: the region-gated
-// walk is recorded as a "stage.gated_sim" span and the simulator's
-// statistics are published under the "sim.gated" metric prefix.
-func EstimateStatsCtx(ctx context.Context, bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (*SampledEstimate, error) {
 	if ps.Binary != bin {
 		return nil, fmt.Errorf("xbsim: point set belongs to %s, not %s", ps.Binary.Name, bin.Name)
 	}
-	sim, err := newSim(bin, hierarchy)
+	set := experiment.Boundaries{FLI: ps.fliEnds}
+	if ps.Flavor == pinpoints.FlavorVLI {
+		set = experiment.Boundaries{VLI: ps.vliEnds}
+	}
+	walk, err := experiment.SimulateIntervals(context.Background(), bin, in, orTable1(hierarchy), nil, set)
 	if err != nil {
 		return nil, err
-	}
-	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim")
-	gspan.Annotate(bin.Name)
-	perInterval, err := simulateRegions(gctx, bin, in, sim, ps)
-	gspan.End()
-	if err != nil {
-		return nil, err
-	}
-	if o := obs.From(ctx); o != nil {
-		sim.PublishMetrics(o.Metrics, "sim.gated")
 	}
 	var est SampledEstimate
 	var wsum float64
+	pointCPI := make([]float64, len(ps.PointInterval))
 	for p, iv := range ps.PointInterval {
-		if iv < 0 || ps.Weights[p] <= 0 {
+		pointCPI[p] = math.NaN()
+		w := ps.Weights[p]
+		if iv < 0 || w <= 0 {
 			continue
 		}
-		st, ok := perInterval[iv]
-		if !ok || st.instr == 0 {
+		st, ok := walk.Deltas[0].Interval(iv)
+		if !ok || st.Instructions == 0 {
 			return nil, fmt.Errorf("xbsim: simulation point interval %d executed nothing", iv)
 		}
-		w := ps.Weights[p]
-		est.CPI += w * float64(st.cycles) / float64(st.instr)
-		if st.accesses > 0 {
-			est.L1MissRate += w * float64(st.l1Misses) / float64(st.accesses)
+		pointCPI[p] = float64(st.Cycles) / float64(st.Instructions)
+		if accesses := st.Loads + st.Stores; accesses > 0 {
+			est.L1MissRate += w * float64(st.LevelMisses[0]) / float64(accesses)
 		}
-		est.DRAMPerKI += w * float64(st.dram) / float64(st.instr) * 1000
+		est.DRAMPerKI += w * float64(st.MemoryAccesses) / float64(st.Instructions) * 1000
 		wsum += w
 	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("xbsim: no usable simulation points")
+	if est.CPI, err = experiment.WeightedCPI(ps.Weights, pointCPI); err != nil {
+		return nil, fmt.Errorf("xbsim: %w", err)
 	}
-	est.CPI /= wsum
 	est.L1MissRate /= wsum
 	est.DRAMPerKI /= wsum
 	return &est, nil
-}
-
-type regionStat struct {
-	instr, cycles      uint64
-	accesses, l1Misses uint64
-	dram               uint64
-}
-
-// regionGate gates the simulator to the chosen intervals and records
-// per-interval deltas.
-type regionGate struct {
-	sim     *cmpsim.Simulator
-	chosen  map[int]bool
-	cur     int
-	last    regionStat
-	regions map[int]regionStat
-}
-
-// Transition implements profile.IntervalSink.
-func (g *regionGate) Transition(i int) {
-	if i == g.cur {
-		return
-	}
-	g.flush()
-	g.cur = i
-	g.sim.SetEnabled(g.chosen[i])
-}
-
-func (g *regionGate) flush() {
-	st := g.sim.Stats()
-	now := regionStat{
-		instr:    st.Instructions,
-		cycles:   st.Cycles,
-		accesses: st.Loads + st.Stores,
-		l1Misses: st.LevelMisses[0],
-		dram:     st.MemoryAccesses,
-	}
-	if g.chosen[g.cur] {
-		r := g.regions[g.cur]
-		r.instr += now.instr - g.last.instr
-		r.cycles += now.cycles - g.last.cycles
-		r.accesses += now.accesses - g.last.accesses
-		r.l1Misses += now.l1Misses - g.last.l1Misses
-		r.dram += now.dram - g.last.dram
-		g.regions[g.cur] = r
-	}
-	g.last = now
-}
-
-func simulateRegions(ctx context.Context, bin *Binary, in Input, sim *cmpsim.Simulator, ps *PointSet) (map[int]regionStat, error) {
-	chosen := map[int]bool{}
-	for _, iv := range ps.PointInterval {
-		if iv >= 0 {
-			chosen[iv] = true
-		}
-	}
-	gate := &regionGate{sim: sim, chosen: chosen, regions: map[int]regionStat{}}
-	sim.SetEnabled(chosen[0])
-	var tracker exec.Visitor
-	switch ps.Flavor {
-	case pinpoints.FlavorFLI:
-		tracker = profile.NewFLITracker(bin, ps.fliEnds, gate)
-	case pinpoints.FlavorVLI:
-		tracker = profile.NewVLITracker(bin, ps.vliEnds, gate)
-	default:
-		return nil, fmt.Errorf("xbsim: unknown flavor %q", ps.Flavor)
-	}
-	if err := exec.RunCtx(ctx, bin, in, exec.Multi{sim, tracker}); err != nil {
-		return nil, err
-	}
-	gate.flush()
-	return gate.regions, nil
 }
 
 // RegionFile serializes the point set in PinPoints style for hand-off to
@@ -798,30 +676,6 @@ func (ps *PointSet) RegionFile(in Input) (*RegionFile, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// CoreConfig models the simulated in-order core.
-type CoreConfig = cmpsim.CoreConfig
-
-// DefaultCore returns the paper's core configuration (single-issue,
-// 2-cycle FP, buffered stores).
-func DefaultCore() CoreConfig { return cmpsim.DefaultCoreConfig() }
-
-// SimulateFullWithCore is SimulateFull with an explicit core model, for
-// design-space studies that vary the core. hierarchy == nil uses Table 1.
-func SimulateFullWithCore(bin *Binary, in Input, hierarchy *HierarchyConfig, core CoreConfig) (*Stats, error) {
-	cfg := cmpsim.DefaultHierarchyConfig()
-	if hierarchy != nil {
-		cfg = *hierarchy
-	}
-	sim, err := cmpsim.NewSimulatorWithCore(bin, cfg, core)
-	if err != nil {
-		return nil, err
-	}
-	if err := exec.Run(bin, in, sim); err != nil {
-		return nil, err
-	}
-	return sim.Stats(), nil
 }
 
 // QuickExperimentConfig returns the reduced five-benchmark evaluation

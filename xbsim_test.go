@@ -238,24 +238,6 @@ func TestQuickAndFullConfigs(t *testing.T) {
 	}
 }
 
-func TestSimulateFullWithCore(t *testing.T) {
-	b := testBenchmark(t, "crafty")
-	bin := b.Binary("32o")
-	core := DefaultCore()
-	base, err := SimulateFullWithCore(bin, testInput, nil, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.IssueWidth = 4
-	wide, err := SimulateFullWithCore(bin, testInput, nil, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.CPI() >= base.CPI() {
-		t.Fatalf("4-wide CPI %.3f not below 1-wide %.3f", wide.CPI(), base.CPI())
-	}
-}
-
 func TestPointsConfigEarlyTolerance(t *testing.T) {
 	b := testBenchmark(t, "swim")
 	bin := b.Binary("32u")
