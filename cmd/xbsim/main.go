@@ -82,9 +82,6 @@ func main() {
 		if *verbose {
 			o.Progress = obs.NewProgress(os.Stderr)
 		}
-		if *telemetryAddr != "" || *eventsOut != "" {
-			o.Events = obs.NewRecorder(obs.DefaultRecorderCapacity)
-		}
 		ctx = obs.With(ctx, o)
 	}
 
@@ -135,7 +132,7 @@ func startSinks(ctx context.Context, o *obs.Observer, traceOut, telemetryAddr, p
 			return nil, err
 		}
 		s.traceFile = f
-		s.flushTrace = o.Tracer.AutoFlush(ctx, f)
+		s.flushTrace = o.Events.AutoFlush(ctx, f)
 	}
 	if telemetryAddr != "" {
 		srv, err := telemetry.Start(telemetryAddr, o)
@@ -205,7 +202,7 @@ func finishObservability(o *obs.Observer, verbose bool, metricsOut string) error
 		return nil
 	}
 	if verbose {
-		if err := o.Tracer.WriteTree(os.Stderr); err != nil {
+		if err := o.Events.WriteTree(os.Stderr); err != nil {
 			return err
 		}
 	}

@@ -91,7 +91,7 @@ func TestCmdSimulateObservability(t *testing.T) {
 	if snap.Counters["exec.runs"] == 0 {
 		t.Error("exec.runs not recorded")
 	}
-	names := o.Tracer.StageNames()
+	names := o.Events.StageNames()
 	for _, want := range []string{"stage.full_sim", "exec.run"} {
 		found := false
 		for _, n := range names {

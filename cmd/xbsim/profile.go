@@ -178,9 +178,15 @@ func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
 			float64(attributed)/float64(stageNS)*100)
 	}
 
-	r := snap.Redundancy
+	// Walk-3 accounting: gate points answered from walk 3's deltas (hits)
+	// or executed (misses).
+	hits, misses := ms.Counters["pipeline.memo.hits"], ms.Counters["pipeline.memo.misses"]
+	rate := 0.0
+	if hits+misses > 0 {
+		rate = float64(hits) / float64(hits+misses)
+	}
 	fmt.Fprintf(w, "memo: %d hits, %d misses (%.0f%% hit rate), %d instructions not re-simulated\n",
-		r.MemoHits, r.MemoMisses, r.MemoHitRate()*100, r.MemoSavedInstructions)
+		hits, misses, rate*100, ms.Counters["pipeline.memo.instructions_saved"])
 	return nil
 }
 

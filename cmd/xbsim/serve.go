@@ -42,10 +42,7 @@ func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	o := obs.From(ctx)
 	if o == nil {
 		o = obs.New()
-		o.Events = obs.NewRecorder(obs.DefaultRecorderCapacity)
 		ctx = obs.With(ctx, o)
-	} else if o.Events == nil {
-		o.Events = obs.NewRecorder(obs.DefaultRecorderCapacity)
 	}
 	s, err := serve.Start(ctx, serve.Options{
 		Addr:        *addr,

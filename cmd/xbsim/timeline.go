@@ -3,21 +3,21 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 
 	"xbsim/internal/jobqueue"
 	"xbsim/internal/obs"
 )
 
-// cmdTrace implements `xbsim trace <job-id|trace-id>`: reconstruct one
-// served job's end-to-end timeline, either live from a running service
-// (-url, the normal path — includes this process's stage spans) or
-// offline from a spool directory (-spool — journal events only, for
-// post-mortem inspection of a stopped service).
+// cmdTrace implements `xbsim trace <job-id|trace-id>`: build one served
+// job's end-to-end timeline, either live from a running service (-url)
+// or offline from a spool directory (-spool, for post-mortem inspection
+// of a stopped or crashed service). Both read the job's journal, spans
+// included.
 func cmdTrace(_ context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("trace")
 	url := fs.String("url", "", "base URL of a running xbsim serve (e.g. http://127.0.0.1:8080)")
@@ -64,48 +64,24 @@ func timelineFromURL(key, url string, jsonOut bool, w io.Writer) error {
 	return tl.WriteTable(w)
 }
 
-// timelineFromSpool reconstructs the timeline from a spool directory
-// without a running service: the job is resolved from the journaled
-// state files (by job ID, canonical trace, or coalesced trace), and its
-// durable event journal is merged and phase-annotated. No process is
-// attached, so there are no live stage spans.
+// timelineFromSpool builds the timeline from a spool directory without
+// a running service, through the same Spool.Timeline a live service
+// uses: the job is resolved from the journaled state files (by job ID,
+// canonical trace, or coalesced trace) and its journal is read once,
+// spans included.
 func timelineFromSpool(key, dir string, jsonOut bool, w io.Writer) error {
 	sp, err := jobqueue.OpenSpool(dir)
 	if err != nil {
 		return err
 	}
 	jobs, _ := sp.Load() // a corrupt record costs itself, not the lookup
-	var job *jobqueue.Job
-	for _, j := range jobs {
-		if j.ID == key || j.TraceID == key {
-			job = j
-			break
-		}
-		for _, tr := range j.CoalescedTraces {
-			if tr == key {
-				job = j
-				break
-			}
-		}
-		if job != nil {
-			break
-		}
-	}
-	if job == nil {
+	tl, err := sp.Timeline(key, jobs)
+	if errors.Is(err, jobqueue.ErrNotFound) {
 		return fmt.Errorf("timeline %s: no such job or trace in %s", key, dir)
 	}
-	evs, err := obs.ReadJournal(sp.JournalPath(job.ID))
-	if err != nil && !os.IsNotExist(err) {
+	if err != nil {
 		return err
 	}
-	tl := obs.BuildTimeline(obs.TimelineInput{
-		TraceID: job.TraceID,
-		JobID:   job.ID,
-		Tenant:  job.Tenant,
-		State:   string(job.State),
-		Links:   job.CoalescedTraces,
-		Events:  evs,
-	})
 	if jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")

@@ -171,8 +171,7 @@ func RunCtx(ctx context.Context, bin *compiler.Binary, in program.Input, v Visit
 	o := obs.From(ctx)
 	if o != nil {
 		var span *obs.Span
-		_, span = obs.StartSpan(ctx, "exec.run")
-		span.Annotate(bin.Name)
+		_, span = obs.StartSpan(ctx, "exec.run", bin.Name)
 		defer span.End()
 	}
 	if ctx.Done() != nil {

@@ -242,7 +242,6 @@ func TestFlightRecorderJournalsFaultsAndRetries(t *testing.T) {
 		faults.Rule{Stage: "mapping", Index: 0, Kind: faults.KindError},
 	)
 	o := obs.New()
-	o.Events = obs.NewRecorder(256)
 	ctx := obs.With(faults.With(context.Background(), inj), o)
 	if _, err := RunBenchmarkCtx(ctx, "gzip", retryConfig("gzip")); err != nil {
 		t.Fatal(err)

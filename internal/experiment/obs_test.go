@@ -48,7 +48,7 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 
 	// The span tree must cover every pipeline stage.
-	stages := o.Tracer.StageNames()
+	stages := o.Events.StageNames()
 	have := map[string]bool{}
 	for _, s := range stages {
 		have[s] = true
@@ -71,7 +71,7 @@ func TestPipelineMetrics(t *testing.T) {
 		}
 	}
 	// Every span must be ended after a clean run.
-	for _, v := range o.Tracer.Spans() {
+	for _, v := range o.Events.Spans() {
 		if !v.Ended {
 			t.Errorf("span %d (%s) left open", v.ID, v.Name)
 		}

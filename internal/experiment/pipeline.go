@@ -181,8 +181,7 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 			cfgs[v].workerPool, cfgs[v].simPool = wp, sp
 		}
 	}
-	ctx, bspan := obs.StartSpan(ctx, "benchmark")
-	bspan.Annotate(name)
+	ctx, bspan := obs.StartSpan(ctx, "benchmark", name)
 	defer bspan.End()
 
 	results := make([]*BenchmarkResult, len(cfgs))
@@ -237,9 +236,8 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 	o := obs.From(ctx)
 	p := &prepared{name: name, primary: cfg.Primary}
 	err := runStage(ctx, cfg, name, "compile", func(sctx context.Context) error {
-		o.Report(obs.Event{Benchmark: name, Stage: "compile"})
-		_, cspan := obs.StartSpan(sctx, "stage.compile")
-		cspan.Annotate(name)
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "compile"})
+		_, cspan := obs.StartSpan(sctx, "stage.compile", name)
 		defer cspan.End()
 		var err error
 		if p.prog, err = gen(); err != nil {
@@ -262,14 +260,14 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
 		profiles = make([]*profile.Profile, len(bins))
 		p.fli = make([]*profile.FLIResult, len(bins))
-		pctx, pspan := obs.StartSpan(sctx, "stage.profile")
+		pctx, pspan := obs.StartSpan(sctx, "stage.profile", "")
 		defer pspan.End()
 		return cfg.workerPool.Run(len(bins), func(bi int) error {
 			if err := faults.Hit(pctx, "profile.task"); err != nil {
 				return err
 			}
 			bin := bins[bi]
-			o.Report(obs.Event{Benchmark: name, Binary: bin.Name, Stage: "profile"})
+			o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Binary: bin.Name, Stage: "profile"})
 			mc := exec.NewMarkerCounter(bin)
 			fc, err := profile.NewFLICollector(bin, cfg.IntervalSize)
 			if err != nil {
@@ -290,7 +288,7 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 
 	// Mappable points across all binaries.
 	err = runStage(ctx, cfg, name, "mapping", func(sctx context.Context) error {
-		o.Report(obs.Event{Benchmark: name, Stage: "mapping"})
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "mapping"})
 		var err error
 		p.mapped, err = mapping.FindCtx(sctx, profiles, cfg.Mapping)
 		return err
@@ -302,9 +300,8 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 	// Walk 2 (primary only): VLI BBV collection at mappable markers.
 	primary := cfg.Primary
 	err = runStage(ctx, cfg, name, "vli", func(sctx context.Context) error {
-		o.Report(obs.Event{Benchmark: name, Stage: "vli slicing"})
-		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing")
-		vspan.Annotate(bins[primary].Name)
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "vli slicing"})
+		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing", bins[primary].Name)
 		defer vspan.End()
 		vc, err := profile.NewVLICollector(bins[primary], cfg.IntervalSize, p.mapped.MarkersFor(primary))
 		if err != nil {
@@ -357,9 +354,8 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total ui
 		return w3, fmt.Errorf("translating VLI boundaries: %w", err)
 	}
 
-	o.Report(obs.Event{Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
-	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim")
-	fspan.Annotate(bin.Name)
+	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
+	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim", bin.Name)
 	defer fspan.End()
 	fws := o.Attribution().StartWalk(bin.Program.Name, bin.Name, "full")
 	defer fws.Abort() // close the sample on every error path; Done wins
@@ -392,7 +388,7 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 	var fliPicks []*simpoint.Result
 	var vliPick *simpoint.Result
 	err = runStage(ctx, cfg, p.name, "clustering", func(sctx context.Context) error {
-		o.Report(obs.Event{Benchmark: p.name, Stage: "clustering"})
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: p.name, Stage: "clustering"})
 		var err error
 		fliPicks, vliPick, err = selectPoints(sctx, cfg, smp, p)
 		return err
@@ -489,13 +485,12 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 	}
 
 	// Walk 4: FLI region simulation (this binary's own points).
-	o.Report(obs.Event{Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
+	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
 	fliPointCPI, fliPointIv, fliSimInstr, err := measurePoints(ctx, cfg, p, bi, fliPick, "fli", cfg.DisableWarming)
 	if err != nil {
 		return nil, err
 	}
-	_, wspan := obs.StartSpan(ctx, "stage.weighting")
-	wspan.Annotate(bin.Name)
+	_, wspan := obs.StartSpan(ctx, "stage.weighting", bin.Name)
 	run.FLI, err = buildMethodStats(fliPick, w3.fli, fliPointCPI, fliPointIv,
 		len(p.fli[bi].Ends), run, nil, fliSimInstr)
 	wspan.End()
@@ -511,8 +506,7 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 	}
 	// VLI weights are recalculated from THIS binary's per-phase
 	// instruction counts (§3.2.6).
-	_, wspan = obs.StartSpan(ctx, "stage.weighting")
-	wspan.Annotate(bin.Name)
+	_, wspan = obs.StartSpan(ctx, "stage.weighting", bin.Name)
 	vliWeights, err := recalcWeights(vliPick, w3.vli, run.TotalInstructions)
 	if err != nil {
 		wspan.End()
@@ -574,8 +568,7 @@ func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *s
 	walk string, execute bool) (cpi []float64, intervals []int, simInstr uint64, err error) {
 
 	bin := p.bins[bi]
-	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim")
-	gspan.Annotate(bin.Name)
+	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
 	defer gspan.End()
 
 	o := obs.From(ctx)
@@ -639,7 +632,6 @@ func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoin
 	o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
 	o.Counter("pipeline.memo.instructions_saved").Add(win.Instructions)
 	o.Counter("pipeline.memo.bytes_saved").Add(cfg.Hierarchy.StateBytes())
-	o.Attribution().RecordMemo(uint64(len(pick.Points)), 0, win.Instructions)
 	return regions, nil
 }
 
@@ -681,7 +673,6 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 		sim.PublishMetrics(o.Metrics, "sim."+walk)
 	}
 	o.Counter("pipeline.memo.misses").Add(uint64(len(pick.Points)))
-	o.Attribution().RecordMemo(0, uint64(len(pick.Points)), 0)
 	regions := make([]regionStat, len(pick.Points))
 	for i, pt := range pick.Points {
 		regions[i] = gate.regions[pt.Interval]
@@ -1002,14 +993,14 @@ func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, 
 						// Corrupt or stale checkpoint: recompute from scratch.
 						o.Counter("pipeline.checkpoints_invalid").Inc()
 						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "invalid: " + err.Error()})
-						o.Report(obs.Event{Benchmark: name, Stage: "checkpoint invalid, recomputing"})
+						o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "checkpoint invalid, recomputing"})
 					}
 				}
 				missing = append(missing, cfg)
 				slots = append(slots, v)
 			}
 			if len(missing) == 0 {
-				o.Report(obs.Event{Benchmark: name, Stage: "resumed from checkpoint",
+				o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "resumed from checkpoint",
 					Done: int(done.Add(1)), Total: len(items)})
 				return
 			}
@@ -1028,7 +1019,7 @@ func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, 
 						// A checkpoint write failure costs resumability, not
 						// correctness: report it and keep the result.
 						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "write failed: " + err.Error()})
-						o.Report(obs.Event{Benchmark: name, Stage: "checkpoint write failed: " + err.Error()})
+						o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "checkpoint write failed: " + err.Error()})
 					} else {
 						o.Emit(obs.PipelineEvent{Kind: "checkpoint", Benchmark: name, Detail: "saved"})
 					}
@@ -1038,7 +1029,7 @@ func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, 
 			if failed {
 				stage = "failed"
 			}
-			o.Report(obs.Event{Benchmark: name, Stage: stage,
+			o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: stage,
 				Done: int(done.Add(1)), Total: len(items)})
 		}(i, it)
 	}

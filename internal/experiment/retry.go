@@ -130,7 +130,7 @@ func runStage(ctx context.Context, cfg Config, bench, stage string, fn func(ctx 
 		o.Counter("pipeline.retries").Inc()
 		o.Counter("pipeline.retries." + stage).Inc()
 		o.Emit(obs.PipelineEvent{Kind: "stage.retry", Benchmark: bench, Stage: stage, Detail: err.Error(), Trace: trace})
-		o.Report(obs.Event{Benchmark: bench, Stage: stage + " retry"})
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bench, Stage: stage + " retry"})
 		if rng == nil {
 			rng = xrand.New(cfg.Seed + "/backoff/" + bench + "/" + stage)
 		}

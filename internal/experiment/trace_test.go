@@ -23,7 +23,6 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		}
 
 		o := obs.New()
-		o.Events = obs.NewRecorder(obs.DefaultRecorderCapacity)
 		o.Events.SetTrace("t-determinism")
 		ctx := obs.WithTraceID(obs.With(context.Background(), o), "t-determinism")
 		traced, err := RunCtx(ctx, cfg)

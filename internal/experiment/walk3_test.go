@@ -264,14 +264,6 @@ func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 		wantPoints += uint64(run.FLI.NumPoints + run.VLI.NumPoints)
 	}
 
-	r := o.Attrib.Snapshot().Redundancy
-	if r.MemoHits != wantPoints || r.MemoMisses != 0 || r.MemoHitRate() != 1 {
-		t.Errorf("walk-3 accounting = %+v, want %d hits, 0 misses", r, wantPoints)
-	}
-	if r.MemoSavedInstructions == 0 {
-		t.Error("walk 3 answered no instructions")
-	}
-
 	snap := o.Metrics.Snapshot()
 	if got := snap.Counters["pipeline.memo.hits"]; got != wantPoints {
 		t.Errorf("pipeline.memo.hits = %d, want %d", got, wantPoints)
@@ -310,9 +302,6 @@ func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
 	snap := o.Metrics.Snapshot()
 	if h, m := snap.Counters["pipeline.memo.hits"], snap.Counters["pipeline.memo.misses"]; h != 0 || m != wantPoints {
 		t.Errorf("warming off: %d hits, %d misses, want 0/%d", h, m, wantPoints)
-	}
-	if r := o.Attrib.Snapshot().Redundancy; r.MemoMisses != wantPoints {
-		t.Errorf("attributed misses = %d, want %d", r.MemoMisses, wantPoints)
 	}
 }
 

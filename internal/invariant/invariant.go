@@ -241,17 +241,16 @@ func (r *Report) Tallies() []Tally {
 // events.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	ctx, span := obs.StartSpan(ctx, "stage.selfcheck")
+	ctx, span := obs.StartSpan(ctx, "stage.selfcheck", fmt.Sprintf("%d programs, seed %d", cfg.Programs, cfg.Seed))
 	defer span.End()
-	span.Annotate(fmt.Sprintf("%d programs, seed %d", cfg.Programs, cfg.Seed))
 
 	o := obs.From(ctx)
 	var done atomic.Int64
 	results, err := pool.Map(pool.New(cfg.Workers), cfg.Programs, func(i int) (ProgramResult, error) {
 		pr := CheckProgram(ctx, program.RandomSpec(cfg.Seed, i), cfg)
 		pr.Index = i
-		o.Report(obs.Event{
-			Benchmark: pr.Name, Stage: "self-check",
+		o.Emit(obs.PipelineEvent{
+			Kind: "progress", Benchmark: pr.Name, Stage: "self-check",
 			Done: int(done.Add(1)), Total: cfg.Programs,
 		})
 		return pr, nil
@@ -305,9 +304,8 @@ func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input,
 	cfg = cfg.withDefaults()
 	pr := ProgramResult{Name: bench.Program.Name}
 
-	_, span := obs.StartSpan(ctx, "selfcheck.program")
+	_, span := obs.StartSpan(ctx, "selfcheck.program", pr.Name)
 	defer span.End()
-	span.Annotate(pr.Name)
 
 	pcfg := xbsim.PointsConfig{
 		IntervalSize: cfg.IntervalSize,

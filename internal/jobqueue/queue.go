@@ -44,12 +44,6 @@ type Options struct {
 	// pipeline (default GOMAXPROCS). One pool for the whole queue keeps
 	// the process's compute bounded no matter how many suites run.
 	Workers int
-	// EventsCapacity bounds each job's flight recorder (default
-	// obs.DefaultRecorderCapacity).
-	EventsCapacity int
-	// JournalMaxBytes caps each job's durable event journal before
-	// rotation (default obs.DefaultJournalMaxBytes).
-	JournalMaxBytes int64
 	// Observer receives queue- and pipeline-level metrics (shared
 	// registry across all jobs); may be nil.
 	Observer *obs.Observer
@@ -58,8 +52,7 @@ type Options struct {
 // tracked is one job plus its in-process scheduling state.
 type tracked struct {
 	job      *Job
-	events   *obs.Recorder      // per-job flight recorder, journaled to the spool
-	tracer   *obs.Tracer        // per-job stage spans (this process's runs)
+	events   *obs.Recorder      // per-job event log, journaled to the spool
 	enqueued time.Time          // when the job last entered pending (queue-wait)
 	cancel   context.CancelFunc // non-nil while running
 }
@@ -184,16 +177,16 @@ func Open(ctx context.Context, opts Options) (*Queue, error) {
 // Spool exposes the queue's spool (read-only use: result paths, dirs).
 func (q *Queue) Spool() *Spool { return q.spool }
 
-// track wires a job's in-process state: a private flight recorder
-// stamped with the job's canonical trace and durably journaled to the
-// spool (appending across restarts, so a timeline spans crashes), and a
-// private tracer for this process's stage spans. A journal that fails
-// to open costs durability of the event view, never the job.
+// track wires a job's in-process state: a private event log stamped
+// with the job's canonical trace and durably journaled to the spool
+// (appending across restarts, so a timeline spans crashes). Its events
+// and spans are the job's whole record. A journal that fails to open
+// costs durability of the event view, never the job.
 func (q *Queue) track(j *Job) *tracked {
-	t := &tracked{job: j, events: obs.NewRecorder(q.opts.EventsCapacity), tracer: obs.NewTracer()}
+	t := &tracked{job: j, events: obs.NewRecorder(0)}
 	t.events.SetTrace(j.TraceID)
 	t.events.SetRotationCounter(q.o.Counter("serve.journal.rotations"))
-	if err := t.events.SetOutputPath(q.spool.JournalPath(j.ID), q.opts.JournalMaxBytes); err != nil {
+	if err := t.events.SetOutputPath(q.spool.JournalPath(j.ID), 0); err != nil {
 		q.emitQueue("journal open failed: " + err.Error())
 	}
 	q.jobs[j.ID] = t
@@ -448,15 +441,13 @@ func (q *Queue) runJob(t *tracked) {
 		Detail: fmt.Sprintf("started (attempt %d) after %dms queue wait", attempts, queueWait.Milliseconds())})
 
 	// Per-job observer: the metrics registry is shared queue-wide (the
-	// /metrics view aggregates all jobs), while the flight recorder and
-	// tracer are private so /jobs/{id}/events and the timeline carry
-	// only this job's pipeline. The job's canonical trace rides the
-	// context into the experiment layer.
-	var jo *obs.Observer
+	// /metrics view aggregates all jobs), while the event log is private
+	// so /jobs/{id}/events and the timeline carry only this job's
+	// pipeline and spans. The job's canonical trace rides the context
+	// into the experiment layer.
+	jo := &obs.Observer{Events: t.events}
 	if q.o != nil {
-		jo = &obs.Observer{Metrics: q.o.Metrics, Events: t.events, Tracer: t.tracer}
-	} else {
-		jo = &obs.Observer{Events: t.events, Tracer: t.tracer}
+		jo.Metrics = q.o.Metrics
 	}
 	jctx, cancel := context.WithCancel(obs.WithTraceID(obs.With(q.base, jo), j.TraceID))
 	defer cancel()
@@ -625,8 +616,8 @@ func (q *Queue) List() []*Job {
 	return out
 }
 
-// Events returns the job's flight recorder — the live, per-job event
-// stream /jobs/{id}/events serves — or ErrNotFound.
+// Events returns the job's event log — the live, per-job event stream
+// /jobs/{id}/events serves — or ErrNotFound.
 func (q *Queue) Events(id string) (*obs.Recorder, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -637,46 +628,22 @@ func (q *Queue) Events(id string) (*obs.Recorder, error) {
 	return t.events, nil
 }
 
-// Timeline reconstructs one job's end-to-end view: the durable journal
-// (merged rotated + live generations, so it spans crash recovery) plus
-// this process's stage spans, merged and phase-annotated by
-// obs.BuildTimeline. key is a job ID, the job's canonical trace ID, or
-// any coalesced submission's trace ID. ErrNotFound for unknown keys.
+// Timeline builds one job's end-to-end view from its durable journal
+// (rotated + live generations, so it spans crash recovery), through
+// Spool.Timeline. key is a job ID, the job's canonical trace ID, or any
+// coalesced submission's trace ID. ErrNotFound for unknown keys.
 func (q *Queue) Timeline(key string) (*obs.Timeline, error) {
 	q.mu.Lock()
-	t, ok := q.jobs[key]
-	if !ok {
-		if id, traced := q.traces[key]; traced {
-			t, ok = q.jobs[id]
-		}
+	id, traced := q.traces[key]
+	if !traced {
+		id = key
 	}
-	if !ok {
-		q.mu.Unlock()
-		return nil, ErrNotFound
+	var jobs []*Job
+	if t, ok := q.jobs[id]; ok {
+		jobs = []*Job{t.job.clone()}
 	}
-	job := t.job.clone()
 	q.mu.Unlock()
-
-	t.events.Flush()
-	evs, err := obs.ReadJournal(q.spool.JournalPath(job.ID))
-	if err != nil {
-		q.emitQueue("journal read failed: " + err.Error())
-	}
-	if len(evs) == 0 {
-		// Journal never opened (open failure at track time): the in-memory
-		// ring is the best remaining record.
-		evs = t.events.Events()
-	}
-	return obs.BuildTimeline(obs.TimelineInput{
-		TraceID:   job.TraceID,
-		JobID:     job.ID,
-		Tenant:    job.Tenant,
-		State:     string(job.State),
-		Links:     job.CoalescedTraces,
-		Events:    evs,
-		Spans:     t.tracer.Spans(),
-		SpanEpoch: t.tracer.Epoch(),
-	}), nil
+	return q.spool.Timeline(key, jobs)
 }
 
 // Result returns the job's stored result bytes — the exact

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"xbsim/internal/atomicfile"
 	"xbsim/internal/fingerprint"
+	"xbsim/internal/obs"
 )
 
 // Spool is the on-disk job journal: one subdirectory per lifecycle
@@ -26,7 +28,7 @@ import (
 //	<dir>/jobs/failed/<id>.json
 //	<dir>/results/<id>.json
 //	<dir>/ckpt/<id>/...
-//	<dir>/journal/<id>.jsonl        per-job flight-recorder journal
+//	<dir>/journal/<id>.jsonl        per-job event journal
 //	<dir>/journal/<id>.1.jsonl      its rotated predecessor, if any
 type Spool struct {
 	dir string
@@ -91,12 +93,38 @@ func (s *Spool) ResultPath(id string) string {
 	return filepath.Join(s.dir, "results", id+".json")
 }
 
-// JournalPath names the job's durable flight-recorder journal — the
-// JSONL event stream the per-job recorder appends to across process
-// lifetimes, and the timeline reconstructor reads back. Read it with
-// obs.ReadJournal, which merges the rotated generation.
+// JournalPath names the job's durable event journal — the JSONL event
+// stream the per-job recorder appends to across process lifetimes, and
+// Timeline reads back. Read it with obs.ReadJournal, which merges the
+// rotated generation.
 func (s *Spool) JournalPath(id string) string {
 	return filepath.Join(s.dir, "journal", id+".jsonl")
+}
+
+// Timeline resolves key among jobs — a job ID, the job's canonical
+// trace, or a coalesced submission's trace — and builds that job's
+// timeline from one read of its journal. A live queue and an offline
+// spool both build timelines here, so they agree. ErrNotFound when no
+// job matches.
+func (s *Spool) Timeline(key string, jobs []*Job) (*obs.Timeline, error) {
+	for _, j := range jobs {
+		if j.ID != key && j.TraceID != key && !slices.Contains(j.CoalescedTraces, key) {
+			continue
+		}
+		evs, err := obs.ReadJournal(s.JournalPath(j.ID))
+		if err != nil {
+			return nil, err
+		}
+		return obs.BuildTimeline(obs.TimelineInput{
+			TraceID: j.TraceID,
+			JobID:   j.ID,
+			Tenant:  j.Tenant,
+			State:   string(j.State),
+			Links:   j.CoalescedTraces,
+			Events:  evs,
+		}), nil
+	}
+	return nil, ErrNotFound
 }
 
 // jobFingerprint digests the job payload via its canonical JSON form.

@@ -13,8 +13,8 @@ import (
 // An explicit trace must ride admission → spool → recovery: after a
 // mid-run kill and a restart on the same spool, the recovered job keeps
 // the original trace, and one timeline holds the original admission,
-// the recovery transition, and the completed run's stage events — all
-// under that trace.
+// the killed run's spans, the recovery transition, and the completed
+// run's stage events and spans — all under that trace.
 func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	// Two benchmarks: the first's checkpoint signals mid-run, the second
@@ -71,7 +71,7 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	kinds := map[string]int{}
 	for _, e := range tl.Entries {
 		kinds[e.Kind]++
-		if e.Source == "event" && e.Trace != trace {
+		if e.Trace != trace {
 			t.Fatalf("journal entry %q carries trace %q, want %q", e.Kind, e.Trace, trace)
 		}
 	}
@@ -85,8 +85,22 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	if kinds["job.start"] < 2 {
 		t.Fatalf("timeline has %d job.start entries, want both lifetimes'", kinds["job.start"])
 	}
-	if kinds["span"] == 0 {
-		t.Fatal("timeline has no stage spans from the recovering process")
+	// Spans are journaled too: the killed process's spans (opened before
+	// Kill) and the recovering process's both appear, on either side of
+	// the recovery transition.
+	before, after, recovered := 0, 0, false
+	for _, e := range tl.Entries {
+		switch {
+		case e.Kind == "job.recover":
+			recovered = true
+		case e.Kind == "span" && recovered:
+			after++
+		case e.Kind == "span":
+			before++
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Fatalf("span rows: %d before the recovery, %d after; want both lifetimes' spans", before, after)
 	}
 	// Phases: the recovery opens a second queue-wait; the completed run
 	// closes a run phase.

@@ -103,12 +103,12 @@ func Find(profiles []*profile.Profile, opts Options) (*Result, error) {
 // (mapping.points, mapping.heuristic_matched, mapping.heuristic_ambiguous,
 // mapping.procs_unmatched).
 func FindCtx(ctx context.Context, profiles []*profile.Profile, opts Options) (*Result, error) {
-	_, span := obs.StartSpan(ctx, "stage.mapping")
-	defer span.End()
 	if len(profiles) < 2 {
 		return nil, fmt.Errorf("mapping: need at least 2 binaries, got %d", len(profiles))
 	}
 	name := profiles[0].Binary.Program.Name
+	_, span := obs.StartSpan(ctx, "stage.mapping", name)
+	defer span.End()
 	input := profiles[0].Input
 	for _, p := range profiles[1:] {
 		if p.Binary.Program.Name != name {
@@ -134,7 +134,6 @@ func FindCtx(ctx context.Context, profiles []*profile.Profile, opts Options) (*R
 	sortPoints(r)
 	r.buildIndex()
 	if o := obs.From(ctx); o != nil {
-		span.Annotate(profiles[0].Binary.Program.Name)
 		o.Counter("mapping.points").Add(uint64(len(r.Points)))
 		o.Counter("mapping.heuristic_matched").Add(uint64(r.Diag.HeuristicMatched))
 		o.Counter("mapping.heuristic_ambiguous").Add(uint64(r.Diag.HeuristicAmbiguous))

@@ -10,25 +10,18 @@ import (
 // Attribution is the evaluate-stage cost-attribution profiler: a
 // hierarchical accumulator that charges wall time, allocations, simulated
 // instructions, and simulated cycles to (benchmark, binary, walk, point)
-// nodes, plus the count of gate points answered from walk 3 instead of
-// executed.
+// nodes.
 //
 // Like the rest of this package, it costs nothing when off: a nil
 // *Attribution is a valid no-op sink — StartWalk returns nil without
-// reading the clock, and a nil *WalkSample's Done, AddPoint, and
-// RecordMemo return immediately without allocating (pinned by
+// reading the clock, and a nil *WalkSample's Done and AddPoint return
+// immediately without allocating (pinned by
 // TestAttributionDisabledZeroAlloc). Enabled, the recording granularity
 // is one sample per walk and one per simulation point, never per block,
 // so the overhead stays small relative to the simulation itself.
 type Attribution struct {
 	mu    sync.Mutex
 	nodes map[AttribKey]*AttribValue
-
-	// Walk-3 accounting: gate points answered from walk 3's deltas
-	// (hits) or executed (misses).
-	memoHits       uint64
-	memoMisses     uint64
-	memoSavedInstr uint64
 
 	// openWalks counts StartWalk samples not yet closed by Done or
 	// Abort. It should be zero whenever the pipeline is quiescent; a
@@ -182,20 +175,6 @@ func (a *Attribution) AddPoint(benchmark, binary, walk string, point int, instru
 		AttribValue{Instructions: instructions, Cycles: cycles, Evals: 1})
 }
 
-// RecordMemo feeds the walk-3 accounting: hits gate points were answered
-// from walk 3's per-interval deltas (instructionsSaved simulated
-// instructions not re-simulated), misses were executed.
-func (a *Attribution) RecordMemo(hits, misses, instructionsSaved uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.memoHits += hits
-	a.memoMisses += misses
-	a.memoSavedInstr += instructionsSaved
-	a.mu.Unlock()
-}
-
 // AttribNode is one exported node of the attribution tree.
 type AttribNode struct {
 	Benchmark string `json:"benchmark"`
@@ -207,33 +186,11 @@ type AttribNode struct {
 	Value AttribValue `json:"value"`
 }
 
-// RedundancySummary is the walk-3 accounting: of MemoHits+MemoMisses
-// gate points, MemoHits were answered from walk 3's deltas and MemoMisses
-// executed a gated walk; MemoSavedInstructions is the simulated
-// instruction volume the hits did not re-simulate.
-type RedundancySummary struct {
-	MemoHits              uint64 `json:"memo_hits"`
-	MemoMisses            uint64 `json:"memo_misses"`
-	MemoSavedInstructions uint64 `json:"memo_saved_instructions"`
-}
-
-// MemoHitRate returns the fraction of gate points answered from walk 3
-// (0 when no gated walk ran).
-func (r RedundancySummary) MemoHitRate() float64 {
-	total := r.MemoHits + r.MemoMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.MemoHits) / float64(total)
-}
-
 // AttribSnapshot is a point-in-time copy of the attribution state.
 type AttribSnapshot struct {
 	// Nodes holds every attribution node, sorted by (benchmark, binary,
 	// walk, point) so any rendering is deterministic.
 	Nodes []AttribNode `json:"nodes"`
-	// Redundancy is the walk-3 accounting.
-	Redundancy RedundancySummary `json:"redundancy"`
 }
 
 // Snapshot copies the current attribution state. A nil profiler yields
@@ -250,11 +207,6 @@ func (a *Attribution) Snapshot() AttribSnapshot {
 			Benchmark: k.Benchmark, Binary: k.Binary, Walk: k.Walk, Point: k.Point,
 			Value: *v,
 		})
-	}
-	snap.Redundancy = RedundancySummary{
-		MemoHits:              a.memoHits,
-		MemoMisses:            a.memoMisses,
-		MemoSavedInstructions: a.memoSavedInstr,
 	}
 	a.mu.Unlock()
 	sort.Slice(snap.Nodes, func(i, j int) bool {

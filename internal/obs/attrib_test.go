@@ -93,27 +93,6 @@ func TestAttributionSnapshotOrder(t *testing.T) {
 	}
 }
 
-// TestAttributionRedundancy pins the walk-3 accounting: hits and misses
-// add up across calls, and the hit rate is hits over all gate points.
-func TestAttributionRedundancy(t *testing.T) {
-	a := NewAttribution()
-	a.RecordMemo(6, 0, 100)
-	a.RecordMemo(0, 2, 0)
-	a.RecordMemo(2, 0, 20)
-
-	r := a.Snapshot().Redundancy
-	want := RedundancySummary{MemoHits: 8, MemoMisses: 2, MemoSavedInstructions: 120}
-	if r != want {
-		t.Fatalf("redundancy = %+v, want %+v", r, want)
-	}
-	if got := r.MemoHitRate(); got != 0.8 {
-		t.Errorf("MemoHitRate = %v, want 0.8", got)
-	}
-	if (RedundancySummary{}).MemoHitRate() != 0 {
-		t.Error("empty MemoHitRate != 0")
-	}
-}
-
 // TestAttributionNilSafe pins the package contract on the new type: a
 // nil *Attribution and a nil *WalkSample are valid no-op sinks.
 func TestAttributionNilSafe(t *testing.T) {
@@ -127,9 +106,8 @@ func TestAttributionNilSafe(t *testing.T) {
 	}
 	ws.Done(1, 2)
 	a.AddPoint("b", "x", "full", 0, 1, 2)
-	a.RecordMemo(1, 1, 1)
 	snap := a.Snapshot()
-	if len(snap.Nodes) != 0 || snap.Redundancy != (RedundancySummary{}) {
+	if len(snap.Nodes) != 0 {
 		t.Errorf("nil snapshot = %+v, want empty", snap)
 	}
 
@@ -144,14 +122,13 @@ func TestAttributionNilSafe(t *testing.T) {
 
 // TestAttributionDisabledZeroAlloc pins the zero-cost-when-off contract
 // the hot path relies on: the full disabled call sequence — StartWalk,
-// Done, AddPoint, RecordMemo — performs no allocations.
+// Done, AddPoint — performs no allocations.
 func TestAttributionDisabledZeroAlloc(t *testing.T) {
 	var a *Attribution
 	allocs := testing.AllocsPerRun(1000, func() {
 		ws := a.StartWalk("gcc", "gcc.32u", "full")
 		ws.Done(100, 200)
 		a.AddPoint("gcc", "gcc.32u", "fli", 3, 10, 20)
-		a.RecordMemo(1, 0, 10)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled attribution path allocates %.1f bytes/op, want 0", allocs)
@@ -171,7 +148,7 @@ func BenchmarkAttributionDisabled(b *testing.B) {
 }
 
 // BenchmarkAttributionEnabled measures the enabled recording cost at the
-// real granularity (one walk sample + one point + one walk-3 answer).
+// real granularity (one walk sample + one point).
 func BenchmarkAttributionEnabled(b *testing.B) {
 	a := NewAttribution()
 	b.ReportAllocs()
@@ -179,6 +156,5 @@ func BenchmarkAttributionEnabled(b *testing.B) {
 		ws := a.StartWalk("gcc", "gcc.32u", "full")
 		ws.Done(100, 200)
 		a.AddPoint("gcc", "gcc.32u", "fli", 3, 10, 20)
-		a.RecordMemo(1, 0, 10)
 	}
 }

@@ -21,12 +21,15 @@ import (
 // persisted as one JSONL line per event.
 type PipelineEvent struct {
 	// Seq is the recorder-assigned sequence number, 1-based and strictly
-	// increasing; gaps never occur, so Seq exposes eviction to readers.
+	// increasing: event Seq n is the recorder's entry n-1. Each process's
+	// recorder starts again at 1, so in a journal that spans a restart a
+	// Seq no larger than its predecessor's begins the next process's run.
 	Seq uint64 `json:"seq"`
 	// Time is the recorder-assigned wall-clock timestamp.
 	Time time.Time `json:"time"`
 	// Kind classifies the event: "stage.start", "stage.finish",
-	// "stage.retry", "stage.fail", "fault", "checkpoint", "progress".
+	// "stage.retry", "stage.fail", "fault", "checkpoint", "progress",
+	// "span.start", "span.end".
 	Kind string `json:"kind"`
 	// Benchmark, Binary, and Stage locate the event in the pipeline
 	// (any may be empty).
@@ -43,10 +46,16 @@ type PipelineEvent struct {
 	// Done and Total, when Total > 0, carry suite-level completion.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
+	// Span numbers a span's "span.start" and "span.end" events, 1-based
+	// in start order within one process's run of the log; Parent is the
+	// enclosing span's number (0 for a root). Stage holds the span's name
+	// and the start event its Detail.
+	Span   int `json:"span,omitempty"`
+	Parent int `json:"parent,omitempty"`
 }
 
 // BenchmarkState is the most recent recorded state of one benchmark,
-// maintained by the recorder for the live /progress view.
+// derived from the log for the live /progress view.
 type BenchmarkState struct {
 	// Kind and Stage are from the benchmark's latest event.
 	Kind  string `json:"kind"`
@@ -59,21 +68,20 @@ type BenchmarkState struct {
 	Updated time.Time `json:"updated"`
 }
 
-// Recorder is a bounded in-memory flight recorder of pipeline events.
-// It keeps the most recent capacity events in a ring buffer (older
-// events are evicted in order), tracks per-benchmark latest state, and
-// optionally streams every event as a JSONL line to a writer the moment
-// it is recorded — so a crash leaves the already-written lines behind.
-// A nil *Recorder discards events; all methods are safe for concurrent
-// use.
+// Recorder is the append-only event log of one run: pipeline events,
+// progress updates and span start/end events, in record order. Every
+// view of the run (spans, per-benchmark state, suite progress) is
+// derived from it. It optionally streams every event as a JSONL line to
+// a writer the moment it is recorded, so a crash leaves the
+// already-written lines behind. A nil *Recorder discards
+// events; all methods are safe for concurrent use.
 type Recorder struct {
-	mu  sync.Mutex
-	now func() time.Time
+	mu    sync.Mutex
+	now   func() time.Time
+	epoch time.Time // span offsets (SpanView.Start) count from here
 
-	buf   []PipelineEvent // ring storage, len == capacity
-	start int             // index of the oldest event
-	n     int             // events currently buffered
-	seq   uint64          // last assigned sequence number
+	events []PipelineEvent // entry n-1 has Seq n
+	spans  int             // spans started so far
 
 	w *bufio.Writer // optional JSONL sink
 	// werr remembers the first JSONL write failure so Flush can report it.
@@ -84,46 +92,36 @@ type Recorder struct {
 
 	// File-backed rotating sink state (SetOutputPath). When f is non-nil
 	// the recorder owns the file: every event is flushed through to disk
-	// at record time (events are low-rate, and a crash must not lose the
-	// admission record), and once size exceeds maxBytes the file is
-	// atomically renamed to RotatedPath(path) and reopened fresh.
-	f         *os.File
-	path      string
-	maxBytes  int64
-	size      int64
-	rotations uint64
-	rotc      *Counter
-
-	states map[string]BenchmarkState
-	done   int
-	total  int
+	// at record time (a crash must not lose the admission record), and
+	// once size exceeds maxBytes the file is atomically renamed to
+	// RotatedPath(path) and reopened fresh.
+	f        *os.File
+	path     string
+	maxBytes int64
+	size     int64
+	rotc     *Counter
 }
 
-// DefaultRecorderCapacity bounds the CLI's flight recorder: enough for
-// every stage event of a full 21-benchmark suite with retries, small
-// enough to be irrelevant in memory.
-const DefaultRecorderCapacity = 4096
-
-// NewRecorder returns a recorder holding at most capacity events
-// (capacity <= 0 uses DefaultRecorderCapacity).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRecorderCapacity
-	}
+// NewRecorder returns an empty log with room for n events before it
+// first grows (n is a capacity hint, as in make; the log keeps every
+// event however many are recorded).
+func NewRecorder(n int) *Recorder {
 	return &Recorder{
-		buf:    make([]PipelineEvent, capacity),
+		events: make([]PipelineEvent, 0, max(n, 0)),
 		now:    time.Now,
-		states: map[string]BenchmarkState{},
+		epoch:  time.Now(),
 	}
 }
 
-// SetClock injects the time source — for deterministic tests.
+// SetClock injects the time source and restarts the span epoch at its
+// first reading — for deterministic tests.
 func (r *Recorder) SetClock(now func() time.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.now = now
+	r.epoch = now()
 	r.mu.Unlock()
 }
 
@@ -137,16 +135,6 @@ func (r *Recorder) SetTrace(id string) {
 	r.mu.Lock()
 	r.trace = id
 	r.mu.Unlock()
-}
-
-// Trace returns the recorder's stamp trace ID ("" when unset).
-func (r *Recorder) Trace() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace
 }
 
 // SetOutput streams every subsequently recorded event to w as one JSON
@@ -214,16 +202,6 @@ func (r *Recorder) SetRotationCounter(c *Counter) {
 	r.mu.Unlock()
 }
 
-// Rotations returns how many times the file sink has rotated.
-func (r *Recorder) Rotations() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rotations
-}
-
 // CloseOutput flushes and closes the SetOutputPath file (a no-op for
 // plain SetOutput writers, which the caller owns), returning the first
 // write error seen.
@@ -286,38 +264,25 @@ func (r *Recorder) Flush() error {
 }
 
 // Record stamps the event with the next sequence number and the current
-// time, appends it to the ring (evicting the oldest event when full),
-// updates the per-benchmark state, and streams the JSONL line if a sink
-// is attached.
+// time, appends it to the log, and streams the JSONL line if a sink is
+// attached.
 func (r *Recorder) Record(ev PipelineEvent) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	ev.Seq = r.seq
+	r.recordLocked(ev)
+	r.mu.Unlock()
+}
+
+// recordLocked is Record; callers hold r.mu.
+func (r *Recorder) recordLocked(ev PipelineEvent) {
+	ev.Seq = uint64(len(r.events)) + 1
 	ev.Time = r.now()
 	if ev.Trace == "" {
 		ev.Trace = r.trace
 	}
-
-	if r.n == len(r.buf) {
-		r.start = (r.start + 1) % len(r.buf)
-		r.n--
-	}
-	r.buf[(r.start+r.n)%len(r.buf)] = ev
-	r.n++
-
-	if ev.Benchmark != "" {
-		r.states[ev.Benchmark] = BenchmarkState{
-			Kind: ev.Kind, Stage: ev.Stage, Binary: ev.Binary,
-			Seq: ev.Seq, Updated: ev.Time,
-		}
-	}
-	if ev.Total > 0 {
-		r.done, r.total = ev.Done, ev.Total
-	}
+	r.events = append(r.events, ev)
 
 	if r.w != nil {
 		line, err := json.Marshal(ev)
@@ -359,69 +324,63 @@ func (r *Recorder) rotateLocked() error {
 	r.f = f
 	r.w = bufio.NewWriter(f)
 	r.size = 0
-	r.rotations++
 	r.rotc.Inc()
 	return nil
 }
 
-// Events returns the buffered events oldest-first. A nil recorder
-// returns nil.
+// Events returns a copy of the log. A nil recorder returns nil.
 func (r *Recorder) Events() []PipelineEvent {
+	return r.EventsAfter(0)
+}
+
+// EventsAfter returns a copy of the events with Seq > seq, oldest first.
+// A nil recorder returns nil.
+func (r *Recorder) EventsAfter(seq uint64) []PipelineEvent {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]PipelineEvent, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
+	tail := r.events[min(seq, uint64(len(r.events))):]
+	out := make([]PipelineEvent, len(tail))
+	copy(out, tail)
 	return out
 }
 
-// Len returns the number of buffered events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Dropped returns how many events the ring has evicted so far.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq - uint64(r.n)
-}
-
-// BenchmarkStates returns a copy of every benchmark's latest state.
+// BenchmarkStates returns every benchmark's latest state: its last
+// event in the log.
 func (r *Recorder) BenchmarkStates() map[string]BenchmarkState {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]BenchmarkState, len(r.states))
-	for k, v := range r.states {
-		out[k] = v
+	out := map[string]BenchmarkState{}
+	for _, ev := range r.events {
+		if ev.Benchmark != "" {
+			out[ev.Benchmark] = BenchmarkState{
+				Kind: ev.Kind, Stage: ev.Stage, Binary: ev.Binary,
+				Seq: ev.Seq, Updated: ev.Time,
+			}
+		}
 	}
 	return out
 }
 
-// SuiteProgress returns the most recent suite-level (done, total)
-// completion counts, (0, 0) before any suite event.
+// SuiteProgress returns the latest suite-level (done, total)
+// completion counts in the log, (0, 0) before any suite event.
 func (r *Recorder) SuiteProgress() (done, total int) {
 	if r == nil {
 		return 0, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.done, r.total
+	for i := len(r.events) - 1; i >= 0; i-- {
+		if ev := r.events[i]; ev.Total > 0 {
+			return ev.Done, ev.Total
+		}
+	}
+	return 0, 0
 }
 
 // ReadEvents decodes a JSONL event stream (as written via SetOutput or

@@ -41,36 +41,48 @@ func TestRecorderSequencesAndStamps(t *testing.T) {
 	}
 }
 
-// The ring must evict oldest-first: after overfilling, the buffer holds
-// exactly the newest capacity events in order, and Dropped counts the
-// rest.
-func TestRecorderBoundedEvictionOrder(t *testing.T) {
+// The log is append-only: the capacity given to NewRecorder is only a
+// starting size, every event past it is kept, and EventsAfter(seq)
+// returns exactly the events after seq.
+func TestRecorderAppendOnlyPastCapacity(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
 		r.Record(PipelineEvent{Kind: "stage.start", Detail: fmt.Sprintf("ev%d", i)})
 	}
 	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("%d events buffered, want 4", len(evs))
+	if len(evs) != 10 {
+		t.Fatalf("%d events kept, want all 10", len(evs))
 	}
 	for i, ev := range evs {
-		wantSeq := uint64(7 + i) // events 7,8,9,10 survive
-		wantDetail := fmt.Sprintf("ev%d", 6+i)
-		if ev.Seq != wantSeq || ev.Detail != wantDetail {
-			t.Fatalf("slot %d = seq %d detail %q, want seq %d detail %q",
-				i, ev.Seq, ev.Detail, wantSeq, wantDetail)
+		if ev.Seq != uint64(i+1) || ev.Detail != fmt.Sprintf("ev%d", i) {
+			t.Fatalf("entry %d = seq %d detail %q", i, ev.Seq, ev.Detail)
 		}
 	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	tail := r.EventsAfter(7)
+	if len(tail) != 3 || tail[0].Seq != 8 || tail[2].Seq != 10 {
+		t.Fatalf("EventsAfter(7) = %+v, want seq 8..10", tail)
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if past := r.EventsAfter(99); past == nil || len(past) != 0 {
+		t.Fatalf("EventsAfter past the end = %#v, want empty", past)
+	}
+}
+
+// NewRecorder(0) must not preallocate room for events: a served job
+// makes one per run, so its cost is paid per job.
+func TestNewRecorderAllocatesNoRing(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewRecorder(0)
+		}
+	})
+	if n := res.AllocedBytesPerOp(); n >= 1024 {
+		t.Fatalf("NewRecorder(0) allocates %d B, want under 1 KiB", n)
 	}
 }
 
 // Concurrent writers (run under -race in CI) must each get a unique
-// sequence number and never corrupt the ring.
+// sequence number and never corrupt the log.
 func TestRecorderConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 8, 200
 	r := NewRecorder(64)
@@ -88,12 +100,12 @@ func TestRecorderConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	evs := r.Events()
-	if len(evs) != 64 {
-		t.Fatalf("%d events buffered, want capacity 64", len(evs))
+	if len(evs) != writers*perWriter {
+		t.Fatalf("%d events kept, want all %d", len(evs), writers*perWriter)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("non-contiguous sequence: %d then %d", evs[i-1].Seq, evs[i].Seq)
+	for i := range evs {
+		if evs[i].Seq != uint64(i+1) {
+			t.Fatalf("entry %d has seq %d", i, evs[i].Seq)
 		}
 	}
 	if evs[len(evs)-1].Seq != writers*perWriter {
@@ -101,9 +113,7 @@ func TestRecorderConcurrentWriters(t *testing.T) {
 	}
 }
 
-// Events streamed as JSONL must decode back bit-identically, including
-// eviction survivors: the file holds every event, the ring only the
-// newest.
+// Events streamed as JSONL must decode back bit-identically.
 func TestRecorderJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(2)
@@ -126,13 +136,14 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("decoded %d events, want %d (the JSONL stream must outlive ring eviction)", len(got), len(want))
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
 	}
 	for i, ev := range got {
 		w := want[i]
 		w.Seq = uint64(i + 1)
-		if !ev.Time.Equal(time.Unix(int64(i+1), 0).UTC()) {
-			t.Fatalf("event %d time = %v, want %v", i, ev.Time, time.Unix(int64(i+1), 0).UTC())
+		// SetClock took the clock's first reading as the span epoch.
+		if !ev.Time.Equal(time.Unix(int64(i+2), 0).UTC()) {
+			t.Fatalf("event %d time = %v, want %v", i, ev.Time, time.Unix(int64(i+2), 0).UTC())
 		}
 		ev.Time, w.Time = time.Time{}, time.Time{}
 		if !reflect.DeepEqual(ev, w) {
@@ -169,7 +180,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.Record(PipelineEvent{Kind: "fault"})
 	r.SetOutput(&bytes.Buffer{})
 	r.SetClock(time.Now)
-	if r.Events() != nil || r.Len() != 0 || r.Dropped() != 0 {
+	if r.Events() != nil || r.EventsAfter(0) != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	if r.BenchmarkStates() != nil {
@@ -181,24 +192,29 @@ func TestRecorderNilSafe(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	o := New() // no Events attached
+	o := &Observer{} // no Events attached
 	o.Emit(PipelineEvent{Kind: "fault"})
-	o.Report(Event{Benchmark: "gcc", Stage: "profile"})
+	o.Emit(PipelineEvent{Kind: "progress", Benchmark: "gcc", Stage: "profile"})
 	var nilObs *Observer
 	nilObs.Emit(PipelineEvent{Kind: "fault"})
 }
 
-// Observer.Report must mirror progress events into the recorder.
-func TestObserverReportFeedsRecorder(t *testing.T) {
-	o := New()
-	o.Events = NewRecorder(8)
-	o.Report(Event{Benchmark: "gcc", Binary: "32u", Stage: "profile"})
+// A "progress" event goes to the log and renders on the progress sink;
+// other kinds only go to the log.
+func TestEmitProgressFeedsLogAndProgress(t *testing.T) {
+	var lines bytes.Buffer
+	o := &Observer{Events: NewRecorder(0), Progress: NewProgress(&lines)}
+	o.Emit(PipelineEvent{Kind: "progress", Benchmark: "gcc", Binary: "32u", Stage: "profile"})
+	o.Emit(PipelineEvent{Kind: "stage.start", Benchmark: "gcc", Stage: "profile"})
 	evs := o.Events.Events()
-	if len(evs) != 1 {
-		t.Fatalf("%d events, want 1", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want 2", len(evs))
 	}
 	ev := evs[0]
 	if ev.Kind != "progress" || ev.Benchmark != "gcc" || ev.Binary != "32u" || ev.Stage != "profile" {
 		t.Fatalf("recorded %+v", ev)
+	}
+	if got := lines.String(); got != "xbsim: gcc (32u) profile\n" {
+		t.Fatalf("progress lines = %q", got)
 	}
 }

@@ -21,9 +21,6 @@ func TestRecorderTraceStamping(t *testing.T) {
 	if evs[1].Trace != "t-other" {
 		t.Fatalf("explicit event trace = %q, want its own t-other", evs[1].Trace)
 	}
-	if r.Trace() != "t-canonical" {
-		t.Fatalf("Trace() = %q", r.Trace())
-	}
 }
 
 // The file journal must rotate at the cap: the live file renames to the
@@ -46,11 +43,8 @@ func TestRecorderJournalRotation(t *testing.T) {
 	if err := r.CloseOutput(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Rotations() == 0 {
-		t.Fatal("no rotation after 40 events at a 256-byte cap")
-	}
-	if rc.Value() != r.Rotations() {
-		t.Fatalf("rotation counter = %d, recorder reports %d", rc.Value(), r.Rotations())
+	if rc.Value() == 0 {
+		t.Fatal("no rotation counted after 40 events at a 256-byte cap")
 	}
 	if _, err := os.Stat(RotatedPath(path)); err != nil {
 		t.Fatalf("rotated generation missing: %v", err)
@@ -131,10 +125,10 @@ func TestReadEventsToleratesTornLines(t *testing.T) {
 	}
 }
 
-// Satellite stress: many writers hammering a tiny ring while readers
-// snapshot it. Under -race this doubles as the locking proof; the
-// assertions pin the eviction accounting (Dropped + Len == Seq) and the
-// ring's contiguous ordering at every snapshot.
+// Stress: many writers appending while readers snapshot the log. Under
+// -race this doubles as the locking proof; the assertions pin that
+// every snapshot is the log's prefix (entry i has Seq i+1) and that no
+// event is lost.
 func TestRecorderConcurrentWritersAtCapacityStress(t *testing.T) {
 	const writers, perWriter, capacity = 16, 500, 8
 	r := NewRecorder(capacity)
@@ -147,14 +141,12 @@ func TestRecorderConcurrentWritersAtCapacityStress(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				r.Record(PipelineEvent{Kind: "fault", Benchmark: fmt.Sprintf("b%d", w%4)})
 				if i%25 == 0 {
-					evs := r.Events()
-					for k := 1; k < len(evs); k++ {
-						if evs[k].Seq != evs[k-1].Seq+1 {
-							t.Errorf("snapshot seq gap: %d then %d", evs[k-1].Seq, evs[k].Seq)
+					for k, ev := range r.Events() {
+						if ev.Seq != uint64(k+1) {
+							t.Errorf("snapshot entry %d has seq %d", k, ev.Seq)
 							return
 						}
 					}
-					_ = r.Dropped()
 				}
 			}
 		}(w)
@@ -162,11 +154,8 @@ func TestRecorderConcurrentWritersAtCapacityStress(t *testing.T) {
 	wg.Wait()
 	const total = writers * perWriter
 	evs := r.Events()
-	if len(evs) != capacity {
-		t.Fatalf("ring holds %d, want capacity %d", len(evs), capacity)
-	}
-	if got := r.Dropped(); got != total-capacity {
-		t.Fatalf("Dropped = %d, want %d", got, total-capacity)
+	if len(evs) != total {
+		t.Fatalf("log holds %d, want %d", len(evs), total)
 	}
 	if last := evs[len(evs)-1]; last.Seq != total {
 		t.Fatalf("last seq = %d, want %d", last.Seq, total)

@@ -146,7 +146,7 @@ func TestNoopZeroAllocations(t *testing.T) {
 		o.Counter("sim.instructions").Add(1)
 		o.Gauge("simpoint.chosen_k").Set(4)
 		o.Histogram("kmeans.iterations_per_restart").Observe(9)
-		o.Report(Event{Benchmark: "gcc", Stage: "profile"})
+		o.Emit(PipelineEvent{Kind: "progress", Benchmark: "gcc", Stage: "profile"})
 	}); n != 0 {
 		t.Fatalf("nil observer allocates %v per call set", n)
 	}

@@ -1,16 +1,18 @@
 // Package obs is the pipeline's observability subsystem: a metrics
-// registry (counters, gauges, histograms), a span-based tracer, and a
-// progress reporter, bundled into an Observer that travels through the
-// pipeline on a context.Context.
+// registry (counters, gauges, histograms), an append-only event log
+// that records pipeline events, progress updates and wall-time spans,
+// and a progress renderer, bundled into an Observer that travels
+// through the pipeline on a context.Context.
 //
 // The design constraint is that observation must cost nothing when off.
 // Every method on every type is nil-safe: a nil *Observer, *Registry,
-// *Tracer, *Progress, *Counter, *Gauge, *Histogram, or *Span is a valid
-// no-op sink, so instrumented code never branches on "is observability
-// enabled" — it just calls through, and the nil receivers return
-// immediately without allocating. Hot loops (per-block execution) are
-// never instrumented per event; instrumentation tallies locally and
-// flushes aggregate deltas into the registry at stage boundaries.
+// *Recorder, *Progress, *Counter, *Gauge, *Histogram, or *Span is a
+// valid no-op sink, so instrumented code never branches on "is
+// observability enabled" — it just calls through, and the nil receivers
+// return immediately without allocating. Hot loops (per-block
+// execution) are never instrumented per event; instrumentation tallies
+// locally and flushes aggregate deltas into the registry at stage
+// boundaries.
 //
 // Metric names are a stable interface; see the "Observability" section of
 // README.md for the catalogue.
@@ -18,27 +20,25 @@ package obs
 
 import "context"
 
-// Observer bundles the three observation channels. Any field may be nil
-// to disable that channel; a nil *Observer disables everything.
+// Observer bundles the observation channels. Any field may be nil to
+// disable that channel; a nil *Observer disables everything.
 type Observer struct {
 	// Metrics receives counter/gauge/histogram updates.
 	Metrics *Registry
-	// Tracer records wall-time spans per pipeline stage.
-	Tracer *Tracer
-	// Progress receives coarse per-stage progress events.
+	// Progress renders "progress" events as lines.
 	Progress *Progress
-	// Events is the structured-event flight recorder; progress events
-	// and Emit calls land here when it is non-nil.
+	// Events is the run's event log: Emit calls and span start/end
+	// events land here; without it spans are off.
 	Events *Recorder
 	// Attrib is the evaluate-stage cost-attribution profiler; nil (the
 	// default) disables attribution at zero cost.
 	Attrib *Attribution
 }
 
-// New returns an Observer with a fresh registry and tracer (no progress
-// sink; attach one to the Progress field if wanted).
+// New returns an Observer with a fresh registry and event log (no
+// progress sink; attach one to the Progress field if wanted).
 func New() *Observer {
-	return &Observer{Metrics: NewRegistry(), Tracer: NewTracer()}
+	return &Observer{Metrics: NewRegistry(), Events: NewRecorder(0)}
 }
 
 // ctxKey keys the Observer in a context.
@@ -95,39 +95,31 @@ func (o *Observer) Attribution() *Attribution {
 	return o.Attrib
 }
 
-// Report forwards a progress event to the progress sink, if any, and
-// mirrors it into the flight recorder as a "progress" event so the live
-// /progress view tracks per-benchmark state.
-func (o *Observer) Report(ev Event) {
-	if o == nil {
-		return
-	}
-	o.Progress.Report(ev)
-	o.Events.Record(PipelineEvent{
-		Kind: "progress", Benchmark: ev.Benchmark, Binary: ev.Binary,
-		Stage: ev.Stage, Done: ev.Done, Total: ev.Total,
-	})
-}
-
-// Emit records a structured event in the flight recorder, if one is
-// attached. The recorder stamps Seq and Time.
+// Emit records a structured event in the event log, if one is
+// attached, and renders "progress" events on the progress sink. The
+// recorder stamps Seq and Time.
 func (o *Observer) Emit(ev PipelineEvent) {
 	if o == nil {
 		return
 	}
 	o.Events.Record(ev)
+	if ev.Kind == "progress" {
+		o.Progress.Report(ev)
+	}
 }
 
-// StartSpan opens a span named name on the context's tracer. It returns a
-// derived context (carrying the new span for parent linkage) and the span
-// itself. Without an observer or tracer it returns (ctx, nil) — and a nil
-// *Span's methods are no-ops — so callers never need to check.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+// StartSpan opens a span named name in the context's event log; detail
+// is an optional free-form annotation (binary name, seed, ...). It
+// returns a derived context (carrying the new span for parent linkage)
+// and the span itself. Without an observer or event log it returns
+// (ctx, nil) — and a nil *Span's methods are no-ops — so callers never
+// need to check.
+func StartSpan(ctx context.Context, name, detail string) (context.Context, *Span) {
 	o := From(ctx)
-	if o == nil || o.Tracer == nil {
+	if o == nil || o.Events == nil {
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanKey{}).(*Span)
-	s := o.Tracer.start(name, parent)
+	s := o.Events.startSpan(name, detail, parent)
 	return context.WithValue(ctx, spanKey{}, s), s
 }

@@ -25,18 +25,18 @@ func TestNilObserverIsNoop(t *testing.T) {
 	o.Counter("x").Inc()
 	o.Gauge("x").Set(1)
 	o.Histogram("x").Observe(1)
-	o.Report(Event{Benchmark: "gcc"})
+	o.Emit(PipelineEvent{Kind: "progress", Benchmark: "gcc"})
 }
 
 func TestObserverChannelsMayBeNil(t *testing.T) {
 	// An observer with only a registry: spans and progress are no-ops.
 	o := &Observer{Metrics: NewRegistry()}
 	ctx := With(context.Background(), o)
-	_, sp := StartSpan(ctx, "stage.compile")
+	_, sp := StartSpan(ctx, "stage.compile", "")
 	if sp != nil {
-		t.Fatal("span without a tracer")
+		t.Fatal("span without an event log")
 	}
-	o.Report(Event{Benchmark: "gcc"})
+	o.Emit(PipelineEvent{Kind: "progress", Benchmark: "gcc"})
 	o.Counter("c").Inc()
 	if o.Counter("c").Value() != 1 {
 		t.Fatal("registry not live")
@@ -46,9 +46,9 @@ func TestObserverChannelsMayBeNil(t *testing.T) {
 func TestProgressFormats(t *testing.T) {
 	var sb strings.Builder
 	p := NewProgress(&sb)
-	p.Report(Event{Benchmark: "gcc", Stage: "done", Done: 3, Total: 5})
-	p.Report(Event{Benchmark: "gcc", Binary: "gcc.32u", Stage: "profile"})
-	p.Report(Event{Benchmark: "gcc", Stage: "mapping"})
+	p.Report(PipelineEvent{Benchmark: "gcc", Stage: "done", Done: 3, Total: 5})
+	p.Report(PipelineEvent{Benchmark: "gcc", Binary: "gcc.32u", Stage: "profile"})
+	p.Report(PipelineEvent{Benchmark: "gcc", Stage: "mapping"})
 	want := "xbsim: [3/5] gcc done\n" +
 		"xbsim: gcc (gcc.32u) profile\n" +
 		"xbsim: gcc mapping\n"
@@ -56,5 +56,5 @@ func TestProgressFormats(t *testing.T) {
 		t.Fatalf("progress output:\n%s\nwant:\n%s", sb.String(), want)
 	}
 	var np *Progress
-	np.Report(Event{Benchmark: "gcc"}) // nil sink is a no-op
+	np.Report(PipelineEvent{Benchmark: "gcc"}) // nil sink is a no-op
 }

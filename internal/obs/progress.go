@@ -6,22 +6,11 @@ import (
 	"sync"
 )
 
-// Event is one coarse progress update from a long-running pipeline.
-type Event struct {
-	// Benchmark is the benchmark being processed.
-	Benchmark string
-	// Binary is the binary within the benchmark ("" for whole-benchmark
-	// stages like mapping).
-	Binary string
-	// Stage is the pipeline stage ("profile", "gated simulation", ...).
-	Stage string
-	// Done and Total, when Total > 0, report suite-level completion
-	// (benchmarks finished out of benchmarks requested).
-	Done, Total int
-}
-
-// Progress renders progress events as lines on a writer, one per event.
-// It is safe for concurrent use; a nil *Progress discards events.
+// Progress renders "progress" events as lines on a writer, one per
+// event. Benchmark, Binary and Stage locate the update; Done and Total,
+// when Total > 0, report suite-level completion (benchmarks finished
+// out of benchmarks requested). It is safe for concurrent use; a nil
+// *Progress discards events.
 type Progress struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -36,7 +25,7 @@ func NewProgress(w io.Writer) *Progress {
 //
 //	xbsim: gcc (32u) gated simulation
 //	xbsim: [3/5] gcc done
-func (p *Progress) Report(ev Event) {
+func (p *Progress) Report(ev PipelineEvent) {
 	if p == nil {
 		return
 	}

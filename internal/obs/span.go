@@ -10,128 +10,80 @@ import (
 	"time"
 )
 
-// Tracer records wall-time spans. Spans form a tree via the context
-// returned by StartSpan; concurrent pipelines (one goroutine per
-// benchmark) may record into one tracer simultaneously. A nil *Tracer
-// records nothing.
-type Tracer struct {
-	mu    sync.Mutex
-	now   func() time.Time
-	epoch time.Time
-	spans []*Span
-}
-
-// NewTracer returns a tracer using the wall clock.
-func NewTracer() *Tracer {
-	return NewTracerWithClock(time.Now)
-}
-
-// NewTracerWithClock returns a tracer reading time from now — injectable
-// for deterministic tests.
-func NewTracerWithClock(now func() time.Time) *Tracer {
-	return &Tracer{now: now, epoch: now()}
-}
-
-// Epoch returns the tracer's time origin — SpanView.Start values are
-// offsets from it, so epoch + Start is a span's absolute wall-clock
-// start (the timeline reconstructor's conversion). A nil tracer returns
-// the zero time.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
-// Span is one timed region of the pipeline. End it exactly once; a nil
-// *Span ignores all calls.
+// Span is one timed region of the pipeline, recorded in the observer's
+// event log as a "span.start" event when opened and a "span.end" event
+// when ended. End it exactly once; a nil *Span ignores all calls.
 type Span struct {
-	tracer *Tracer
-	parent *Span
-
-	// id is the 1-based span index in the tracer.
+	rec *Recorder
+	// id is the span's 1-based number in rec.
 	id int
 	// name identifies the stage ("stage.clustering", "exec.run", ...).
-	name string
-	// detail is an optional free-form annotation (binary name, k, ...).
-	detail string
-	start  time.Time
-	dur    time.Duration
-	ended  bool
+	name  string
+	ended bool
 }
 
-// start opens and registers a new span.
-func (t *Tracer) start(name string, parent *Span) *Span {
-	s := &Span{tracer: t, parent: parent, name: name}
-	t.mu.Lock()
-	s.id = len(t.spans) + 1
-	s.start = t.now()
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
+// startSpan numbers a new span and records its start event.
+func (r *Recorder) startSpan(name, detail string, parent *Span) *Span {
+	s := &Span{rec: r, name: name}
+	r.mu.Lock()
+	r.spans++
+	s.id = r.spans
+	ev := PipelineEvent{Kind: "span.start", Stage: name, Detail: detail, Span: s.id}
+	if parent != nil {
+		ev.Parent = parent.id
+	}
+	r.recordLocked(ev)
+	r.mu.Unlock()
 	return s
 }
 
-// End closes the span, recording its duration. Safe to call on nil and
-// idempotent.
+// End closes the span by recording its end event. Safe to call on nil
+// and idempotent.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	t := s.tracer
-	t.mu.Lock()
+	r := s.rec
+	r.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.dur = t.now().Sub(s.start)
+		r.recordLocked(PipelineEvent{Kind: "span.end", Stage: s.name, Span: s.id})
 	}
-	t.mu.Unlock()
+	r.mu.Unlock()
 }
 
-// Annotate attaches a free-form detail string (e.g. the binary name).
-func (s *Span) Annotate(detail string) {
-	if s == nil {
-		return
-	}
-	s.tracer.mu.Lock()
-	s.detail = detail
-	s.tracer.mu.Unlock()
-}
-
-// SpanView is an exported copy of one recorded span.
+// SpanView is one span derived from the log's span events.
 type SpanView struct {
-	// ID is the 1-based span index; Parent is the parent's ID (0 = root).
+	// ID is the 1-based span number; Parent is the parent's ID (0 = root).
 	ID, Parent int
 	// Name and Detail identify the span.
 	Name, Detail string
-	// Start is the offset from the tracer's epoch; Dur the span length.
+	// Start is the offset from the recorder's epoch; Dur the span length.
 	Start, Dur time.Duration
 	// Ended reports whether End was called.
 	Ended bool
 }
 
-// Spans returns a copy of every recorded span, in start order. A nil
-// tracer returns nil.
-func (t *Tracer) Spans() []SpanView {
-	if t == nil {
+// Spans derives every span from the log's span events, in start order.
+// A nil recorder returns nil.
+func (r *Recorder) Spans() []SpanView {
+	if r == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanView, len(t.spans))
-	for i, s := range t.spans {
-		v := SpanView{
-			ID:     s.id,
-			Name:   s.name,
-			Detail: s.detail,
-			Start:  s.start.Sub(t.epoch),
-			Dur:    s.dur,
-			Ended:  s.ended,
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	views := make([]SpanView, 0, r.spans)
+	for _, ev := range r.events {
+		switch ev.Kind {
+		case "span.start":
+			views = append(views, SpanView{ID: ev.Span, Parent: ev.Parent, Name: ev.Stage,
+				Detail: ev.Detail, Start: ev.Time.Sub(r.epoch)})
+		case "span.end": // only Span.End writes one, after its start
+			v := &views[ev.Span-1]
+			v.Dur, v.Ended = ev.Time.Sub(r.epoch)-v.Start, true
 		}
-		if s.parent != nil {
-			v.Parent = s.parent.id
-		}
-		out[i] = v
 	}
-	return out
+	return views
 }
 
 // chromeEvent is one Chrome trace_event entry ("X" = complete event).
@@ -153,19 +105,19 @@ type chromeTrace struct {
 	Unit        string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace emits the recorded spans as Chrome trace_event JSON
+// WriteChromeTrace emits the log's spans as Chrome trace_event JSON
 // (load it at chrome://tracing or https://ui.perfetto.dev). Each root
 // span and its subtree share one thread lane, so concurrent benchmarks
 // render as parallel rows. Unended spans are written with their elapsed
 // time so a trace dumped after a failure still loads.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	if r == nil {
 		return nil
 	}
-	views := t.Spans()
-	t.mu.Lock()
-	nowDur := t.now().Sub(t.epoch)
-	t.mu.Unlock()
+	views := r.Spans()
+	r.mu.Lock()
+	nowDur := r.now().Sub(r.epoch)
+	r.mu.Unlock()
 
 	// Lane per root: a span's tid is its outermost ancestor's ID.
 	lane := make(map[int]int, len(views))
@@ -207,16 +159,16 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // unended spans are emitted with their elapsed time) or when the
 // returned flush function is called on the normal exit path, whichever
 // happens first. The flush function is idempotent and returns the write
-// error of whichever flush actually ran. A nil tracer returns a no-op
+// error of whichever flush actually ran. A nil recorder returns a no-op
 // flush.
-func (t *Tracer) AutoFlush(ctx context.Context, w io.Writer) (flush func() error) {
-	if t == nil {
+func (r *Recorder) AutoFlush(ctx context.Context, w io.Writer) (flush func() error) {
+	if r == nil {
 		return func() error { return nil }
 	}
 	var once sync.Once
 	var err error
 	flush = func() error {
-		once.Do(func() { err = t.WriteChromeTrace(w) })
+		once.Do(func() { err = r.WriteChromeTrace(w) })
 		return err
 	}
 	go func() {
@@ -242,11 +194,8 @@ type treeNode struct {
 //	  stage.compile                   3.1ms
 //	  stage.profile ×4              210.9ms
 //	    exec.run ×4                 208.2ms
-func (t *Tracer) WriteTree(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	views := t.Spans()
+func (r *Recorder) WriteTree(w io.Writer) error {
+	views := r.Spans()
 	if len(views) == 0 {
 		return nil
 	}
@@ -313,9 +262,9 @@ func formatDur(d time.Duration) string {
 
 // StageNames returns the sorted set of distinct span names recorded so
 // far — convenient for asserting stage coverage in tests.
-func (t *Tracer) StageNames() []string {
+func (r *Recorder) StageNames() []string {
 	seen := map[string]bool{}
-	for _, v := range t.Spans() {
+	for _, v := range r.Spans() {
 		seen[v.Name] = true
 	}
 	return sortedKeys(seen)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,29 +25,33 @@ func fakeClock() func() time.Time {
 	}
 }
 
+// fakeLog returns an empty event log on the fake clock.
+func fakeLog() *Recorder {
+	r := NewRecorder(0)
+	r.SetClock(fakeClock())
+	return r
+}
+
 // buildFixtureTrace records a small two-benchmark span tree with the fake
 // clock — shared by the tree, ordering, and golden-file tests.
-func buildFixtureTrace() *Tracer {
-	tr := NewTracerWithClock(fakeClock())
-	o := &Observer{Tracer: tr}
+func buildFixtureTrace() *Recorder {
+	tr := fakeLog()
+	o := &Observer{Events: tr}
 	ctx := With(context.Background(), o)
 
-	bctx, bench := StartSpan(ctx, "benchmark")
-	bench.Annotate("gcc")
-	_, compile := StartSpan(bctx, "stage.compile")
+	bctx, bench := StartSpan(ctx, "benchmark", "gcc")
+	_, compile := StartSpan(bctx, "stage.compile", "")
 	compile.End()
-	pctx, prof := StartSpan(bctx, "stage.profile")
+	pctx, prof := StartSpan(bctx, "stage.profile", "")
 	for i := 0; i < 2; i++ {
-		_, run := StartSpan(pctx, "exec.run")
-		run.Annotate("gcc.32u")
+		_, run := StartSpan(pctx, "exec.run", "gcc.32u")
 		run.End()
 	}
 	prof.End()
 	bench.End()
 
-	b2ctx, bench2 := StartSpan(ctx, "benchmark")
-	bench2.Annotate("apsi")
-	_, c2 := StartSpan(b2ctx, "stage.compile")
+	b2ctx, bench2 := StartSpan(ctx, "benchmark", "apsi")
+	_, c2 := StartSpan(b2ctx, "stage.compile", "")
 	c2.End()
 	bench2.End()
 	return tr
@@ -91,21 +96,23 @@ func TestSpanNestingAndOrdering(t *testing.T) {
 func TestSpanEndIdempotentAndNilSafe(t *testing.T) {
 	var s *Span
 	s.End() // must not panic
-	s.Annotate("x")
 
-	tr := NewTracerWithClock(fakeClock())
-	o := &Observer{Tracer: tr}
-	_, sp := StartSpan(With(context.Background(), o), "stage.compile")
+	tr := fakeLog()
+	o := &Observer{Events: tr}
+	_, sp := StartSpan(With(context.Background(), o), "stage.compile", "")
 	sp.End()
 	first := tr.Spans()[0].Dur
 	sp.End() // second End must not extend the duration
 	if got := tr.Spans()[0].Dur; got != first {
 		t.Fatalf("duration changed on second End: %v -> %v", first, got)
 	}
+	if n := len(tr.Events()); n != 2 {
+		t.Fatalf("%d events after a double End, want one start and one end", n)
+	}
 }
 
 func TestStartSpanWithoutObserver(t *testing.T) {
-	ctx, sp := StartSpan(context.Background(), "stage.compile")
+	ctx, sp := StartSpan(context.Background(), "stage.compile", "")
 	if sp != nil {
 		t.Fatal("span created without observer")
 	}
@@ -208,9 +215,9 @@ func TestChromeTraceLanes(t *testing.T) {
 // An unended span must still appear in the dump (with elapsed time), so a
 // trace written after a failure loads in the viewer.
 func TestChromeTraceUnendedSpan(t *testing.T) {
-	tr := NewTracerWithClock(fakeClock())
-	o := &Observer{Tracer: tr}
-	_, sp := StartSpan(With(context.Background(), o), "benchmark")
+	tr := fakeLog()
+	o := &Observer{Events: tr}
+	_, sp := StartSpan(With(context.Background(), o), "benchmark", "gcc")
 	_ = sp // never ended
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -219,12 +226,46 @@ func TestChromeTraceUnendedSpan(t *testing.T) {
 	if !strings.Contains(buf.String(), `"name": "benchmark"`) {
 		t.Fatalf("unended span missing:\n%s", buf.String())
 	}
+	// Started at the clock's 2nd reading, written at its 3rd: 1ms elapsed.
+	if !strings.Contains(buf.String(), `"dur": 1000`) || !strings.Contains(buf.String(), `"detail": "gcc"`) {
+		t.Fatalf("unended span lacks its elapsed time or detail:\n%s", buf.String())
+	}
 }
 
+// Spans live in the event log: a start event carrying the detail when
+// opened, an end event when ended, both numbered by the span.
+func TestSpansAreLogEvents(t *testing.T) {
+	tr := buildFixtureTrace()
+	var got []string
+	for _, ev := range tr.Events() {
+		got = append(got, fmt.Sprintf("%s %s %d/%d %s", ev.Kind, ev.Stage, ev.Span, ev.Parent, ev.Detail))
+	}
+	want := []string{
+		"span.start benchmark 1/0 gcc",
+		"span.start stage.compile 2/1 ",
+		"span.end stage.compile 2/0 ",
+		"span.start stage.profile 3/1 ",
+		"span.start exec.run 4/3 gcc.32u",
+		"span.end exec.run 4/0 ",
+		"span.start exec.run 5/3 gcc.32u",
+		"span.end exec.run 5/0 ",
+		"span.end stage.profile 3/0 ",
+		"span.end benchmark 1/0 ",
+		"span.start benchmark 6/0 apsi",
+		"span.start stage.compile 7/6 ",
+		"span.end stage.compile 7/0 ",
+		"span.end benchmark 6/0 ",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("log:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// A nil event log traces nothing: no spans, empty writes.
 func TestNilTracerIsNoop(t *testing.T) {
-	var tr *Tracer
+	var tr *Recorder
 	if tr.Spans() != nil {
-		t.Error("nil tracer has spans")
+		t.Error("nil recorder has spans")
 	}
 	if err := tr.WriteChromeTrace(&bytes.Buffer{}); err != nil {
 		t.Error(err)
@@ -239,8 +280,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 func TestStartSpanNoopZeroAllocations(t *testing.T) {
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(100, func() {
-		_, sp := StartSpan(ctx, "stage.compile")
-		sp.Annotate("gcc.32u")
+		_, sp := StartSpan(ctx, "stage.compile", "gcc.32u")
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("noop StartSpan allocates %v", n)
@@ -251,7 +291,7 @@ func BenchmarkNoopStartSpan(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, sp := StartSpan(ctx, "stage.compile")
+		_, sp := StartSpan(ctx, "stage.compile", "")
 		sp.End()
 	}
 }
@@ -279,12 +319,11 @@ func (b *syncBuffer) String() string {
 // even though the run (and its spans) never finished — the mid-run-exit
 // guarantee for -trace-out.
 func TestAutoFlushOnCancel(t *testing.T) {
-	tr := NewTracerWithClock(fakeClock())
-	o := &Observer{Tracer: tr}
+	tr := fakeLog()
+	o := &Observer{Events: tr}
 	ctx, cancel := context.WithCancel(With(context.Background(), o))
-	_, sp := StartSpan(ctx, "benchmark")
-	sp.Annotate("gcc")
-	// sp deliberately never ended: the process is "mid-run".
+	StartSpan(ctx, "benchmark", "gcc")
+	// The span is deliberately never ended: the process is "mid-run".
 
 	var buf syncBuffer
 	flush := tr.AutoFlush(ctx, &buf)
@@ -318,7 +357,7 @@ func TestAutoFlushOnCancel(t *testing.T) {
 }
 
 // On the normal exit path the returned flush writes the trace once,
-// idempotently, and a nil tracer hands back a working no-op.
+// idempotently, and a nil event log hands back a working no-op.
 func TestAutoFlushNormalExit(t *testing.T) {
 	tr := buildFixtureTrace()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -334,7 +373,7 @@ func TestAutoFlushNormalExit(t *testing.T) {
 	if n := strings.Count(buf.String(), `"traceEvents"`); n != 1 {
 		t.Fatalf("trace written %d times, want once", n)
 	}
-	var nilTr *Tracer
+	var nilTr *Recorder
 	if err := nilTr.AutoFlush(ctx, &buf)(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,22 +3,21 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
 
-// Timeline reconstruction: given one job's durable flight-recorder
-// journal (spool state transitions and pipeline events, possibly
-// spanning a crash and recovery) plus the current run's stage spans,
-// BuildTimeline merges everything into one time-ordered view and
-// derives the coarse phases an operator asks about first: how long the
-// job waited for a slot, how long it ran, where a checkpoint resume or
-// a cache lookup short-circuited work. The package deliberately takes
-// plain inputs — obs sits below jobqueue, so the queue adapts its state
-// into a TimelineInput rather than the other way around.
+// Timeline reconstruction: given one job's durable event journal (spool
+// state transitions, pipeline events and span start/end events, possibly
+// spanning a crash and recovery), BuildTimeline lays it out as one
+// ordered view and derives the coarse phases an operator asks about
+// first: how long the job waited for a slot, how long it ran, where a
+// checkpoint resume or a cache lookup short-circuited work. The package
+// deliberately takes plain inputs — obs sits below jobqueue, so the
+// queue adapts its state into a TimelineInput rather than the other way
+// around.
 
-// TimelineInput is everything BuildTimeline merges.
+// TimelineInput is one job's identity and its journal.
 type TimelineInput struct {
 	// TraceID is the job's canonical trace; JobID, Tenant, State, and
 	// Links annotate the view (Links are coalesced submissions' traces).
@@ -27,33 +26,30 @@ type TimelineInput struct {
 	Tenant  string
 	State   string
 	Links   []string
-	// Events is the job's event history, journal order (merged rotated +
-	// live generations; Seq may restart across process lifetimes, so
-	// ordering is by Time first).
+	// Events is the job's journal in record order (ReadJournal). Each
+	// process's run of it starts again at Seq 1.
 	Events []PipelineEvent
-	// Spans are the current run's stage spans; SpanEpoch is their
-	// tracer's time origin (SpanView.Start offsets are relative to it).
-	Spans     []SpanView
-	SpanEpoch time.Time
 }
 
-// TimelineEntry is one merged, time-ordered timeline row.
+// TimelineEntry is one timeline row: a journal event, or one span with
+// its start and end events folded together at its start time.
 type TimelineEntry struct {
 	Time time.Time `json:"time"`
-	// Source is "event" (flight recorder) or "span" (tracer).
-	Source string `json:"source"`
-	// Kind is the event kind, or "span" for tracer rows.
+	// Kind is the event kind, or "span" for a span row.
 	Kind      string `json:"kind"`
 	Benchmark string `json:"benchmark,omitempty"`
-	Stage     string `json:"stage,omitempty"`
-	Detail    string `json:"detail,omitempty"`
-	// DurUS is the span duration (span rows only).
+	// Stage is the event's stage, or a span row's span name.
+	Stage  string `json:"stage,omitempty"`
+	Detail string `json:"detail,omitempty"`
+	// DurUS is the span duration (ended span rows only). Open marks a
+	// span with no end event: still running, or its process died.
 	DurUS int64 `json:"durUs,omitempty"`
+	Open  bool  `json:"open,omitempty"`
 	// Trace is the row's correlation ID (a coalesced submission's rows
 	// carry its own trace, linking back to the canonical one).
 	Trace string `json:"trace,omitempty"`
-	// Seq is the flight recorder's sequence number (event rows only; it
-	// restarts across process lifetimes).
+	// Seq is the row's (span row: start event's) sequence number; it
+	// restarts with each process.
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -80,8 +76,8 @@ type Timeline struct {
 	Phases  []TimelinePhase `json:"phases"`
 }
 
-// BuildTimeline merges events and spans into one ordered timeline and
-// derives phases from the job lifecycle events:
+// BuildTimeline lays the journal out as timeline rows, in journal
+// order, and derives phases from the job lifecycle events:
 //
 //   - queue-wait: each enqueue (job.submit, job.resubmit, job.recover)
 //     to the following job.start — a recovered job's wait is measured
@@ -92,6 +88,10 @@ type Timeline struct {
 //     "loaded" — a benchmark answered from a previous attempt's state.
 //   - cache-lookup: every job.cache event — a submission answered from
 //     the content-addressed result cache without running.
+//
+// A span end event closes the row of the span with its number in the
+// same process's run of the journal; a Seq no larger than the one
+// before it starts the next run.
 func BuildTimeline(in TimelineInput) *Timeline {
 	tl := &Timeline{
 		TraceID: in.TraceID,
@@ -99,36 +99,33 @@ func BuildTimeline(in TimelineInput) *Timeline {
 		Tenant:  in.Tenant,
 		State:   in.State,
 		Links:   append([]string(nil), in.Links...),
+		Entries: make([]TimelineEntry, 0, len(in.Events)),
 	}
 
-	tl.Entries = make([]TimelineEntry, 0, len(in.Events)+len(in.Spans))
-	for _, ev := range in.Events {
-		tl.Entries = append(tl.Entries, TimelineEntry{
-			Time: ev.Time, Source: "event", Kind: ev.Kind,
-			Benchmark: ev.Benchmark, Stage: ev.Stage, Detail: ev.Detail,
-			Trace: ev.Trace, Seq: ev.Seq,
-		})
-	}
-	for _, s := range in.Spans {
-		tl.Entries = append(tl.Entries, TimelineEntry{
-			Time: in.SpanEpoch.Add(s.Start), Source: "span", Kind: "span",
-			Stage: s.Name, Detail: s.Detail, DurUS: s.Dur.Microseconds(),
-			Trace: in.TraceID,
-		})
-	}
-	sort.SliceStable(tl.Entries, func(i, k int) bool {
-		if !tl.Entries[i].Time.Equal(tl.Entries[k].Time) {
-			return tl.Entries[i].Time.Before(tl.Entries[k].Time)
-		}
-		return tl.Entries[i].Seq < tl.Entries[k].Seq
-	})
-
-	// Phase derivation walks the event stream in journal order (Seq ties
-	// broken by time), which is also how the events were recorded.
 	var waitStart, runStart time.Time
+	var lastSeq uint64
+	open := map[int]int{} // span number → row, within this process's run
 	attempt := 0
 	for _, ev := range in.Events {
+		if ev.Seq <= lastSeq {
+			clear(open)
+		}
+		lastSeq = ev.Seq
+		row := TimelineEntry{
+			Time: ev.Time, Kind: ev.Kind, Benchmark: ev.Benchmark, Stage: ev.Stage,
+			Detail: ev.Detail, Trace: ev.Trace, Seq: ev.Seq,
+		}
 		switch ev.Kind {
+		case "span.start":
+			open[ev.Span] = len(tl.Entries)
+			row.Kind, row.Open = "span", true
+		case "span.end":
+			if i, ok := open[ev.Span]; ok {
+				e := &tl.Entries[i]
+				e.DurUS, e.Open = ev.Time.Sub(e.Time).Microseconds(), false
+				delete(open, ev.Span)
+			}
+			continue
 		case "job.submit", "job.resubmit", "job.recover":
 			waitStart = ev.Time
 		case "job.start":
@@ -161,6 +158,7 @@ func BuildTimeline(in TimelineInput) *Timeline {
 				Name: "cache-lookup", Start: ev.Time, Detail: ev.Detail,
 			})
 		}
+		tl.Entries = append(tl.Entries, row)
 	}
 	return tl
 }
@@ -176,7 +174,7 @@ func (t *Timeline) Phase(name string) *TimelinePhase {
 }
 
 // WriteTable renders the timeline as a human-readable table: a header
-// line, the derived phases, and every merged entry in time order.
+// line, the derived phases, and every entry in journal order.
 func (t *Timeline) WriteTable(w io.Writer) error {
 	ew := fmt.Fprintf
 	if _, err := ew(w, "trace %s", t.TraceID); err != nil {
@@ -212,11 +210,14 @@ func (t *Timeline) WriteTable(w io.Writer) error {
 			loc += e.Stage
 		}
 		detail := e.Detail
-		if e.Source == "span" {
+		switch {
+		case e.Open:
+			detail = "open " + detail
+		case e.Kind == "span":
 			detail = fmt.Sprintf("%.1fms %s", float64(e.DurUS)/1000, detail)
 		}
-		if _, err := ew(w, "  %-30s %-6s %-14s %-28s %s\n",
-			e.Time.Format(time.RFC3339Nano), e.Source, e.Kind, loc, strings.TrimSpace(detail)); err != nil {
+		if _, err := ew(w, "  %-30s %-14s %-28s %s\n",
+			e.Time.Format(time.RFC3339Nano), e.Kind, loc, strings.TrimSpace(detail)); err != nil {
 			return err
 		}
 	}

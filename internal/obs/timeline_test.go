@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -69,18 +70,30 @@ func TestBuildTimelinePhases(t *testing.T) {
 	}
 }
 
+// Span start and end events fold into one row at the span's start, in
+// journal order among the other events. A span number is read within
+// its process's run of the journal: after the restart (Seq back to 1)
+// the new process's span 1 must not close the dead process's open span 1.
 func TestBuildTimelineMergesSpansInTimeOrder(t *testing.T) {
 	epoch := time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)
-	tl := BuildTimeline(TimelineInput{
-		TraceID: "t-main", JobID: "j-1",
-		Events: tlEvents(epoch),
-		Spans: []SpanView{
-			{ID: 1, Name: "suite", Start: 12500 * time.Millisecond, Dur: 7 * time.Second, Ended: true},
-		},
-		SpanEpoch: epoch,
-	})
-	if len(tl.Entries) != len(tlEvents(epoch))+1 {
-		t.Fatalf("%d entries, want events+span", len(tl.Entries))
+	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	evs := []PipelineEvent{
+		{Seq: 1, Time: at(0), Kind: "job.submit", Trace: "t-main"},
+		{Seq: 2, Time: at(1000), Kind: "job.start", Trace: "t-main"},
+		{Seq: 3, Time: at(2000), Kind: "span.start", Stage: "benchmark", Span: 1, Trace: "t-main"},
+		{Seq: 4, Time: at(3000), Kind: "span.start", Stage: "stage.profile", Span: 2, Parent: 1, Trace: "t-main"},
+		{Seq: 5, Time: at(5000), Kind: "span.end", Stage: "stage.profile", Span: 2, Trace: "t-main"},
+		// process died inside span 1; the next one restarts Seq and span numbers
+		{Seq: 1, Time: at(10000), Kind: "job.recover", Trace: "t-main"},
+		{Seq: 2, Time: at(12000), Kind: "job.start", Trace: "t-main"},
+		{Seq: 3, Time: at(12500), Kind: "span.start", Stage: "suite", Detail: "swim", Span: 1, Trace: "t-main"},
+		{Seq: 4, Time: at(19500), Kind: "span.end", Stage: "suite", Span: 1, Trace: "t-main"},
+		{Seq: 5, Time: at(20000), Kind: "job.done", Trace: "t-main"},
+		{Seq: 6, Time: at(25000), Kind: "job.cache", Trace: "t-late"},
+	}
+	tl := BuildTimeline(TimelineInput{TraceID: "t-main", JobID: "j-1", Events: evs})
+	if len(tl.Entries) != len(evs)-2 {
+		t.Fatalf("%d entries, want one per event less the two span ends", len(tl.Entries))
 	}
 	for i := 1; i < len(tl.Entries); i++ {
 		if tl.Entries[i].Time.Before(tl.Entries[i-1].Time) {
@@ -88,31 +101,69 @@ func TestBuildTimelineMergesSpansInTimeOrder(t *testing.T) {
 				i, tl.Entries[i-1].Time, tl.Entries[i].Time)
 		}
 	}
-	var span *TimelineEntry
-	for i := range tl.Entries {
-		if tl.Entries[i].Source == "span" {
-			span = &tl.Entries[i]
+	spans := map[string]TimelineEntry{}
+	for _, e := range tl.Entries {
+		if e.Kind == "span" {
+			spans[e.Stage] = e
 		}
 	}
-	if span == nil || span.Stage != "suite" || span.Trace != "t-main" ||
-		span.DurUS != (7*time.Second).Microseconds() {
-		t.Fatalf("span entry = %+v", span)
+	if len(spans) != 3 {
+		t.Fatalf("span rows = %+v, want benchmark, stage.profile and suite", spans)
 	}
-	// 12.5s offset lands the span between job.start (12s) and the
-	// checkpoint (13s).
-	if !span.Time.Equal(epoch.Add(12500 * time.Millisecond)) {
-		t.Fatalf("span absolute time = %v", span.Time)
+	if b := spans["benchmark"]; !b.Open || b.DurUS != 0 || !b.Time.Equal(at(2000)) {
+		t.Fatalf("dead process's span = %+v, want open at 2s", b)
+	}
+	if p := spans["stage.profile"]; p.Open || p.DurUS != (2*time.Second).Microseconds() {
+		t.Fatalf("profile span = %+v, want ended after 2s", p)
+	}
+	s := spans["suite"]
+	if s.Open || s.DurUS != (7*time.Second).Microseconds() || s.Detail != "swim" ||
+		s.Trace != "t-main" || !s.Time.Equal(at(12500)) {
+		t.Fatalf("suite span = %+v, want 7s from 12.5s with its detail", s)
+	}
+	if tl.Phase("run") == nil || len(tl.Phases) != 4 {
+		t.Fatalf("phases = %+v, want two queue-waits, a run and a cache lookup", tl.Phases)
 	}
 
 	// The coalesced submission's row keeps its own trace.
-	var cache *TimelineEntry
-	for i := range tl.Entries {
-		if tl.Entries[i].Kind == "job.cache" {
-			cache = &tl.Entries[i]
-		}
+	if last := tl.Entries[len(tl.Entries)-1]; last.Kind != "job.cache" || last.Trace != "t-late" {
+		t.Fatalf("cache entry = %+v, want trace t-late", last)
 	}
-	if cache == nil || cache.Trace != "t-late" {
-		t.Fatalf("cache entry = %+v, want trace t-late", cache)
+}
+
+// A journal written before spans were journaled (no span events, a
+// restart that appends a cache hit at Seq 1) must still build its
+// timeline and the phases that version derived from it.
+func TestBuildTimelineFromParentJournal(t *testing.T) {
+	evs, err := ReadJournal(filepath.Join("testdata", "parent_journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 37 {
+		t.Fatalf("read %d events, want 37", len(evs))
+	}
+	tl := BuildTimeline(TimelineInput{TraceID: "t-parent", JobID: "j-86137a466cca0ed6", Events: evs})
+	if len(tl.Entries) != len(evs) {
+		t.Fatalf("%d entries for %d events", len(tl.Entries), len(evs))
+	}
+	type phase struct {
+		name   string
+		durUS  int64
+		detail string
+	}
+	want := []phase{
+		{"queue-wait", 1692, ""},
+		{"run", 134427, "attempt 1: done"},
+		{"cache-lookup", 0, "cache hit; canonical trace t-parent"},
+		{"cache-lookup", 0, "cache hit; canonical trace t-parent"},
+	}
+	if len(tl.Phases) != len(want) {
+		t.Fatalf("phases = %+v, want %d", tl.Phases, len(want))
+	}
+	for i, p := range tl.Phases {
+		if (phase{p.Name, p.DurUS, p.Detail}) != want[i] {
+			t.Fatalf("phase %d = %+v, want %+v", i, p, want[i])
+		}
 	}
 }
 

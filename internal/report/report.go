@@ -459,10 +459,8 @@ func Appendix(w io.Writer, o *obs.Observer) error {
 	if _, err := fmt.Fprintln(w, "APPENDIX — pipeline observability"); err != nil {
 		return err
 	}
-	if o.Tracer != nil {
-		if err := o.Tracer.WriteTree(w); err != nil {
-			return err
-		}
+	if err := o.Events.WriteTree(w); err != nil {
+		return err
 	}
 	if o.Metrics != nil {
 		snap := o.Metrics.Snapshot()

@@ -82,8 +82,7 @@ func (stratifiedSampler) Pick(ctx context.Context, ds *bbv.Dataset, cfg Config) 
 	if err := faults.Hit(ctx, "sampler.stratify"); err != nil {
 		return nil, err
 	}
-	_, sspan := obs.StartSpan(ctx, "stage.stratify")
-	sspan.Annotate(cfg.Seed)
+	_, sspan := obs.StartSpan(ctx, "stage.stratify", cfg.Seed)
 	feats, err := ds.ProjectMatrix(featureDim, rng.Split("features"))
 	if err != nil {
 		sspan.End()
@@ -99,8 +98,7 @@ func (stratifiedSampler) Pick(ctx context.Context, ds *bbv.Dataset, cfg Config) 
 	if err := faults.Hit(ctx, "sampler.allocate"); err != nil {
 		return nil, err
 	}
-	_, aspan := obs.StartSpan(ctx, "stage.allocate")
-	aspan.Annotate(cfg.Seed)
+	_, aspan := obs.StartSpan(ctx, "stage.allocate", cfg.Seed)
 	alloc := allocate(strata, budget)
 
 	phaseOf := make([]int, ds.Len())

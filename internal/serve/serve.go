@@ -12,7 +12,7 @@
 //	GET  /jobs               list known jobs + queue stats
 //	GET  /jobs/{id}          one job's state
 //	GET  /jobs/{id}/result   the completed suite's report JSON, verbatim
-//	GET  /jobs/{id}/events   the job's flight recorder (?stream=1 JSONL)
+//	GET  /jobs/{id}/events   the job's event log (?stream=1 JSONL)
 //	GET  /jobs/{id}/timeline the job's reconstructed trace timeline
 //	GET  /healthz            liveness + queue stats (always 200)
 //	GET  /readyz             readiness (503 while draining)
@@ -53,17 +53,13 @@ type Options struct {
 	Addr string
 	// Spool is the durable job-spool directory (required).
 	Spool string
-	// Concurrency, MaxPending, Workers, and EventsCapacity feed the
-	// queue's jobqueue.Options (zero = that layer's default).
-	Concurrency    int
-	MaxPending     int
-	Workers        int
-	EventsCapacity int
-	// JournalMaxBytes caps each job's durable event journal before
-	// rotation (zero = the obs default).
-	JournalMaxBytes int64
+	// Concurrency, MaxPending, and Workers feed the queue's
+	// jobqueue.Options (zero = that layer's default).
+	Concurrency int
+	MaxPending  int
+	Workers     int
 	// Observer receives service and pipeline metrics; nil means a fresh
-	// observer with a metrics registry and flight recorder.
+	// observer with a metrics registry and event log.
 	Observer *obs.Observer
 }
 
@@ -87,16 +83,13 @@ func Start(ctx context.Context, opts Options) (*Server, error) {
 	o := opts.Observer
 	if o == nil {
 		o = obs.New()
-		o.Events = obs.NewRecorder(obs.DefaultRecorderCapacity)
 	}
 	q, err := jobqueue.Open(ctx, jobqueue.Options{
-		Dir:             opts.Spool,
-		Concurrency:     opts.Concurrency,
-		MaxPending:      opts.MaxPending,
-		Workers:         opts.Workers,
-		EventsCapacity:  opts.EventsCapacity,
-		JournalMaxBytes: opts.JournalMaxBytes,
-		Observer:        o,
+		Dir:         opts.Spool,
+		Concurrency: opts.Concurrency,
+		MaxPending:  opts.MaxPending,
+		Workers:     opts.Workers,
+		Observer:    o,
 	})
 	if err != nil {
 		return nil, err
@@ -414,15 +407,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		telemetry.StreamEvents(w, r, rec, s.th.Stop())
 		return
 	}
-	writeJSON(w, http.StatusOK, telemetry.EventsView{Dropped: rec.Dropped(), Events: rec.Events()})
+	writeJSON(w, http.StatusOK, telemetry.EventsView{Events: rec.Events()})
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	// The path {id} accepts a job ID or any linked trace ID — operators
 	// usually hold the trace from a submission response or a log line.
 	tl, err := s.q.Timeline(r.PathValue("id"))
-	if err != nil {
+	if errors.Is(err, jobqueue.ErrNotFound) {
 		httpError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, tl)

@@ -156,8 +156,7 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 	}
 	o := obs.From(ctx)
 	rng := xrand.New("simpoint/" + cfg.Seed)
-	_, pspan := obs.StartSpan(ctx, "stage.projection")
-	pspan.Annotate(cfg.Seed)
+	_, pspan := obs.StartSpan(ctx, "stage.projection", cfg.Seed)
 	points, err := ds.ProjectMatrix(cfg.Dim, rng.Split("projection"))
 	pspan.End()
 	if err != nil {
@@ -184,8 +183,7 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 
 	if cfg.FixedK > 0 {
 		k := capK(cfg.FixedK)
-		_, cspan := obs.StartSpan(ctx, "stage.clustering")
-		cspan.Annotate(cfg.Seed)
+		_, cspan := obs.StartSpan(ctx, "stage.clustering", cfg.Seed)
 		res, err := kmeans.Run(points, weights, k, kmeans.Config{
 			Restarts: cfg.Restarts,
 			Rng:      rng.SplitIndexed("kmeans", k),
@@ -207,8 +205,7 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 	maxK := capK(cfg.MaxK)
 	runs := make([]*kmeans.Result, maxK)
 	bics := make([]float64, maxK)
-	_, cspan := obs.StartSpan(ctx, "stage.clustering")
-	cspan.Annotate(cfg.Seed)
+	_, cspan := obs.StartSpan(ctx, "stage.clustering", cfg.Seed)
 	err = cfg.Pool.Run(maxK, func(i int) error {
 		// The sweep is the long pole of the analysis; check for
 		// cancellation once per k so an abandoned pick returns promptly

@@ -59,9 +59,9 @@ func (h *Handlers) Stop() <-chan struct{} { return h.stop }
 //
 //	/metrics     Prometheus text exposition of the metrics registry
 //	/progress    JSON: suite progress, per-benchmark state, span tree
-//	/events      JSON: the flight recorder's recent structured events
+//	/events      JSON: the event log (pipeline, progress and span events)
 //	             (?stream=1 follows live as JSONL until shutdown)
-//	/attribution JSON: the cost-attribution snapshot + walk-3 accounting
+//	/attribution JSON: the cost-attribution snapshot
 //	/profile     speedscope-compatible flamegraph of the attribution tree
 //	/debug/pprof the standard runtime profiling endpoints
 //
@@ -147,8 +147,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("xbsim telemetry\n\n" +
 		"/metrics      Prometheus exposition\n" +
 		"/progress     suite + per-benchmark progress (JSON)\n" +
-		"/events       flight recorder events (JSON; ?stream=1 follows as JSONL)\n" +
-		"/attribution  cost attribution + walk-3 accounting (JSON)\n" +
+		"/events       event log (JSON; ?stream=1 follows as JSONL)\n" +
+		"/attribution  cost attribution (JSON)\n" +
 		"/profile      speedscope flamegraph of the attribution tree\n" +
 		"/debug/pprof  runtime profiles\n"))
 }
@@ -169,7 +169,7 @@ type ProgressView struct {
 	Total int `json:"total"`
 	// Benchmarks maps benchmark name to its latest recorded state.
 	Benchmarks map[string]obs.BenchmarkState `json:"benchmarks,omitempty"`
-	// Spans is the tracer's span tree in start order.
+	// Spans is the span tree derived from the event log, in start order.
 	Spans []obs.SpanView `json:"spans,omitempty"`
 }
 
@@ -178,16 +178,14 @@ func (h *Handlers) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	if h.o != nil {
 		view.Done, view.Total = h.o.Events.SuiteProgress()
 		view.Benchmarks = h.o.Events.BenchmarkStates()
-		view.Spans = h.o.Tracer.Spans()
+		view.Spans = h.o.Events.Spans()
 	}
 	writeJSON(w, view)
 }
 
 // EventsView is the /events response body.
 type EventsView struct {
-	// Dropped counts events evicted from the bounded ring.
-	Dropped uint64 `json:"dropped"`
-	// Events holds the retained events, oldest first.
+	// Events holds the event log, oldest first.
 	Events []obs.PipelineEvent `json:"events"`
 }
 
@@ -202,20 +200,19 @@ func (h *Handlers) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	view := EventsView{Events: []obs.PipelineEvent{}}
 	if rec != nil {
-		view.Dropped = rec.Dropped()
 		view.Events = rec.Events()
 	}
 	writeJSON(w, view)
 }
 
-// streamPollInterval paces the follow-mode poll of the recorder ring.
+// streamPollInterval paces the follow-mode poll of the event log.
 var streamPollInterval = 100 * time.Millisecond
 
-// StreamEvents serves a recorder as a live JSONL stream: every retained
-// event with Seq > after (query parameter, default 0) is written as one
-// JSON line, then the handler follows the ring — polling for new
-// events, flushing each batch — until the client disconnects or stop is
-// closed (server shutdown). The shared streaming core behind both the
+// StreamEvents serves a recorder as a live JSONL stream: every event
+// with Seq > after (query parameter, default 0) is written as one JSON
+// line, then the handler follows the log — polling for the events after
+// the last one sent, flushing each batch — until the client disconnects
+// or stop is closed (server shutdown). The shared streaming core behind both the
 // telemetry server's /events?stream=1 and serve's /jobs/{id}/events.
 func StreamEvents(w http.ResponseWriter, r *http.Request, rec *obs.Recorder, stop <-chan struct{}) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -227,16 +224,11 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *obs.Recorder, sto
 	ticker := time.NewTicker(streamPollInterval)
 	defer ticker.Stop()
 	for {
-		if rec != nil {
-			for _, ev := range rec.Events() {
-				if ev.Seq <= last {
-					continue
-				}
-				if err := enc.Encode(ev); err != nil {
-					return
-				}
-				last = ev.Seq
+		for _, ev := range rec.EventsAfter(last) {
+			if err := enc.Encode(ev); err != nil {
+				return
 			}
+			last = ev.Seq
 		}
 		if flusher != nil {
 			flusher.Flush()

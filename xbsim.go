@@ -212,7 +212,7 @@ func FindMappablePoints(bins []*Binary, in Input, opts MappingOptions) (*Mapping
 // context carries an Observer (see WithObserver), profiling and matching
 // are traced and mapping counters recorded.
 func FindMappablePointsCtx(ctx context.Context, bins []*Binary, in Input, opts MappingOptions) (*MappingResult, error) {
-	pctx, pspan := obs.StartSpan(ctx, "stage.profile")
+	pctx, pspan := obs.StartSpan(ctx, "stage.profile", "")
 	profiles := make([]*profile.Profile, len(bins))
 	for i, bin := range bins {
 		p, err := profile.CollectCtx(pctx, bin, in)
@@ -354,8 +354,7 @@ func PerBinaryPointsCtx(ctx context.Context, bin *Binary, in Input, cfg PointsCo
 	if err != nil {
 		return nil, err
 	}
-	pctx, pspan := obs.StartSpan(ctx, "stage.profile")
-	pspan.Annotate(bin.Name)
+	pctx, pspan := obs.StartSpan(ctx, "stage.profile", bin.Name)
 	if err := exec.RunCtx(pctx, bin, in, fc); err != nil {
 		pspan.End()
 		return nil, err
@@ -424,8 +423,7 @@ func CrossBinaryPointsCtx(ctx context.Context, bins []*Binary, in Input, cfg Poi
 	if err != nil {
 		return nil, err
 	}
-	vctx, vspan := obs.StartSpan(ctx, "stage.vli_slicing")
-	vspan.Annotate(bins[primary].Name)
+	vctx, vspan := obs.StartSpan(ctx, "stage.vli_slicing", bins[primary].Name)
 	if err := exec.RunCtx(vctx, bins[primary], in, vc); err != nil {
 		vspan.End()
 		return nil, err
@@ -548,8 +546,7 @@ func SimulateFullCtx(ctx context.Context, bin *Binary, in Input, hierarchy *Hier
 	if err != nil {
 		return nil, err
 	}
-	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim")
-	fspan.Annotate(bin.Name)
+	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim", bin.Name)
 	if err := exec.RunCtx(fctx, bin, in, sim); err != nil {
 		fspan.End()
 		return nil, err
@@ -721,17 +718,16 @@ func WriteReportCtx(ctx context.Context, w io.Writer, s *Suite) error {
 // the *Ctx variants of the pipeline entry points; a nil Observer — or a
 // plain context — records nothing and costs nothing.
 type (
-	// Observer bundles a metrics registry, a tracer, and a progress sink.
+	// Observer bundles a metrics registry, an event log that records
+	// pipeline events, progress and spans, and a progress sink.
 	Observer = obs.Observer
 	// MetricsSnapshot is a point-in-time copy of every recorded metric.
 	MetricsSnapshot = obs.Snapshot
-	// ProgressEvent is one coarse progress update from the pipeline.
-	ProgressEvent = obs.Event
 )
 
 // NewObserver returns an Observer with a fresh metrics registry and
-// tracer. Attach a progress sink with obs := NewObserver();
-// obs.Progress = NewProgressWriter(os.Stderr).
+// event log; spans and progress land in o.Events. Render progress lines
+// with o := NewObserver(); o.Progress = NewProgressWriter(os.Stderr).
 func NewObserver() *Observer { return obs.New() }
 
 // NewProgressWriter returns a progress sink that renders one line per
