@@ -12,6 +12,7 @@ package xbsim
 // through `go run ./cmd/xbsim figures`.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -34,7 +35,7 @@ var (
 func benchSuite(b *testing.B) *experiment.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = experiment.Run(experiment.QuickConfig())
+		suiteVal, suiteErr = experiment.RunCtx(context.Background(), experiment.QuickConfig())
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -248,7 +249,7 @@ func BenchmarkPipelineSingleBenchmark(b *testing.B) {
 	cfg.TargetOps = 600_000
 	cfg.IntervalSize = 8_000
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunBenchmark("gzip", cfg); err != nil {
+		if _, err := experiment.RunCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func workersBench(b *testing.B, workers int) {
 	cfg.IntervalSize = 8_000
 	cfg.Workers = workers
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.RunBenchmark("gzip", cfg); err != nil {
+		if _, err := experiment.RunCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,7 +285,7 @@ func BenchmarkEndToEndQuickSuite(b *testing.B) {
 	cfg.TargetOps = 400_000
 	cfg.IntervalSize = 6_000
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(cfg); err != nil {
+		if _, err := experiment.RunCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -300,7 +301,7 @@ func TestBenchArtifactsBuildable(t *testing.T) {
 	cfg.Benchmarks = []string{"swim"}
 	cfg.TargetOps = 400_000
 	cfg.IntervalSize = 6_000
-	s, err := experiment.Run(cfg)
+	s, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func cmdChaos(ctx context.Context, args []string, w io.Writer) error {
 		}
 		spec = spec.Normalize()
 
-		baseline, err := experiment.RunSpecCtx(ctx, spec, cfg)
+		baseline, err := runSpec(ctx, spec, cfg)
 		if err != nil {
 			return fmt.Errorf("chaos: fault-free baseline of %s failed: %w", spec.Name(), err)
 		}
@@ -80,7 +80,7 @@ func cmdChaos(ctx context.Context, args []string, w io.Writer) error {
 		}
 		inj := faults.NewInjector(plan...)
 		o := obs.New()
-		res, err := experiment.RunSpecCtx(obs.With(faults.With(ctx, inj), o), spec, cfg)
+		res, err := runSpec(obs.With(faults.With(ctx, inj), o), spec, cfg)
 		retried := o.Counter("pipeline.retries").Value()
 		switch {
 		case err != nil && ctx.Err() != nil:
@@ -109,4 +109,13 @@ func cmdChaos(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("chaos: %d recovered run(s) diverged from the fault-free baseline", mismatched)
 	}
 	return nil
+}
+
+// runSpec runs one spec through the suite pipeline and returns its result.
+func runSpec(ctx context.Context, spec program.Spec, cfg experiment.Config) (*experiment.BenchmarkResult, error) {
+	s, err := experiment.RunSpecsCtx(ctx, []program.Spec{spec}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Results[0], nil
 }

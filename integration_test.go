@@ -3,6 +3,7 @@ package xbsim
 // Integration tests: invariants that span several subsystems at once.
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -22,7 +23,7 @@ func TestSuiteBitReproducible(t *testing.T) {
 	cfg.TargetOps = 500_000
 	cfg.IntervalSize = 8_000
 	run := func() []*experiment.Figure {
-		s, err := experiment.Run(cfg)
+		s, err := experiment.RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestConsistentBiasProperty(t *testing.T) {
 	cfg.Benchmarks = []string{"swim", "crafty", "mcf", "sixtrack"}
 	cfg.TargetOps = 1_000_000
 	cfg.IntervalSize = 10_000
-	suite, err := experiment.Run(cfg)
+	suite, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestWarmingOffDegradesCacheSensitiveEstimate(t *testing.T) {
 	errFor := func(disable bool) float64 {
 		c := cfg
 		c.DisableWarming = disable
-		s, err := experiment.Run(c)
+		s, err := experiment.RunCtx(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestFacadeMatchesSuite(t *testing.T) {
 		cfg := experiment.QuickConfig()
 		cfg.Benchmarks = []string{"gzip", "applu"}
 		cfg.Sampler = backend
-		suite, err := experiment.Run(cfg)
+		suite, err := experiment.RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,11 +51,11 @@ var driveBinary = &compiler.Binary{Program: &program.Program{Name: "drive"}}
 // window, every level's event counters and both generators' positions.
 func checkDrive(levels []CacheConfig, spec genSpec, calls []driveCall) error {
 	cfg := HierarchyConfig{Levels: levels, MemoryLatency: 250}
-	sim, err := newSimulator(driveBinary, cfg, DefaultCoreConfig(), nil)
+	sim, err := newSimulator(driveBinary, cfg, nil)
 	if err != nil {
 		return err
 	}
-	ref, err := newRefSimulator(driveBinary, cfg, DefaultCoreConfig())
+	ref, err := newRefSimulator(driveBinary, cfg)
 	if err != nil {
 		return err
 	}

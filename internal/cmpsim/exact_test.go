@@ -204,12 +204,10 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
 		hier HierarchyConfig
-		core CoreConfig
 	}{
-		{"table1", DefaultHierarchyConfig(), DefaultCoreConfig()},
-		{"random-prefetch", randomPrefetch, DefaultCoreConfig()},
-		{"fifo", fifo, DefaultCoreConfig()},
-		{"wide-core", DefaultHierarchyConfig(), CoreConfig{IssueWidth: 2, FPExtraCycles: 1, StoreLatencyShare: 3}},
+		{"table1", DefaultHierarchyConfig()},
+		{"random-prefetch", randomPrefetch},
+		{"fifo", fifo},
 	}
 	targets := []compiler.Target{{Arch: compiler.Arch32, Opt: compiler.O0}, {Arch: compiler.Arch64, Opt: compiler.O2}}
 	// One pool across every run, so recycled hierarchies are checked too.
@@ -220,11 +218,11 @@ func TestSimulatorMatchesReference(t *testing.T) {
 			for _, cfg := range configs {
 				for _, warming := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%v/%s/warming=%v", prog, tg, cfg.name, warming)
-					sim, err := newSimulator(bin, cfg.hier, cfg.core, pool)
+					sim, err := newSimulator(bin, cfg.hier, pool)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := newRefSimulator(bin, cfg.hier, cfg.core)
+					ref, err := newRefSimulator(bin, cfg.hier)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -257,11 +255,11 @@ func TestSimulatorLineZeroMatchesReference(t *testing.T) {
 	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
 	pool := NewStatePool()
 	for run := 0; run < 2; run++ { // the second run recycles the first's hierarchy
-		sim, err := newSimulator(bin, DefaultHierarchyConfig(), DefaultCoreConfig(), pool)
+		sim, err := newSimulator(bin, DefaultHierarchyConfig(), pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefSimulator(bin, DefaultHierarchyConfig(), DefaultCoreConfig())
+		ref, err := newRefSimulator(bin, DefaultHierarchyConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

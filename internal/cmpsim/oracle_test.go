@@ -239,13 +239,12 @@ type refSimulator struct {
 	hier     *refHierarchy
 	gens     []*refAddressGen
 	stackGen *refAddressGen
-	core     CoreConfig
 	enabled  bool
 	warming  bool
 	stats    Stats
 }
 
-func newRefSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig) (*refSimulator, error) {
+func newRefSimulator(bin *compiler.Binary, cfg HierarchyConfig) (*refSimulator, error) {
 	hier, err := newRefHierarchy(cfg)
 	if err != nil {
 		return nil, err
@@ -254,7 +253,6 @@ func newRefSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig)
 		bin:     bin,
 		hier:    hier,
 		gens:    make([]*refAddressGen, len(bin.Blocks)),
-		core:    core,
 		enabled: true,
 		warming: true,
 	}
@@ -320,11 +318,7 @@ func (s *refSimulator) OnBlock(block int) {
 		return
 	}
 	b := &s.bin.Blocks[block]
-	base := uint64(b.Instrs)
-	if w := uint64(s.core.IssueWidth); w > 1 {
-		base = (base + w - 1) / w
-	}
-	cycles := base + uint64(b.FPInstrs)*uint64(s.core.FPExtraCycles)
+	cycles := uint64(b.Instrs) + uint64(b.FPInstrs)*fpExtraCycles
 	if g := s.gens[block]; g != nil {
 		cycles += s.drive(g, b.Loads, b.Stores, enabled)
 	}
@@ -342,7 +336,6 @@ func (s *refSimulator) OnBlock(block int) {
 // drive is the reference per-generator access loop: g's next loads, then
 // its next stores, one hierarchy access each.
 func (s *refSimulator) drive(g *refAddressGen, loads, stores int, record bool) uint64 {
-	storeShare := uint64(s.core.StoreLatencyShare)
 	var cycles uint64
 	for i := 0; i < loads; i++ {
 		lat := s.access(g.next(), false, record)
@@ -352,7 +345,7 @@ func (s *refSimulator) drive(g *refAddressGen, loads, stores int, record bool) u
 		lat := s.access(g.next(), true, record)
 		// Stores retire through a store buffer; charge a fraction of
 		// the miss latency.
-		cycles += uint64(lat-1) / storeShare
+		cycles += uint64(lat-1) / storeLatencyShare
 	}
 	return cycles
 }

@@ -1,12 +1,6 @@
 package cmpsim
 
-import (
-	"testing"
-
-	"xbsim/internal/compiler"
-	"xbsim/internal/exec"
-	"xbsim/internal/program"
-)
+import "testing"
 
 func TestPolicyStrings(t *testing.T) {
 	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || Random.String() != "Random" {
@@ -178,60 +172,5 @@ func TestPrefetchIdempotentWhenResident(t *testing.T) {
 	c.Access(0) // miss; next-line (line 1) already resident
 	if c.PrefetchFills != before {
 		t.Fatal("prefetch refilled a resident line")
-	}
-}
-
-func TestCoreConfigValidate(t *testing.T) {
-	if err := DefaultCoreConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []CoreConfig{
-		{IssueWidth: 0, FPExtraCycles: 1, StoreLatencyShare: 4},
-		{IssueWidth: 1, FPExtraCycles: -1, StoreLatencyShare: 4},
-		{IssueWidth: 1, FPExtraCycles: 1, StoreLatencyShare: 0},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad core %d validated", i)
-		}
-	}
-}
-
-func TestWiderCoreLowersCPI(t *testing.T) {
-	p, err := program.Generate("crafty", program.GenConfig{TargetOps: 150_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
-	cpiFor := func(width int) float64 {
-		core := DefaultCoreConfig()
-		core.IssueWidth = width
-		sim, err := NewSimulatorWithCore(bin, DefaultHierarchyConfig(), core)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := exec.Run(bin, refInput, sim); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Stats().CPI()
-	}
-	narrow, wide := cpiFor(1), cpiFor(2)
-	if wide >= narrow {
-		t.Fatalf("width 2 CPI %.3f not below width 1 CPI %.3f", wide, narrow)
-	}
-	// Memory stalls are unaffected, so doubling width cannot halve CPI.
-	if wide < narrow/2 {
-		t.Fatalf("width 2 CPI %.3f implausibly below half of %.3f", wide, narrow)
-	}
-}
-
-func TestNewSimulatorWithCoreRejectsBadCore(t *testing.T) {
-	p, err := program.Generate("art", program.GenConfig{TargetOps: 100_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
-	if _, err := NewSimulatorWithCore(bin, DefaultHierarchyConfig(), CoreConfig{}); err == nil {
-		t.Fatal("zero core config accepted")
 	}
 }

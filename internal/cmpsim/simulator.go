@@ -9,37 +9,14 @@ import (
 	"xbsim/internal/xrand"
 )
 
-// CoreConfig models the in-order core's execution parameters. The paper's
-// CMP$im configuration corresponds to DefaultCoreConfig (single-issue,
-// 2-cycle FP, quarter-latency buffered stores).
-type CoreConfig struct {
-	// IssueWidth is how many non-memory instructions retire per cycle.
-	IssueWidth int
-	// FPExtraCycles is added per floating-point instruction.
-	FPExtraCycles int
-	// StoreLatencyShare divides the miss latency charged to (buffered)
-	// stores; 4 means stores cost a quarter of a load's stall.
-	StoreLatencyShare int
-}
-
-// DefaultCoreConfig returns the paper's in-order core.
-func DefaultCoreConfig() CoreConfig {
-	return CoreConfig{IssueWidth: 1, FPExtraCycles: 1, StoreLatencyShare: 4}
-}
-
-// Validate checks the core parameters.
-func (c CoreConfig) Validate() error {
-	if c.IssueWidth <= 0 {
-		return fmt.Errorf("cmpsim: issue width %d", c.IssueWidth)
-	}
-	if c.FPExtraCycles < 0 {
-		return fmt.Errorf("cmpsim: negative FP latency")
-	}
-	if c.StoreLatencyShare <= 0 {
-		return fmt.Errorf("cmpsim: store latency share %d", c.StoreLatencyShare)
-	}
-	return nil
-}
+// The paper's CMP$im core is in-order and single-issue: every instruction
+// retires in one cycle, a floating-point instruction costs fpExtraCycles
+// more, and a store, which retires through a store buffer, stalls for
+// 1/storeLatencyShare of a load's miss latency.
+const (
+	fpExtraCycles     = 1
+	storeLatencyShare = 4
+)
 
 // Stats accumulates simulation results over the enabled portion of a run.
 type Stats struct {
@@ -98,11 +75,10 @@ type Simulator struct {
 	// stackGen is the shared spill-address generator.
 	stackGen *addressGen
 
-	core CoreConfig
 	// loadPenalty[i] and storePenalty[i] are the stall cycles charged to a
 	// load or store served by level i (len(levels) for DRAM): the latency
-	// less the one issue cycle, and a StoreLatencyShare fraction of that
-	// for stores, which retire through a store buffer.
+	// less the one issue cycle, and a 1/storeLatencyShare fraction of that
+	// for stores.
 	loadPenalty, storePenalty []uint64
 
 	enabled bool
@@ -113,16 +89,9 @@ type Simulator struct {
 }
 
 // NewSimulator builds a simulator for the binary with the given memory
-// system and the paper's default core. It starts enabled.
+// system and the paper's core. It starts enabled.
 func NewSimulator(bin *compiler.Binary, cfg HierarchyConfig) (*Simulator, error) {
-	return newSimulator(bin, cfg, DefaultCoreConfig(), nil)
-}
-
-// NewSimulatorWithCore builds a simulator with an explicit core model,
-// for architecture-exploration studies that vary the core as well as the
-// memory system.
-func NewSimulatorWithCore(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig) (*Simulator, error) {
-	return newSimulator(bin, cfg, core, nil)
+	return newSimulator(bin, cfg, nil)
 }
 
 // NewSimulatorPooled is NewSimulator drawing its cache-hierarchy state
@@ -131,15 +100,12 @@ func NewSimulatorWithCore(bin *compiler.Binary, cfg HierarchyConfig, core CoreCo
 // bit-identically to a fresh one (see StatePool). A nil pool degrades to
 // NewSimulator with a no-op Release.
 func NewSimulatorPooled(bin *compiler.Binary, cfg HierarchyConfig, pool *StatePool) (*Simulator, error) {
-	return newSimulator(bin, cfg, DefaultCoreConfig(), pool)
+	return newSimulator(bin, cfg, pool)
 }
 
-func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig, pool *StatePool) (*Simulator, error) {
+func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, pool *StatePool) (*Simulator, error) {
 	if bin == nil {
 		return nil, fmt.Errorf("cmpsim: nil binary")
-	}
-	if err := core.Validate(); err != nil {
-		return nil, err
 	}
 	hier, err := pool.Get(cfg)
 	if err != nil {
@@ -149,7 +115,6 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig, po
 		bin:     bin,
 		hier:    hier,
 		gens:    make([]*addressGen, len(bin.Blocks)),
-		core:    core,
 		enabled: true,
 		warming: true,
 		pool:    pool,
@@ -158,7 +123,7 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, core CoreConfig, po
 	s.stats.LevelMisses = make([]uint64, len(hier.levels))
 	for _, lat := range hier.latency {
 		s.loadPenalty = append(s.loadPenalty, uint64(lat-1))
-		s.storePenalty = append(s.storePenalty, uint64(lat-1)/uint64(core.StoreLatencyShare))
+		s.storePenalty = append(s.storePenalty, uint64(lat-1)/storeLatencyShare)
 	}
 	// The address seed is keyed by the PROGRAM, not the binary: the same
 	// source statement touches the same addresses in every binary of the
@@ -248,9 +213,6 @@ func (s *Simulator) SetEnabled(v bool) { s.enabled = v }
 // cold-start bias the warming ablation quantifies.
 func (s *Simulator) SetFunctionalWarming(v bool) { s.warming = v }
 
-// FunctionalWarming reports the warming mode.
-func (s *Simulator) FunctionalWarming() bool { return s.warming }
-
 // Enabled reports the current gate state.
 func (s *Simulator) Enabled() bool { return s.enabled }
 
@@ -326,11 +288,7 @@ func (s *Simulator) OnBlock(block int) {
 		return
 	}
 	b := &s.bin.Blocks[block]
-	base := uint64(b.Instrs)
-	if w := uint64(s.core.IssueWidth); w > 1 {
-		base = (base + w - 1) / w
-	}
-	cycles := base + uint64(b.FPInstrs)*uint64(s.core.FPExtraCycles)
+	cycles := uint64(b.Instrs) + uint64(b.FPInstrs)*fpExtraCycles
 	if g := s.gens[block]; g != nil {
 		cycles += s.drive(g, b.Loads, b.Stores, enabled)
 	}

@@ -675,13 +675,3 @@ func (b *Binary) StackMem() program.MemPattern {
 		Class:      program.MemStride,
 	}
 }
-
-// MarkerCountByKind returns how many markers of each kind the binary has,
-// for diagnostics.
-func (b *Binary) MarkerCountByKind() map[MarkerKind]int {
-	out := map[MarkerKind]int{}
-	for _, m := range b.Markers {
-		out[m.Kind]++
-	}
-	return out
-}

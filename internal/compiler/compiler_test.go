@@ -312,6 +312,7 @@ func TestMarkersWellFormed(t *testing.T) {
 	for _, tg := range AllTargets {
 		b := MustCompile(p, tg)
 		blockSeen := map[int]bool{}
+		counts := map[MarkerKind]int{}
 		for i, m := range b.Markers {
 			if m.ID != i {
 				t.Fatalf("%s: marker %d has ID %d", tg, i, m.ID)
@@ -323,6 +324,7 @@ func TestMarkersWellFormed(t *testing.T) {
 				t.Fatalf("%s: block %d carries two markers", tg, m.Block)
 			}
 			blockSeen[m.Block] = true
+			counts[m.Kind]++
 			switch m.Kind {
 			case MarkerProcEntry:
 				if m.Symbol == "" || m.SourceLoopID != -1 {
@@ -334,7 +336,6 @@ func TestMarkersWellFormed(t *testing.T) {
 				}
 			}
 		}
-		counts := b.MarkerCountByKind()
 		if counts[MarkerProcEntry] != len(b.Symbols) {
 			t.Fatalf("%s: %d proc markers for %d symbols", tg, counts[MarkerProcEntry], len(b.Symbols))
 		}

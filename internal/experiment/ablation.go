@@ -117,7 +117,7 @@ func AblationMarkerGranularity(cfg Config) (*AblationTable, error) {
 	for _, v := range variants {
 		c := cfg
 		c.Mapping = v.opts
-		s, err := Run(c)
+		s, err := RunCtx(context.Background(), c)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +135,7 @@ func AblationInlineHeuristic(cfg Config) (*AblationTable, error) {
 	}{{"heuristic-on", false}, {"heuristic-off", true}} {
 		c := cfg
 		c.Mapping.DisableInlineHeuristic = v.disable
-		s, err := Run(c)
+		s, err := RunCtx(context.Background(), c)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +205,7 @@ func AblationPrimaryBinary(cfg Config) (*AblationTable, error) {
 	for primary := range compiler.AllTargets {
 		c := cfg
 		c.Primary = primary
-		s, err := Run(c)
+		s, err := RunCtx(context.Background(), c)
 		if err != nil {
 			return nil, err
 		}

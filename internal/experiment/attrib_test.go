@@ -21,7 +21,7 @@ func TestPipelineAttribution(t *testing.T) {
 	// evaluate stage's wall time) holds only when the per-binary walks run
 	// one after another; concurrent walks sum to more than the stage took.
 	cfg.Workers = 1
-	res, err := RunBenchmarkCtx(ctx, "gzip", cfg)
+	res, err := runBenchmark(ctx, "gzip", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPipelineAttribution(t *testing.T) {
 func TestPerWalkMetricFamilies(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	ctx := obs.With(context.Background(), o)
-	if _, err := RunBenchmarkCtx(ctx, "gzip", testConfig("gzip")); err != nil {
+	if _, err := runBenchmark(ctx, "gzip", testConfig("gzip")); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Metrics.Snapshot()
@@ -143,12 +143,12 @@ func TestPerWalkMetricFamilies(t *testing.T) {
 // Attribution must not change the numbers: a run with the profiler
 // attached produces bit-identical results to a run without.
 func TestAttributionDoesNotPerturbResults(t *testing.T) {
-	plain, err := RunBenchmark("art", testConfig("art"))
+	plain, err := runBenchmark(context.Background(), "art", testConfig("art"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := &obs.Observer{Attrib: obs.NewAttribution()}
-	profiled, err := RunBenchmarkCtx(obs.With(context.Background(), o), "art", testConfig("art"))
+	profiled, err := runBenchmark(obs.With(context.Background(), o), "art", testConfig("art"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // A checkpoint must round-trip a result so that the reload fingerprints
 // identically — including NaN point CPIs, which plain JSON cannot carry.
 func TestCheckpointRoundTrip(t *testing.T) {
-	res, err := RunBenchmark("mcf", testConfig("mcf"))
+	res, err := runBenchmark(context.Background(), "mcf", testConfig("mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // loaded, the rest computed, and the combined suite is bit-identical to
 // an uninterrupted run.
 func TestSuiteResumeIsBitIdentical(t *testing.T) {
-	fresh, err := Run(testConfig("gzip", "mcf"))
+	fresh, err := RunCtx(context.Background(), testConfig("gzip", "mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSuiteResumeIsBitIdentical(t *testing.T) {
 	// "Interrupted" run: only the first benchmark completed.
 	cfg1 := testConfig("gzip")
 	cfg1.CheckpointDir = dir
-	if _, err := Run(cfg1); err != nil {
+	if _, err := RunCtx(context.Background(), cfg1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestSuiteResumeIsBitIdentical(t *testing.T) {
 // fingerprint left alone — must be detected by the fingerprint check
 // and recomputed, not trusted.
 func TestCorruptCheckpointDetectedAndRecomputed(t *testing.T) {
-	fresh, err := Run(testConfig("mcf"))
+	fresh, err := RunCtx(context.Background(), testConfig("mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCorruptCheckpointDetectedAndRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig("mcf")
 	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,8 +190,8 @@ func TestSharedCheckpointDirConcurrentConfigs(t *testing.T) {
 	var errA, errB error
 	var suiteA, suiteB *Suite
 	wg.Add(2)
-	go func() { defer wg.Done(); suiteA, errA = Run(cfgA) }()
-	go func() { defer wg.Done(); suiteB, errB = Run(cfgB) }()
+	go func() { defer wg.Done(); suiteA, errA = RunCtx(context.Background(), cfgA) }()
+	go func() { defer wg.Done(); suiteB, errB = RunCtx(context.Background(), cfgB) }()
 	wg.Wait()
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
@@ -226,7 +226,7 @@ func TestSharedCheckpointDirConcurrentConfigs(t *testing.T) {
 func TestSpecSuiteCheckpointResume(t *testing.T) {
 	specs := []program.Spec{program.RandomSpec(7, 0), program.RandomSpec(7, 1)}
 	cfg := testConfig()
-	fresh, err := RunSpecs(specs, cfg)
+	fresh, err := RunSpecsCtx(context.Background(), specs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSpecSuiteCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg1 := cfg
 	cfg1.CheckpointDir = dir
-	if _, err := RunSpecs(specs[:1], cfg1); err != nil {
+	if _, err := RunSpecsCtx(context.Background(), specs[:1], cfg1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +259,7 @@ func TestFailedBenchmarkWritesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig("nosuch")
 	cfg.CheckpointDir = dir
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunCtx(context.Background(), cfg); err == nil {
 		t.Fatal("unknown benchmark succeeded")
 	}
 	if _, err := os.Stat(checkpointPath(dir, cfg.fingerprint(), "nosuch")); !errors.Is(err, os.ErrNotExist) {

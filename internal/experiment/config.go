@@ -108,9 +108,8 @@ type Config struct {
 	// results are bit-identical with or without it.
 	SharedPool *pool.Pool
 	// workerPool is the shared bounded pool threaded through the
-	// pipeline. RunCtx installs one pool for the whole suite so
-	// concurrent benchmarks share a single Workers budget;
-	// RunBenchmarkCtx creates its own when none is installed.
+	// pipeline. The suite installs one pool for all its benchmarks so
+	// they share a single Workers budget.
 	workerPool *pool.Pool
 	// simPool recycles cmpsim cache-hierarchy state across evaluation
 	// walks, installed alongside workerPool.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,6 +15,17 @@ func testConfig(benchmarks ...string) Config {
 	cfg.TargetOps = 600_000
 	cfg.IntervalSize = 8_000
 	return cfg
+}
+
+// runBenchmark runs the suite pipeline on the one named benchmark and
+// returns its result.
+func runBenchmark(ctx context.Context, name string, cfg Config) (*BenchmarkResult, error) {
+	cfg.Benchmarks = []string{name}
+	s, err := RunCtx(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Results[0], nil
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -37,7 +49,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestRunBenchmarkBasics(t *testing.T) {
-	res, err := RunBenchmark("gzip", testConfig("gzip"))
+	res, err := runBenchmark(context.Background(), "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +88,7 @@ func TestRunBenchmarkBasics(t *testing.T) {
 }
 
 func TestVLIPointCountSharedAcrossBinaries(t *testing.T) {
-	res, err := RunBenchmark("art", testConfig("art"))
+	res, err := runBenchmark(context.Background(), "art", testConfig("art"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestVLIWeightsRecalculatedPerBinary(t *testing.T) {
 	// benchmark/phase the weights should differ between 32u and 32o,
 	// because optimization changes per-phase instruction expansion
 	// non-uniformly.
-	res, err := RunBenchmark("gcc", testConfig("gcc"))
+	res, err := runBenchmark(context.Background(), "gcc", testConfig("gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +134,7 @@ func TestEstimatesTrackTruth(t *testing.T) {
 	// Sanity bound: estimates should be within 60% of truth even at this
 	// tiny scale (they are typically within a few percent).
 	for _, name := range []string{"swim", "art"} {
-		res, err := RunBenchmark(name, testConfig(name))
+		res, err := runBenchmark(context.Background(), name, testConfig(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +149,7 @@ func TestEstimatesTrackTruth(t *testing.T) {
 
 func TestRunSuiteAndFigures(t *testing.T) {
 	cfg := testConfig("swim", "art")
-	suite, err := Run(cfg)
+	suite, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestRunSuiteAndFigures(t *testing.T) {
 }
 
 func TestSpeedupMetrics(t *testing.T) {
-	suite, err := Run(testConfig("swim"))
+	suite, err := RunCtx(context.Background(), testConfig("swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +222,7 @@ func TestSpeedupMetrics(t *testing.T) {
 }
 
 func TestPhaseBiasTables(t *testing.T) {
-	suite, err := Run(testConfig("gcc"))
+	suite, err := RunCtx(context.Background(), testConfig("gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +264,7 @@ func TestHeadlineResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline reproduction needs the full quick suite")
 	}
-	suite, err := Run(QuickConfig())
+	suite, err := RunCtx(context.Background(), QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

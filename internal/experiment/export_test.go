@@ -2,13 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 )
 
 func TestSuiteExportAndJSON(t *testing.T) {
 	cfg := testConfig("swim", "art")
-	suite, err := Run(cfg)
+	suite, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func retryConfig(benchmarks ...string) Config {
 // errors, worker panics, delays — must be retried away, and the
 // recovered run must be bit-identical to an undisturbed one.
 func TestRetryRecoversInjectedFaults(t *testing.T) {
-	baseline, err := RunBenchmark("gzip", testConfig("gzip"))
+	baseline, err := runBenchmark(context.Background(), "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRetryRecoversInjectedFaults(t *testing.T) {
 	)
 	o := obs.New()
 	ctx := obs.With(faults.With(context.Background(), inj), o)
-	res, err := RunBenchmarkCtx(ctx, "gzip", retryConfig("gzip"))
+	res, err := runBenchmark(ctx, "gzip", retryConfig("gzip"))
 	if err != nil {
 		t.Fatalf("faulted run failed despite retries: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestRetryRecoversInjectedFaults(t *testing.T) {
 // A hang fault blocks until the stage deadline expires; the expiry is
 // transient, so the next attempt must succeed bit-identically.
 func TestHangFaultTimesOutAndRetries(t *testing.T) {
-	baseline, err := RunBenchmark("mcf", testConfig("mcf"))
+	baseline, err := runBenchmark(context.Background(), "mcf", testConfig("mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHangFaultTimesOutAndRetries(t *testing.T) {
 	// package's heap mapped, a real evaluate attempt can cross 2s, which
 	// would burn the retry budget on legitimate work — keep headroom.
 	cfg.StageTimeout = 5 * time.Second
-	res, err := RunBenchmarkCtx(ctx, "mcf", cfg)
+	res, err := runBenchmark(ctx, "mcf", cfg)
 	if err != nil {
 		t.Fatalf("hang was not retried away: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestExhaustedRetriesFailBenchmark(t *testing.T) {
 	)
 	cfg := testConfig("mcf")
 	cfg.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond}
-	_, err := RunBenchmarkCtx(faults.With(context.Background(), inj), "mcf", cfg)
+	_, err := runBenchmark(faults.With(context.Background(), inj), "mcf", cfg)
 	if err == nil {
 		t.Fatal("benchmark succeeded with faults on every attempt")
 	}
@@ -201,7 +201,7 @@ func TestHangFaultYieldsToParentCancellation(t *testing.T) {
 	}()
 	o := obs.New()
 	start := time.Now()
-	_, err := RunBenchmarkCtx(obs.With(faults.With(ctx, inj), o), "mcf", retryConfig("mcf"))
+	_, err := runBenchmark(obs.With(faults.With(ctx, inj), o), "mcf", retryConfig("mcf"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("hung benchmark returned %v, want wrapped context.Canceled", err)
 	}
@@ -213,20 +213,19 @@ func TestHangFaultYieldsToParentCancellation(t *testing.T) {
 	}
 }
 
-// RunSpecCtx must push a synthesized spec through the same pipeline and
+// RunSpecsCtx must push a synthesized spec through the same pipeline and
 // produce the spec-named result deterministically.
 func TestRunSpecDeterministic(t *testing.T) {
 	spec := programSpecForTest(t)
 	cfg := testConfig()
-	cfg.Benchmarks = nil // unused by RunSpecCtx
-	a, err := RunSpec(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func() *BenchmarkResult {
+		s, err := RunSpecsCtx(context.Background(), []program.Spec{spec}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Results[0]
 	}
-	b, err := RunSpec(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(), run()
 	if a.Name != spec.Name() {
 		t.Fatalf("result name %q, want %q", a.Name, spec.Name())
 	}
@@ -243,7 +242,7 @@ func TestFlightRecorderJournalsFaultsAndRetries(t *testing.T) {
 	)
 	o := obs.New()
 	ctx := obs.With(faults.With(context.Background(), inj), o)
-	if _, err := RunBenchmarkCtx(ctx, "gzip", retryConfig("gzip")); err != nil {
+	if _, err := runBenchmark(ctx, "gzip", retryConfig("gzip")); err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}

@@ -20,7 +20,7 @@ func TestPipelineMetrics(t *testing.T) {
 	o.Progress = obs.NewProgress(&progress)
 	ctx := obs.With(context.Background(), o)
 
-	res, err := RunBenchmarkCtx(ctx, "gzip", testConfig("gzip"))
+	res, err := runBenchmark(ctx, "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestRunCtxProgress(t *testing.T) {
 // Observability must not change the numbers: a run with an observer
 // attached produces bit-identical results to a run without.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	plain, err := RunBenchmark("art", testConfig("art"))
+	plain, err := runBenchmark(context.Background(), "art", testConfig("art"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := obs.With(context.Background(), obs.New())
-	observed, err := RunBenchmarkCtx(ctx, "art", testConfig("art"))
+	observed, err := runBenchmark(ctx, "art", testConfig("art"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,84 +103,13 @@ var PipelineStages = []string{
 	"evaluate.walk",
 }
 
-// RunBenchmark executes the full pipeline for one benchmark.
-func RunBenchmark(name string, cfg Config) (*BenchmarkResult, error) {
-	return RunBenchmarkCtx(context.Background(), name, cfg)
-}
-
-// RunBenchmarkCtx is RunBenchmark with observability and fault
-// tolerance. When the context carries an obs.Observer, every pipeline
-// stage is recorded as a span under a per-benchmark root (compile →
-// profile → mapping → VLI slicing → full simulation → clustering →
-// gated simulation → weighting), stage progress is reported per binary,
-// and the metrics registry accumulates interval, marker, clustering, and
-// simulator counters. Without an observer it behaves — and costs —
-// exactly like RunBenchmark.
-//
-// Every stage runs inside a fault-tolerance envelope (see runStage):
-// panics are isolated into *pool.PanicError, Config.StageTimeout bounds
-// each attempt, and transient failures — injected faults from a
-// faults.Injector on the context, or stage deadline expiries — are
-// retried under Config.Retry. Stages are idempotent and deterministic,
-// so a run that succeeds after retries is bit-identical to an
-// undisturbed one.
-//
-// Within the benchmark, the per-binary profile walks, the SimPoint
-// sweeps, and the per-binary evaluations run concurrently on a bounded
-// pool of Config.Workers goroutines. The parallel schedule never changes
-// the numbers: every unit of work owns an index-addressed result slot
-// and an independently seeded random stream, so the output is
-// bit-identical to a Workers=1 run. Spans started by pool workers carry
-// the stage span as parent through the context, so concurrent work still
-// nests correctly under the benchmark root in the trace.
-func RunBenchmarkCtx(ctx context.Context, name string, cfg Config) (*BenchmarkResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	rs, errs := runPipeline(ctx, name, func() (*program.Program, error) {
-		return program.Generate(name, program.GenConfig{TargetOps: cfg.TargetOps})
-	}, []Config{cfg})
-	return rs[0], errs[0]
-}
-
-// RunSpec runs the full benchmark pipeline on a synthesized program
-// spec instead of a named benchmark — the same population the selfcheck
-// and chaos harnesses draw from.
-func RunSpec(spec program.Spec, cfg Config) (*BenchmarkResult, error) {
-	return RunSpecCtx(context.Background(), spec, cfg)
-}
-
-// RunSpecCtx is RunSpec with observability and fault tolerance (see
-// RunBenchmarkCtx).
-func RunSpecCtx(ctx context.Context, spec program.Spec, cfg Config) (*BenchmarkResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	spec = spec.Normalize()
-	rs, errs := runPipeline(ctx, spec.Name(), func() (*program.Program, error) {
-		return program.GenerateSpec(spec)
-	}, []Config{cfg})
-	return rs[0], errs[0]
-}
-
 // runPipeline evaluates one benchmark under every config in cfgs, which
 // differ only in pick-side settings (Config.prepareSide): prepare runs
 // once under cfgs[0], then pick runs once per config. A prepare failure
 // fails every config; a pick failure fails only its own. gen produces
 // the program (stage "compile" covers both generation and compilation).
-// A standalone run (no suite-installed pools) gets its own worker pool
-// and simulator state pool here.
+// The configs carry the suite's worker and simulator state pools.
 func runPipeline(ctx context.Context, name string, gen func() (*program.Program, error), cfgs []Config) ([]*BenchmarkResult, []error) {
-	if cfgs[0].workerPool == nil {
-		wp := pool.New(cfgs[0].Workers)
-		instrumentPool(wp, obs.From(ctx))
-		sp := cmpsim.NewStatePool()
-		for v := range cfgs {
-			cfgs[v].workerPool, cfgs[v].simPool = wp, sp
-		}
-	}
 	ctx, bspan := obs.StartSpan(ctx, "benchmark", name)
 	defer bspan.End()
 
@@ -536,22 +465,6 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 // across concurrently evaluated binaries.
 var vliGaugeMu sync.Mutex
 
-// instrumentPool attaches the worker pool's resource metrics — task
-// counts, busy/peak occupancy, and per-task queue wait — to the
-// observer's registry. A nil observer leaves the pool uninstrumented,
-// preserving the observability-off zero-cost contract.
-func instrumentPool(p *pool.Pool, o *obs.Observer) {
-	if o == nil {
-		return
-	}
-	p.Instrument(pool.Metrics{
-		Tasks:     o.Counter("pool.tasks"),
-		Busy:      o.Gauge("pool.busy_workers"),
-		BusyPeak:  o.Gauge("pool.busy_peak"),
-		QueueWait: o.Histogram("pool.queue_wait_us"),
-	})
-}
-
 // measurePoints measures one gated walk (walk "fli" or "vli" of binary
 // bi) and returns, per phase, the measured CPI of its simulation point
 // and the representative interval index, plus the instructions simulated
@@ -841,18 +754,35 @@ type Suite struct {
 	Failures []BenchmarkFailure
 }
 
-// Run evaluates every configured benchmark, in parallel up to
-// Config.Parallelism.
-func Run(cfg Config) (*Suite, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with observability: benchmark completion progress is
-// reported through the context's observer, and every per-benchmark stage
-// is traced (see RunBenchmarkCtx). Concurrent benchmarks land in separate
-// trace lanes keyed by their root spans. All benchmarks share one
-// intra-benchmark worker pool, so the whole suite never runs more than
-// Parallelism benchmark goroutines plus Workers-1 pool helpers.
+// RunCtx evaluates every configured benchmark, in parallel up to
+// Config.Parallelism. All benchmarks share one intra-benchmark worker
+// pool, so the whole suite never runs more than Parallelism benchmark
+// goroutines plus Workers-1 pool helpers.
+//
+// When the context carries an obs.Observer, every pipeline stage is
+// recorded as a span under a per-benchmark root (compile → profile →
+// mapping → VLI slicing → full simulation → clustering → gated
+// simulation → weighting), concurrent benchmarks land in separate trace
+// lanes keyed by their root spans, stage and completion progress is
+// reported, and the metrics registry accumulates interval, marker,
+// clustering, simulator and pool counters. Without an observer nothing
+// is recorded and nothing is paid.
+//
+// Every stage runs inside a fault-tolerance envelope (see runStage):
+// panics are isolated into *pool.PanicError, Config.StageTimeout bounds
+// each attempt, and transient failures — injected faults from a
+// faults.Injector on the context, or stage deadline expiries — are
+// retried under Config.Retry. Stages are idempotent and deterministic,
+// so a run that succeeds after retries is bit-identical to an
+// undisturbed one.
+//
+// Within a benchmark, the per-binary profile walks, the SimPoint sweeps,
+// and the per-binary evaluations run concurrently on the worker pool.
+// The parallel schedule never changes the numbers: every unit of work
+// owns an index-addressed result slot and an independently seeded random
+// stream, so the output is bit-identical to a Workers=1 run. Spans
+// started by pool workers carry the stage span as parent through the
+// context, so concurrent work still nests under the benchmark root.
 //
 // The suite degrades gracefully: a benchmark that fails (after
 // exhausting its retries) is recorded in Suite.Failures and the rest of
@@ -899,12 +829,6 @@ func runVariants(ctx context.Context, cfgs []Config) ([]*Suite, error) {
 		}}
 	}
 	return runSuite(ctx, cfgs, items)
-}
-
-// RunSpecs evaluates a suite of synthesized program specs — the same
-// work RunSpec does one at a time, with RunCtx's suite machinery.
-func RunSpecs(specs []program.Spec, cfg Config) (*Suite, error) {
-	return RunSpecsCtx(context.Background(), specs, cfg)
 }
 
 // RunSpecsCtx runs the full pipeline over a suite of synthesized program
@@ -954,7 +878,7 @@ func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, 
 	wp := cfgs[0].SharedPool // an injected pool is owned (and instrumented) by its installer
 	if wp == nil {
 		wp = pool.New(cfgs[0].Workers)
-		instrumentPool(wp, o)
+		wp.Instrument(o)
 	}
 	// One simulator state pool serves the whole suite, so cache-hierarchy
 	// state is recycled across all benchmarks' walks.

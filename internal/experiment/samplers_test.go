@@ -24,11 +24,11 @@ func TestStratifiedWorkersDeterminism(t *testing.T) {
 		cfg.Workers = workers
 		return cfg
 	}
-	serial, err := Run(mk(1))
+	serial, err := RunCtx(context.Background(), mk(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(mk(8))
+	parallel, err := RunCtx(context.Background(), mk(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStratifiedWorkersDeterminism(t *testing.T) {
 // backend comparison is built on: every method reports a positive
 // detailed-simulation cost no larger than the full run.
 func TestSimulatedInstructionsAccounting(t *testing.T) {
-	suite, err := Run(testConfig("swim"))
+	suite, err := RunCtx(context.Background(), testConfig("swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestStratifiedFaultRecovery(t *testing.T) {
 		cfg.SamplerBudget = 6
 		return cfg
 	}
-	baseline, err := RunBenchmark("gzip", mk())
+	baseline, err := runBenchmark(context.Background(), "gzip", mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestStratifiedFaultRecovery(t *testing.T) {
 	)
 	o := obs.New()
 	ctx := obs.With(faults.With(context.Background(), inj), o)
-	res, err := RunBenchmarkCtx(ctx, "gzip", mk())
+	res, err := runBenchmark(ctx, "gzip", mk())
 	if err != nil {
 		t.Fatalf("faulted run failed despite retries: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestStratifiedFaultRecovery(t *testing.T) {
 func TestUnknownSamplerRejected(t *testing.T) {
 	cfg := testConfig("swim")
 	cfg.Sampler = "quantum"
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+	if _, err := RunCtx(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("err = %v, want unknown backend", err)
 	}
 }

@@ -17,7 +17,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		cfg := testConfig("gzip", "art")
 		cfg.Workers = workers
 
-		bare, err := Run(cfg)
+		bare, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

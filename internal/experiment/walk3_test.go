@@ -32,8 +32,8 @@ var pickVariants = []func(*Config){
 	func(c *Config) { c.MaxK, c.Restarts, c.Seed = 6, 2, "other" },
 }
 
-// prepareFor runs prepare for one named benchmark the way a standalone
-// RunBenchmarkCtx would, returning the defaulted config with its pools.
+// prepareFor runs prepare for one named benchmark the way RunCtx would,
+// returning the defaulted config with its pools.
 func prepareFor(t *testing.T, ctx context.Context, name string, cfg Config) (*prepared, Config) {
 	t.Helper()
 	cfg, err := cfg.withDefaults()
@@ -255,7 +255,7 @@ func memoMetricParity(t *testing.T, cfg Config) {
 // walk nodes still carry the synthesized totals.
 func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
-	res, err := RunBenchmarkCtx(obs.With(context.Background(), o), "gzip", testConfig("gzip"))
+	res, err := runBenchmark(obs.With(context.Background(), o), "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
 	cfg := testConfig("mcf")
 	cfg.DisableWarming = true
-	res, err := RunBenchmarkCtx(obs.With(context.Background(), o), "mcf", cfg)
+	res, err := runBenchmark(obs.With(context.Background(), o), "mcf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPointOutsideWalk3Rejected(t *testing.T) {
 // close it on the faulted attempt, the retry must recover bit-identically,
 // and no walk samples may remain open after the run.
 func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
-	baseline, err := RunBenchmark("gzip", testConfig("gzip"))
+	baseline, err := runBenchmark(context.Background(), "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 	)
 	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
 	ctx := obs.With(faults.With(context.Background(), inj), o)
-	res, err := RunBenchmarkCtx(ctx, "gzip", retryConfig("gzip"))
+	res, err := runBenchmark(ctx, "gzip", retryConfig("gzip"))
 	if err != nil {
 		t.Fatalf("faulted walk was not retried away: %v", err)
 	}

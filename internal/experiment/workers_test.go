@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -63,11 +64,11 @@ func TestWorkersDeterminism(t *testing.T) {
 	parallelCfg := testConfig("gzip", "art")
 	parallelCfg.Workers = 8
 
-	serial, err := Run(serialCfg)
+	serial, err := RunCtx(context.Background(), serialCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(parallelCfg)
+	parallel, err := RunCtx(context.Background(), parallelCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +104,19 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// A single benchmark run through RunBenchmark (which builds its own
-// pool) must match the serial path too.
+// A one-benchmark suite, where the benchmark alone uses the pool, must
+// match the serial path too.
 func TestWorkersDeterminismSingleBenchmark(t *testing.T) {
 	cfg1 := testConfig("swim")
 	cfg1.Workers = 1
 	cfgN := testConfig("swim")
 	cfgN.Workers = 6
 
-	serial, err := RunBenchmark("swim", cfg1)
+	serial, err := runBenchmark(context.Background(), "swim", cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunBenchmark("swim", cfgN)
+	parallel, err := runBenchmark(context.Background(), "swim", cfgN)
 	if err != nil {
 		t.Fatal(err)
 	}

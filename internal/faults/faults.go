@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -164,26 +163,6 @@ func (in *Injector) Injected() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
-}
-
-// Rules returns the schedule sorted by (stage, index), for reporting.
-func (in *Injector) Rules() []Rule {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	out := make([]Rule, 0, len(in.rules))
-	for _, r := range in.rules {
-		out = append(out, r)
-	}
-	in.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
 }
 
 // ctxKey keys the Injector in a context.

@@ -115,14 +115,7 @@ func Open(ctx context.Context, opts Options) (*Queue, error) {
 		traces: map[string]string{},
 	}
 	q.cond = sync.NewCond(&q.mu)
-	if q.o != nil {
-		q.shared.Instrument(pool.Metrics{
-			Tasks:     q.o.Counter("pool.tasks"),
-			Busy:      q.o.Gauge("pool.busy_workers"),
-			BusyPeak:  q.o.Gauge("pool.busy_peak"),
-			QueueWait: q.o.Histogram("pool.queue_wait_us"),
-		})
-	}
+	q.shared.Instrument(q.o)
 
 	jobs, loadErrs := sp.Load()
 	for _, e := range loadErrs {

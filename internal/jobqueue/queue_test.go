@@ -87,7 +87,7 @@ func TestSubmitCompleteAndCacheHit(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Benchmarks = []string{"mcf"}
-	suite, err := experiment.Run(cfg)
+	suite, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,19 +30,6 @@ import (
 	"xbsim/internal/xrand"
 )
 
-// InitMethod selects how initial centroids are chosen.
-type InitMethod int
-
-const (
-	// InitPlusPlus is k-means++ seeding: iteratively pick centers with
-	// probability proportional to squared distance from the nearest chosen
-	// center (weighted by point weight). This is the default.
-	InitPlusPlus InitMethod = iota
-	// InitRandom picks k distinct points uniformly at random, matching the
-	// original SimPoint implementation's sampled initialization.
-	InitRandom
-)
-
 // Config controls a clustering run.
 type Config struct {
 	// MaxIters bounds Lloyd iterations per restart. <= 0 means 100.
@@ -50,8 +37,6 @@ type Config struct {
 	// Restarts is the number of random restarts; the lowest-distortion run
 	// wins. <= 0 means 5.
 	Restarts int
-	// Init selects the seeding method.
-	Init InitMethod
 	// Rng supplies all randomness. Required.
 	Rng *xrand.Stream
 	// Obs, when non-nil, receives clustering metrics (restart, Lloyd
@@ -271,7 +256,6 @@ type scratch struct {
 	half, drift  []float64 // per-centroid separation and last movement
 	minDist      []float64 // k-means++ distances; re-seeding distances
 	probs        []float64 // k-means++ sampling weights
-	perm         []int     // InitRandom's permutation
 	empty, used  []int     // clusters emptied by an update; points re-seeded into them
 	rho          float64   // relative slack for this run's dimension
 	work
@@ -321,28 +305,23 @@ func (s *scratch) lloyd(points vecmath.Matrix, weights []float64, k int, cfg Con
 	// k may shrink if there are fewer distinct points. k-means++ computes
 	// every point's distance to every seed, which is exactly the first
 	// assignment step's scan, so it leaves that assignment and its bounds
-	// behind; random seeding does not.
-	seeded := cfg.Init != InitRandom
-	if seeded {
-		k = s.initPlusPlus(points, weights, k, rng)
-	} else {
-		k = s.initRandom(points, k, rng)
-	}
+	// behind.
+	k = s.initPlusPlus(points, weights, k, rng)
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		s.iters++
-		changed := true // every point leaves its initial unassigned state
-		if iter == 0 && seeded {
+		changed := true // k-means++ made the first step's assignment
+		if iter == 0 {
 			s.pruned += uint64(n * k)
 		} else {
-			changed = s.assignAll(points, k, iter == 0)
+			changed = s.assignAll(points, k)
 		}
 		s.update(points, weights, k)
-		if !changed && iter > 0 {
+		if !changed {
 			break
 		}
 	}
 	// Final assignment against the final centroids.
-	s.assignAll(points, k, false)
+	s.assignAll(points, k)
 
 	var distortion float64
 	for i, c := range s.assign {
@@ -357,35 +336,30 @@ func (s *scratch) lloyd(points vecmath.Matrix, weights []float64, k int, cfg Con
 
 // assignAll assigns each point to its nearest centroid — the lowest index
 // among equally near ones — returning whether any assignment changed.
-// With fresh set the bounds are not yet valid and every point is scanned.
-func (s *scratch) assignAll(points vecmath.Matrix, k int, fresh bool) bool {
+func (s *scratch) assignAll(points vecmath.Matrix, k int) bool {
 	dim := points.Cols
-	if !fresh {
-		s.separations(k, dim)
-	}
+	s.separations(k, dim)
 	changed := false
 	for i := range s.assign {
 		x := points.Row(i)
-		a, da := s.assign[i], 0.0
-		if !fresh {
-			m := max(s.half[a], s.lower[i])
-			if s.separated(s.upper[i], m) {
-				s.pruned += uint64(k)
-				continue
-			}
-			// Tighten the upper bound to the exact distance and retry.
-			da = vecmath.SquaredDistance(x, row(s.cent, a, dim))
-			s.distances++
-			s.upper[i] = s.up(math.Sqrt(da))
-			if s.separated(s.upper[i], m) {
-				s.pruned += uint64(k - 1)
-				continue
-			}
+		a := s.assign[i]
+		m := max(s.half[a], s.lower[i])
+		if s.separated(s.upper[i], m) {
+			s.pruned += uint64(k)
+			continue
+		}
+		// Tighten the upper bound to the exact distance and retry.
+		da := vecmath.SquaredDistance(x, row(s.cent, a, dim))
+		s.distances++
+		s.upper[i] = s.up(math.Sqrt(da))
+		if s.separated(s.upper[i], m) {
+			s.pruned += uint64(k - 1)
+			continue
 		}
 		bestC, bestD, second := 0, math.Inf(1), math.Inf(1)
 		for c := 0; c < k; c++ {
 			d := da
-			if fresh || c != a {
+			if c != a {
 				d = vecmath.SquaredDistance(x, row(s.cent, c, dim))
 				s.distances++
 			}
@@ -397,7 +371,7 @@ func (s *scratch) assignAll(points vecmath.Matrix, k int, fresh bool) bool {
 		}
 		s.upper[i] = s.up(math.Sqrt(bestD))
 		s.lower[i] = s.down(min(math.Sqrt(second), maxDist))
-		if a != bestC || fresh {
+		if a != bestC {
 			s.assign[i] = bestC
 			changed = true
 		}
@@ -511,54 +485,6 @@ func (s *scratch) moveBounds(n, k, dim int) {
 		}
 		s.lower[i] = (s.lower[i] - md) * bumpDown
 	}
-}
-
-// initRandom seeds with the first k distinct points of a random
-// permutation, returning how many it found.
-func (s *scratch) initRandom(points vecmath.Matrix, k int, rng *xrand.Stream) int {
-	n, dim := points.Rows, points.Cols
-	s.perm = grow(s.perm, n)
-	for i := range s.perm {
-		s.perm[i] = i
-	}
-	rng.ShuffleInts(s.perm)
-	got := 0
-	for _, i := range s.perm {
-		if containsRow(s.cent, got, dim, points.Row(i)) {
-			continue
-		}
-		copy(row(s.cent, got, dim), points.Row(i))
-		if got++; got == k {
-			break
-		}
-	}
-	return got
-}
-
-// sameVec reports whether two vectors are numerically identical. IEEE
-// equality deliberately treats -0 and 0 as the same coordinate, unlike
-// their printed forms.
-func sameVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// containsRow reports whether the first rows dim-wide rows of buf
-// include p.
-func containsRow(buf []float64, rows, dim int, p []float64) bool {
-	for c := 0; c < rows; c++ {
-		if sameVec(row(buf, c, dim), p) {
-			return true
-		}
-	}
-	return false
 }
 
 // initPlusPlus is k-means++ seeding, returning the number of seeds chosen.

@@ -185,21 +185,6 @@ func TestDistortionDecreasesWithK(t *testing.T) {
 	}
 }
 
-func TestInitRandomWorks(t *testing.T) {
-	rng := xrand.New("init-random")
-	points, _ := blobs(rng, [][]float64{{0}, {100}}, 10, 0.1)
-	res, err := Run(mat(points), nil, 2, Config{Rng: xrand.New("ir"), Init: InitRandom, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 2 {
-		t.Fatalf("K = %d", res.K)
-	}
-	if res.Distortion > 1.0 {
-		t.Fatalf("distortion %v too high for trivial data", res.Distortion)
-	}
-}
-
 func TestBICPrefersTrueK(t *testing.T) {
 	rng := xrand.New("bic")
 	points, _ := blobs(rng, [][]float64{{0, 0}, {20, 0}, {0, 20}}, 40, 0.5)

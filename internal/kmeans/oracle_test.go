@@ -37,7 +37,7 @@ func refRun(points [][]float64, weights []float64, k int, cfg Config, o *obs.Obs
 // number of Lloyd iterations it took.
 func refRunOnce(points [][]float64, weights []float64, k int, cfg Config, rng *xrand.Stream) (*Result, uint64) {
 	dim := len(points[0])
-	centroids := refInitCentroids(points, weights, k, cfg.Init, rng)
+	centroids := refInitPlusPlus(points, weights, k, rng)
 	k = len(centroids) // may shrink if fewer distinct points
 	assign := make([]int, len(points))
 	for i := range assign {
@@ -145,40 +145,6 @@ func refRecomputeCentroids(points [][]float64, weights []float64, assign []int, 
 		centroids[c] = append([]float64(nil), points[farthest]...)
 	}
 	_ = rng // reserved for randomized tie-breaking strategies
-}
-
-func refInitCentroids(points [][]float64, weights []float64, k int, method InitMethod, rng *xrand.Stream) [][]float64 {
-	switch method {
-	case InitRandom:
-		return refInitRandom(points, k, rng)
-	default:
-		return refInitPlusPlus(points, weights, k, rng)
-	}
-}
-
-func refInitRandom(points [][]float64, k int, rng *xrand.Stream) [][]float64 {
-	perm := rng.Perm(len(points))
-	centroids := make([][]float64, 0, k)
-	for _, i := range perm {
-		if refContainsVec(centroids, points[i]) {
-			continue
-		}
-		centroids = append(centroids, append([]float64(nil), points[i]...))
-		if len(centroids) == k {
-			break
-		}
-	}
-	return centroids
-}
-
-// refContainsVec reports whether vs contains a vector equal to p.
-func refContainsVec(vs [][]float64, p []float64) bool {
-	for _, v := range vs {
-		if sameVec(v, p) {
-			return true
-		}
-	}
-	return false
 }
 
 func refInitPlusPlus(points [][]float64, weights []float64, k int, rng *xrand.Stream) [][]float64 {

@@ -1,8 +1,8 @@
 package kmeans
 
 import (
-	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xbsim/internal/pool"
@@ -54,11 +54,11 @@ func TestEmptyClustersReseedDistinctPoints(t *testing.T) {
 	if mean := got[0][0]; mean != 5.5 {
 		t.Fatalf("non-empty cluster mean = %v, want 5.5", mean)
 	}
-	if sameVec(got[1], got[2]) {
+	if slices.Equal(got[1], got[2]) {
 		t.Fatalf("both empty clusters re-seeded with the same point %v", got[1])
 	}
 	for c := 1; c <= 2; c++ {
-		if !refContainsVec(points, got[c]) {
+		if !slices.ContainsFunc(points, func(p []float64) bool { return slices.Equal(p, got[c]) }) {
 			t.Fatalf("re-seeded centroid %v is not a dataset point", got[c])
 		}
 	}
@@ -87,48 +87,5 @@ func TestEmptyClusterReseedEndToEnd(t *testing.T) {
 	}
 	if len(res.Assignments) != len(points) {
 		t.Fatalf("%d assignments", len(res.Assignments))
-	}
-}
-
-// initRandom must dedup by numeric vector equality: -0 equals 0, and
-// true duplicates collapse, shrinking k.
-func TestInitRandomDedupsExactVectors(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	points := [][]float64{{0, 1}, {negZero, 1}, {2, 3}, {2, 3}, {4, 5}}
-	var s scratch
-	s.reset(len(points), 5, 2)
-	got := s.initRandom(mat(points), 5, xrand.New("dedup"))
-	var centroids [][]float64
-	for c := 0; c < got; c++ {
-		centroids = append(centroids, row(s.cent, c, 2))
-	}
-	if len(centroids) != 3 {
-		t.Fatalf("%d distinct centroids, want 3 (0/-0 and duplicate rows must collapse): %v",
-			len(centroids), centroids)
-	}
-	for i := 0; i < len(centroids); i++ {
-		for j := i + 1; j < len(centroids); j++ {
-			if sameVec(centroids[i], centroids[j]) {
-				t.Fatalf("duplicate centroids %v", centroids[i])
-			}
-		}
-	}
-}
-
-func TestSameVec(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	cases := []struct {
-		a, b []float64
-		want bool
-	}{
-		{[]float64{1, 2}, []float64{1, 2}, true},
-		{[]float64{0}, []float64{negZero}, true},
-		{[]float64{1, 2}, []float64{1, 3}, false},
-		{[]float64{1}, []float64{1, 1}, false},
-	}
-	for _, c := range cases {
-		if got := sameVec(c.a, c.b); got != c.want {
-			t.Errorf("sameVec(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
 	}
 }

@@ -92,15 +92,11 @@ type Result struct {
 	markerToPoint []map[int]int
 }
 
-// Find computes the mappable points across the profiled binaries. All
+// FindCtx computes the mappable points across the profiled binaries. All
 // profiles must be of binaries of the same program on the same input.
-func Find(profiles []*profile.Profile, opts Options) (*Result, error) {
-	return FindCtx(context.Background(), profiles, opts)
-}
-
-// FindCtx is Find with observability: with an observer on the context it
-// records a "stage.mapping" span and publishes mappable-marker counters
-// (mapping.points, mapping.heuristic_matched, mapping.heuristic_ambiguous,
+// With an observer on the context it records a "stage.mapping" span and
+// publishes mappable-marker counters (mapping.points,
+// mapping.heuristic_matched, mapping.heuristic_ambiguous,
 // mapping.procs_unmatched).
 func FindCtx(ctx context.Context, profiles []*profile.Profile, opts Options) (*Result, error) {
 	if len(profiles) < 2 {

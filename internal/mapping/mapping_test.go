@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func profileAll(t testing.TB, name string, targetOps uint64) []*profile.Profile 
 
 func findAll(t testing.TB, name string) *Result {
 	t.Helper()
-	r, err := Find(profileAll(t, name, 200_000), Options{})
+	r, err := FindCtx(context.Background(), profileAll(t, name, 200_000), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +45,18 @@ func findAll(t testing.TB, name string) *Result {
 
 func TestFindValidation(t *testing.T) {
 	profiles := profileAll(t, "gzip", 150_000)
-	if _, err := Find(profiles[:1], Options{}); err == nil {
+	if _, err := FindCtx(context.Background(), profiles[:1], Options{}); err == nil {
 		t.Error("single profile accepted")
 	}
 	other := profileAll(t, "art", 150_000)
-	if _, err := Find([]*profile.Profile{profiles[0], other[0]}, Options{}); err == nil {
+	if _, err := FindCtx(context.Background(), []*profile.Profile{profiles[0], other[0]}, Options{}); err == nil {
 		t.Error("mixed programs accepted")
 	}
 	bad, err := profile.Collect(profiles[1].Binary, program.Input{Name: "other", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Find([]*profile.Profile{profiles[0], bad}, Options{}); err == nil {
+	if _, err := FindCtx(context.Background(), []*profile.Profile{profiles[0], bad}, Options{}); err == nil {
 		t.Error("mixed inputs accepted")
 	}
 }
@@ -325,11 +326,11 @@ func TestTranslateBoundaryRoundTrip(t *testing.T) {
 
 func TestOptionsDisableMatchers(t *testing.T) {
 	profiles := profileAll(t, "gzip", 150_000)
-	full, err := Find(profiles, Options{})
+	full, err := FindCtx(context.Background(), profiles, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noBodies, err := Find(profiles, Options{DisableLoopBodies: true})
+	noBodies, err := FindCtx(context.Background(), profiles, Options{DisableLoopBodies: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestOptionsDisableMatchers(t *testing.T) {
 			t.Fatal("body point despite DisableLoopBodies")
 		}
 	}
-	procsOnly, err := Find(profiles, Options{
+	procsOnly, err := FindCtx(context.Background(), profiles, Options{
 		DisableLoopBodies: true, DisableLoopEntries: true, DisableInlineHeuristic: true,
 	})
 	if err != nil {
@@ -353,7 +354,7 @@ func TestOptionsDisableMatchers(t *testing.T) {
 		t.Fatalf("point counts not strictly growing: %d, %d, %d",
 			len(procsOnly.Points), len(noBodies.Points), len(full.Points))
 	}
-	noHeur, err := Find(profiles, Options{DisableInlineHeuristic: true})
+	noHeur, err := FindCtx(context.Background(), profiles, Options{DisableInlineHeuristic: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,20 +169,6 @@ func (s HistogramSnapshot) QuantileBound(q float64) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// MaxBound returns an upper bound (exclusive) on the largest observation:
-// 2^i for the highest non-empty bucket i, 0 when empty.
-func (s HistogramSnapshot) MaxBound() uint64 {
-	for i := histBuckets - 1; i > 0; i-- {
-		if s.Buckets[i] > 0 {
-			if i >= 64 {
-				return math.MaxUint64
-			}
-			return 1 << i
-		}
-	}
-	return 0
-}
-
 // Registry is a concurrency-safe collection of named metrics. Metric
 // handles are registered on first use and stable thereafter, so hot paths
 // can hold a *Counter and update it lock-free. A nil *Registry hands out
@@ -329,17 +315,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SumPrefix totals every counter whose name starts with prefix.
-func (s Snapshot) SumPrefix(prefix string) uint64 {
-	var total uint64
-	for name, v := range s.Counters {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-			total += v
-		}
-	}
-	return total
 }
 
 // SumGaugePrefix totals every gauge whose name starts with prefix.

@@ -38,6 +38,7 @@ type TimelineEntry struct {
 	// Kind is the event kind, or "span" for a span row.
 	Kind      string `json:"kind"`
 	Benchmark string `json:"benchmark,omitempty"`
+	Binary    string `json:"binary,omitempty"`
 	// Stage is the event's stage, or a span row's span name.
 	Stage  string `json:"stage,omitempty"`
 	Detail string `json:"detail,omitempty"`
@@ -112,8 +113,8 @@ func BuildTimeline(in TimelineInput) *Timeline {
 		}
 		lastSeq = ev.Seq
 		row := TimelineEntry{
-			Time: ev.Time, Kind: ev.Kind, Benchmark: ev.Benchmark, Stage: ev.Stage,
-			Detail: ev.Detail, Trace: ev.Trace, Seq: ev.Seq,
+			Time: ev.Time, Kind: ev.Kind, Benchmark: ev.Benchmark, Binary: ev.Binary,
+			Stage: ev.Stage, Detail: ev.Detail, Trace: ev.Trace, Seq: ev.Seq,
 		}
 		switch ev.Kind {
 		case "span.start":
@@ -202,13 +203,13 @@ func (t *Timeline) WriteTable(w io.Writer) error {
 	}
 	ew(w, "entries:\n")
 	for _, e := range t.Entries {
-		loc := e.Benchmark
-		if e.Stage != "" {
-			if loc != "" {
-				loc += "/"
+		var parts []string
+		for _, p := range []string{e.Benchmark, e.Binary, e.Stage} {
+			if p != "" {
+				parts = append(parts, p)
 			}
-			loc += e.Stage
 		}
+		loc := strings.Join(parts, "/")
 		detail := e.Detail
 		switch {
 		case e.Open:

@@ -186,3 +186,30 @@ func TestTimelineWriteTable(t *testing.T) {
 		}
 	}
 }
+
+// A profile stage reports one progress event per binary; each must keep
+// its binary in the timeline, as JSON and as a table row.
+func TestTimelineKeepsBinary(t *testing.T) {
+	epoch := time.Date(2026, 1, 2, 3, 0, 0, 0, time.UTC)
+	tl := BuildTimeline(TimelineInput{TraceID: "t-bin", Events: []PipelineEvent{
+		{Seq: 1, Time: epoch, Kind: "progress", Benchmark: "swim", Binary: "swim.32u", Stage: "profile"},
+		{Seq: 2, Time: epoch, Kind: "progress", Benchmark: "swim", Binary: "swim.64o", Stage: "profile"},
+	}})
+	if got := tl.Entries[1].Binary; got != "swim.64o" {
+		t.Fatalf("entry binary = %q, want swim.64o", got)
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	rows := lines[len(lines)-2:]
+	if rows[0] == rows[1] {
+		t.Fatalf("per-binary rows render identically: %q", rows[0])
+	}
+	for i, bin := range []string{"swim.32u", "swim.64o"} {
+		if !strings.Contains(rows[i], "swim/"+bin+"/profile") {
+			t.Fatalf("row %d = %q, want swim/%s/profile", i, rows[i], bin)
+		}
+	}
+}

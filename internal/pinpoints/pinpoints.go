@@ -104,11 +104,6 @@ func (f *File) Validate() error {
 	return nil
 }
 
-// ToProfileBoundary converts a serialized boundary.
-func (b *Boundary) ToProfileBoundary() profile.Boundary {
-	return profile.Boundary{Marker: b.Marker, Count: b.Count}
-}
-
 // FromProfileBoundary converts for serialization.
 func FromProfileBoundary(b profile.Boundary) *Boundary {
 	return &Boundary{Marker: b.Marker, Count: b.Count}

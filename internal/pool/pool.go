@@ -79,30 +79,24 @@ func Protect(fn func() error) error {
 	return protect(-1, func(int) error { return fn() })
 }
 
-// Metrics is the pool's optional resource-accounting wiring. Every
-// field is nil-safe (the obs handles discard updates when nil), so an
-// uninstrumented pool — the zero Metrics — pays only a monotonic clock
-// read guarded by the enabled flag. Instrumentation never changes
-// results: the pool's output is index-addressed and bit-identical for
-// any schedule.
-type Metrics struct {
-	// Tasks counts tasks executed.
-	Tasks *obs.Counter
-	// Busy tracks the number of tasks currently executing (a high-water
-	// mark survives in BusyPeak).
-	Busy *obs.Gauge
-	// BusyPeak records the highest concurrent task count seen.
-	BusyPeak *obs.Gauge
-	// QueueWait observes, per task, the microseconds between its Run
+// metrics is the pool's optional resource accounting (see Instrument).
+// An uninstrumented pool pays only a monotonic clock read guarded by the
+// enabled check. Instrumentation never changes results: the pool's output
+// is index-addressed and bit-identical for any schedule.
+type metrics struct {
+	// tasks counts tasks executed.
+	tasks *obs.Counter
+	// busy tracks the number of tasks currently executing; busyPeak
+	// keeps its high-water mark.
+	busy, busyPeak *obs.Gauge
+	// queueWait observes, per task, the microseconds between its Run
 	// call starting and the task being claimed by a worker — the time
 	// work spent waiting for pool capacity.
-	QueueWait *obs.Histogram
+	queueWait *obs.Histogram
 }
 
-// enabled reports whether any sink is attached.
-func (m Metrics) enabled() bool {
-	return m.Tasks != nil || m.Busy != nil || m.BusyPeak != nil || m.QueueWait != nil
-}
+// enabled reports whether the sinks are attached.
+func (m metrics) enabled() bool { return m.tasks != nil }
 
 // Pool is a bounded worker pool. A nil *Pool is valid and runs
 // everything serially on the calling goroutine, so call sites never
@@ -113,8 +107,8 @@ type Pool struct {
 	tokens  chan struct{}
 	workers int
 
-	// m is the optional metrics wiring; busy backs the Busy gauge.
-	m    Metrics
+	// m is the optional metrics wiring; busy backs its busy gauge.
+	m    metrics
 	busy atomic.Int64
 }
 
@@ -135,27 +129,34 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// Instrument attaches metric sinks to the pool. Call before sharing the
+// Instrument publishes the pool's resource metrics to o's registry:
+// pool.tasks, pool.busy_workers, pool.busy_peak and pool.queue_wait_us. A
+// nil observer leaves the pool uninstrumented. Call before sharing the
 // pool across goroutines; a nil pool ignores the call.
-func (p *Pool) Instrument(m Metrics) {
+func (p *Pool) Instrument(o *obs.Observer) {
 	if p == nil {
 		return
 	}
-	p.m = m
+	p.m = metrics{
+		tasks:     o.Counter("pool.tasks"),
+		busy:      o.Gauge("pool.busy_workers"),
+		busyPeak:  o.Gauge("pool.busy_peak"),
+		queueWait: o.Histogram("pool.queue_wait_us"),
+	}
 }
 
 // runTask executes one claimed task through the metrics envelope.
 func (p *Pool) runTask(i int, fn func(i int) error, queued time.Time) error {
 	if p != nil && p.m.enabled() {
 		if !queued.IsZero() {
-			p.m.QueueWait.Observe(uint64(time.Since(queued).Microseconds()))
+			p.m.queueWait.Observe(uint64(time.Since(queued).Microseconds()))
 		}
-		p.m.Tasks.Inc()
-		p.m.Busy.Add(1)
-		p.m.BusyPeak.SetMax(float64(p.busy.Add(1)))
+		p.m.tasks.Inc()
+		p.m.busy.Add(1)
+		p.m.busyPeak.SetMax(float64(p.busy.Add(1)))
 		defer func() {
 			p.busy.Add(-1)
-			p.m.Busy.Add(-1)
+			p.m.busy.Add(-1)
 		}()
 	}
 	return protect(i, fn)

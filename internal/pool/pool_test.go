@@ -166,14 +166,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 // nil pool must not touch the sinks.
 func TestRunInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := Metrics{
-		Tasks:     reg.Counter("pool.tasks"),
-		Busy:      reg.Gauge("pool.busy_workers"),
-		BusyPeak:  reg.Gauge("pool.busy_peak"),
-		QueueWait: reg.Histogram("pool.queue_wait_us"),
-	}
+	o := &obs.Observer{Metrics: reg}
 	p := New(4)
-	p.Instrument(m)
+	p.Instrument(o)
 	var ran atomic.Int64
 	if err := p.Run(32, func(i int) error {
 		ran.Add(1)
@@ -221,7 +216,7 @@ func TestRunInstrumentation(t *testing.T) {
 	}
 
 	var nilPool *Pool
-	nilPool.Instrument(m) // must not panic
+	nilPool.Instrument(o) // must not panic
 	if err := nilPool.Run(4, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

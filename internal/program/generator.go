@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
 	"xbsim/internal/xrand"
 )
@@ -471,15 +470,4 @@ func EstimateDynamicOps(p *Program) uint64 {
 		return memo[i]
 	}
 	return procOps(0)
-}
-
-// SortedProcNames returns the program's procedure names sorted, a
-// convenience for diagnostics and tests.
-func SortedProcNames(p *Program) []string {
-	names := make([]string, len(p.Procs))
-	for i, proc := range p.Procs {
-		names[i] = proc.Name
-	}
-	sort.Strings(names)
-	return names
 }

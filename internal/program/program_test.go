@@ -275,19 +275,6 @@ func TestEstimateDynamicOpsAdditive(t *testing.T) {
 	}
 }
 
-func TestSortedProcNames(t *testing.T) {
-	p := MustGenerate("art", GenConfig{TargetOps: 300_000})
-	names := SortedProcNames(p)
-	if len(names) != len(p.Procs) {
-		t.Fatal("name count mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
-}
-
 func TestGenerateDefaultTargetOps(t *testing.T) {
 	p := MustGenerate("gzip", GenConfig{})
 	est := EstimateDynamicOps(p)

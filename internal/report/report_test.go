@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestSuiteRendering(t *testing.T) {
 	cfg.Benchmarks = []string{"gcc", "apsi"}
 	cfg.TargetOps = 500_000
 	cfg.IntervalSize = 8_000
-	suite, err := experiment.Run(cfg)
+	suite, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestBenchmarkDetailRendering(t *testing.T) {
 	cfg.Benchmarks = []string{"swim"}
 	cfg.TargetOps = 500_000
 	cfg.IntervalSize = 8_000
-	suite, err := experiment.Run(cfg)
+	suite, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

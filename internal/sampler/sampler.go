@@ -41,14 +41,13 @@ func Backends() []string { return []string{BackendSimPoint, BackendStratified} }
 // own subset and ignores the rest. Zero values select the backend's
 // defaults, so a Config valid for SimPoint is valid for stratified too.
 type Config struct {
-	// MaxK, Dim, BICThreshold, Restarts, FixedK, and EarlyTolerance are
+	// MaxK, Dim, BICThreshold, Restarts, and EarlyTolerance are
 	// the SimPoint knobs; see simpoint.Config. The stratified backend
 	// reuses Dim-independent cheap features and ignores these.
 	MaxK           int
 	Dim            int
 	BICThreshold   float64
 	Restarts       int
-	FixedK         int
 	EarlyTolerance float64
 	// Seed names the deterministic random stream. Both backends derive
 	// every draw from it, so equal (backend, seed, dataset) means equal

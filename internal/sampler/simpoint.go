@@ -23,7 +23,6 @@ func (simpointSampler) Pick(ctx context.Context, ds *bbv.Dataset, cfg Config) (*
 		BICThreshold:   cfg.BICThreshold,
 		Restarts:       cfg.Restarts,
 		Seed:           cfg.Seed,
-		FixedK:         cfg.FixedK,
 		EarlyTolerance: cfg.EarlyTolerance,
 		Pool:           cfg.Pool,
 	})

@@ -125,7 +125,7 @@ func TestSubmitPollResultAndCacheHit(t *testing.T) {
 	got := waitResult(t, base, sr.Job.ID)
 	cfg := testConfig()
 	cfg.Benchmarks = []string{"mcf"}
-	suite, err := experiment.Run(cfg)
+	suite, err := experiment.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"testing"
 
 	"xbsim/internal/bbv"
@@ -8,11 +9,11 @@ import (
 
 func TestEarlyToleranceMovesPointsEarlier(t *testing.T) {
 	ds, _ := phasedDataset(3, 6, 3, 0.05, "early")
-	classic, err := Pick(ds, Config{Seed: "e1"})
+	classic, err := PickCtx(context.Background(), ds, Config{Seed: "e1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := Pick(ds, Config{Seed: "e1", EarlyTolerance: 2.0})
+	early, err := PickCtx(context.Background(), ds, Config{Seed: "e1", EarlyTolerance: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestEarlyToleranceMovesPointsEarlier(t *testing.T) {
 
 func TestEarlyToleranceZeroIsClassic(t *testing.T) {
 	ds, _ := phasedDataset(3, 5, 2, 0.05, "early-zero")
-	a, err := Pick(ds, Config{Seed: "e2"})
+	a, err := PickCtx(context.Background(), ds, Config{Seed: "e2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Pick(ds, Config{Seed: "e2", EarlyTolerance: 0})
+	b, err := PickCtx(context.Background(), ds, Config{Seed: "e2", EarlyTolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestEarlyToleranceIdenticalVectors(t *testing.T) {
 		v.Add(0, 100, 4)
 		ds.Append(v)
 	}
-	res, err := Pick(ds, Config{Seed: "e3", EarlyTolerance: 0.1})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "e3", EarlyTolerance: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,29 +80,13 @@ func TestEarlyToleranceIdenticalVectors(t *testing.T) {
 	}
 }
 
-func TestFixedKClustersExactly(t *testing.T) {
-	ds, _ := phasedDataset(4, 6, 2, 0.05, "fixedk")
-	for _, k := range []int{2, 3, 5} {
-		res, err := Pick(ds, Config{Seed: "fk", FixedK: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.K != k {
-			t.Fatalf("FixedK=%d produced K=%d", k, res.K)
-		}
-		if len(res.BICByK) != 1 {
-			t.Fatalf("fixed-k run scored %d clusterings", len(res.BICByK))
-		}
-	}
-}
-
-func TestFixedKCappedOnTinyDatasets(t *testing.T) {
+func TestMaxKCappedOnTinyDatasets(t *testing.T) {
 	ds, _ := phasedDataset(1, 3, 2, 0.05, "fixedk-tiny") // 6 intervals
-	res, err := Pick(ds, Config{Seed: "fk2", FixedK: 50})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "fk2", MaxK: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K > 3 {
-		t.Fatalf("FixedK not capped: K=%d for 6 intervals", res.K)
+	if len(res.BICByK) != 3 || res.K > 3 {
+		t.Fatalf("MaxK not capped: %d clusterings scored, K=%d for 6 intervals", len(res.BICByK), res.K)
 	}
 }

@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -12,11 +13,11 @@ import (
 // and BIC trace as the serial sweep.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	ds, _ := phasedDataset(3, 4, 3, 0.05, "parallel-sweep")
-	serial, err := Pick(ds, Config{MaxK: 8, Seed: "psweep"})
+	serial, err := PickCtx(context.Background(), ds, Config{MaxK: 8, Seed: "psweep"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Pick(ds, Config{MaxK: 8, Seed: "psweep", Pool: pool.New(8)})
+	parallel, err := PickCtx(context.Background(), ds, Config{MaxK: 8, Seed: "psweep", Pool: pool.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,6 @@ type Config struct {
 	// Seed names the random stream used for projection and clustering.
 	// Different seeds model independently configured SimPoint runs.
 	Seed string
-	// FixedK, when > 0, skips BIC model selection and clusters into
-	// exactly FixedK phases (capped at half the interval count), the
-	// SimPoint -fixedK mode used when an architect wants an exact
-	// simulation budget.
-	FixedK int
 	// EarlyTolerance, when > 0, enables early simulation points
 	// (Perelman, Hamerly, Calder — PACT 2003): instead of the interval
 	// closest to the centroid, each phase picks the EARLIEST interval
@@ -136,16 +131,11 @@ func (r *Result) Fingerprint() string {
 	return h.Sum()
 }
 
-// Pick runs the SimPoint pipeline over the dataset.
-func Pick(ds *bbv.Dataset, cfg Config) (*Result, error) {
-	return PickCtx(context.Background(), ds, cfg)
-}
-
-// PickCtx is Pick with observability: when the context carries an
-// observer, the random projection and the per-k clustering sweep are
-// recorded as "stage.projection" and "stage.clustering" spans, and the
-// registry receives BIC scores per k (simpoint.bic.k<N> gauges, last run
-// wins), the chosen k, and k-means iteration counters.
+// PickCtx runs the SimPoint pipeline over the dataset. When the context
+// carries an observer, the random projection and the per-k clustering
+// sweep are recorded as "stage.projection" and "stage.clustering" spans,
+// and the registry receives BIC scores per k (simpoint.bic.k<N> gauges,
+// last run wins), the chosen k, and k-means iteration counters.
 func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if ds == nil || ds.Len() == 0 {
@@ -166,43 +156,16 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 	o.Counter("simpoint.intervals_clustered").Add(uint64(ds.Len()))
 	weights := ds.Weights()
 
+	// The sweep over k is embarrassingly parallel: each k has its own
+	// indexed random stream and writes into its own slot, so a pooled
+	// sweep picks exactly the clustering a serial sweep would.
+	//
 	// Clustering needs substantially more intervals than clusters; with
 	// k approaching n the spherical-Gaussian BIC degenerates (singleton
 	// clusters drive the variance estimate to zero and the likelihood to
 	// +inf). Cap k at half the interval count; real runs have hundreds of
 	// intervals and MaxK ~ 10, so the cap only bites on tiny datasets.
-	capK := func(k int) int {
-		if half := ds.Len() / 2; k > half {
-			k = half
-		}
-		if k < 1 {
-			k = 1
-		}
-		return k
-	}
-
-	if cfg.FixedK > 0 {
-		k := capK(cfg.FixedK)
-		_, cspan := obs.StartSpan(ctx, "stage.clustering", cfg.Seed)
-		res, err := kmeans.Run(points, weights, k, kmeans.Config{
-			Restarts: cfg.Restarts,
-			Rng:      rng.SplitIndexed("kmeans", k),
-			Obs:      o,
-			Pool:     cfg.Pool,
-		})
-		cspan.End()
-		if err != nil {
-			return nil, fmt.Errorf("simpoint: fixed k=%d: %w", k, err)
-		}
-		o.Gauge("simpoint.chosen_k").Set(float64(res.K))
-		return buildResult(ds, points, res,
-			[]float64{kmeans.BIC(points, weights, res)}, cfg.EarlyTolerance)
-	}
-
-	// The sweep over k is embarrassingly parallel: each k has its own
-	// indexed random stream and writes into its own slot, so a pooled
-	// sweep picks exactly the clustering a serial sweep would.
-	maxK := capK(cfg.MaxK)
+	maxK := max(min(cfg.MaxK, ds.Len()/2), 1)
 	runs := make([]*kmeans.Result, maxK)
 	bics := make([]float64, maxK)
 	_, cspan := obs.StartSpan(ctx, "stage.clustering", cfg.Seed)
@@ -343,26 +306,4 @@ func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result,
 		PhaseWeights: phaseWeights,
 		BICByK:       bics,
 	}, nil
-}
-
-// WeightedEstimate combines per-point measurements into a whole-program
-// estimate: the weighted average of value[i] with the points' weights. It
-// is the paper's step 6 for a metric like CPI. Points and values must have
-// equal length.
-func WeightedEstimate(points []Point, values []float64) (float64, error) {
-	if len(points) != len(values) {
-		return 0, fmt.Errorf("simpoint: %d points but %d values", len(points), len(values))
-	}
-	if len(points) == 0 {
-		return 0, fmt.Errorf("simpoint: no points")
-	}
-	var sum, wsum float64
-	for i, p := range points {
-		sum += p.Weight * values[i]
-		wsum += p.Weight
-	}
-	if wsum <= 0 {
-		return 0, fmt.Errorf("simpoint: zero total weight")
-	}
-	return sum / wsum, nil
 }

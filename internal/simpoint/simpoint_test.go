@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func phasedDataset(phases, perPhase, visits int, jitter float64, seed string) (*
 
 func TestPickRecoversPhases(t *testing.T) {
 	ds, truth := phasedDataset(3, 4, 3, 0.02, "recover")
-	res, err := Pick(ds, Config{MaxK: 10, Seed: "t1"})
+	res, err := PickCtx(context.Background(), ds, Config{MaxK: 10, Seed: "t1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestPickRecoversPhases(t *testing.T) {
 
 func TestPickWeightsSumToOne(t *testing.T) {
 	ds, _ := phasedDataset(4, 3, 2, 0.05, "weights")
-	res, err := Pick(ds, Config{Seed: "t2"})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "t2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestPickWeightsSumToOne(t *testing.T) {
 
 func TestPickRepresentativeIsMemberOfPhase(t *testing.T) {
 	ds, _ := phasedDataset(3, 5, 2, 0.05, "member")
-	res, err := Pick(ds, Config{Seed: "t3"})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "t3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPickRepresentativeIsMemberOfPhase(t *testing.T) {
 
 func TestPickRespectsMaxK(t *testing.T) {
 	ds, _ := phasedDataset(6, 2, 2, 0.02, "maxk")
-	res, err := Pick(ds, Config{MaxK: 3, Seed: "t4"})
+	res, err := PickCtx(context.Background(), ds, Config{MaxK: 3, Seed: "t4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPickSingleBehaviorChoosesOnePhase(t *testing.T) {
 	// Perfectly homogeneous execution (identical interval signatures) must
 	// collapse to a single phase carrying all the weight.
 	ds, _ := phasedDataset(1, 10, 1, 0, "single")
-	res, err := Pick(ds, Config{Seed: "t5"})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "t5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestPickNoisySingleBehaviorStaysAccurate(t *testing.T) {
 	// the blob into a few phases — which is harmless as long as every
 	// representative has the same signature and weights sum to one.
 	ds, _ := phasedDataset(1, 12, 1, 0.01, "noisy-single")
-	res, err := Pick(ds, Config{Seed: "t5b"})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "t5b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestPickNoisySingleBehaviorStaysAccurate(t *testing.T) {
 
 func TestPickDeterministicForSeed(t *testing.T) {
 	ds, _ := phasedDataset(3, 4, 2, 0.05, "det")
-	a, err := Pick(ds, Config{Seed: "same"})
+	a, err := PickCtx(context.Background(), ds, Config{Seed: "same"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Pick(ds, Config{Seed: "same"})
+	b, err := PickCtx(context.Background(), ds, Config{Seed: "same"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,8 @@ func TestPickDifferentSeedsMayDiffer(t *testing.T) {
 	// Not a strict requirement, but the plumbing must at least feed the
 	// seed through: the projections must differ.
 	ds, _ := phasedDataset(3, 4, 2, 0.3, "seeds")
-	a, _ := Pick(ds, Config{Seed: "alpha"})
-	b, _ := Pick(ds, Config{Seed: "beta"})
+	a, _ := PickCtx(context.Background(), ds, Config{Seed: "alpha"})
+	b, _ := PickCtx(context.Background(), ds, Config{Seed: "beta"})
 	if a == nil || b == nil {
 		t.Fatal("nil result")
 	}
@@ -179,15 +180,15 @@ func TestPickDifferentSeedsMayDiffer(t *testing.T) {
 }
 
 func TestPickErrors(t *testing.T) {
-	if _, err := Pick(nil, Config{}); err == nil {
+	if _, err := PickCtx(context.Background(), nil, Config{}); err == nil {
 		t.Error("nil dataset accepted")
 	}
-	if _, err := Pick(bbv.NewDataset(), Config{}); err == nil {
+	if _, err := PickCtx(context.Background(), bbv.NewDataset(), Config{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	ds := bbv.NewDataset()
 	ds.Append(bbv.NewVector()) // empty interval
-	if _, err := Pick(ds, Config{}); err == nil {
+	if _, err := PickCtx(context.Background(), ds, Config{}); err == nil {
 		t.Error("empty interval accepted")
 	}
 }
@@ -220,7 +221,7 @@ func TestVLIWeightingInfluencesPhaseWeights(t *testing.T) {
 		v.Add(50, 100, 10) // behavior B: 1000 instructions
 		ds.Append(v)
 	}
-	res, err := Pick(ds, Config{Seed: "vli"})
+	res, err := PickCtx(context.Background(), ds, Config{Seed: "vli"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,25 +232,5 @@ func TestVLIWeightingInfluencesPhaseWeights(t *testing.T) {
 	hi, lo := math.Max(weights[0], weights[1]), math.Min(weights[0], weights[1])
 	if math.Abs(hi-10.0/11.0) > 1e-9 || math.Abs(lo-1.0/11.0) > 1e-9 {
 		t.Fatalf("phase weights %v, want 10/11 and 1/11", weights)
-	}
-}
-
-func TestWeightedEstimate(t *testing.T) {
-	pts := []Point{{Weight: 0.6}, {Weight: 0.4}}
-	got, err := WeightedEstimate(pts, []float64{2.0, 3.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.4) > 1e-12 {
-		t.Fatalf("estimate = %v, want 2.4", got)
-	}
-	if _, err := WeightedEstimate(pts, []float64{1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := WeightedEstimate(nil, nil); err == nil {
-		t.Error("empty points accepted")
-	}
-	if _, err := WeightedEstimate([]Point{{Weight: 0}}, []float64{1}); err == nil {
-		t.Error("zero total weight accepted")
 	}
 }

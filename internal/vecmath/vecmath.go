@@ -11,7 +11,6 @@ package vecmath
 
 import (
 	"fmt"
-	"math"
 
 	"xbsim/internal/xrand"
 )
@@ -26,21 +25,6 @@ func SquaredDistance(a, b []float64) float64 {
 	for i := range a {
 		d := a[i] - b[i]
 		sum += d * d
-	}
-	return sum
-}
-
-// ManhattanDistance returns the L1 distance between a and b. SimPoint's
-// original formulation compares BBVs with Manhattan distance; we expose it
-// for diagnostics even though clustering uses Euclidean distance after
-// projection.
-func ManhattanDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
 	}
 	return sum
 }
@@ -67,26 +51,6 @@ func Zero(v []float64) {
 	for i := range v {
 		v[i] = 0
 	}
-}
-
-// L1Norm returns the sum of absolute values of v.
-func L1Norm(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += math.Abs(x)
-	}
-	return sum
-}
-
-// NormalizeL1 scales v in place so its L1 norm is 1. Vectors with zero norm
-// are left unchanged and reported with ok == false.
-func NormalizeL1(v []float64) (ok bool) {
-	n := L1Norm(v)
-	if n == 0 {
-		return false
-	}
-	Scale(v, 1/n)
-	return true
 }
 
 // Matrix is a dense row-major matrix: row i is Data[i*Cols : (i+1)*Cols].

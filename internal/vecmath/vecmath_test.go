@@ -32,12 +32,6 @@ func TestDistanceMismatchPanics(t *testing.T) {
 	SquaredDistance([]float64{1}, []float64{1, 2})
 }
 
-func TestManhattanDistance(t *testing.T) {
-	if got := ManhattanDistance([]float64{1, -2}, []float64{-1, 1}); got != 5 {
-		t.Fatalf("ManhattanDistance = %v, want 5", got)
-	}
-}
-
 func TestDistanceProperties(t *testing.T) {
 	rng := xrand.New("dist-prop")
 	dist := func(a, b []float64) float64 { return math.Sqrt(SquaredDistance(a, b)) }
@@ -64,20 +58,6 @@ func TestDistanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNormalizeL1(t *testing.T) {
-	v := []float64{1, 3, -4}
-	if ok := NormalizeL1(v); !ok {
-		t.Fatal("NormalizeL1 reported zero norm")
-	}
-	if !almostEqual(L1Norm(v), 1, 1e-12) {
-		t.Fatalf("L1 norm after normalize = %v", L1Norm(v))
-	}
-	z := []float64{0, 0}
-	if ok := NormalizeL1(z); ok {
-		t.Fatal("NormalizeL1 succeeded on zero vector")
 	}
 }
 

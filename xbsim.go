@@ -29,8 +29,8 @@
 //	    fmt.Printf("%s: est %.3f true %.3f\n", bin.Name, est, full.CPI())
 //	}
 //
-// The experiment harness (RunExperiments / WriteReport) regenerates every
-// table and figure of the paper's evaluation; see EXPERIMENTS.md.
+// The experiment harness (RunExperimentsCtx / WriteReportCtx) regenerates
+// every table and figure of the paper's evaluation; see EXPERIMENTS.md.
 package xbsim
 
 import (
@@ -683,29 +683,19 @@ func QuickExperimentConfig() ExperimentConfig { return experiment.QuickConfig() 
 // benchmarks, four binaries each.
 func FullExperimentConfig() ExperimentConfig { return experiment.FullConfig() }
 
-// RunExperiments executes the paper evaluation for the configuration.
-func RunExperiments(cfg ExperimentConfig) (*Suite, error) {
-	return experiment.Run(cfg)
-}
-
-// RunExperimentsCtx is RunExperiments with observability: when the context
-// carries an Observer (see WithObserver), every pipeline stage of every
-// benchmark is traced, the metrics registry accumulates pipeline counters,
-// and per-benchmark completion is reported as progress events.
+// RunExperimentsCtx executes the paper evaluation for the configuration.
+// When the context carries an Observer (see WithObserver), every pipeline
+// stage of every benchmark is traced, the metrics registry accumulates
+// pipeline counters, and per-benchmark completion is reported as progress
+// events.
 func RunExperimentsCtx(ctx context.Context, cfg ExperimentConfig) (*Suite, error) {
 	return experiment.RunCtx(ctx, cfg)
 }
 
-// WriteReport renders Table 1, Figures 1-5, and the Table 2/3 phase
-// comparisons for the suite.
-func WriteReport(w io.Writer, s *Suite) error {
-	return report.Suite(w, s)
-}
-
-// WriteReportCtx is WriteReport plus an observability appendix: when the
-// context carries an Observer, the stage-timing tree and the metrics
-// snapshot it accumulated are appended after the paper artifacts. Without
-// an observer the output is identical to WriteReport.
+// WriteReportCtx renders Table 1, Figures 1-5, and the Table 2/3 phase
+// comparisons for the suite. When the context carries an Observer, the
+// stage-timing tree and the metrics snapshot it accumulated are appended
+// after the paper artifacts.
 func WriteReportCtx(ctx context.Context, w io.Writer, s *Suite) error {
 	if err := report.Suite(w, s); err != nil {
 		return err

@@ -2,6 +2,7 @@ package xbsim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -212,12 +213,12 @@ func TestRunExperimentsAndReport(t *testing.T) {
 	cfg.Benchmarks = []string{"swim"}
 	cfg.TargetOps = 500_000
 	cfg.IntervalSize = 8_000
-	suite, err := RunExperiments(cfg)
+	suite, err := RunExperimentsCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, suite); err != nil {
+	if err := WriteReportCtx(context.Background(), &buf, suite); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
