@@ -288,7 +288,6 @@ var commands = map[string]func(ctx context.Context, args []string, w io.Writer) 
 	"estimate":    cmdEstimate,
 	"phases":      cmdPhases,
 	"figures":     cmdFigures,
-	"experiment":  cmdFigures,
 	"ablations":   cmdAblations,
 	"samplers":    cmdSamplers,
 	"verify":      cmdVerify,
@@ -411,18 +410,21 @@ func buildBenchmark(name string, ops uint64) (*xbsim.Benchmark, error) {
 	return xbsim.NewBenchmark(name, ops)
 }
 
-func pickBinary(b *xbsim.Benchmark, target string) (*xbsim.Binary, error) {
-	bin := b.Binary(target)
-	if bin == nil {
-		return nil, usagef("unknown target %q (want 32u, 32o, 64u, 64o)", target)
+// pickBinary returns the index of target's compilation in a Benchmark's
+// Binaries, which follow AllTargets order.
+func pickBinary(target string) (int, error) {
+	for i, t := range xbsim.AllTargets {
+		if t.String() == target {
+			return i, nil
+		}
 	}
-	return bin, nil
+	return 0, usagef("unknown target %q (want 32u, 32o, 64u, 64o)", target)
 }
 
 func cmdMap(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("map")
 	bench := fs.String("bench", "", "benchmark name")
-	ops, _, seed := commonFlags(fs)
+	ops, interval, seed := commonFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -430,10 +432,12 @@ func cmdMap(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := xbsim.FindMappablePointsCtx(ctx, b.Binaries, xbsim.Input{Name: "ref", Seed: *seed}, xbsim.MappingOptions{})
+	a, err := xbsim.Analyze(ctx, b.Binaries, xbsim.ExperimentConfig{
+		IntervalSize: *interval, Input: xbsim.Input{Name: "ref", Seed: *seed}})
 	if err != nil {
 		return err
 	}
+	m := a.Mapping
 	byKind := map[string]int{}
 	for _, pt := range m.Points {
 		byKind[pt.Kind.String()]++
@@ -472,30 +476,27 @@ func cmdPoints(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bin, err := pickBinary(b, *target)
+	bi, err := pickBinary(*target)
 	if err != nil {
 		return err
 	}
-	in := xbsim.Input{Name: "ref", Seed: *seed}
-	cfg := xbsim.PointsConfig{IntervalSize: *interval, Workers: *workers,
-		Sampler: *sampler, SamplerBudget: *samplerBudget}
-
-	var ps *xbsim.PointSet
-	switch *flavor {
-	case "fli":
-		ps, err = xbsim.PerBinaryPointsCtx(ctx, bin, in, cfg)
-	case "vli":
-		var cross *xbsim.CrossPoints
-		cross, err = xbsim.CrossBinaryPointsCtx(ctx, b.Binaries, in, cfg)
-		if err == nil {
-			for bi, bb := range b.Binaries {
-				if bb == bin {
-					ps, err = cross.ForBinary(bi)
-				}
-			}
-		}
-	default:
+	if *flavor != "fli" && *flavor != "vli" {
 		return usagef("unknown flavor %q", *flavor)
+	}
+	in := xbsim.Input{Name: "ref", Seed: *seed}
+	a, err := xbsim.Analyze(ctx, b.Binaries, xbsim.ExperimentConfig{IntervalSize: *interval, Input: in,
+		Workers: *workers, Sampler: *sampler, SamplerBudget: *samplerBudget})
+	if err != nil {
+		return err
+	}
+	var ps *xbsim.PointSet
+	if *flavor == "fli" {
+		ps, err = a.PerBinaryPoints(ctx, bi)
+	} else {
+		var cross *xbsim.CrossPoints
+		if cross, err = a.CrossBinaryPoints(ctx); err == nil {
+			ps, err = cross.ForBinary(bi)
+		}
 	}
 	if err != nil {
 		return err
@@ -526,11 +527,12 @@ func cmdSimulate(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bin, err := pickBinary(b, *target)
+	bi, err := pickBinary(*target)
 	if err != nil {
 		return err
 	}
-	st, err := xbsim.SimulateFullCtx(ctx, bin, xbsim.Input{Name: "ref", Seed: *seed}, nil)
+	bin := b.Binaries[bi]
+	st, err := xbsim.SimulateFull(ctx, bin, xbsim.Input{Name: "ref", Seed: *seed}, nil)
 	if err != nil {
 		return err
 	}
@@ -842,32 +844,38 @@ func cmdPhases(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	in := xbsim.Input{Name: "ref", Seed: *seed}
-	cfg := xbsim.PointsConfig{IntervalSize: *interval, Workers: *workers,
-		Sampler: *sampler, SamplerBudget: *samplerBudget}
-	var ps *xbsim.PointSet
+	bi := 0
 	switch *flavor {
 	case "fli":
-		bin, err := pickBinary(b, *target)
-		if err != nil {
-			return err
-		}
-		ps, err = xbsim.PerBinaryPointsCtx(ctx, bin, in, cfg)
-		if err != nil {
+		if bi, err = pickBinary(*target); err != nil {
 			return err
 		}
 	case "vli":
-		cross, err := xbsim.CrossBinaryPointsCtx(ctx, b.Binaries, in, cfg)
-		if err != nil {
-			return err
-		}
-		ps, err = cross.ForBinary(0)
-		if err != nil {
-			return err
-		}
 	default:
 		return usagef("unknown flavor %q", *flavor)
 	}
+	a, err := xbsim.Analyze(ctx, b.Binaries, xbsim.ExperimentConfig{IntervalSize: *interval,
+		Input:   xbsim.Input{Name: "ref", Seed: *seed},
+		Workers: *workers, Sampler: *sampler, SamplerBudget: *samplerBudget})
+	if err != nil {
+		return err
+	}
+	// The vli strip is the shared one: every binary labels the same
+	// intervals alike.
+	var phaseOf []int
+	if *flavor == "fli" {
+		ps, err := a.PerBinaryPoints(ctx, bi)
+		if err != nil {
+			return err
+		}
+		phaseOf = ps.PhaseOf
+	} else {
+		cross, err := a.CrossBinaryPoints(ctx)
+		if err != nil {
+			return err
+		}
+		phaseOf = cross.PhaseOf()
+	}
 	fmt.Fprintf(w, "%s (%s):\n", *bench, *flavor)
-	return report.PhaseTimeline(w, ps.PhaseOf, *width)
+	return report.PhaseTimeline(w, phaseOf, *width)
 }

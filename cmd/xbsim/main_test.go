@@ -50,6 +50,10 @@ func TestUsageErrors(t *testing.T) {
 	if err := run(context.Background(), "profile", []string{"-nope"}, &sb); !errors.As(err, &ue) {
 		t.Errorf("undefined flag: err = %v (%T), want usageError", err, err)
 	}
+	// "experiment" is no alias of figures: an unknown verb, exit 2.
+	if err := run(context.Background(), "experiment", nil, &sb); err != errUnknownCommand {
+		t.Errorf("experiment verb: err = %v, want errUnknownCommand", err)
+	}
 	if err := run(context.Background(), "map", []string{"-bench", ""}, &sb); !errors.As(err, &ue) {
 		t.Errorf("missing -bench: err = %v (%T), want usageError", err, err)
 	}
@@ -85,8 +89,8 @@ func TestCmdSimulateObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := o.Metrics.Snapshot()
-	if snap.Counters["sim.instructions"] == 0 {
-		t.Error("sim.instructions not recorded")
+	if snap.Counters["sim.full.instructions"] == 0 {
+		t.Error("sim.full.instructions not recorded")
 	}
 	if snap.Counters["exec.runs"] == 0 {
 		t.Error("exec.runs not recorded")

@@ -49,16 +49,16 @@ func cmdCallprofile(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bin, err := pickBinary(b, *target)
+	bi, err := pickBinary(*target)
 	if err != nil {
 		return err
 	}
-	p, err := xbsim.CollectProfileCtx(ctx, bin, xbsim.Input{Name: "ref", Seed: *seed})
+	p, err := xbsim.CollectProfile(ctx, b.Binaries[bi], xbsim.Input{Name: "ref", Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s: %d instructions, %d symbols, %d loop pieces\n",
-		bin.Name, p.TotalInstructions, len(p.Procs), len(p.Loops))
+		p.Binary.Name, p.TotalInstructions, len(p.Procs), len(p.Loops))
 	fmt.Fprintln(w, "procedures:")
 	for _, pp := range p.Procs {
 		fmt.Fprintf(w, "  %-12s line %-4d calls %d\n", pp.Symbol, pp.Line, pp.Count)

@@ -1,6 +1,7 @@
 package xbsim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,18 +25,21 @@ func ExampleNewBenchmark() {
 	// swim.64o
 }
 
-// ExampleFindMappablePoints shows mappable-point discovery: the points
-// exist in all four binaries with identical execution counts.
-func ExampleFindMappablePoints() {
+// ExampleAnalyze shows mappable-point discovery: the points exist in all
+// four binaries with identical execution counts.
+func ExampleAnalyze() {
 	bench, err := xbsim.NewBenchmark("swim", 300_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	input := xbsim.Input{Name: "ref", Seed: 1}
-	m, err := xbsim.FindMappablePoints(bench.Binaries, input, xbsim.MappingOptions{})
+	a, err := xbsim.Analyze(context.Background(), bench.Binaries, xbsim.ExperimentConfig{
+		IntervalSize: 10_000,
+		Input:        xbsim.Input{Name: "ref", Seed: 1},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := a.Mapping
 	// "main" is always mappable: every binary keeps its symbol and calls
 	// it exactly once.
 	for _, pt := range m.Points {
@@ -48,17 +52,20 @@ func ExampleFindMappablePoints() {
 	// main: kind=proc count=1 binaries=4
 }
 
-// ExampleCrossBinaryPoints runs the paper's cross-binary pipeline and
-// emits a PinPoints-style region file for one binary.
-func ExampleCrossBinaryPoints() {
+// ExampleAnalysis_CrossBinaryPoints runs the paper's cross-binary
+// pipeline and emits a PinPoints-style region file for one binary.
+func ExampleAnalysis_CrossBinaryPoints() {
+	ctx := context.Background()
 	bench, err := xbsim.NewBenchmark("swim", 300_000)
 	if err != nil {
 		log.Fatal(err)
 	}
 	input := xbsim.Input{Name: "ref", Seed: 1}
-	cross, err := xbsim.CrossBinaryPoints(bench.Binaries, input, xbsim.PointsConfig{
-		IntervalSize: 10_000,
-	})
+	a, err := xbsim.Analyze(ctx, bench.Binaries, xbsim.ExperimentConfig{IntervalSize: 10_000, Input: input})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cross, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func ExampleSimulateFull() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := xbsim.SimulateFull(bench.Binary("32o"), xbsim.Input{Name: "ref", Seed: 1}, nil)
+	st, err := xbsim.SimulateFull(context.Background(), bench.Binary("32o"), xbsim.Input{Name: "ref", Seed: 1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -89,10 +90,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	input := xbsim.Input{Name: "ref", Seed: 1}
 
 	fmt.Println("custom program: two alternating phases + an inlinable helper")
-	cross, err := xbsim.CrossBinaryPoints(bins, input, xbsim.PointsConfig{IntervalSize: 30_000})
+	a, err := xbsim.Analyze(ctx, bins, xbsim.ExperimentConfig{IntervalSize: 30_000, Input: input})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cross, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,11 +111,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := xbsim.EstimateCPI(bin, input, ps, nil)
+		est, err := xbsim.EstimateCPI(ctx, bin, input, ps, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := xbsim.SimulateFull(bin, input, nil)
+		full, err := xbsim.SimulateFull(ctx, bin, input, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,12 +35,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	input := xbsim.Input{Name: "ref", Seed: 11}
 
 	// Phase 1 (one-time): pick cross-binary simulation points.
-	cross, err := xbsim.CrossBinaryPoints(bench.Binaries, input, xbsim.PointsConfig{
-		IntervalSize: 20_000,
-	})
+	a, err := xbsim.Analyze(ctx, bench.Binaries, xbsim.ExperimentConfig{IntervalSize: 20_000, Input: input})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cross, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,11 +84,11 @@ func main() {
 		}
 		for _, mem := range memSystems {
 			cfg := mem.cfg
-			est, err := xbsim.EstimateCPI(bin, input, points, &cfg)
+			est, err := xbsim.EstimateCPI(ctx, bin, input, points, &cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			full, err := xbsim.SimulateFull(bin, input, &cfg)
+			full, err := xbsim.SimulateFull(ctx, bin, input, &cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

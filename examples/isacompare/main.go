@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -18,9 +19,14 @@ import (
 	"xbsim"
 )
 
+// The compared binaries, indexed in the paper's target order (32u, 32o,
+// 64u, 64o).
+const i32, i64 = 1, 3
+
 func main() {
+	ctx := context.Background()
 	input := xbsim.Input{Name: "ref", Seed: 7}
-	cfg := xbsim.PointsConfig{IntervalSize: 20_000}
+	cfg := xbsim.ExperimentConfig{IntervalSize: 20_000, Input: input}
 	benchmarks := []string{"gcc", "mcf", "swim", "crafty", "equake"}
 
 	fmt.Println("Estimating 32-bit -> 64-bit speedup (optimized binaries)")
@@ -32,29 +38,52 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bin32, bin64 := bench.Binary("32o"), bench.Binary("64o")
 
 		// Ground truth from full simulation.
-		full32, err := xbsim.SimulateFull(bin32, input, nil)
+		full32, err := xbsim.SimulateFull(ctx, bench.Binaries[i32], input, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full64, err := xbsim.SimulateFull(bin64, input, nil)
+		full64, err := xbsim.SimulateFull(ctx, bench.Binaries[i64], input, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		trueSpeedup := float64(full32.Cycles) / float64(full64.Cycles)
 
+		// One analysis of all four binaries serves both methods.
+		a, err := xbsim.Analyze(ctx, bench.Binaries, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+
 		// Per-binary SimPoint: independent points per binary.
-		fliSpeedup, err := perBinarySpeedup(bench, bin32, bin64, input, cfg,
-			full32.Instructions, full64.Instructions)
+		fli32, err := a.PerBinaryPoints(ctx, i32)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fli64, err := a.PerBinaryPoints(ctx, i64)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fliSpeedup, err := speedup(ctx, input, fli32, fli64, full32.Instructions, full64.Instructions)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// Cross-binary SimPoint: one set of points, mapped to both.
-		vliSpeedup, err := crossBinarySpeedup(bench, input, cfg,
-			full32.Instructions, full64.Instructions)
+		cross, err := a.CrossBinaryPoints(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		vli32, err := cross.ForBinary(i32)
+		if err != nil {
+			log.Fatal(err)
+		}
+		vli64, err := cross.ForBinary(i64)
+		if err != nil {
+			log.Fatal(err)
+		}
+		vliSpeedup, err := speedup(ctx, input, vli32, vli64, full32.Instructions, full64.Instructions)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,62 +99,17 @@ func relErr(truth, est float64) float64 {
 	return math.Abs(truth-est) / truth
 }
 
-// estimatedCycles converts a CPI estimate into cycles using the exact
-// instruction count (cheap to obtain — it needs no timing simulation).
-func estimatedCycles(bin *xbsim.Binary, input xbsim.Input, ps *xbsim.PointSet, instrs uint64) (float64, error) {
-	cpi, err := xbsim.EstimateCPI(bin, input, ps, nil)
+// speedup estimates psA's binary's speedup over psB's: each CPI estimate
+// becomes cycles through the exact instruction count (cheap to obtain —
+// it needs no timing simulation).
+func speedup(ctx context.Context, input xbsim.Input, psA, psB *xbsim.PointSet, instrA, instrB uint64) (float64, error) {
+	cpiA, err := xbsim.EstimateCPI(ctx, psA.Binary, input, psA, nil)
 	if err != nil {
 		return 0, err
 	}
-	return cpi * float64(instrs), nil
-}
-
-func perBinarySpeedup(bench *xbsim.Benchmark, a, b *xbsim.Binary, input xbsim.Input,
-	cfg xbsim.PointsConfig, instrA, instrB uint64) (float64, error) {
-	psA, err := xbsim.PerBinaryPoints(a, input, cfg)
+	cpiB, err := xbsim.EstimateCPI(ctx, psB.Binary, input, psB, nil)
 	if err != nil {
 		return 0, err
 	}
-	psB, err := xbsim.PerBinaryPoints(b, input, cfg)
-	if err != nil {
-		return 0, err
-	}
-	cycA, err := estimatedCycles(a, input, psA, instrA)
-	if err != nil {
-		return 0, err
-	}
-	cycB, err := estimatedCycles(b, input, psB, instrB)
-	if err != nil {
-		return 0, err
-	}
-	return cycA / cycB, nil
-}
-
-func crossBinarySpeedup(bench *xbsim.Benchmark, input xbsim.Input,
-	cfg xbsim.PointsConfig, instrA, instrB uint64) (float64, error) {
-	cross, err := xbsim.CrossBinaryPoints(bench.Binaries, input, cfg)
-	if err != nil {
-		return 0, err
-	}
-	idx := map[string]int{}
-	for i, bin := range bench.Binaries {
-		idx[bin.Target.String()] = i
-	}
-	psA, err := cross.ForBinary(idx["32o"])
-	if err != nil {
-		return 0, err
-	}
-	psB, err := cross.ForBinary(idx["64o"])
-	if err != nil {
-		return 0, err
-	}
-	cycA, err := estimatedCycles(bench.Binary("32o"), input, psA, instrA)
-	if err != nil {
-		return 0, err
-	}
-	cycB, err := estimatedCycles(bench.Binary("64o"), input, psB, instrB)
-	if err != nil {
-		return 0, err
-	}
-	return cycA / cycB, nil
+	return (cpiA * float64(instrA)) / (cpiB * float64(instrB)), nil
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -22,8 +23,9 @@ import (
 )
 
 func main() {
-	input := xbsim.Input{Name: "ref", Seed: 99}
-	cfg := xbsim.PointsConfig{IntervalSize: 20_000}
+	ctx := context.Background()
+	cfg := xbsim.ExperimentConfig{IntervalSize: 20_000, Input: xbsim.Input{Name: "ref", Seed: 99}}
+	input := cfg.Input
 
 	fmt.Println("O0 -> O2 speedup on the 32-bit platform, cross-binary SimPoint")
 	fmt.Printf("%-8s %10s %10s %8s %14s\n", "bench", "true", "estimated", "error", "avg VLI size")
@@ -32,7 +34,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cross, err := xbsim.CrossBinaryPoints(bench.Binaries, input, cfg)
+		a, err := xbsim.Analyze(ctx, bench.Binaries, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cross, err := a.CrossBinaryPoints(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,11 +59,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			est, err := xbsim.EstimateCPI(bin, input, ps, nil)
+			est, err := xbsim.EstimateCPI(ctx, bin, input, ps, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			full, err := xbsim.SimulateFull(bin, input, nil)
+			full, err := xbsim.SimulateFull(ctx, bin, input, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -79,10 +85,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := xbsim.FindMappablePoints(bench.Binaries, input, xbsim.MappingOptions{})
+	a, err := xbsim.Analyze(ctx, bench.Binaries, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := a.Mapping
 	for bi, bin := range m.Binaries {
 		fmt.Printf("  %-10s %3d loop pieces, %3d with no mappable entry point\n",
 			bin.Name, m.Diag.LoopsPerBinary[bi], m.Diag.UnmappedLoopsPerBinary[bi])
@@ -96,12 +103,11 @@ func main() {
 
 	// Show the same comparison with the heuristic disabled: coverage
 	// drops further.
-	noHeur, err := xbsim.FindMappablePoints(bench.Binaries, input, xbsim.MappingOptions{
-		DisableInlineHeuristic: true,
-	})
+	cfg.Mapping.DisableInlineHeuristic = true
+	noHeur, err := xbsim.Analyze(ctx, bench.Binaries, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  mappable points: %d with the heuristic, %d without\n",
-		len(m.Points), len(noHeur.Points))
+		len(m.Points), len(noHeur.Mapping.Points))
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -31,12 +32,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	input := xbsim.Input{Name: "ref", Seed: 42}
-	cfg := xbsim.PointsConfig{IntervalSize: 25_000}
 
-	// Cross-binary (VLI) points: one SimPoint run on the primary binary,
-	// cut at points mappable across all four binaries.
-	cross, err := xbsim.CrossBinaryPoints(bench.Binaries, input, cfg)
+	// One analysis of all four binaries: profiles, fixed-length
+	// intervals, the points mappable across all four, and the primary
+	// binary's variable-length intervals cut at them.
+	a, err := xbsim.Analyze(ctx, bench.Binaries, xbsim.ExperimentConfig{IntervalSize: 25_000, Input: input})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Cross-binary (VLI) points: one SimPoint run on the primary binary.
+	cross, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,21 +66,21 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		vli, err := xbsim.EstimateCPI(bin, input, vliPoints, nil)
+		vli, err := xbsim.EstimateCPI(ctx, bin, input, vliPoints, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Per-binary (FLI) baseline: an independent SimPoint run on this
-		// binary alone.
-		fliPoints, err := xbsim.PerBinaryPoints(bin, input, cfg)
+		// binary's own intervals.
+		fliPoints, err := a.PerBinaryPoints(ctx, i)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fli, err := xbsim.EstimateCPI(bin, input, fliPoints, nil)
+		fli, err := xbsim.EstimateCPI(ctx, bin, input, fliPoints, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := xbsim.SimulateFull(bin, input, nil)
+		full, err := xbsim.SimulateFull(ctx, bin, input, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

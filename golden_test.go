@@ -1,6 +1,7 @@
 package xbsim
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -39,7 +40,7 @@ type goldenFile struct {
 //
 //	go test -run TestGoldenSimulationPoints -update .
 func TestGoldenSimulationPoints(t *testing.T) {
-	goldenPointsTest(t, testPointsConfig(), "")
+	goldenPointsTest(t, testConfig(), "")
 }
 
 // TestGoldenStratifiedPoints pins the stratified backend's picks the
@@ -47,7 +48,7 @@ func TestGoldenSimulationPoints(t *testing.T) {
 // drifted stratum boundary, budget allocation, or per-segment draw
 // shows up as a diff against testdata/golden/stratified-<name>.json.
 func TestGoldenStratifiedPoints(t *testing.T) {
-	cfg := testPointsConfig()
+	cfg := testConfig()
 	cfg.Sampler = "stratified"
 	goldenPointsTest(t, cfg, "stratified-")
 }
@@ -55,11 +56,13 @@ func TestGoldenStratifiedPoints(t *testing.T) {
 // goldenPointsTest regresses the chosen simulation points for the seed
 // benchmarks under one sampler configuration against
 // testdata/golden/<prefix><name>.json.
-func goldenPointsTest(t *testing.T, cfg PointsConfig, prefix string) {
+func goldenPointsTest(t *testing.T, cfg ExperimentConfig, prefix string) {
+	ctx := context.Background()
 	for _, name := range []string{"gcc", "apsi", "applu", "mcf", "swim"} {
 		t.Run(name, func(t *testing.T) {
 			b := testBenchmark(t, name)
-			cross, err := CrossBinaryPoints(b.Binaries, testInput, cfg)
+			a := testAnalysis(t, b, cfg)
+			cross, err := a.CrossBinaryPoints(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +84,7 @@ func goldenPointsTest(t *testing.T, cfg PointsConfig, prefix string) {
 				}
 				got.BinaryFingerprints[bin.Name] = ps.Fingerprint()
 			}
-			fli, err := PerBinaryPoints(b.Binary("32u"), testInput, cfg)
+			fli, err := a.PerBinaryPoints(ctx, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xbsim/internal/experiment"
+	"xbsim/internal/faults"
 )
 
 // TestSuiteBitReproducible runs the reduced evaluation twice and demands
@@ -78,17 +79,18 @@ func TestConsistentBiasProperty(t *testing.T) {
 // TestEstimateStatsAgainstFullRun checks the generalized estimator: the
 // estimated L1 miss rate and DRAM traffic must track full-run truth.
 func TestEstimateStatsAgainstFullRun(t *testing.T) {
+	ctx := context.Background()
 	bench := testBenchmark(t, "mcf")
 	bin := bench.Binary("32o")
-	ps, err := PerBinaryPoints(bin, testInput, testPointsConfig())
+	ps, err := testAnalysis(t, bench, testConfig()).PerBinaryPoints(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateStats(bin, testInput, ps, nil)
+	est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SimulateFull(bin, testInput, nil)
+	full, err := SimulateFull(ctx, bin, testInput, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,36 +141,46 @@ func TestWarmingOffDegradesCacheSensitiveEstimate(t *testing.T) {
 }
 
 // TestFacadeMatchesSuite pins the facade to the experiment suite: for
-// every binary, SimulateFull reproduces walk 3's totals, the facade's
+// every binary, the analysis maps it as the suite does and cuts the
+// suite's VLIs, SimulateFull reproduces walk 3's totals, the facade's
 // points and phases are the suite's, and its FLI weights and estimate
 // equal the suite's bit for bit. VLI weights (and so the VLI estimate)
 // may differ in the last bits only: ForBinary sums per-interval
-// instruction fractions while the suite divides summed counts.
+// instruction fractions while the suite divides summed counts. Analyze
+// also runs in the suite's retry envelope: a transient fault in walk 1
+// is retried into the clean run's cross-binary points.
 func TestFacadeMatchesSuite(t *testing.T) {
+	ctx := context.Background()
 	const tol = 1e-15
 	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Abs(b) }
 	for _, backend := range []string{"simpoint", "stratified"} {
 		cfg := experiment.QuickConfig()
 		cfg.Benchmarks = []string{"gzip", "applu"}
 		cfg.Sampler = backend
-		suite, err := experiment.RunCtx(context.Background(), cfg)
+		suite, err := experiment.RunCtx(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcfg := PointsConfig{IntervalSize: cfg.IntervalSize, Sampler: backend}
 		for _, res := range suite.Results {
 			b, err := NewBenchmark(res.Name, cfg.TargetOps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cross, err := CrossBinaryPoints(b.Binaries, cfg.Input, pcfg)
+			a := testAnalysis(t, b, cfg)
+			cross, err := a.CrossBinaryPoints(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for bi, run := range res.Runs {
 				bin := b.Binaries[bi]
 				label := backend + " " + bin.Name
-				full, err := SimulateFull(bin, cfg.Input, nil)
+				if got, want := a.Mapping.FingerprintFor(bi), res.Mapping.FingerprintFor(bi); got != want {
+					t.Errorf("%s: analysis mapping %s, suite %s", label, got, want)
+				}
+				if got, want := cross.NumIntervals(), run.VLI.NumIntervals; got != want {
+					t.Errorf("%s: analysis cut %d VLIs, suite %d", label, got, want)
+				}
+				full, err := SimulateFull(ctx, bin, cfg.Input, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +188,7 @@ func TestFacadeMatchesSuite(t *testing.T) {
 					t.Errorf("%s: SimulateFull %d instr / %d cycles, suite %d / %d", label,
 						full.Instructions, full.Cycles, run.TotalInstructions, run.TrueCycles)
 				}
-				fli, err := PerBinaryPoints(bin, cfg.Input, pcfg)
+				fli, err := a.PerBinaryPoints(ctx, bi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +208,7 @@ func TestFacadeMatchesSuite(t *testing.T) {
 							m.ps.PointInterval, m.suite.PointInterval)
 						continue
 					}
-					est, err := EstimateCPI(bin, cfg.Input, m.ps, nil)
+					est, err := EstimateCPI(ctx, bin, cfg.Input, m.ps, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -214,5 +226,32 @@ func TestFacadeMatchesSuite(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The retry envelope: a transient fault on the first walk-1 task
+	// fails a run without retries and is retried away with one.
+	b := testBenchmark(t, "gzip")
+	clean, err := testAnalysis(t, b, testConfig()).CrossBinaryPoints(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := func() context.Context {
+		return faults.With(ctx, faults.NewInjector(faults.Rule{Stage: "profile.task", Index: 0, Kind: faults.KindError}))
+	}
+	if _, err := Analyze(faulted(), b.Binaries, testConfig()); err == nil {
+		t.Fatal("injected profile.task fault did not fail Analyze without retries")
+	}
+	cfg := testConfig()
+	cfg.Retry = RetryPolicy{MaxRetries: 1}
+	a, err := Analyze(faulted(), b.Binaries, cfg)
+	if err != nil {
+		t.Fatalf("Analyze with one retry: %v", err)
+	}
+	cross, err := a.CrossBinaryPoints(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cross.Fingerprint(), clean.Fingerprint(); got != want {
+		t.Errorf("retried analysis fingerprint %s, clean %s", got, want)
 	}
 }

@@ -240,11 +240,10 @@ func (s *Simulator) TakeStats() Stats {
 func (s *Simulator) Hierarchy() *Hierarchy { return s.hier }
 
 // PublishMetrics adds the accumulated statistics to the registry as
-// counters under the given prefix ("sim" → sim.instructions, sim.cycles,
-// sim.cache.l1.hits, ...). The pipeline publishes one family per
-// evaluation walk — "sim.full" (walk 3), "sim.fli" (walk 4), "sim.vli"
-// (walk 5) — alongside the legacy aggregate names "sim" (full-run) and
-// "sim.gated" (both gated walks combined). Cache levels are numbered
+// counters under the given prefix ("sim.full" → sim.full.instructions,
+// sim.full.cycles, sim.full.cache.l1.hits, ...). The pipeline publishes
+// one family per evaluation walk: "sim.full" (walk 3), "sim.fli" (walk
+// 4) and "sim.vli" (walk 5). Cache levels are numbered
 // outward from the core: l1 is the first-level cache regardless of its
 // display name. A nil registry is a no-op. The metric names are a stable
 // interface (see README.md).

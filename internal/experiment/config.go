@@ -157,6 +157,18 @@ func (c Config) prepareSide() Config {
 	return c
 }
 
+// pool returns the worker pool c's stages fan out on: the suite's, else
+// SharedPool, else a fresh pool of Workers.
+func (c Config) pool() *pool.Pool {
+	switch {
+	case c.workerPool != nil:
+		return c.workerPool
+	case c.SharedPool != nil:
+		return c.SharedPool
+	}
+	return pool.New(c.Workers)
+}
+
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Benchmarks) == 0 {
 		c.Benchmarks = program.Benchmarks()

@@ -26,24 +26,24 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 	snap := o.Metrics.Snapshot()
 
-	// The full-simulation walk publishes under "sim": its instruction
+	// The full-simulation walk publishes under "sim.full": its instruction
 	// counter must equal the sum of the exact per-binary totals.
 	var wantInstr uint64
 	for _, run := range res.Runs {
 		wantInstr += run.TotalInstructions
 	}
-	if got := snap.Counters["sim.instructions"]; got != wantInstr {
-		t.Errorf("sim.instructions = %d, want %d", got, wantInstr)
+	if got := snap.Counters["sim.full.instructions"]; got != wantInstr {
+		t.Errorf("sim.full.instructions = %d, want %d", got, wantInstr)
 	}
-	if snap.Counters["sim.cycles"] == 0 {
-		t.Error("sim.cycles not recorded")
+	if snap.Counters["sim.full.cycles"] == 0 {
+		t.Error("sim.full.cycles not recorded")
 	}
 	// Gated walks publish separately and simulate strictly less.
-	if g := snap.Counters["sim.gated.instructions"]; g == 0 || g >= wantInstr {
-		t.Errorf("sim.gated.instructions = %d, want in (0, %d)", g, wantInstr)
+	if g := snap.Counters["sim.fli.instructions"] + snap.Counters["sim.vli.instructions"]; g == 0 || g >= wantInstr {
+		t.Errorf("sim.fli+sim.vli instructions = %d, want in (0, %d)", g, wantInstr)
 	}
 	// Cache levels: three levels, hits+misses > 0 at L1.
-	if snap.Counters["sim.cache.l1.hits"]+snap.Counters["sim.cache.l1.misses"] == 0 {
+	if snap.Counters["sim.full.cache.l1.hits"]+snap.Counters["sim.full.cache.l1.misses"] == 0 {
 		t.Error("no L1 accesses recorded")
 	}
 

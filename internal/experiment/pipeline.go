@@ -127,20 +127,15 @@ func runPipeline(ctx context.Context, name string, gen func() (*program.Program,
 }
 
 // prepared is the pick-independent half of one benchmark's evaluation:
-// the binaries, walk 1's FLI results, walk 2's VLI result, the mapping,
-// and walk 3's per-binary product. It depends only on the prepare-side
-// settings (Config.prepareSide), never on the sampler, its knobs or
-// warming, so every pick-side variant of a Config picks from one
-// prepared value. It is immutable once prepare returns.
+// the Analysis (walks 1 and 2) and walk 3's per-binary product. It
+// depends only on the prepare-side settings (Config.prepareSide), never
+// on the sampler, its knobs or warming, so every pick-side variant of a
+// Config picks from one prepared value. It is immutable once prepare
+// returns.
 type prepared struct {
-	name    string
-	prog    *program.Program
-	bins    []*compiler.Binary
-	fli     []*profile.FLIResult
-	vli     *profile.VLIResult
-	mapped  *mapping.Result
-	primary int
-	// walk3[bi] is bins[bi]'s full simulation.
+	*Analysis
+	name string
+	// walk3[bi] is Bins[bi]'s full simulation.
 	walk3 []walk3Result
 }
 
@@ -157,95 +152,32 @@ type walk3Result struct {
 	events []levelEvents
 }
 
-// prepare runs compile, walk 1, the mapping, walk 2 and walk 3 for one
-// benchmark. Each stage closure is idempotent — it allocates its result
-// slots fresh on every attempt — so runStage can re-run it after a
-// transient failure without residue from the failed attempt.
+// prepare runs compile, Analyze (walk 1, the mapping, walk 2) and walk 3
+// for one benchmark. Each stage closure is idempotent — it allocates its
+// result slots fresh on every attempt — so runStage can re-run it after
+// a transient failure without residue from the failed attempt.
 func prepare(ctx context.Context, name string, gen func() (*program.Program, error), cfg Config) (*prepared, error) {
 	o := obs.From(ctx)
-	p := &prepared{name: name, primary: cfg.Primary}
+	var bins []*compiler.Binary
 	err := runStage(ctx, cfg, name, "compile", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "compile"})
 		_, cspan := obs.StartSpan(sctx, "stage.compile", name)
 		defer cspan.End()
-		var err error
-		if p.prog, err = gen(); err != nil {
-			return err
-		}
-		p.bins, err = compiler.CompileAll(p.prog)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	bins := p.bins
-
-	// Walk 1 per binary: call/branch profile + FLI BBVs. The total
-	// instruction count is the end of the last FLI interval, so the walk
-	// counts instructions once; walk 3 cross-checks it. The walks are
-	// independent per binary, so they fan out on the pool; each writes
-	// its own profiles[bi]/p.fli[bi] slot.
-	var profiles []*profile.Profile
-	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
-		profiles = make([]*profile.Profile, len(bins))
-		p.fli = make([]*profile.FLIResult, len(bins))
-		pctx, pspan := obs.StartSpan(sctx, "stage.profile", "")
-		defer pspan.End()
-		return cfg.workerPool.Run(len(bins), func(bi int) error {
-			if err := faults.Hit(pctx, "profile.task"); err != nil {
-				return err
-			}
-			bin := bins[bi]
-			o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Binary: bin.Name, Stage: "profile"})
-			mc := exec.NewMarkerCounter(bin)
-			fc, err := profile.NewFLICollector(bin, cfg.IntervalSize)
-			if err != nil {
-				return err
-			}
-			if err := exec.RunCtx(pctx, bin, cfg.Input, exec.Multi{mc, fc}); err != nil {
-				return err
-			}
-			p.fli[bi] = fc.Finish()
-			o.Counter("pipeline.intervals.fli").Add(uint64(len(p.fli[bi].Ends)))
-			profiles[bi], err = profile.BuildProfile(bin, cfg.Input, p.fli[bi].TotalInstructions(), mc.Counts)
-			return err
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Mappable points across all binaries.
-	err = runStage(ctx, cfg, name, "mapping", func(sctx context.Context) error {
-		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "mapping"})
-		var err error
-		p.mapped, err = mapping.FindCtx(sctx, profiles, cfg.Mapping)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Walk 2 (primary only): VLI BBV collection at mappable markers.
-	primary := cfg.Primary
-	err = runStage(ctx, cfg, name, "vli", func(sctx context.Context) error {
-		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "vli slicing"})
-		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing", bins[primary].Name)
-		defer vspan.End()
-		vc, err := profile.NewVLICollector(bins[primary], cfg.IntervalSize, p.mapped.MarkersFor(primary))
+		prog, err := gen()
 		if err != nil {
 			return err
 		}
-		if err := exec.RunCtx(vctx, bins[primary], cfg.Input, vc); err != nil {
-			return err
-		}
-		p.vli = vc.Finish()
-		return nil
+		bins, err = compiler.CompileAll(prog)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	o.Counter("pipeline.intervals.vli").Add(uint64(len(p.vli.Ends)))
+	a, err := Analyze(ctx, bins, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p := &prepared{Analysis: a, name: name}
 
 	// Walk 3 per binary: full simulation with both interval attributions.
 	// Each binary owns its simulator and its walk3[bi] slot.
@@ -255,7 +187,7 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
 				return err
 			}
-			w3, err := simulateFull(sctx, cfg, p, bi, profiles[bi].TotalInstructions)
+			w3, err := simulateFull(sctx, cfg, p, bi)
 			if err != nil {
 				return fmt.Errorf("%s: %w", bins[bi].Name, err)
 			}
@@ -269,16 +201,159 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 	return p, nil
 }
 
+// Analysis is walks 1 and 2 over one program's binaries: everything
+// point selection reads. It depends only on the prepare-side settings
+// (Config.prepareSide) and is immutable once Analyze returns.
+type Analysis struct {
+	// Bins are the analyzed binaries, in the caller's order.
+	Bins []*compiler.Binary
+	// Profiles[bi] is Bins[bi]'s call-and-branch profile (walk 1).
+	Profiles []*profile.Profile
+	// FLI[bi] is Bins[bi]'s fixed-length intervals and BBVs (walk 1).
+	FLI []*profile.FLIResult
+	// Mapping is the mappable point set across Bins.
+	Mapping *mapping.Result
+	// Primary indexes the binary cut into variable-length intervals.
+	Primary int
+	// VLI is the primary's variable-length intervals and BBVs (walk 2).
+	VLI *profile.VLIResult
+	// Input and IntervalSize are the settings the walks ran under.
+	Input        program.Input
+	IntervalSize uint64
+}
+
+// Analyze runs walks 1 and 2 over one program's compiled binaries: each
+// binary's profile and FLI BBVs, the mappable points across them, and
+// the primary's VLI BBVs. Every stage runs in the suite's envelope
+// (runStage: fault hooks, retries under cfg.Retry, cfg.StageTimeout,
+// spans, progress and counters). Unset fields of cfg take the suite's
+// defaults. The walks fan out on the suite's pool, else on
+// cfg.SharedPool, else on a pool of cfg.Workers.
+func Analyze(ctx context.Context, bins []*compiler.Binary, cfg Config) (*Analysis, error) {
+	if len(bins) == 0 {
+		return nil, fmt.Errorf("experiment: no binaries to analyze")
+	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	wp := cfg.pool()
+	name := bins[0].Program.Name
+	o := obs.From(ctx)
+	a := &Analysis{Bins: bins, Primary: cfg.Primary, Input: cfg.Input, IntervalSize: cfg.IntervalSize}
+
+	// Walk 1 per binary: call/branch profile + FLI BBVs. The total
+	// instruction count is the end of the last FLI interval, so the walk
+	// counts instructions once; walk 3 cross-checks it. The walks are
+	// independent per binary, so they fan out on the pool; each writes
+	// its own a.Profiles[bi]/a.FLI[bi] slot.
+	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
+		a.Profiles = make([]*profile.Profile, len(bins))
+		a.FLI = make([]*profile.FLIResult, len(bins))
+		pctx, pspan := obs.StartSpan(sctx, "stage.profile", "")
+		defer pspan.End()
+		return wp.Run(len(bins), func(bi int) error {
+			if err := faults.Hit(pctx, "profile.task"); err != nil {
+				return err
+			}
+			bin := bins[bi]
+			o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Binary: bin.Name, Stage: "profile"})
+			mc := exec.NewMarkerCounter(bin)
+			fc, err := profile.NewFLICollector(bin, cfg.IntervalSize)
+			if err != nil {
+				return err
+			}
+			if err := exec.RunCtx(pctx, bin, cfg.Input, exec.Multi{mc, fc}); err != nil {
+				return err
+			}
+			a.FLI[bi] = fc.Finish()
+			o.Counter("pipeline.intervals.fli").Add(uint64(len(a.FLI[bi].Ends)))
+			a.Profiles[bi], err = profile.BuildProfile(bin, cfg.Input, a.FLI[bi].TotalInstructions(), mc.Counts)
+			return err
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Mappable points across all binaries.
+	err = runStage(ctx, cfg, name, "mapping", func(sctx context.Context) error {
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "mapping"})
+		var err error
+		a.Mapping, err = mapping.FindCtx(sctx, a.Profiles, cfg.Mapping)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Walk 2 (primary only): VLI BBV collection at mappable markers.
+	primary := bins[a.Primary]
+	err = runStage(ctx, cfg, name, "vli", func(sctx context.Context) error {
+		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "vli slicing"})
+		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing", primary.Name)
+		defer vspan.End()
+		vc, err := profile.NewVLICollector(primary, cfg.IntervalSize, a.Mapping.MarkersFor(a.Primary))
+		if err != nil {
+			return err
+		}
+		if err := exec.RunCtx(vctx, primary, cfg.Input, vc); err != nil {
+			return err
+		}
+		a.VLI = vc.Finish()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	o.Counter("pipeline.intervals.vli").Add(uint64(len(a.VLI.Ends)))
+	return a, nil
+}
+
+// Pick runs cfg's sampler on one of a's interval sets: binary bi's FLIs
+// (flavor "fli") or the primary's VLIs (flavor "vli"; bi is ignored).
+// Unset fields of cfg take the suite's defaults, and the sampler fans
+// out on the pool Analyze would use. The seed stream is
+// "<Seed>/<flavor>/<name>": "fli/<binary>" for a binary's own intervals,
+// "vli/<program>" for the primary's shared ones. The stream names are
+// backend-independent, so switching backends changes the algorithm,
+// never the stream naming.
+func (a *Analysis) Pick(ctx context.Context, cfg Config, flavor string, bi int) (*simpoint.Result, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	smp, err := sampler.New(cfg.Sampler)
+	if err != nil {
+		return nil, err
+	}
+	ds, name := a.VLI.Dataset, a.Bins[a.Primary].Program.Name
+	if flavor == "fli" {
+		ds, name = a.FLI[bi].Dataset, a.Bins[bi].Name
+	}
+	pick, err := smp.Pick(ctx, ds, sampler.Config{
+		MaxK: cfg.MaxK, Dim: cfg.Dim, BICThreshold: cfg.BICThreshold,
+		Restarts: cfg.Restarts, EarlyTolerance: cfg.EarlyTolerance,
+		Pool:   cfg.pool(),
+		Budget: cfg.SamplerBudget, Strata: cfg.SamplerStrata,
+		Seed: cfg.Seed + "/" + flavor + "/" + name,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s %s %s: %w", name, flavor, smp.Name(), err)
+	}
+	return pick, nil
+}
+
 // simulateFull performs walk 3 for one binary: the full simulation,
 // attributed per interval under the binary's FLI boundaries and under
-// the translated VLI boundaries. total is walk 1's instruction count,
-// which the simulation must reproduce.
-func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total uint64) (walk3Result, error) {
+// the translated VLI boundaries. The simulation must reproduce walk 1's
+// instruction count.
+func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int) (walk3Result, error) {
 	o := obs.From(ctx)
-	bin := p.bins[bi]
+	bin := p.Bins[bi]
 	var w3 walk3Result
 	var err error
-	w3.vliEnds, err = p.mapped.TranslateEnds(p.primary, bi, p.vli.Ends)
+	w3.vliEnds, err = p.Mapping.TranslateEnds(p.Primary, bi, p.VLI.Ends)
 	if err != nil {
 		return w3, fmt.Errorf("translating VLI boundaries: %w", err)
 	}
@@ -289,13 +364,13 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total ui
 	fws := o.Attribution().StartWalk(bin.Program.Name, bin.Name, "full")
 	defer fws.Abort() // close the sample on every error path; Done wins
 	fw, err := SimulateIntervals(fctx, bin, cfg.Input, cfg.Hierarchy, cfg.simPool,
-		Boundaries{FLI: p.fli[bi].Ends}, Boundaries{VLI: w3.vliEnds})
+		Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: w3.vliEnds})
 	if err != nil {
 		return w3, err
 	}
 	st := &fw.Stats
 	fws.Done(st.Instructions, st.Cycles)
-	if st.Instructions != total {
+	if total := p.Profiles[bi].TotalInstructions; st.Instructions != total {
 		return w3, fmt.Errorf("instruction count mismatch between walks: %d vs %d",
 			st.Instructions, total)
 	}
@@ -310,16 +385,12 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int, total ui
 // and cfg's pick-side settings, and never modifies p.
 func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error) {
 	o := obs.From(ctx)
-	smp, err := sampler.New(cfg.Sampler)
-	if err != nil {
-		return nil, err
-	}
 	var fliPicks []*simpoint.Result
 	var vliPick *simpoint.Result
-	err = runStage(ctx, cfg, p.name, "clustering", func(sctx context.Context) error {
+	err := runStage(ctx, cfg, p.name, "clustering", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: p.name, Stage: "clustering"})
 		var err error
-		fliPicks, vliPick, err = selectPoints(sctx, cfg, smp, p)
+		fliPicks, vliPick, err = selectPoints(sctx, cfg, p)
 		return err
 	})
 	if err != nil {
@@ -330,15 +401,15 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 	// its Runs[bi] slot.
 	var res *BenchmarkResult
 	err = runStage(ctx, cfg, p.name, "evaluate", func(sctx context.Context) error {
-		res = &BenchmarkResult{Name: p.name, Mapping: p.mapped, Primary: p.primary,
-			Runs: make([]*BinaryRun, len(p.bins))}
-		return cfg.workerPool.Run(len(p.bins), func(bi int) error {
+		res = &BenchmarkResult{Name: p.name, Mapping: p.Mapping, Primary: p.Primary,
+			Runs: make([]*BinaryRun, len(p.Bins))}
+		return cfg.workerPool.Run(len(p.Bins), func(bi int) error {
 			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
 				return err
 			}
 			run, err := evaluateBinary(sctx, cfg, p, bi, fliPicks[bi], vliPick)
 			if err != nil {
-				return fmt.Errorf("%s: %w", p.bins[bi].Name, err)
+				return fmt.Errorf("%s: %w", p.Bins[bi].Name, err)
 			}
 			res.Runs[bi] = run
 			return nil
@@ -357,45 +428,22 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 // are independent and fan out together; the SimPoint backend
 // additionally parallelizes its own k sweep and k-means restarts on the
 // same shared pool, while the stratified backend is serial arithmetic.
-func selectPoints(ctx context.Context, cfg Config, smp sampler.Sampler, p *prepared) ([]*simpoint.Result, *simpoint.Result, error) {
-	fliPicks := make([]*simpoint.Result, len(p.bins))
+func selectPoints(ctx context.Context, cfg Config, p *prepared) ([]*simpoint.Result, *simpoint.Result, error) {
+	fliPicks := make([]*simpoint.Result, len(p.Bins))
 	var vliPick *simpoint.Result
-	err := cfg.workerPool.Run(len(p.bins)+1, func(i int) error {
+	err := cfg.workerPool.Run(len(p.Bins)+1, func(i int) error {
 		if err := faults.Hit(ctx, "clustering.task"); err != nil {
 			return err
 		}
-		if i == len(p.bins) {
-			var err error
-			vliPick, err = smp.Pick(ctx, p.vli.Dataset, cfg.SamplerConfig(cfg.workerPool, "vli", p.prog.Name))
-			if err != nil {
-				return fmt.Errorf("%s vli %s: %w", p.prog.Name, smp.Name(), err)
-			}
-			return nil
-		}
 		var err error
-		fliPicks[i], err = smp.Pick(ctx, p.fli[i].Dataset, cfg.SamplerConfig(cfg.workerPool, "fli", p.bins[i].Name))
-		if err != nil {
-			return fmt.Errorf("%s fli %s: %w", p.bins[i].Name, smp.Name(), err)
+		if i == len(p.Bins) {
+			vliPick, err = p.Pick(ctx, cfg, "vli", 0)
+		} else {
+			fliPicks[i], err = p.Pick(ctx, cfg, "fli", i)
 		}
-		return nil
+		return err
 	})
 	return fliPicks, vliPick, err
-}
-
-// SamplerConfig is the sampler configuration of one pick under c's
-// pick-side settings, fanning out on wp. The seed stream is
-// "<Seed>/<flavor>/<name>": "fli/<binary>" for a binary's own intervals,
-// "vli/<program>" for the primary's shared ones. The stream names are
-// backend-independent, so switching backends changes the algorithm,
-// never the stream naming.
-func (c Config) SamplerConfig(wp *pool.Pool, flavor, name string) sampler.Config {
-	return sampler.Config{
-		MaxK: c.MaxK, Dim: c.Dim, BICThreshold: c.BICThreshold,
-		Restarts: c.Restarts, EarlyTolerance: c.EarlyTolerance,
-		Pool:   wp,
-		Budget: c.SamplerBudget, Strata: c.SamplerStrata,
-		Seed: c.Seed + "/" + flavor + "/" + name,
-	}
 }
 
 // evaluateBinary measures walks 4/5 for one binary and assembles its
@@ -404,7 +452,7 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 	fliPick, vliPick *simpoint.Result) (*BinaryRun, error) {
 
 	o := obs.From(ctx)
-	bin := p.bins[bi]
+	bin := p.Bins[bi]
 	w3 := &p.walk3[bi]
 	run := &BinaryRun{
 		Binary:            bin,
@@ -421,7 +469,7 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 	}
 	_, wspan := obs.StartSpan(ctx, "stage.weighting", bin.Name)
 	run.FLI, err = buildMethodStats(fliPick, w3.fli, fliPointCPI, fliPointIv,
-		len(p.fli[bi].Ends), run, nil, fliSimInstr)
+		len(p.FLI[bi].Ends), run, nil, fliSimInstr)
 	wspan.End()
 	if err != nil {
 		return nil, err
@@ -473,14 +521,14 @@ var vliGaugeMu sync.Mutex
 //
 // With execute false the walk is answered from walk 3's deltas (see
 // walk3.go): nothing executes, and the point CPIs, attribution and the
-// sim.gated / sim.<walk> metric families are bit-identical to what the
+// sim.<walk> metric family are bit-identical to what the
 // executed walk would have produced under functional warming. With
 // execute true the gated walk runs on a simulator; the pipeline does so
 // only with warming off, and tests use it as the reference.
 func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
 	walk string, execute bool) (cpi []float64, intervals []int, simInstr uint64, err error) {
 
-	bin := p.bins[bi]
+	bin := p.Bins[bi]
 	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
 	defer gspan.End()
 
@@ -524,7 +572,7 @@ func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *s
 
 // answerFromWalk3 answers one gated walk from walk 3's deltas and
 // publishes what the executed walk would have: the walk sample, the
-// sim.gated / sim.<walk> families, and the pipeline.memo counters that
+// sim.<walk> family, and the pipeline.memo counters that
 // count gate points answered from walk 3.
 func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoint.Result,
 	walk string, ws *obs.WalkSample) ([]regionStat, error) {
@@ -539,7 +587,6 @@ func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoin
 	}
 	ws.Done(win.Instructions, win.Cycles)
 	if o != nil {
-		publishWindowMetrics(o.Metrics, "sim.gated", &win, w3.events)
 		publishWindowMetrics(o.Metrics, "sim."+walk, &win, w3.events)
 	}
 	o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
@@ -555,7 +602,7 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 	walk string, ws *obs.WalkSample) ([]regionStat, error) {
 
 	o := obs.From(ctx)
-	bin := p.bins[bi]
+	bin := p.Bins[bi]
 	sim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
 	if err != nil {
 		return nil, err
@@ -571,7 +618,7 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 	if walk == "vli" {
 		tracker = profile.NewVLITracker(bin, p.walk3[bi].vliEnds, gate)
 	} else {
-		tracker = profile.NewFLITracker(bin, p.fli[bi].Ends, gate)
+		tracker = profile.NewFLITracker(bin, p.FLI[bi].Ends, gate)
 	}
 	if err := exec.RunCtx(ctx, bin, cfg.Input, exec.Multi{sim, tracker}); err != nil {
 		return nil, err
@@ -580,9 +627,6 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 	simStats := sim.Stats()
 	ws.Done(simStats.Instructions, simStats.Cycles)
 	if o != nil {
-		// "sim.gated" is the legacy family covering walks 4 and 5 together;
-		// "sim.fli"/"sim.vli" split it per walk.
-		sim.PublishMetrics(o.Metrics, "sim.gated")
 		sim.PublishMetrics(o.Metrics, "sim."+walk)
 	}
 	o.Counter("pipeline.memo.misses").Add(uint64(len(pick.Points)))

@@ -112,7 +112,7 @@ type FullWalk struct {
 // is where every sampled estimate is measured: under functional warming
 // a region's gated measurement equals its delta here, bit for bit. With
 // an observer on ctx the run's statistics are published as the full-run
-// families "sim" (legacy) and "sim.full".
+// family "sim.full".
 func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Input,
 	h cmpsim.HierarchyConfig, sp *cmpsim.StatePool, sets ...Boundaries) (*FullWalk, error) {
 
@@ -142,7 +142,6 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 		fw.Deltas[s] = snap.d
 	}
 	if o := obs.From(ctx); o != nil {
-		sim.PublishMetrics(o.Metrics, "sim")
 		sim.PublishMetrics(o.Metrics, "sim.full")
 	}
 	return fw, nil
@@ -231,7 +230,7 @@ func captureEvents(h *cmpsim.Hierarchy) []levelEvents {
 // publishWindowMetrics mirrors cmpsim.Simulator.PublishMetrics for a
 // gated walk answered from walk 3: win is the synthesized statistics
 // window and events walk 3's full-stream cache event counters, so the
-// sim.gated / sim.<walk> families come out identical to what the
+// sim.<walk> family comes out identical to what the
 // executed walk would have published.
 func publishWindowMetrics(reg *obs.Registry, prefix string, win *cmpsim.Stats, events []levelEvents) {
 	if reg == nil {

@@ -203,11 +203,7 @@ func TestMemoMetricParity(t *testing.T) {
 func memoMetricParity(t *testing.T, cfg Config) {
 	ctx := context.Background()
 	p, cfg := prepareFor(t, ctx, "gzip", cfg)
-	smp, err := sampler.New(cfg.Sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fliPicks, vliPick, err := selectPoints(ctx, cfg, smp, p)
+	fliPicks, vliPick, err := selectPoints(ctx, cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +211,7 @@ func memoMetricParity(t *testing.T, cfg Config) {
 		o := &obs.Observer{Metrics: obs.NewRegistry()}
 		cpi, iv, simInstr, err := measurePoints(obs.With(ctx, o), cfg, p, bi, pick, walk, execute)
 		if err != nil {
-			t.Fatalf("%s %s execute=%v: %v", p.bins[bi].Name, walk, execute, err)
+			t.Fatalf("%s %s execute=%v: %v", p.Bins[bi].Name, walk, execute, err)
 		}
 		sim := map[string]uint64{}
 		for name, v := range o.Metrics.Snapshot().Counters {
@@ -225,7 +221,7 @@ func memoMetricParity(t *testing.T, cfg Config) {
 		}
 		return cpi, iv, simInstr, sim
 	}
-	for bi, bin := range p.bins {
+	for bi, bin := range p.Bins {
 		for _, walk := range []string{"fli", "vli"} {
 			pick := vliPick
 			if walk == "fli" {

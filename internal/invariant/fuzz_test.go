@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"context"
 	"testing"
 
 	"xbsim"
@@ -21,6 +22,23 @@ func fuzzInput(s program.Spec) xbsim.Input {
 	return xbsim.Input{Name: "selfcheck", Seed: 0x5EED ^ s.Variant}
 }
 
+// fuzzConfig is the fuzz targets' analysis configuration: 8000-
+// instruction intervals, at most 6 phases, serial.
+func fuzzConfig(s program.Spec) xbsim.ExperimentConfig {
+	return xbsim.ExperimentConfig{IntervalSize: 8000, MaxK: 6, Workers: 1, Input: fuzzInput(s)}
+}
+
+// fuzzMapping analyzes the binaries under fuzzConfig and returns the
+// mapping.
+func fuzzMapping(t *testing.T, s program.Spec, bins []*xbsim.Binary) *xbsim.MappingResult {
+	t.Helper()
+	a, err := xbsim.Analyze(context.Background(), bins, fuzzConfig(s))
+	if err != nil {
+		t.Fatalf("spec %s: analysis: %v", s.Name(), err)
+	}
+	return a.Mapping
+}
+
 // FuzzMapping feeds arbitrary spec encodings through program synthesis,
 // compilation, and mappable-point discovery, then checks the §3.2
 // guarantees: every mappable point fires exactly its recorded count in
@@ -37,10 +55,7 @@ func FuzzMapping(f *testing.F) {
 			t.Fatalf("spec %+v: %v", s, err)
 		}
 		in := fuzzInput(s)
-		mapped, err := xbsim.FindMappablePoints(bench.Binaries, in, xbsim.MappingOptions{})
-		if err != nil {
-			t.Fatalf("spec %s: mapping: %v", s.Name(), err)
-		}
+		mapped := fuzzMapping(t, s, bench.Binaries)
 		for bi, bin := range bench.Binaries {
 			mc := exec.NewMarkerCounter(bin)
 			if err := exec.Run(bin, in, mc); err != nil {
@@ -59,10 +74,7 @@ func FuzzMapping(f *testing.F) {
 		for i := len(bench.Binaries) - 1; i >= 1; i-- {
 			perm = append(perm, bench.Binaries[i])
 		}
-		mapped2, err := xbsim.FindMappablePoints(perm, in, xbsim.MappingOptions{})
-		if err != nil {
-			t.Fatalf("spec %s: permuted mapping: %v", s.Name(), err)
-		}
+		mapped2 := fuzzMapping(t, s, perm)
 		if len(mapped2.Points) != len(mapped.Points) {
 			t.Fatalf("spec %s: %d points under permuted order, baseline %d",
 				s.Name(), len(mapped2.Points), len(mapped.Points))
@@ -98,13 +110,10 @@ func FuzzStratifiedSampler(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %+v: %v", s, err)
 		}
-		in := fuzzInput(s)
-		pcfg := xbsim.PointsConfig{
-			IntervalSize: 8000, MaxK: 6, Workers: 1,
-			Sampler:       "stratified",
-			SamplerBudget: 1 + int(s.Variant%9),
-		}
-		cp, err := xbsim.CrossBinaryPoints(bench.Binaries, in, pcfg)
+		cfg := fuzzConfig(s)
+		cfg.Sampler, cfg.SamplerBudget = "stratified", 1+int(s.Variant%9)
+		ctx := context.Background()
+		cp, err := crossPoints(ctx, bench.Binaries, cfg)
 		if err != nil {
 			t.Fatalf("spec %s: stratified pipeline: %v", s.Name(), err)
 		}
@@ -114,7 +123,7 @@ func FuzzStratifiedSampler(f *testing.F) {
 		if _, c := checkWeightSum(cp); !c.OK {
 			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
 		}
-		cp2, err := xbsim.CrossBinaryPoints(bench.Binaries, in, pcfg)
+		cp2, err := crossPoints(ctx, bench.Binaries, cfg)
 		if err != nil {
 			t.Fatalf("spec %s: rerun: %v", s.Name(), err)
 		}
@@ -138,22 +147,20 @@ func FuzzCrossBinaryPoints(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %+v: %v", s, err)
 		}
-		in := fuzzInput(s)
-		cp, err := xbsim.CrossBinaryPoints(bench.Binaries, in, xbsim.PointsConfig{
-			IntervalSize: 8000, MaxK: 6, Workers: 1,
-		})
+		ctx := context.Background()
+		a, err := xbsim.Analyze(ctx, bench.Binaries, fuzzConfig(s))
+		if err != nil {
+			t.Fatalf("spec %s: analysis: %v", s.Name(), err)
+		}
+		cp, err := a.CrossBinaryPoints(ctx)
 		if err != nil {
 			t.Fatalf("spec %s: pipeline: %v", s.Name(), err)
 		}
-		profiles, err := collectProfiles(bench.Binaries, in)
-		if err != nil {
-			t.Fatalf("spec %s: profiles: %v", s.Name(), err)
-		}
 		_, wcheck := checkWeightSum(cp)
 		for _, c := range []Check{
-			checkSymbolCounts(profiles),
+			checkSymbolCounts(a.Profiles),
 			checkBoundaryTranslate(cp),
-			checkIntervalCoverage(cp, in, profiles, 8000),
+			checkIntervalCoverage(cp, fuzzInput(s), a.Profiles, 8000),
 			wcheck,
 		} {
 			if !c.OK {

@@ -304,54 +304,51 @@ func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input,
 	cfg = cfg.withDefaults()
 	pr := ProgramResult{Name: bench.Program.Name}
 
-	_, span := obs.StartSpan(ctx, "selfcheck.program", pr.Name)
+	ctx, span := obs.StartSpan(ctx, "selfcheck.program", pr.Name)
 	defer span.End()
 
-	pcfg := xbsim.PointsConfig{
+	acfg := xbsim.ExperimentConfig{
 		IntervalSize: cfg.IntervalSize,
 		MaxK:         cfg.MaxK,
+		Input:        in,
 		// The baseline analysis is serial; worker-invariance reruns it
 		// with a pool and demands a bit-identical fingerprint.
 		Workers:       1,
 		Sampler:       cfg.Sampler,
 		SamplerBudget: cfg.SamplerBudget,
 	}
-	cp, err := xbsim.CrossBinaryPoints(bench.Binaries, in, pcfg)
+	a, err := xbsim.Analyze(ctx, bench.Binaries, acfg)
 	if err != nil {
 		pr.Err = err.Error()
 		return pr
 	}
-	profiles, err := collectProfiles(bench.Binaries, in)
+	cp, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		pr.Err = err.Error()
 		return pr
 	}
 
 	pr.Checks = append(pr.Checks, checkMarkerCounts(bench.Binaries, in, cp))
-	pr.Checks = append(pr.Checks, checkSymbolCounts(profiles))
+	pr.Checks = append(pr.Checks, checkSymbolCounts(a.Profiles))
 	pr.Checks = append(pr.Checks, checkBoundaryTranslate(cp))
-	pr.Checks = append(pr.Checks, checkIntervalCoverage(cp, in, profiles, cfg.IntervalSize))
+	pr.Checks = append(pr.Checks, checkIntervalCoverage(cp, in, a.Profiles, cfg.IntervalSize))
 	sets, wcheck := checkWeightSum(cp)
 	pr.Checks = append(pr.Checks, wcheck)
-	pr.Checks = append(pr.Checks, checkOrderInvariance(bench.Binaries, in, pcfg, cp, sets))
-	pr.Checks = append(pr.Checks, checkWorkerInvariance(bench.Binaries, in, pcfg, cp))
-	pr.Checks = append(pr.Checks, checkCPISanity(bench.Binaries, in, sets, cfg.CPIBound))
-	pr.Checks = append(pr.Checks, checkBudgetMonotonicity(bench.Binaries, in, pcfg, cfg))
+	pr.Checks = append(pr.Checks, checkOrderInvariance(ctx, bench.Binaries, acfg, cp, sets))
+	pr.Checks = append(pr.Checks, checkWorkerInvariance(ctx, bench.Binaries, acfg, cp))
+	pr.Checks = append(pr.Checks, checkCPISanity(ctx, bench.Binaries, in, sets, cfg.CPIBound))
+	pr.Checks = append(pr.Checks, checkBudgetMonotonicity(ctx, bench.Binaries, acfg, cfg))
 	return pr
 }
 
-// collectProfiles profiles every binary: the call counts symbol-counts
-// compares and the run lengths interval-coverage checks against.
-func collectProfiles(bins []*xbsim.Binary, in xbsim.Input) ([]*xbsim.Profile, error) {
-	profiles := make([]*xbsim.Profile, len(bins))
-	for b, bin := range bins {
-		p, err := xbsim.CollectProfile(bin, in)
-		if err != nil {
-			return nil, err
-		}
-		profiles[b] = p
+// crossPoints analyzes the binaries under acfg and picks the
+// cross-binary points.
+func crossPoints(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig) (*xbsim.CrossPoints, error) {
+	a, err := xbsim.Analyze(ctx, bins, acfg)
+	if err != nil {
+		return nil, err
 	}
-	return profiles, nil
+	return a.CrossBinaryPoints(ctx)
 }
 
 // checkMarkerCounts re-executes every binary with a raw marker counter
@@ -532,7 +529,7 @@ func checkWeightSum(cp *xbsim.CrossPoints) ([]*xbsim.PointSet, Check) {
 // bit-identical (by fingerprint). The clustering runs only on the
 // primary and point discovery orders points canonically, so the binary
 // list order must be immaterial.
-func checkOrderInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig,
+func checkOrderInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig,
 	cp *xbsim.CrossPoints, sets []*xbsim.PointSet) Check {
 	if sets == nil {
 		return Check{Name: "order-invariance", Detail: "skipped: weight-sum failed"}
@@ -545,7 +542,7 @@ func checkOrderInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Point
 	for i := len(bins) - 1; i >= 1; i-- {
 		perm = append(perm, bins[i])
 	}
-	cp2, err := xbsim.CrossBinaryPoints(perm, in, pcfg)
+	cp2, err := crossPoints(ctx, perm, acfg)
 	if err != nil {
 		return Check{Name: "order-invariance", Detail: fmt.Sprintf("permuted pipeline: %v", err)}
 	}
@@ -583,9 +580,9 @@ func checkOrderInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Point
 // the pool's index-addressed determinism guarantee, end to end. Two
 // full analyses agreeing bit for bit also shows the run is
 // deterministic.
-func checkWorkerInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig, cp *xbsim.CrossPoints) Check {
-	pcfg.Workers = 3
-	cp2, err := xbsim.CrossBinaryPoints(bins, in, pcfg)
+func checkWorkerInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig, cp *xbsim.CrossPoints) Check {
+	acfg.Workers = 3
+	cp2, err := crossPoints(ctx, bins, acfg)
 	if err != nil {
 		return Check{Name: "worker-invariance", Detail: fmt.Sprintf("parallel pipeline: %v", err)}
 	}
@@ -600,17 +597,17 @@ func checkWorkerInvariance(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Poin
 // checkCPISanity estimates CPI from the sampled regions in every binary
 // and verifies the estimate is finite, positive, and within the
 // configured relative bound of full simulation.
-func checkCPISanity(bins []*xbsim.Binary, in xbsim.Input, sets []*xbsim.PointSet, bound float64) Check {
+func checkCPISanity(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input, sets []*xbsim.PointSet, bound float64) Check {
 	if sets == nil {
 		return Check{Name: "cpi-sanity", Detail: "skipped: weight-sum failed"}
 	}
 	worst := 0.0
 	for b, bin := range bins {
-		full, err := xbsim.SimulateFull(bin, in, nil)
+		full, err := xbsim.SimulateFull(ctx, bin, in, nil)
 		if err != nil {
 			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf("%s full simulation: %v", bin.Name, err)}
 		}
-		est, err := xbsim.EstimateStats(bin, in, sets[b], nil)
+		est, err := xbsim.EstimateStats(ctx, bin, in, sets[b], nil)
 		if err != nil {
 			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf("%s estimate: %v", bin.Name, err)}
 		}
@@ -640,7 +637,7 @@ func checkCPISanity(bins []*xbsim.Binary, in xbsim.Input, sets []*xbsim.PointSet
 // out is a backend whose extra simulation spend systematically buys
 // worse estimates. The simpoint backend has no budget knob, so it
 // satisfies the invariant trivially.
-func checkBudgetMonotonicity(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig, cfg Config) Check {
+func checkBudgetMonotonicity(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig, cfg Config) Check {
 	if cfg.Sampler == "" || cfg.Sampler == sampler.BackendSimPoint {
 		return Check{Name: "budget-monotonicity", OK: true,
 			Detail: "trivial: the simpoint backend has no budget knob"}
@@ -653,11 +650,11 @@ func checkBudgetMonotonicity(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Po
 	// Generous: the generated programs are tiny, so a single re-drawn
 	// representative can move one binary's estimate by a few percent.
 	const slack = 0.25
-	errLo, err := meanCPIError(bins, in, pcfg, lo)
+	errLo, err := meanCPIError(ctx, bins, acfg, lo)
 	if err != nil {
 		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf("budget %d: %v", lo, err)}
 	}
-	errHi, err := meanCPIError(bins, in, pcfg, hi)
+	errHi, err := meanCPIError(ctx, bins, acfg, hi)
 	if err != nil {
 		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf("budget %d: %v", hi, err)}
 	}
@@ -673,9 +670,9 @@ func checkBudgetMonotonicity(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.Po
 
 // meanCPIError runs the cross-binary pipeline at the given sampler
 // budget and returns the mean relative CPI error across binaries.
-func meanCPIError(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig, budget int) (float64, error) {
-	pcfg.SamplerBudget = budget
-	cp, err := xbsim.CrossBinaryPoints(bins, in, pcfg)
+func meanCPIError(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig, budget int) (float64, error) {
+	acfg.SamplerBudget = budget
+	cp, err := crossPoints(ctx, bins, acfg)
 	if err != nil {
 		return 0, err
 	}
@@ -685,11 +682,11 @@ func meanCPIError(bins []*xbsim.Binary, in xbsim.Input, pcfg xbsim.PointsConfig,
 		if err != nil {
 			return 0, err
 		}
-		full, err := xbsim.SimulateFull(bin, in, nil)
+		full, err := xbsim.SimulateFull(ctx, bin, acfg.Input, nil)
 		if err != nil {
 			return 0, err
 		}
-		est, err := xbsim.EstimateStats(bin, in, ps, nil)
+		est, err := xbsim.EstimateStats(ctx, bin, acfg.Input, ps, nil)
 		if err != nil {
 			return 0, err
 		}

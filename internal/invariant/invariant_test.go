@@ -263,17 +263,19 @@ func TestCheckIntervalCoverageDetectsUndersized(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := xbsim.Input{Name: "ref", Seed: 404}
-	cp, err := xbsim.CrossBinaryPoints(bench.Binaries, in, xbsim.PointsConfig{IntervalSize: 8000, MaxK: 6, Workers: 1})
+	ctx := context.Background()
+	a, err := xbsim.Analyze(ctx, bench.Binaries, xbsim.ExperimentConfig{IntervalSize: 8000, MaxK: 6, Workers: 1, Input: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.NumIntervals() < 3 {
 		t.Fatalf("only %d intervals", cp.NumIntervals())
 	}
-	profiles, err := collectProfiles(bench.Binaries, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profiles := a.Profiles
 	if c := checkIntervalCoverage(cp, in, profiles, 8000); !c.OK {
 		t.Fatalf("intervals fail at their own target: %s", c.Detail)
 	}

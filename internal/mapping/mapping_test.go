@@ -26,7 +26,7 @@ func profileAll(t testing.TB, name string, targetOps uint64) []*profile.Profile 
 	}
 	profiles := make([]*profile.Profile, len(bins))
 	for i, b := range bins {
-		profiles[i], err = profile.Collect(b, refInput)
+		profiles[i], err = profile.Collect(context.Background(), b, refInput)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestFindValidation(t *testing.T) {
 	if _, err := FindCtx(context.Background(), []*profile.Profile{profiles[0], other[0]}, Options{}); err == nil {
 		t.Error("mixed programs accepted")
 	}
-	bad, err := profile.Collect(profiles[1].Binary, program.Input{Name: "other", Seed: 5})
+	bad, err := profile.Collect(context.Background(), profiles[1].Binary, program.Input{Name: "other", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

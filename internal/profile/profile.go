@@ -78,13 +78,9 @@ func (p *Profile) ProcBySymbol(symbol string) *ProcProfile {
 }
 
 // Collect runs the binary once and gathers its call-and-branch profile.
-func Collect(bin *compiler.Binary, in program.Input) (*Profile, error) {
-	return CollectCtx(context.Background(), bin, in)
-}
-
-// CollectCtx is Collect with observability: the profiling execution is
-// recorded through the context's observer, if any (see package obs).
-func CollectCtx(ctx context.Context, bin *compiler.Binary, in program.Input) (*Profile, error) {
+// The execution is recorded through the context's observer, if any (see
+// package obs).
+func Collect(ctx context.Context, bin *compiler.Binary, in program.Input) (*Profile, error) {
 	ic := exec.NewInstructionCounter(bin)
 	mc := exec.NewMarkerCounter(bin)
 	if err := exec.RunCtx(ctx, bin, in, exec.Multi{ic, mc}); err != nil {

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -30,7 +31,7 @@ func allMarkers(bin *compiler.Binary) []int {
 
 func TestCollectProfileBasics(t *testing.T) {
 	bin := binFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
-	p, err := Collect(bin, refInput)
+	p, err := Collect(context.Background(), bin, refInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestProfileLoopPairing(t *testing.T) {
 	// Every loop-entry/body marker in the binary must be represented in
 	// exactly one LoopProfile.
 	bin := binFor(t, "applu", compiler.Target{Arch: compiler.Arch64, Opt: compiler.O2})
-	p, err := Collect(bin, refInput)
+	p, err := Collect(context.Background(), bin, refInput)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,30 +358,11 @@ func BenchmarkDetail(w io.Writer, r *experiment.BenchmarkResult) error {
 		}
 	}
 	// Cross-binary phase timeline (phases are shared across binaries).
-	if err := PhaseTimeline(w, phaseSequence(&r.Runs[r.Primary].VLI), 72); err != nil {
+	if err := PhaseTimeline(w, r.Runs[r.Primary].VLI.PhaseOf, 72); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintln(w)
 	return err
-}
-
-// phaseSequence extracts the interval-to-phase labels from a method's
-// stats. MethodStats does not retain PhaseOf directly, so it is rebuilt
-// from the representative structure when available; falls back to a
-// weight-proportional synthetic strip.
-func phaseSequence(ms *experiment.MethodStats) []int {
-	if len(ms.PhaseOf) > 0 {
-		return ms.PhaseOf
-	}
-	// Synthetic fallback: contiguous runs proportional to weights.
-	var seq []int
-	for p, w := range ms.PhaseWeights {
-		n := int(w*float64(ms.NumIntervals) + 0.5)
-		for i := 0; i < n; i++ {
-			seq = append(seq, p)
-		}
-	}
-	return seq
 }
 
 // SuiteDetail renders BenchmarkDetail for every benchmark in the suite.

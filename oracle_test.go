@@ -138,6 +138,7 @@ func refEstimate(t *testing.T, ps *PointSet, h HierarchyConfig) SampledEstimate 
 // sets under Table 1 and three hierarchies that change capacity,
 // replacement with prefetching, and depth.
 func TestEstimateStatsMatchesGatedWalk(t *testing.T) {
+	ctx := context.Background()
 	vary := func(edit func(*HierarchyConfig)) HierarchyConfig {
 		h := Table1()
 		edit(&h)
@@ -157,13 +158,14 @@ func TestEstimateStatsMatchesGatedWalk(t *testing.T) {
 	}
 	for _, name := range []string{"gzip", "mcf", "applu"} {
 		b := testBenchmark(t, name)
-		cross, err := CrossBinaryPoints(b.Binaries, testInput, testPointsConfig())
+		a := testAnalysis(t, b, testConfig())
+		cross, err := a.CrossBinaryPoints(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sets []*PointSet
-		for bi, bin := range b.Binaries {
-			fli, err := PerBinaryPoints(bin, testInput, testPointsConfig())
+		for bi := range b.Binaries {
+			fli, err := a.PerBinaryPoints(ctx, bi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +177,7 @@ func TestEstimateStatsMatchesGatedWalk(t *testing.T) {
 		}
 		for _, hc := range hierarchies {
 			for _, ps := range sets {
-				got, err := EstimateStats(ps.Binary, testInput, ps, &hc.h)
+				got, err := EstimateStats(ctx, ps.Binary, testInput, ps, &hc.h)
 				if err != nil {
 					t.Fatal(err)
 				}

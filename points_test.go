@@ -1,6 +1,7 @@
 package xbsim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // panic, and valid indices must keep working.
 func TestForBinaryErrorPaths(t *testing.T) {
 	b := testBenchmark(t, "swim")
-	cross, err := CrossBinaryPoints(b.Binaries, testInput, testPointsConfig())
+	cross, err := testAnalysis(t, b, testConfig()).CrossBinaryPoints(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,14 @@ func TestForBinaryErrorPaths(t *testing.T) {
 // covering the whole run, and hand-mutated weights (zero-weight phase,
 // unrepresented phase, all weights zero).
 func TestPointSetWeightEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "swim")
 	bin := b.Binary("32u")
 
 	t.Run("k-equals-1", func(t *testing.T) {
-		cfg := testPointsConfig()
+		cfg := testConfig()
 		cfg.MaxK = 1
-		ps, err := PerBinaryPoints(bin, testInput, cfg)
+		ps, err := testAnalysis(t, b, cfg).PerBinaryPoints(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +71,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		if ps.NumPoints() != 1 {
 			t.Fatalf("k=1 chose %d points", ps.NumPoints())
 		}
-		est, err := EstimateCPI(bin, testInput, ps, nil)
+		est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,9 +81,9 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 	})
 
 	t.Run("single-interval", func(t *testing.T) {
-		cfg := testPointsConfig()
+		cfg := testConfig()
 		cfg.IntervalSize = 100_000_000 // larger than the whole run
-		ps, err := PerBinaryPoints(bin, testInput, cfg)
+		ps, err := testAnalysis(t, b, cfg).PerBinaryPoints(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +98,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		}
 	})
 
-	base, err := PerBinaryPoints(bin, testInput, testPointsConfig())
+	base, err := testAnalysis(t, b, testConfig()).PerBinaryPoints(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		// zero-weight phase and still produce a finite estimate.
 		ps.Weights[1] += ps.Weights[0]
 		ps.Weights[0] = 0
-		est, err := EstimateStats(bin, testInput, ps, nil)
+		est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +133,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		// A phase with weight but no representative interval (-1) is
 		// skipped and the remaining weights renormalized.
 		ps.PointInterval[0] = -1
-		est, err := EstimateStats(bin, testInput, ps, nil)
+		est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +147,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		for p := range ps.Weights {
 			ps.Weights[p] = 0
 		}
-		if _, err := EstimateStats(bin, testInput, ps, nil); err == nil ||
+		if _, err := EstimateStats(ctx, bin, testInput, ps, nil); err == nil ||
 			!strings.Contains(err.Error(), "no usable simulation points") {
 			t.Fatalf("all-zero weights: err = %v, want no-usable-points error", err)
 		}
@@ -156,7 +158,7 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 // self-check harness relies on.
 func TestFingerprintAccessors(t *testing.T) {
 	b := testBenchmark(t, "swim")
-	cross, err := CrossBinaryPoints(b.Binaries, testInput, testPointsConfig())
+	cross, err := testAnalysis(t, b, testConfig()).CrossBinaryPoints(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

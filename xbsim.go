@@ -20,16 +20,21 @@
 //
 // # Quick start
 //
+//	ctx := context.Background()
 //	bench, _ := xbsim.NewBenchmark("gcc", 2_000_000)
-//	input := xbsim.Input{Name: "ref", Seed: 42}
-//	cross, _ := xbsim.CrossBinaryPoints(bench.Binaries, input, xbsim.PointsConfig{})
+//	cfg := xbsim.ExperimentConfig{IntervalSize: 25_000, Input: xbsim.Input{Name: "ref", Seed: 42}}
+//	a, _ := xbsim.Analyze(ctx, bench.Binaries, cfg) // walks 1-2, once
+//	cross, _ := a.CrossBinaryPoints(ctx)
 //	for i, bin := range bench.Binaries {
-//	    est, _ := xbsim.EstimateCPI(bin, input, cross.ForBinary(i), nil)
-//	    full, _ := xbsim.SimulateFull(bin, input, nil)
+//	    ps, _ := cross.ForBinary(i)
+//	    est, _ := xbsim.EstimateCPI(ctx, bin, cfg.Input, ps, nil)
+//	    full, _ := xbsim.SimulateFull(ctx, bin, cfg.Input, nil)
 //	    fmt.Printf("%s: est %.3f true %.3f\n", bin.Name, est, full.CPI())
 //	}
 //
-// The experiment harness (RunExperimentsCtx / WriteReportCtx) regenerates
+// One Analysis serves every pick: a.PerBinaryPoints(ctx, i) picks binary
+// i's classic per-binary points from the same walks. The experiment
+// harness (RunExperimentsCtx / WriteReportCtx) regenerates
 // every table and figure of the paper's evaluation; see EXPERIMENTS.md.
 package xbsim
 
@@ -39,7 +44,6 @@ import (
 	"io"
 	"math"
 
-	"xbsim/internal/bbv"
 	"xbsim/internal/cmpsim"
 	"xbsim/internal/compiler"
 	"xbsim/internal/exec"
@@ -48,11 +52,9 @@ import (
 	"xbsim/internal/mapping"
 	"xbsim/internal/obs"
 	"xbsim/internal/pinpoints"
-	"xbsim/internal/pool"
 	"xbsim/internal/profile"
 	"xbsim/internal/program"
 	"xbsim/internal/report"
-	"xbsim/internal/sampler"
 	"xbsim/internal/simpoint"
 )
 
@@ -191,96 +193,41 @@ func (b *Benchmark) Binary(target string) *Binary {
 
 // CollectProfile runs the binary once and returns its call-and-branch
 // profile (procedure entry counts, loop entry/body counts, debug info).
-func CollectProfile(bin *Binary, in Input) (*Profile, error) {
-	return profile.Collect(bin, in)
+// The run is recorded through the context's Observer, if any.
+func CollectProfile(ctx context.Context, bin *Binary, in Input) (*Profile, error) {
+	return profile.Collect(ctx, bin, in)
 }
 
-// CollectProfileCtx is CollectProfile with observability: the profiling
-// execution is recorded through the context's Observer, if any.
-func CollectProfileCtx(ctx context.Context, bin *Binary, in Input) (*Profile, error) {
-	return profile.CollectCtx(ctx, bin, in)
+// Analysis is the paper's method up to clustering over one program's
+// binaries (§3.2): every binary profiled with its fixed-length-interval
+// BBVs, the mappable points across them, and the primary binary cut into
+// variable-length intervals at those points. PerBinaryPoints and
+// CrossBinaryPoints pick from it and walk nothing.
+type Analysis struct {
+	// Mapping is the cross-binary mappable point set (§3.2.1-§3.2.2, plus
+	// the §3.3 inlining heuristic unless cfg.Mapping disables it).
+	Mapping *MappingResult
+	// Profiles[b] is binary b's call-and-branch profile.
+	Profiles []*Profile
+
+	an  *experiment.Analysis
+	cfg ExperimentConfig
 }
 
-// FindMappablePoints profiles every binary and computes the cross-binary
-// mappable point set (paper §3.2.1-§3.2.2, plus the §3.3 inlining
-// heuristic unless disabled).
-func FindMappablePoints(bins []*Binary, in Input, opts MappingOptions) (*MappingResult, error) {
-	return FindMappablePointsCtx(context.Background(), bins, in, opts)
-}
-
-// FindMappablePointsCtx is FindMappablePoints with observability: when the
-// context carries an Observer (see WithObserver), profiling and matching
-// are traced and mapping counters recorded.
-func FindMappablePointsCtx(ctx context.Context, bins []*Binary, in Input, opts MappingOptions) (*MappingResult, error) {
-	pctx, pspan := obs.StartSpan(ctx, "stage.profile", "")
-	profiles := make([]*profile.Profile, len(bins))
-	for i, bin := range bins {
-		p, err := profile.CollectCtx(pctx, bin, in)
-		if err != nil {
-			pspan.End()
-			return nil, err
-		}
-		profiles[i] = p
-	}
-	pspan.End()
-	return mapping.FindCtx(ctx, profiles, opts)
-}
-
-// PointsConfig tunes simulation point selection.
-type PointsConfig struct {
-	// IntervalSize is the interval size in instructions (FLI size, or VLI
-	// minimum). 0 = 100_000.
-	IntervalSize uint64
-	// MaxK caps the number of phases (0 = 10, the paper's setting).
-	MaxK int
-	// Dim is the projection dimensionality (0 = 15).
-	Dim int
-	// BICThreshold is SimPoint's model selection knob (0 = 0.9).
-	BICThreshold float64
-	// Seed names the random stream (""= "xbsim").
-	Seed string
-	// EarlyTolerance > 0 picks early simulation points: the earliest
-	// interval within (1 + tolerance) of the centroid-closest one.
-	EarlyTolerance float64
-	// Sampler selects the point-selection backend: "" or "simpoint" for
-	// the SimPoint k-means picker, "stratified" for two-phase stratified
-	// sampling (cheap-pass stratification + Neyman-allocated
-	// deep-simulation budget; see internal/sampler).
-	Sampler string
-	// SamplerBudget is the stratified backend's total simulation-point
-	// budget (0 = backend default of 12). Ignored by SimPoint.
-	SamplerBudget int
-	// SamplerStrata caps the stratified backend's stratum count (0 =
-	// backend default of 8). Ignored by SimPoint.
-	SamplerStrata int
-	// Mapping tunes mappable-point discovery (cross-binary only).
-	Mapping MappingOptions
-	// Workers bounds the worker pool used for the clustering sweep and
-	// its k-means restarts. The results are bit-identical for every
-	// value; Workers trades only wall clock. 0 = GOMAXPROCS, 1 = serial.
-	Workers int
-}
-
-func (c PointsConfig) withDefaults() PointsConfig {
-	if c.IntervalSize == 0 {
-		c.IntervalSize = 100_000
-	}
-	if c.Seed == "" {
-		c.Seed = "xbsim"
-	}
-	return c
-}
-
-// pick runs the configured sampler on ds with the suite's sampler
-// settings and seed stream (experiment.Config.SamplerConfig).
-func (c PointsConfig) pick(ctx context.Context, ds *bbv.Dataset, flavor, name string) (*simpoint.Result, error) {
-	smp, err := sampler.New(c.Sampler)
+// Analyze runs the experiment suite's walks 1 and 2 over the binaries,
+// which must be at least two compilations of one program. Unset fields
+// of cfg take the suite's defaults (FullExperimentConfig's 60k-instruction
+// intervals, SimPoint, the ref input); the fields that name benchmarks
+// or scale programs are ignored. Like the suite, every stage retries
+// transient failures under cfg.Retry and records spans, progress and
+// counters through the context's Observer. cfg's sampler settings apply
+// to the picks made from the result.
+func Analyze(ctx context.Context, bins []*Binary, cfg ExperimentConfig) (*Analysis, error) {
+	an, err := experiment.Analyze(ctx, bins, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sc := experiment.Config{MaxK: c.MaxK, Dim: c.Dim, BICThreshold: c.BICThreshold, Seed: c.Seed,
-		EarlyTolerance: c.EarlyTolerance, SamplerBudget: c.SamplerBudget, SamplerStrata: c.SamplerStrata}
-	return smp.Pick(ctx, ds, sc.SamplerConfig(pool.New(c.Workers), flavor, name))
+	return &Analysis{Mapping: an.Mapping, Profiles: an.Profiles, an: an, cfg: cfg}, nil
 }
 
 // PointSet is a chosen set of simulation regions for one binary, ready to
@@ -340,39 +287,25 @@ func (ps *PointSet) Fingerprint() string {
 	return h.Sum()
 }
 
-// PerBinaryPoints runs classic per-binary SimPoint on the binary: fixed
-// length intervals, BBV clustering, one representative per phase (§2).
-func PerBinaryPoints(bin *Binary, in Input, cfg PointsConfig) (*PointSet, error) {
-	return PerBinaryPointsCtx(context.Background(), bin, in, cfg)
-}
-
-// PerBinaryPointsCtx is PerBinaryPoints with observability: profiling,
-// projection, and clustering are traced through the context's Observer.
-func PerBinaryPointsCtx(ctx context.Context, bin *Binary, in Input, cfg PointsConfig) (*PointSet, error) {
-	cfg = cfg.withDefaults()
-	fc, err := profile.NewFLICollector(bin, cfg.IntervalSize)
-	if err != nil {
-		return nil, err
+// PerBinaryPoints picks classic per-binary SimPoint points for binary b
+// (§2): walk 1's fixed-length intervals, BBV clustering, one
+// representative per phase. It walks nothing.
+func (a *Analysis) PerBinaryPoints(ctx context.Context, b int) (*PointSet, error) {
+	if b < 0 || b >= len(a.an.Bins) {
+		return nil, fmt.Errorf("xbsim: binary index %d out of range [0,%d)", b, len(a.an.Bins))
 	}
-	pctx, pspan := obs.StartSpan(ctx, "stage.profile", bin.Name)
-	if err := exec.RunCtx(pctx, bin, in, fc); err != nil {
-		pspan.End()
-		return nil, err
-	}
-	pspan.End()
-	res := fc.Finish()
-	pick, err := cfg.pick(ctx, res.Dataset, "fli", bin.Name)
+	pick, err := a.an.Pick(ctx, a.cfg, "fli", b)
 	if err != nil {
 		return nil, err
 	}
 	return &PointSet{
-		Binary:        bin,
+		Binary:        a.an.Bins[b],
 		Flavor:        pinpoints.FlavorFLI,
 		Weights:       append([]float64(nil), pick.PhaseWeights...),
 		PointInterval: pointIntervals(pick),
 		PhaseOf:       pick.PhaseOf,
-		intervalSize:  cfg.IntervalSize,
-		fliEnds:       res.Ends,
+		intervalSize:  a.an.IntervalSize,
+		fliEnds:       a.an.FLI[b].Ends,
 	}, nil
 }
 
@@ -401,46 +334,21 @@ type CrossPoints struct {
 	primaryEnds  []profile.Boundary
 }
 
-// CrossBinaryPoints runs the paper's §3 pipeline over the binaries: find
-// mappable points, break the primary binary (index 0) into variable
-// length intervals at those points, cluster with SimPoint, and prepare
-// the mapped regions for every binary.
-func CrossBinaryPoints(bins []*Binary, in Input, cfg PointsConfig) (*CrossPoints, error) {
-	return CrossBinaryPointsCtx(context.Background(), bins, in, cfg)
-}
-
-// CrossBinaryPointsCtx is CrossBinaryPoints with observability: mapping,
-// VLI slicing, projection, and clustering are traced through the context's
-// Observer, and mapping/interval counters recorded.
-func CrossBinaryPointsCtx(ctx context.Context, bins []*Binary, in Input, cfg PointsConfig) (*CrossPoints, error) {
-	cfg = cfg.withDefaults()
-	mapped, err := FindMappablePointsCtx(ctx, bins, in, cfg.Mapping)
-	if err != nil {
-		return nil, err
-	}
-	const primary = 0
-	vc, err := profile.NewVLICollector(bins[primary], cfg.IntervalSize, mapped.MarkersFor(primary))
-	if err != nil {
-		return nil, err
-	}
-	vctx, vspan := obs.StartSpan(ctx, "stage.vli_slicing", bins[primary].Name)
-	if err := exec.RunCtx(vctx, bins[primary], in, vc); err != nil {
-		vspan.End()
-		return nil, err
-	}
-	vspan.End()
-	res := vc.Finish()
-	pick, err := cfg.pick(ctx, res.Dataset, "vli", bins[primary].Program.Name)
+// CrossBinaryPoints clusters the primary binary's variable-length
+// intervals with the configured sampler and returns the cross-binary
+// point set, ready to map into every binary (§3).
+func (a *Analysis) CrossBinaryPoints(ctx context.Context) (*CrossPoints, error) {
+	pick, err := a.an.Pick(ctx, a.cfg, "vli", 0)
 	if err != nil {
 		return nil, err
 	}
 	return &CrossPoints{
-		Mapping:      mapped,
-		Primary:      primary,
-		input:        in,
-		intervalSize: cfg.IntervalSize,
+		Mapping:      a.Mapping,
+		Primary:      a.an.Primary,
+		input:        a.an.Input,
+		intervalSize: a.an.IntervalSize,
 		pick:         pick,
-		primaryEnds:  res.Ends,
+		primaryEnds:  a.an.VLI.Ends,
 	}, nil
 }
 
@@ -534,14 +442,10 @@ func (cp *CrossPoints) ForBinary(b int) (*PointSet, error) {
 
 // SimulateFull runs the binary to completion on the cache simulator and
 // returns the whole-program statistics. hierarchy == nil uses Table 1.
-func SimulateFull(bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, error) {
-	return SimulateFullCtx(context.Background(), bin, in, hierarchy)
-}
-
-// SimulateFullCtx is SimulateFull with observability: the run is recorded
-// as a "stage.full_sim" span and the simulator's statistics are published
-// under the "sim" metric prefix.
-func SimulateFullCtx(ctx context.Context, bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, error) {
+// The run is recorded as a "stage.full_sim" span and its statistics are
+// published under the "sim.full" metric prefix through the context's
+// Observer, if any.
+func SimulateFull(ctx context.Context, bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, error) {
 	sim, err := cmpsim.NewSimulator(bin, orTable1(hierarchy))
 	if err != nil {
 		return nil, err
@@ -553,7 +457,7 @@ func SimulateFullCtx(ctx context.Context, bin *Binary, in Input, hierarchy *Hier
 	}
 	fspan.End()
 	if o := obs.From(ctx); o != nil {
-		sim.PublishMetrics(o.Metrics, "sim")
+		sim.PublishMetrics(o.Metrics, "sim.full")
 	}
 	return sim.Stats(), nil
 }
@@ -580,8 +484,8 @@ type SampledEstimate struct {
 // EstimateCPI measures the point set's regions and returns the weighted
 // whole-program CPI estimate. hierarchy == nil uses Table 1. See
 // EstimateStats for how the regions are measured.
-func EstimateCPI(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (float64, error) {
-	est, err := EstimateStats(bin, in, ps, hierarchy)
+func EstimateCPI(ctx context.Context, bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (float64, error) {
+	est, err := EstimateStats(ctx, bin, in, ps, hierarchy)
 	if err != nil {
 		return 0, err
 	}
@@ -597,8 +501,10 @@ func EstimateCPI(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig
 // CMP$im applies while fast-forwarding, and the simulator always does)
 // that equals simulating only the regions, bit for bit, and costs the
 // same, since a gated walk performs every cache access anyway. The CPI is
-// the suite's weighting (experiment.WeightedCPI).
-func EstimateStats(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (*SampledEstimate, error) {
+// the suite's weighting (experiment.WeightedCPI). The walk is traced
+// and its statistics published under "sim.full" through the context's
+// Observer, if any, and it stops when ctx is cancelled.
+func EstimateStats(ctx context.Context, bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (*SampledEstimate, error) {
 	if ps.Binary != bin {
 		return nil, fmt.Errorf("xbsim: point set belongs to %s, not %s", ps.Binary.Name, bin.Name)
 	}
@@ -606,7 +512,7 @@ func EstimateStats(bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConf
 	if ps.Flavor == pinpoints.FlavorVLI {
 		set = experiment.Boundaries{VLI: ps.vliEnds}
 	}
-	walk, err := experiment.SimulateIntervals(context.Background(), bin, in, orTable1(hierarchy), nil, set)
+	walk, err := experiment.SimulateIntervals(ctx, bin, in, orTable1(hierarchy), nil, set)
 	if err != nil {
 		return nil, err
 	}
@@ -705,8 +611,8 @@ func WriteReportCtx(ctx context.Context, w io.Writer, s *Suite) error {
 
 // Observability types, re-exported from the internal obs package. An
 // Observer travels on a context.Context (WithObserver) and is consumed by
-// the *Ctx variants of the pipeline entry points; a nil Observer — or a
-// plain context — records nothing and costs nothing.
+// every entry point that takes a context; a nil Observer — or a plain
+// context — records nothing and costs nothing.
 type (
 	// Observer bundles a metrics registry, an event log that records
 	// pipeline events, progress and spans, and a progress sink.
@@ -724,8 +630,8 @@ func NewObserver() *Observer { return obs.New() }
 // event to w.
 func NewProgressWriter(w io.Writer) *obs.Progress { return obs.NewProgress(w) }
 
-// WithObserver returns a context carrying the observer; pipeline *Ctx
-// functions called with it record metrics, spans, and progress.
+// WithObserver returns a context carrying the observer; the entry points
+// called with it record metrics, spans, and progress.
 func WithObserver(ctx context.Context, o *Observer) context.Context {
 	return obs.With(ctx, o)
 }

@@ -22,8 +22,19 @@ func testBenchmark(t testing.TB, name string) *Benchmark {
 	return b
 }
 
-func testPointsConfig() PointsConfig {
-	return PointsConfig{IntervalSize: 8_000}
+// testConfig is the facade tests' analysis configuration.
+func testConfig() ExperimentConfig {
+	return ExperimentConfig{IntervalSize: 8_000, Input: testInput}
+}
+
+// testAnalysis runs walks 1-2 over the benchmark's binaries under cfg.
+func testAnalysis(t testing.TB, b *Benchmark, cfg ExperimentConfig) *Analysis {
+	t.Helper()
+	a, err := Analyze(context.Background(), b.Binaries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 func TestBenchmarksList(t *testing.T) {
@@ -70,7 +81,7 @@ func TestTable1(t *testing.T) {
 
 func TestCollectProfile(t *testing.T) {
 	b := testBenchmark(t, "art")
-	p, err := CollectProfile(b.Binary("32u"), testInput)
+	p, err := CollectProfile(context.Background(), b.Binary("32u"), testInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,30 +92,27 @@ func TestCollectProfile(t *testing.T) {
 
 func TestFindMappablePoints(t *testing.T) {
 	b := testBenchmark(t, "gzip")
-	m, err := FindMappablePoints(b.Binaries, testInput, MappingOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Points) == 0 {
+	if m := testAnalysis(t, b, testConfig()).Mapping; len(m.Points) == 0 {
 		t.Fatal("no mappable points")
 	}
 }
 
 func TestPerBinaryPointsAndEstimate(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "swim")
 	bin := b.Binary("32o")
-	ps, err := PerBinaryPoints(bin, testInput, testPointsConfig())
+	ps, err := testAnalysis(t, b, testConfig()).PerBinaryPoints(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Flavor != pinpoints.FlavorFLI || ps.NumPoints() == 0 {
+	if ps.Binary != bin || ps.Flavor != pinpoints.FlavorFLI || ps.NumPoints() == 0 {
 		t.Fatalf("point set %+v", ps)
 	}
-	est, err := EstimateCPI(bin, testInput, ps, nil)
+	est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SimulateFull(bin, testInput, nil)
+	full, err := SimulateFull(ctx, bin, testInput, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +123,9 @@ func TestPerBinaryPointsAndEstimate(t *testing.T) {
 }
 
 func TestCrossBinaryPointsEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "swim")
-	cross, err := CrossBinaryPoints(b.Binaries, testInput, testPointsConfig())
+	cross, err := testAnalysis(t, b, testConfig()).CrossBinaryPoints(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +147,11 @@ func TestCrossBinaryPointsEndToEnd(t *testing.T) {
 		if math.Abs(wsum-1) > 0.02 {
 			t.Fatalf("%s: weights sum %v", bin.Name, wsum)
 		}
-		est, err := EstimateCPI(bin, testInput, ps, nil)
+		est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := SimulateFull(bin, testInput, nil)
+		full, err := SimulateFull(ctx, bin, testInput, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,20 +163,29 @@ func TestCrossBinaryPointsEndToEnd(t *testing.T) {
 }
 
 func TestEstimateCPIWrongBinary(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "art")
-	ps, err := PerBinaryPoints(b.Binary("32u"), testInput, testPointsConfig())
+	a := testAnalysis(t, b, testConfig())
+	ps, err := a.PerBinaryPoints(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateCPI(b.Binary("64o"), testInput, ps, nil); err == nil {
+	if _, err := EstimateCPI(ctx, b.Binary("64o"), testInput, ps, nil); err == nil {
 		t.Fatal("point set accepted for wrong binary")
+	}
+	for _, bad := range []int{-1, len(b.Binaries)} {
+		if _, err := a.PerBinaryPoints(ctx, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("PerBinaryPoints(%d) err = %v, want out of range", bad, err)
+		}
 	}
 }
 
 func TestRegionFileRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "art")
+	a := testAnalysis(t, b, testConfig())
 	// FLI flavor.
-	fli, err := PerBinaryPoints(b.Binary("32u"), testInput, testPointsConfig())
+	fli, err := a.PerBinaryPoints(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +204,7 @@ func TestRegionFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// VLI flavor.
-	cross, err := CrossBinaryPoints(b.Binaries, testInput, testPointsConfig())
+	cross, err := a.CrossBinaryPoints(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +257,16 @@ func TestQuickAndFullConfigs(t *testing.T) {
 	}
 }
 
-func TestPointsConfigEarlyTolerance(t *testing.T) {
+func TestEarlyTolerance(t *testing.T) {
+	ctx := context.Background()
 	b := testBenchmark(t, "swim")
-	bin := b.Binary("32u")
-	classic, err := PerBinaryPoints(bin, testInput, testPointsConfig())
+	classic, err := testAnalysis(t, b, testConfig()).PerBinaryPoints(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testPointsConfig()
+	cfg := testConfig()
 	cfg.EarlyTolerance = 2.0
-	early, err := PerBinaryPoints(bin, testInput, cfg)
+	early, err := testAnalysis(t, b, cfg).PerBinaryPoints(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
