@@ -495,7 +495,7 @@ func cmdPoints(ctx context.Context, args []string, w io.Writer) error {
 	} else {
 		var cross *xbsim.CrossPoints
 		if cross, err = a.CrossBinaryPoints(ctx); err == nil {
-			ps, err = cross.ForBinary(bi)
+			ps, err = cross.ForBinary(ctx, bi)
 		}
 	}
 	if err != nil {

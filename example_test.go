@@ -69,7 +69,7 @@ func ExampleAnalysis_CrossBinaryPoints() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ps, err := cross.ForBinary(3) // 64-bit optimized
+	ps, err := cross.ForBinary(ctx, 3) // 64-bit optimized
 	if err != nil {
 		log.Fatal(err)
 	}

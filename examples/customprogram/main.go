@@ -107,7 +107,7 @@ func main() {
 
 	fmt.Printf("%-12s %10s %10s %8s\n", "binary", "true CPI", "est CPI", "error")
 	for i, bin := range bins {
-		ps, err := cross.ForBinary(i)
+		ps, err := cross.ForBinary(ctx, i)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func main() {
 	}
 
 	// Emit a PinPoints-style region file for the optimized 64-bit binary.
-	ps, err := cross.ForBinary(3)
+	ps, err := cross.ForBinary(ctx, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

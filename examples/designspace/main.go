@@ -78,7 +78,7 @@ func main() {
 				idx = i
 			}
 		}
-		points, err := cross.ForBinary(idx)
+		points, err := cross.ForBinary(ctx, idx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -75,11 +75,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		vli32, err := cross.ForBinary(i32)
+		vli32, err := cross.ForBinary(ctx, i32)
 		if err != nil {
 			log.Fatal(err)
 		}
-		vli64, err := cross.ForBinary(i64)
+		vli64, err := cross.ForBinary(ctx, i64)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func main() {
 			if _, want := sides[t]; !want {
 				continue
 			}
-			ps, err := cross.ForBinary(i)
+			ps, err := cross.ForBinary(ctx, i)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("%-10s %9s | %9s %8s | %9s %8s\n",
 		"binary", "true CPI", "VLI est", "bias", "FLI est", "bias")
 	for i, bin := range bench.Binaries {
-		vliPoints, err := cross.ForBinary(i)
+		vliPoints, err := cross.ForBinary(ctx, i)
 		if err != nil {
 			log.Fatal(err)
 		}

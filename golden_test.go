@@ -78,7 +78,7 @@ func goldenPointsTest(t *testing.T, cfg ExperimentConfig, prefix string) {
 				BinaryFingerprints: map[string]string{},
 			}
 			for bi, bin := range b.Binaries {
-				ps, err := cross.ForBinary(bi)
+				ps, err := cross.ForBinary(ctx, bi)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -192,7 +192,7 @@ func TestFacadeMatchesSuite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vli, err := cross.ForBinary(bi)
+				vli, err := cross.ForBinary(ctx, bi)
 				if err != nil {
 					t.Fatal(err)
 				}

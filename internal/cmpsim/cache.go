@@ -310,6 +310,23 @@ func (c *Cache) hitRun(j int, n uint64, write bool) {
 	c.Hits += n
 }
 
+// probe returns the slot holding tag as a valid line, or -1. It tries
+// hint first, then scans tag's set. A valid line sits in at most one way
+// (fills and prefetches happen only when it is not resident), so the
+// slot found is the one lookup would report as a hit.
+func (c *Cache) probe(tag uint64, hint int) int {
+	if c.tags[hint] == tag && c.stamp[hint] != 0 {
+		return hint
+	}
+	first := int(tag&c.setMask) * c.assoc
+	for j := first; j < first+c.assoc; j++ {
+		if c.tags[j] == tag && c.stamp[j] != 0 {
+			return j
+		}
+	}
+	return -1
+}
+
 // lookup scans tag's set once. It returns the slot holding tag and true,
 // or the slot to fill and false: the first invalid way in index order,
 // otherwise the first way with the smallest stamp — one minimum, since

@@ -50,39 +50,54 @@ var driveBinary = &compiler.Binary{Program: &program.Program{Name: "drive"}}
 // levels, and after every call compares the cycles returned, the Stats
 // window, every level's event counters and both generators' positions.
 func checkDrive(levels []CacheConfig, spec genSpec, calls []driveCall) error {
+	_, err := checkDriveAgainst(levels, spec, genSpec{base: spec.base, ws: 64 << 10, random: true}, calls)
+	return err
+}
+
+// checkDriveAgainst is checkDrive against the given rival. It also
+// returns how many calls began with a stale hint: the generator's next
+// line valid in the first level, but not at the slot the generator
+// remembers — the accesses the set probe serves.
+func checkDriveAgainst(levels []CacheConfig, spec, rivalSpec genSpec, calls []driveCall) (stale int, err error) {
 	cfg := HierarchyConfig{Levels: levels, MemoryLatency: 250}
 	sim, err := newSimulator(driveBinary, cfg, nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ref, err := newRefSimulator(driveBinary, cfg)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	g, rg := spec.build(1)
-	rival, refRival := genSpec{base: spec.base, ws: 64 << 10, random: true}.build(2)
+	rival, refRival := rivalSpec.build(2)
 	gens := []*addressGen{g, rival}
 	refGens := []*refAddressGen{rg, refRival}
+	l1 := sim.hier.levels[0]
 	for i, c := range calls {
+		if peek := *gens[c.gen]; c.loads+c.stores > 0 {
+			if j := l1.probe(peek.next()>>l1.lineShift, peek.l1Slot); j >= 0 && j != peek.l1Slot {
+				stale++
+			}
+		}
 		got := sim.drive(gens[c.gen], c.loads, c.stores, c.record)
 		want := ref.drive(refGens[c.gen], c.loads, c.stores, c.record)
 		if got != want {
-			return fmt.Errorf("call %d %+v: %d cycles, reference %d", i, c, got, want)
+			return stale, fmt.Errorf("call %d %+v: %d cycles, reference %d", i, c, got, want)
 		}
 		if !reflect.DeepEqual(sim.stats, ref.stats) {
-			return fmt.Errorf("call %d %+v: stats %+v, reference %+v", i, c, sim.stats, ref.stats)
+			return stale, fmt.Errorf("call %d %+v: stats %+v, reference %+v", i, c, sim.stats, ref.stats)
 		}
 		if got, want := levelCounters(sim.hier), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("call %d %+v: event counters %v, reference %v", i, c, got, want)
+			return stale, fmt.Errorf("call %d %+v: event counters %v, reference %v", i, c, got, want)
 		}
 		for k, g := range gens {
 			if g.cursor != refGens[k].cursor || g.counter != refGens[k].counter {
-				return fmt.Errorf("call %d %+v: gen %d at cursor %d counter %d, reference %d %d",
+				return stale, fmt.Errorf("call %d %+v: gen %d at cursor %d counter %d, reference %d %d",
 					i, c, k, g.cursor, g.counter, refGens[k].cursor, refGens[k].counter)
 			}
 		}
 	}
-	return nil
+	return stale, nil
 }
 
 func TestDriveRunsMatchReference(t *testing.T) {
@@ -132,6 +147,67 @@ func TestDriveRunsMatchReference(t *testing.T) {
 				for gname, g := range gens {
 					if err := checkDrive([]CacheConfig{l1, next}, g, calls); err != nil {
 						t.Errorf("%v/prefetch=%v/%s/%s: %v", policy, prefetch, lname, gname, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDriveProbeStaleHint drives accesses whose hint is stale while
+// their line sits valid in another way of its first-level set, so the
+// set probe, not the hint or the full walk, serves them: two strided
+// generators taking turns over the same two lines of one set, a strided
+// generator alone over two lines of one set, and a random generator over
+// a few lines. Each runs on 1-, 2- and 64-way first levels under every
+// policy, with and without prefetch. Base 0 puts line 0 in play, whose
+// tag matches every never-filled way, so a probe that skipped the
+// validity check would hit there.
+func TestDriveProbeStaleHint(t *testing.T) {
+	var calls []driveCall
+	for rep := 0; rep < 16; rep++ {
+		calls = append(calls,
+			driveCall{0, 1, 0, true}, driveCall{1, 1, 0, true}, driveCall{0, 2, 1, false},
+			driveCall{1, 0, 1, true}, driveCall{0, 3, 0, true}, driveCall{1, 2, 2, false})
+	}
+	l1s := map[string]CacheConfig{
+		"1-way":  {CapacityBytes: 1 << 10, Associativity: 1, LineSize: 64, HitLatency: 2},
+		"2-way":  {CapacityBytes: 2 << 10, Associativity: 2, LineSize: 64, HitLatency: 2},
+		"64-way": {CapacityBytes: 4 << 10, Associativity: 64, LineSize: 64, HitLatency: 2},
+	}
+	for _, policy := range []Policy{LRU, FIFO, Random} {
+		for _, prefetch := range []bool{false, true} {
+			for lname, l1 := range l1s {
+				l1.Name = lname
+				l1.Replacement = policy
+				l1.NextLinePrefetch = prefetch
+				next := CacheConfig{Name: "next", CapacityBytes: 8 << 10, Associativity: 4,
+					LineSize: 64, HitLatency: 9, Replacement: policy, NextLinePrefetch: prefetch}
+				// One set apart: consecutive strides land in the same set.
+				setStride := l1.CapacityBytes / uint64(l1.Associativity)
+				for _, base := range []uint64{0, 1 << 36} {
+					pair := genSpec{base: base, ws: 2 * setStride, stride: setStride}
+					turn := pair
+					turn.cursor = setStride
+					cases := []struct {
+						name        string
+						spec, rival genSpec
+					}{
+						{"two-gens-one-set", pair, turn},
+						{"one-gen-one-set", pair, genSpec{base: base + 1<<20, ws: 4 << 10, stride: 8}},
+						{"random-few-lines", genSpec{base: base, ws: 256, random: true},
+							genSpec{base: base, ws: 256, random: true}},
+					}
+					for _, c := range cases {
+						label := fmt.Sprintf("%v/prefetch=%v/%s/base=%#x/%s", policy, prefetch, lname, base, c.name)
+						stale, err := checkDriveAgainst([]CacheConfig{l1, next}, c.spec, c.rival, calls)
+						if err != nil {
+							t.Errorf("%s: %v", label, err)
+						}
+						// A direct-mapped set has no other way to find the line in.
+						if l1.Associativity > 1 && stale == 0 {
+							t.Errorf("%s: no call began with a stale hint", label)
+						}
 					}
 				}
 			}

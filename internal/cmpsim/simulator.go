@@ -310,13 +310,13 @@ func (s *Simulator) OnMarker(int) {}
 // record is set. A store marks the touched line dirty for writeback
 // accounting; that never changes latency or fill decisions.
 //
-// Most accesses touch the line the generator touched last, so each
-// generator keeps the first-level slot of that line. The hint is used
-// only after checking that the slot still holds the line (its tag) and
-// that the line is valid (a nonzero stamp); then the access is exactly a
-// first-level hit and is applied inline. Anything else — another line, a
-// line evicted or moved since — takes the full walk, which reports the
-// line's new slot.
+// Most accesses hit the first level, so each one first probes it inline
+// (Cache.probe): the slot of the generator's last line, then the rest of
+// the line's set. A slot is trusted only when it holds the line (its
+// tag) and the line is valid (a nonzero stamp); then the access is
+// exactly a first-level hit — no replacement draw, no prefetch — and is
+// applied inline. A first-level miss takes the full walk, which reports
+// the slot the line was filled into.
 //
 // A strided generator's accesses come in runs that stay in one line
 // (addressGen.run). Only a run's first access is checked or walked:
@@ -336,9 +336,10 @@ func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 
 		write := i >= loads
 		addr := g.next()
 		level := 0
-		if j := g.l1Slot; l1.tags[j] == addr>>l1.lineShift && l1.stamp[j] != 0 {
+		if j := l1.probe(addr>>l1.lineShift, g.l1Slot); j >= 0 {
 			l1.clock++
 			l1.hit(j, write)
+			g.l1Slot = j
 			if record {
 				s.stats.LevelHits[0]++
 			}

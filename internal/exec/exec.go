@@ -10,6 +10,13 @@
 // seed, source loop ID, i), so procedure call counts and loop iteration
 // counts are identical across binaries, while the emitted block stream and
 // its instruction counts are target-specific.
+//
+// Visitors return no errors, so a walk cannot stop itself; RunCtx makes
+// it stop on cancellation instead. Its Runner polls a cancelable context
+// every 4096 dynamic blocks, after the block's events, and aborts the
+// walk with a sentinel panic that RunCtx recovers into the context's
+// error. No visitor is added for it, so the block stream each visitor
+// sees is the same with or without a cancelable context.
 package exec
 
 import (
@@ -102,6 +109,11 @@ type Runner struct {
 	ordinals []uint64
 	// markerOf maps block ID to attached marker ID, -1 if none.
 	markerOf []int
+
+	// ctx, when non-nil, is polled every cancelPollBlocks blocks (see
+	// RunCtx); blocks counts the blocks emitted.
+	ctx    context.Context
+	blocks uint
 }
 
 // NewRunner prepares execution of the binary on the given input.
@@ -162,11 +174,11 @@ func Run(bin *compiler.Binary, in program.Input, v Visitor) error {
 // RunCtx is Run with observability and cancellation: when the context
 // carries an observer it wraps the execution in an "exec.run" span and
 // flushes aggregate instruction/block/marker tallies into the metrics
-// registry afterwards, and when the context is cancelable the walk is
-// aborted promptly — within a few thousand blocks — once the context is
-// done, returning the wrapped context error. With a Background-derived
-// context and no observer it is exactly Run — the hot loop is never
-// instrumented per event, so the default path costs nothing.
+// registry afterwards, and when the context is cancelable the runner
+// polls it every cancelPollBlocks dynamic blocks and aborts the walk once
+// it is done, returning the wrapped context error. Without an observer v
+// reaches the runner unwrapped, so a Background-derived or cancelable
+// context costs the hot loop nothing but the runner's block count.
 func RunCtx(ctx context.Context, bin *compiler.Binary, in program.Input, v Visitor) (err error) {
 	o := obs.From(ctx)
 	if o != nil {
@@ -174,30 +186,34 @@ func RunCtx(ctx context.Context, bin *compiler.Binary, in program.Input, v Visit
 		_, span = obs.StartSpan(ctx, "exec.run", bin.Name)
 		defer span.End()
 	}
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("exec %s: %w", bin.Name, cerr)
+	}
+	r, err := NewRunner(bin, in)
+	if err != nil {
+		return err
+	}
 	if ctx.Done() != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("exec %s: %w", bin.Name, cerr)
-		}
-		// Visitors cannot return errors, so the checker aborts the walk
+		r.ctx = ctx
+		// Visitors cannot return errors, so the runner aborts the walk
 		// with a sentinel panic recovered here — cancellation never
 		// unwinds past this frame.
 		defer func() {
-			if r := recover(); r != nil {
-				stop, ok := r.(execStop)
+			if rec := recover(); rec != nil {
+				stop, ok := rec.(execStop)
 				if !ok {
-					panic(r)
+					panic(rec)
 				}
 				err = fmt.Errorf("exec %s: %w", bin.Name, stop.err)
 			}
 		}()
-		v = flatten(&cancelChecker{ctx: ctx}, v)
 	}
 	if o == nil || o.Metrics == nil {
-		return Run(bin, in, v)
+		return r.Run(v)
 	}
 	ic := NewInstructionCounter(bin)
 	var markers markerTally
-	err = Run(bin, in, flatten(v, ic, &markers))
+	err = r.Run(flatten(v, ic, &markers))
 	o.Counter("exec.runs").Inc()
 	o.Counter("exec.instructions").Add(ic.Instructions)
 	o.Counter("exec.blocks").Add(ic.BlockExecs)
@@ -205,29 +221,13 @@ func RunCtx(ctx context.Context, bin *compiler.Binary, in program.Input, v Visit
 	return err
 }
 
-// execStop is the sentinel the cancellation checker panics with.
-type execStop struct{ err error }
-
-// cancelChecker polls the context every few thousand dynamic blocks and
-// aborts the walk when it is done. The power-of-two stride keeps the
+// cancelPollBlocks is how many dynamic blocks a runner with a cancelable
+// context executes between polls of it. A power of two keeps the
 // per-block cost to an increment and a mask.
-type cancelChecker struct {
-	ctx context.Context
-	n   uint
-}
+const cancelPollBlocks = 4096
 
-// OnBlock implements Visitor.
-func (c *cancelChecker) OnBlock(int) {
-	c.n++
-	if c.n&0xFFF == 0 {
-		if err := c.ctx.Err(); err != nil {
-			panic(execStop{err})
-		}
-	}
-}
-
-// OnMarker implements Visitor.
-func (c *cancelChecker) OnMarker(int) {}
+// execStop is the sentinel the runner panics with on cancellation.
+type execStop struct{ err error }
 
 // markerTally counts marker firings with no per-block work.
 type markerTally uint64
@@ -295,6 +295,12 @@ func (r *Runner) emit(block int, v Visitor) {
 	v.OnBlock(block)
 	if m := r.markerOf[block]; m >= 0 {
 		v.OnMarker(m)
+	}
+	r.blocks++
+	if r.blocks%cancelPollBlocks == 0 && r.ctx != nil {
+		if err := r.ctx.Err(); err != nil {
+			panic(execStop{err})
+		}
 	}
 }
 

@@ -121,18 +121,18 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 		return nil, err
 	}
 	defer sim.Release()
-	visitors := exec.Multi{sim}
+	v := &walk3Visitor{sim: sim}
 	snaps := make([]*snapshotter, len(sets))
 	for s, b := range sets {
 		if b.VLI != nil {
 			snaps[s] = newSnapshotter(sim, len(b.VLI))
-			visitors = append(visitors, profile.NewVLITracker(bin, b.VLI, snaps[s]))
+			v.vli = append(v.vli, profile.NewVLITracker(bin, b.VLI, snaps[s]))
 		} else {
 			snaps[s] = newSnapshotter(sim, len(b.FLI))
-			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, snaps[s]))
+			v.fli = append(v.fli, profile.NewFLITracker(bin, b.FLI, snaps[s]))
 		}
 	}
-	if err := exec.RunCtx(ctx, bin, in, visitors); err != nil {
+	if err := exec.RunCtx(ctx, bin, in, v); err != nil {
 		return nil, err
 	}
 	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets)),
@@ -145,6 +145,37 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 		sim.PublishMetrics(o.Metrics, "sim.full")
 	}
 	return fw, nil
+}
+
+// walk3Visitor is the full walk's visitor: the simulator, then every
+// boundary set's tracker, called directly rather than through an
+// exec.Multi of interfaces. The simulator goes first, so a tracker's
+// transition snapshots statistics that include the block that caused
+// it; the trackers touch only their own snapshotters, so their order
+// among themselves does not matter. Simulator.OnMarker and
+// FLITracker.OnMarker are no-ops and are not called.
+type walk3Visitor struct {
+	sim *cmpsim.Simulator
+	fli []*profile.FLITracker
+	vli []*profile.VLITracker
+}
+
+// OnBlock implements exec.Visitor.
+func (v *walk3Visitor) OnBlock(block int) {
+	v.sim.OnBlock(block)
+	for _, t := range v.fli {
+		t.OnBlock(block)
+	}
+	for _, t := range v.vli {
+		t.OnBlock(block)
+	}
+}
+
+// OnMarker implements exec.Visitor.
+func (v *walk3Visitor) OnMarker(marker int) {
+	for _, t := range v.vli {
+		t.OnMarker(marker)
+	}
 }
 
 // snapshotter attributes a simulator's cumulative statistics to

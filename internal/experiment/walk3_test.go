@@ -9,9 +9,12 @@ import (
 	"testing"
 
 	"xbsim/internal/cmpsim"
+	"xbsim/internal/compiler"
+	"xbsim/internal/exec"
 	"xbsim/internal/faults"
 	"xbsim/internal/obs"
 	"xbsim/internal/pool"
+	"xbsim/internal/profile"
 	"xbsim/internal/program"
 	"xbsim/internal/sampler"
 	"xbsim/internal/simpoint"
@@ -157,6 +160,68 @@ func TestCompareSamplersSimulatesWalk3Once(t *testing.T) {
 	}
 	if got := three.Metrics.Snapshot().Counters["sim.full.instructions"]; got != want {
 		t.Errorf("CompareSamplers simulated %d walk-3 instructions, one RunCtx %d", got, want)
+	}
+}
+
+// multiWalk is SimulateIntervals composed the generic way — the
+// simulator and one tracker per boundary set, in set order, fanned out
+// by an exec.Multi that also delivers every marker to the simulator and
+// to FLI trackers. It is the oracle for walk3Visitor.
+func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.HierarchyConfig, sets ...Boundaries) *FullWalk {
+	t.Helper()
+	sim, err := cmpsim.NewSimulator(bin, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visitors := exec.Multi{sim}
+	snaps := make([]*snapshotter, len(sets))
+	for s, b := range sets {
+		if b.VLI != nil {
+			snaps[s] = newSnapshotter(sim, len(b.VLI))
+			visitors = append(visitors, profile.NewVLITracker(bin, b.VLI, snaps[s]))
+		} else {
+			snaps[s] = newSnapshotter(sim, len(b.FLI))
+			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, snaps[s]))
+		}
+	}
+	if err := exec.Run(bin, in, visitors); err != nil {
+		t.Fatal(err)
+	}
+	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets)),
+		events: captureEvents(sim.Hierarchy())}
+	for s, snap := range snaps {
+		snap.close()
+		fw.Deltas[s] = snap.d
+	}
+	return fw
+}
+
+// TestWalk3VisitorMatchesMulti pins walk 3's fixed visitor against the
+// exec.Multi composition of the same parts: for every binary, with one
+// boundary set (FLI or VLI) and with two (in either order), the run's
+// Stats, every interval delta and the cache event counters are equal.
+func TestWalk3VisitorMatchesMulti(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"gzip", "mcf"} {
+		p, cfg := prepareFor(t, ctx, name, testConfig(name))
+		for bi, bin := range p.Bins {
+			vliEnds, err := p.Mapping.TranslateEnds(p.Primary, bi, p.VLI.Ends)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fli, vli := Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: vliEnds}
+			for _, sets := range [][]Boundaries{{fli}, {vli}, {fli, vli}, {vli, fli}} {
+				got, err := SimulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, nil, sets...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := multiWalk(t, bin, cfg.Input, cfg.Hierarchy, sets...)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s with %d boundary sets (first VLI: %v): fixed visitor's walk differs from exec.Multi's",
+						bin.Name, len(sets), sets[0].VLI != nil)
+				}
+			}
+		}
 	}
 }
 

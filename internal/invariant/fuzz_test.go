@@ -120,7 +120,7 @@ func FuzzStratifiedSampler(f *testing.F) {
 		if c := checkBoundaryTranslate(cp); !c.OK {
 			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
 		}
-		if _, c := checkWeightSum(cp); !c.OK {
+		if _, c := checkWeightSum(ctx, cp); !c.OK {
 			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
 		}
 		cp2, err := crossPoints(ctx, bench.Binaries, cfg)
@@ -156,7 +156,7 @@ func FuzzCrossBinaryPoints(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %s: pipeline: %v", s.Name(), err)
 		}
-		_, wcheck := checkWeightSum(cp)
+		_, wcheck := checkWeightSum(ctx, cp)
 		for _, c := range []Check{
 			checkSymbolCounts(a.Profiles),
 			checkBoundaryTranslate(cp),

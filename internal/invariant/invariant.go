@@ -332,7 +332,7 @@ func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input,
 	pr.Checks = append(pr.Checks, checkSymbolCounts(a.Profiles))
 	pr.Checks = append(pr.Checks, checkBoundaryTranslate(cp))
 	pr.Checks = append(pr.Checks, checkIntervalCoverage(cp, in, a.Profiles, cfg.IntervalSize))
-	sets, wcheck := checkWeightSum(cp)
+	sets, wcheck := checkWeightSum(ctx, cp)
 	pr.Checks = append(pr.Checks, wcheck)
 	pr.Checks = append(pr.Checks, checkOrderInvariance(ctx, bench.Binaries, acfg, cp, sets))
 	pr.Checks = append(pr.Checks, checkWorkerInvariance(ctx, bench.Binaries, acfg, cp))
@@ -494,11 +494,11 @@ func checkIntervalCoverage(cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xb
 // recalculated phase weights form a probability distribution. The
 // per-binary point sets are returned for reuse by the order-invariance
 // and cpi-sanity checks.
-func checkWeightSum(cp *xbsim.CrossPoints) ([]*xbsim.PointSet, Check) {
+func checkWeightSum(ctx context.Context, cp *xbsim.CrossPoints) ([]*xbsim.PointSet, Check) {
 	const tol = 1e-9
 	sets := make([]*xbsim.PointSet, len(cp.Mapping.Binaries))
 	for b := range cp.Mapping.Binaries {
-		ps, err := cp.ForBinary(b)
+		ps, err := cp.ForBinary(ctx, b)
 		if err != nil {
 			return nil, Check{Name: "weight-sum", Detail: fmt.Sprintf("binary %d: %v", b, err)}
 		}
@@ -552,7 +552,7 @@ func checkOrderInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.
 			cp2.K(), cp2.NumIntervals(), cp.K(), cp.NumIntervals())}
 	}
 	for b2, bin := range perm {
-		ps2, err := cp2.ForBinary(b2)
+		ps2, err := cp2.ForBinary(ctx, b2)
 		if err != nil {
 			return Check{Name: "order-invariance", Detail: fmt.Sprintf("permuted ForBinary(%d): %v", b2, err)}
 		}
@@ -678,7 +678,7 @@ func meanCPIError(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.Experime
 	}
 	sum := 0.0
 	for b, bin := range bins {
-		ps, err := cp.ForBinary(b)
+		ps, err := cp.ForBinary(ctx, b)
 		if err != nil {
 			return 0, err
 		}

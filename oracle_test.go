@@ -169,7 +169,7 @@ func TestEstimateStatsMatchesGatedWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vli, err := cross.ForBinary(bi)
+			vli, err := cross.ForBinary(ctx, bi)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestForBinaryErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ps, err := cross.ForBinary(tc.b)
+			ps, err := cross.ForBinary(context.Background(), tc.b)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("ForBinary(%d) err = %v, want %q", tc.b, err, tc.wantErr)
@@ -181,11 +181,11 @@ func TestFingerprintAccessors(t *testing.T) {
 		t.Fatal("mutating accessor copies changed the fingerprint")
 	}
 
-	ps, err := cross.ForBinary(0)
+	ps, err := cross.ForBinary(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := cross.ForBinary(0)
+	ps2, err := cross.ForBinary(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

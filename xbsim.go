@@ -26,7 +26,7 @@
 //	a, _ := xbsim.Analyze(ctx, bench.Binaries, cfg) // walks 1-2, once
 //	cross, _ := a.CrossBinaryPoints(ctx)
 //	for i, bin := range bench.Binaries {
-//	    ps, _ := cross.ForBinary(i)
+//	    ps, _ := cross.ForBinary(ctx, i)
 //	    est, _ := xbsim.EstimateCPI(ctx, bin, cfg.Input, ps, nil)
 //	    full, _ := xbsim.SimulateFull(ctx, bin, cfg.Input, nil)
 //	    fmt.Printf("%s: est %.3f true %.3f\n", bin.Name, est, full.CPI())
@@ -402,8 +402,9 @@ func (cp *CrossPoints) Fingerprint() string {
 // ForBinary maps the simulation points into binary b's marker space and
 // recalculates the phase weights by counting the instructions each phase
 // executes in that binary (§3.2.5-§3.2.6). The returned PointSet is ready
-// for EstimateCPI.
-func (cp *CrossPoints) ForBinary(b int) (*PointSet, error) {
+// for EstimateCPI. The weight walk runs under ctx, so it is observed and
+// cancellable like every other walk.
+func (cp *CrossPoints) ForBinary(ctx context.Context, b int) (*PointSet, error) {
 	if b < 0 || b >= len(cp.Mapping.Binaries) {
 		return nil, fmt.Errorf("xbsim: binary index %d out of range [0,%d)", b, len(cp.Mapping.Binaries))
 	}
@@ -415,7 +416,7 @@ func (cp *CrossPoints) ForBinary(b int) (*PointSet, error) {
 	// Weight recalculation pass: count instructions per interval in this
 	// binary.
 	tr := profile.NewVLITracker(bin, ends, nil)
-	if err := exec.Run(bin, cp.input, tr); err != nil {
+	if err := exec.RunCtx(ctx, bin, cp.input, tr); err != nil {
 		return nil, err
 	}
 	var total uint64

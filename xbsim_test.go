@@ -133,7 +133,7 @@ func TestCrossBinaryPointsEndToEnd(t *testing.T) {
 		t.Fatal("empty cross points")
 	}
 	for i, bin := range b.Binaries {
-		ps, err := cross.ForBinary(i)
+		ps, err := cross.ForBinary(ctx, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestRegionFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := cross.ForBinary(2)
+	ps, err := cross.ForBinary(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
