@@ -323,11 +323,11 @@ func usage() {
 commands:
   benchmarks                         list synthesizable benchmarks
   callprofile -bench B -target T     call/branch profile of one binary
-  profile  [-top N] [-flame-out F] [-benchmarks L] [-json]
-                                     run the quick suite with cost
-                                     attribution on: per-walk cost table,
-                                     walk-3 accounting, optional
-                                     speedscope flamegraph
+  profile  [-top N] [-benchmarks L] [-json]
+                                     run the quick suite serially: per-
+                                     binary full-simulation wall and
+                                     simulated instructions, walk-3
+                                     accounting
   map      -bench B                  cross-binary mappable point summary
   points   -bench B -flavor F -target T [-o FILE]
                                      pick simulation points, emit regions

@@ -130,6 +130,11 @@ func TestCmdProfileErrors(t *testing.T) {
 	if err := run(context.Background(), "profile", []string{"-bench", "gzip"}, &sb); !errors.As(err, &ue) {
 		t.Errorf("profile -bench: err = %v (%T), want usageError", err, err)
 	}
+	// The flamegraph writer is gone; -trace-out's Chrome trace opens in
+	// speedscope and Perfetto.
+	if err := run(context.Background(), "profile", []string{"-flame-out", "f.json"}, &sb); !errors.As(err, &ue) {
+		t.Errorf("profile -flame-out: err = %v (%T), want usageError", err, err)
+	}
 	if err := run(context.Background(), "callprofile", append([]string{"-bench", "gzip", "-target", "99"}, smallFlags...), &sb); !errors.As(err, &ue) {
 		t.Errorf("bad target: err = %v (%T), want usageError", err, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -16,22 +15,20 @@ import (
 )
 
 // cmdProfile is the pipeline cost profiler: it runs the quick suite
-// serially with the obs.Attribution profiler enabled and reports where
-// the evaluate stage's wall time, allocation, and simulated instructions
-// go, per (benchmark, binary, walk, point), plus how many gate points
-// walk 3 answered and, with -flame-out, a speedscope-compatible
-// flamegraph JSON.
+// serially and reports, per binary, the wall time of its full
+// simulation (walk 3, read from the run's stage.full_sim spans) and the
+// instructions simulated in full and in detail at the FLI and VLI
+// points, plus how many gate points walk 3 answered.
 func cmdProfile(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("profile")
 	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (default = quick suite)")
 	top := fs.Int("top", 15, "cost table rows")
-	flameOut := fs.String("flame-out", "", "write a speedscope-compatible flamegraph JSON here")
-	asJSON := fs.Bool("json", false, "emit the raw attribution snapshot as JSON")
+	asJSON := fs.Bool("json", false, "emit the cost rows as JSON")
 	ops, interval, _ := commonFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	return cmdProfileCost(ctx, w, *benchList, *top, *flameOut, *asJSON, *ops, *interval)
+	return cmdProfileCost(ctx, w, *benchList, *top, *asJSON, *ops, *interval)
 }
 
 // cmdCallprofile prints one binary's Pin-style call and loop profile:
@@ -71,11 +68,11 @@ func cmdCallprofile(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
-// cmdProfileCost runs the suite with cost attribution on and renders the
-// breakdown. The run is forced serial (Workers=1, Parallelism=1) so the
-// process-wide allocation counters attribute exactly.
+// cmdProfileCost runs the suite and renders its cost. The run is forced
+// serial (Workers=1, Parallelism=1) so the walk spans do not overlap and
+// their sum is comparable with the evaluate stage's wall time.
 func cmdProfileCost(ctx context.Context, w io.Writer, benchList string, top int,
-	flameOut string, asJSON bool, ops, interval uint64) error {
+	asJSON bool, ops, interval uint64) error {
 
 	cfg := experiment.QuickConfig()
 	if benchList != "" {
@@ -92,8 +89,8 @@ func cmdProfileCost(ctx context.Context, w io.Writer, benchList string, top int,
 
 	// Reuse the global observer when one is attached (-v, -trace-out, ...)
 	// so its progress/trace sinks keep working; otherwise build a private
-	// one. Either way the run needs a metrics registry (for the
-	// stage.evaluate wall-coverage line) and the attribution profiler.
+	// one. Either way the run needs an event log (the walk spans) and a
+	// metrics registry (the evaluate-stage wall and the memo counters).
 	o := obs.From(ctx)
 	if o == nil {
 		o = &obs.Observer{}
@@ -102,80 +99,105 @@ func cmdProfileCost(ctx context.Context, w io.Writer, benchList string, top int,
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
-	att := obs.NewAttribution()
-	o.Attrib = att
+	if o.Events == nil {
+		o.Events = obs.NewRecorder(0)
+	}
 
 	start := time.Now()
-	if _, err := experiment.RunCtx(ctx, cfg); err != nil {
+	suite, err := experiment.RunCtx(ctx, cfg)
+	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	snap := att.Snapshot()
+	rows := costRows(o.Events.Spans(), suite)
 
 	if asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
-		return enc.Encode(snap)
+		return enc.Encode(struct {
+			Rows []costRow `json:"rows"`
+		}{rows})
 	}
-	if flameOut != "" {
-		f, err := os.Create(flameOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteSpeedscope(f, snap); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote flamegraph to %s (open at https://www.speedscope.app)\n", flameOut)
-	}
-	return writeCostProfile(w, snap, o.Metrics.Snapshot(), wall, top)
+	return writeCostProfile(w, rows, o.Metrics.Snapshot(), wall, top)
 }
 
-// writeCostProfile renders the attribution snapshot: the top-N cost
-// table over walk-level nodes, the evaluate-stage coverage line, and the
-// walk-3 accounting.
-func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
+// costRow is one binary's cost: the wall time of its full simulation
+// and the instructions simulated in full and at each method's points.
+type costRow struct {
+	Benchmark string `json:"benchmark"`
+	Binary    string `json:"binary"`
+	// WallNS sums the binary's stage.full_sim spans (every attempt).
+	WallNS int64 `json:"wall_ns"`
+	// Instructions is the full run's length; FLI and VLI are the
+	// instructions simulated in detail at each method's points.
+	Instructions uint64 `json:"instructions"`
+	FLI          uint64 `json:"fli_instructions"`
+	VLI          uint64 `json:"vli_instructions"`
+}
+
+// costRows joins the run's stage.full_sim spans (whose detail names the
+// binary) with the suite's per-binary results, one row per binary in
+// suite order.
+func costRows(spans []obs.SpanView, suite *experiment.Suite) []costRow {
+	wall := map[string]time.Duration{}
+	for _, s := range spans {
+		if s.Name == "stage.full_sim" {
+			wall[s.Detail] += s.Dur
+		}
+	}
+	var rows []costRow
+	for _, res := range suite.Results {
+		for _, run := range res.Runs {
+			rows = append(rows, costRow{
+				Benchmark: res.Name, Binary: run.Binary.Name,
+				WallNS:       wall[run.Binary.Name].Nanoseconds(),
+				Instructions: run.TotalInstructions,
+				FLI:          run.FLI.SimulatedInstructions,
+				VLI:          run.VLI.SimulatedInstructions,
+			})
+		}
+	}
+	return rows
+}
+
+// writeCostProfile renders the top-N cost rows by wall time, the
+// evaluate-stage coverage line, and the walk-3 accounting.
+func writeCostProfile(w io.Writer, rows []costRow, ms obs.Snapshot,
 	wall time.Duration, top int) error {
 
-	walks := snap.Walks()
-	sort.SliceStable(walks, func(i, j int) bool {
-		return walks[i].Value.WallNS > walks[j].Value.WallNS
-	})
-	attributed := snap.TotalWallNS()
-	fmt.Fprintf(w, "profile: %.1fms suite wall, %d walk nodes, %.1fms attributed\n",
-		float64(wall.Microseconds())/1000, len(walks), float64(attributed)/1e6)
+	var simNS int64
+	for _, r := range rows {
+		simNS += r.WallNS
+	}
+	fmt.Fprintf(w, "profile: %.1fms suite wall, %d binaries, %.1fms in full simulation\n",
+		float64(wall.Microseconds())/1000, len(rows), float64(simNS)/1e6)
 
-	fmt.Fprintf(w, "  %-10s %-10s %-5s %10s %12s %14s %8s\n",
-		"benchmark", "binary", "walk", "wall", "alloc", "instructions", "share")
-	shown := walks
+	fmt.Fprintf(w, "  %-10s %-10s %10s %14s %12s %12s %8s\n",
+		"benchmark", "binary", "wall", "instructions", "fli instr", "vli instr", "share")
+	shown := append([]costRow(nil), rows...)
+	sort.SliceStable(shown, func(i, j int) bool { return shown[i].WallNS > shown[j].WallNS })
 	if len(shown) > top {
 		shown = shown[:top]
 	}
-	for _, n := range shown {
+	for _, r := range shown {
 		share := 0.0
-		if attributed > 0 {
-			share = float64(n.Value.WallNS) / float64(attributed)
+		if simNS > 0 {
+			share = float64(r.WallNS) / float64(simNS)
 		}
-		fmt.Fprintf(w, "  %-10s %-10s %-5s %8.1fms %12s %14d %7.1f%%\n",
-			n.Benchmark, n.Binary, n.Walk, float64(n.Value.WallNS)/1e6,
-			formatAllocBytes(n.Value.AllocBytes), n.Value.Instructions, share*100)
+		fmt.Fprintf(w, "  %-10s %-10s %8.1fms %14d %12d %12d %7.1f%%\n",
+			r.Benchmark, r.Binary, float64(r.WallNS)/1e6, r.Instructions, r.FLI, r.VLI, share*100)
 	}
-	if len(walks) > len(shown) {
-		fmt.Fprintf(w, "  ... %d more walk nodes (-top to widen)\n", len(walks)-len(shown))
+	if len(rows) > len(shown) {
+		fmt.Fprintf(w, "  ... %d more binaries (-top to widen)\n", len(rows)-len(shown))
 	}
 
-	// Coverage: the attributed walk wall time against the evaluate
-	// stage's own resource accounting. The walks are the stage's hot
-	// loops, so the two should agree closely; a gap means unattributed
-	// work inside the stage.
+	// Coverage: the full-simulation spans against the evaluate stage's
+	// own wall time. Walk 3 is the stage's hot loop, so the two should
+	// agree closely; a gap means other work inside the stage.
 	if h, ok := ms.Histograms["stage.evaluate.duration_us"]; ok && h.Sum > 0 {
 		stageNS := h.Sum * 1000
-		fmt.Fprintf(w, "  coverage: %.1fms attributed of %.1fms evaluate-stage wall (%.1f%%)\n",
-			float64(attributed)/1e6, float64(stageNS)/1e6,
-			float64(attributed)/float64(stageNS)*100)
+		fmt.Fprintf(w, "  coverage: %.1fms in full simulation of %.1fms evaluate-stage wall (%.1f%%)\n",
+			float64(simNS)/1e6, float64(stageNS)/1e6, float64(simNS)/float64(stageNS)*100)
 	}
 
 	// Walk-3 accounting: gate points answered from walk 3's deltas (hits)
@@ -185,20 +207,6 @@ func writeCostProfile(w io.Writer, snap obs.AttribSnapshot, ms obs.Snapshot,
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	fmt.Fprintf(w, "memo: %d hits, %d misses (%.0f%% hit rate), %d instructions not re-simulated\n",
-		hits, misses, rate*100, ms.Counters["pipeline.memo.instructions_saved"])
+	fmt.Fprintf(w, "memo: %d hits, %d misses (%.0f%% hit rate)\n", hits, misses, rate*100)
 	return nil
-}
-
-// formatAllocBytes renders a byte count with a binary unit.
-func formatAllocBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }

@@ -2,10 +2,10 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"xbsim/internal/obs"
 )
@@ -15,21 +15,18 @@ import (
 var profileArgs = []string{"-benchmarks", "swim", "-ops", "400000", "-interval", "8000"}
 
 // TestCmdProfileCostMode is the CI profile-smoke check in library form:
-// `xbsim profile` (no -bench) must report a per-(binary, walk) cost
-// table, a coverage line, and the walk-3 accounting line.
+// `xbsim profile` (no -bench) must report a per-binary cost table, a
+// coverage line, and the walk-3 accounting line.
 func TestCmdProfileCostMode(t *testing.T) {
 	out := runCmd(t, "profile", append([]string{"-top", "50"}, profileArgs...)...)
 
-	// One row per (binary, walk): 4 binaries × 3 walks.
-	for _, walk := range []string{"full", "fli", "vli"} {
-		if n := strings.Count(out, " "+walk+" "); n < 4 {
-			t.Errorf("cost table has %d %q rows, want 4:\n%s", n, walk, out)
+	for _, bin := range []string{"swim.32u", "swim.32o", "swim.64u", "swim.64o"} {
+		if n := strings.Count(out, " "+bin+" "); n != 1 {
+			t.Errorf("cost table has %d %s rows, want 1:\n%s", n, bin, out)
 		}
 	}
-	for _, bin := range []string{"swim.32u", "swim.32o", "swim.64u", "swim.64o"} {
-		if !strings.Contains(out, bin) {
-			t.Errorf("cost table missing binary %s:\n%s", bin, out)
-		}
+	if !strings.Contains(out, "4 binaries") {
+		t.Errorf("header does not count 4 binaries:\n%s", out)
 	}
 	if !strings.Contains(out, "coverage:") {
 		t.Errorf("no coverage line:\n%s", out)
@@ -45,38 +42,40 @@ func TestCmdProfileCostMode(t *testing.T) {
 	}
 }
 
-// TestCmdProfileFlameOut pins the flamegraph path: -flame-out must write
-// a file that passes the speedscope structural validator.
-func TestCmdProfileFlameOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flame.json")
-	out := runCmd(t, "profile", append([]string{"-flame-out", path}, profileArgs...)...)
-	if !strings.Contains(out, "wrote flamegraph") {
-		t.Errorf("no flamegraph confirmation:\n%s", out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+// TestCmdProfileJSON pins -json: one row per binary, whose wall time is
+// the sum of that binary's stage.full_sim span durations and whose
+// instruction columns are the suite's results.
+func TestCmdProfileJSON(t *testing.T) {
+	o := obs.New()
+	var sb strings.Builder
+	if err := run(obs.With(context.Background(), o), "profile", append([]string{"-json"}, profileArgs...), &sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateSpeedscope(data); err != nil {
-		t.Fatalf("flamegraph fails speedscope validation: %v", err)
+	var doc struct {
+		Rows []costRow `json:"rows"`
 	}
-	if !strings.Contains(string(data), "walk:full") || !strings.Contains(string(data), "point:") {
-		t.Errorf("flamegraph missing walk/point frames")
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatalf("bad JSON: %v\n%.400s", err, sb.String())
 	}
-}
-
-// TestCmdProfileJSON pins -json: the raw attribution snapshot. The
-// walk-3 accounting is not part of it; it lives in the pipeline.memo
-// counters.
-func TestCmdProfileJSON(t *testing.T) {
-	out := runCmd(t, "profile", append([]string{"-json"}, profileArgs...)...)
-	for _, want := range []string{`"nodes"`, `"walk": "vli"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON snapshot missing %s:\n%.400s", want, out)
+	want := map[string]time.Duration{}
+	for _, s := range o.Events.Spans() {
+		if s.Name == "stage.full_sim" {
+			want[s.Detail] += s.Dur
+		}
+		if s.Name == "stage.gated_sim" {
+			t.Errorf("gated walk span recorded under default warming: %+v", s)
 		}
 	}
-	if strings.Contains(out, `"redundancy"`) {
-		t.Errorf("JSON snapshot still carries the walk-3 accounting:\n%.400s", out)
+	if len(doc.Rows) != 4 || len(want) != 4 {
+		t.Fatalf("%d rows, %d binaries with full_sim spans; want 4 and 4", len(doc.Rows), len(want))
+	}
+	for _, r := range doc.Rows {
+		if r.WallNS <= 0 || r.WallNS != want[r.Binary].Nanoseconds() {
+			t.Errorf("%s: row wall %dns, full_sim spans sum to %dns", r.Binary, r.WallNS, want[r.Binary].Nanoseconds())
+		}
+		if r.FLI == 0 || r.VLI == 0 || r.FLI >= r.Instructions || r.VLI >= r.Instructions {
+			t.Errorf("%s: %d/%d point instructions of %d", r.Binary, r.FLI, r.VLI, r.Instructions)
+		}
 	}
 }
 
@@ -96,20 +95,27 @@ func TestCmdProfileLegacyMode(t *testing.T) {
 }
 
 // TestCmdProfileReusesObserver pins that the cost profiler composes with
-// the global observability flags: an observer on the context gets the
-// attribution profiler attached rather than replaced.
+// the global observability flags: an observer on the context keeps its
+// event log and registry, and the run's spans and metrics land in them.
 func TestCmdProfileReusesObserver(t *testing.T) {
 	o := obs.New()
+	events := o.Events
 	ctx := obs.With(context.Background(), o)
 	var sb strings.Builder
 	if err := run(ctx, "profile", profileArgs, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if o.Attrib == nil {
-		t.Fatal("global observer did not get the attribution profiler")
+	if o.Events != events {
+		t.Fatal("global observer's event log was replaced")
 	}
-	if len(o.Attrib.Snapshot().Nodes) == 0 {
-		t.Error("attribution empty after profiled run")
+	n := 0
+	for _, s := range events.Spans() {
+		if s.Name == "stage.full_sim" {
+			n++
+		}
+	}
+	if n != 4 {
+		t.Errorf("%d stage.full_sim spans in the global event log, want 4", n)
 	}
 	if o.Metrics.Snapshot().Counters["sim.full.instructions"] == 0 {
 		t.Error("per-walk metrics missing from the global registry")

@@ -162,10 +162,8 @@ func (c HierarchyConfig) Digest() string {
 
 // StateBytes is the cache-state footprint of one simulated hierarchy:
 // every level's tag and stamp words and dirty flags, exactly the arrays
-// NewHierarchy allocates for them. It is the per-walk figure the
-// pipeline's pipeline.memo.bytes_saved counter charges for each gated
-// walk answered from walk 3, and the per-reuse figure the state pool
-// recycles.
+// NewHierarchy allocates for them, and so what the state pool saves
+// allocating on each reuse.
 func (c HierarchyConfig) StateBytes() uint64 {
 	const perLine = 8 + 8 + 1 // tag + stamp + dirty
 	var total uint64
@@ -453,9 +451,6 @@ func (h *Hierarchy) walk(addr uint64, write bool) (level, l1Slot int) {
 	}
 	return level, l1Slot
 }
-
-// Levels exposes the cache levels for statistics reporting.
-func (h *Hierarchy) Levels() []*Cache { return h.levels }
 
 // Reset clears all levels.
 func (h *Hierarchy) Reset() {

@@ -160,7 +160,7 @@ func TestHierarchyLatencies(t *testing.T) {
 	if lat := h.Access(addr); lat != 3 {
 		t.Fatalf("warm access latency %d, want 3 (L1 hit)", lat)
 	}
-	if len(h.Levels()) != 3 {
+	if len(h.levels) != 3 {
 		t.Fatal("level count")
 	}
 	h.Reset()

@@ -238,7 +238,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 					if got, want := *sim.Stats(), ref.stats; !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: final stats %+v, reference %+v", name, got, want)
 					}
-					if got, want := levelCounters(sim.Hierarchy()), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
+					if got, want := levelCounters(sim.hier), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: event counters %v, reference %v", name, got, want)
 					}
 					sim.Release()
@@ -271,7 +271,7 @@ func TestSimulatorLineZeroMatchesReference(t *testing.T) {
 		if l.err != nil {
 			t.Errorf("run %d: %v", run, l.err)
 		}
-		if got, want := levelCounters(sim.Hierarchy()), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
+		if got, want := levelCounters(sim.hier), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d: event counters %v, reference %v", run, got, want)
 		}
 		sim.Release()

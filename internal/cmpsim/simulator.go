@@ -235,23 +235,20 @@ func (s *Simulator) TakeStats() Stats {
 	return out
 }
 
-// Hierarchy exposes the memory system (for reporting Table 1 and level
-// statistics).
-func (s *Simulator) Hierarchy() *Hierarchy { return s.hier }
-
 // PublishMetrics adds the accumulated statistics to the registry as
 // counters under the given prefix ("sim.full" → sim.full.instructions,
 // sim.full.cycles, sim.full.cache.l1.hits, ...). The pipeline publishes
-// one family per evaluation walk: "sim.full" (walk 3), "sim.fli" (walk
-// 4) and "sim.vli" (walk 5). Cache levels are numbered
-// outward from the core: l1 is the first-level cache regardless of its
-// display name. A nil registry is a no-op. The metric names are a stable
-// interface (see README.md).
+// one family per walk that runs: "sim.full" for walk 3 always, and
+// "sim.fli"/"sim.vli" for walks 4/5 only with functional warming off,
+// the one case in which they execute rather than being answered from
+// walk 3. Cache levels are numbered outward from the core: l1 is the
+// first-level cache regardless of its display name. A nil registry is a
+// no-op. The metric names are a stable interface (see README.md).
 //
 // Hits/misses come from the gated Stats window; the eviction, writeback,
 // and prefetch families come from the Cache event counters, which count
-// every access including functional warming — they attribute the cache's
-// real activity during the walk, which is what a cost profile needs.
+// every access including functional warming, so they report the cache's
+// real activity during the walk.
 // After Release only the Stats-window families are published.
 func (s *Simulator) PublishMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {

@@ -23,7 +23,7 @@ func randomHierarchy() HierarchyConfig {
 // levelCounters flattens a hierarchy's event counters for comparison.
 func levelCounters(h *Hierarchy) []uint64 {
 	var out []uint64
-	for _, c := range h.Levels() {
+	for _, c := range h.levels {
 		out = append(out, c.Hits, c.Misses, c.Evictions, c.Writebacks,
 			c.PrefetchFills, c.PrefetchEvictions)
 	}
@@ -63,7 +63,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantStats := fresh.TakeStats()
-		wantEvents := levelCounters(fresh.Hierarchy())
+		wantEvents := levelCounters(fresh.hier)
 
 		pool := NewStatePool()
 		// First pooled run dirties a hierarchy and returns it; the second
@@ -77,7 +77,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := sim.TakeStats()
-			gotEvents := levelCounters(sim.Hierarchy())
+			gotEvents := levelCounters(sim.hier)
 			sim.Release()
 			if got.Instructions != wantStats.Instructions || got.Cycles != wantStats.Cycles ||
 				got.Loads != wantStats.Loads || got.Stores != wantStats.Stores ||

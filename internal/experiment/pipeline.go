@@ -148,8 +148,6 @@ type walk3Result struct {
 	instructions, cycles uint64
 	cpi                  float64
 	fli, vli             *IntervalDeltas
-	// events are the walk's full-stream cache event counters.
-	events []levelEvents
 }
 
 // prepare runs compile, Analyze (walk 1, the mapping, walk 2) and walk 3
@@ -361,21 +359,18 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int) (walk3Re
 	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
 	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim", bin.Name)
 	defer fspan.End()
-	fws := o.Attribution().StartWalk(bin.Program.Name, bin.Name, "full")
-	defer fws.Abort() // close the sample on every error path; Done wins
 	fw, err := SimulateIntervals(fctx, bin, cfg.Input, cfg.Hierarchy, cfg.simPool,
 		Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: w3.vliEnds})
 	if err != nil {
 		return w3, err
 	}
 	st := &fw.Stats
-	fws.Done(st.Instructions, st.Cycles)
 	if total := p.Profiles[bi].TotalInstructions; st.Instructions != total {
 		return w3, fmt.Errorf("instruction count mismatch between walks: %d vs %d",
 			st.Instructions, total)
 	}
 	w3.instructions, w3.cycles, w3.cpi = st.Instructions, st.Cycles, st.CPI()
-	w3.fli, w3.vli, w3.events = fw.Deltas[0], fw.Deltas[1], fw.events
+	w3.fli, w3.vli = fw.Deltas[0], fw.Deltas[1]
 	return w3, nil
 }
 
@@ -516,35 +511,26 @@ var vliGaugeMu sync.Mutex
 // measurePoints measures one gated walk (walk "fli" or "vli" of binary
 // bi) and returns, per phase, the measured CPI of its simulation point
 // and the representative interval index, plus the instructions simulated
-// in detail. walk names the walk for attribution and the per-walk metric
-// family.
+// in detail.
 //
 // With execute false the walk is answered from walk 3's deltas (see
-// walk3.go): nothing executes, and the point CPIs, attribution and the
-// sim.<walk> metric family are bit-identical to what the
-// executed walk would have produced under functional warming. With
-// execute true the gated walk runs on a simulator; the pipeline does so
+// walk3.go): nothing executes, the point CPIs are bit-identical to what
+// the executed walk would measure under functional warming, and the
+// only record is the pipeline.memo.hits count. With execute true
+// executeGatedWalk runs the walk on a simulator; the pipeline does so
 // only with warming off, and tests use it as the reference.
 func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
 	walk string, execute bool) (cpi []float64, intervals []int, simInstr uint64, err error) {
 
 	bin := p.Bins[bi]
-	gctx, gspan := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
-	defer gspan.End()
-
-	o := obs.From(ctx)
-	att := o.Attribution()
-	ws := att.StartWalk(bin.Program.Name, bin.Name, walk)
-	defer ws.Abort() // close the sample on every error path; Done wins
-	if err := faults.Hit(gctx, "evaluate.walk"); err != nil {
+	if err := faults.Hit(ctx, "evaluate.walk"); err != nil {
 		return nil, nil, 0, err
 	}
-
 	var regions []regionStat
 	if execute {
-		regions, err = executeGatedWalk(gctx, cfg, p, bi, pick, walk, ws)
+		regions, err = executeGatedWalk(ctx, cfg, p, bi, pick, walk)
 	} else {
-		regions, err = answerFromWalk3(o, cfg, &p.walk3[bi], pick, walk, ws)
+		regions, err = answerFromWalk3(ctx, &p.walk3[bi], pick, walk)
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -565,44 +551,38 @@ func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *s
 		simInstr += st.instr
 		cpi[p.Phase] = float64(st.cycles) / float64(st.instr)
 		intervals[p.Phase] = p.Interval
-		att.AddPoint(bin.Program.Name, bin.Name, walk, p.Interval, st.instr, st.cycles)
 	}
 	return cpi, intervals, simInstr, nil
 }
 
-// answerFromWalk3 answers one gated walk from walk 3's deltas and
-// publishes what the executed walk would have: the walk sample, the
-// sim.<walk> family, and the pipeline.memo counters that
-// count gate points answered from walk 3.
-func answerFromWalk3(o *obs.Observer, cfg Config, w3 *walk3Result, pick *simpoint.Result,
-	walk string, ws *obs.WalkSample) ([]regionStat, error) {
-
+// answerFromWalk3 answers one gated walk from walk 3's deltas, each
+// point's (instructions, cycles) in point order, and counts its gate
+// points as pipeline.memo.hits.
+func answerFromWalk3(ctx context.Context, w3 *walk3Result, pick *simpoint.Result, walk string) ([]regionStat, error) {
 	deltas := w3.fli
 	if walk == "vli" {
 		deltas = w3.vli
 	}
-	win, regions, err := deltas.window(pick.Points)
+	regions, err := deltas.window(pick.Points)
 	if err != nil {
 		return nil, err
 	}
-	ws.Done(win.Instructions, win.Cycles)
-	if o != nil {
-		publishWindowMetrics(o.Metrics, "sim."+walk, &win, w3.events)
-	}
-	o.Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
-	o.Counter("pipeline.memo.instructions_saved").Add(win.Instructions)
-	o.Counter("pipeline.memo.bytes_saved").Add(cfg.Hierarchy.StateBytes())
+	obs.From(ctx).Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
 	return regions, nil
 }
 
 // executeGatedWalk runs one gated walk on a simulator, gated to the
 // chosen intervals, and returns each point's (instructions, cycles) in
-// point order. Its gate points count as pipeline.memo.misses.
+// point order. It is the only place a gated walk runs, so it alone
+// records one: the stage.gated_sim span, the sim.<walk> family and its
+// gate points as pipeline.memo.misses.
 func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
-	walk string, ws *obs.WalkSample) ([]regionStat, error) {
+	walk string) ([]regionStat, error) {
 
 	o := obs.From(ctx)
 	bin := p.Bins[bi]
+	ctx, span := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
+	defer span.End()
 	sim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
 	if err != nil {
 		return nil, err
@@ -624,8 +604,6 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 		return nil, err
 	}
 	gate.close()
-	simStats := sim.Stats()
-	ws.Done(simStats.Instructions, simStats.Cycles)
 	if o != nil {
 		sim.PublishMetrics(o.Metrics, "sim."+walk)
 	}

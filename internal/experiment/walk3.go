@@ -33,9 +33,9 @@ import (
 // walk instead.
 
 // IntervalDeltas is a full walk's statistics delta for every interval of
-// one boundary set: everything Simulator.Stats accumulates, so a gated
-// walk answered from it reproduces the executed walk's metric families
-// exactly. The per-level arrays are flat ([interval*nlev + level]) so
+// one boundary set: everything Simulator.Stats accumulates, so any
+// statistic a gated walk would measure at a point can be read from it.
+// The per-level arrays are flat ([interval*nlev + level]) so
 // the capture costs two allocations, not two per interval.
 type IntervalDeltas struct {
 	nlev                               int
@@ -71,21 +71,17 @@ func (d *IntervalDeltas) Interval(iv int) (st cmpsim.Stats, ok bool) {
 	}, true
 }
 
-// window sums the chosen points' deltas into the gated walk's Stats
-// window and returns it with each point's (instructions, cycles), in
-// point order. A point interval outside the boundary set is an error.
-func (d *IntervalDeltas) window(points []simpoint.Point) (cmpsim.Stats, []regionStat, error) {
-	win := cmpsim.Stats{LevelHits: make([]uint64, d.nlev), LevelMisses: make([]uint64, d.nlev)}
+// window returns each chosen point's (instructions, cycles), in point
+// order. A point interval outside the boundary set is an error.
+func (d *IntervalDeltas) window(points []simpoint.Point) ([]regionStat, error) {
 	regions := make([]regionStat, len(points))
 	for i, p := range points {
-		st, ok := d.Interval(p.Interval)
-		if !ok {
-			return win, nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.instr))
+		if p.Interval < 0 || p.Interval >= len(d.instr) {
+			return nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.instr))
 		}
-		win.Add(&st)
-		regions[i] = regionStat{instr: st.Instructions, cycles: st.Cycles}
+		regions[i] = regionStat{instr: d.instr[p.Interval], cycles: d.cycles[p.Interval]}
 	}
-	return win, regions, nil
+	return regions, nil
 }
 
 // Boundaries is one boundary set of a binary's intervals: FLI ends in
@@ -102,8 +98,6 @@ type FullWalk struct {
 	Stats cmpsim.Stats
 	// Deltas[s] holds every interval's delta under the s-th boundary set.
 	Deltas []*IntervalDeltas
-	// events are the run's full-stream cache event counters.
-	events []levelEvents
 }
 
 // SimulateIntervals runs bin to completion on a simulator of hierarchy h,
@@ -135,8 +129,7 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 	if err := exec.RunCtx(ctx, bin, in, v); err != nil {
 		return nil, err
 	}
-	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets)),
-		events: captureEvents(sim.Hierarchy())}
+	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets))}
 	for s, snap := range snaps {
 		snap.close()
 		fw.Deltas[s] = snap.d
@@ -234,57 +227,3 @@ func (s *snapshotter) flush() {
 
 // close flushes the final interval; call after the run.
 func (s *snapshotter) close() { s.flush() }
-
-// levelEvents is one cache level's full-stream event counters after a
-// walk. With warming on these are identical for the full and gated walks
-// of one binary (every access runs either way), so the full walk's
-// counters stand in for the gated walk's.
-type levelEvents struct {
-	evictions, writebacks, prefetchFills, prefetchEvictions uint64
-}
-
-// captureEvents snapshots a hierarchy's per-level event counters.
-func captureEvents(h *cmpsim.Hierarchy) []levelEvents {
-	levels := h.Levels()
-	out := make([]levelEvents, len(levels))
-	for i, c := range levels {
-		out[i] = levelEvents{
-			evictions:         c.Evictions,
-			writebacks:        c.Writebacks,
-			prefetchFills:     c.PrefetchFills,
-			prefetchEvictions: c.PrefetchEvictions,
-		}
-	}
-	return out
-}
-
-// publishWindowMetrics mirrors cmpsim.Simulator.PublishMetrics for a
-// gated walk answered from walk 3: win is the synthesized statistics
-// window and events walk 3's full-stream cache event counters, so the
-// sim.<walk> family comes out identical to what the
-// executed walk would have published.
-func publishWindowMetrics(reg *obs.Registry, prefix string, win *cmpsim.Stats, events []levelEvents) {
-	if reg == nil {
-		return
-	}
-	reg.Counter(prefix + ".instructions").Add(win.Instructions)
-	reg.Counter(prefix + ".cycles").Add(win.Cycles)
-	reg.Counter(prefix + ".loads").Add(win.Loads)
-	reg.Counter(prefix + ".stores").Add(win.Stores)
-	reg.Counter(prefix + ".dram_accesses").Add(win.MemoryAccesses)
-	for i := range win.LevelHits {
-		reg.Counter(levelMetricName(prefix, i, "hits")).Add(win.LevelHits[i])
-		reg.Counter(levelMetricName(prefix, i, "misses")).Add(win.LevelMisses[i])
-	}
-	for i, ev := range events {
-		reg.Counter(levelMetricName(prefix, i, "evictions")).Add(ev.evictions)
-		reg.Counter(levelMetricName(prefix, i, "writebacks")).Add(ev.writebacks)
-		reg.Counter(levelMetricName(prefix, i, "prefetch_fills")).Add(ev.prefetchFills)
-		reg.Counter(levelMetricName(prefix, i, "prefetch_evictions")).Add(ev.prefetchEvictions)
-	}
-}
-
-// levelMetricName matches PublishMetrics' per-level naming scheme.
-func levelMetricName(prefix string, level int, name string) string {
-	return fmt.Sprintf("%s.cache.l%d.%s", prefix, level+1, name)
-}

@@ -166,8 +166,10 @@ func TestCompareSamplersSimulatesWalk3Once(t *testing.T) {
 // multiWalk is SimulateIntervals composed the generic way — the
 // simulator and one tracker per boundary set, in set order, fanned out
 // by an exec.Multi that also delivers every marker to the simulator and
-// to FLI trackers. It is the oracle for walk3Visitor.
-func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.HierarchyConfig, sets ...Boundaries) *FullWalk {
+// to FLI trackers. It is the oracle for walk3Visitor; it also returns
+// the simulator's published sim.full counters, cache event counters
+// included.
+func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.HierarchyConfig, sets ...Boundaries) (*FullWalk, map[string]uint64) {
 	t.Helper()
 	sim, err := cmpsim.NewSimulator(bin, h)
 	if err != nil {
@@ -187,19 +189,21 @@ func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.Hi
 	if err := exec.Run(bin, in, visitors); err != nil {
 		t.Fatal(err)
 	}
-	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets)),
-		events: captureEvents(sim.Hierarchy())}
+	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets))}
 	for s, snap := range snaps {
 		snap.close()
 		fw.Deltas[s] = snap.d
 	}
-	return fw
+	reg := obs.NewRegistry()
+	sim.PublishMetrics(reg, "sim.full")
+	return fw, reg.Snapshot().Counters
 }
 
 // TestWalk3VisitorMatchesMulti pins walk 3's fixed visitor against the
 // exec.Multi composition of the same parts: for every binary, with one
 // boundary set (FLI or VLI) and with two (in either order), the run's
-// Stats, every interval delta and the cache event counters are equal.
+// Stats, every interval delta and the published sim.full counters (the
+// cache event counters among them) are equal.
 func TestWalk3VisitorMatchesMulti(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"gzip", "mcf"} {
@@ -211,12 +215,19 @@ func TestWalk3VisitorMatchesMulti(t *testing.T) {
 			}
 			fli, vli := Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: vliEnds}
 			for _, sets := range [][]Boundaries{{fli}, {vli}, {fli, vli}, {vli, fli}} {
-				got, err := SimulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, nil, sets...)
+				o := &obs.Observer{Metrics: obs.NewRegistry()}
+				got, err := SimulateIntervals(obs.With(ctx, o), bin, cfg.Input, cfg.Hierarchy, nil, sets...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := multiWalk(t, bin, cfg.Input, cfg.Hierarchy, sets...)
-				if !reflect.DeepEqual(got, want) {
+				want, wantCounters := multiWalk(t, bin, cfg.Input, cfg.Hierarchy, sets...)
+				gotCounters := map[string]uint64{}
+				for name, v := range o.Metrics.Snapshot().Counters {
+					if strings.HasPrefix(name, "sim.") {
+						gotCounters[name] = v
+					}
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCounters, wantCounters) {
 					t.Errorf("%s with %d boundary sets (first VLI: %v): fixed visitor's walk differs from exec.Multi's",
 						bin.Name, len(sets), sets[0].VLI != nil)
 				}
@@ -253,8 +264,10 @@ func parityHierarchies() []parityHierarchy {
 
 // TestMemoMetricParity pins walk 3's answer against the executed gated
 // walk, per hierarchy, binary and walk: the point CPIs (bit for bit),
-// point intervals, simulated instructions and every sim.* counter must
-// equal what running the gated walk under functional warming produces.
+// point intervals and simulated instructions must equal what running the
+// gated walk under functional warming produces. The executed walk
+// publishes its sim.<walk> family; the answered one, which runs nothing,
+// publishes no sim.* counter.
 func TestMemoMetricParity(t *testing.T) {
 	for _, ph := range parityHierarchies() {
 		t.Run(ph.name, func(t *testing.T) {
@@ -303,8 +316,12 @@ func memoMetricParity(t *testing.T, cfg Config) {
 			if !reflect.DeepEqual(ivA, ivE) || instrA != instrE {
 				t.Errorf("%s: intervals %v / %d instr answered, %v / %d executed", label, ivA, instrA, ivE, instrE)
 			}
-			if len(simE) == 0 || !reflect.DeepEqual(simA, simE) {
-				t.Errorf("%s: sim.* counters answered %v, executed %v", label, simA, simE)
+			if len(simA) != 0 {
+				t.Errorf("%s: answered walk published sim.* counters %v", label, simA)
+			}
+			if simE["sim."+walk+".instructions"] != instrE {
+				t.Errorf("%s: executed walk published sim.%s.instructions %d, simulated %d at the points",
+					label, walk, simE["sim."+walk+".instructions"], instrE)
 			}
 		}
 	}
@@ -312,10 +329,11 @@ func memoMetricParity(t *testing.T, cfg Config) {
 
 // TestWalk3AnswersEveryGatePoint pins the accounting: with warming on
 // (the default) every gate point is answered from walk 3, so
-// pipeline.memo.hits counts all of them, misses none, and the fli/vli
-// walk nodes still carry the synthesized totals.
+// pipeline.memo.hits counts all of them and misses none, and nothing
+// records a gated walk: no stage.gated_sim span, no sim.fli.* or
+// sim.vli.* counter.
 func TestWalk3AnswersEveryGatePoint(t *testing.T) {
-	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
+	o := obs.New()
 	res, err := runBenchmark(obs.With(context.Background(), o), "gzip", testConfig("gzip"))
 	if err != nil {
 		t.Fatal(err)
@@ -326,44 +344,64 @@ func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 	}
 
 	snap := o.Metrics.Snapshot()
-	if got := snap.Counters["pipeline.memo.hits"]; got != wantPoints {
+	if got := snap.Counters["pipeline.memo.hits"]; got == 0 || got != wantPoints {
 		t.Errorf("pipeline.memo.hits = %d, want %d", got, wantPoints)
 	}
 	if got := snap.Counters["pipeline.memo.misses"]; got != 0 {
 		t.Errorf("pipeline.memo.misses = %d, want 0", got)
 	}
-	if snap.Counters["pipeline.memo.instructions_saved"] == 0 {
-		t.Error("pipeline.memo.instructions_saved not recorded")
-	}
-	if snap.Counters["pipeline.memo.bytes_saved"] == 0 {
-		t.Error("pipeline.memo.bytes_saved not recorded")
-	}
-	for _, n := range o.Attrib.Snapshot().Walks() {
-		if (n.Walk == "fli" || n.Walk == "vli") && n.Value.Instructions == 0 {
-			t.Errorf("answered walk %s/%s attributed no instructions", n.Binary, n.Walk)
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "sim.fli.") || strings.HasPrefix(name, "sim.vli.") {
+			t.Errorf("%s published, but no gated walk ran", name)
 		}
+	}
+	if n := countSpans(o.Events, "stage.gated_sim"); n != 0 {
+		t.Errorf("%d stage.gated_sim spans, but no gated walk ran", n)
 	}
 }
 
 // TestMemoBypassedWhenWarmingDisabled: without functional warming the
 // stream-identity argument does not hold, so every gate point executes
-// and counts as a miss.
+// and counts as a miss, and each executed walk records its
+// stage.gated_sim span and its sim.<walk> family.
 func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
-	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
+	o := obs.New()
 	cfg := testConfig("mcf")
 	cfg.DisableWarming = true
 	res, err := runBenchmark(obs.With(context.Background(), o), "mcf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantPoints uint64
+	var wantPoints, fliInstr, vliInstr uint64
 	for _, run := range res.Runs {
 		wantPoints += uint64(run.FLI.NumPoints + run.VLI.NumPoints)
+		fliInstr += run.FLI.SimulatedInstructions
+		vliInstr += run.VLI.SimulatedInstructions
 	}
 	snap := o.Metrics.Snapshot()
 	if h, m := snap.Counters["pipeline.memo.hits"], snap.Counters["pipeline.memo.misses"]; h != 0 || m != wantPoints {
 		t.Errorf("warming off: %d hits, %d misses, want 0/%d", h, m, wantPoints)
 	}
+	if got := snap.Counters["sim.fli.instructions"]; got != fliInstr {
+		t.Errorf("sim.fli.instructions = %d, want %d", got, fliInstr)
+	}
+	if got := snap.Counters["sim.vli.instructions"]; got != vliInstr {
+		t.Errorf("sim.vli.instructions = %d, want %d", got, vliInstr)
+	}
+	if n, want := countSpans(o.Events, "stage.gated_sim"), 2*len(res.Runs); n != want {
+		t.Errorf("%d stage.gated_sim spans, want %d", n, want)
+	}
+}
+
+// countSpans counts the spans named name in r.
+func countSpans(r *obs.Recorder, name string) int {
+	n := 0
+	for _, s := range r.Spans() {
+		if s.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPointOutsideWalk3Rejected: a point interval walk 3 did not cover
@@ -371,17 +409,17 @@ func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
 func TestPointOutsideWalk3Rejected(t *testing.T) {
 	d := newIntervalDeltas(3, 2)
 	for _, iv := range []int{-1, 3} {
-		if _, _, err := d.window([]simpoint.Point{{Interval: iv}}); err == nil || !strings.Contains(err.Error(), "outside") {
+		if _, err := d.window([]simpoint.Point{{Interval: iv}}); err == nil || !strings.Contains(err.Error(), "outside") {
 			t.Errorf("interval %d: err = %v, want an outside-walk-3 error", iv, err)
 		}
 	}
 }
 
-// TestEvaluateWalkAbortClosesSamples is the regression test for the
-// walk-sample leak: a fault injected after StartWalk (the "evaluate.walk"
-// hook) used to leave the sample open forever. The deferred Abort must
-// close it on the faulted attempt, the retry must recover bit-identically,
-// and no walk samples may remain open after the run.
+// TestEvaluateWalkAbortClosesSamples is the regression test for a
+// record left open by a faulted walk: a fault injected at the
+// "evaluate.walk" hook must be retried away bit-identically, and every
+// span the faulted and retried attempts opened must be closed after the
+// run.
 func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 	baseline, err := runBenchmark(context.Background(), "gzip", testConfig("gzip"))
 	if err != nil {
@@ -390,7 +428,7 @@ func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 	inj := faults.NewInjector(
 		faults.Rule{Stage: "evaluate.walk", Index: 0, Kind: faults.KindError},
 	)
-	o := &obs.Observer{Metrics: obs.NewRegistry(), Attrib: obs.NewAttribution()}
+	o := obs.New()
 	ctx := obs.With(faults.With(context.Background(), inj), o)
 	res, err := runBenchmark(ctx, "gzip", retryConfig("gzip"))
 	if err != nil {
@@ -399,8 +437,10 @@ func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 	if got, want := res.Fingerprint(), baseline.Fingerprint(); got != want {
 		t.Fatalf("post-fault run diverged: %s != %s", got, want)
 	}
-	if n := o.Attrib.OpenWalks(); n != 0 {
-		t.Fatalf("%d walk samples left open after a faulted-then-retried run", n)
+	for _, s := range o.Events.Spans() {
+		if !s.Ended {
+			t.Errorf("span %d (%s) left open after a faulted-then-retried run", s.ID, s.Name)
+		}
 	}
 	if n := o.Metrics.Counter("pipeline.retries").Value(); n == 0 {
 		t.Fatal("evaluate.walk fault recovered without a retry")

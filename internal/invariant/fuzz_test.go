@@ -160,7 +160,7 @@ func FuzzCrossBinaryPoints(f *testing.F) {
 		for _, c := range []Check{
 			checkSymbolCounts(a.Profiles),
 			checkBoundaryTranslate(cp),
-			checkIntervalCoverage(cp, fuzzInput(s), a.Profiles, 8000),
+			checkIntervalCoverage(context.Background(), cp, fuzzInput(s), a.Profiles, 8000),
 			wcheck,
 		} {
 			if !c.OK {

@@ -328,10 +328,10 @@ func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input,
 		return pr
 	}
 
-	pr.Checks = append(pr.Checks, checkMarkerCounts(bench.Binaries, in, cp))
+	pr.Checks = append(pr.Checks, checkMarkerCounts(ctx, bench.Binaries, in, cp))
 	pr.Checks = append(pr.Checks, checkSymbolCounts(a.Profiles))
 	pr.Checks = append(pr.Checks, checkBoundaryTranslate(cp))
-	pr.Checks = append(pr.Checks, checkIntervalCoverage(cp, in, a.Profiles, cfg.IntervalSize))
+	pr.Checks = append(pr.Checks, checkIntervalCoverage(ctx, cp, in, a.Profiles, cfg.IntervalSize))
 	sets, wcheck := checkWeightSum(ctx, cp)
 	pr.Checks = append(pr.Checks, wcheck)
 	pr.Checks = append(pr.Checks, checkOrderInvariance(ctx, bench.Binaries, acfg, cp, sets))
@@ -354,12 +354,12 @@ func crossPoints(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.Experimen
 // checkMarkerCounts re-executes every binary with a raw marker counter
 // and verifies each mappable point fires exactly its recorded count —
 // the (marker, count) region-delimiter guarantee of §3.2.
-func checkMarkerCounts(bins []*xbsim.Binary, in xbsim.Input, cp *xbsim.CrossPoints) Check {
+func checkMarkerCounts(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input, cp *xbsim.CrossPoints) Check {
 	bad := 0
 	detail := ""
 	for bi, bin := range bins {
 		mc := exec.NewMarkerCounter(bin)
-		if err := exec.Run(bin, in, mc); err != nil {
+		if err := exec.RunCtx(ctx, bin, in, mc); err != nil {
 			return Check{Name: "marker-counts", Detail: err.Error()}
 		}
 		for _, pt := range cp.Mapping.Points {
@@ -457,7 +457,7 @@ func checkBoundaryTranslate(cp *xbsim.CrossPoints) Check {
 // are at least the target size (all but the last, which ends with the
 // run), and every binary's intervals cover its whole execution, as its
 // profile counts it, with none empty.
-func checkIntervalCoverage(cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xbsim.Profile, target uint64) Check {
+func checkIntervalCoverage(ctx context.Context, cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xbsim.Profile, target uint64) Check {
 	ends := cp.Ends()
 	for b, bin := range cp.Mapping.Binaries {
 		there, err := cp.Mapping.TranslateEnds(cp.Primary, b, ends)
@@ -465,7 +465,7 @@ func checkIntervalCoverage(cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xb
 			return Check{Name: "interval-coverage", Detail: fmt.Sprintf("to binary %d: %v", b, err)}
 		}
 		tr := profile.NewVLITracker(bin, there, nil)
-		if err := exec.Run(bin, in, tr); err != nil {
+		if err := exec.RunCtx(ctx, bin, in, tr); err != nil {
 			return Check{Name: "interval-coverage", Detail: err.Error()}
 		}
 		var sum uint64

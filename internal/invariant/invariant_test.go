@@ -276,14 +276,22 @@ func TestCheckIntervalCoverageDetectsUndersized(t *testing.T) {
 		t.Fatalf("only %d intervals", cp.NumIntervals())
 	}
 	profiles := a.Profiles
-	if c := checkIntervalCoverage(cp, in, profiles, 8000); !c.OK {
+	if c := checkIntervalCoverage(ctx, cp, in, profiles, 8000); !c.OK {
 		t.Fatalf("intervals fail at their own target: %s", c.Detail)
 	}
-	if c := checkIntervalCoverage(cp, in, profiles, 32_000); c.OK || !strings.Contains(c.Detail, "below the 32000 target") {
+	if c := checkIntervalCoverage(ctx, cp, in, profiles, 32_000); c.OK || !strings.Contains(c.Detail, "below the 32000 target") {
 		t.Fatalf("undersized intervals not reported: %+v", c)
 	}
 	profiles[2].TotalInstructions++
-	if c := checkIntervalCoverage(cp, in, profiles, 8000); c.OK || !strings.Contains(c.Detail, "intervals cover") {
+	if c := checkIntervalCoverage(ctx, cp, in, profiles, 8000); c.OK || !strings.Contains(c.Detail, "intervals cover") {
 		t.Fatalf("uncovered instruction not reported: %+v", c)
+	}
+	// The checks that walk the binaries walk under the check's context.
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, c := range []Check{checkIntervalCoverage(done, cp, in, profiles, 8000), checkMarkerCounts(done, bench.Binaries, in, cp)} {
+		if c.OK || !strings.Contains(c.Detail, "context canceled") {
+			t.Errorf("%s under a cancelled context: %+v", c.Name, c)
+		}
 	}
 }

@@ -30,9 +30,6 @@ type Observer struct {
 	// Events is the run's event log: Emit calls and span start/end
 	// events land here; without it spans are off.
 	Events *Recorder
-	// Attrib is the evaluate-stage cost-attribution profiler; nil (the
-	// default) disables attribution at zero cost.
-	Attrib *Attribution
 }
 
 // New returns an Observer with a fresh registry and event log (no
@@ -84,15 +81,6 @@ func (o *Observer) Histogram(name string) *Histogram {
 		return nil
 	}
 	return o.Metrics.Histogram(name)
-}
-
-// Attribution returns the cost-attribution profiler, or nil when
-// attribution is off (a nil *Attribution is a valid no-op sink).
-func (o *Observer) Attribution() *Attribution {
-	if o == nil {
-		return nil
-	}
-	return o.Attrib
 }
 
 // Emit records a structured event in the event log, if one is

@@ -455,7 +455,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 		"GET  /jobs/{id}/events   per-job pipeline events (?stream=1 JSONL)\n" +
 		"GET  /jobs/{id}/timeline reconstructed trace timeline (id or trace ID)\n" +
 		"GET  /healthz /readyz    liveness / readiness\n" +
-		"GET  /metrics /progress /events /attribution /profile /debug/pprof\n"))
+		"GET  /metrics /progress /events /debug/pprof\n"))
 }
 
 // ErrorResponse is every non-2xx JSON body.

@@ -142,3 +142,41 @@ func TestBucketBound(t *testing.T) {
 		t.Errorf("bucketBound(64) = %d, want MaxUint64", got)
 	}
 }
+
+// The per-walk simulation counter families are scraped by external
+// tooling, so their exposition is pinned byte-for-byte like the rest of
+// the format: one golden covering the sim.full/sim.fli/sim.vli
+// instruction counters and the per-level cache event counters.
+func TestWritePrometheusSimFamiliesGolden(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("sim.full.instructions").Add(1_000_000)
+	r.Counter("sim.fli.instructions").Add(250_000)
+	r.Counter("sim.vli.instructions").Add(240_000)
+	r.Counter("sim.full.cache.l1.evictions").Add(400)
+	r.Counter("sim.full.cache.l1.writebacks").Add(150)
+	r.Counter("sim.full.cache.l1.prefetch_fills").Add(0)
+	r.Counter("sim.full.cache.l1.prefetch_evictions").Add(0)
+
+	var b strings.Builder
+	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE xbsim_sim_fli_instructions_total counter
+xbsim_sim_fli_instructions_total 250000
+# TYPE xbsim_sim_full_cache_l1_evictions_total counter
+xbsim_sim_full_cache_l1_evictions_total 400
+# TYPE xbsim_sim_full_cache_l1_prefetch_evictions_total counter
+xbsim_sim_full_cache_l1_prefetch_evictions_total 0
+# TYPE xbsim_sim_full_cache_l1_prefetch_fills_total counter
+xbsim_sim_full_cache_l1_prefetch_fills_total 0
+# TYPE xbsim_sim_full_cache_l1_writebacks_total counter
+xbsim_sim_full_cache_l1_writebacks_total 150
+# TYPE xbsim_sim_full_instructions_total counter
+xbsim_sim_full_instructions_total 1000000
+# TYPE xbsim_sim_vli_instructions_total counter
+xbsim_sim_vli_instructions_total 240000
+`
+	if got := b.String(); got != want {
+		t.Errorf("sim family exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}

@@ -37,8 +37,6 @@ func (h *Handlers) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", h.handleMetrics)
 	mux.HandleFunc("/progress", h.handleProgress)
 	mux.HandleFunc("/events", h.handleEvents)
-	mux.HandleFunc("/attribution", h.handleAttribution)
-	mux.HandleFunc("/profile", h.handleProfile)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -61,8 +59,6 @@ func (h *Handlers) Stop() <-chan struct{} { return h.stop }
 //	/progress    JSON: suite progress, per-benchmark state, span tree
 //	/events      JSON: the event log (pipeline, progress and span events)
 //	             (?stream=1 follows live as JSONL until shutdown)
-//	/attribution JSON: the cost-attribution snapshot
-//	/profile     speedscope-compatible flamegraph of the attribution tree
 //	/debug/pprof the standard runtime profiling endpoints
 //
 // Handlers snapshot state on every request; the pipeline never blocks
@@ -148,8 +144,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"/metrics      Prometheus exposition\n" +
 		"/progress     suite + per-benchmark progress (JSON)\n" +
 		"/events       event log (JSON; ?stream=1 follows as JSONL)\n" +
-		"/attribution  cost attribution (JSON)\n" +
-		"/profile      speedscope flamegraph of the attribution tree\n" +
 		"/debug/pprof  runtime profiles\n"))
 }
 
@@ -241,30 +235,6 @@ func StreamEvents(w http.ResponseWriter, r *http.Request, rec *obs.Recorder, sto
 		case <-ticker.C:
 		}
 	}
-}
-
-// handleAttribution serves the live cost-attribution snapshot. With no
-// attribution profiler attached it serves an empty snapshot, same shape.
-func (h *Handlers) handleAttribution(w http.ResponseWriter, _ *http.Request) {
-	var snap obs.AttribSnapshot
-	if h.o != nil {
-		snap = h.o.Attribution().Snapshot()
-	}
-	if snap.Nodes == nil {
-		snap.Nodes = []obs.AttribNode{}
-	}
-	writeJSON(w, snap)
-}
-
-// handleProfile serves the attribution tree as a speedscope-compatible
-// flamegraph JSON, loadable at https://www.speedscope.app.
-func (h *Handlers) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	var snap obs.AttribSnapshot
-	if h.o != nil {
-		snap = h.o.Attribution().Snapshot()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	obs.WriteSpeedscope(w, snap)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

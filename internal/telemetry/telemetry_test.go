@@ -191,6 +191,20 @@ func TestServerNilObserverAndIndex(t *testing.T) {
 	}
 }
 
+// Cost is read from the event log and /metrics: the attribution
+// snapshot and flamegraph endpoints are gone, from the mux and the index.
+func TestCostEndpointsRetired(t *testing.T) {
+	s, _ := startTestServer(t)
+	for _, path := range []string{"/attribution", "/profile"} {
+		if resp, _ := get(t, "http://"+s.Addr()+path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if _, body := get(t, "http://"+s.Addr()+"/"); strings.Contains(body, "/attribution") || strings.Contains(body, "/profile ") {
+		t.Errorf("index still lists a retired endpoint:\n%s", body)
+	}
+}
+
 // StartProfiles/Stop must leave valid non-empty cpu.pprof and
 // heap.pprof files; the empty-dir form and nil receiver are no-ops.
 func TestProfilesCapture(t *testing.T) {
