@@ -186,14 +186,14 @@ func ablationBench(b *testing.B, key string, run func() (*experiment.AblationTab
 // threshold (DESIGN.md §5).
 func BenchmarkAblationBICThreshold(b *testing.B) {
 	ablationBench(b, "abl-bic", func() (*experiment.AblationTable, error) {
-		return experiment.AblationBICThreshold(ablationConfig(), []float64{0.7, 0.9, 1.0})
+		return experiment.AblationBICThreshold(context.Background(), ablationConfig(), []float64{0.7, 0.9, 1.0})
 	})
 }
 
 // BenchmarkAblationProjectionDim sweeps the BBV projection dimension.
 func BenchmarkAblationProjectionDim(b *testing.B) {
 	ablationBench(b, "abl-dim", func() (*experiment.AblationTable, error) {
-		return experiment.AblationProjectionDim(ablationConfig(), []int{4, 15, 64})
+		return experiment.AblationProjectionDim(context.Background(), ablationConfig(), []int{4, 15, 64})
 	})
 }
 
@@ -201,14 +201,14 @@ func BenchmarkAblationProjectionDim(b *testing.B) {
 // (procedures only vs +loop entries vs +loop bodies).
 func BenchmarkAblationMarkerGranularity(b *testing.B) {
 	ablationBench(b, "abl-markers", func() (*experiment.AblationTable, error) {
-		return experiment.AblationMarkerGranularity(ablationConfig())
+		return experiment.AblationMarkerGranularity(context.Background(), ablationConfig())
 	})
 }
 
 // BenchmarkAblationInlineHeuristic toggles the §3.3 inlined-loop matcher.
 func BenchmarkAblationInlineHeuristic(b *testing.B) {
 	ablationBench(b, "abl-inline", func() (*experiment.AblationTable, error) {
-		return experiment.AblationInlineHeuristic(ablationConfig())
+		return experiment.AblationInlineHeuristic(context.Background(), ablationConfig())
 	})
 }
 
@@ -218,7 +218,7 @@ func BenchmarkAblationWarming(b *testing.B) {
 	ablationBench(b, "abl-warming", func() (*experiment.AblationTable, error) {
 		cfg := ablationConfig()
 		cfg.Benchmarks = []string{"crafty", "mcf"}
-		return experiment.AblationWarming(cfg)
+		return experiment.AblationWarming(context.Background(), cfg)
 	})
 }
 
@@ -226,7 +226,7 @@ func BenchmarkAblationWarming(b *testing.B) {
 // tolerance (fast-forward savings vs accuracy).
 func BenchmarkAblationEarlyPoints(b *testing.B) {
 	ablationBench(b, "abl-early", func() (*experiment.AblationTable, error) {
-		return experiment.AblationEarlyPoints(ablationConfig(), []float64{0, 0.25, 1.0})
+		return experiment.AblationEarlyPoints(context.Background(), ablationConfig(), []float64{0, 0.25, 1.0})
 	})
 }
 
@@ -236,7 +236,7 @@ func BenchmarkAblationPrimaryBinary(b *testing.B) {
 	ablationBench(b, "abl-primary", func() (*experiment.AblationTable, error) {
 		cfg := ablationConfig()
 		cfg.Benchmarks = []string{"swim", "crafty"}
-		return experiment.AblationPrimaryBinary(cfg)
+		return experiment.AblationPrimaryBinary(context.Background(), cfg)
 	})
 }
 

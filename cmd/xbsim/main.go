@@ -682,7 +682,7 @@ func renderSuite(ctx context.Context, w io.Writer, suite *xbsim.Suite, asJSON, d
 }
 
 // cmdAblations runs the design-choice ablation studies (DESIGN.md §5).
-func cmdAblations(_ context.Context, args []string, w io.Writer) error {
+func cmdAblations(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("ablations")
 	benchList := fs.String("benchmarks", "swim,crafty,applu", "comma-separated benchmark subset")
 	only := fs.String("only", "", "run one study: bic, dim, markers, inline, primary, warming, early")
@@ -699,25 +699,25 @@ func cmdAblations(_ context.Context, args []string, w io.Writer) error {
 		run func() (*experiment.AblationTable, error)
 	}{
 		{"bic", func() (*experiment.AblationTable, error) {
-			return experiment.AblationBICThreshold(cfg, []float64{0.7, 0.9, 1.0})
+			return experiment.AblationBICThreshold(ctx, cfg, []float64{0.7, 0.9, 1.0})
 		}},
 		{"dim", func() (*experiment.AblationTable, error) {
-			return experiment.AblationProjectionDim(cfg, []int{4, 15, 64})
+			return experiment.AblationProjectionDim(ctx, cfg, []int{4, 15, 64})
 		}},
 		{"markers", func() (*experiment.AblationTable, error) {
-			return experiment.AblationMarkerGranularity(cfg)
+			return experiment.AblationMarkerGranularity(ctx, cfg)
 		}},
 		{"inline", func() (*experiment.AblationTable, error) {
-			return experiment.AblationInlineHeuristic(cfg)
+			return experiment.AblationInlineHeuristic(ctx, cfg)
 		}},
 		{"primary", func() (*experiment.AblationTable, error) {
-			return experiment.AblationPrimaryBinary(cfg)
+			return experiment.AblationPrimaryBinary(ctx, cfg)
 		}},
 		{"warming", func() (*experiment.AblationTable, error) {
-			return experiment.AblationWarming(cfg)
+			return experiment.AblationWarming(ctx, cfg)
 		}},
 		{"early", func() (*experiment.AblationTable, error) {
-			return experiment.AblationEarlyPoints(cfg, []float64{0, 0.25, 1.0})
+			return experiment.AblationEarlyPoints(ctx, cfg, []float64{0, 0.25, 1.0})
 		}},
 	}
 	ran := false

@@ -426,6 +426,22 @@ func TestCmdSelfcheckObservability(t *testing.T) {
 	}
 }
 
+// Under default warming no gated walk runs, so `-v figures` prints no
+// progress line for one.
+func TestCmdFiguresProgressShowsOnlyWalksThatRun(t *testing.T) {
+	o := obs.New()
+	var progress strings.Builder
+	o.Progress = obs.NewProgress(&progress)
+	var sb strings.Builder
+	if err := run(obs.With(context.Background(), o), "figures", []string{"-quick", "-benchmarks", "gzip"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := progress.String()
+	if strings.Contains(lines, "gated simulation") || !strings.Contains(lines, "(gzip.32u) full simulation") {
+		t.Fatalf("progress lines:\n%s", lines)
+	}
+}
+
 // `serve` without a spool is a usage error, and unknown presets from
 // the HTTP surface never reach the scheduler (covered in internal/serve);
 // here we only pin the CLI-level validation.

@@ -111,16 +111,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := xbsim.EstimateCPI(ctx, bin, input, ps, nil)
+		est, err := xbsim.EstimateStats(ctx, bin, input, ps, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := xbsim.SimulateFull(ctx, bin, input, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+		full := est.Full.CPI()
 		fmt.Printf("%-12s %10.3f %10.3f %+7.2f%%\n",
-			bin.Name, full.CPI(), est, (est-full.CPI())/full.CPI()*100)
+			bin.Name, full, est.CPI, (est.CPI-full)/full*100)
 	}
 
 	// Emit a PinPoints-style region file for the optimized 64-bit binary.

@@ -84,15 +84,12 @@ func main() {
 		}
 		for _, mem := range memSystems {
 			cfg := mem.cfg
-			est, err := xbsim.EstimateCPI(ctx, bin, input, points, &cfg)
+			est, err := xbsim.EstimateStats(ctx, bin, input, points, &cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			full, err := xbsim.SimulateFull(ctx, bin, input, &cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			estCyc := est * float64(full.Instructions)
+			full := est.Full
+			estCyc := est.CPI * float64(full.Instructions)
 			cells = append(cells, cell{
 				bin: bin.Name, mem: mem.name,
 				estCyc: estCyc, trueCyc: float64(full.Cycles),

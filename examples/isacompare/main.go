@@ -103,13 +103,13 @@ func relErr(truth, est float64) float64 {
 // becomes cycles through the exact instruction count (cheap to obtain —
 // it needs no timing simulation).
 func speedup(ctx context.Context, input xbsim.Input, psA, psB *xbsim.PointSet, instrA, instrB uint64) (float64, error) {
-	cpiA, err := xbsim.EstimateCPI(ctx, psA.Binary, input, psA, nil)
+	a, err := xbsim.EstimateStats(ctx, psA.Binary, input, psA, nil)
 	if err != nil {
 		return 0, err
 	}
-	cpiB, err := xbsim.EstimateCPI(ctx, psB.Binary, input, psB, nil)
+	b, err := xbsim.EstimateStats(ctx, psB.Binary, input, psB, nil)
 	if err != nil {
 		return 0, err
 	}
-	return (cpiA * float64(instrA)) / (cpiB * float64(instrB)), nil
+	return (a.CPI * float64(instrA)) / (b.CPI * float64(instrB)), nil
 }

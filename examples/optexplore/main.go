@@ -59,16 +59,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			est, err := xbsim.EstimateCPI(ctx, bin, input, ps, nil)
+			est, err := xbsim.EstimateStats(ctx, bin, input, ps, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			full, err := xbsim.SimulateFull(ctx, bin, input, nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sides[t] = &side{bin: bin, est: est, full: full}
-			avgInterval += float64(full.Instructions) / float64(cross.NumIntervals()) / 2
+			sides[t] = &side{bin: bin, est: est.CPI, full: &est.Full}
+			avgInterval += float64(est.Full.Instructions) / float64(cross.NumIntervals()) / 2
 		}
 		u, o := sides["32u"], sides["32o"]
 		trueSpeedup := float64(u.full.Cycles) / float64(o.full.Cycles)

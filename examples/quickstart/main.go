@@ -66,24 +66,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		vli, err := xbsim.EstimateCPI(ctx, bin, input, vliPoints, nil)
+		vliEst, err := xbsim.EstimateStats(ctx, bin, input, vliPoints, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		vli, full := vliEst.CPI, &vliEst.Full
 		// Per-binary (FLI) baseline: an independent SimPoint run on this
 		// binary's own intervals.
 		fliPoints, err := a.PerBinaryPoints(ctx, i)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fli, err := xbsim.EstimateCPI(ctx, bin, input, fliPoints, nil)
+		fliEst, err := xbsim.EstimateStats(ctx, bin, input, fliPoints, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		full, err := xbsim.SimulateFull(ctx, bin, input, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+		fli := fliEst.CPI
 		results[i] = result{full.Cycles, full.Instructions, vli, fli, full.CPI()}
 		fmt.Printf("%-10s %9.3f | %9.3f %+7.1f%% | %9.3f %+7.1f%%\n",
 			bin.Name, full.CPI(),

@@ -208,10 +208,11 @@ func TestFacadeMatchesSuite(t *testing.T) {
 							m.ps.PointInterval, m.suite.PointInterval)
 						continue
 					}
-					est, err := EstimateCPI(ctx, bin, cfg.Input, m.ps, nil)
+					st, err := EstimateStats(ctx, bin, cfg.Input, m.ps, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
+					est := st.CPI
 					same := reflect.DeepEqual(m.ps.Weights, m.suite.PhaseWeights) && est == m.suite.EstCPI
 					if !m.exact {
 						same = len(m.ps.Weights) == len(m.suite.PhaseWeights) && near(est, m.suite.EstCPI)

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -222,7 +223,7 @@ func TestPublishMetricsAfterRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(bin, refInput, sim); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, sim); err != nil {
 		t.Fatal(err)
 	}
 	before := obs.NewRegistry()

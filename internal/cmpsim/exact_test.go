@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -229,7 +230,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 					sim.SetFunctionalWarming(warming)
 					ref.warming = warming
 					l := &lockstep{sim: sim, ref: ref, every: 997}
-					if err := exec.Run(bin, refInput, l); err != nil {
+					if err := exec.RunCtx(context.Background(), bin, refInput, l); err != nil {
 						t.Fatal(err)
 					}
 					if l.err != nil {
@@ -265,7 +266,7 @@ func TestSimulatorLineZeroMatchesReference(t *testing.T) {
 		}
 		sim.stackGen.base, ref.stackGen.base = 0, 0
 		l := &lockstep{sim: sim, ref: ref, every: 997}
-		if err := exec.Run(bin, refInput, l); err != nil {
+		if err := exec.RunCtx(context.Background(), bin, refInput, l); err != nil {
 			t.Fatal(err)
 		}
 		if l.err != nil {

@@ -49,19 +49,6 @@ func (s *Stats) MissRate(i int) float64 {
 	return float64(s.LevelMisses[i]) / float64(total)
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other *Stats) {
-	s.Instructions += other.Instructions
-	s.Cycles += other.Cycles
-	s.Loads += other.Loads
-	s.Stores += other.Stores
-	s.MemoryAccesses += other.MemoryAccesses
-	for i := range s.LevelHits {
-		s.LevelHits[i] += other.LevelHits[i]
-		s.LevelMisses[i] += other.LevelMisses[i]
-	}
-}
-
 // Simulator is an exec.Visitor that performs timing simulation of the
 // block stream. It can be gated: while disabled it ignores events
 // entirely, modeling fast-forwarding to a simulation region.

@@ -1,6 +1,7 @@
 package cmpsim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := exec.Run(bin, refInput, fresh); err != nil {
+		if err := exec.RunCtx(context.Background(), bin, refInput, fresh); err != nil {
 			t.Fatal(err)
 		}
 		wantStats := fresh.TakeStats()
@@ -73,7 +74,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := exec.Run(bin, refInput, sim); err != nil {
+			if err := exec.RunCtx(context.Background(), bin, refInput, sim); err != nil {
 				t.Fatal(err)
 			}
 			got := sim.TakeStats()

@@ -36,7 +36,7 @@ func TestRunCtxCancelMidWalk(t *testing.T) {
 	bin := bins[0]
 
 	full := NewInstructionCounter(bin)
-	if err := Run(bin, refInput, full); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, full); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,7 +84,7 @@ func TestRunCtxCancelableMatchesPlainRun(t *testing.T) {
 	}
 	bin := bins[0]
 	plain := NewInstructionCounter(bin)
-	if err := Run(bin, refInput, plain); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, plain); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -125,7 +125,7 @@ func TestRunCtxCancelLandsWithinPoll(t *testing.T) {
 	}
 	bin := bins[0]
 	full := NewInstructionCounter(bin)
-	if err := Run(bin, refInput, full); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, full); err != nil {
 		t.Fatal(err)
 	}
 	if full.BlockExecs < 4*cancelPollBlocks {

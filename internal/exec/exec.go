@@ -162,19 +162,12 @@ func (r *Runner) Run(v Visitor) error {
 	return nil
 }
 
-// Run is a convenience wrapper: build a Runner and execute the binary once.
-func Run(bin *compiler.Binary, in program.Input, v Visitor) error {
-	r, err := NewRunner(bin, in)
-	if err != nil {
-		return err
-	}
-	return r.Run(v)
-}
-
-// RunCtx is Run with observability and cancellation: when the context
-// carries an observer it wraps the execution in an "exec.run" span and
-// flushes aggregate instruction/block/marker tallies into the metrics
-// registry afterwards, and when the context is cancelable the runner
+// RunCtx builds a Runner and executes the binary once. It is the one way
+// to walk a binary, so every walk is counted and cancellable: when the
+// context carries an observer it wraps the execution in an "exec.run"
+// span and flushes the walk's count ("exec.runs") and aggregate
+// instruction/block/marker tallies into the metrics registry
+// afterwards, and when the context is cancelable the runner
 // polls it every cancelPollBlocks dynamic blocks and aborts the walk once
 // it is done, returning the wrapped context error. Without an observer v
 // reaches the runner unwrapped, so a Background-derived or cancelable

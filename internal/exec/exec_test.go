@@ -25,7 +25,7 @@ func runCounters(t *testing.T, bin *compiler.Binary) (*InstructionCounter, *Mark
 	t.Helper()
 	ic := NewInstructionCounter(bin)
 	mc := NewMarkerCounter(bin)
-	if err := Run(bin, refInput, Multi{ic, mc}); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, Multi{ic, mc}); err != nil {
 		t.Fatal(err)
 	}
 	return ic, mc
@@ -84,11 +84,11 @@ func TestDifferentInputsDiffer(t *testing.T) {
 	p := smallProgram(t, "gzip")
 	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
 	ic1 := NewInstructionCounter(bin)
-	if err := Run(bin, program.Input{Name: "a", Seed: 1}, ic1); err != nil {
+	if err := RunCtx(context.Background(), bin, program.Input{Name: "a", Seed: 1}, ic1); err != nil {
 		t.Fatal(err)
 	}
 	ic2 := NewInstructionCounter(bin)
-	if err := Run(bin, program.Input{Name: "b", Seed: 2}, ic2); err != nil {
+	if err := RunCtx(context.Background(), bin, program.Input{Name: "b", Seed: 2}, ic2); err != nil {
 		t.Fatal(err)
 	}
 	if ic1.Instructions == ic2.Instructions {
@@ -121,7 +121,7 @@ func TestSemanticInvarianceAcrossBinaries(t *testing.T) {
 		loopEntry := make([]map[int]uint64, len(bins))
 		for bi, bin := range bins {
 			mc := NewMarkerCounter(bin)
-			if err := Run(bin, refInput, mc); err != nil {
+			if err := RunCtx(context.Background(), bin, refInput, mc); err != nil {
 				t.Fatal(err)
 			}
 			procCounts[bi] = map[string]uint64{}
@@ -169,7 +169,7 @@ func TestDistributedPiecesFireEqually(t *testing.T) {
 	p := smallProgram(t, "applu")
 	o2 := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	mc := NewMarkerCounter(o2)
-	if err := Run(o2, refInput, mc); err != nil {
+	if err := RunCtx(context.Background(), o2, refInput, mc); err != nil {
 		t.Fatal(err)
 	}
 	// For every distributed loop, both pieces' entry markers fire the same
@@ -214,11 +214,11 @@ func TestUnrolledLatchCountsShrink(t *testing.T) {
 	o0 := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
 	o2 := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	mc0 := NewMarkerCounter(o0)
-	if err := Run(o0, refInput, mc0); err != nil {
+	if err := RunCtx(context.Background(), o0, refInput, mc0); err != nil {
 		t.Fatal(err)
 	}
 	mc2 := NewMarkerCounter(o2)
-	if err := Run(o2, refInput, mc2); err != nil {
+	if err := RunCtx(context.Background(), o2, refInput, mc2); err != nil {
 		t.Fatal(err)
 	}
 	latchBySource := func(b *compiler.Binary, mc *MarkerCounter) map[int]uint64 {
@@ -308,7 +308,7 @@ func TestMultiVisitorFansOut(t *testing.T) {
 	bin := compiler.MustCompile(p, compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	a := NewInstructionCounter(bin)
 	b := NewInstructionCounter(bin)
-	if err := Run(bin, refInput, Multi{a, b}); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, Multi{a, b}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Instructions != b.Instructions || a.Instructions == 0 {
@@ -352,7 +352,7 @@ func TestRunCtxFlatFanOutKeepsEventOrder(t *testing.T) {
 		return Multi{recorder{0, log}, Multi{recorder{1, log}, recorder{2, log}}, recorder{3, log}}
 	}
 	var want eventLog
-	if err := Run(bin, refInput, nested(&want)); err != nil {
+	if err := RunCtx(context.Background(), bin, refInput, nested(&want)); err != nil {
 		t.Fatal(err)
 	}
 	cancelable, cancel := context.WithCancel(context.Background())
@@ -381,7 +381,7 @@ func BenchmarkRun(b *testing.B) {
 	ic := NewInstructionCounter(bin)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Run(bin, refInput, ic); err != nil {
+		if err := RunCtx(context.Background(), bin, refInput, ic); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,7 +61,7 @@ func summaryRow(label string, s *Suite) AblationRow {
 // pickSweep runs cfg's suite once per variant i < n, where vary sets
 // variant i's pick-side settings. Each benchmark's walks 1–3 run once
 // and every variant picks from them. Any failure fails the sweep.
-func pickSweep(cfg Config, n int, vary func(c *Config, i int)) ([]*Suite, error) {
+func pickSweep(ctx context.Context, cfg Config, n int, vary func(c *Config, i int)) ([]*Suite, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -70,14 +70,14 @@ func pickSweep(cfg Config, n int, vary func(c *Config, i int)) ([]*Suite, error)
 		cfgs[i] = cfg
 		vary(&cfgs[i], i)
 	}
-	return runVariants(context.Background(), cfgs)
+	return runVariants(ctx, cfgs)
 }
 
 // AblationBICThreshold sweeps SimPoint's BIC model-selection threshold.
 // Lower thresholds accept smaller k (fewer points, coarser phases).
-func AblationBICThreshold(cfg Config, thresholds []float64) (*AblationTable, error) {
+func AblationBICThreshold(ctx context.Context, cfg Config, thresholds []float64) (*AblationTable, error) {
 	t := &AblationTable{Title: "BIC threshold ablation", Columns: ablationColumns}
-	suites, err := pickSweep(cfg, len(thresholds), func(c *Config, i int) { c.BICThreshold = thresholds[i] })
+	suites, err := pickSweep(ctx, cfg, len(thresholds), func(c *Config, i int) { c.BICThreshold = thresholds[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -89,9 +89,9 @@ func AblationBICThreshold(cfg Config, thresholds []float64) (*AblationTable, err
 
 // AblationProjectionDim sweeps the random projection dimensionality.
 // SimPoint's default is 15; too few dimensions blur distinct behaviors.
-func AblationProjectionDim(cfg Config, dims []int) (*AblationTable, error) {
+func AblationProjectionDim(ctx context.Context, cfg Config, dims []int) (*AblationTable, error) {
 	t := &AblationTable{Title: "Projection dimension ablation", Columns: ablationColumns}
-	suites, err := pickSweep(cfg, len(dims), func(c *Config, i int) { c.Dim = dims[i] })
+	suites, err := pickSweep(ctx, cfg, len(dims), func(c *Config, i int) { c.Dim = dims[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func AblationProjectionDim(cfg Config, dims []int) (*AblationTable, error) {
 // AblationMarkerGranularity compares mappable-point vocabularies:
 // procedure entries only, plus loop entries, plus loop bodies (the paper's
 // full set). Richer vocabularies cut intervals closer to the target size.
-func AblationMarkerGranularity(cfg Config) (*AblationTable, error) {
+func AblationMarkerGranularity(ctx context.Context, cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Marker granularity ablation", Columns: ablationColumns}
 	variants := []struct {
 		label string
@@ -117,7 +117,7 @@ func AblationMarkerGranularity(cfg Config) (*AblationTable, error) {
 	for _, v := range variants {
 		c := cfg
 		c.Mapping = v.opts
-		s, err := RunCtx(context.Background(), c)
+		s, err := RunCtx(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func AblationMarkerGranularity(cfg Config) (*AblationTable, error) {
 }
 
 // AblationInlineHeuristic toggles the §3.3 inlined-loop matcher.
-func AblationInlineHeuristic(cfg Config) (*AblationTable, error) {
+func AblationInlineHeuristic(ctx context.Context, cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Inlined-loop heuristic ablation", Columns: ablationColumns}
 	for _, v := range []struct {
 		label   string
@@ -135,7 +135,7 @@ func AblationInlineHeuristic(cfg Config) (*AblationTable, error) {
 	}{{"heuristic-on", false}, {"heuristic-off", true}} {
 		c := cfg
 		c.Mapping.DisableInlineHeuristic = v.disable
-		s, err := RunCtx(context.Background(), c)
+		s, err := RunCtx(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -147,12 +147,12 @@ func AblationInlineHeuristic(cfg Config) (*AblationTable, error) {
 // AblationEarlyPoints sweeps the early-simulation-point tolerance,
 // reporting how far into execution the average chosen point sits (the
 // fast-forward cost) against the accuracy metrics.
-func AblationEarlyPoints(cfg Config, tolerances []float64) (*AblationTable, error) {
+func AblationEarlyPoints(ctx context.Context, cfg Config, tolerances []float64) (*AblationTable, error) {
 	t := &AblationTable{
 		Title:   "Early simulation points ablation",
 		Columns: []string{"avg_point_position", "vli_cpi_err", "fli_speedup_err", "vli_speedup_err"},
 	}
-	suites, err := pickSweep(cfg, len(tolerances), func(c *Config, i int) { c.EarlyTolerance = tolerances[i] })
+	suites, err := pickSweep(ctx, cfg, len(tolerances), func(c *Config, i int) { c.EarlyTolerance = tolerances[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -187,10 +187,10 @@ func AblationEarlyPoints(cfg Config, tolerances []float64) (*AblationTable, erro
 // region simulations. Without warming, small simulation regions start on
 // stale cache state and the CPI estimates acquire cold-start bias — the
 // reason CMP$im-style functional simulators warm during fast-forward.
-func AblationWarming(cfg Config) (*AblationTable, error) {
+func AblationWarming(ctx context.Context, cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Functional warming ablation", Columns: ablationColumns}
 	// Walk 3 always simulates with warming, so both rows share it.
-	suites, err := pickSweep(cfg, 2, func(c *Config, i int) { c.DisableWarming = i == 1 })
+	suites, err := pickSweep(ctx, cfg, 2, func(c *Config, i int) { c.DisableWarming = i == 1 })
 	if err != nil {
 		return nil, err
 	}
@@ -200,12 +200,12 @@ func AblationWarming(cfg Config) (*AblationTable, error) {
 
 // AblationPrimaryBinary varies which binary the VLIs are constructed from.
 // The paper notes mapped intervals expand or shrink with this choice.
-func AblationPrimaryBinary(cfg Config) (*AblationTable, error) {
+func AblationPrimaryBinary(ctx context.Context, cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Primary binary ablation", Columns: ablationColumns}
 	for primary := range compiler.AllTargets {
 		c := cfg
 		c.Primary = primary
-		s, err := RunCtx(context.Background(), c)
+		s, err := RunCtx(ctx, c)
 		if err != nil {
 			return nil, err
 		}

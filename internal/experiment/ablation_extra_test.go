@@ -1,11 +1,14 @@
 package experiment
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestAblationWarming(t *testing.T) {
 	cfg := ablationConfig()
 	cfg.Benchmarks = []string{"crafty", "mcf"}
-	tab, err := AblationWarming(cfg)
+	tab, err := AblationWarming(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +24,7 @@ func TestAblationWarming(t *testing.T) {
 
 func TestAblationEarlyPoints(t *testing.T) {
 	cfg := ablationConfig()
-	tab, err := AblationEarlyPoints(cfg, []float64{0, 0.5})
+	tab, err := AblationEarlyPoints(context.Background(), cfg, []float64{0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

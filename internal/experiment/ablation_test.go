@@ -1,7 +1,12 @@
 package experiment
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
+
+	"xbsim/internal/obs"
 )
 
 // ablationConfig is an extra-small configuration so every ablation test
@@ -32,7 +37,7 @@ func checkTable(t *testing.T, tab *AblationTable, rows int) {
 }
 
 func TestAblationBICThreshold(t *testing.T) {
-	tab, err := AblationBICThreshold(ablationConfig(), []float64{0.5, 0.9})
+	tab, err := AblationBICThreshold(context.Background(), ablationConfig(), []float64{0.5, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +50,7 @@ func TestAblationBICThreshold(t *testing.T) {
 }
 
 func TestAblationProjectionDim(t *testing.T) {
-	tab, err := AblationProjectionDim(ablationConfig(), []int{4, 15})
+	tab, err := AblationProjectionDim(context.Background(), ablationConfig(), []int{4, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestAblationProjectionDim(t *testing.T) {
 }
 
 func TestAblationMarkerGranularity(t *testing.T) {
-	tab, err := AblationMarkerGranularity(ablationConfig())
+	tab, err := AblationMarkerGranularity(context.Background(), ablationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestAblationMarkerGranularity(t *testing.T) {
 }
 
 func TestAblationInlineHeuristic(t *testing.T) {
-	tab, err := AblationInlineHeuristic(ablationConfig())
+	tab, err := AblationInlineHeuristic(context.Background(), ablationConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestAblationInlineHeuristic(t *testing.T) {
 func TestAblationPrimaryBinary(t *testing.T) {
 	cfg := ablationConfig()
 	cfg.Benchmarks = []string{"swim"}
-	tab, err := AblationPrimaryBinary(cfg)
+	tab, err := AblationPrimaryBinary(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,5 +96,37 @@ func TestAblationPrimaryBinary(t *testing.T) {
 	if tab.Rows[1].Values[1] <= tab.Rows[0].Values[1] {
 		t.Fatalf("optimized primary (%vx) did not expand intervals vs unoptimized (%vx)",
 			tab.Rows[1].Values[1], tab.Rows[0].Values[1])
+	}
+}
+
+// TestAblationsRunUnderContext checks that an ablation study runs under
+// its caller's context: an observed study records its stage spans, and a
+// cancelled context stops it with context.Canceled.
+func TestAblationsRunUnderContext(t *testing.T) {
+	cfg := ablationConfig()
+	cfg.Benchmarks = []string{"swim"}
+	o := obs.New()
+	if _, err := AblationBICThreshold(obs.With(context.Background(), o), cfg, []float64{0.9}); err != nil {
+		t.Fatal(err)
+	}
+	stages := 0
+	for _, v := range o.Events.Spans() {
+		if strings.HasPrefix(v.Name, "stage.") {
+			stages++
+		}
+	}
+	if stages == 0 || o.Metrics.Counter("exec.runs").Value() == 0 {
+		t.Fatalf("observed ablation recorded %d stage spans and %d walks", stages, o.Metrics.Counter("exec.runs").Value())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func() (*AblationTable, error){
+		"bic":     func() (*AblationTable, error) { return AblationBICThreshold(ctx, cfg, []float64{0.9}) },
+		"markers": func() (*AblationTable, error) { return AblationMarkerGranularity(ctx, cfg) },
+	} {
+		if _, err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", name, err)
+		}
 	}
 }

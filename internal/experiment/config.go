@@ -8,6 +8,7 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -155,6 +156,12 @@ func (c Config) prepareSide() Config {
 	c.Seed = ""
 	c.DisableWarming = false
 	return c
+}
+
+// SamePrepare reports whether a and b differ only in pick-side settings
+// (prepareSide), so that picks under b may read walks made under a.
+func SamePrepare(a, b Config) bool {
+	return reflect.DeepEqual(a.prepareSide(), b.prepareSide())
 }
 
 // pool returns the worker pool c's stages fan out on: the suite's, else

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -457,7 +456,6 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 	}
 
 	// Walk 4: FLI region simulation (this binary's own points).
-	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
 	fliPointCPI, fliPointIv, fliSimInstr, err := measurePoints(ctx, cfg, p, bi, fliPick, "fli", cfg.DisableWarming)
 	if err != nil {
 		return nil, err
@@ -574,13 +572,15 @@ func answerFromWalk3(ctx context.Context, w3 *walk3Result, pick *simpoint.Result
 // executeGatedWalk runs one gated walk on a simulator, gated to the
 // chosen intervals, and returns each point's (instructions, cycles) in
 // point order. It is the only place a gated walk runs, so it alone
-// records one: the stage.gated_sim span, the sim.<walk> family and its
-// gate points as pipeline.memo.misses.
+// records one: the "gated simulation" progress event, the
+// stage.gated_sim span, the sim.<walk> family and its gate points as
+// pipeline.memo.misses.
 func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
 	walk string) ([]regionStat, error) {
 
 	o := obs.From(ctx)
 	bin := p.Bins[bi]
+	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
 	ctx, span := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
 	defer span.End()
 	sim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
@@ -838,7 +838,7 @@ func runVariants(ctx context.Context, cfgs []Config) ([]*Suite, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v > 0 && !reflect.DeepEqual(c.prepareSide(), cfgs[0].prepareSide()) {
+		if v > 0 && !SamePrepare(c, cfgs[0]) {
 			return nil, fmt.Errorf("experiment: variant %d differs from variant 0 beyond pick-side settings", v)
 		}
 		cfgs[v] = c

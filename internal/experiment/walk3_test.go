@@ -124,7 +124,7 @@ func TestSweepsMatchStandaloneRuns(t *testing.T) {
 		}
 	}
 
-	tab, err := AblationWarming(cfg)
+	tab, err := AblationWarming(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.Hi
 			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, snaps[s]))
 		}
 	}
-	if err := exec.Run(bin, in, visitors); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, in, visitors); err != nil {
 		t.Fatal(err)
 	}
 	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets))}
@@ -366,6 +366,8 @@ func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 // stage.gated_sim span and its sim.<walk> family.
 func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
 	o := obs.New()
+	var progress strings.Builder
+	o.Progress = obs.NewProgress(&progress)
 	cfg := testConfig("mcf")
 	cfg.DisableWarming = true
 	res, err := runBenchmark(obs.With(context.Background(), o), "mcf", cfg)
@@ -390,6 +392,9 @@ func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
 	}
 	if n, want := countSpans(o.Events, "stage.gated_sim"), 2*len(res.Runs); n != want {
 		t.Errorf("%d stage.gated_sim spans, want %d", n, want)
+	}
+	if n, want := strings.Count(progress.String(), " gated simulation\n"), 2*len(res.Runs); n != want {
+		t.Errorf("%d gated simulation progress lines, want one per walk (%d):\n%s", n, want, progress.String())
 	}
 }
 

@@ -58,7 +58,7 @@ func FuzzMapping(f *testing.F) {
 		mapped := fuzzMapping(t, s, bench.Binaries)
 		for bi, bin := range bench.Binaries {
 			mc := exec.NewMarkerCounter(bin)
-			if err := exec.Run(bin, in, mc); err != nil {
+			if err := exec.RunCtx(context.Background(), bin, in, mc); err != nil {
 				t.Fatal(err)
 			}
 			for _, pt := range mapped.Points {
@@ -113,15 +113,18 @@ func FuzzStratifiedSampler(f *testing.F) {
 		cfg := fuzzConfig(s)
 		cfg.Sampler, cfg.SamplerBudget = "stratified", 1+int(s.Variant%9)
 		ctx := context.Background()
-		cp, err := crossPoints(ctx, bench.Binaries, cfg)
+		a, err := xbsim.Analyze(ctx, bench.Binaries, cfg)
+		if err != nil {
+			t.Fatalf("spec %s: analysis: %v", s.Name(), err)
+		}
+		cp, sets, _, err := measure(ctx, a, cfg.Input)
 		if err != nil {
 			t.Fatalf("spec %s: stratified pipeline: %v", s.Name(), err)
 		}
-		if c := checkBoundaryTranslate(cp); !c.OK {
-			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
-		}
-		if _, c := checkWeightSum(ctx, cp); !c.OK {
-			t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
+		for _, c := range []Check{checkBoundaryTranslate(cp), checkWeightSum(cp, sets)} {
+			if !c.OK {
+				t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)
+			}
 		}
 		cp2, err := crossPoints(ctx, bench.Binaries, cfg)
 		if err != nil {
@@ -134,7 +137,7 @@ func FuzzStratifiedSampler(f *testing.F) {
 }
 
 // FuzzCrossBinaryPoints runs the full cross-binary pipeline on
-// arbitrary spec encodings and checks the symbol-count,
+// arbitrary spec encodings and checks the marker-count, symbol-count,
 // boundary-translation, interval-coverage and weight-distribution
 // invariants on the result.
 func FuzzCrossBinaryPoints(f *testing.F) {
@@ -152,16 +155,16 @@ func FuzzCrossBinaryPoints(f *testing.F) {
 		if err != nil {
 			t.Fatalf("spec %s: analysis: %v", s.Name(), err)
 		}
-		cp, err := a.CrossBinaryPoints(ctx)
+		cp, sets, _, err := measure(ctx, a, fuzzInput(s))
 		if err != nil {
 			t.Fatalf("spec %s: pipeline: %v", s.Name(), err)
 		}
-		_, wcheck := checkWeightSum(ctx, cp)
 		for _, c := range []Check{
+			checkMarkerCounts(a.Profiles, cp),
 			checkSymbolCounts(a.Profiles),
 			checkBoundaryTranslate(cp),
-			checkIntervalCoverage(context.Background(), cp, fuzzInput(s), a.Profiles, 8000),
-			wcheck,
+			checkIntervalCoverage(cp, sets, a.Profiles, 8000),
+			checkWeightSum(cp, sets),
 		} {
 			if !c.OK {
 				t.Fatalf("spec %s: %s: %s", s.Name(), c.Name, c.Detail)

@@ -5,8 +5,8 @@
 // a seeded deterministic distribution and checks every one
 // (CheckProgram, behind `xbsim selfcheck`). The invariants are:
 //
-//   - marker-counts: every mappable point fires exactly its recorded
-//     count in every compiled target;
+//   - marker-counts: every mappable point's recorded count equals the
+//     count walk 1 profiled for its marker in every compiled target;
 //   - symbol-counts: every symbol the primary binary shares with another
 //     binary is called equally often in both;
 //   - boundary-translate: every variable-length-interval boundary
@@ -14,7 +14,8 @@
 //     binary, and translation round-trips exactly;
 //   - interval-coverage: the primary binary's variable length intervals
 //     are at least the target size (all but the last), and in every
-//     binary the mapped intervals cover the whole run with none empty;
+//     binary the mapped intervals, as its weight walk counted them, cover
+//     the whole run with none empty;
 //   - weight-sum: recalculated per-binary phase weights form a
 //     probability distribution;
 //   - order-invariance: permuting the non-primary binaries leaves every
@@ -24,12 +25,16 @@
 //     pool, have bit-identical fingerprints (this also covers
 //     run-to-run determinism);
 //   - cpi-sanity: sampled CPI estimates are finite, positive, and within
-//     a configured relative bound of full simulation;
+//     a configured relative bound of the whole run the estimate's own
+//     walk simulated;
 //   - budget-monotonicity: for budgeted sampler backends (stratified),
 //     doubling the point budget never makes the mean CPI error
 //     substantially worse (trivially satisfied by simpoint, which has no
 //     budget knob).
 //
+// Each checked program costs one analysis, one cross-binary pick, one
+// weight walk and one estimate walk per binary; the checks read those
+// products, and only order-, worker- and budget-invariance walk again.
 // Every invariant is checked under whichever sampler backend
 // Config.Sampler selects, so the same metamorphic relations gate both
 // the simpoint and the stratified point-selection paths. The test
@@ -45,10 +50,8 @@ import (
 	"sync/atomic"
 
 	"xbsim"
-	"xbsim/internal/exec"
 	"xbsim/internal/obs"
 	"xbsim/internal/pool"
-	"xbsim/internal/profile"
 	"xbsim/internal/program"
 	"xbsim/internal/sampler"
 )
@@ -98,7 +101,8 @@ type Config struct {
 	// budget-monotonicity invariant becomes non-trivial.
 	Sampler string
 	// SamplerBudget is the stratified point budget (0 = backend
-	// default); budget-monotonicity compares it against twice itself.
+	// default); budget-monotonicity compares it against twice itself, or
+	// the default against half of it.
 	SamplerBudget int
 }
 
@@ -297,9 +301,10 @@ func CheckProgram(ctx context.Context, s program.Spec, cfg Config) ProgramResult
 }
 
 // CheckBenchmark runs the cross-binary pipeline on the benchmark's
-// binaries and checks every invariant, in Invariants order. Only the
-// analysis knobs of cfg apply (IntervalSize, MaxK, CPIBound, Sampler,
-// SamplerBudget). Failures are recorded in the result, never returned.
+// binaries once and checks every invariant on its products, in
+// Invariants order. Only the analysis knobs of cfg apply (IntervalSize,
+// MaxK, CPIBound, Sampler, SamplerBudget). Failures are recorded in the
+// result, never returned.
 func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input, cfg Config) ProgramResult {
 	cfg = cfg.withDefaults()
 	pr := ProgramResult{Name: bench.Program.Name}
@@ -322,22 +327,23 @@ func CheckBenchmark(ctx context.Context, bench *xbsim.Benchmark, in xbsim.Input,
 		pr.Err = err.Error()
 		return pr
 	}
-	cp, err := a.CrossBinaryPoints(ctx)
+	cp, sets, ests, err := measure(ctx, a, in)
 	if err != nil {
 		pr.Err = err.Error()
 		return pr
 	}
 
-	pr.Checks = append(pr.Checks, checkMarkerCounts(ctx, bench.Binaries, in, cp))
-	pr.Checks = append(pr.Checks, checkSymbolCounts(a.Profiles))
-	pr.Checks = append(pr.Checks, checkBoundaryTranslate(cp))
-	pr.Checks = append(pr.Checks, checkIntervalCoverage(ctx, cp, in, a.Profiles, cfg.IntervalSize))
-	sets, wcheck := checkWeightSum(ctx, cp)
-	pr.Checks = append(pr.Checks, wcheck)
-	pr.Checks = append(pr.Checks, checkOrderInvariance(ctx, bench.Binaries, acfg, cp, sets))
-	pr.Checks = append(pr.Checks, checkWorkerInvariance(ctx, bench.Binaries, acfg, cp))
-	pr.Checks = append(pr.Checks, checkCPISanity(ctx, bench.Binaries, in, sets, cfg.CPIBound))
-	pr.Checks = append(pr.Checks, checkBudgetMonotonicity(ctx, bench.Binaries, acfg, cfg))
+	pr.Checks = []Check{
+		checkMarkerCounts(a.Profiles, cp),
+		checkSymbolCounts(a.Profiles),
+		checkBoundaryTranslate(cp),
+		checkIntervalCoverage(cp, sets, a.Profiles, cfg.IntervalSize),
+		checkWeightSum(cp, sets),
+		checkOrderInvariance(ctx, bench.Binaries, acfg, cp, sets),
+		checkWorkerInvariance(ctx, bench.Binaries, acfg, cp),
+		checkCPISanity(bench.Binaries, ests, cfg.CPIBound),
+		checkBudgetMonotonicity(ctx, a, acfg, ests),
+	}
 	return pr
 }
 
@@ -351,23 +357,41 @@ func crossPoints(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.Experimen
 	return a.CrossBinaryPoints(ctx)
 }
 
-// checkMarkerCounts re-executes every binary with a raw marker counter
-// and verifies each mappable point fires exactly its recorded count —
-// the (marker, count) region-delimiter guarantee of §3.2.
-func checkMarkerCounts(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input, cp *xbsim.CrossPoints) Check {
+// measure picks a's cross-binary points, maps them into every binary
+// (one weight walk each) and estimates each binary from them (one
+// simulation walk each).
+func measure(ctx context.Context, a *xbsim.Analysis, in xbsim.Input) (*xbsim.CrossPoints, []*xbsim.PointSet, []*xbsim.SampledEstimate, error) {
+	cp, err := a.CrossBinaryPoints(ctx)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bins := cp.Mapping.Binaries
+	sets := make([]*xbsim.PointSet, len(bins))
+	ests := make([]*xbsim.SampledEstimate, len(bins))
+	for b, bin := range bins {
+		if sets[b], err = cp.ForBinary(ctx, b); err != nil {
+			return nil, nil, nil, fmt.Errorf("binary %d: %w", b, err)
+		}
+		if ests[b], err = xbsim.EstimateStats(ctx, bin, in, sets[b], nil); err != nil {
+			return nil, nil, nil, fmt.Errorf("%s estimate: %w", bin.Name, err)
+		}
+	}
+	return cp, sets, ests, nil
+}
+
+// checkMarkerCounts verifies each mappable point's recorded count is the
+// count walk 1 profiled for its marker in every binary — the (marker,
+// count) region-delimiter guarantee of §3.2.
+func checkMarkerCounts(profiles []*xbsim.Profile, cp *xbsim.CrossPoints) Check {
 	bad := 0
 	detail := ""
-	for bi, bin := range bins {
-		mc := exec.NewMarkerCounter(bin)
-		if err := exec.RunCtx(ctx, bin, in, mc); err != nil {
-			return Check{Name: "marker-counts", Detail: err.Error()}
-		}
+	for bi, p := range profiles {
 		for _, pt := range cp.Mapping.Points {
-			if got := mc.Counts[pt.Markers[bi]]; got != pt.Count {
+			if got := p.MarkerCounts[pt.Markers[bi]]; got != pt.Count {
 				bad++
 				if detail == "" {
 					detail = fmt.Sprintf("point %q fired %d times in %s, recorded %d",
-						pt.Name, got, bin.Name, pt.Count)
+						pt.Name, got, p.Binary.Name, pt.Count)
 				}
 			}
 		}
@@ -376,7 +400,7 @@ func checkMarkerCounts(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input
 		return Check{Name: "marker-counts", Detail: fmt.Sprintf("%d violations; first: %s", bad, detail)}
 	}
 	return Check{Name: "marker-counts", OK: true, Detail: fmt.Sprintf(
-		"%d mappable points fired their recorded counts in all %d binaries", len(cp.Mapping.Points), len(bins))}
+		"%d mappable points fired their recorded counts in all %d binaries", len(cp.Mapping.Points), len(profiles))}
 }
 
 // checkSymbolCounts verifies that every symbol the primary binary
@@ -452,75 +476,58 @@ func checkBoundaryTranslate(cp *xbsim.CrossPoints) Check {
 		"%d boundaries resolve identically in all %d binaries", len(ends), len(cp.Mapping.Binaries))}
 }
 
-// checkIntervalCoverage replays the interval boundaries in every binary
-// and verifies they partition each run: the primary binary's intervals
-// are at least the target size (all but the last, which ends with the
-// run), and every binary's intervals cover its whole execution, as its
-// profile counts it, with none empty.
-func checkIntervalCoverage(ctx context.Context, cp *xbsim.CrossPoints, in xbsim.Input, profiles []*xbsim.Profile, target uint64) Check {
-	ends := cp.Ends()
-	for b, bin := range cp.Mapping.Binaries {
-		there, err := cp.Mapping.TranslateEnds(cp.Primary, b, ends)
-		if err != nil {
-			return Check{Name: "interval-coverage", Detail: fmt.Sprintf("to binary %d: %v", b, err)}
-		}
-		tr := profile.NewVLITracker(bin, there, nil)
-		if err := exec.RunCtx(ctx, bin, in, tr); err != nil {
-			return Check{Name: "interval-coverage", Detail: err.Error()}
-		}
+// checkIntervalCoverage verifies the intervals partition each run, as
+// each binary's weight walk counted them (PointSet.Instructions): the
+// primary binary's intervals are at least the target size (all but the
+// last, which ends with the run), and every binary's intervals cover its
+// whole execution, as its profile counts it, with none empty.
+func checkIntervalCoverage(cp *xbsim.CrossPoints, sets []*xbsim.PointSet, profiles []*xbsim.Profile, target uint64) Check {
+	for b, ps := range sets {
 		var sum uint64
-		for i, n := range tr.Instructions {
+		for i, n := range ps.Instructions {
 			sum += n
 			if n == 0 {
 				return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
-					"%s interval %d of %d is empty", bin.Name, i, len(there))}
+					"%s interval %d of %d is empty", ps.Binary.Name, i, len(ps.Instructions))}
 			}
-			if b == cp.Primary && i < len(there)-1 && n < target {
+			if b == cp.Primary && i < len(ps.Instructions)-1 && n < target {
 				return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
-					"%s interval %d has %d instructions, below the %d target", bin.Name, i, n, target)}
+					"%s interval %d has %d instructions, below the %d target", ps.Binary.Name, i, n, target)}
 			}
 		}
 		if total := profiles[b].TotalInstructions; sum != total {
 			return Check{Name: "interval-coverage", Detail: fmt.Sprintf(
-				"%s intervals cover %d of %d instructions", bin.Name, sum, total)}
+				"%s intervals cover %d of %d instructions", ps.Binary.Name, sum, total)}
 		}
 	}
 	return Check{Name: "interval-coverage", OK: true, Detail: fmt.Sprintf(
 		"%d intervals, none empty, cover the runs of all %d binaries; primary ones at least %d instructions",
-		len(ends), len(cp.Mapping.Binaries), target)}
+		cp.NumIntervals(), len(sets), target)}
 }
 
-// checkWeightSum maps the points into every binary and verifies the
-// recalculated phase weights form a probability distribution. The
-// per-binary point sets are returned for reuse by the order-invariance
-// and cpi-sanity checks.
-func checkWeightSum(ctx context.Context, cp *xbsim.CrossPoints) ([]*xbsim.PointSet, Check) {
+// checkWeightSum verifies the phase weights recalculated in every binary
+// form a probability distribution over the shared intervals.
+func checkWeightSum(cp *xbsim.CrossPoints, sets []*xbsim.PointSet) Check {
 	const tol = 1e-9
-	sets := make([]*xbsim.PointSet, len(cp.Mapping.Binaries))
-	for b := range cp.Mapping.Binaries {
-		ps, err := cp.ForBinary(ctx, b)
-		if err != nil {
-			return nil, Check{Name: "weight-sum", Detail: fmt.Sprintf("binary %d: %v", b, err)}
-		}
-		sets[b] = ps
+	for _, ps := range sets {
 		sum := 0.0
 		for p, w := range ps.Weights {
 			if w < 0 || w > 1+tol || math.IsNaN(w) {
-				return nil, Check{Name: "weight-sum", Detail: fmt.Sprintf(
+				return Check{Name: "weight-sum", Detail: fmt.Sprintf(
 					"%s phase %d weight %v outside [0,1]", ps.Binary.Name, p, w)}
 			}
 			sum += w
 		}
 		if math.Abs(sum-1) > tol {
-			return nil, Check{Name: "weight-sum", Detail: fmt.Sprintf(
+			return Check{Name: "weight-sum", Detail: fmt.Sprintf(
 				"%s weights sum to %v, want 1", ps.Binary.Name, sum)}
 		}
 		if len(ps.PhaseOf) != cp.NumIntervals() {
-			return nil, Check{Name: "weight-sum", Detail: fmt.Sprintf(
+			return Check{Name: "weight-sum", Detail: fmt.Sprintf(
 				"%s labels %d intervals, want %d", ps.Binary.Name, len(ps.PhaseOf), cp.NumIntervals())}
 		}
 	}
-	return sets, Check{Name: "weight-sum", OK: true, Detail: fmt.Sprintf(
+	return Check{Name: "weight-sum", OK: true, Detail: fmt.Sprintf(
 		"phase weights sum to 1 in all %d binaries", len(sets))}
 }
 
@@ -531,9 +538,6 @@ func checkWeightSum(ctx context.Context, cp *xbsim.CrossPoints) ([]*xbsim.PointS
 // list order must be immaterial.
 func checkOrderInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig,
 	cp *xbsim.CrossPoints, sets []*xbsim.PointSet) Check {
-	if sets == nil {
-		return Check{Name: "order-invariance", Detail: "skipped: weight-sum failed"}
-	}
 	if len(bins) < 3 {
 		return Check{Name: "order-invariance", OK: true, Detail: "trivial with fewer than 3 binaries"}
 	}
@@ -556,16 +560,7 @@ func checkOrderInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.
 		if err != nil {
 			return Check{Name: "order-invariance", Detail: fmt.Sprintf("permuted ForBinary(%d): %v", b2, err)}
 		}
-		var base *xbsim.PointSet
-		for _, ps := range sets {
-			if ps.Binary == bin {
-				base = ps
-				break
-			}
-		}
-		if base == nil {
-			return Check{Name: "order-invariance", Detail: fmt.Sprintf("binary %s missing from baseline", bin.Name)}
-		}
+		base := sets[(len(bins)-b2)%len(bins)] // perm[b2] is bins[(n-b2) mod n]
 		if got, want := ps2.Fingerprint(), base.Fingerprint(); got != want {
 			return Check{Name: "order-invariance", Detail: fmt.Sprintf(
 				"%s point set fingerprint %s under permuted order, baseline %s", bin.Name, got, want)}
@@ -594,32 +589,22 @@ func checkWorkerInvariance(ctx context.Context, bins []*xbsim.Binary, acfg xbsim
 		Detail: "analysis fingerprint bit-identical for 1 and 3 workers"}
 }
 
-// checkCPISanity estimates CPI from the sampled regions in every binary
-// and verifies the estimate is finite, positive, and within the
-// configured relative bound of full simulation.
-func checkCPISanity(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input, sets []*xbsim.PointSet, bound float64) Check {
-	if sets == nil {
-		return Check{Name: "cpi-sanity", Detail: "skipped: weight-sum failed"}
-	}
+// checkCPISanity verifies every binary's sampled estimate is finite,
+// positive, and within the configured relative bound of the whole run
+// its walk simulated.
+func checkCPISanity(bins []*xbsim.Binary, ests []*xbsim.SampledEstimate, bound float64) Check {
 	worst := 0.0
 	for b, bin := range bins {
-		full, err := xbsim.SimulateFull(ctx, bin, in, nil)
-		if err != nil {
-			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf("%s full simulation: %v", bin.Name, err)}
-		}
-		est, err := xbsim.EstimateStats(ctx, bin, in, sets[b], nil)
-		if err != nil {
-			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf("%s estimate: %v", bin.Name, err)}
-		}
+		est := ests[b]
 		if !isFinite(est.CPI) || est.CPI <= 0 || !isFinite(est.L1MissRate) || !isFinite(est.DRAMPerKI) {
 			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf(
 				"%s estimate not finite: cpi=%v l1=%v dram/ki=%v", bin.Name, est.CPI, est.L1MissRate, est.DRAMPerKI)}
 		}
-		rel := math.Abs(est.CPI-full.CPI()) / full.CPI()
+		rel := cpiError(est)
 		if rel > bound {
 			return Check{Name: "cpi-sanity", Detail: fmt.Sprintf(
 				"%s estimated CPI %.4f vs full %.4f: relative error %.3f exceeds %.3f",
-				bin.Name, est.CPI, full.CPI(), rel, bound)}
+				bin.Name, est.CPI, est.Full.CPI(), rel, bound)}
 		}
 		if rel > worst {
 			worst = rel
@@ -629,35 +614,65 @@ func checkCPISanity(ctx context.Context, bins []*xbsim.Binary, in xbsim.Input, s
 		"CPI estimates within %.3f of full simulation in all %d binaries (bound %.3f)", worst, len(bins), bound)}
 }
 
+// cpiError is the estimate's relative CPI error against the whole run
+// its walk simulated.
+func cpiError(est *xbsim.SampledEstimate) float64 {
+	full := est.Full.CPI()
+	return math.Abs(est.CPI-full) / full
+}
+
+// meanCPIError is the mean of cpiError across the binaries' estimates.
+func meanCPIError(ests []*xbsim.SampledEstimate) float64 {
+	sum := 0.0
+	for _, est := range ests {
+		sum += cpiError(est)
+	}
+	return sum / float64(len(ests))
+}
+
 // checkBudgetMonotonicity verifies the budget knob of a budgeted
 // backend behaves like a budget: doubling the stratified point budget
-// must not make the mean CPI error substantially worse. "Substantially"
-// allows a fixed slack — more strata can re-draw every representative,
-// so small per-program wobble is legitimate; what the invariant rules
-// out is a backend whose extra simulation spend systematically buys
-// worse estimates. The simpoint backend has no budget knob, so it
-// satisfies the invariant trivially.
-func checkBudgetMonotonicity(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig, cfg Config) Check {
-	if cfg.Sampler == "" || cfg.Sampler == sampler.BackendSimPoint {
+// must not make the mean CPI error substantially worse. The baseline
+// estimates ests are one side of the comparison: at an unset budget
+// they ran at the backend default, which is compared against half of
+// it; at an explicit budget b they are compared against 2b. The other
+// side re-picks from a's walks and measures again. The simpoint backend
+// has no budget knob, so it satisfies the invariant trivially.
+func checkBudgetMonotonicity(ctx context.Context, a *xbsim.Analysis, acfg xbsim.ExperimentConfig,
+	ests []*xbsim.SampledEstimate) Check {
+	if acfg.Sampler == "" || acfg.Sampler == sampler.BackendSimPoint {
 		return Check{Name: "budget-monotonicity", OK: true,
 			Detail: "trivial: the simpoint backend has no budget knob"}
 	}
-	lo := cfg.SamplerBudget
+	lo, hi, other := acfg.SamplerBudget, 2*acfg.SamplerBudget, 2*acfg.SamplerBudget
 	if lo <= 0 {
-		lo = 6
+		lo, hi, other = sampler.DefaultBudget/2, sampler.DefaultBudget, sampler.DefaultBudget/2
 	}
-	hi := 2 * lo
+	acfg.SamplerBudget = other
+	ra, err := a.Repick(acfg)
+	var otherEsts []*xbsim.SampledEstimate
+	if err == nil {
+		_, _, otherEsts, err = measure(ctx, ra, acfg.Input)
+	}
+	if err != nil {
+		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf("budget %d: %v", other, err)}
+	}
+	errLo, errHi := meanCPIError(ests), meanCPIError(otherEsts)
+	if other == lo {
+		errLo, errHi = errHi, errLo
+	}
+	return budgetVerdict(errLo, errHi, lo, hi)
+}
+
+// budgetVerdict compares the mean CPI errors at budgets lo and hi = 2lo.
+// "Substantially worse" allows a fixed slack — more strata can re-draw
+// every representative, so small per-program wobble is legitimate; what
+// the invariant rules out is a backend whose extra simulation spend
+// systematically buys worse estimates.
+func budgetVerdict(errLo, errHi float64, lo, hi int) Check {
 	// Generous: the generated programs are tiny, so a single re-drawn
 	// representative can move one binary's estimate by a few percent.
 	const slack = 0.25
-	errLo, err := meanCPIError(ctx, bins, acfg, lo)
-	if err != nil {
-		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf("budget %d: %v", lo, err)}
-	}
-	errHi, err := meanCPIError(ctx, bins, acfg, hi)
-	if err != nil {
-		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf("budget %d: %v", hi, err)}
-	}
 	if errHi > errLo+slack {
 		return Check{Name: "budget-monotonicity", Detail: fmt.Sprintf(
 			"mean CPI error %.4f at budget %d vs %.4f at budget %d exceeds slack %.2f",
@@ -666,33 +681,6 @@ func checkBudgetMonotonicity(ctx context.Context, bins []*xbsim.Binary, acfg xbs
 	return Check{Name: "budget-monotonicity", OK: true, Detail: fmt.Sprintf(
 		"mean CPI error %.4f at budget %d, %.4f at budget %d (slack %.2f)",
 		errLo, lo, errHi, hi, slack)}
-}
-
-// meanCPIError runs the cross-binary pipeline at the given sampler
-// budget and returns the mean relative CPI error across binaries.
-func meanCPIError(ctx context.Context, bins []*xbsim.Binary, acfg xbsim.ExperimentConfig, budget int) (float64, error) {
-	acfg.SamplerBudget = budget
-	cp, err := crossPoints(ctx, bins, acfg)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for b, bin := range bins {
-		ps, err := cp.ForBinary(ctx, b)
-		if err != nil {
-			return 0, err
-		}
-		full, err := xbsim.SimulateFull(ctx, bin, acfg.Input, nil)
-		if err != nil {
-			return 0, err
-		}
-		est, err := xbsim.EstimateStats(ctx, bin, acfg.Input, ps, nil)
-		if err != nil {
-			return 0, err
-		}
-		sum += math.Abs(est.CPI-full.CPI()) / full.CPI()
-	}
-	return sum / float64(len(bins)), nil
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

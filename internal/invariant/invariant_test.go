@@ -2,14 +2,17 @@ package invariant
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"xbsim"
+	"xbsim/internal/mapping"
 	"xbsim/internal/obs"
 	"xbsim/internal/profile"
 	"xbsim/internal/program"
+	"xbsim/internal/sampler"
 )
 
 // small keeps harness tests fast: few programs, small ops.
@@ -254,9 +257,10 @@ func TestCheckSymbolCountsDetectsMismatch(t *testing.T) {
 	}
 }
 
+// Each check reads the harness' products, so doctoring one product must
+// fail exactly the check that reads it, under its own name; and
 // checkIntervalCoverage must flag primary intervals below the target it
-// is given: checking against four times the target the intervals were
-// built for has to fail on a run with several intervals.
+// is given.
 func TestCheckIntervalCoverageDetectsUndersized(t *testing.T) {
 	bench, err := xbsim.NewBenchmark("gzip", 250_000)
 	if err != nil {
@@ -264,34 +268,136 @@ func TestCheckIntervalCoverageDetectsUndersized(t *testing.T) {
 	}
 	in := xbsim.Input{Name: "ref", Seed: 404}
 	ctx := context.Background()
-	a, err := xbsim.Analyze(ctx, bench.Binaries, xbsim.ExperimentConfig{IntervalSize: 8000, MaxK: 6, Workers: 1, Input: in})
+	acfg := xbsim.ExperimentConfig{IntervalSize: 8000, MaxK: 6, Workers: 1, Input: in}
+	a, err := xbsim.Analyze(ctx, bench.Binaries, acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := a.CrossBinaryPoints(ctx)
+	cp, sets, ests, err := measure(ctx, a, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.NumIntervals() < 3 {
 		t.Fatalf("only %d intervals", cp.NumIntervals())
 	}
-	profiles := a.Profiles
-	if c := checkIntervalCoverage(ctx, cp, in, profiles, 8000); !c.OK {
-		t.Fatalf("intervals fail at their own target: %s", c.Detail)
+	for _, c := range []Check{
+		checkMarkerCounts(a.Profiles, cp),
+		checkBoundaryTranslate(cp),
+		checkIntervalCoverage(cp, sets, a.Profiles, 8000),
+		checkWeightSum(cp, sets),
+		checkCPISanity(bench.Binaries, ests, 2),
+		budgetVerdict(0.1, 0.35, 6, 12),
+	} {
+		if !c.OK {
+			t.Fatalf("%s fails on undoctored products: %s", c.Name, c.Detail)
+		}
 	}
-	if c := checkIntervalCoverage(ctx, cp, in, profiles, 32_000); c.OK || !strings.Contains(c.Detail, "below the 32000 target") {
-		t.Fatalf("undersized intervals not reported: %+v", c)
+	fails := func(what string, c Check, name, detail string) {
+		t.Helper()
+		if c.OK || c.Name != name || !strings.Contains(c.Detail, detail) {
+			t.Errorf("%s: got %+v, want %s failing with %q", what, c, name, detail)
+		}
 	}
-	profiles[2].TotalInstructions++
-	if c := checkIntervalCoverage(ctx, cp, in, profiles, 8000); c.OK || !strings.Contains(c.Detail, "intervals cover") {
-		t.Fatalf("uncovered instruction not reported: %+v", c)
+
+	// withPoint doctors mapping point i on a copy of cp.
+	withPoint := func(i int, doctor func(pt *mapping.Point)) *xbsim.CrossPoints {
+		m := *cp.Mapping
+		m.Points = append([]mapping.Point(nil), m.Points...)
+		doctor(&m.Points[i])
+		c := *cp
+		c.Mapping = &m
+		return &c
 	}
+	fails("a point's count +1", checkMarkerCounts(a.Profiles, withPoint(0, func(pt *mapping.Point) { pt.Count++ })),
+		"marker-counts", "recorded")
+	end := cp.Ends()[0]
+	pi, ok := cp.Mapping.PointOfMarker(cp.Primary, end.Marker)
+	if !ok {
+		t.Fatalf("boundary marker %d is not a mappable point", end.Marker)
+	}
+	fails("a boundary count beyond its point's count",
+		checkBoundaryTranslate(withPoint(pi, func(pt *mapping.Point) { pt.Count = end.Count - 1 })),
+		"boundary-translate", "outside [1,")
+
+	// withSet doctors binary b's point set on a copy of sets.
+	withSet := func(b int, doctor func(ps *xbsim.PointSet)) []*xbsim.PointSet {
+		out := append([]*xbsim.PointSet(nil), sets...)
+		ps := *sets[b]
+		ps.Weights = append([]float64(nil), ps.Weights...)
+		ps.Instructions = append([]uint64(nil), ps.Instructions...)
+		doctor(&ps)
+		out[b] = &ps
+		return out
+	}
+	fails("four times the target", checkIntervalCoverage(cp, sets, a.Profiles, 32_000),
+		"interval-coverage", "below the 32000 target")
+	fails("an emptied interval count", checkIntervalCoverage(cp, withSet(1, func(ps *xbsim.PointSet) { ps.Instructions[1] = 0 }), a.Profiles, 8000),
+		"interval-coverage", "interval 1 of")
+	profiles := append([]*xbsim.Profile(nil), a.Profiles...)
+	p2 := *profiles[2]
+	p2.TotalInstructions++
+	profiles[2] = &p2
+	fails("an uncovered instruction", checkIntervalCoverage(cp, sets, profiles, 8000),
+		"interval-coverage", "intervals cover")
+	fails("a weight +0.01", checkWeightSum(cp, withSet(2, func(ps *xbsim.PointSet) { ps.Weights[0] += 0.01 })),
+		"weight-sum", "want 1")
+	fails("a bound of 1e-12", checkCPISanity(bench.Binaries, ests, 1e-12), "cpi-sanity", "exceeds")
+	fails("errHi > errLo+slack", budgetVerdict(0.1, 0.36, 6, 12), "budget-monotonicity", "exceeds slack")
+
+	// budget-monotonicity's baseline estimates are hi at the default
+	// budget and lo at an explicit one.
+	for _, tc := range []struct{ budget, baseline int }{{0, sampler.DefaultBudget}, {5, 5}} {
+		strat := acfg
+		strat.Sampler, strat.SamplerBudget = "stratified", tc.budget
+		sa, err := a.Repick(strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, sests, err := measure(ctx, sa, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := checkBudgetMonotonicity(ctx, a, strat, sests)
+		if want := fmt.Sprintf("%.4f at budget %d", meanCPIError(sests), tc.baseline); !c.OK || !strings.Contains(c.Detail, want) {
+			t.Errorf("budget %d: %+v, want the baseline's %q", tc.budget, c, want)
+		}
+	}
+
 	// The checks that walk the binaries walk under the check's context.
 	done, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, c := range []Check{checkIntervalCoverage(done, cp, in, profiles, 8000), checkMarkerCounts(done, bench.Binaries, in, cp)} {
+	strat := acfg
+	strat.Sampler = "stratified"
+	for _, c := range []Check{
+		checkOrderInvariance(done, bench.Binaries, acfg, cp, sets),
+		checkWorkerInvariance(done, bench.Binaries, acfg, cp),
+		checkBudgetMonotonicity(done, a, strat, ests),
+	} {
 		if c.OK || !strings.Contains(c.Detail, "context canceled") {
 			t.Errorf("%s under a cancelled context: %+v", c.Name, c)
+		}
+	}
+}
+
+// TestCheckBenchmarkWalkCount pins what one checked program costs in
+// walks: the analysis (5), one weight and one estimate walk per binary
+// (8), order-invariance's analysis and weight walks (9) and
+// worker-invariance's analysis (5); under stratified, budget-monotonicity
+// adds one weight and one estimate walk per binary for its re-pick (8).
+func TestCheckBenchmarkWalkCount(t *testing.T) {
+	for _, tc := range []struct {
+		sampler string
+		walks   uint64
+	}{{"", 27}, {"stratified", 35}} {
+		o := obs.New()
+		cfg := small
+		cfg.Sampler = tc.sampler
+		pr := CheckProgram(obs.With(context.Background(), o), program.RandomSpec(1, 0), cfg)
+		if !pr.OK() {
+			t.Fatalf("sampler %q: program not OK: %+v", tc.sampler, pr)
+		}
+		if got := o.Metrics.Counter("exec.runs").Value(); got != tc.walks {
+			t.Errorf("sampler %q: exec.runs = %d, want %d", tc.sampler, got, tc.walks)
 		}
 	}
 }

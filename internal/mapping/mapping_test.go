@@ -372,7 +372,7 @@ func TestMappableMarkersFireEqually(t *testing.T) {
 	r := findAll(t, "perlbmk")
 	for bi, bin := range r.Binaries {
 		mc := exec.NewMarkerCounter(bin)
-		if err := exec.Run(bin, refInput, mc); err != nil {
+		if err := exec.RunCtx(context.Background(), bin, refInput, mc); err != nil {
 			t.Fatal(err)
 		}
 		for _, pt := range r.Points {

@@ -23,7 +23,7 @@ func NewProgress(w io.Writer) *Progress {
 
 // Report renders one event, e.g.:
 //
-//	xbsim: gcc (32u) gated simulation
+//	xbsim: gcc (gcc.32u) full simulation
 //	xbsim: [3/5] gcc done
 func (p *Progress) Report(ev PipelineEvent) {
 	if p == nil {

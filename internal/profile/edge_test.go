@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"testing"
 
 	"xbsim/internal/compiler"
@@ -12,7 +13,7 @@ func TestFLITrackerEmptyEnds(t *testing.T) {
 	// tracker must not panic or attribute anything.
 	bin := binFor(t, "art", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	tr := NewFLITracker(bin, nil, nil)
-	if err := exec.Run(bin, refInput, tr); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Interval() != 0 || len(tr.Instructions) != 0 {
@@ -23,7 +24,7 @@ func TestFLITrackerEmptyEnds(t *testing.T) {
 func TestVLITrackerEmptyEnds(t *testing.T) {
 	bin := binFor(t, "art", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	tr := NewVLITracker(bin, nil, nil)
-	if err := exec.Run(bin, refInput, tr); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Interval() != 0 {
@@ -38,7 +39,7 @@ func TestVLITrackerBoundaryNeverFires(t *testing.T) {
 	ends := []Boundary{{Marker: 0, Count: 1 << 60}}
 	tr := NewVLITracker(bin, ends, nil)
 	ic := exec.NewInstructionCounter(bin)
-	if err := exec.Run(bin, refInput, exec.Multi{tr, ic}); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, exec.Multi{tr, ic}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Interval() != 0 {
@@ -55,11 +56,11 @@ func TestFLITrackerZeroOffsetBoundary(t *testing.T) {
 	// everything after goes to interval 1.
 	bin := binFor(t, "art", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	ic := exec.NewInstructionCounter(bin)
-	if err := exec.Run(bin, refInput, ic); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, ic); err != nil {
 		t.Fatal(err)
 	}
 	tr := NewFLITracker(bin, []uint64{0, ic.Instructions}, nil)
-	if err := exec.Run(bin, refInput, tr); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Interval() != 2 {
@@ -76,7 +77,7 @@ func TestVLICollectorHugeSizeYieldsOneInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(bin, refInput, c); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
@@ -94,7 +95,7 @@ func TestFLICollectorHugeSizeYieldsOneInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(bin, refInput, c); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 		t.Fatal(err)
 	}
 	if res := c.Finish(); res.Dataset.Len() != 1 {

@@ -61,6 +61,8 @@ type Profile struct {
 	Input program.Input
 	// TotalInstructions is the full dynamic instruction count.
 	TotalInstructions uint64
+	// MarkerCounts[m] is how often marker m fired.
+	MarkerCounts []uint64
 	// Procs holds one entry per symbol, in symbol-table order.
 	Procs []ProcProfile
 	// Loops holds one entry per loop piece, in marker order.
@@ -95,7 +97,7 @@ func BuildProfile(bin *compiler.Binary, in program.Input, totalInstrs uint64, ma
 	if len(markerCounts) != len(bin.Markers) {
 		return nil, fmt.Errorf("profile: %d counts for %d markers", len(markerCounts), len(bin.Markers))
 	}
-	p := &Profile{Binary: bin, Input: in, TotalInstructions: totalInstrs}
+	p := &Profile{Binary: bin, Input: in, TotalInstructions: totalInstrs, MarkerCounts: markerCounts}
 	// Loop entry/body markers are emitted adjacently per piece by the
 	// compiler; pair them by scanning in order.
 	for i := 0; i < len(bin.Markers); i++ {

@@ -106,7 +106,7 @@ func TestFLICollectorCoversExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	ic := exec.NewInstructionCounter(bin)
-	if err := exec.Run(bin, refInput, exec.Multi{c, ic}); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, exec.Multi{c, ic}); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
@@ -153,7 +153,7 @@ func TestVLICollectorCutsAtMarkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ic := exec.NewInstructionCounter(bin)
-	if err := exec.Run(bin, refInput, exec.Multi{c, ic}); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, exec.Multi{c, ic}); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
@@ -196,7 +196,7 @@ func TestVLICollectorRestrictedMarkersGiveBiggerIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := exec.Run(bin, refInput, c); err != nil {
+		if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 			t.Fatal(err)
 		}
 		res := c.Finish()
@@ -228,14 +228,14 @@ func TestVLITrackerReplaysCollectorIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(bin, refInput, c); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
 
 	var transitions []int
 	tr := NewVLITracker(bin, res.Ends, SinkFunc(func(i int) { transitions = append(transitions, i) }))
-	if err := exec.Run(bin, refInput, tr); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, tr); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range res.Dataset.Lengths() {
@@ -279,14 +279,14 @@ func TestVLITrackerCrossBinaryInstructionAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(a, refInput, c); err != nil {
+	if err := exec.RunCtx(context.Background(), a, refInput, c); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
 
 	tr := NewVLITracker(b, res.Ends, nil)
 	ic := exec.NewInstructionCounter(b)
-	if err := exec.Run(b, refInput, exec.Multi{tr, ic}); err != nil {
+	if err := exec.RunCtx(context.Background(), b, refInput, exec.Multi{tr, ic}); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
@@ -312,14 +312,14 @@ func TestFLITrackerMatchesCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := exec.Run(bin, refInput, c); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 		t.Fatal(err)
 	}
 	res := c.Finish()
 
 	var transitions []int
 	tr := NewFLITracker(bin, res.Ends, SinkFunc(func(i int) { transitions = append(transitions, i) }))
-	if err := exec.Run(bin, refInput, tr); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, refInput, tr); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range res.Dataset.Lengths() {
@@ -414,7 +414,7 @@ func BenchmarkFLICollection(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := exec.Run(bin, refInput, c); err != nil {
+		if err := exec.RunCtx(context.Background(), bin, refInput, c); err != nil {
 			b.Fatal(err)
 		}
 		c.Finish()

@@ -117,7 +117,7 @@ func TestStratifiedResultShape(t *testing.T) {
 	}{
 		{"exact-budget", phasedDataset(3, 4, 3, 0.02, "shape"), Config{Seed: "s", Budget: 10, Strata: 5}, 10},
 		{"budget-over-intervals", phasedDataset(2, 2, 1, 0, "cap"), Config{Seed: "s", Budget: 50}, 4},
-		{"defaults", phasedDataset(4, 6, 3, 0.05, "def"), Config{Seed: "s"}, defaultBudget},
+		{"defaults", phasedDataset(4, 6, 3, 0.05, "def"), Config{Seed: "s"}, DefaultBudget},
 		{"single-point", phasedDataset(3, 4, 2, 0.05, "one"), Config{Seed: "s", Budget: 1}, 1},
 	}
 	smp, err := New(BackendStratified)

@@ -15,8 +15,11 @@ import (
 	"xbsim/internal/xrand"
 )
 
+// DefaultBudget is the stratified backend's deep-simulation budget when
+// Config.Budget is unset.
+const DefaultBudget = 12
+
 const (
-	defaultBudget = 12
 	defaultStrata = 8
 	// featureDim is the cheap-pass feature dimensionality. Stratification
 	// only needs to tell coarse behavior regimes apart, not resolve fine
@@ -62,7 +65,7 @@ func (stratifiedSampler) Pick(ctx context.Context, ds *bbv.Dataset, cfg Config) 
 	}
 	budget := cfg.Budget
 	if budget <= 0 {
-		budget = defaultBudget
+		budget = DefaultBudget
 	}
 	if budget > ds.Len() {
 		budget = ds.Len()

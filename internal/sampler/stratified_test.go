@@ -174,7 +174,7 @@ func BenchmarkStratifiedPick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := exec.Run(bin, program.Input{Name: "ref", Seed: 0x5EED}, c); err != nil {
+	if err := exec.RunCtx(context.Background(), bin, program.Input{Name: "ref", Seed: 0x5EED}, c); err != nil {
 		b.Fatal(err)
 	}
 	ds := c.Finish().Dataset

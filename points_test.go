@@ -71,12 +71,12 @@ func TestPointSetWeightEdgeCases(t *testing.T) {
 		if ps.NumPoints() != 1 {
 			t.Fatalf("k=1 chose %d points", ps.NumPoints())
 		}
-		est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
+		est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.IsNaN(est) || est <= 0 {
-			t.Fatalf("k=1 estimate %v", est)
+		if math.IsNaN(est.CPI) || est.CPI <= 0 {
+			t.Fatalf("k=1 estimate %v", est.CPI)
 		}
 	})
 

@@ -27,13 +27,13 @@
 //	cross, _ := a.CrossBinaryPoints(ctx)
 //	for i, bin := range bench.Binaries {
 //	    ps, _ := cross.ForBinary(ctx, i)
-//	    est, _ := xbsim.EstimateCPI(ctx, bin, cfg.Input, ps, nil)
-//	    full, _ := xbsim.SimulateFull(ctx, bin, cfg.Input, nil)
-//	    fmt.Printf("%s: est %.3f true %.3f\n", bin.Name, est, full.CPI())
+//	    est, _ := xbsim.EstimateStats(ctx, bin, cfg.Input, ps, nil)
+//	    fmt.Printf("%s: est %.3f true %.3f\n", bin.Name, est.CPI, est.Full.CPI())
 //	}
 //
 // One Analysis serves every pick: a.PerBinaryPoints(ctx, i) picks binary
-// i's classic per-binary points from the same walks. The experiment
+// i's classic per-binary points from the same walks, and a.Repick(cfg)
+// picks under other sampler settings without walking again. The experiment
 // harness (RunExperimentsCtx / WriteReportCtx) regenerates
 // every table and figure of the paper's evaluation; see EXPERIMENTS.md.
 package xbsim
@@ -230,6 +230,18 @@ func Analyze(ctx context.Context, bins []*Binary, cfg ExperimentConfig) (*Analys
 	return &Analysis{Mapping: an.Mapping, Profiles: an.Profiles, an: an, cfg: cfg}, nil
 }
 
+// Repick returns an Analysis over a's walks whose picks use cfg's
+// sampler settings. It walks nothing, and it fails unless cfg differs
+// from a's config only in the settings walks 1–2 do not read.
+func (a *Analysis) Repick(cfg ExperimentConfig) (*Analysis, error) {
+	if !experiment.SamePrepare(a.cfg, cfg) {
+		return nil, fmt.Errorf("xbsim: repick: config differs beyond pick-side settings")
+	}
+	r := *a
+	r.cfg = cfg
+	return &r, nil
+}
+
 // PointSet is a chosen set of simulation regions for one binary, ready to
 // simulate or serialize.
 type PointSet struct {
@@ -244,6 +256,9 @@ type PointSet struct {
 	PointInterval []int
 	// PhaseOf labels every interval with its phase.
 	PhaseOf []int
+	// Instructions[i] is the number of instructions interval i executes
+	// in Binary, as the walk that cut the intervals counted them.
+	Instructions []uint64
 
 	intervalSize uint64
 	fliEnds      []uint64
@@ -304,6 +319,7 @@ func (a *Analysis) PerBinaryPoints(ctx context.Context, b int) (*PointSet, error
 		Weights:       append([]float64(nil), pick.PhaseWeights...),
 		PointInterval: pointIntervals(pick),
 		PhaseOf:       pick.PhaseOf,
+		Instructions:  append([]uint64(nil), a.an.FLI[b].Dataset.Lengths()...),
 		intervalSize:  a.an.IntervalSize,
 		fliEnds:       a.an.FLI[b].Ends,
 	}, nil
@@ -402,8 +418,9 @@ func (cp *CrossPoints) Fingerprint() string {
 // ForBinary maps the simulation points into binary b's marker space and
 // recalculates the phase weights by counting the instructions each phase
 // executes in that binary (§3.2.5-§3.2.6). The returned PointSet is ready
-// for EstimateCPI. The weight walk runs under ctx, so it is observed and
-// cancellable like every other walk.
+// for EstimateStats and carries the walk's per-interval counts. The
+// weight walk runs under ctx, so it is observed and cancellable like
+// every other walk.
 func (cp *CrossPoints) ForBinary(ctx context.Context, b int) (*PointSet, error) {
 	if b < 0 || b >= len(cp.Mapping.Binaries) {
 		return nil, fmt.Errorf("xbsim: binary index %d out of range [0,%d)", b, len(cp.Mapping.Binaries))
@@ -436,6 +453,7 @@ func (cp *CrossPoints) ForBinary(ctx context.Context, b int) (*PointSet, error) 
 		Weights:       weights,
 		PointInterval: pointIntervals(cp.pick),
 		PhaseOf:       cp.pick.PhaseOf,
+		Instructions:  tr.Instructions,
 		intervalSize:  cp.intervalSize,
 		vliEnds:       ends,
 	}, nil
@@ -480,21 +498,15 @@ type SampledEstimate struct {
 	L1MissRate float64
 	// DRAMPerKI is the estimated DRAM accesses per 1000 instructions.
 	DRAMPerKI float64
+	// Full is the whole run's statistics from the walk that measured the
+	// regions: the truth the estimate approximates, equal to what
+	// SimulateFull returns.
+	Full Stats
 }
 
-// EstimateCPI measures the point set's regions and returns the weighted
-// whole-program CPI estimate. hierarchy == nil uses Table 1. See
-// EstimateStats for how the regions are measured.
-func EstimateCPI(ctx context.Context, bin *Binary, in Input, ps *PointSet, hierarchy *HierarchyConfig) (float64, error) {
-	est, err := EstimateStats(ctx, bin, in, ps, hierarchy)
-	if err != nil {
-		return 0, err
-	}
-	return est.CPI, nil
-}
-
-// EstimateStats is EstimateCPI generalized to the other whole-program
-// metrics SimPoint users extrapolate: L1 miss rate and DRAM traffic.
+// EstimateStats measures the point set's regions and returns the
+// weighted whole-program estimates SimPoint users extrapolate: CPI, L1
+// miss rate and DRAM traffic. hierarchy == nil uses Table 1.
 //
 // The regions are measured the way the experiment suite measures them:
 // one full walk attributes every interval's statistics, and each
@@ -517,7 +529,7 @@ func EstimateStats(ctx context.Context, bin *Binary, in Input, ps *PointSet, hie
 	if err != nil {
 		return nil, err
 	}
-	var est SampledEstimate
+	est := SampledEstimate{Full: walk.Stats}
 	var wsum float64
 	pointCPI := make([]float64, len(ps.PointInterval))
 	for p, iv := range ps.PointInterval {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,17 +109,13 @@ func TestPerBinaryPointsAndEstimate(t *testing.T) {
 	if ps.Binary != bin || ps.Flavor != pinpoints.FlavorFLI || ps.NumPoints() == 0 {
 		t.Fatalf("point set %+v", ps)
 	}
-	est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
+	est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SimulateFull(ctx, bin, testInput, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relErr := math.Abs(est-full.CPI()) / full.CPI()
+	relErr := math.Abs(est.CPI-est.Full.CPI()) / est.Full.CPI()
 	if relErr > 0.3 {
-		t.Fatalf("FLI estimate %.3f vs true %.3f (err %.1f%%)", est, full.CPI(), relErr*100)
+		t.Fatalf("FLI estimate %.3f vs true %.3f (err %.1f%%)", est.CPI, est.Full.CPI(), relErr*100)
 	}
 }
 
@@ -147,17 +144,13 @@ func TestCrossBinaryPointsEndToEnd(t *testing.T) {
 		if math.Abs(wsum-1) > 0.02 {
 			t.Fatalf("%s: weights sum %v", bin.Name, wsum)
 		}
-		est, err := EstimateCPI(ctx, bin, testInput, ps, nil)
+		est, err := EstimateStats(ctx, bin, testInput, ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := SimulateFull(ctx, bin, testInput, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relErr := math.Abs(est-full.CPI()) / full.CPI()
+		relErr := math.Abs(est.CPI-est.Full.CPI()) / est.Full.CPI()
 		if relErr > 0.3 {
-			t.Fatalf("%s: VLI estimate %.3f vs true %.3f", bin.Name, est, full.CPI())
+			t.Fatalf("%s: VLI estimate %.3f vs true %.3f", bin.Name, est.CPI, est.Full.CPI())
 		}
 	}
 }
@@ -170,12 +163,104 @@ func TestEstimateCPIWrongBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateCPI(ctx, b.Binary("64o"), testInput, ps, nil); err == nil {
+	if _, err := EstimateStats(ctx, b.Binary("64o"), testInput, ps, nil); err == nil {
 		t.Fatal("point set accepted for wrong binary")
 	}
 	for _, bad := range []int{-1, len(b.Binaries)} {
 		if _, err := a.PerBinaryPoints(ctx, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("PerBinaryPoints(%d) err = %v, want out of range", bad, err)
+		}
+	}
+}
+
+// TestRepick checks that a re-pick reads the analysis' walks as a fresh
+// analysis under the new pick-side settings would, and that it refuses
+// a config whose walks would differ.
+func TestRepick(t *testing.T) {
+	ctx := context.Background()
+	b := testBenchmark(t, "gzip")
+	cfg := testConfig()
+	cfg.Sampler = "stratified"
+	a := testAnalysis(t, b, cfg)
+	crossFP := func(a *Analysis) string {
+		t.Helper()
+		cp, err := a.CrossBinaryPoints(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.Fingerprint()
+	}
+	same, err := a.Repick(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := crossFP(same), crossFP(a); got != want {
+		t.Fatalf("repick at the analysis' own settings: fingerprint %s, want %s", got, want)
+	}
+	for _, vary := range []func(c *ExperimentConfig){
+		func(c *ExperimentConfig) { c.SamplerBudget = 5 },
+		func(c *ExperimentConfig) { c.Seed = "other" },
+		func(c *ExperimentConfig) { c.Sampler, c.MaxK = "simpoint", 4 },
+	} {
+		c := cfg
+		vary(&c)
+		r, err := a.Repick(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := crossFP(r), crossFP(testAnalysis(t, b, c)); got != want {
+			t.Errorf("repick under %+v: fingerprint %s, fresh analysis %s", c, got, want)
+		}
+	}
+	c := cfg
+	c.IntervalSize *= 2
+	if _, err := a.Repick(c); err == nil || !strings.Contains(err.Error(), "beyond pick-side settings") {
+		t.Fatalf("repick with a changed IntervalSize: err = %v", err)
+	}
+}
+
+// TestEstimateCarriesFullRun checks that an estimate's whole-run
+// statistics are SimulateFull's, and that every point set's interval
+// counts cover the run, for both flavors.
+func TestEstimateCarriesFullRun(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"gzip", "mcf"} {
+		b := testBenchmark(t, name)
+		a := testAnalysis(t, b, testConfig())
+		cross, err := a.CrossBinaryPoints(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, bin := range b.Binaries {
+			full, err := SimulateFull(ctx, bin, testInput, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vli, err := cross.ForBinary(ctx, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fli, err := a.PerBinaryPoints(ctx, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ps := range []*PointSet{vli, fli} {
+				est, err := EstimateStats(ctx, bin, testInput, ps, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(est.Full, *full) {
+					t.Errorf("%s %s: estimate's whole run %+v, SimulateFull %+v", bin.Name, ps.Flavor, est.Full, *full)
+				}
+				var sum uint64
+				for _, n := range ps.Instructions {
+					sum += n
+				}
+				if len(ps.Instructions) != len(ps.PhaseOf) || sum != full.Instructions {
+					t.Errorf("%s %s: %d interval counts summing to %d, want %d summing to %d", bin.Name, ps.Flavor,
+						len(ps.Instructions), sum, len(ps.PhaseOf), full.Instructions)
+				}
+			}
 		}
 	}
 }
