@@ -745,6 +745,7 @@ func cmdVerify(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("verify")
 	bench := fs.String("bench", "", "benchmark name")
 	ops, interval, seed := commonFlags(fs)
+	sampler, samplerBudget := samplerFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -753,7 +754,7 @@ func cmdVerify(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	pr := invariant.CheckBenchmark(ctx, b, xbsim.Input{Name: "ref", Seed: *seed},
-		invariant.Config{IntervalSize: *interval})
+		invariant.Config{IntervalSize: *interval, Sampler: *sampler, SamplerBudget: *samplerBudget})
 	if pr.Err != "" {
 		return fmt.Errorf("%s: %s", pr.Name, pr.Err)
 	}

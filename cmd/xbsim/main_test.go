@@ -278,9 +278,30 @@ func TestCmdVerify(t *testing.T) {
 			t.Errorf("verify output missing invariant %s:\n%s", name, out)
 		}
 	}
+	if !strings.Contains(out, "budget-monotonicity          trivial") {
+		t.Errorf("simpoint verify: budget-monotonicity not trivial:\n%s", out)
+	}
+	// Under the stratified sampler budget-monotonicity re-picks at a
+	// second budget and compares the errors: it is no longer trivial.
+	out = runCmd(t, "verify", append([]string{"-bench", "gzip", "-sampler", "stratified"}, smallFlags...)...)
+	if !strings.Contains(out, "gzip: all cross-binary invariants hold") || strings.Contains(out, "FAIL") {
+		t.Fatalf("stratified verify output wrong:\n%s", out)
+	}
+	line := ""
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, " budget-monotonicity ") {
+			line = l
+		}
+	}
+	if line == "" || strings.Contains(line, "trivial") {
+		t.Errorf("stratified verify: budget-monotonicity line %q, want a non-trivial check:\n%s", line, out)
+	}
 	var sb strings.Builder
 	if err := run(context.Background(), "verify", append([]string{"-bench", "nope"}, smallFlags...), &sb); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+	if err := run(context.Background(), "verify", append([]string{"-bench", "gzip", "-sampler", "bogus"}, smallFlags...), &sb); err == nil {
+		t.Error("unknown sampler backend accepted")
 	}
 }
 

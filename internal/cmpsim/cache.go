@@ -399,9 +399,11 @@ type Hierarchy struct {
 	levels []*Cache
 	// latency[i] is level i's hit latency; latency[len(levels)] is DRAM's.
 	latency []int
-	// digest is the builder configuration's Digest(), recorded so a
-	// StatePool can file a returned hierarchy under the right free list.
+	// digest is the builder configuration's Digest() and bytes its
+	// StateBytes(), recorded so the state recycler can file a returned
+	// hierarchy under the right free list and count it against its cap.
 	digest string
+	bytes  uint64
 }
 
 // NewHierarchy builds the hierarchy; the config must validate.
@@ -409,7 +411,7 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{digest: cfg.Digest()}
+	h := &Hierarchy{digest: cfg.Digest(), bytes: cfg.StateBytes()}
 	for i, l := range cfg.Levels {
 		c, err := NewCache(l)
 		if err != nil {

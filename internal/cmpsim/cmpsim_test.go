@@ -361,8 +361,8 @@ func (r *blockRecorder) OnMarker(int)      {}
 // binary (gzip 32-bit O0), a random-access-heavy one (mcf 64-bit O2) and
 // a strided floating-point one (swim 64-bit O2).
 // The block stream is recorded once and replayed, and the hierarchy comes
-// from a StatePool as in the pipeline, so an op is the simulator's own
-// work rather than the block walk or the allocation of fresh cache state.
+// from the process-wide recycler, so an op is the simulator's own work
+// rather than the block walk or the allocation of fresh cache state.
 // ns/access is that time per simulated load or store, the unit of the
 // benchmark's cmpsim.ns_per_access.
 func BenchmarkSimulatorFullRun(b *testing.B) {
@@ -384,11 +384,10 @@ func BenchmarkSimulatorFullRun(b *testing.B) {
 			if err := exec.RunCtx(context.Background(), bin, refInput, &blocks); err != nil {
 				b.Fatal(err)
 			}
-			pool := NewStatePool()
 			var accesses uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sim, err := NewSimulatorPooled(bin, DefaultHierarchyConfig(), pool)
+				sim, err := NewSimulator(bin, DefaultHierarchyConfig())
 				if err != nil {
 					b.Fatal(err)
 				}

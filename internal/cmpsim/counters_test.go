@@ -216,10 +216,10 @@ func TestPublishMetricsEventCounters(t *testing.T) {
 
 // Release keeps the Stats value readable, so PublishMetrics after it
 // publishes the Stats-window families and skips the event families that
-// went back to the pool with the hierarchy.
+// went back to the recycler with the hierarchy.
 func TestPublishMetricsAfterRelease(t *testing.T) {
 	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
-	sim, err := NewSimulatorPooled(bin, DefaultHierarchyConfig(), NewStatePool())
+	sim, err := NewSimulator(bin, DefaultHierarchyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

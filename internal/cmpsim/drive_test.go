@@ -60,7 +60,7 @@ func checkDrive(levels []CacheConfig, spec genSpec, calls []driveCall) error {
 // remembers — the accesses the set probe serves.
 func checkDriveAgainst(levels []CacheConfig, spec, rivalSpec genSpec, calls []driveCall) (stale int, err error) {
 	cfg := HierarchyConfig{Levels: levels, MemoryLatency: 250}
-	sim, err := newSimulator(driveBinary, cfg, nil)
+	sim, err := NewSimulator(driveBinary, cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -212,7 +212,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	}
 	targets := []compiler.Target{{Arch: compiler.Arch32, Opt: compiler.O0}, {Arch: compiler.Arch64, Opt: compiler.O2}}
 	// One pool across every run, so recycled hierarchies are checked too.
-	pool := NewStatePool()
+	pool := newStatePool(retainBytes)
 	for _, prog := range []string{"gzip", "mcf", "swim", "applu"} {
 		for _, tg := range targets {
 			bin := compileFor(t, prog, tg)
@@ -254,7 +254,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 // 0: only the stamp tells those ways are invalid.
 func TestSimulatorLineZeroMatchesReference(t *testing.T) {
 	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O0})
-	pool := NewStatePool()
+	pool := newStatePool(retainBytes)
 	for run := 0; run < 2; run++ { // the second run recycles the first's hierarchy
 		sim, err := newSimulator(bin, DefaultHierarchyConfig(), pool)
 		if err != nil {

@@ -71,30 +71,25 @@ type Simulator struct {
 	enabled bool
 	warming bool
 	stats   Stats
-	// pool, when non-nil, receives the hierarchy back on Release.
-	pool *StatePool
+	// pool receives the hierarchy back on Release.
+	pool *statePool
 }
 
 // NewSimulator builds a simulator for the binary with the given memory
-// system and the paper's core. It starts enabled.
+// system and the paper's core. It starts enabled. Its cache-hierarchy
+// state comes from the process-wide recycler; call Release when the walk
+// is done to return it. A recycled hierarchy behaves bit-identically to
+// a fresh one (see statePool), and a simulator that is never released
+// simply leaves its state to the garbage collector.
 func NewSimulator(bin *compiler.Binary, cfg HierarchyConfig) (*Simulator, error) {
-	return newSimulator(bin, cfg, nil)
+	return newSimulator(bin, cfg, states)
 }
 
-// NewSimulatorPooled is NewSimulator drawing its cache-hierarchy state
-// from a StatePool instead of allocating it. Call Release when the walk
-// is done to return the state for reuse; a recycled hierarchy behaves
-// bit-identically to a fresh one (see StatePool). A nil pool degrades to
-// NewSimulator with a no-op Release.
-func NewSimulatorPooled(bin *compiler.Binary, cfg HierarchyConfig, pool *StatePool) (*Simulator, error) {
-	return newSimulator(bin, cfg, pool)
-}
-
-func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, pool *StatePool) (*Simulator, error) {
+func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, pool *statePool) (*Simulator, error) {
 	if bin == nil {
 		return nil, fmt.Errorf("cmpsim: nil binary")
 	}
-	hier, err := pool.Get(cfg)
+	hier, err := pool.get(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +167,16 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, pool *StatePool) (*
 	return s, nil
 }
 
-// Release returns the simulator's hierarchy state to the pool it was
-// drawn from (a no-op for unpooled simulators). The simulator must not
-// be used afterwards: its cache state now belongs to the pool and may be
-// handed to another walk. Release is idempotent; the accumulated Stats
-// value remains readable, but level statistics (Hierarchy, event
-// counters) are gone.
+// Release returns the simulator's hierarchy state to the recycler it
+// was drawn from. The simulator must not be used afterwards: its cache
+// state now belongs to the recycler and may be handed to another walk.
+// Release is idempotent; the accumulated Stats value remains readable,
+// but level statistics (Hierarchy, event counters) are gone.
 func (s *Simulator) Release() {
-	if s.pool != nil && s.hier != nil {
-		s.pool.Put(s.hier)
+	if s.hier != nil {
+		s.pool.put(s.hier)
 	}
 	s.hier = nil
-	s.pool = nil
 }
 
 // SetEnabled gates statistics accumulation on or off. While disabled the

@@ -2,7 +2,10 @@ package cmpsim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"xbsim/internal/compiler"
@@ -56,7 +59,8 @@ func TestCacheResetReseedsRandomStream(t *testing.T) {
 func TestStatePoolReuseBitIdentical(t *testing.T) {
 	bin := compileFor(t, "mcf", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	for _, cfg := range []HierarchyConfig{DefaultHierarchyConfig(), randomHierarchy()} {
-		fresh, err := NewSimulator(bin, cfg)
+		pool := newStatePool(retainBytes)
+		fresh, err := newSimulator(bin, cfg, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,12 +69,12 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 		}
 		wantStats := fresh.TakeStats()
 		wantEvents := levelCounters(fresh.hier)
+		fresh.Release()
 
-		pool := NewStatePool()
-		// First pooled run dirties a hierarchy and returns it; the second
-		// must recycle it and still match the fresh run exactly.
+		// The fresh run returned a dirtied hierarchy; both later runs must
+		// recycle it and still match the fresh run exactly.
 		for round := 0; round < 2; round++ {
-			sim, err := NewSimulatorPooled(bin, cfg, pool)
+			sim, err := newSimulator(bin, cfg, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,32 +96,32 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if gets, reuses := pool.Stats(); gets != 2 || reuses != 1 {
-			t.Fatalf("pool stats gets=%d reuses=%d, want 2/1", gets, reuses)
+		if gets, reuses := pool.stats(); gets != 3 || reuses != 2 {
+			t.Fatalf("pool stats gets=%d reuses=%d, want 3/2", gets, reuses)
 		}
 	}
 }
 
 func TestStatePoolKeysByConfigDigest(t *testing.T) {
-	pool := NewStatePool()
-	a, err := pool.Get(DefaultHierarchyConfig())
+	pool := newStatePool(retainBytes)
+	a, err := pool.get(DefaultHierarchyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Put(a)
+	pool.put(a)
 	// A different geometry must not receive the recycled default state.
-	b, err := pool.Get(randomHierarchy())
+	b, err := pool.get(randomHierarchy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b == a {
 		t.Fatal("pool recycled a hierarchy across different configs")
 	}
-	if _, reuses := pool.Stats(); reuses != 0 {
+	if _, reuses := pool.stats(); reuses != 0 {
 		t.Fatalf("reuses = %d, want 0", reuses)
 	}
 	// Same config does.
-	c, err := pool.Get(DefaultHierarchyConfig())
+	c, err := pool.get(DefaultHierarchyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,45 +130,141 @@ func TestStatePoolKeysByConfigDigest(t *testing.T) {
 	}
 }
 
-func TestStatePoolNilSafe(t *testing.T) {
-	var pool *StatePool
-	h, err := pool.Get(DefaultHierarchyConfig())
-	if err != nil || h == nil {
-		t.Fatalf("nil pool Get: %v %v", h, err)
+// TestStatePoolRetentionCapped pins the bound: the free lists keep at
+// most the byte cap of state, across digests, and a put beyond it drops
+// the hierarchy instead of filing it.
+func TestStatePoolRetentionCapped(t *testing.T) {
+	table1, small := DefaultHierarchyConfig(), randomHierarchy()
+	pool := newStatePool(2*table1.StateBytes() + small.StateBytes())
+	var held []*Hierarchy
+	for _, cfg := range []HierarchyConfig{table1, table1, table1, small, small} {
+		h, err := pool.get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
 	}
-	pool.Put(h) // must not panic
-	if g, r := pool.Stats(); g != 0 || r != 0 {
-		t.Fatal("nil pool reported stats")
+	for _, h := range held {
+		pool.put(h)
 	}
-	bin := compileFor(t, "art", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
-	sim, err := NewSimulatorPooled(bin, DefaultHierarchyConfig(), nil)
+	// Two Table-1 hierarchies and one small one fit; the third Table-1
+	// and the second small one are dropped.
+	want := 2*table1.StateBytes() + small.StateBytes()
+	if pool.retained != want {
+		t.Fatalf("retained %d bytes, want %d", pool.retained, want)
+	}
+	if n := len(pool.free[table1.Digest()]); n != 2 {
+		t.Errorf("%d free Table-1 hierarchies, want 2", n)
+	}
+	if n := len(pool.free[small.Digest()]); n != 1 {
+		t.Errorf("%d free small hierarchies, want 1", n)
+	}
+	// Taking one out makes room for exactly one more.
+	h, err := pool.get(table1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Release()
-	sim.Release() // idempotent
+	pool.put(h)
+	pool.put(held[2])
+	if pool.retained != want {
+		t.Fatalf("after a get and two puts: retained %d bytes, want %d", pool.retained, want)
+	}
+	if retainBytes < 16*table1.StateBytes() {
+		t.Errorf("the process-wide cap %d keeps fewer than 16 Table-1 hierarchies", retainBytes)
+	}
+}
+
+// TestStatePoolConcurrent runs simulators from many goroutines, each
+// drawing state from one pool and releasing it, and checks that no
+// hierarchy is ever held by two of them at once and that every
+// recycled run is bit-identical to a fresh one. Run it under -race.
+func TestStatePoolConcurrent(t *testing.T) {
+	bin := compileFor(t, "art", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
+	cfg := randomHierarchy()
+	ref, err := newSimulator(bin, cfg, newStatePool(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.RunCtx(context.Background(), bin, refInput, ref); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.TakeStats()
+
+	pool := newStatePool(retainBytes)
+	var mu sync.Mutex
+	inUse := map[*Hierarchy]bool{}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				sim, err := newSimulator(bin, cfg, pool)
+				if err != nil {
+					errs <- err
+					return
+				}
+				h := sim.hier
+				mu.Lock()
+				shared := inUse[h]
+				inUse[h] = true
+				mu.Unlock()
+				if shared {
+					errs <- fmt.Errorf("one hierarchy handed to two simulators")
+					return
+				}
+				if err := exec.RunCtx(context.Background(), bin, refInput, sim); err != nil {
+					errs <- err
+					return
+				}
+				if got := sim.TakeStats(); !reflect.DeepEqual(got, want) {
+					errs <- fmt.Errorf("recycled run %+v, fresh %+v", got, want)
+					return
+				}
+				mu.Lock()
+				delete(inUse, h)
+				mu.Unlock()
+				sim.Release()
+				sim.Release() // idempotent: must not file the state twice
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	gets, reuses := pool.stats()
+	if gets != 12 {
+		t.Fatalf("gets = %d, want 12", gets)
+	}
+	// At most 4 were in use at once, so at most 4 were ever built, and
+	// the free list holds every one of them.
+	if built := gets - reuses; built > 4 || uint64(len(pool.free[cfg.Digest()])) != built {
+		t.Fatalf("built %d hierarchies, %d free; want at most 4, all free", built, len(pool.free[cfg.Digest()]))
+	}
 }
 
 // TestStatePoolCutsAllocs pins the reuse win: constructing a simulator
-// from recycled pool state must allocate far less than building one from
+// from recycled state must allocate far less than building one from
 // scratch, since the hierarchy's line arrays — the dominant allocation —
 // are recycled rather than reallocated.
 func TestStatePoolCutsAllocs(t *testing.T) {
 	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
 	cfg := DefaultHierarchyConfig()
 	fresh := testing.AllocsPerRun(20, func() {
-		if _, err := NewSimulator(bin, cfg); err != nil {
+		if _, err := newSimulator(bin, cfg, newStatePool(retainBytes)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	pool := NewStatePool()
-	warm, err := NewSimulatorPooled(bin, cfg, pool)
+	warm, err := NewSimulator(bin, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Release()
 	pooled := testing.AllocsPerRun(20, func() {
-		sim, err := NewSimulatorPooled(bin, cfg, pool)
+		sim, err := NewSimulator(bin, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,9 +112,6 @@ type Config struct {
 	// pipeline. The suite installs one pool for all its benchmarks so
 	// they share a single Workers budget.
 	workerPool *pool.Pool
-	// simPool recycles cmpsim cache-hierarchy state across evaluation
-	// walks, installed alongside workerPool.
-	simPool *cmpsim.StatePool
 }
 
 // QuickConfig is a reduced configuration for tests and go-test benches:

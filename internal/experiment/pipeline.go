@@ -358,7 +358,7 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int) (walk3Re
 	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "full simulation"})
 	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim", bin.Name)
 	defer fspan.End()
-	fw, err := SimulateIntervals(fctx, bin, cfg.Input, cfg.Hierarchy, cfg.simPool,
+	fw, err := SimulateIntervals(fctx, bin, cfg.Input, cfg.Hierarchy,
 		Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: w3.vliEnds})
 	if err != nil {
 		return w3, err
@@ -583,7 +583,7 @@ func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick
 	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
 	ctx, span := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
 	defer span.End()
-	sim, err := cmpsim.NewSimulatorPooled(bin, cfg.Hierarchy, cfg.simPool)
+	sim, err := cmpsim.NewSimulator(bin, cfg.Hierarchy)
 	if err != nil {
 		return nil, err
 	}
@@ -626,8 +626,8 @@ func recalcWeights(pick *simpoint.Result, d *IntervalDeltas, total uint64) ([]fl
 	}
 	w := make([]float64, pick.K)
 	for iv, phase := range pick.PhaseOf {
-		if iv < len(d.instr) {
-			w[phase] += float64(d.instr[iv])
+		if st, ok := d.Interval(iv); ok {
+			w[phase] += float64(st.Instructions)
 		}
 	}
 	for p := range w {
@@ -665,9 +665,9 @@ func buildMethodStats(pick *simpoint.Result, d *IntervalDeltas,
 	phaseInstr := make([]uint64, pick.K)
 	phaseCycles := make([]uint64, pick.K)
 	for iv, phase := range pick.PhaseOf {
-		if iv < len(d.instr) {
-			phaseInstr[phase] += d.instr[iv]
-			phaseCycles[phase] += d.cycles[iv]
+		if st, ok := d.Interval(iv); ok {
+			phaseInstr[phase] += st.Instructions
+			phaseCycles[phase] += st.Cycles
 		}
 	}
 	for p := range ms.PhaseTrueCPI {
@@ -902,14 +902,11 @@ func runSuite(ctx context.Context, cfgs []Config, items []suiteItem) ([]*Suite, 
 		wp = pool.New(cfgs[0].Workers)
 		wp.Instrument(o)
 	}
-	// One simulator state pool serves the whole suite, so cache-hierarchy
-	// state is recycled across all benchmarks' walks.
-	sp := cmpsim.NewStatePool()
 	fps := make([]string, len(cfgs))
 	results := make([][]*BenchmarkResult, len(cfgs))
 	errs := make([][]error, len(cfgs))
 	for v := range cfgs {
-		cfgs[v].workerPool, cfgs[v].simPool = wp, sp
+		cfgs[v].workerPool = wp
 		fps[v] = cfgs[v].fingerprint()
 		results[v] = make([]*BenchmarkResult, len(items))
 		errs[v] = make([]error, len(items))

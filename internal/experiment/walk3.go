@@ -32,43 +32,29 @@ import (
 // walk skips accesses while fast-forwarding — so pick executes the gated
 // walk instead.
 
-// IntervalDeltas is a full walk's statistics delta for every interval of
-// one boundary set: everything Simulator.Stats accumulates, so any
-// statistic a gated walk would measure at a point can be read from it.
-// The per-level arrays are flat ([interval*nlev + level]) so
-// the capture costs two allocations, not two per interval.
-type IntervalDeltas struct {
-	nlev                               int
-	instr, cycles, loads, stores, dram []uint64
-	levelHits, levelMisses             []uint64
+// IntervalStats is one interval's share of a full walk: the quantities
+// the suite's estimates (instructions, cycles) and the facade's
+// (accesses, L1 misses, DRAM accesses) read. Accesses counts every
+// simulated load and store, spills included.
+type IntervalStats struct {
+	Instructions, Cycles             uint64
+	Accesses, L1Misses, DRAMAccesses uint64
 }
 
-func newIntervalDeltas(numIntervals, nlev int) *IntervalDeltas {
-	return &IntervalDeltas{
-		nlev:        nlev,
-		instr:       make([]uint64, numIntervals),
-		cycles:      make([]uint64, numIntervals),
-		loads:       make([]uint64, numIntervals),
-		stores:      make([]uint64, numIntervals),
-		dram:        make([]uint64, numIntervals),
-		levelHits:   make([]uint64, numIntervals*nlev),
-		levelMisses: make([]uint64, numIntervals*nlev),
-	}
+// IntervalDeltas is a full walk's IntervalStats for every interval of one
+// boundary set, so any statistic a gated walk's estimate reads at a
+// point can be read from it.
+type IntervalDeltas struct {
+	iv []IntervalStats
 }
 
 // Interval returns interval iv's statistics delta; ok is false when iv
-// lies outside the boundary set. The per-level slices alias d.
-func (d *IntervalDeltas) Interval(iv int) (st cmpsim.Stats, ok bool) {
-	if iv < 0 || iv >= len(d.instr) {
-		return st, false
+// lies outside the boundary set.
+func (d *IntervalDeltas) Interval(iv int) (IntervalStats, bool) {
+	if iv < 0 || iv >= len(d.iv) {
+		return IntervalStats{}, false
 	}
-	lv := iv * d.nlev
-	return cmpsim.Stats{
-		Instructions: d.instr[iv], Cycles: d.cycles[iv],
-		Loads: d.loads[iv], Stores: d.stores[iv], MemoryAccesses: d.dram[iv],
-		LevelHits:   d.levelHits[lv : lv+d.nlev : lv+d.nlev],
-		LevelMisses: d.levelMisses[lv : lv+d.nlev : lv+d.nlev],
-	}, true
+	return d.iv[iv], true
 }
 
 // window returns each chosen point's (instructions, cycles), in point
@@ -76,10 +62,11 @@ func (d *IntervalDeltas) Interval(iv int) (st cmpsim.Stats, ok bool) {
 func (d *IntervalDeltas) window(points []simpoint.Point) ([]regionStat, error) {
 	regions := make([]regionStat, len(points))
 	for i, p := range points {
-		if p.Interval < 0 || p.Interval >= len(d.instr) {
-			return nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.instr))
+		st, ok := d.Interval(p.Interval)
+		if !ok {
+			return nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.iv))
 		}
-		regions[i] = regionStat{instr: d.instr[p.Interval], cycles: d.cycles[p.Interval]}
+		regions[i] = regionStat{instr: st.Instructions, cycles: st.Cycles}
 	}
 	return regions, nil
 }
@@ -100,17 +87,17 @@ type FullWalk struct {
 	Deltas []*IntervalDeltas
 }
 
-// SimulateIntervals runs bin to completion on a simulator of hierarchy h,
-// drawing cache state from sp (nil builds fresh state), and attributes
-// every interval's statistics delta under each boundary set in sets. It
+// SimulateIntervals runs bin to completion on a simulator of hierarchy h
+// and attributes every interval's statistics delta under each boundary
+// set in sets. It
 // is where every sampled estimate is measured: under functional warming
 // a region's gated measurement equals its delta here, bit for bit. With
 // an observer on ctx the run's statistics are published as the full-run
 // family "sim.full".
 func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Input,
-	h cmpsim.HierarchyConfig, sp *cmpsim.StatePool, sets ...Boundaries) (*FullWalk, error) {
+	h cmpsim.HierarchyConfig, sets ...Boundaries) (*FullWalk, error) {
 
-	sim, err := cmpsim.NewSimulatorPooled(bin, h, sp)
+	sim, err := cmpsim.NewSimulator(bin, h)
 	if err != nil {
 		return nil, err
 	}
@@ -175,25 +162,14 @@ func (v *walk3Visitor) OnMarker(marker int) {
 // intervals as an IntervalSink: on each transition the delta since the
 // previous snapshot is charged to the interval just left.
 type snapshotter struct {
-	sim            *cmpsim.Simulator
-	cur            int
-	lastI          uint64
-	lastC          uint64
-	lastL          uint64
-	lastS          uint64
-	lastD          uint64
-	lastLH, lastLM []uint64
-	d              *IntervalDeltas
+	sim  *cmpsim.Simulator
+	cur  int
+	last IntervalStats
+	d    *IntervalDeltas
 }
 
 func newSnapshotter(sim *cmpsim.Simulator, numIntervals int) *snapshotter {
-	nlev := len(sim.Stats().LevelHits)
-	return &snapshotter{
-		sim:    sim,
-		lastLH: make([]uint64, nlev),
-		lastLM: make([]uint64, nlev),
-		d:      newIntervalDeltas(numIntervals, nlev),
-	}
+	return &snapshotter{sim: sim, d: &IntervalDeltas{iv: make([]IntervalStats, numIntervals)}}
 }
 
 // Transition implements profile.IntervalSink.
@@ -207,22 +183,22 @@ func (s *snapshotter) Transition(i int) {
 
 func (s *snapshotter) flush() {
 	st := s.sim.Stats()
-	if d := s.d; s.cur < len(d.instr) {
-		d.instr[s.cur] += st.Instructions - s.lastI
-		d.cycles[s.cur] += st.Cycles - s.lastC
-		d.loads[s.cur] += st.Loads - s.lastL
-		d.stores[s.cur] += st.Stores - s.lastS
-		d.dram[s.cur] += st.MemoryAccesses - s.lastD
-		base := s.cur * d.nlev
-		for li := 0; li < d.nlev; li++ {
-			d.levelHits[base+li] += st.LevelHits[li] - s.lastLH[li]
-			d.levelMisses[base+li] += st.LevelMisses[li] - s.lastLM[li]
-		}
+	now := IntervalStats{
+		Instructions: st.Instructions,
+		Cycles:       st.Cycles,
+		Accesses:     st.Loads + st.Stores,
+		L1Misses:     st.LevelMisses[0],
+		DRAMAccesses: st.MemoryAccesses,
 	}
-	s.lastI, s.lastC = st.Instructions, st.Cycles
-	s.lastL, s.lastS, s.lastD = st.Loads, st.Stores, st.MemoryAccesses
-	copy(s.lastLH, st.LevelHits)
-	copy(s.lastLM, st.LevelMisses)
+	if s.cur < len(s.d.iv) {
+		d := &s.d.iv[s.cur]
+		d.Instructions += now.Instructions - s.last.Instructions
+		d.Cycles += now.Cycles - s.last.Cycles
+		d.Accesses += now.Accesses - s.last.Accesses
+		d.L1Misses += now.L1Misses - s.last.L1Misses
+		d.DRAMAccesses += now.DRAMAccesses - s.last.DRAMAccesses
+	}
+	s.last = now
 }
 
 // close flushes the final interval; call after the run.

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +45,7 @@ func prepareFor(t *testing.T, ctx context.Context, name string, cfg Config) (*pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.workerPool, cfg.simPool = pool.New(cfg.Workers), cmpsim.NewStatePool()
+	cfg.workerPool = pool.New(cfg.Workers)
 	p, err := prepare(ctx, name, func() (*program.Program, error) {
 		return program.Generate(name, program.GenConfig{TargetOps: cfg.TargetOps})
 	}, cfg)
@@ -166,44 +168,101 @@ func TestCompareSamplersSimulatesWalk3Once(t *testing.T) {
 // multiWalk is SimulateIntervals composed the generic way — the
 // simulator and one tracker per boundary set, in set order, fanned out
 // by an exec.Multi that also delivers every marker to the simulator and
-// to FLI trackers. It is the oracle for walk3Visitor; it also returns
-// the simulator's published sim.full counters, cache event counters
-// included.
+// to FLI trackers — with each set's deltas taken by statsSink from the
+// simulator's whole Stats. It is the oracle for walk3Visitor and the
+// snapshotter; it also returns the simulator's published sim.full
+// counters, cache event counters included.
 func multiWalk(t *testing.T, bin *compiler.Binary, in program.Input, h cmpsim.HierarchyConfig, sets ...Boundaries) (*FullWalk, map[string]uint64) {
 	t.Helper()
 	sim, err := cmpsim.NewSimulator(bin, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sim.Release()
 	visitors := exec.Multi{sim}
-	snaps := make([]*snapshotter, len(sets))
+	sinks := make([]*statsSink, len(sets))
 	for s, b := range sets {
 		if b.VLI != nil {
-			snaps[s] = newSnapshotter(sim, len(b.VLI))
-			visitors = append(visitors, profile.NewVLITracker(bin, b.VLI, snaps[s]))
+			sinks[s] = newStatsSink(sim, len(b.VLI))
+			visitors = append(visitors, profile.NewVLITracker(bin, b.VLI, sinks[s]))
 		} else {
-			snaps[s] = newSnapshotter(sim, len(b.FLI))
-			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, snaps[s]))
+			sinks[s] = newStatsSink(sim, len(b.FLI))
+			visitors = append(visitors, profile.NewFLITracker(bin, b.FLI, sinks[s]))
 		}
 	}
 	if err := exec.RunCtx(context.Background(), bin, in, visitors); err != nil {
 		t.Fatal(err)
 	}
 	fw := &FullWalk{Stats: *sim.Stats(), Deltas: make([]*IntervalDeltas, len(sets))}
-	for s, snap := range snaps {
-		snap.close()
-		fw.Deltas[s] = snap.d
+	for s, sink := range sinks {
+		sink.flush()
+		d := &IntervalDeltas{iv: make([]IntervalStats, len(sink.per))}
+		for iv, st := range sink.per {
+			d.iv[iv] = IntervalStats{
+				Instructions: st.Instructions, Cycles: st.Cycles,
+				Accesses: st.Loads + st.Stores, L1Misses: st.LevelMisses[0],
+				DRAMAccesses: st.MemoryAccesses,
+			}
+		}
+		fw.Deltas[s] = d
 	}
 	reg := obs.NewRegistry()
 	sim.PublishMetrics(reg, "sim.full")
 	return fw, reg.Snapshot().Counters
 }
 
-// TestWalk3VisitorMatchesMulti pins walk 3's fixed visitor against the
-// exec.Multi composition of the same parts: for every binary, with one
+// statsSink charges the simulator's whole Stats — every counter, every
+// level — to the interval just left, on each transition.
+type statsSink struct {
+	sim  *cmpsim.Simulator
+	cur  int
+	last cmpsim.Stats
+	per  []cmpsim.Stats
+}
+
+func newStatsSink(sim *cmpsim.Simulator, numIntervals int) *statsSink {
+	nlev := len(sim.Stats().LevelHits)
+	s := &statsSink{sim: sim, per: make([]cmpsim.Stats, numIntervals)}
+	s.last.LevelHits, s.last.LevelMisses = make([]uint64, nlev), make([]uint64, nlev)
+	for iv := range s.per {
+		s.per[iv].LevelHits, s.per[iv].LevelMisses = make([]uint64, nlev), make([]uint64, nlev)
+	}
+	return s
+}
+
+// Transition implements profile.IntervalSink.
+func (s *statsSink) Transition(i int) {
+	if i != s.cur {
+		s.flush()
+		s.cur = i
+	}
+}
+
+func (s *statsSink) flush() {
+	now := *s.sim.Stats()
+	now.LevelHits, now.LevelMisses = slices.Clone(now.LevelHits), slices.Clone(now.LevelMisses)
+	if s.cur < len(s.per) {
+		p := &s.per[s.cur]
+		p.Instructions += now.Instructions - s.last.Instructions
+		p.Cycles += now.Cycles - s.last.Cycles
+		p.Loads += now.Loads - s.last.Loads
+		p.Stores += now.Stores - s.last.Stores
+		p.MemoryAccesses += now.MemoryAccesses - s.last.MemoryAccesses
+		for l := range now.LevelHits {
+			p.LevelHits[l] += now.LevelHits[l] - s.last.LevelHits[l]
+			p.LevelMisses[l] += now.LevelMisses[l] - s.last.LevelMisses[l]
+		}
+	}
+	s.last = now
+}
+
+// TestWalk3VisitorMatchesMulti pins walk 3's fixed visitor and its
+// five-quantity snapshotter against the exec.Multi composition of the
+// same walk with a whole-Stats oracle sink: for every binary, with one
 // boundary set (FLI or VLI) and with two (in either order), the run's
-// Stats, every interval delta and the published sim.full counters (the
-// cache event counters among them) are equal.
+// Stats, every interval's instructions, cycles, accesses, L1 misses and
+// DRAM accesses, and the published sim.full counters (the cache event
+// counters among them) are equal.
 func TestWalk3VisitorMatchesMulti(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"gzip", "mcf"} {
@@ -216,7 +275,7 @@ func TestWalk3VisitorMatchesMulti(t *testing.T) {
 			fli, vli := Boundaries{FLI: p.FLI[bi].Ends}, Boundaries{VLI: vliEnds}
 			for _, sets := range [][]Boundaries{{fli}, {vli}, {fli, vli}, {vli, fli}} {
 				o := &obs.Observer{Metrics: obs.NewRegistry()}
-				got, err := SimulateIntervals(obs.With(ctx, o), bin, cfg.Input, cfg.Hierarchy, nil, sets...)
+				got, err := SimulateIntervals(obs.With(ctx, o), bin, cfg.Input, cfg.Hierarchy, sets...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,12 +286,73 @@ func TestWalk3VisitorMatchesMulti(t *testing.T) {
 						gotCounters[name] = v
 					}
 				}
+				label := fmt.Sprintf("%s with %d boundary sets (first VLI: %v)", bin.Name, len(sets), sets[0].VLI != nil)
+				for s := range sets {
+					for iv := range want.Deltas[s].iv {
+						g, _ := got.Deltas[s].Interval(iv)
+						if w, _ := want.Deltas[s].Interval(iv); g != w {
+							t.Fatalf("%s: set %d interval %d = %+v, oracle %+v", label, s, iv, g, w)
+						}
+					}
+				}
 				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotCounters, wantCounters) {
-					t.Errorf("%s with %d boundary sets (first VLI: %v): fixed visitor's walk differs from exec.Multi's",
-						bin.Name, len(sets), sets[0].VLI != nil)
+					t.Errorf("%s: fixed visitor's walk differs from exec.Multi's", label)
 				}
 			}
 		}
+	}
+}
+
+// TestSuiteReusesHierarchies pins the process-wide recycler: a second
+// suite run right after a first one builds no cache hierarchy — every
+// simulator it makes draws state the first left behind — and its
+// result is fingerprint-identical. One worker and one pipeline keep the
+// number of walks in flight at one, so the first suite's peak is the
+// second's.
+func TestSuiteReusesHierarchies(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig("gzip", "mcf")
+	cfg.Workers, cfg.Parallelism = 1, 1
+	first, err := RunCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets0, reuses0 := cmpsim.StateStats()
+	second, err := RunCtx(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets1, reuses1 := cmpsim.StateStats()
+	if gets1 == gets0 {
+		t.Fatal("the second suite drew no simulator state")
+	}
+	if built := (gets1 - gets0) - (reuses1 - reuses0); built != 0 {
+		t.Errorf("the second suite built %d of its %d hierarchies", built, gets1-gets0)
+	}
+	if got, want := second.Fingerprint(), first.Fingerprint(); got != want {
+		t.Errorf("second suite %s, first %s", got, want)
+	}
+}
+
+// TestWarmSimulateIntervalsAllocs pins the saving per walk: once the
+// recycler holds a hierarchy, a full walk with both boundary sets
+// allocates less than one hierarchy's cache state.
+func TestWarmSimulateIntervalsAllocs(t *testing.T) {
+	ctx := context.Background()
+	p, cfg := prepareFor(t, ctx, "gzip", testConfig("gzip"))
+	bin := p.Bins[0]
+	sets := []Boundaries{{FLI: p.FLI[0].Ends}, {VLI: p.walk3[0].vliEnds}}
+	if _, err := SimulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, sets...); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SimulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, sets...); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, cfg.Hierarchy.StateBytes(); got >= limit {
+		t.Errorf("a warmed walk allocated %d bytes, not below one hierarchy's %d", got, limit)
 	}
 }
 
@@ -412,7 +532,7 @@ func countSpans(r *obs.Recorder, name string) int {
 // TestPointOutsideWalk3Rejected: a point interval walk 3 did not cover
 // is an error, never a silent re-execution.
 func TestPointOutsideWalk3Rejected(t *testing.T) {
-	d := newIntervalDeltas(3, 2)
+	d := &IntervalDeltas{iv: make([]IntervalStats, 3)}
 	for _, iv := range []int{-1, 3} {
 		if _, err := d.window([]simpoint.Point{{Interval: iv}}); err == nil || !strings.Contains(err.Error(), "outside") {
 			t.Errorf("interval %d: err = %v, want an outside-walk-3 error", iv, err)
@@ -457,14 +577,14 @@ func TestEvaluateWalkAbortClosesSamples(t *testing.T) {
 // a real error, not NaN weights.
 func TestRecalcWeightsZeroTotal(t *testing.T) {
 	pick := &simpoint.Result{K: 2, PhaseOf: []int{0, 1, 0}}
-	d := &IntervalDeltas{instr: []uint64{0, 0, 0}}
+	d := &IntervalDeltas{iv: make([]IntervalStats, 3)}
 	if _, err := recalcWeights(pick, d, 0); err == nil {
 		t.Fatal("zero-total recalcWeights returned no error")
 	} else if !strings.Contains(err.Error(), "no instructions") {
 		t.Fatalf("error does not name the cause: %v", err)
 	}
 
-	d.instr = []uint64{10, 30, 10}
+	d.iv = []IntervalStats{{Instructions: 10}, {Instructions: 30}, {Instructions: 10}}
 	w, err := recalcWeights(pick, d, 50)
 	if err != nil {
 		t.Fatal(err)

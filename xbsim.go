@@ -463,12 +463,14 @@ func (cp *CrossPoints) ForBinary(ctx context.Context, b int) (*PointSet, error) 
 // returns the whole-program statistics. hierarchy == nil uses Table 1.
 // The run is recorded as a "stage.full_sim" span and its statistics are
 // published under the "sim.full" metric prefix through the context's
-// Observer, if any.
+// Observer, if any. The simulator's cache state goes back to the
+// process-wide recycler when the run is done.
 func SimulateFull(ctx context.Context, bin *Binary, in Input, hierarchy *HierarchyConfig) (*Stats, error) {
 	sim, err := cmpsim.NewSimulator(bin, orTable1(hierarchy))
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Release()
 	fctx, fspan := obs.StartSpan(ctx, "stage.full_sim", bin.Name)
 	if err := exec.RunCtx(fctx, bin, in, sim); err != nil {
 		fspan.End()
@@ -525,7 +527,7 @@ func EstimateStats(ctx context.Context, bin *Binary, in Input, ps *PointSet, hie
 	if ps.Flavor == pinpoints.FlavorVLI {
 		set = experiment.Boundaries{VLI: ps.vliEnds}
 	}
-	walk, err := experiment.SimulateIntervals(ctx, bin, in, orTable1(hierarchy), nil, set)
+	walk, err := experiment.SimulateIntervals(ctx, bin, in, orTable1(hierarchy), set)
 	if err != nil {
 		return nil, err
 	}
@@ -543,10 +545,10 @@ func EstimateStats(ctx context.Context, bin *Binary, in Input, ps *PointSet, hie
 			return nil, fmt.Errorf("xbsim: simulation point interval %d executed nothing", iv)
 		}
 		pointCPI[p] = float64(st.Cycles) / float64(st.Instructions)
-		if accesses := st.Loads + st.Stores; accesses > 0 {
-			est.L1MissRate += w * float64(st.LevelMisses[0]) / float64(accesses)
+		if st.Accesses > 0 {
+			est.L1MissRate += w * float64(st.L1Misses) / float64(st.Accesses)
 		}
-		est.DRAMPerKI += w * float64(st.MemoryAccesses) / float64(st.Instructions) * 1000
+		est.DRAMPerKI += w * float64(st.DRAMAccesses) / float64(st.Instructions) * 1000
 		wsum += w
 	}
 	if est.CPI, err = experiment.WeightedCPI(ps.Weights, pointCPI); err != nil {

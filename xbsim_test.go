@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"xbsim/internal/cmpsim"
 	"xbsim/internal/pinpoints"
 )
 
@@ -216,6 +217,34 @@ func TestRepick(t *testing.T) {
 	c.IntervalSize *= 2
 	if _, err := a.Repick(c); err == nil || !strings.Contains(err.Error(), "beyond pick-side settings") {
 		t.Fatalf("repick with a changed IntervalSize: err = %v", err)
+	}
+}
+
+// TestSimulateFullReleasesState checks that SimulateFull hands its cache
+// state back to cmpsim's process-wide recycler: three runs under a
+// hierarchy no other test uses build it once, and the recycled runs
+// return the first run's statistics.
+func TestSimulateFullReleasesState(t *testing.T) {
+	ctx := context.Background()
+	bin := testBenchmark(t, "gzip").Binary("32u")
+	h := Table1()
+	h.MemoryLatency++
+	gets0, reuses0 := cmpsim.StateStats()
+	var first *Stats
+	for run := 0; run < 3; run++ {
+		st, err := SimulateFull(ctx, bin, testInput, &h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = st
+		} else if !reflect.DeepEqual(st, first) {
+			t.Fatalf("run %d on recycled state: %+v, first run %+v", run, *st, *first)
+		}
+	}
+	gets1, reuses1 := cmpsim.StateStats()
+	if built := (gets1 - gets0) - (reuses1 - reuses0); gets1-gets0 != 3 || built != 1 {
+		t.Errorf("3 runs drew %d hierarchies and built %d, want 3 and 1", gets1-gets0, built)
 	}
 }
 
