@@ -11,6 +11,7 @@
 package bbv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -99,7 +100,10 @@ func (v *Vector) Clone() *Vector {
 // Sparse returns the vector's non-zero entries as parallel index/value
 // slices sorted by index.
 func (v *Vector) Sparse() (indices []int, values []float64) {
-	indices = appendInts(make([]int, 0, len(v.touched)), v.touched)
+	indices = make([]int, len(v.touched))
+	for i, b := range v.touched {
+		indices[i] = int(b)
+	}
 	slices.Sort(indices)
 	values = make([]float64, len(indices))
 	for i, b := range indices {
@@ -108,44 +112,43 @@ func (v *Vector) Sparse() (indices []int, values []float64) {
 	return indices, values
 }
 
-// appendInts appends the block IDs of row to dst as ints.
-func appendInts(dst []int, row []int32) []int {
-	for _, b := range row {
-		dst = append(dst, int(b))
-	}
-	return dst
-}
-
 // Dataset is an ordered collection of interval BBVs plus the interval
 // lengths (dynamic instruction counts), ready to be normalized, projected,
 // and clustered. For fixed length intervals the lengths are all (about)
 // equal; for variable length intervals they differ and are used as
 // clustering weights, as in SimPoint 3.0.
 //
-// Each interval is stored as one row: its block IDs in ascending order
-// and their weights, at the same offset of a pair of parallel chunks.
-// Chunks hold chunkLen entries and are never regrown, so a row never
-// moves once written; a row longer than chunkLen gets a chunk pair of
-// exactly its own length.
+// Each interval is stored as one row of bytes: for each of its blocks in
+// ascending order, the uvarint gap from the previous block ID (the first
+// from 0), then the block's weight code (appendWeight). Rows go into byte
+// chunks of chunkBytes that are never regrown, so a row never moves once
+// written; a row longer than chunkBytes gets a chunk of exactly its own
+// size.
 type Dataset struct {
-	idxChunks [][]int32
-	valChunks [][]float64
+	chunks [][]byte
 	// fill is the chunk short rows go to. An oversized chunk, or none at
 	// all, reads as full, so the zero value needs no set-up.
-	fill    int
+	fill int
+	// buf is the row being encoded, reused across Appends.
+	buf     []byte
 	rows    []rowRef
 	lengths []uint64
 	// dim is one more than the largest block ID appended, 0 when none.
 	dim int
 }
 
-// chunkLen is the entry count of a shared chunk. On the fine-stratified
-// suite 1<<10 allocated less than 1<<8, which needs more chunks, and
-// 1<<12, which leaves more unused tail room; DESIGN §21 has the numbers.
-const chunkLen = 1 << 10
+// chunkBytes is the size of a shared chunk. On the fine-stratified suite
+// 1 KiB to 4 KiB allocated within 0.02 MB of each other and 8 KiB more;
+// DESIGN §21 has the numbers.
+const chunkBytes = 1 << 11
 
-// rowRef locates one interval's entries: idxChunks[chunk][off:off+n] and
-// valChunks[chunk][off:off+n].
+// escape starts a weight code holding the raw Float64bits. No other code
+// can start with it: those are uvarints of even numbers, whose first byte
+// has its low bit clear.
+const escape = 0x01
+
+// rowRef locates one interval's n entries, which start at byte off of
+// chunks[chunk].
 type rowRef struct {
 	chunk, off, n int32
 }
@@ -155,27 +158,30 @@ func NewDataset() *Dataset {
 	return &Dataset{}
 }
 
-// Append adds an interval's vector to the dataset as a sorted row copied
+// Append adds an interval's vector to the dataset as a sorted row encoded
 // out of it, so the caller may Reset and reuse the vector. It sorts the
 // vector's touched list in place.
 func (d *Dataset) Append(v *Vector) {
 	slices.Sort(v.touched)
-	n := len(v.touched)
+	row := d.buf[:0]
+	var prev int32
+	for _, b := range v.touched {
+		row = binary.AppendUvarint(row, uint64(b-prev))
+		row = appendWeight(row, v.weight[b])
+		prev = b
+	}
+	d.buf = row
 	c := d.fill
 	switch {
-	case n > chunkLen:
-		c = d.newChunk(n)
-	case c == len(d.idxChunks) || len(d.idxChunks[c])+n > chunkLen:
-		c = d.newChunk(chunkLen)
+	case len(row) > chunkBytes:
+		c = d.newChunk(len(row))
+	case c == len(d.chunks) || len(d.chunks[c])+len(row) > chunkBytes:
+		c = d.newChunk(chunkBytes)
 		d.fill = c
 	}
-	off := len(d.idxChunks[c])
-	d.idxChunks[c] = append(d.idxChunks[c], v.touched...)
-	vals := d.valChunks[c]
-	for _, b := range v.touched {
-		vals = append(vals, v.weight[b])
-	}
-	d.valChunks[c] = vals
+	off := len(d.chunks[c])
+	d.chunks[c] = append(d.chunks[c], row...)
+	n := len(v.touched)
 	if n > 0 {
 		d.dim = max(d.dim, int(v.touched[n-1])+1)
 	}
@@ -183,18 +189,46 @@ func (d *Dataset) Append(v *Vector) {
 	d.lengths = append(d.lengths, v.Instructions())
 }
 
-// newChunk adds an empty chunk pair of capacity size and returns its index.
-func (d *Dataset) newChunk(size int) int {
-	d.idxChunks = append(d.idxChunks, make([]int32, 0, size))
-	d.valChunks = append(d.valChunks, make([]float64, 0, size))
-	return len(d.idxChunks) - 1
+// appendWeight appends w's code: uvarint(w<<1) when w is a non-negative
+// integer below 2^63, as every weight Vector.Add builds is, otherwise
+// escape and the 8 bytes of Float64bits(w). Either way it decodes to the
+// same float64, bit for bit.
+func appendWeight(dst []byte, w float64) []byte {
+	if w < 1<<63 && w == math.Trunc(w) && !math.Signbit(w) {
+		return binary.AppendUvarint(dst, uint64(w)<<1)
+	}
+	dst = append(dst, escape)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
 }
 
-// row returns interval i's block IDs and weights, as views into its chunks.
-func (d *Dataset) row(i int) ([]int32, []float64) {
+// newChunk adds an empty chunk of capacity size and returns its index.
+func (d *Dataset) newChunk(size int) int {
+	d.chunks = append(d.chunks, make([]byte, 0, size))
+	return len(d.chunks) - 1
+}
+
+// decodeRow appends interval i's block IDs to idx and its weights to vals.
+func (d *Dataset) decodeRow(i int, idx []int, vals []float64) ([]int, []float64) {
 	r := d.rows[i]
-	end := r.off + r.n
-	return d.idxChunks[r.chunk][r.off:end:end], d.valChunks[r.chunk][r.off:end:end]
+	buf := d.chunks[r.chunk][r.off:]
+	b := 0
+	for range r.n {
+		gap, k := binary.Uvarint(buf)
+		b += int(gap)
+		buf = buf[k:]
+		var w float64
+		if buf[0] == escape {
+			w = math.Float64frombits(binary.LittleEndian.Uint64(buf[1:9]))
+			buf = buf[9:]
+		} else {
+			code, k := binary.Uvarint(buf)
+			w = float64(code >> 1)
+			buf = buf[k:]
+		}
+		idx = append(idx, b)
+		vals = append(vals, w)
+	}
+	return idx, vals
 }
 
 // Len returns the number of intervals.
@@ -216,13 +250,14 @@ func (d *Dataset) TotalInstructions() uint64 {
 // Vector returns a copy of interval i's raw (unnormalized) vector.
 func (d *Dataset) Vector(i int) *Vector {
 	v := &Vector{instructions: d.lengths[i]}
-	if idx, vals := d.row(i); len(idx) > 0 {
-		v.grow(int(idx[len(idx)-1]))
+	if idx, vals := d.decodeRow(i, nil, nil); len(idx) > 0 {
+		v.grow(idx[len(idx)-1])
+		v.touched = make([]int32, len(idx))
 		for k, b := range idx {
 			v.weight[b] = vals[k]
 			v.present[b] = true
+			v.touched[k] = int32(b)
 		}
-		v.touched = slices.Clone(idx)
 	}
 	return v
 }
@@ -257,9 +292,7 @@ func (d *Dataset) ProjectMatrix(outDim int, rng *xrand.Stream) (vecmath.Matrix, 
 	var idx []int
 	var vals []float64
 	for i := range d.rows {
-		rowIdx, rowVals := d.row(i)
-		idx = appendInts(idx[:0], rowIdx)
-		vals = append(vals[:0], rowVals...)
+		idx, vals = d.decodeRow(i, idx[:0], vals[:0])
 		// L1-normalize the sparse values before projecting; projection is
 		// linear so this equals projecting then scaling, but normalizing
 		// first keeps magnitudes uniform.

@@ -1,10 +1,12 @@
 package bbv
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"xbsim/internal/xrand"
 )
@@ -192,6 +194,14 @@ func TestDatasetMatchesReference(t *testing.T) {
 func FuzzDatasetExact(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x11\x05\x00\x00\x00"))
 	f.Add([]byte("\x40\xff\xff\x31\x00\x02\x00\x01\x07\x00\x00\x00\x05\x00\x00\x00\x00\x02\x00\x01\x06\x00\x00\x00"))
+	// The longest codes this decoding reaches: gaps up to 2^14 and
+	// weights near 2^48, several varint bytes each.
+	f.Add([]byte("\x60\xff\x3f\xff\x40\x00\x20\xff\x20\x00\x00\xff\x02\x00\x00\x00\x60\x01\x3f\xf1\x02\x00\x00\x00"))
+	// 40,000 adds of 15<<40 executions of a 15-instruction block sum past
+	// 2^63, so the weight takes the escape code. Negative weights need a
+	// negative block size, which this decoding cannot express;
+	// TestDatasetEscapedWeights covers them.
+	f.Add(append(bytes.Repeat([]byte{0x25, 0x03, 0x00, 0xff}, 40_000), 0x02, 0x00, 0x00, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ops []bbvOp
 		for ; len(data) >= 4; data = data[4:] {
@@ -216,57 +226,136 @@ func FuzzDatasetExact(f *testing.F) {
 	})
 }
 
+// rowOfBytes adds to v and r distinct blocks, in descending ID order,
+// whose row encodes to exactly size bytes (0 or at least 2): gaps of 1
+// and weights of 1 take one byte each, a weight of 100 takes two.
+func rowOfBytes(v *Vector, r *refVector, size int) {
+	entries := size / 2
+	for j := entries; j >= 1; j-- {
+		w := 1
+		if j == 1 && size%2 == 1 {
+			w = 100
+		}
+		v.Add(j, 1, w)
+		r.Add(j, 1, w)
+	}
+}
+
 // TestDatasetChunkBoundaries appends rows that fill a chunk exactly,
-// overflow it by one, are empty, or exceed chunkLen and so take a chunk of
-// their own, and checks them against the oracle and the chunk layout: a
-// shared chunk never grows past chunkLen, a row opens a new one only when
-// the current one lacks room, and an oversized chunk holds exactly one
-// row.
+// overflow it by one byte, are empty, or exceed chunkBytes and so take a
+// chunk of their own, and checks them against the oracle and the chunk
+// layout: rows are packed and never straddle, a shared chunk is exactly
+// chunkBytes, a row opens a new one only when the current one lacks room,
+// an oversized chunk holds exactly one row, and no chunk is ever
+// regrown.
 func TestDatasetChunkBoundaries(t *testing.T) {
-	lens := []int{chunkLen, 0, chunkLen - 1, 1, 2, chunkLen + 1, 3, chunkLen / 2,
-		chunkLen/2 + 1, 3 * chunkLen, 0, 7, chunkLen - 7, chunkLen + 5, 1}
+	sizes := []int{chunkBytes, 0, chunkBytes - 1, 2, 3, chunkBytes + 1, 4, chunkBytes / 2,
+		chunkBytes/2 - 7, 3 * chunkBytes, 0, 7, chunkBytes - 7, chunkBytes + 5, 2}
 	d, rd := NewDataset(), newRefDataset()
 	v, r := NewVector(), newRefVector()
-	for k, n := range lens {
-		for j := 0; j < n; j++ {
-			b := (n-1-j)*3 + k%3 // distinct, added in descending order
-			v.Add(b, uint64(j%4+1), j%5+1)
-			r.Add(b, uint64(j%4+1), j%5+1)
-		}
+	var bases []*byte
+	for _, size := range sizes {
+		rowOfBytes(v, r, size)
 		d.Append(v)
 		rd.Append(r)
 		v.Reset()
 		r.Reset()
+		for c, chunk := range d.chunks {
+			if c < len(bases) && unsafe.SliceData(chunk) != bases[c] {
+				t.Fatalf("chunk %d moved after %d rows", c, len(d.rows))
+			}
+		}
+		for c := len(bases); c < len(d.chunks); c++ {
+			bases = append(bases, unsafe.SliceData(d.chunks[c]))
+		}
 	}
 	if err := sameDataset(d, rd); err != nil {
 		t.Fatal(err)
 	}
-	rowsIn := make([]int, len(d.idxChunks))
+	rowsIn := make([]int, len(d.chunks))
+	used := make([]int, len(d.chunks))
 	shared := -1
 	for i, ref := range d.rows {
-		if int(ref.n) != lens[i] {
-			t.Fatalf("row %d has %d entries, want %d", i, ref.n, lens[i])
+		c, size := int(ref.chunk), sizes[i]
+		if int(ref.n) != size/2 {
+			t.Fatalf("row %d has %d entries, want %d", i, ref.n, size/2)
 		}
-		if ref.n > 0 {
-			rowsIn[ref.chunk]++
+		if int(ref.off) != used[c] {
+			t.Fatalf("row %d starts at byte %d of chunk %d, want %d", i, ref.off, c, used[c])
 		}
-		if c := int(ref.chunk); cap(d.idxChunks[c]) <= chunkLen && c != shared {
+		used[c] += size
+		if size > 0 {
+			rowsIn[c]++
+		}
+		if cap(d.chunks[c]) == chunkBytes && c != shared {
 			// Rows never return to an earlier shared chunk, so its final
 			// length is its length when row i opened chunk c.
-			if shared >= 0 && len(d.idxChunks[shared])+lens[i] <= chunkLen {
-				t.Fatalf("row %d of %d entries opened chunk %d; chunk %d had room", i, lens[i], c, shared)
+			if shared >= 0 && len(d.chunks[shared])+size <= chunkBytes {
+				t.Fatalf("row %d of %d bytes opened chunk %d; chunk %d had room", i, size, c, shared)
 			}
 			shared = c
 		}
 	}
-	for c, idx := range d.idxChunks {
+	for c, chunk := range d.chunks {
 		switch {
-		case cap(idx) != cap(d.valChunks[c]) || len(idx) != len(d.valChunks[c]):
-			t.Fatalf("chunk %d: index and value chunks differ in shape", c)
-		case cap(idx) > chunkLen && (len(idx) != cap(idx) || rowsIn[c] != 1):
-			t.Fatalf("oversized chunk %d holds %d rows in %d of %d entries", c, rowsIn[c], len(idx), cap(idx))
-		case cap(idx) < chunkLen:
-			t.Fatalf("chunk %d has capacity %d, want chunkLen or one oversized row", c, cap(idx))
+		case len(chunk) != used[c]:
+			t.Fatalf("chunk %d holds %d bytes, its rows %d", c, len(chunk), used[c])
+		case cap(chunk) > chunkBytes && (len(chunk) != cap(chunk) || rowsIn[c] != 1):
+			t.Fatalf("oversized chunk %d holds %d rows in %d of %d bytes", c, rowsIn[c], len(chunk), cap(chunk))
+		case cap(chunk) < chunkBytes:
+			t.Fatalf("chunk %d has capacity %d, want chunkBytes or one oversized row", c, cap(chunk))
+		}
+	}
+}
+
+// Weights outside uvarint's reach take the escape code and still round-trip
+// bit for bit: negative block sizes and weights of 2^63 or more through
+// Add, checked against the oracle in Vector(i) and ProjectMatrix, and
+// every other kind of float64 through Vector(i).
+func TestDatasetEscapedWeights(t *testing.T) {
+	add := func(b int, e uint64, size int) bbvOp { return bbvOp{kind: opAdd, block: b, executions: e, size: size} }
+	cut := bbvOp{kind: opAppendReset}
+	largestBelow := uint64(1)<<53 - 1 // times 1024 is the largest float64 below 2^63
+	ops := []bbvOp{
+		add(0, 3, -5), cut,
+		add(0, 1<<61, 4), cut, // exactly 2^63
+		add(0, 1<<62, 7), cut,
+		add(0, largestBelow, 1024), cut,
+		add(0, 2, -1), add(3, 4, 5), add(9, 1<<62, 6), add(12, 1, 1), cut,
+		add(0, 1, 1), add(0, 1, -1), add(4, 1, 1), cut, // a weight summed to 0
+	}
+	if err := checkStream(ops); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDataset()
+	v := NewVector()
+	for _, op := range ops {
+		if op.kind == opAppendReset {
+			d.Append(v)
+			v.Reset()
+			continue
+		}
+		v.Add(op.block, op.executions, op.size)
+	}
+	// Single-entry rows of block 0: one gap byte, then the weight code.
+	for i, wantEscape := range []bool{true, true, true, false} {
+		ref := d.rows[i]
+		if got := d.chunks[ref.chunk][ref.off+1] == escape; got != wantEscape {
+			t.Errorf("row %d (weight %v): escaped %v, want %v", i, d.Vector(i).weight[0], got, wantEscape)
+		}
+	}
+	weights := []float64{math.NaN(), math.Copysign(0, -1), 0.5, -3, math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 1 << 63, 1<<63 - 1024, 0, 1}
+	d = NewDataset()
+	for _, w := range weights {
+		v.Reset()
+		v.Add(7, 1, 1)
+		v.weight[7] = w
+		d.Append(v)
+	}
+	for i, w := range weights {
+		if got := d.Vector(i).weight[7]; math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("weight %v (bits %#x) decoded as %v (bits %#x)", w, math.Float64bits(w), got, math.Float64bits(got))
 		}
 	}
 }

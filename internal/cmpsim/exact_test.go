@@ -183,7 +183,7 @@ type lockstep struct {
 func (l *lockstep) OnBlock(block int) {
 	l.n++
 	if l.n%l.every == 0 {
-		if got, want := l.sim.TakeStats(), l.ref.TakeStats(); l.err == nil && !reflect.DeepEqual(got, want) {
+		if got, want := takeStats(l.sim), l.ref.TakeStats(); l.err == nil && !reflect.DeepEqual(got, want) {
 			l.err = fmt.Errorf("window ending at block %d: %+v, reference %+v", l.n, got, want)
 		}
 		l.sim.SetEnabled(!l.sim.Enabled())

@@ -199,22 +199,6 @@ func (s *Simulator) Enabled() bool { return s.enabled }
 // Stats returns the accumulated statistics.
 func (s *Simulator) Stats() *Stats { return &s.stats }
 
-// TakeStats returns the accumulated statistics and resets the counters
-// (cache contents are preserved). Used to collect per-region results.
-func (s *Simulator) TakeStats() Stats {
-	out := s.stats
-	out.LevelHits = append([]uint64(nil), s.stats.LevelHits...)
-	out.LevelMisses = append([]uint64(nil), s.stats.LevelMisses...)
-	s.stats.Instructions, s.stats.Cycles = 0, 0
-	s.stats.Loads, s.stats.Stores = 0, 0
-	s.stats.MemoryAccesses = 0
-	for i := range s.stats.LevelHits {
-		s.stats.LevelHits[i] = 0
-		s.stats.LevelMisses[i] = 0
-	}
-	return out
-}
-
 // PublishMetrics adds the accumulated statistics to the registry as
 // counters under the given prefix ("sim.full" → sim.full.instructions,
 // sim.full.cycles, sim.full.cache.l1.hits, ...). The pipeline publishes

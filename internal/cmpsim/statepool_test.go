@@ -67,7 +67,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 		if err := exec.RunCtx(context.Background(), bin, refInput, fresh); err != nil {
 			t.Fatal(err)
 		}
-		wantStats := fresh.TakeStats()
+		wantStats := takeStats(fresh)
 		wantEvents := levelCounters(fresh.hier)
 		fresh.Release()
 
@@ -81,7 +81,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 			if err := exec.RunCtx(context.Background(), bin, refInput, sim); err != nil {
 				t.Fatal(err)
 			}
-			got := sim.TakeStats()
+			got := takeStats(sim)
 			gotEvents := levelCounters(sim.hier)
 			sim.Release()
 			if got.Instructions != wantStats.Instructions || got.Cycles != wantStats.Cycles ||
@@ -188,7 +188,7 @@ func TestStatePoolConcurrent(t *testing.T) {
 	if err := exec.RunCtx(context.Background(), bin, refInput, ref); err != nil {
 		t.Fatal(err)
 	}
-	want := ref.TakeStats()
+	want := takeStats(ref)
 
 	pool := newStatePool(retainBytes)
 	var mu sync.Mutex
@@ -218,7 +218,7 @@ func TestStatePoolConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := sim.TakeStats(); !reflect.DeepEqual(got, want) {
+				if got := takeStats(sim); !reflect.DeepEqual(got, want) {
 					errs <- fmt.Errorf("recycled run %+v, fresh %+v", got, want)
 					return
 				}

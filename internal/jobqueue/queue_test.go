@@ -31,8 +31,9 @@ func benchRequest(benchmarks ...string) Request {
 	return Request{Benchmarks: benchmarks, Config: testConfig()}
 }
 
-// waitState polls until the job reaches a terminal state (done/failed)
-// or the deadline expires.
+// waitState polls until the job reaches the terminal state want
+// (done/failed), failing at once if it reaches the other one, or when the
+// deadline expires.
 func waitState(t *testing.T, q *Queue, id string, want State) *Job {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -41,11 +42,11 @@ func waitState(t *testing.T, q *Queue, id string, want State) *Job {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.State == want {
+		switch {
+		case j.State == want:
 			return j
-		}
-		if j.State == StateFailed && want != StateFailed {
-			t.Fatalf("job %s failed: %s", id, j.Error)
+		case j.State == StateDone || j.State == StateFailed:
+			t.Fatalf("job %s reached %s, want %s (error %q)", id, j.State, want, j.Error)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -223,21 +224,32 @@ func TestFailedJobResubmit(t *testing.T) {
 	waitState(t, q, j.ID, StateFailed)
 }
 
-// A job deadline must fail the job, not wedge the queue.
+// A job deadline must fail the job, not wedge the queue. The job's first
+// profile stage hangs until its context is done, so only the deadline can
+// end it; a job submitted after it must still run to done.
 func TestJobDeadline(t *testing.T) {
-	q := openQueue(t, context.Background(), t.TempDir(), obs.New())
+	rules, err := faults.ParseRules("profile@0:hang")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx := faults.With(context.Background(), faults.NewInjector(rules...))
+	q := openQueue(t, fctx, t.TempDir(), obs.New())
 	defer q.Close()
-	req := benchRequest("gcc", "apsi", "applu", "mcf", "swim")
+	req := benchRequest("gzip")
 	req.TimeoutSec = 1
-	req.Config.TargetOps = 4_000_000 // comfortably > 1s of work
 	j, _, err := q.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed := waitState(t, q, j.ID, StateFailed)
-	if failed.Error == "" {
-		t.Fatal("deadline failure carries no error")
+	if !strings.Contains(failed.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("job failed with %q, want the deadline error", failed.Error)
 	}
+	next, _, err := q.Submit(benchRequest("mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, next.ID, StateDone)
 }
 
 // Drain must close admission, cancel the running job, and re-spool it
