@@ -1,7 +1,6 @@
 package bbv
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -190,18 +189,18 @@ func TestDatasetMatchesReference(t *testing.T) {
 // FuzzDatasetExact decodes four bytes per op: a kind/flags byte, a block
 // ID (8 bits, or 14 bits to reach sparse high IDs when flagged), and
 // a byte split into executions (low nibble, 0 included) and block size
-// (high nibble, 0 included).
+// (high nibble, 0 included). Flags shift the executions left by 40 or by
+// 60 bits and negate the block size, so one add can make a weight at or
+// past 2^63 or below zero, both of which take the escape code.
 func FuzzDatasetExact(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x11\x05\x00\x00\x00"))
 	f.Add([]byte("\x40\xff\xff\x31\x00\x02\x00\x01\x07\x00\x00\x00\x05\x00\x00\x00\x00\x02\x00\x01\x06\x00\x00\x00"))
-	// The longest codes this decoding reaches: gaps up to 2^14 and
-	// weights near 2^48, several varint bytes each.
+	// The longest varint codes: gaps up to 2^14 and weights near 2^48.
 	f.Add([]byte("\x60\xff\x3f\xff\x40\x00\x20\xff\x20\x00\x00\xff\x02\x00\x00\x00\x60\x01\x3f\xf1\x02\x00\x00\x00"))
-	// 40,000 adds of 15<<40 executions of a 15-instruction block sum past
-	// 2^63, so the weight takes the escape code. Negative weights need a
-	// negative block size, which this decoding cannot express;
-	// TestDatasetEscapedWeights covers them.
-	f.Add(append(bytes.Repeat([]byte{0x25, 0x03, 0x00, 0xff}, 40_000), 0x02, 0x00, 0x00, 0x00))
+	// Escaped weights: 15<<60 executions of a one-instruction block, and
+	// one execution of a block of size -3, each then appended.
+	f.Add([]byte("\x10\x03\x00\x1f\x02\x00\x00\x00"))
+	f.Add([]byte("\x80\x03\x00\x31\x02\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ops []bbvOp
 		for ; len(data) >= 4; data = data[4:] {
@@ -214,10 +213,16 @@ func FuzzDatasetExact(f *testing.F) {
 				op.block |= int(data[2]&0x3F) << 8
 			}
 			op.executions = uint64(data[3] & 0xF)
-			if data[0]&0x20 != 0 {
+			switch {
+			case data[0]&0x10 != 0:
+				op.executions <<= 60
+			case data[0]&0x20 != 0:
 				op.executions <<= 40
 			}
 			op.size = int(data[3] >> 4)
+			if data[0]&0x80 != 0 {
+				op.size = -op.size
+			}
 			ops = append(ops, op)
 		}
 		if err := checkStream(ops); err != nil {

@@ -96,7 +96,7 @@ func TestStatePoolReuseBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if gets, reuses := pool.stats(); gets != 3 || reuses != 2 {
+		if gets, reuses := pool.list.Stats(); gets != 3 || reuses != 2 {
 			t.Fatalf("pool stats gets=%d reuses=%d, want 3/2", gets, reuses)
 		}
 	}
@@ -117,7 +117,7 @@ func TestStatePoolKeysByConfigDigest(t *testing.T) {
 	if b == a {
 		t.Fatal("pool recycled a hierarchy across different configs")
 	}
-	if _, reuses := pool.stats(); reuses != 0 {
+	if _, reuses := pool.list.Stats(); reuses != 0 {
 		t.Fatalf("reuses = %d, want 0", reuses)
 	}
 	// Same config does.
@@ -150,13 +150,14 @@ func TestStatePoolRetentionCapped(t *testing.T) {
 	// Two Table-1 hierarchies and one small one fit; the third Table-1
 	// and the second small one are dropped.
 	want := 2*table1.StateBytes() + small.StateBytes()
-	if pool.retained != want {
-		t.Fatalf("retained %d bytes, want %d", pool.retained, want)
+	retained, n := pool.list.Retained(table1.Digest())
+	if retained != want {
+		t.Fatalf("retained %d bytes, want %d", retained, want)
 	}
-	if n := len(pool.free[table1.Digest()]); n != 2 {
+	if n != 2 {
 		t.Errorf("%d free Table-1 hierarchies, want 2", n)
 	}
-	if n := len(pool.free[small.Digest()]); n != 1 {
+	if _, n := pool.list.Retained(small.Digest()); n != 1 {
 		t.Errorf("%d free small hierarchies, want 1", n)
 	}
 	// Taking one out makes room for exactly one more.
@@ -166,8 +167,8 @@ func TestStatePoolRetentionCapped(t *testing.T) {
 	}
 	pool.put(h)
 	pool.put(held[2])
-	if pool.retained != want {
-		t.Fatalf("after a get and two puts: retained %d bytes, want %d", pool.retained, want)
+	if retained, _ := pool.list.Retained(table1.Digest()); retained != want {
+		t.Fatalf("after a get and two puts: retained %d bytes, want %d", retained, want)
 	}
 	if retainBytes < 16*table1.StateBytes() {
 		t.Errorf("the process-wide cap %d keeps fewer than 16 Table-1 hierarchies", retainBytes)
@@ -235,14 +236,15 @@ func TestStatePoolConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	gets, reuses := pool.stats()
+	gets, reuses := pool.list.Stats()
 	if gets != 12 {
 		t.Fatalf("gets = %d, want 12", gets)
 	}
 	// At most 4 were in use at once, so at most 4 were ever built, and
 	// the free list holds every one of them.
-	if built := gets - reuses; built > 4 || uint64(len(pool.free[cfg.Digest()])) != built {
-		t.Fatalf("built %d hierarchies, %d free; want at most 4, all free", built, len(pool.free[cfg.Digest()]))
+	built := gets - reuses
+	if _, free := pool.list.Retained(cfg.Digest()); built > 4 || uint64(free) != built {
+		t.Fatalf("built %d hierarchies, %d free; want at most 4, all free", built, free)
 	}
 }
 

@@ -24,8 +24,25 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// accounting returns each cluster's total weight and point count under
+// labels, summed in point order as the reference sums them.
+func accounting(labels []int, weights []float64, k int) ([]float64, []int) {
+	cw, cs := make([]float64, k), make([]int, k)
+	for i, c := range labels {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		cw[c] += w
+		cs[c]++
+	}
+	return cw, cs
+}
+
 // checkExact fails unless Run and the brute-force reference agree bit for
-// bit on every output and on every restart's iteration count.
+// bit on every output and on every restart's iteration count. Run's
+// assignments are read through Labels, and its cluster weights and sizes
+// are summed from them.
 func checkExact(t testing.TB, points [][]float64, weights []float64, k int, cfg Config) {
 	t.Helper()
 	refObs := &obs.Observer{Metrics: obs.NewRegistry()}
@@ -38,8 +55,9 @@ func checkExact(t testing.TB, points [][]float64, weights []float64, k int, cfg 
 	if got.K != want.K {
 		t.Fatalf("K = %d, reference %d", got.K, want.K)
 	}
-	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-		t.Fatalf("assignments differ:\n got %v\nwant %v", got.Assignments, want.Assignments)
+	labels := got.Labels(mat(points))
+	if !reflect.DeepEqual(labels, want.Assignments) {
+		t.Fatalf("assignments differ:\n got %v\nwant %v", labels, want.Assignments)
 	}
 	for c := range want.Centroids {
 		if !sameBits(got.Centroids[c], want.Centroids[c]) {
@@ -49,11 +67,15 @@ func checkExact(t testing.TB, points [][]float64, weights []float64, k int, cfg 
 	if !sameBits([]float64{got.Distortion}, []float64{want.Distortion}) {
 		t.Fatalf("distortion = %v, reference %v", got.Distortion, want.Distortion)
 	}
-	if !sameBits(got.ClusterWeights, want.ClusterWeights) {
-		t.Fatalf("cluster weights = %v, reference %v", got.ClusterWeights, want.ClusterWeights)
+	cw, cs := accounting(labels, weights, got.K)
+	if !sameBits(cw, want.ClusterWeights) {
+		t.Fatalf("cluster weights = %v, reference %v", cw, want.ClusterWeights)
 	}
-	if !reflect.DeepEqual(got.ClusterSizes, want.ClusterSizes) {
-		t.Fatalf("cluster sizes = %v, reference %v", got.ClusterSizes, want.ClusterSizes)
+	if !reflect.DeepEqual(cs, want.ClusterSizes) {
+		t.Fatalf("cluster sizes = %v, reference %v", cs, want.ClusterSizes)
+	}
+	if g, w := got.BIC, refBIC(points, weights, want); !sameBits([]float64{g}, []float64{w}) {
+		t.Fatalf("BIC = %v, reference %v", g, w)
 	}
 	gs, ws := cfg.Obs.Metrics.Snapshot(), refObs.Metrics.Snapshot()
 	if g, w := gs.Counters["kmeans.iterations"], ws.Counters["kmeans.iterations"]; g != w {
@@ -212,14 +234,28 @@ func TestDistanceCounters(t *testing.T) {
 	if pruned <= computed {
 		t.Fatalf("bounds pruned only %d of %d distances", pruned, computed+pruned)
 	}
+	// Seeding skips distances too: each restart's brute-force seeding
+	// scores every point against each of its k seeds.
+	if seeding, full := snap.Counters["kmeans.seeding_distances"], uint64(len(points)*k*restarts); seeding == 0 || seeding >= full {
+		t.Fatalf("seeding evaluated %d distances, want fewer than the %d of a full scan", seeding, full)
+	}
+}
+
+// A restart whose update re-seeded an empty cluster and whose next step
+// then changed no assignment skips that update too: the re-seeded
+// centroid is no mean, but the update would re-seed it with the same
+// point, since it re-seeds from the assignment and the means alone. The
+// reference runs that update. Near-overflowing coordinates make the
+// squared distances +Inf, so the re-seeded point ties with its old
+// centroid and stays put; restarts 0 and 2 of this run take that path.
+func TestConvergedStepAfterReseedIsExact(t *testing.T) {
+	points := [][]float64{{-4e153}, {-3e153}, {0}, {0}, {-4e153}, {2e153}, {4e153}, {4e153}}
+	checkExact(t, points, nil, 7, Config{Rng: xrand.NewFromUint64(1316), Restarts: 3})
 }
 
 // A warmed Run allocates only its Result and fixed bookkeeping: the count
 // must not grow with the number of restarts or Lloyd iterations.
 func TestRunAllocsDoNotGrowWithWork(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	rng := xrand.New("allocs")
 	pts, _ := blobs(rng, [][]float64{{0, 0, 0}, {6, 0, 1}, {0, 6, 2}, {6, 6, 3}, {3, 3, 9}}, 60, 1.5)
 	points := mat(pts)

@@ -12,10 +12,11 @@
 // k-means even faster", SDM 2010) under a conservative floating-point
 // margin: a point skips its scan over the centroids only when the bounds
 // prove its centroid strictly nearest, so every assignment, centroid and
-// distortion is bit-identical to the brute-force index-order scan. Each
-// restart works in reusable scratch, so a warmed Run allocates its Result
-// and a few fixed-size values however many restarts and iterations it
-// runs.
+// distortion is bit-identical to the brute-force index-order scan;
+// k-means++ seeding skips distances by the same test (DESIGN §19). Each
+// restart works in scratch recycled for the life of the process, so a
+// warmed Run allocates its Result and a few fixed-size values however
+// many restarts and iterations it runs.
 package kmeans
 
 import (
@@ -24,6 +25,7 @@ import (
 	"slices"
 	"sync"
 
+	"xbsim/internal/freelist"
 	"xbsim/internal/obs"
 	"xbsim/internal/pool"
 	"xbsim/internal/vecmath"
@@ -59,27 +61,47 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is a completed clustering.
+// Result is a completed clustering. It keeps what choosing among
+// clusterings reads; Labels gives the per-point assignment on demand.
 type Result struct {
 	// K is the number of clusters actually produced (== requested k unless
 	// there were fewer distinct points).
 	K int
-	// Assignments maps each point index to a cluster in [0, K).
-	Assignments []int
 	// Centroids holds the K cluster centers.
 	Centroids [][]float64
 	// Distortion is the weighted sum of squared distances of points to
 	// their assigned centroid.
 	Distortion float64
-	// ClusterWeights[c] is the total weight assigned to cluster c.
-	ClusterWeights []float64
-	// ClusterSizes[c] is the number of points assigned to cluster c.
-	ClusterSizes []int
+	// BIC is the clustering's Bayesian Information Criterion score, in
+	// the X-means formulation (Pelleg & Moore, ICML 2000) generalized to
+	// weighted points: a point of weight w contributes like w copies.
+	// Higher is better. Weights are rescaled so their total equals the
+	// point count, which keeps scores comparable across weighting
+	// schemes.
+	BIC float64
+}
+
+// Labels assigns each point to its nearest centroid, the lowest index
+// among equally near ones. That index-order scan is the one every
+// assignment step of Run is exact against (DESIGN §19), so for the points
+// Run clustered the labels are the winning restart's final assignments.
+func (r *Result) Labels(points vecmath.Matrix) []int {
+	labels := make([]int, points.Rows)
+	for i := range labels {
+		x, best := points.Row(i), math.Inf(1)
+		for c, ctr := range r.Centroids {
+			if d := vecmath.SquaredDistance(x, ctr); d < best {
+				labels[i], best = c, d
+			}
+		}
+	}
+	return labels
 }
 
 // Run clusters the rows of points into (at most) k clusters. weights may
 // be nil for unweighted clustering; otherwise it must have one positive
-// entry per point. It returns an error for invalid inputs.
+// entry per point. It returns an error for invalid inputs, and the joined
+// errors of restarts that failed.
 func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, error) {
 	n, dim := points.Rows, points.Cols
 	if n <= 0 {
@@ -93,6 +115,11 @@ func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, 
 	}
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("kmeans: Config.Rng is required")
+	}
+	for i, x := range points.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("kmeans: point %d coordinate %d = %v must be finite", i/dim, i%dim, x)
+		}
 	}
 	if weights != nil {
 		if len(weights) != n {
@@ -114,16 +141,16 @@ func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, 
 	// its assignment and centroid buffers with the holder, so only the
 	// winner's are ever copied into a Result. wins orders restarts by the
 	// serial loop's rule, so the winner is independent of finishing order.
-	held := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(held)
+	held := getScratch()
+	defer putScratch(held)
 	var (
 		mu    sync.Mutex
 		best  = outcome{restart: -1}
 		total work
 	)
-	_ = cfg.Pool.Run(cfg.Restarts, func(r int) error {
-		s := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(s)
+	err := cfg.Pool.Run(cfg.Restarts, func(r int) error {
+		s := getScratch()
+		defer putScratch(s)
 		rng := cfg.Rng.SplitIndexedValue("restart", r)
 		out := s.lloyd(points, weights, k, cfg, &rng)
 		out.restart = r
@@ -134,6 +161,7 @@ func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, 
 		total.iters += out.iters
 		total.distances += out.distances
 		total.pruned += out.pruned
+		total.seeding += out.seeding
 		if out.wins(best) {
 			best = out
 			s.assign, held.assign = held.assign, s.assign
@@ -141,19 +169,32 @@ func Run(points vecmath.Matrix, weights []float64, k int, cfg Config) (*Result, 
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("kmeans: %w", err)
+	}
 	cfg.Obs.Counter("kmeans.runs").Inc()
 	cfg.Obs.Counter("kmeans.restarts").Add(uint64(cfg.Restarts))
 	cfg.Obs.Counter("kmeans.iterations").Add(total.iters)
 	cfg.Obs.Counter("kmeans.distances").Add(total.distances)
 	cfg.Obs.Counter("kmeans.distances_pruned").Add(total.pruned)
-	return newResult(points, weights, best, held), nil
+	cfg.Obs.Counter("kmeans.seeding_distances").Add(total.seeding)
+	// The winner's BIC is read from its buffers before they go back for
+	// reuse; they are copied no further than its centroids.
+	cent := vecmath.Matrix{Rows: best.k, Cols: dim, Data: slices.Clone(held.cent[:best.k*dim])}
+	return &Result{
+		K:          best.k,
+		Centroids:  cent.RowViews(),
+		Distortion: best.distortion,
+		BIC:        bic(points, weights, held.assign[:n], cent),
+	}, nil
 }
 
-// work is a restart's effort: Lloyd iterations, and point–centroid squared
+// work is a restart's effort: Lloyd iterations; point–centroid squared
 // distances the assignment steps evaluated or skipped (together, the
-// brute-force count of points × clusters per step).
+// brute-force count of points × clusters per step); and the distances
+// k-means++ seeding evaluated.
 type work struct {
-	iters, distances, pruned uint64
+	iters, distances, pruned, seeding uint64
 }
 
 // outcome is one finished restart.
@@ -192,29 +233,6 @@ func (o outcome) wins(held outcome) bool {
 	return o.restart < held.restart
 }
 
-// newResult copies the winning restart's buffers out of scratch.
-func newResult(points vecmath.Matrix, weights []float64, best outcome, held *scratch) *Result {
-	k, n, dim := best.k, points.Rows, points.Cols
-	cent := vecmath.Matrix{Rows: k, Cols: dim, Data: slices.Clone(held.cent[:k*dim])}
-	res := &Result{
-		K:              k,
-		Assignments:    slices.Clone(held.assign[:n]),
-		Centroids:      cent.RowViews(),
-		Distortion:     best.distortion,
-		ClusterWeights: make([]float64, k),
-		ClusterSizes:   make([]int, k),
-	}
-	for i, c := range res.Assignments {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		res.ClusterWeights[c] += w
-		res.ClusterSizes[c]++
-	}
-	return res
-}
-
 // Hamerly's bounds are kept as Euclidean distances, rounded outward when
 // they are made so each stays a true bound on the exact distance between
 // the float64 vectors:
@@ -245,7 +263,7 @@ const (
 )
 
 // scratch is one restart's reusable state. A Run takes one per running
-// restart, plus one that holds the winner's buffers, from scratchPool and
+// restart, plus one that holds the winner's buffers, from scratches and
 // returns them when done, so steady-state clustering allocates nothing
 // here.
 type scratch struct {
@@ -253,15 +271,38 @@ type scratch struct {
 	cent, next   []float64 // k×dim centroids, and the update's accumulator
 	totals       []float64 // per-cluster weight in the update
 	upper, lower []float64 // per-point bounds
-	half, drift  []float64 // per-centroid separation and last movement
-	minDist      []float64 // k-means++ distances; re-seeding distances
-	probs        []float64 // k-means++ sampling weights
+	half, drift  []float64 // per-centroid separation (seeding: skip threshold) and last movement
+	probs        []float64 // k-means++ sampling weights; re-seeding distances
 	empty, used  []int     // clusters emptied by an update; points re-seeded into them
 	rho          float64   // relative slack for this run's dimension
 	work
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// retainBytes caps the scratch the process keeps for reuse: about 150
+// restarts' worth at fine-simpoint's ~800 intervals (28 KB each). It is
+// a constant on purpose; nothing sizes it.
+const retainBytes = 4 << 20
+
+// scratches is the process-wide free list every Run draws its scratch
+// from. Unlike a sync.Pool it survives garbage collection, and by
+// freelist's rule it holds no more than were in use at once.
+var scratches = freelist.New[struct{}, *scratch](retainBytes)
+
+func getScratch() *scratch {
+	if s, ok := scratches.Get(struct{}{}); ok {
+		return s
+	}
+	return new(scratch)
+}
+
+func putScratch(s *scratch) { scratches.Put(struct{}{}, s, s.bytes()) }
+
+// bytes is the size of s's buffers, 8 bytes an element.
+func (s *scratch) bytes() uint64 {
+	n := cap(s.assign) + cap(s.cent) + cap(s.next) + cap(s.totals) + cap(s.upper) + cap(s.lower) +
+		cap(s.half) + cap(s.drift) + cap(s.probs) + cap(s.empty) + cap(s.used)
+	return 8 * uint64(n)
+}
 
 // grow returns s resized to n, reallocating only when it is too small.
 func grow[T any](s []T, n int) []T {
@@ -289,7 +330,7 @@ func row(buf []float64, c, dim int) []float64 {
 func (s *scratch) reset(n, k, dim int) {
 	s.assign = grow(s.assign, n)
 	s.upper, s.lower = grow(s.upper, n), grow(s.lower, n)
-	s.minDist, s.probs = grow(s.minDist, n), grow(s.probs, n)
+	s.probs = grow(s.probs, n)
 	s.cent, s.next = grow(s.cent, k*dim), grow(s.next, k*dim)
 	s.totals, s.half, s.drift = grow(s.totals, k), grow(s.half, k), grow(s.drift, k)
 	s.rho = relSlack + float64(dim)*0x1p-50
@@ -315,14 +356,25 @@ func (s *scratch) lloyd(points vecmath.Matrix, weights []float64, k int, cfg Con
 		} else {
 			changed = s.assignAll(points, k)
 		}
-		s.update(points, weights, k)
 		if !changed {
-			break
+			// The update is a function of the assignment alone, and this
+			// one is the assignment the last update was made from, so the
+			// update would rebuild the centroids bit for bit, re-seeded
+			// ones included, and the final assignment would repeat this
+			// one: skip both.
+			s.pruned += uint64(n * k)
+			return s.score(points, weights, k)
 		}
+		s.update(points, weights, k)
 	}
-	// Final assignment against the final centroids.
+	// MaxIters stopped Lloyd mid-flight: a final assignment against the
+	// final centroids.
 	s.assignAll(points, k)
+	return s.score(points, weights, k)
+}
 
+// score returns the outcome of the clustering s holds.
+func (s *scratch) score(points vecmath.Matrix, weights []float64, k int) outcome {
 	var distortion float64
 	for i, c := range s.assign {
 		w := 1.0
@@ -436,7 +488,7 @@ func (s *scratch) update(points vecmath.Matrix, weights []float64, k int) {
 // so the distances do not change between picks and are computed once.
 func (s *scratch) reseed(points vecmath.Matrix) {
 	dim := points.Cols
-	far := s.minDist
+	far := s.probs
 	for i, c := range s.assign {
 		far[i] = vecmath.SquaredDistance(points.Row(i), row(s.cent, c, dim))
 	}
@@ -488,12 +540,19 @@ func (s *scratch) moveBounds(n, k, dim int) {
 }
 
 // initPlusPlus is k-means++ seeding, returning the number of seeds chosen.
-// Alongside each point's distance to its nearest seed it tracks the index-
-// order scan's nearest seed and runner-up, leaving the first assignment
-// and its bounds in s.assign, s.upper and s.lower.
+// It tracks the index-order scan's nearest seed and runner-up for each
+// point, leaving the first assignment and its bounds in s.assign, s.upper
+// and s.lower. The nearest seed's squared distance is also the point's
+// k-means++ distance.
+//
+// A point skips its distance to a new seed c when skipBelow proves its
+// nearest seed strictly nearer, so the scan would leave its nearest seed
+// and distance as they are. It takes the threshold, which is below its
+// distance to c, as its runner-up if that is lower: a looser lower bound
+// is still a bound.
 func (s *scratch) initPlusPlus(points vecmath.Matrix, weights []float64, k int, rng *xrand.Stream) int {
 	n, dim := points.Rows, points.Cols
-	minDist, probs := s.minDist, s.probs
+	probs, skip := s.probs, s.half
 	for i := 0; i < n; i++ {
 		// Until converted below, upper and lower hold the scan's nearest
 		// and runner-up squared distances.
@@ -503,11 +562,16 @@ func (s *scratch) initPlusPlus(points vecmath.Matrix, weights []float64, k int, 
 	seed := func(c, p int) {
 		ctr := row(s.cent, c, dim)
 		copy(ctr, points.Row(p))
+		for j := 0; j < c; j++ {
+			skip[j] = s.skipBelow(vecmath.SquaredDistance(ctr, row(s.cent, j, dim)))
+		}
 		for i := 0; i < n; i++ {
-			d := vecmath.SquaredDistance(points.Row(i), ctr)
-			if c == 0 || d < minDist[i] {
-				minDist[i] = d
+			if t := skip[s.assign[i]]; c > 0 && s.upper[i] < t {
+				s.lower[i] = min(s.lower[i], t)
+				continue
 			}
+			d := vecmath.SquaredDistance(points.Row(i), ctr)
+			s.seeding++
 			if d < s.upper[i] {
 				s.assign[i], s.upper[i], s.lower[i] = c, d, s.upper[i]
 			} else if d < s.lower[i] {
@@ -524,7 +588,7 @@ func (s *scratch) initPlusPlus(points vecmath.Matrix, weights []float64, k int, 
 			if weights != nil {
 				w = weights[i]
 			}
-			probs[i] = w * minDist[i]
+			probs[i] = w * s.upper[i]
 			total += probs[i]
 		}
 		if total == 0 {
@@ -542,18 +606,30 @@ func (s *scratch) initPlusPlus(points vecmath.Matrix, weights []float64, k int, 
 	return got
 }
 
-// BIC returns the Bayesian Information Criterion score of a clustering, in
-// the X-means formulation (Pelleg & Moore, ICML 2000), generalized to
-// weighted points: a point of weight w contributes like w copies. Higher is
-// better. Weights are rescaled so their total equals the point count, which
-// keeps scores comparable across weighting schemes.
-func BIC(points vecmath.Matrix, weights []float64, res *Result) float64 {
+// skipBelow returns the squared distance under which a point is provably
+// strictly nearer a seed than to a new seed d2 (a computed squared
+// distance) from it: U < skipBelow(d2) implies assignAll's test
+// separated(up(√U), h) for h, the half of √d2 that separations would
+// store. The square is cut by (1−ρ) to cover its own rounding, and a
+// root at or below τ never skips (DESIGN §19).
+func (s *scratch) skipBelow(d2 float64) float64 {
+	h := s.down(0.5 * min(math.Sqrt(d2), maxDist))
+	v := ((s.down(h)-absSlack)/(1+s.rho) - absSlack) / (1 + s.rho)
+	if v <= absSlack {
+		return 0
+	}
+	return v * v * (1 - s.rho)
+}
+
+// bic returns the BIC score of the clustering that assigns point i to
+// row assign[i] of cent (see Result.BIC).
+func bic(points vecmath.Matrix, weights []float64, assign []int, cent vecmath.Matrix) float64 {
 	n := points.Rows
-	if n == 0 || res == nil {
+	if n == 0 {
 		return math.Inf(-1)
 	}
 	d := float64(points.Cols)
-	k := float64(res.K)
+	k := float64(cent.Rows)
 
 	// Effective (rescaled) weights.
 	scale := 1.0
@@ -573,10 +649,10 @@ func BIC(points vecmath.Matrix, weights []float64, res *Result) float64 {
 
 	// Pooled spherical variance estimate.
 	var distortion float64
-	clusterW := make([]float64, res.K)
-	for i, c := range res.Assignments {
+	clusterW := make([]float64, cent.Rows)
+	for i, c := range assign {
 		w := eff(i)
-		distortion += w * vecmath.SquaredDistance(points.Row(i), res.Centroids[c])
+		distortion += w * vecmath.SquaredDistance(points.Row(i), cent.Row(c))
 		clusterW[c] += w
 	}
 	R := float64(n)

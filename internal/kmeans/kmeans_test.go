@@ -1,10 +1,13 @@
 package kmeans
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"xbsim/internal/obs"
+	"xbsim/internal/pool"
 	"xbsim/internal/vecmath"
 	"xbsim/internal/xrand"
 )
@@ -60,8 +63,9 @@ func TestRecoverWellSeparatedClusters(t *testing.T) {
 	}
 	// Every true cluster must map to exactly one k-means cluster.
 	mapping := map[int]int{}
+	got := res.Labels(mat(points))
 	for i, lab := range labels {
-		c := res.Assignments[i]
+		c := got[i]
 		if prev, ok := mapping[lab]; ok {
 			if prev != c {
 				t.Fatalf("true cluster %d split across k-means clusters %d and %d", lab, prev, c)
@@ -85,11 +89,12 @@ func TestWeightsPullCentroid(t *testing.T) {
 	if got := res.Centroids[0][0]; math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("weighted centroid = %v, want 1.0", got)
 	}
-	if res.ClusterWeights[0] != 10 {
-		t.Fatalf("cluster weight = %v", res.ClusterWeights[0])
+	cw, cs := accounting(res.Labels(mat(points)), []float64{9, 1}, res.K)
+	if cw[0] != 10 {
+		t.Fatalf("cluster weight = %v", cw[0])
 	}
-	if res.ClusterSizes[0] != 2 {
-		t.Fatalf("cluster size = %v", res.ClusterSizes[0])
+	if cs[0] != 2 {
+		t.Fatalf("cluster size = %v", cs[0])
 	}
 }
 
@@ -126,6 +131,26 @@ func TestErrors(t *testing.T) {
 	if _, err := Run(mat([][]float64{{1}}), []float64{1, 2}, 1, defaultCfg("e")); err == nil {
 		t.Error("no error for weight length mismatch")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(mat([][]float64{{0, 1}, {2, x}, {3, 3}}), nil, 2, defaultCfg("e")); err == nil {
+			t.Errorf("no error for coordinate %v", x)
+		}
+	}
+}
+
+// A restart that fails fails the Run, serial or pooled, instead of being
+// dropped from the winner rule. Here every restart panics when it records
+// its iteration count into a registry that was never made.
+func TestFailingRestartFailsRun(t *testing.T) {
+	points := mat([][]float64{{0}, {1}, {5}, {6}})
+	for _, p := range []*pool.Pool{nil, pool.New(2)} {
+		cfg := Config{Rng: xrand.New("fail"), Restarts: 3, Pool: p, Obs: &obs.Observer{Metrics: &obs.Registry{}}}
+		res, err := Run(points, nil, 2, cfg)
+		var pe *pool.PanicError
+		if !errors.As(err, &pe) || res != nil {
+			t.Fatalf("pool %v: Run = %v, %v; want a recovered restart panic", p, res, err)
+		}
+	}
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
@@ -139,8 +164,9 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Assignments {
-		if a.Assignments[i] != b.Assignments[i] {
+	la, lb := a.Labels(mat(points)), b.Labels(mat(points))
+	for i := range la {
+		if la[i] != lb[i] {
 			t.Fatalf("assignments differ at %d", i)
 		}
 	}
@@ -156,8 +182,9 @@ func TestAssignmentsAreNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	labels := res.Labels(mat(points))
 	for i, p := range points {
-		got := res.Assignments[i]
+		got := labels[i]
 		for c := range res.Centroids {
 			if vecmath.SquaredDistance(p, res.Centroids[c]) <
 				vecmath.SquaredDistance(p, res.Centroids[got])-1e-9 {
@@ -194,7 +221,7 @@ func TestBICPrefersTrueK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores[k] = BIC(mat(points), nil, res)
+		scores[k] = res.BIC
 	}
 	// The true k=3 must score better than underfit k=1,2.
 	if scores[3] <= scores[1] || scores[3] <= scores[2] {
@@ -221,8 +248,8 @@ func TestBICWeightedMatchesReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same total weight (6) and same geometry => same BIC up to numerics.
-	bw := BIC(mat(base), weights, resW)
-	br := BIC(mat(replicated), nil, resR)
+	bw := resW.BIC
+	br := resR.BIC
 	// The rescaling maps weighted n=3 to R=3, while replication has R=6;
 	// so the scores differ by a deterministic function of R. We only check
 	// the centroids match, which is the property clustering relies on.
@@ -247,7 +274,7 @@ func TestBICWeightedMatchesReplicated(t *testing.T) {
 }
 
 func TestBICEmptyInput(t *testing.T) {
-	if !math.IsInf(BIC(vecmath.Matrix{}, nil, nil), -1) {
+	if !math.IsInf(bic(vecmath.Matrix{}, nil, nil, vecmath.Matrix{}), -1) {
 		t.Fatal("BIC of nothing should be -inf")
 	}
 }
@@ -268,11 +295,13 @@ func TestClusterAccountingProperty(t *testing.T) {
 			return false
 		}
 		// Sizes sum to n, weights sum to total weight, assignments in range.
+		labels := res.Labels(mat(points))
+		cw, cs := accounting(labels, weights, res.K)
 		var sizeSum int
 		var wSum float64
 		for c := 0; c < res.K; c++ {
-			sizeSum += res.ClusterSizes[c]
-			wSum += res.ClusterWeights[c]
+			sizeSum += cs[c]
+			wSum += cw[c]
 		}
 		if sizeSum != n {
 			return false
@@ -284,7 +313,7 @@ func TestClusterAccountingProperty(t *testing.T) {
 		if math.Abs(wSum-wantW) > 1e-9 {
 			return false
 		}
-		for _, a := range res.Assignments {
+		for _, a := range labels {
 			if a < 0 || a >= res.K {
 				return false
 			}

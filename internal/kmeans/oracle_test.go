@@ -11,17 +11,29 @@ import (
 // This file keeps the brute-force k-means the pruned implementation
 // replaced, unchanged but for names, as the oracle the exactness tests
 // compare against: every point scans every centroid, every restart gets
-// its own Result, and the winner is reduced serially in restart order.
+// its own result with every point's assignment, and the winner is reduced
+// serially in restart order.
+
+// refResult is the reference's clustering, with the per-point and
+// per-cluster accounting Result no longer keeps.
+type refResult struct {
+	K              int
+	Assignments    []int
+	Centroids      [][]float64
+	Distortion     float64
+	ClusterWeights []float64
+	ClusterSizes   []int
+}
 
 // refRun is the reference Run. Per-restart iteration counts go to o's
 // kmeans.iterations_per_restart histogram and kmeans.iterations counter,
 // as Run's do.
-func refRun(points [][]float64, weights []float64, k int, cfg Config, o *obs.Observer) *Result {
+func refRun(points [][]float64, weights []float64, k int, cfg Config, o *obs.Observer) *refResult {
 	if k > len(points) {
 		k = len(points)
 	}
 	cfg = cfg.withDefaults()
-	var best *Result
+	var best *refResult
 	for r := 0; r < cfg.Restarts; r++ {
 		res, iters := refRunOnce(points, weights, k, cfg, cfg.Rng.SplitIndexed("restart", r))
 		o.Histogram("kmeans.iterations_per_restart").Observe(iters)
@@ -35,7 +47,7 @@ func refRun(points [][]float64, weights []float64, k int, cfg Config, o *obs.Obs
 
 // refRunOnce performs one seeded clustering, returning the result and the
 // number of Lloyd iterations it took.
-func refRunOnce(points [][]float64, weights []float64, k int, cfg Config, rng *xrand.Stream) (*Result, uint64) {
+func refRunOnce(points [][]float64, weights []float64, k int, cfg Config, rng *xrand.Stream) (*refResult, uint64) {
 	dim := len(points[0])
 	centroids := refInitPlusPlus(points, weights, k, rng)
 	k = len(centroids) // may shrink if fewer distinct points
@@ -56,7 +68,7 @@ func refRunOnce(points [][]float64, weights []float64, k int, cfg Config, rng *x
 	// Final assignment against the final centroids.
 	refAssignAll(points, centroids, assign)
 
-	res := &Result{
+	res := &refResult{
 		K:              k,
 		Assignments:    assign,
 		Centroids:      centroids,
@@ -184,4 +196,59 @@ func refInitPlusPlus(points [][]float64, weights []float64, k int, rng *xrand.St
 		}
 	}
 	return centroids
+}
+
+// refBIC is the reference BIC, scored from the reference's assignments.
+func refBIC(points [][]float64, weights []float64, res *refResult) float64 {
+	n := len(points)
+	if n == 0 || res == nil {
+		return math.Inf(-1)
+	}
+	d := float64(len(points[0]))
+	k := float64(res.K)
+
+	// Effective (rescaled) weights.
+	scale := 1.0
+	if weights != nil {
+		var total float64
+		for _, w := range weights {
+			total += w
+		}
+		scale = float64(n) / total
+	}
+	eff := func(i int) float64 {
+		if weights == nil {
+			return 1
+		}
+		return weights[i] * scale
+	}
+
+	// Pooled spherical variance estimate.
+	var distortion float64
+	clusterW := make([]float64, res.K)
+	for i, c := range res.Assignments {
+		w := eff(i)
+		distortion += w * vecmath.SquaredDistance(points[i], res.Centroids[c])
+		clusterW[c] += w
+	}
+	R := float64(n)
+	denom := d * (R - k)
+	if denom <= 0 {
+		denom = d // degenerate: as many clusters as points
+	}
+	sigma2 := distortion / denom
+	if sigma2 <= 0 {
+		sigma2 = 1e-12 // perfect fit; avoid log(0)
+	}
+
+	var loglik float64
+	for _, Ri := range clusterW {
+		if Ri <= 0 {
+			continue
+		}
+		loglik += Ri*math.Log(Ri) - Ri*math.Log(R) -
+			Ri*d/2*math.Log(2*math.Pi*sigma2) - (Ri-1)*d/2
+	}
+	params := (k - 1) + k*d + 1
+	return loglik - params/2*math.Log(R)
 }

@@ -1,8 +1,10 @@
 package kmeans
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"xbsim/internal/pool"
@@ -77,15 +79,115 @@ func TestEmptyClusterReseedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, size := range res.ClusterSizes {
+	labels := res.Labels(mat(points))
+	cw, cs := accounting(labels, nil, res.K)
+	for c, size := range cs {
 		if size == 0 {
 			continue // an empty final cluster is legal, just unrepresented
 		}
-		if res.ClusterWeights[c] <= 0 {
-			t.Fatalf("cluster %d has size %d but weight %v", c, size, res.ClusterWeights[c])
+		if cw[c] <= 0 {
+			t.Fatalf("cluster %d has size %d but weight %v", c, size, cw[c])
 		}
 	}
-	if len(res.Assignments) != len(points) {
-		t.Fatalf("%d assignments", len(res.Assignments))
+	if len(labels) != len(points) {
+		t.Fatalf("%d assignments", len(labels))
+	}
+}
+
+// drainScratches empties the free list, failing if it holds any scratch
+// twice, and returns what it held.
+func drainScratches(t *testing.T) []*scratch {
+	t.Helper()
+	var held []*scratch
+	for {
+		s, ok := scratches.Get(struct{}{})
+		if !ok {
+			return held
+		}
+		if slices.Contains(held, s) {
+			t.Fatal("the free list holds a scratch twice")
+		}
+		held = append(held, s)
+	}
+}
+
+// Concurrent Runs, each with pooled restarts, share the process-wide free
+// list: no scratch may be handed to two of them at once (the race
+// detector sees to the buffers), and every result must equal a serial
+// run's.
+func TestConcurrentRunsShareScratch(t *testing.T) {
+	rng := xrand.New("concurrent")
+	pts, _ := blobs(rng, [][]float64{{0, 0}, {8, 0}, {0, 8}, {8, 8}}, 30, 1.0)
+	points := mat(pts)
+	cfg := func(k int) Config { return Config{Rng: xrand.NewFromUint64(uint64(k)), Restarts: 4} }
+	want := make([]*Result, 7)
+	for k := 1; k < len(want); k++ {
+		res, err := Run(points, nil, k, cfg(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = res
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	p := pool.New(2)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				k := 1 + (g+round)%(len(want)-1)
+				c := cfg(k)
+				c.Pool = p
+				res, err := Run(points, nil, k, c)
+				if err == nil && !reflect.DeepEqual(res, want[k]) {
+					err = fmt.Errorf("goroutine %d k=%d: result differs from the serial run", g, k)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, s := range drainScratches(t) {
+		putScratch(s)
+	}
+}
+
+// The free list keeps at most retainBytes of scratch, and a scratch
+// larger than that is dropped rather than kept.
+func TestScratchRetentionCapped(t *testing.T) {
+	rng := xrand.New("retention")
+	pts, _ := blobs(rng, [][]float64{{0, 0, 0}, {9, 9, 9}}, 200, 1.0)
+	for k := 1; k <= 10; k++ {
+		if _, err := Run(mat(pts), nil, k, Config{Rng: rng, Pool: pool.New(4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if retained, _ := scratches.Retained(struct{}{}); retained > retainBytes {
+		t.Fatalf("retained %d bytes, cap %d", retained, retainBytes)
+	}
+	huge := new(scratch)
+	huge.reset(retainBytes/16, 1, 1) // four per-point buffers: twice the cap
+	if huge.bytes() <= retainBytes {
+		t.Fatalf("test scratch holds only %d bytes", huge.bytes())
+	}
+	before, n := scratches.Retained(struct{}{})
+	putScratch(huge)
+	if after, m := scratches.Retained(struct{}{}); after != before || m != n {
+		t.Fatalf("an oversized scratch was kept: %d bytes in %d scratches, was %d in %d", after, m, before, n)
+	}
+	held := drainScratches(t)
+	if slices.Contains(held, huge) {
+		t.Fatal("the oversized scratch is on the free list")
+	}
+	for _, s := range held {
+		putScratch(s)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"xbsim/internal/bbv"
 	"xbsim/internal/fingerprint"
@@ -187,7 +186,7 @@ func PickCtx(ctx context.Context, ds *bbv.Dataset, cfg Config) (*Result, error) 
 			return fmt.Errorf("simpoint: k=%d: %w", k, err)
 		}
 		runs[i] = res
-		bics[i] = kmeans.BIC(points, weights, res)
+		bics[i] = res.BIC
 		o.Gauge(fmt.Sprintf("simpoint.bic.k%02d", k)).Set(bics[i])
 		return nil
 	})
@@ -241,16 +240,20 @@ func chooseK(bics []float64, threshold float64) int {
 	return len(bics)
 }
 
+// buildResult turns the chosen clustering into phases and their
+// simulation points. Its labels, the only ones the sweep computes,
+// become PhaseOf.
 func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result, bics []float64, earlyTol float64) (*Result, error) {
 	k := clus.K
 	total := float64(ds.TotalInstructions())
 	if total <= 0 {
 		return nil, fmt.Errorf("simpoint: dataset has no instructions")
 	}
+	labels := clus.Labels(projected)
 
 	phaseWeights := make([]float64, k)
 	lengths := ds.Lengths()
-	for i, p := range clus.Assignments {
+	for i, p := range labels {
 		phaseWeights[p] += float64(lengths[i]) / total
 	}
 
@@ -263,7 +266,7 @@ func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result,
 		repr[p] = -1
 		best[p] = math.Inf(1)
 	}
-	for i, p := range clus.Assignments {
+	for i, p := range labels {
 		d := vecmath.SquaredDistance(projected.Row(i), clus.Centroids[p])
 		if d < best[p] {
 			best[p], repr[p] = d, i
@@ -272,7 +275,7 @@ func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result,
 	if earlyTol > 0 {
 		// Squared-distance tolerance: (1+tol)^2 on the radius.
 		factor := (1 + earlyTol) * (1 + earlyTol)
-		for i, p := range clus.Assignments {
+		for i, p := range labels {
 			if i >= repr[p] {
 				continue // not earlier than the current pick
 			}
@@ -297,12 +300,11 @@ func buildResult(ds *bbv.Dataset, projected vecmath.Matrix, clus *kmeans.Result,
 			Instructions: lengths[repr[p]],
 		})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Phase < pts[j].Phase })
 
 	return &Result{
 		K:            k,
 		Points:       pts,
-		PhaseOf:      append([]int(nil), clus.Assignments...),
+		PhaseOf:      labels,
 		PhaseWeights: phaseWeights,
 		BICByK:       bics,
 	}, nil
