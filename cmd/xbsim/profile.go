@@ -200,8 +200,8 @@ func writeCostProfile(w io.Writer, rows []costRow, ms obs.Snapshot,
 			float64(simNS)/1e6, float64(stageNS)/1e6, float64(simNS)/float64(stageNS)*100)
 	}
 
-	// Walk-3 accounting: gate points answered from walk 3's deltas (hits)
-	// or executed (misses).
+	// Walk-3 accounting: points answered from walk 3's deltas (hits) or
+	// executed (misses; every point is a window of a full walk, so none).
 	hits, misses := ms.Counters["pipeline.memo.hits"], ms.Counters["pipeline.memo.misses"]
 	rate := 0.0
 	if hits+misses > 0 {

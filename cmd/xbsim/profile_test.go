@@ -31,9 +31,8 @@ func TestCmdProfileCostMode(t *testing.T) {
 	if !strings.Contains(out, "coverage:") {
 		t.Errorf("no coverage line:\n%s", out)
 	}
-	// With functional warming on (the default), every gate point is
-	// answered from walk 3's deltas: the memo line must report a 100%
-	// hit rate.
+	// Every point is answered from walk 3's deltas: the memo line must
+	// report a 100% hit rate.
 	if !strings.Contains(out, "memo:") || !strings.Contains(out, "(100% hit rate)") {
 		t.Errorf("memo summary missing or below full hit rate:\n%s", out)
 	}
@@ -61,9 +60,6 @@ func TestCmdProfileJSON(t *testing.T) {
 	for _, s := range o.Events.Spans() {
 		if s.Name == "stage.full_sim" {
 			want[s.Detail] += s.Dur
-		}
-		if s.Name == "stage.gated_sim" {
-			t.Errorf("gated walk span recorded under default warming: %+v", s)
 		}
 	}
 	if len(doc.Rows) != 4 || len(want) != 4 {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xbsim/internal/experiment"
@@ -112,29 +113,25 @@ func TestEstimateStatsAgainstFullRun(t *testing.T) {
 	}
 }
 
-// TestWarmingOffDegradesCacheSensitiveEstimate drives the warming knob
-// end-to-end: without functional warming, mcf's region estimates acquire
-// cold-start bias.
+// TestWarmingOffDegradesCacheSensitiveEstimate drives the warming
+// ablation end-to-end: when every point starts from cold caches, mcf's
+// region estimates acquire cold-start bias. The vli_cpi_err column is
+// the mean VLI CPI error over mcf's four binaries.
 func TestWarmingOffDegradesCacheSensitiveEstimate(t *testing.T) {
 	cfg := experiment.QuickConfig()
 	cfg.Benchmarks = []string{"mcf"}
 	cfg.TargetOps = 800_000
 	cfg.IntervalSize = 8_000
 
-	errFor := func(disable bool) float64 {
-		c := cfg
-		c.DisableWarming = disable
-		s, err := experiment.RunCtx(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, run := range s.Results[0].Runs {
-			sum += run.VLI.CPIError
-		}
-		return sum / 4
+	tab, err := experiment.AblationWarming(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	warm, cold := errFor(false), errFor(true)
+	col := slices.Index(tab.Columns, "vli_cpi_err")
+	if col < 0 || len(tab.Rows) != 2 {
+		t.Fatalf("unexpected table %+v", tab)
+	}
+	warm, cold := tab.Rows[0].Values[col], tab.Rows[1].Values[col]
 	if cold < warm {
 		t.Fatalf("cold fast-forward improved mcf CPI error: %.4f -> %.4f", warm, cold)
 	}

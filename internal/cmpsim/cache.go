@@ -14,10 +14,11 @@
 // an extra cycle per floating-point instruction, the hierarchy latency
 // for loads, and a quarter-latency penalty for (buffered) stores.
 //
-// A Simulator can be gated on and off mid-run, which is how simulation
-// points are measured: the harness runs the full program but only
-// accumulates simulation state inside the chosen regions, exactly like
-// fast-forwarding to a PinPoint.
+// A Simulator runs the full program; a simulation point is measured as
+// the delta of its statistics over the point's region, which is what a
+// simulator warming its caches while fast-forwarding to a PinPoint
+// records. Simulator.ResetCaches empties the caches for points measured
+// from a cold start.
 package cmpsim
 
 import (
@@ -183,11 +184,10 @@ func (c HierarchyConfig) StateBytes() uint64 {
 // the policy is FIFO, at its last hit); 0 marks an invalid way. The clock
 // advances before every fill, so a valid line's stamp is at least 1.
 //
-// The exported fields are event counters, incremented on every access —
-// demand or prefetch, gated or warming — so they attribute the cache's
-// actual activity, not just the statistics window. They are a stable
-// interface: the per-walk sim.<walk>.cache.* metric families publish
-// them (see Simulator.PublishMetrics).
+// The exported fields are event counters, incremented on every access,
+// demand or prefetch. They are a stable interface: walk 3's
+// sim.full.cache.* metric family publishes them (see
+// Simulator.PublishMetrics).
 type Cache struct {
 	cfg       CacheConfig
 	tags      []uint64

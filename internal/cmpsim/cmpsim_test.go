@@ -240,24 +240,6 @@ func TestSimulatorDeterministic(t *testing.T) {
 	}
 }
 
-func TestSimulatorGating(t *testing.T) {
-	bin := compileFor(t, "gzip", compiler.Target{Arch: compiler.Arch32, Opt: compiler.O2})
-	sim, err := NewSimulator(bin, DefaultHierarchyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetEnabled(false)
-	if sim.Enabled() {
-		t.Fatal("gate did not disable")
-	}
-	if err := exec.RunCtx(context.Background(), bin, refInput, sim); err != nil {
-		t.Fatal(err)
-	}
-	if st := sim.Stats(); st.Instructions != 0 || st.Cycles != 0 {
-		t.Fatalf("disabled simulator accumulated %+v", st)
-	}
-}
-
 func TestMemoryBoundBenchmarkHasHigherCPI(t *testing.T) {
 	// mcf (random access, multi-MB working sets) must show clearly higher
 	// CPI than crafty (small working sets) — the phase-contrast the

@@ -29,7 +29,6 @@ type genSpec struct {
 type driveCall struct {
 	gen           int
 	loads, stores int
-	record        bool
 }
 
 // driveSeed keys the random generators of both sides.
@@ -47,8 +46,8 @@ func (g genSpec) build(line uint64) (*addressGen, *refAddressGen) {
 var driveBinary = &compiler.Binary{Program: &program.Program{Name: "drive"}}
 
 // checkDrive runs calls on a simulator and the reference built over
-// levels, and after every call compares the cycles returned, the Stats
-// window, every level's event counters and both generators' positions.
+// levels, and after every call compares the cycles returned, the Stats,
+// every level's event counters and both generators' positions.
 func checkDrive(levels []CacheConfig, spec genSpec, calls []driveCall) error {
 	_, err := checkDriveAgainst(levels, spec, genSpec{base: spec.base, ws: 64 << 10, random: true}, calls)
 	return err
@@ -79,8 +78,8 @@ func checkDriveAgainst(levels []CacheConfig, spec, rivalSpec genSpec, calls []dr
 				stale++
 			}
 		}
-		got := sim.drive(gens[c.gen], c.loads, c.stores, c.record)
-		want := ref.drive(refGens[c.gen], c.loads, c.stores, c.record)
+		got := sim.drive(gens[c.gen], c.loads, c.stores)
+		want := ref.drive(refGens[c.gen], c.loads, c.stores, true)
 		if got != want {
 			return stale, fmt.Errorf("call %d %+v: %d cycles, reference %d", i, c, got, want)
 		}
@@ -120,15 +119,15 @@ func TestDriveRunsMatchReference(t *testing.T) {
 		"base-top-8":       {base: top - 63, ws: 4 << 10, stride: 8},
 		"random":           {base: region, ws: 1 << 20, random: true},
 	}
-	// Loads and stores split inside runs, record on and off, and calls of
-	// the rival in between.
+	// Loads and stores split inside runs, and calls of the rival in
+	// between.
 	var calls []driveCall
 	for rep := 0; rep < 12; rep++ {
 		calls = append(calls,
-			driveCall{0, 3, 2, true}, driveCall{0, 0, 5, false}, driveCall{0, 7, 0, true},
-			driveCall{0, 1, 1, true}, driveCall{1, 4, 2, true}, driveCall{0, 16, 9, false},
-			driveCall{0, 0, 0, true}, driveCall{0, 40, 23, true}, driveCall{1, 30, 10, false},
-			driveCall{0, 5, 60, true}, driveCall{0, 1, 0, false}, driveCall{0, 0, 1, true})
+			driveCall{0, 3, 2}, driveCall{0, 0, 5}, driveCall{0, 7, 0},
+			driveCall{0, 1, 1}, driveCall{1, 4, 2}, driveCall{0, 16, 9},
+			driveCall{0, 0, 0}, driveCall{0, 40, 23}, driveCall{1, 30, 10},
+			driveCall{0, 5, 60}, driveCall{0, 1, 0}, driveCall{0, 0, 1})
 	}
 	l1s := map[string]CacheConfig{
 		"table1":      DefaultHierarchyConfig().Levels[0],
@@ -167,8 +166,8 @@ func TestDriveProbeStaleHint(t *testing.T) {
 	var calls []driveCall
 	for rep := 0; rep < 16; rep++ {
 		calls = append(calls,
-			driveCall{0, 1, 0, true}, driveCall{1, 1, 0, true}, driveCall{0, 2, 1, false},
-			driveCall{1, 0, 1, true}, driveCall{0, 3, 0, true}, driveCall{1, 2, 2, false})
+			driveCall{0, 1, 0}, driveCall{1, 1, 0}, driveCall{0, 2, 1},
+			driveCall{1, 0, 1}, driveCall{0, 3, 0}, driveCall{1, 2, 2})
 	}
 	l1s := map[string]CacheConfig{
 		"1-way":  {CapacityBytes: 1 << 10, Associativity: 1, LineSize: 64, HitLatency: 2},
@@ -231,12 +230,12 @@ func FuzzDriveExact(f *testing.F) {
 			Replacement: Policy(policy % 3), NextLinePrefetch: prefetch}
 		next := CacheConfig{Name: "next", CapacityBytes: 1 << 10, Associativity: 2,
 			LineSize: 64, HitLatency: 5, Replacement: l1.Replacement, NextLinePrefetch: prefetch}
-		// Three bytes per call: flags (bit 0 record, bit 1 the rival),
+		// Three bytes per call: flags (bit 1 the rival, bit 0 unused),
 		// loads, stores.
 		var calls []driveCall
 		for ; len(data) >= 3; data = data[3:] {
 			calls = append(calls, driveCall{gen: int(data[0]>>1) & 1,
-				loads: int(data[1]), stores: int(data[2]), record: data[0]&1 != 0})
+				loads: int(data[1]), stores: int(data[2])})
 		}
 		g := genSpec{base: base, ws: ws, stride: stride, cursor: cursor}
 		if err := checkDrive([]CacheConfig{l1, next}, g, calls); err != nil {

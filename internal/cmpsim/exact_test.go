@@ -169,31 +169,67 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// lockstep drives a Simulator and its reference over one execution,
-// flipping both gates every `every` blocks and comparing the statistics
-// window each flip closes.
+// lockstep drives the production Simulator and the reference over one
+// execution and compares, every `every` blocks, the statistics window
+// that closes. Warm (cold false) flips the reference's gate at each
+// window: while the gate is on, the window it records with functional
+// warming must equal the ungated simulator's delta over the same blocks.
+// Cold empties both sides' caches at each window, ResetCaches against
+// refHierarchy.Reset, with the reference ungated: every window must
+// match.
 type lockstep struct {
-	sim   *Simulator
-	ref   *refSimulator
-	every int
-	n     int
-	err   error
+	sim     *Simulator
+	ref     *refSimulator
+	cold    bool
+	every   int
+	n       int
+	windows int
+	err     error
 }
 
 func (l *lockstep) OnBlock(block int) {
 	l.n++
 	if l.n%l.every == 0 {
-		if got, want := takeStats(l.sim), l.ref.TakeStats(); l.err == nil && !reflect.DeepEqual(got, want) {
-			l.err = fmt.Errorf("window ending at block %d: %+v, reference %+v", l.n, got, want)
+		l.compare()
+		if l.cold {
+			l.sim.ResetCaches()
+			l.ref.hier.Reset()
+		} else {
+			l.ref.enabled = !l.ref.enabled
 		}
-		l.sim.SetEnabled(!l.sim.Enabled())
-		l.ref.enabled = !l.ref.enabled
 	}
 	l.sim.OnBlock(block)
 	l.ref.OnBlock(block)
 }
 
 func (l *lockstep) OnMarker(int) {}
+
+// compare closes the current window on both sides and, when the
+// reference recorded it, checks that the two agree.
+func (l *lockstep) compare() {
+	got, want := takeStats(l.sim), l.ref.TakeStats()
+	if !l.ref.enabled {
+		return
+	}
+	l.windows++
+	if l.err == nil && !reflect.DeepEqual(got, want) {
+		l.err = fmt.Errorf("window ending at block %d: %+v, reference %+v", l.n, got, want)
+	}
+}
+
+// run executes bin under l and closes the last window; it returns the
+// first difference.
+func (l *lockstep) run(t *testing.T, bin *compiler.Binary) error {
+	t.Helper()
+	if err := exec.RunCtx(context.Background(), bin, refInput, l); err != nil {
+		t.Fatal(err)
+	}
+	l.compare()
+	if l.windows < 2 {
+		t.Fatalf("%s: %d windows compared", bin.Name, l.windows)
+	}
+	return l.err
+}
 
 func TestSimulatorMatchesReference(t *testing.T) {
 	randomPrefetch, fifo := DefaultHierarchyConfig(), DefaultHierarchyConfig()
@@ -217,8 +253,8 @@ func TestSimulatorMatchesReference(t *testing.T) {
 		for _, tg := range targets {
 			bin := compileFor(t, prog, tg)
 			for _, cfg := range configs {
-				for _, warming := range []bool{true, false} {
-					name := fmt.Sprintf("%s/%v/%s/warming=%v", prog, tg, cfg.name, warming)
+				for _, cold := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%v/%s/cold=%v", prog, tg, cfg.name, cold)
 					sim, err := newSimulator(bin, cfg.hier, pool)
 					if err != nil {
 						t.Fatal(err)
@@ -227,17 +263,9 @@ func TestSimulatorMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sim.SetFunctionalWarming(warming)
-					ref.warming = warming
-					l := &lockstep{sim: sim, ref: ref, every: 997}
-					if err := exec.RunCtx(context.Background(), bin, refInput, l); err != nil {
-						t.Fatal(err)
-					}
-					if l.err != nil {
-						t.Errorf("%s: %v", name, l.err)
-					}
-					if got, want := *sim.Stats(), ref.stats; !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: final stats %+v, reference %+v", name, got, want)
+					l := &lockstep{sim: sim, ref: ref, cold: cold, every: 997}
+					if err := l.run(t, bin); err != nil {
+						t.Errorf("%s: %v", name, err)
 					}
 					if got, want := levelCounters(sim.hier), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: event counters %v, reference %v", name, got, want)
@@ -266,11 +294,8 @@ func TestSimulatorLineZeroMatchesReference(t *testing.T) {
 		}
 		sim.stackGen.base, ref.stackGen.base = 0, 0
 		l := &lockstep{sim: sim, ref: ref, every: 997}
-		if err := exec.RunCtx(context.Background(), bin, refInput, l); err != nil {
-			t.Fatal(err)
-		}
-		if l.err != nil {
-			t.Errorf("run %d: %v", run, l.err)
+		if err := l.run(t, bin); err != nil {
+			t.Errorf("run %d: %v", run, err)
 		}
 		if got, want := levelCounters(sim.hier), refLevelCounters(ref.hier); !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d: event counters %v, reference %v", run, got, want)

@@ -18,7 +18,7 @@ const (
 	storeLatencyShare = 4
 )
 
-// Stats accumulates simulation results over the enabled portion of a run.
+// Stats accumulates a run's simulation results.
 type Stats struct {
 	// Instructions is the number of instructions simulated.
 	Instructions uint64
@@ -50,8 +50,8 @@ func (s *Stats) MissRate(i int) float64 {
 }
 
 // Simulator is an exec.Visitor that performs timing simulation of the
-// block stream. It can be gated: while disabled it ignores events
-// entirely, modeling fast-forwarding to a simulation region.
+// block stream. It simulates and records every block it is given; a
+// region's statistics are the delta of Stats over the region's blocks.
 type Simulator struct {
 	bin  *compiler.Binary
 	hier *Hierarchy
@@ -68,15 +68,13 @@ type Simulator struct {
 	// for stores.
 	loadPenalty, storePenalty []uint64
 
-	enabled bool
-	warming bool
-	stats   Stats
+	stats Stats
 	// pool receives the hierarchy back on Release.
 	pool *statePool
 }
 
 // NewSimulator builds a simulator for the binary with the given memory
-// system and the paper's core. It starts enabled. Its cache-hierarchy
+// system and the paper's core. Its cache-hierarchy
 // state comes from the process-wide recycler; call Release when the walk
 // is done to return it. A recycled hierarchy behaves bit-identically to
 // a fresh one (see statePool), and a simulator that is never released
@@ -94,12 +92,10 @@ func newSimulator(bin *compiler.Binary, cfg HierarchyConfig, pool *statePool) (*
 		return nil, err
 	}
 	s := &Simulator{
-		bin:     bin,
-		hier:    hier,
-		gens:    make([]*addressGen, len(bin.Blocks)),
-		enabled: true,
-		warming: true,
-		pool:    pool,
+		bin:  bin,
+		hier: hier,
+		gens: make([]*addressGen, len(bin.Blocks)),
+		pool: pool,
 	}
 	s.stats.LevelHits = make([]uint64, len(hier.levels))
 	s.stats.LevelMisses = make([]uint64, len(hier.levels))
@@ -179,22 +175,10 @@ func (s *Simulator) Release() {
 	s.hier = nil
 }
 
-// SetEnabled gates statistics accumulation on or off. While disabled the
-// simulator by default still performs every cache access (functional
-// warming, as CMP$im does while fast-forwarding to a PinPoint) so regions
-// start with realistically warm caches; only the timing statistics are
-// suppressed. See SetFunctionalWarming.
-func (s *Simulator) SetEnabled(v bool) { s.enabled = v }
-
-// SetFunctionalWarming controls whether cache accesses are performed
-// while statistics are gated off. It defaults to true; turning it off
-// models a fast-forwarding simulator with no warming, so every region
-// starts with whatever stale cache state the previous region left — the
-// cold-start bias the warming ablation quantifies.
-func (s *Simulator) SetFunctionalWarming(v bool) { s.warming = v }
-
-// Enabled reports the current gate state.
-func (s *Simulator) Enabled() bool { return s.enabled }
+// ResetCaches empties every cache level as at construction, so the next
+// access starts from cold caches. Stats and the address generators are
+// untouched; the levels' event counters restart from zero.
+func (s *Simulator) ResetCaches() { s.hier.Reset() }
 
 // Stats returns the accumulated statistics.
 func (s *Simulator) Stats() *Stats { return &s.stats }
@@ -202,18 +186,14 @@ func (s *Simulator) Stats() *Stats { return &s.stats }
 // PublishMetrics adds the accumulated statistics to the registry as
 // counters under the given prefix ("sim.full" → sim.full.instructions,
 // sim.full.cycles, sim.full.cache.l1.hits, ...). The pipeline publishes
-// one family per walk that runs: "sim.full" for walk 3 always, and
-// "sim.fli"/"sim.vli" for walks 4/5 only with functional warming off,
-// the one case in which they execute rather than being answered from
-// walk 3. Cache levels are numbered outward from the core: l1 is the
-// first-level cache regardless of its display name. A nil registry is a
-// no-op. The metric names are a stable interface (see README.md).
+// one family, "sim.full", for walk 3. Cache levels are numbered outward
+// from the core: l1 is the first-level cache regardless of its display
+// name. A nil registry is a no-op. The metric names are a stable
+// interface (see README.md).
 //
-// Hits/misses come from the gated Stats window; the eviction, writeback,
-// and prefetch families come from the Cache event counters, which count
-// every access including functional warming, so they report the cache's
-// real activity during the walk.
-// After Release only the Stats-window families are published.
+// Hits/misses come from Stats; the eviction, writeback, and prefetch
+// families come from the Cache event counters. After Release only the
+// Stats families are published.
 func (s *Simulator) PublishMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
@@ -240,35 +220,27 @@ func (s *Simulator) PublishMetrics(reg *obs.Registry, prefix string) {
 }
 
 // OnBlock implements exec.Visitor: charge the block's instructions and
-// simulate its data accesses. While disabled, accesses still update cache
-// state (warming) but nothing is charged.
+// simulate its data accesses.
 func (s *Simulator) OnBlock(block int) {
-	enabled := s.enabled
-	if !enabled && !s.warming {
-		return
-	}
 	b := &s.bin.Blocks[block]
 	cycles := uint64(b.Instrs) + uint64(b.FPInstrs)*fpExtraCycles
 	if g := s.gens[block]; g != nil {
-		cycles += s.drive(g, b.Loads, b.Stores, enabled)
+		cycles += s.drive(g, b.Loads, b.Stores)
 	}
 	if b.SpillLoads+b.SpillStores > 0 {
-		cycles += s.drive(s.stackGen, b.SpillLoads, b.SpillStores, enabled)
+		cycles += s.drive(s.stackGen, b.SpillLoads, b.SpillStores)
 	}
-	if enabled {
-		s.stats.Instructions += uint64(b.Instrs)
-		s.stats.Cycles += cycles
-		s.stats.Loads += uint64(b.Loads) + uint64(b.SpillLoads)
-		s.stats.Stores += uint64(b.Stores) + uint64(b.SpillStores)
-	}
+	s.stats.Instructions += uint64(b.Instrs)
+	s.stats.Cycles += cycles
+	s.stats.Loads += uint64(b.Loads) + uint64(b.SpillLoads)
+	s.stats.Stores += uint64(b.Stores) + uint64(b.SpillStores)
 }
 
 // OnMarker implements exec.Visitor.
 func (s *Simulator) OnMarker(int) {}
 
-// drive performs g's next loads+stores accesses, the loads first, and
-// returns their stall cycles, recording per-level outcomes only when
-// record is set. A store marks the touched line dirty for writeback
+// drive performs g's next loads+stores accesses, the loads first,
+// records their per-level outcomes and returns their stall cycles. A store marks the touched line dirty for writeback
 // accounting; that never changes latency or fill decisions.
 //
 // Most accesses hit the first level, so each one first probes it inline
@@ -285,7 +257,7 @@ func (s *Simulator) OnMarker(int) {}
 // never evicts the line stamped with the current clock, and no other
 // generator runs inside one call — so each later access of the run is
 // exactly a first-level hit, and they are applied together.
-func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 {
+func (s *Simulator) drive(g *addressGen, loads, stores int) uint64 {
 	l1 := s.hier.levels[0]
 	n := loads + stores
 	var cycles uint64
@@ -301,14 +273,10 @@ func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 
 			l1.clock++
 			l1.hit(j, write)
 			g.l1Slot = j
-			if record {
-				s.stats.LevelHits[0]++
-			}
+			s.stats.LevelHits[0]++
 		} else {
 			level, g.l1Slot = s.hier.walk(addr, write)
-			if record {
-				s.record(level)
-			}
+			s.record(level)
 		}
 		if write {
 			cycles += s.storePenalty[level]
@@ -325,17 +293,15 @@ func (s *Simulator) drive(g *addressGen, loads, stores int, record bool) uint64 
 		nLoads := uint64(min(max(loads-i, 0), k-1))
 		g.skip(rest)
 		l1.hitRun(g.l1Slot, rest, nLoads < rest)
-		if record {
-			s.stats.LevelHits[0] += rest
-		}
+		s.stats.LevelHits[0] += rest
 		cycles += nLoads*s.loadPenalty[0] + (rest-nLoads)*s.storePenalty[0]
 		i += k - 1
 	}
 	return cycles
 }
 
-// record counts an access served by level (len(levels) for DRAM) in the
-// statistics window: a miss at every nearer level and a hit at level.
+// record counts an access served by level (len(levels) for DRAM) in
+// Stats: a miss at every nearer level and a hit at level.
 func (s *Simulator) record(level int) {
 	for i := 0; i < level; i++ {
 		s.stats.LevelMisses[i]++

@@ -183,14 +183,15 @@ func AblationEarlyPoints(ctx context.Context, cfg Config, tolerances []float64) 
 	return t, nil
 }
 
-// AblationWarming toggles functional cache warming during fast-forward in
-// region simulations. Without warming, small simulation regions start on
-// stale cache state and the CPI estimates acquire cold-start bias — the
-// reason CMP$im-style functional simulators warm during fast-forward.
+// AblationWarming toggles functional cache warming during fast-forward.
+// Without warming, every simulation point starts from cold caches, as in
+// a checkpoint-driven simulator without warm-up, and the CPI estimates
+// acquire cold-start bias — the reason CMP$im-style functional
+// simulators warm during fast-forward.
 func AblationWarming(ctx context.Context, cfg Config) (*AblationTable, error) {
 	t := &AblationTable{Title: "Functional warming ablation", Columns: ablationColumns}
-	// Walk 3 always simulates with warming, so both rows share it.
-	suites, err := pickSweep(ctx, cfg, 2, func(c *Config, i int) { c.DisableWarming = i == 1 })
+	// Both rows share walks 1–3; the warming-off pick adds its cold walks.
+	suites, err := pickSweep(ctx, cfg, 2, func(c *Config, i int) { c.coldStart = i == 1 })
 	if err != nil {
 		return nil, err
 	}

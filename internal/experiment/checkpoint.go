@@ -174,8 +174,11 @@ func (c Config) fingerprint() string {
 	h.String(fmt.Sprintf("%+v", c.Hierarchy))
 	h.String(fmt.Sprintf("%+v", c.Mapping))
 	h.Int(c.Primary)
-	if c.DisableWarming {
-		h.Int(1)
+	// 0 keeps the default's digest as it always was; 1 was the retired
+	// stale-cache warming-off model, so none of its checkpoints
+	// validates under the cold-start one.
+	if c.coldStart {
+		h.Int(2)
 	} else {
 		h.Int(0)
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// Primary selects the primary binary by index into
 	// compiler.AllTargets (default 0 = 32-bit unoptimized).
 	Primary int
-	// DisableWarming turns off functional cache warming during
-	// fast-forwarding in region simulations. The warming ablation shows
-	// the cold-start bias this introduces for small regions.
-	DisableWarming bool
 	// EarlyTolerance > 0 enables early simulation points: each phase
 	// picks the earliest interval within (1 + tolerance) of the
 	// centroid-closest one, trading a little representativeness for less
@@ -108,6 +104,12 @@ type Config struct {
 	// sharing deadlock-free). Like Workers, this is a wall-clock knob:
 	// results are bit-identical with or without it.
 	SharedPool *pool.Pool
+	// coldStart measures every simulation point from cold caches, as a
+	// checkpoint-driven simulator without warm-up does, instead of from
+	// the caches functional warming leaves: each pick runs two cold
+	// walks per binary (see walk3.go). Only the warming ablation and
+	// tests set it.
+	coldStart bool
 	// workerPool is the shared bounded pool threaded through the
 	// pipeline. The suite installs one pool for all its benchmarks so
 	// they share a single Workers budget.
@@ -143,15 +145,14 @@ func FullConfig() Config {
 
 // prepareSide returns c with every pick-side setting zeroed: the
 // sampler, its budget and strata, MaxK, Dim, BICThreshold, Restarts,
-// EarlyTolerance, Seed and DisableWarming. Walks 1–3 read none of them
-// (walk 3 always simulates with warming), so configs with equal prepare
-// sides share one prepare per benchmark.
+// EarlyTolerance, Seed and coldStart. Walks 1–3 read none of them, so
+// configs with equal prepare sides share one prepare per benchmark.
 func (c Config) prepareSide() Config {
 	c.Sampler, c.SamplerBudget, c.SamplerStrata = "", 0, 0
 	c.MaxK, c.Dim, c.Restarts = 0, 0, 0
 	c.BICThreshold, c.EarlyTolerance = 0, 0
 	c.Seed = ""
-	c.DisableWarming = false
+	c.coldStart = false
 	return c
 }
 

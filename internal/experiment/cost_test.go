@@ -74,10 +74,10 @@ func TestPipelineAttribution(t *testing.T) {
 }
 
 // TestPerWalkMetricFamilies pins the per-walk families: walk 3 publishes
-// its statistics once under sim.full, with the cache event counters;
-// the answered walks 4/5 publish no sim.fli.* or sim.vli.* family (see
-// TestMemoBypassedWhenWarmingDisabled for the executed ones), and the
-// former aggregates "sim" and "sim.gated" are gone.
+// its statistics once under sim.full, with the cache event counters, and
+// no other sim.* family exists: walks 4/5 are answered from walk 3, and
+// the former aggregates "sim" and "sim.gated" and the per-walk
+// "sim.fli"/"sim.vli" are gone.
 func TestPerWalkMetricFamilies(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	ctx := obs.With(context.Background(), o)
@@ -96,7 +96,7 @@ func TestPerWalkMetricFamilies(t *testing.T) {
 	}
 	for name := range snap.Counters {
 		if strings.HasPrefix(name, "sim.") && !strings.HasPrefix(name, "sim.full.") {
-			t.Errorf("%s published; only walk 3 runs under default warming", name)
+			t.Errorf("%s published; only walk 3 publishes", name)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xbsim/internal/cmpsim"
 	"xbsim/internal/compiler"
 	"xbsim/internal/exec"
 	"xbsim/internal/faults"
@@ -40,9 +39,9 @@ type MethodStats struct {
 	// PhaseTrueCPI[p] is the phase's true CPI measured during full
 	// simulation of this binary.
 	PhaseTrueCPI []float64
-	// PointCPI[p] is the CPI of the phase's simulation point measured by
-	// region-gated simulation of this binary (NaN when the phase has no
-	// point).
+	// PointCPI[p] is the CPI of the phase's simulation point in this
+	// binary: its interval's window of walk 3, or of a cold walk without
+	// warming (NaN when the phase has no point).
 	PointCPI []float64
 	// PointInterval[p] is the representative interval index (-1 if none).
 	PointInterval []int
@@ -374,9 +373,10 @@ func simulateFull(ctx context.Context, cfg Config, p *prepared, bi int) (walk3Re
 }
 
 // pick selects the simulation points and turns them into the benchmark's
-// result: the sampler, then walks 4/5's point statistics, the VLI weight
-// recalculation and the method statistics. It is a pure function of p
-// and cfg's pick-side settings, and never modifies p.
+// result: the sampler, then walks 4/5's point statistics (and, without
+// warming, the cold walks they read), the VLI weight recalculation and
+// the method statistics. It is a pure function of p and cfg's pick-side
+// settings, and never modifies p.
 func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error) {
 	o := obs.From(ctx)
 	var fliPicks []*simpoint.Result
@@ -454,9 +454,18 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 		TrueCycles:        w3.cycles,
 		TrueCPI:           w3.cpi,
 	}
+	// The points' windows: walk 3's deltas, or without warming the cold
+	// walks'.
+	fliPoints, vliPoints := w3.fli, w3.vli
+	if cfg.coldStart {
+		var err error
+		if fliPoints, vliPoints, err = simulateCold(ctx, cfg, p, bi); err != nil {
+			return nil, err
+		}
+	}
 
-	// Walk 4: FLI region simulation (this binary's own points).
-	fliPointCPI, fliPointIv, fliSimInstr, err := measurePoints(ctx, cfg, p, bi, fliPick, "fli", cfg.DisableWarming)
+	// Walk 4: FLI points (this binary's own).
+	fliPointCPI, fliPointIv, fliSimInstr, err := measurePoints(ctx, bin, fliPick, fliPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -468,9 +477,9 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 		return nil, err
 	}
 
-	// Walk 5: VLI region simulation (the shared cross-binary points
-	// located in this binary via translated boundaries).
-	vliPointCPI, vliPointIv, vliSimInstr, err := measurePoints(ctx, cfg, p, bi, vliPick, "vli", cfg.DisableWarming)
+	// Walk 5: VLI points (the shared cross-binary points located in this
+	// binary via translated boundaries).
+	vliPointCPI, vliPointIv, vliSimInstr, err := measurePoints(ctx, bin, vliPick, vliPoints)
 	if err != nil {
 		return nil, err
 	}
@@ -506,33 +515,38 @@ func evaluateBinary(ctx context.Context, cfg Config, p *prepared, bi int,
 // across concurrently evaluated binaries.
 var vliGaugeMu sync.Mutex
 
-// measurePoints measures one gated walk (walk "fli" or "vli" of binary
-// bi) and returns, per phase, the measured CPI of its simulation point
-// and the representative interval index, plus the instructions simulated
-// in detail.
-//
-// With execute false the walk is answered from walk 3's deltas (see
-// walk3.go): nothing executes, the point CPIs are bit-identical to what
-// the executed walk would measure under functional warming, and the
-// only record is the pipeline.memo.hits count. With execute true
-// executeGatedWalk runs the walk on a simulator; the pipeline does so
-// only with warming off, and tests use it as the reference.
-func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
-	walk string, execute bool) (cpi []float64, intervals []int, simInstr uint64, err error) {
-
+// simulateCold runs binary bi's two cold walks, under its FLI and its
+// translated VLI boundaries, and returns their per-interval deltas: each
+// interval measured from cold caches.
+func simulateCold(ctx context.Context, cfg Config, p *prepared, bi int) (fli, vli *IntervalDeltas, err error) {
 	bin := p.Bins[bi]
+	fw, err := simulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, true, Boundaries{FLI: p.FLI[bi].Ends})
+	if err != nil {
+		return nil, nil, err
+	}
+	vw, err := simulateIntervals(ctx, bin, cfg.Input, cfg.Hierarchy, true, Boundaries{VLI: p.walk3[bi].vliEnds})
+	if err != nil {
+		return nil, nil, err
+	}
+	return fw.Deltas[0], vw.Deltas[0], nil
+}
+
+// measurePoints reads one pick's points from d, the per-interval deltas
+// of the walk that measures them in bin, and returns, per phase, the CPI
+// of its simulation point and the representative interval index, plus
+// the instructions simulated in detail. Nothing executes; every point
+// answered counts as one pipeline.memo.hits.
+func measurePoints(ctx context.Context, bin *compiler.Binary, pick *simpoint.Result,
+	d *IntervalDeltas) (cpi []float64, intervals []int, simInstr uint64, err error) {
+
 	if err := faults.Hit(ctx, "evaluate.walk"); err != nil {
 		return nil, nil, 0, err
 	}
-	var regions []regionStat
-	if execute {
-		regions, err = executeGatedWalk(ctx, cfg, p, bi, pick, walk)
-	} else {
-		regions, err = answerFromWalk3(ctx, &p.walk3[bi], pick, walk)
-	}
+	regions, err := d.window(pick.Points)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	obs.From(ctx).Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
 
 	cpi = make([]float64, pick.K)
 	intervals = make([]int, pick.K)
@@ -542,77 +556,15 @@ func measurePoints(ctx context.Context, cfg Config, p *prepared, bi int, pick *s
 	}
 	for i, p := range pick.Points {
 		st := regions[i]
-		if st.instr == 0 {
+		if st.Instructions == 0 {
 			return nil, nil, 0, fmt.Errorf("simulation point interval %d executed nothing in %s",
 				p.Interval, bin.Name)
 		}
-		simInstr += st.instr
-		cpi[p.Phase] = float64(st.cycles) / float64(st.instr)
+		simInstr += st.Instructions
+		cpi[p.Phase] = float64(st.Cycles) / float64(st.Instructions)
 		intervals[p.Phase] = p.Interval
 	}
 	return cpi, intervals, simInstr, nil
-}
-
-// answerFromWalk3 answers one gated walk from walk 3's deltas, each
-// point's (instructions, cycles) in point order, and counts its gate
-// points as pipeline.memo.hits.
-func answerFromWalk3(ctx context.Context, w3 *walk3Result, pick *simpoint.Result, walk string) ([]regionStat, error) {
-	deltas := w3.fli
-	if walk == "vli" {
-		deltas = w3.vli
-	}
-	regions, err := deltas.window(pick.Points)
-	if err != nil {
-		return nil, err
-	}
-	obs.From(ctx).Counter("pipeline.memo.hits").Add(uint64(len(pick.Points)))
-	return regions, nil
-}
-
-// executeGatedWalk runs one gated walk on a simulator, gated to the
-// chosen intervals, and returns each point's (instructions, cycles) in
-// point order. It is the only place a gated walk runs, so it alone
-// records one: the "gated simulation" progress event, the
-// stage.gated_sim span, the sim.<walk> family and its gate points as
-// pipeline.memo.misses.
-func executeGatedWalk(ctx context.Context, cfg Config, p *prepared, bi int, pick *simpoint.Result,
-	walk string) ([]regionStat, error) {
-
-	o := obs.From(ctx)
-	bin := p.Bins[bi]
-	o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: bin.Program.Name, Binary: bin.Name, Stage: "gated simulation"})
-	ctx, span := obs.StartSpan(ctx, "stage.gated_sim", bin.Name)
-	defer span.End()
-	sim, err := cmpsim.NewSimulator(bin, cfg.Hierarchy)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release()
-	sim.SetFunctionalWarming(!cfg.DisableWarming)
-	chosen := make(map[int]bool, len(pick.Points))
-	for _, pt := range pick.Points {
-		chosen[pt.Interval] = true
-	}
-	gate := newGatedSnapshotter(sim, chosen)
-	var tracker exec.Visitor
-	if walk == "vli" {
-		tracker = profile.NewVLITracker(bin, p.walk3[bi].vliEnds, gate)
-	} else {
-		tracker = profile.NewFLITracker(bin, p.FLI[bi].Ends, gate)
-	}
-	if err := exec.RunCtx(ctx, bin, cfg.Input, exec.Multi{sim, tracker}); err != nil {
-		return nil, err
-	}
-	gate.close()
-	if o != nil {
-		sim.PublishMetrics(o.Metrics, "sim."+walk)
-	}
-	o.Counter("pipeline.memo.misses").Add(uint64(len(pick.Points)))
-	regions := make([]regionStat, len(pick.Points))
-	for i, pt := range pick.Points {
-		regions[i] = gate.regions[pt.Interval]
-	}
-	return regions, nil
 }
 
 // recalcWeights computes per-phase weights from this binary's per-interval
@@ -705,54 +657,6 @@ func WeightedCPI(weights, pointCPI []float64) (float64, error) {
 	return est / wsum, nil
 }
 
-// regionStat is one simulated region's accumulation.
-type regionStat struct {
-	instr, cycles uint64
-}
-
-// gatedSnapshotter gates a simulator to a chosen set of intervals and
-// accumulates per-chosen-interval statistics.
-type gatedSnapshotter struct {
-	sim     *cmpsim.Simulator
-	chosen  map[int]bool
-	cur     int
-	lastI   uint64
-	lastC   uint64
-	regions map[int]regionStat
-}
-
-func newGatedSnapshotter(sim *cmpsim.Simulator, chosen map[int]bool) *gatedSnapshotter {
-	sim.SetEnabled(chosen[0])
-	return &gatedSnapshotter{
-		sim:     sim,
-		chosen:  chosen,
-		regions: map[int]regionStat{},
-	}
-}
-
-// Transition implements profile.IntervalSink.
-func (g *gatedSnapshotter) Transition(i int) {
-	if i == g.cur {
-		return
-	}
-	g.flush()
-	g.cur = i
-	g.sim.SetEnabled(g.chosen[i])
-}
-
-func (g *gatedSnapshotter) flush() {
-	st := g.sim.Stats()
-	if g.chosen[g.cur] {
-		r := g.regions[g.cur]
-		r.instr += st.Instructions - g.lastI
-		r.cycles += st.Cycles - g.lastC
-		g.regions[g.cur] = r
-	}
-	g.lastI, g.lastC = st.Instructions, st.Cycles
-}
-
-func (g *gatedSnapshotter) close() { g.flush() }
-
 // BenchmarkFailure records one benchmark the suite could not complete.
 type BenchmarkFailure struct {
 	// Name is the benchmark that failed.
@@ -783,8 +687,7 @@ type Suite struct {
 //
 // When the context carries an obs.Observer, every pipeline stage is
 // recorded as a span under a per-benchmark root (compile → profile →
-// mapping → VLI slicing → full simulation → clustering → gated
-// simulation → weighting), concurrent benchmarks land in separate trace
+// mapping → VLI slicing → full simulation → clustering → weighting), concurrent benchmarks land in separate trace
 // lanes keyed by their root spans, stage and completion progress is
 // reported, and the metrics registry accumulates interval, marker,
 // clustering, simulator and pool counters. Without an observer nothing

@@ -18,19 +18,16 @@ import (
 // estimates), its per-interval statistics deltas, and what answers
 // walks 4/5 from them.
 //
-// Soundness (the full argument is DESIGN.md §15): with functional
-// warming on (the default), gating only suppresses statistics recording;
-// every cache access, every address-generator advance, and every cycle
-// computation happens identically whether the simulator is enabled or
-// not. So walk 3 (full simulation) and walks 4/5 (gated simulations) of
-// the same binary replay byte-identical access streams over identical
-// cache state, and a chosen region's gated measurement equals the full
-// walk's per-interval statistics delta over the same boundaries, bit for
-// bit. prepare keeps every interval's delta under both boundary sets, and
-// pick answers walks 4/5 from them: no simulator is built and nothing
-// executes. With warming disabled the property does not hold — the gated
-// walk skips accesses while fast-forwarding — so pick executes the gated
-// walk instead.
+// Every simulation point is measured as a window of a full walk (DESIGN.md
+// §15). Under functional warming (the default) a point's caches hold
+// whatever everything before it left, as CMP$im's fast-forwarding
+// leaves them, so its measurement is its interval's delta in walk 3:
+// prepare keeps every interval's delta under both boundary sets, and
+// pick answers walks 4/5 from them. Without warming a point starts from
+// cold caches, as a checkpoint-driven simulator without warm-up sees
+// it; that measurement is its interval's delta in a cold walk, a full
+// walk that empties the caches at every interval start, one per binary
+// and boundary set.
 
 // IntervalStats is one interval's share of a full walk: the quantities
 // the suite's estimates (instructions, cycles) and the facade's
@@ -42,8 +39,8 @@ type IntervalStats struct {
 }
 
 // IntervalDeltas is a full walk's IntervalStats for every interval of one
-// boundary set, so any statistic a gated walk's estimate reads at a
-// point can be read from it.
+// boundary set, so any statistic an estimate reads at a point can be
+// read from it.
 type IntervalDeltas struct {
 	iv []IntervalStats
 }
@@ -57,16 +54,16 @@ func (d *IntervalDeltas) Interval(iv int) (IntervalStats, bool) {
 	return d.iv[iv], true
 }
 
-// window returns each chosen point's (instructions, cycles), in point
-// order. A point interval outside the boundary set is an error.
-func (d *IntervalDeltas) window(points []simpoint.Point) ([]regionStat, error) {
-	regions := make([]regionStat, len(points))
+// window returns each chosen point's statistics, in point order. A point
+// interval outside the boundary set is an error.
+func (d *IntervalDeltas) window(points []simpoint.Point) ([]IntervalStats, error) {
+	regions := make([]IntervalStats, len(points))
 	for i, p := range points {
 		st, ok := d.Interval(p.Interval)
 		if !ok {
-			return nil, fmt.Errorf("simulation point interval %d outside walk 3's %d intervals", p.Interval, len(d.iv))
+			return nil, fmt.Errorf("simulation point interval %d outside the walk's %d intervals", p.Interval, len(d.iv))
 		}
-		regions[i] = regionStat{instr: st.Instructions, cycles: st.Cycles}
+		regions[i] = st
 	}
 	return regions, nil
 }
@@ -89,13 +86,22 @@ type FullWalk struct {
 
 // SimulateIntervals runs bin to completion on a simulator of hierarchy h
 // and attributes every interval's statistics delta under each boundary
-// set in sets. It
-// is where every sampled estimate is measured: under functional warming
-// a region's gated measurement equals its delta here, bit for bit. With
-// an observer on ctx the run's statistics are published as the full-run
-// family "sim.full".
+// set in sets. It is where every sampled estimate is measured: a
+// simulation point's statistics under functional warming are its
+// interval's delta here. With an observer on ctx the run's statistics
+// are published as the full-run family "sim.full".
 func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Input,
 	h cmpsim.HierarchyConfig, sets ...Boundaries) (*FullWalk, error) {
+
+	return simulateIntervals(ctx, bin, in, h, false, sets...)
+}
+
+// simulateIntervals is SimulateIntervals. With cold set it is a cold
+// walk: the caches are emptied at every interval start of its one
+// boundary set, so each delta is what the interval measures from cold
+// caches, and it publishes no statistics.
+func simulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Input,
+	h cmpsim.HierarchyConfig, cold bool, sets ...Boundaries) (*FullWalk, error) {
 
 	sim, err := cmpsim.NewSimulator(bin, h)
 	if err != nil {
@@ -106,10 +112,10 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 	snaps := make([]*snapshotter, len(sets))
 	for s, b := range sets {
 		if b.VLI != nil {
-			snaps[s] = newSnapshotter(sim, len(b.VLI))
+			snaps[s] = newSnapshotter(sim, len(b.VLI), cold)
 			v.vli = append(v.vli, profile.NewVLITracker(bin, b.VLI, snaps[s]))
 		} else {
-			snaps[s] = newSnapshotter(sim, len(b.FLI))
+			snaps[s] = newSnapshotter(sim, len(b.FLI), cold)
 			v.fli = append(v.fli, profile.NewFLITracker(bin, b.FLI, snaps[s]))
 		}
 	}
@@ -121,7 +127,7 @@ func SimulateIntervals(ctx context.Context, bin *compiler.Binary, in program.Inp
 		snap.close()
 		fw.Deltas[s] = snap.d
 	}
-	if o := obs.From(ctx); o != nil {
+	if o := obs.From(ctx); o != nil && !cold {
 		sim.PublishMetrics(o.Metrics, "sim.full")
 	}
 	return fw, nil
@@ -160,16 +166,19 @@ func (v *walk3Visitor) OnMarker(marker int) {
 
 // snapshotter attributes a simulator's cumulative statistics to
 // intervals as an IntervalSink: on each transition the delta since the
-// previous snapshot is charged to the interval just left.
+// previous snapshot is charged to the interval just left. With reset set
+// it also empties the simulator's caches, so the next interval starts
+// cold.
 type snapshotter struct {
-	sim  *cmpsim.Simulator
-	cur  int
-	last IntervalStats
-	d    *IntervalDeltas
+	sim   *cmpsim.Simulator
+	reset bool
+	cur   int
+	last  IntervalStats
+	d     *IntervalDeltas
 }
 
-func newSnapshotter(sim *cmpsim.Simulator, numIntervals int) *snapshotter {
-	return &snapshotter{sim: sim, d: &IntervalDeltas{iv: make([]IntervalStats, numIntervals)}}
+func newSnapshotter(sim *cmpsim.Simulator, numIntervals int, reset bool) *snapshotter {
+	return &snapshotter{sim: sim, reset: reset, d: &IntervalDeltas{iv: make([]IntervalStats, numIntervals)}}
 }
 
 // Transition implements profile.IntervalSink.
@@ -179,6 +188,9 @@ func (s *snapshotter) Transition(i int) {
 	}
 	s.flush()
 	s.cur = i
+	if s.reset {
+		s.sim.ResetCaches()
+	}
 }
 
 func (s *snapshotter) flush() {

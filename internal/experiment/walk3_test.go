@@ -33,7 +33,7 @@ var pickVariants = []func(*Config){
 	func(c *Config) { c.BICThreshold = 0.7 },
 	func(c *Config) { c.Dim = 4 },
 	func(c *Config) { c.EarlyTolerance = 0.25 },
-	func(c *Config) { c.DisableWarming = true },
+	func(c *Config) { c.coldStart = true },
 	func(c *Config) { c.MaxK, c.Restarts, c.Seed = 6, 2, "other" },
 }
 
@@ -130,9 +130,9 @@ func TestSweepsMatchStandaloneRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, disable := range []bool{false, true} {
+	for i, cold := range []bool{false, true} {
 		c := cfg
-		c.DisableWarming = disable
+		c.coldStart = cold
 		alone, err := RunCtx(ctx, c)
 		if err != nil {
 			t.Fatal(err)
@@ -382,12 +382,11 @@ func parityHierarchies() []parityHierarchy {
 	}
 }
 
-// TestMemoMetricParity pins walk 3's answer against the executed gated
-// walk, per hierarchy, binary and walk: the point CPIs (bit for bit),
-// point intervals and simulated instructions must equal what running the
-// gated walk under functional warming produces. The executed walk
-// publishes its sim.<walk> family; the answered one, which runs nothing,
-// publishes no sim.* counter.
+// TestMemoMetricParity pins what pick reads against an executed walk,
+// per hierarchy, binary and walk, with functional warming and from cold
+// caches: the point CPIs (bit for bit), point intervals and simulated
+// instructions measurePoints answers from walk 3's deltas, or from the
+// cold walks', must equal refPointWalk's.
 func TestMemoMetricParity(t *testing.T) {
 	for _, ph := range parityHierarchies() {
 		t.Run(ph.name, func(t *testing.T) {
@@ -405,53 +404,125 @@ func memoMetricParity(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(bi int, pick *simpoint.Result, walk string, execute bool) ([]float64, []int, uint64, map[string]uint64) {
-		o := &obs.Observer{Metrics: obs.NewRegistry()}
-		cpi, iv, simInstr, err := measurePoints(obs.With(ctx, o), cfg, p, bi, pick, walk, execute)
-		if err != nil {
-			t.Fatalf("%s %s execute=%v: %v", p.Bins[bi].Name, walk, execute, err)
-		}
-		sim := map[string]uint64{}
-		for name, v := range o.Metrics.Snapshot().Counters {
-			if strings.HasPrefix(name, "sim.") {
-				sim[name] = v
-			}
-		}
-		return cpi, iv, simInstr, sim
-	}
 	for bi, bin := range p.Bins {
-		for _, walk := range []string{"fli", "vli"} {
-			pick := vliPick
-			if walk == "fli" {
-				pick = fliPicks[bi]
-			}
-			label := bin.Name + "/" + walk
-			cpiA, ivA, instrA, simA := measure(bi, pick, walk, false)
-			cpiE, ivE, instrE, simE := measure(bi, pick, walk, true)
-			for ph := range cpiE {
-				if math.Float64bits(cpiA[ph]) != math.Float64bits(cpiE[ph]) {
-					t.Errorf("%s phase %d: CPI %v answered, %v executed", label, ph, cpiA[ph], cpiE[ph])
+		coldFLI, coldVLI, err := simulateCold(ctx, cfg, p, bi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cold := range []bool{false, true} {
+			for _, walk := range []string{"fli", "vli"} {
+				pick, b, d := vliPick, Boundaries{VLI: p.walk3[bi].vliEnds}, p.walk3[bi].vli
+				if cold {
+					d = coldVLI
 				}
-			}
-			if !reflect.DeepEqual(ivA, ivE) || instrA != instrE {
-				t.Errorf("%s: intervals %v / %d instr answered, %v / %d executed", label, ivA, instrA, ivE, instrE)
-			}
-			if len(simA) != 0 {
-				t.Errorf("%s: answered walk published sim.* counters %v", label, simA)
-			}
-			if simE["sim."+walk+".instructions"] != instrE {
-				t.Errorf("%s: executed walk published sim.%s.instructions %d, simulated %d at the points",
-					label, walk, simE["sim."+walk+".instructions"], instrE)
+				if walk == "fli" {
+					pick, b, d = fliPicks[bi], Boundaries{FLI: p.FLI[bi].Ends}, p.walk3[bi].fli
+					if cold {
+						d = coldFLI
+					}
+				}
+				label := fmt.Sprintf("%s/%s/cold=%v", bin.Name, walk, cold)
+				cpiA, ivA, instrA, err := measurePoints(ctx, bin, pick, d)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				cpiE, ivE, instrE := refPointWalk(t, cfg, bin, b, pick, cold)
+				for ph := range cpiE {
+					if math.Float64bits(cpiA[ph]) != math.Float64bits(cpiE[ph]) {
+						t.Errorf("%s phase %d: CPI %v answered, %v executed", label, ph, cpiA[ph], cpiE[ph])
+					}
+				}
+				if !reflect.DeepEqual(ivA, ivE) || instrA != instrE {
+					t.Errorf("%s: intervals %v / %d instr answered, %v / %d executed", label, ivA, instrA, ivE, instrE)
+				}
 			}
 		}
 	}
 }
 
+// refPointWalk is the executed reference for measurePoints: a walk of
+// bin on its own simulator, composed the generic way (an exec.Multi of
+// the simulator and a tracker over b), that records the Stats window of
+// each of pick's point intervals and returns, per phase, the point's CPI
+// and interval and the instructions simulated at the points. A
+// region-gated simulation with functional warming records exactly these
+// windows (cmpsim's TestSimulatorMatchesReference pins that). With cold
+// set the walk empties the caches at the start of each point interval
+// only, as a checkpoint-driven simulator without warm-up starts each
+// point, where a cold walk empties them at every interval start.
+func refPointWalk(t *testing.T, cfg Config, bin *compiler.Binary, b Boundaries, pick *simpoint.Result,
+	cold bool) (cpi []float64, intervals []int, simInstr uint64) {
+
+	t.Helper()
+	sim, err := cmpsim.NewSimulator(bin, cfg.Hierarchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	rec := &pointRecorder{sim: sim, cold: cold, chosen: map[int]bool{}, regions: map[int][2]uint64{}}
+	for _, pt := range pick.Points {
+		rec.chosen[pt.Interval] = true
+	}
+	var tracker exec.Visitor = profile.NewFLITracker(bin, b.FLI, rec)
+	if b.VLI != nil {
+		tracker = profile.NewVLITracker(bin, b.VLI, rec)
+	}
+	if err := exec.RunCtx(context.Background(), bin, cfg.Input, exec.Multi{sim, tracker}); err != nil {
+		t.Fatal(err)
+	}
+	rec.flush()
+	cpi, intervals = make([]float64, pick.K), make([]int, pick.K)
+	for ph := range cpi {
+		cpi[ph], intervals[ph] = math.NaN(), -1
+	}
+	for _, pt := range pick.Points {
+		r := rec.regions[pt.Interval]
+		cpi[pt.Phase] = float64(r[1]) / float64(r[0])
+		intervals[pt.Phase] = pt.Interval
+		simInstr += r[0]
+	}
+	return cpi, intervals, simInstr
+}
+
+// pointRecorder is refPointWalk's interval sink: it records the chosen
+// intervals' (instructions, cycles) windows and, with cold set, empties
+// the caches as a chosen interval starts.
+type pointRecorder struct {
+	sim     *cmpsim.Simulator
+	cold    bool
+	chosen  map[int]bool
+	cur     int
+	lastI   uint64
+	lastC   uint64
+	regions map[int][2]uint64
+}
+
+// Transition implements profile.IntervalSink.
+func (r *pointRecorder) Transition(i int) {
+	if i == r.cur {
+		return
+	}
+	r.flush()
+	r.cur = i
+	if r.cold && r.chosen[i] {
+		r.sim.ResetCaches()
+	}
+}
+
+func (r *pointRecorder) flush() {
+	st := r.sim.Stats()
+	if r.chosen[r.cur] {
+		w := r.regions[r.cur]
+		w[0] += st.Instructions - r.lastI
+		w[1] += st.Cycles - r.lastC
+		r.regions[r.cur] = w
+	}
+	r.lastI, r.lastC = st.Instructions, st.Cycles
+}
+
 // TestWalk3AnswersEveryGatePoint pins the accounting: with warming on
 // (the default) every gate point is answered from walk 3, so
-// pipeline.memo.hits counts all of them and misses none, and nothing
-// records a gated walk: no stage.gated_sim span, no sim.fli.* or
-// sim.vli.* counter.
+// pipeline.memo.hits counts all of them.
 func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 	o := obs.New()
 	res, err := runBenchmark(obs.With(context.Background(), o), "gzip", testConfig("gzip"))
@@ -467,66 +538,44 @@ func TestWalk3AnswersEveryGatePoint(t *testing.T) {
 	if got := snap.Counters["pipeline.memo.hits"]; got == 0 || got != wantPoints {
 		t.Errorf("pipeline.memo.hits = %d, want %d", got, wantPoints)
 	}
-	if got := snap.Counters["pipeline.memo.misses"]; got != 0 {
-		t.Errorf("pipeline.memo.misses = %d, want 0", got)
-	}
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "sim.fli.") || strings.HasPrefix(name, "sim.vli.") {
-			t.Errorf("%s published, but no gated walk ran", name)
-		}
-	}
-	if n := countSpans(o.Events, "stage.gated_sim"); n != 0 {
-		t.Errorf("%d stage.gated_sim spans, but no gated walk ran", n)
-	}
 }
 
-// TestMemoBypassedWhenWarmingDisabled: without functional warming the
-// stream-identity argument does not hold, so every gate point executes
-// and counts as a miss, and each executed walk records its
-// stage.gated_sim span and its sim.<walk> family.
-func TestMemoBypassedWhenWarmingDisabled(t *testing.T) {
-	o := obs.New()
-	var progress strings.Builder
-	o.Progress = obs.NewProgress(&progress)
-	cfg := testConfig("mcf")
-	cfg.DisableWarming = true
-	res, err := runBenchmark(obs.With(context.Background(), o), "mcf", cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestColdStartAccounting pins what the cold-start variant costs and
+// records: two more walks per binary than the warm run (its cold walks,
+// under the FLI and the VLI boundaries), no sim.* family beyond walk 3's
+// sim.full, the warm run's sim.full.instructions, and every point still
+// answered from deltas (pipeline.memo.hits).
+func TestColdStartAccounting(t *testing.T) {
+	run := func(cold bool) (*BenchmarkResult, map[string]uint64) {
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		cfg := testConfig("mcf")
+		cfg.coldStart = cold
+		res, err := runBenchmark(obs.With(context.Background(), o), "mcf", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, o.Metrics.Snapshot().Counters
 	}
-	var wantPoints, fliInstr, vliInstr uint64
-	for _, run := range res.Runs {
-		wantPoints += uint64(run.FLI.NumPoints + run.VLI.NumPoints)
-		fliInstr += run.FLI.SimulatedInstructions
-		vliInstr += run.VLI.SimulatedInstructions
+	_, warm := run(false)
+	res, cold := run(true)
+	if got, want := cold["exec.runs"], warm["exec.runs"]+2*uint64(len(res.Runs)); got != want {
+		t.Errorf("cold start made %d walks, want %d (the warm run's %d plus two per binary)", got, want, warm["exec.runs"])
 	}
-	snap := o.Metrics.Snapshot()
-	if h, m := snap.Counters["pipeline.memo.hits"], snap.Counters["pipeline.memo.misses"]; h != 0 || m != wantPoints {
-		t.Errorf("warming off: %d hits, %d misses, want 0/%d", h, m, wantPoints)
-	}
-	if got := snap.Counters["sim.fli.instructions"]; got != fliInstr {
-		t.Errorf("sim.fli.instructions = %d, want %d", got, fliInstr)
-	}
-	if got := snap.Counters["sim.vli.instructions"]; got != vliInstr {
-		t.Errorf("sim.vli.instructions = %d, want %d", got, vliInstr)
-	}
-	if n, want := countSpans(o.Events, "stage.gated_sim"), 2*len(res.Runs); n != want {
-		t.Errorf("%d stage.gated_sim spans, want %d", n, want)
-	}
-	if n, want := strings.Count(progress.String(), " gated simulation\n"), 2*len(res.Runs); n != want {
-		t.Errorf("%d gated simulation progress lines, want one per walk (%d):\n%s", n, want, progress.String())
-	}
-}
-
-// countSpans counts the spans named name in r.
-func countSpans(r *obs.Recorder, name string) int {
-	n := 0
-	for _, s := range r.Spans() {
-		if s.Name == name {
-			n++
+	for name := range cold {
+		if strings.HasPrefix(name, "sim.") && !strings.HasPrefix(name, "sim.full.") {
+			t.Errorf("cold start published %s", name)
 		}
 	}
-	return n
+	if got, want := cold["sim.full.instructions"], warm["sim.full.instructions"]; got == 0 || got != want {
+		t.Errorf("sim.full.instructions = %d cold, %d warm", got, want)
+	}
+	var wantPoints uint64
+	for _, r := range res.Runs {
+		wantPoints += uint64(r.FLI.NumPoints + r.VLI.NumPoints)
+	}
+	if got := cold["pipeline.memo.hits"]; got != wantPoints {
+		t.Errorf("pipeline.memo.hits = %d, want %d", got, wantPoints)
+	}
 }
 
 // TestPointOutsideWalk3Rejected: a point interval walk 3 did not cover

@@ -62,9 +62,11 @@ type Request struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Specs are synthesized program specs (normalized on submit).
 	Specs []program.Spec `json:"specs,omitempty"`
-	// Config is the experiment configuration. Wall-clock knobs
-	// (Workers, Parallelism, CheckpointDir) are overridden by the queue;
-	// result-affecting knobs participate in the job's identity.
+	// Config is the experiment configuration. Its result-affecting knobs
+	// participate in the job's identity; its wall-clock knobs do not. The
+	// queue replaces only CheckpointDir (the job's spool directory) and
+	// SharedPool (the process-wide pool, which makes Workers moot);
+	// Parallelism reaches the suite as submitted.
 	Config experiment.Config `json:"config"`
 	// TimeoutSec, when > 0, bounds the job's execution wall clock; an
 	// expired job fails with the deadline error.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -530,31 +531,39 @@ func TestRequestValidation(t *testing.T) {
 // A job file written before experiment.Config lost DisableMemo must be
 // rejected by its format version, not misreported as corrupt.
 func TestOldSpoolVersionRejected(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v1-pending-job.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jf jobFile
-	if err := json.Unmarshal(data, &jf); err != nil {
-		t.Fatal(err)
-	}
-	// Without the version bump the file would fail here instead.
-	if fp, err := jobFingerprint(&jf.Job); err != nil || fp == jf.Fingerprint {
-		t.Fatalf("v1 job re-fingerprints as %q (err %v); the format change is not visible", fp, err)
-	}
+	for _, fixture := range []string{"v1-pending-job.json", "v2-pending-job.json"} {
+		t.Run(fixture, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jf jobFile
+			if err := json.Unmarshal(data, &jf); err != nil {
+				t.Fatal(err)
+			}
+			if jf.Version >= spoolVersion {
+				t.Fatalf("fixture version %d is not older than %d", jf.Version, spoolVersion)
+			}
+			// Without the version bump the file would fail here instead.
+			if fp, err := jobFingerprint(&jf.Job); err != nil || fp == jf.Fingerprint {
+				t.Fatalf("v%d job re-fingerprints as %q (err %v); the format change is not visible", jf.Version, fp, err)
+			}
 
-	s, err := OpenSpool(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.jobPath(StatePending, jf.Job.ID), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jobs, errs := s.Load()
-	if len(jobs) != 0 {
-		t.Fatalf("v1 job loaded: %+v", jobs[0])
-	}
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "version 1, want 2") {
-		t.Fatalf("load errors = %v, want one \"version 1, want 2\"", errs)
+			s, err := OpenSpool(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.jobPath(StatePending, jf.Job.ID), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			jobs, errs := s.Load()
+			if len(jobs) != 0 {
+				t.Fatalf("v%d job loaded: %+v", jf.Version, jobs[0])
+			}
+			want := fmt.Sprintf("version %d, want %d", jf.Version, spoolVersion)
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), want) {
+				t.Fatalf("load errors = %v, want one %q", errs, want)
+			}
+		})
 	}
 }

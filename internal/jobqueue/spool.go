@@ -38,7 +38,10 @@ type Spool struct {
 // v2: experiment.Config lost DisableMemo, so a v1 job re-marshals
 // differently and would fail its fingerprint check as "corrupt"; the
 // version check rejects it by name instead.
-const spoolVersion = 2
+// v3: experiment.Config lost DisableWarming (the warming-off model is now
+// cold-start points, chosen by an unexported field), so a v2 job
+// re-marshals differently, for the same reason.
+const spoolVersion = 3
 
 // jobFile is the on-disk job record: the payload plus a recomputed-on-
 // load fingerprint, so a corrupt or hand-edited record is detected and

@@ -13,11 +13,14 @@ import (
 	"xbsim/internal/profile"
 )
 
-// The reference gated walk below is the region-gated simulation
-// EstimateStats used to run: the simulator is enabled only inside the
-// chosen intervals (functional warming in between) and each chosen
-// interval's statistics are recorded as it is left. It is kept verbatim
-// as the oracle EstimateStats' full-walk attribution must match.
+// The reference walk below stands in for the region-gated simulation
+// EstimateStats used to run. Under functional warming a gate only
+// decides which accesses are recorded, so a gated simulation records
+// exactly the chosen intervals' windows of an ungated one (cmpsim's
+// TestSimulatorMatchesReference pins that against its reference
+// simulator). The walk composes the simulator and a tracker the generic
+// way and records each chosen interval's window as it is left: the
+// oracle EstimateStats' full-walk attribution must match.
 
 type refRegionStat struct {
 	instr, cycles      uint64
@@ -25,8 +28,8 @@ type refRegionStat struct {
 	dram               uint64
 }
 
-// refRegionGate gates the simulator to the chosen intervals and records
-// per-interval deltas.
+// refRegionGate records the chosen intervals' windows of the
+// simulator's statistics.
 type refRegionGate struct {
 	sim     *cmpsim.Simulator
 	chosen  map[int]bool
@@ -42,7 +45,6 @@ func (g *refRegionGate) Transition(i int) {
 	}
 	g.flush()
 	g.cur = i
-	g.sim.SetEnabled(g.chosen[i])
 }
 
 func (g *refRegionGate) flush() {
@@ -74,7 +76,6 @@ func refSimulateRegions(ctx context.Context, bin *Binary, in Input, sim *cmpsim.
 		}
 	}
 	gate := &refRegionGate{sim: sim, chosen: chosen, regions: map[int]refRegionStat{}}
-	sim.SetEnabled(chosen[0])
 	var tracker exec.Visitor
 	switch ps.Flavor {
 	case pinpoints.FlavorFLI:

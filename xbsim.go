@@ -512,10 +512,8 @@ type SampledEstimate struct {
 //
 // The regions are measured the way the experiment suite measures them:
 // one full walk attributes every interval's statistics, and each
-// simulation point reads its interval's. Under functional warming (which
-// CMP$im applies while fast-forwarding, and the simulator always does)
-// that equals simulating only the regions, bit for bit, and costs the
-// same, since a gated walk performs every cache access anyway. The CPI is
+// simulation point reads its interval's, with the caches functional
+// warming (which CMP$im applies while fast-forwarding) leaves. The CPI is
 // the suite's weighting (experiment.WeightedCPI). The walk is traced
 // and its statistics published under "sim.full" through the context's
 // Observer, if any, and it stops when ctx is cancelled.
