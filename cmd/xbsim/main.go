@@ -40,7 +40,6 @@ import (
 
 	"xbsim"
 	"xbsim/internal/experiment"
-	"xbsim/internal/faults"
 	"xbsim/internal/invariant"
 	"xbsim/internal/obs"
 	"xbsim/internal/report"
@@ -292,7 +291,6 @@ var commands = map[string]func(ctx context.Context, args []string, w io.Writer) 
 	"samplers":    cmdSamplers,
 	"verify":      cmdVerify,
 	"selfcheck":   cmdSelfcheck,
-	"chaos":       cmdChaos,
 	"serve":       cmdServe,
 	"trace":       cmdTrace,
 	"help":        cmdHelp,
@@ -346,10 +344,6 @@ commands:
   selfcheck [-n N] [-seed S] [-workers W]
                                      the same invariants on N randomized
                                      programs
-  chaos    [-programs N] [-seed S] [-faults F] [-retries R]
-                                     run randomized programs under injected
-                                     fault schedules; recovered runs must be
-                                     bit-identical to the fault-free baseline
   serve    -spool DIR [-addr A] [-concurrency N] [-max-pending N]
                                      run the durable analysis service:
                                      POST /jobs, crash-safe job journal,
@@ -595,10 +589,7 @@ func cmdFigures(ctx context.Context, args []string, w io.Writer) error {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of the ASCII report")
 	detail := fs.Bool("detail", false, "emit per-benchmark detail (per-binary tables, speedups, phase timeline)")
 	workers := fs.Int("workers", 0, "intra-benchmark worker pool size (0 = GOMAXPROCS, 1 = serial; never changes the numbers)")
-	retries := fs.Int("retries", 0, "retry budget per pipeline stage for transient failures (0 = fail fast)")
-	stageTimeout := fs.Duration("stage-timeout", 0, "per-stage deadline; expiries are retried under -retries (0 = none)")
 	ckptDir := fs.String("checkpoint-dir", "", "persist per-benchmark checkpoints here and resume from validating ones")
-	inject := fs.String("inject", "", "fault rules to inject, comma-separated stage@index:kind[:duration] (testing)")
 	sampler, samplerBudget := samplerFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -613,16 +604,7 @@ func cmdFigures(ctx context.Context, args []string, w io.Writer) error {
 	cfg.Workers = *workers
 	cfg.Sampler = *sampler
 	cfg.SamplerBudget = *samplerBudget
-	cfg.Retry = xbsim.RetryPolicy{MaxRetries: *retries}
-	cfg.StageTimeout = *stageTimeout
 	cfg.CheckpointDir = *ckptDir
-	if *inject != "" {
-		rules, err := faults.ParseRules(*inject)
-		if err != nil {
-			return usageError{err}
-		}
-		ctx = faults.With(ctx, faults.NewInjector(rules...))
-	}
 	if *only == "table1" {
 		return report.Table1(w, cfg.Hierarchy)
 	}

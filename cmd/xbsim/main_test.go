@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"xbsim/internal/faults"
 	"xbsim/internal/invariant"
 	"xbsim/internal/obs"
 	"xbsim/internal/pinpoints"
@@ -354,45 +355,23 @@ func TestCmdSelfcheckUsageErrors(t *testing.T) {
 	}
 }
 
-// chaos must recover every randomized fault schedule (or tolerate an
-// exhausted retry budget) and report zero fingerprint mismatches.
-func TestCmdChaos(t *testing.T) {
-	out := runCmd(t, "chaos", "-programs", "2", "-seed", "1", "-faults", "2", "-ops", "90000")
-	if !strings.Contains(out, "chaos: 2 programs, seed 1") {
-		t.Fatalf("chaos header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "0 mismatched") || strings.Contains(out, "FAIL") {
-		t.Fatalf("chaos reported a divergence:\n%s", out)
-	}
-}
-
-func TestCmdChaosFixedRules(t *testing.T) {
-	out := runCmd(t, "chaos", "-programs", "1", "-seed", "1", "-ops", "90000",
-		"-inject", "profile.task@1:panic,mapping@0:error")
-	if !strings.Contains(out, "bit-identical after 2 faults") {
-		t.Fatalf("fixed fault rules not recovered:\n%s", out)
-	}
-}
-
-func TestCmdChaosUsageErrors(t *testing.T) {
+// An injected fault fails exactly the benchmark it lands in: figures
+// renders the other with the FAILED appendix naming the fault, and
+// exits non-zero.
+func TestCmdFiguresInjectedFaultReportsPartialSuite(t *testing.T) {
+	ctx := faults.With(context.Background(), faults.NewInjector(
+		faults.Rule{Stage: "mapping", Index: 0, Kind: faults.KindError}))
 	var sb strings.Builder
-	var ue usageError
-	if err := run(context.Background(), "chaos", []string{"-programs", "0"}, &sb); !errors.As(err, &ue) {
-		t.Errorf("-programs 0: err = %v (%T), want usageError", err, err)
+	err := run(ctx, "figures", []string{"-quick", "-benchmarks", "swim,mcf"}, &sb)
+	if !faults.Injected(err) {
+		t.Fatalf("err = %v, want the injected fault", err)
 	}
-	if err := run(context.Background(), "chaos", []string{"-inject", "bogus"}, &sb); !errors.As(err, &ue) {
-		t.Errorf("bad -inject: err = %v (%T), want usageError", err, err)
+	out := sb.String()
+	if !strings.Contains(out, "FAILED BENCHMARKS (1)") || !strings.Contains(out, "injected error fault at mapping") {
+		t.Fatalf("failure appendix missing:\n%s", out)
 	}
-}
-
-// Injected transient faults plus a retry budget must leave the report
-// byte-identical to an undisturbed run.
-func TestCmdFiguresInjectRecovers(t *testing.T) {
-	plain := runCmd(t, "figures", "-quick", "-benchmarks", "swim", "-only", "fig4")
-	faulted := runCmd(t, "figures", "-quick", "-benchmarks", "swim", "-only", "fig4",
-		"-retries", "2", "-inject", "profile@0:error,clustering.task@1:panic")
-	if faulted != plain {
-		t.Fatalf("faulted report diverged:\n--- plain ---\n%s\n--- faulted ---\n%s", plain, faulted)
+	if !strings.Contains(out, "swim") || !strings.Contains(out, "mcf") {
+		t.Fatalf("report does not name both benchmarks:\n%s", out)
 	}
 }
 

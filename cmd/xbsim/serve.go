@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"xbsim/internal/faults"
 	"xbsim/internal/obs"
 	"xbsim/internal/serve"
 )
@@ -24,16 +23,8 @@ func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	concurrency := fs.Int("concurrency", 2, "jobs executed in parallel")
 	maxPending := fs.Int("max-pending", 64, "pending-queue depth cap; beyond it submissions get 429")
 	workers := fs.Int("workers", 0, "worker pool shared by all jobs (0 = GOMAXPROCS)")
-	inject := fs.String("inject", "", "fault rules to inject, comma-separated stage@index:kind (testing; serve.crash simulates process death)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
-	}
-	if *inject != "" {
-		rules, err := faults.ParseRules(*inject)
-		if err != nil {
-			return usageError{err}
-		}
-		ctx = faults.With(ctx, faults.NewInjector(rules...))
 	}
 	if *spool == "" {
 		return usagef("-spool is required")

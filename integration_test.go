@@ -226,30 +226,11 @@ func TestFacadeMatchesSuite(t *testing.T) {
 		}
 	}
 
-	// The retry envelope: a transient fault on the first walk-1 task
-	// fails a run without retries and is retried away with one.
+	// A fault on the first walk-1 task fails Analyze with the injected
+	// error: stages run once, so nothing retries it away.
 	b := testBenchmark(t, "gzip")
-	clean, err := testAnalysis(t, b, testConfig()).CrossBinaryPoints(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted := func() context.Context {
-		return faults.With(ctx, faults.NewInjector(faults.Rule{Stage: "profile.task", Index: 0, Kind: faults.KindError}))
-	}
-	if _, err := Analyze(faulted(), b.Binaries, testConfig()); err == nil {
-		t.Fatal("injected profile.task fault did not fail Analyze without retries")
-	}
-	cfg := testConfig()
-	cfg.Retry = RetryPolicy{MaxRetries: 1}
-	a, err := Analyze(faulted(), b.Binaries, cfg)
-	if err != nil {
-		t.Fatalf("Analyze with one retry: %v", err)
-	}
-	cross, err := a.CrossBinaryPoints(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cross.Fingerprint(), clean.Fingerprint(); got != want {
-		t.Errorf("retried analysis fingerprint %s, clean %s", got, want)
+	faulted := faults.With(ctx, faults.NewInjector(faults.Rule{Stage: "profile.task", Index: 0, Kind: faults.KindError}))
+	if _, err := Analyze(faulted, b.Binaries, testConfig()); !faults.Injected(err) {
+		t.Fatalf("Analyze under an injected profile.task fault: err = %v, want the injected fault", err)
 	}
 }

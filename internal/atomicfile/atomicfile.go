@@ -1,6 +1,6 @@
 // Package atomicfile writes files so that readers, and a process that
 // dies mid-write, see either the old contents or the new ones, never a
-// torn file.
+// torn file; and so that a write that returned survives an OS crash.
 package atomicfile
 
 import (
@@ -9,15 +9,22 @@ import (
 	"path/filepath"
 )
 
-// Write writes data to path through a temp file in the same directory
-// and an atomic rename. On any failure the temp file is removed and
+// Write writes data to path through a temp file in the same directory,
+// in four steps: write the temp file, sync it, rename it over path, and
+// sync the directory. The first sync keeps the rename from publishing
+// contents that never reached disk; the second makes the rename itself
+// durable. On any failure before the rename the temp file is removed and
 // path is left as it was.
 func Write(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -27,5 +34,9 @@ func Write(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }

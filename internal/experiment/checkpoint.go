@@ -156,8 +156,8 @@ type checkpointFile struct {
 // written under a different interval size, seed, hierarchy, etc. must
 // not satisfy a resume — numbers would silently come from the wrong
 // experiment. Two kinds of knobs are deliberately excluded: wall-clock
-// ones (Parallelism, Workers, Retry, StageTimeout, CheckpointDir),
-// which never change results, and the benchmark list itself — each
+// ones (Parallelism, Workers, CheckpointDir, SharedPool), which never
+// change results, and the benchmark list itself — each
 // benchmark's result is independent of which others ran, so a resume
 // with a larger list still reuses the checkpoints it has.
 func (c Config) fingerprint() string {
@@ -248,8 +248,8 @@ func (r *BenchmarkResult) Fingerprint() string {
 
 // Fingerprint digests the whole suite: the completed results in order
 // plus the names of any failures. Two suite runs are treated as
-// bit-identical exactly when their digests match — the chaos harness
-// compares faulted runs to a fault-free baseline this way.
+// bit-identical exactly when their digests match; the crash-recovery
+// tests compare resumed runs to uninterrupted ones this way.
 func (s *Suite) Fingerprint() string {
 	h := fingerprint.New()
 	h.Int(len(s.Results))

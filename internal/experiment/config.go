@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"time"
 
 	"xbsim/internal/cmpsim"
 	"xbsim/internal/compiler"
@@ -79,16 +78,6 @@ type Config struct {
 	// trades only wall clock, never output. Default GOMAXPROCS; 1 runs
 	// the pipeline serially.
 	Workers int
-	// Retry retries transient pipeline-stage failures (injected faults,
-	// stage deadline expiries) with capped exponential backoff and
-	// deterministic jitter. The zero value disables retries. Because
-	// every stage is deterministic and idempotent, a successful retry
-	// produces results bit-identical to an undisturbed run.
-	Retry RetryPolicy
-	// StageTimeout bounds each pipeline-stage attempt; a stage that
-	// exceeds it fails with context.DeadlineExceeded (transient, so it
-	// is retried under Retry). 0 = no per-stage deadline.
-	StageTimeout time.Duration
 	// CheckpointDir, when set, persists each completed benchmark's
 	// result as an atomically written JSON checkpoint carrying a
 	// fingerprint, and makes RunCtx skip benchmarks whose checkpoints

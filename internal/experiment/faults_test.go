@@ -19,120 +19,107 @@ func programSpecForTest(t *testing.T) program.Spec {
 	return program.RandomSpec(42, 0)
 }
 
-// retryConfig is testConfig plus a fast retry policy for fault tests.
-func retryConfig(benchmarks ...string) Config {
-	cfg := testConfig(benchmarks...)
-	cfg.Retry = RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-	return cfg
+// isolationBenchmarks is the two-benchmark suite the fault-isolation
+// tests run: one benchmark takes the fault, the other must not notice.
+var isolationBenchmarks = []string{"gzip", "swim"}
+
+// fingerprints maps each result in s to its fingerprint.
+func fingerprints(s *Suite) map[string]string {
+	fps := map[string]string{}
+	for _, r := range s.Results {
+		fps[r.Name] = r.Fingerprint()
+	}
+	return fps
 }
 
-// Transient faults across every layer of the pipeline — stage-level
-// errors, worker panics, delays — must be retried away, and the
-// recovered run must be bit-identical to an undisturbed one.
-func TestRetryRecoversInjectedFaults(t *testing.T) {
-	baseline, err := runBenchmark(context.Background(), "gzip", testConfig("gzip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj := faults.NewInjector(
-		faults.Rule{Stage: "compile", Index: 0, Kind: faults.KindError},
-		faults.Rule{Stage: "profile.task", Index: 1, Kind: faults.KindPanic},
-		faults.Rule{Stage: "mapping", Index: 0, Kind: faults.KindError},
-		faults.Rule{Stage: "clustering.task", Index: 0, Kind: faults.KindDelay, Delay: 2 * time.Millisecond},
-		faults.Rule{Stage: "evaluate.task", Index: 2, Kind: faults.KindPanic},
-	)
+// runIsolated runs cfg's suite with one injected rule and checks that
+// the fault failed exactly one benchmark, in stage, recorded in
+// Suite.Failures and by one stage.fail event (plus a panic event for a
+// panic rule), while every other benchmark is bit-identical to clean.
+// A rule that fails nothing (a delay) must leave every benchmark
+// identical. It returns the observer for further checks.
+func runIsolated(t *testing.T, cfg Config, clean map[string]string, rule faults.Rule, stage string) *obs.Observer {
+	t.Helper()
 	o := obs.New()
-	ctx := obs.With(faults.With(context.Background(), inj), o)
-	res, err := runBenchmark(ctx, "gzip", retryConfig("gzip"))
-	if err != nil {
-		t.Fatalf("faulted run failed despite retries: %v", err)
+	ctx := obs.With(faults.With(context.Background(), faults.NewInjector(rule)), o)
+	suite, err := RunCtx(ctx, cfg)
+	if suite == nil {
+		t.Fatalf("suite discarded: %v", err)
 	}
-	if got, want := res.Fingerprint(), baseline.Fingerprint(); got != want {
-		t.Fatalf("faulted run diverged: %s != %s", got, want)
+	if n := o.Counter("pipeline.faults_injected." + rule.Stage).Value(); n != 1 {
+		t.Fatalf("faults_injected.%s = %d, want 1", rule.Stage, n)
 	}
-	if n := o.Counter("pipeline.faults_injected").Value(); n != 5 {
-		t.Fatalf("faults_injected = %d, want 5", n)
-	}
-	// Four faults are errors/panics (one per stage envelope); the delay
-	// succeeds in place and must not trigger a retry.
-	if n := o.Counter("pipeline.retries").Value(); n != 4 {
-		t.Fatalf("retries = %d, want 4", n)
-	}
-	// Fired faults are attributed to their stage hook, retries to the
-	// enclosing stage envelope — the per-stage observability chaos runs
-	// rely on.
-	for _, hook := range []string{"compile", "profile.task", "mapping", "clustering.task", "evaluate.task"} {
-		if n := o.Counter("pipeline.faults_injected." + hook).Value(); n != 1 {
-			t.Errorf("faults_injected.%s = %d, want 1", hook, n)
+	for _, r := range suite.Results {
+		if got, want := r.Fingerprint(), clean[r.Name]; got != want {
+			t.Errorf("%s diverged from the fault-free run: %s != %s", r.Name, got, want)
 		}
 	}
-	for stage, want := range map[string]uint64{
-		"compile": 1, "profile": 1, "mapping": 1, "evaluate": 1,
-		"clustering": 0, // the delay fault succeeds in place
-	} {
-		if n := o.Counter("pipeline.retries." + stage).Value(); n != want {
-			t.Errorf("retries.%s = %d, want %d", stage, n, want)
+	kinds := map[string]int{}
+	for _, ev := range o.Events.Events() {
+		kinds[ev.Kind]++
+		if ev.Kind == "stage.fail" && ev.Stage != stage {
+			t.Errorf("stage.fail in %q, want %q: %+v", ev.Stage, stage, ev)
 		}
 	}
-}
-
-// A hang fault blocks until the stage deadline expires; the expiry is
-// transient, so the next attempt must succeed bit-identically.
-func TestHangFaultTimesOutAndRetries(t *testing.T) {
-	baseline, err := runBenchmark(context.Background(), "mcf", testConfig("mcf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.NewInjector(
-		faults.Rule{Stage: "mapping", Index: 0, Kind: faults.KindHang},
-	)
-	o := obs.New()
-	ctx := obs.With(faults.With(context.Background(), inj), o)
-	cfg := retryConfig("mcf")
-	// The deadline only needs to be far above an honest stage's duration
-	// so that exactly the hung attempt expires. Under -race with the full
-	// package's heap mapped, a real evaluate attempt can cross 2s, which
-	// would burn the retry budget on legitimate work — keep headroom.
-	cfg.StageTimeout = 5 * time.Second
-	res, err := runBenchmark(ctx, "mcf", cfg)
-	if err != nil {
-		t.Fatalf("hang was not retried away: %v", err)
-	}
-	if got, want := res.Fingerprint(), baseline.Fingerprint(); got != want {
-		t.Fatalf("post-hang run diverged: %s != %s", got, want)
-	}
-	if n := o.Counter("pipeline.retries").Value(); n == 0 {
-		t.Fatal("hang recovered without a retry")
-	}
-}
-
-// Faults on more consecutive invocations than the retry budget must
-// surface as a failure that still identifies the injected fault.
-func TestExhaustedRetriesFailBenchmark(t *testing.T) {
-	inj := faults.NewInjector(
-		faults.Rule{Stage: "profile", Index: 0, Kind: faults.KindError},
-		faults.Rule{Stage: "profile", Index: 1, Kind: faults.KindError},
-		faults.Rule{Stage: "profile", Index: 2, Kind: faults.KindError},
-	)
-	cfg := testConfig("mcf")
-	cfg.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond}
-	_, err := runBenchmark(faults.With(context.Background(), inj), "mcf", cfg)
-	if err == nil {
-		t.Fatal("benchmark succeeded with faults on every attempt")
+	if stage == "" {
+		if err != nil || len(suite.Results) != len(clean) || kinds["stage.fail"] != 0 {
+			t.Fatalf("a fault that fails nothing failed the suite: %v (%d results)", err, len(suite.Results))
+		}
+		return o
 	}
 	if !faults.Injected(err) {
-		t.Fatalf("exhausted-retries error lost the injected fault: %v", err)
+		t.Fatalf("suite error %v does not carry the injected fault", err)
+	}
+	if len(suite.Failures) != 1 || len(suite.Results) != len(clean)-1 {
+		t.Fatalf("failures %+v with %d results, want exactly one failed benchmark", suite.Failures, len(suite.Results))
+	}
+	if !strings.Contains(suite.Failures[0].Err, "injected") {
+		t.Errorf("failure record does not name the fault: %+v", suite.Failures[0])
+	}
+	wantPanics := 0
+	if rule.Kind == faults.KindPanic {
+		wantPanics = 1
+	}
+	if kinds["stage.fail"] != 1 || kinds["panic"] != wantPanics {
+		t.Errorf("event kinds = %v, want one stage.fail and %d panic", kinds, wantPanics)
+	}
+	return o
+}
+
+// An injected error or panic at any layer of the pipeline — a stage
+// hook, a pool-fanned task, a walk — fails exactly the benchmark it
+// lands in; a delay succeeds in place. Nothing is retried: stages are
+// deterministic, so a real failure would repeat.
+func TestInjectedFaultFailsOnlyItsBenchmark(t *testing.T) {
+	clean, err := RunCtx(context.Background(), testConfig(isolationBenchmarks...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := fingerprints(clean)
+	for _, tc := range []struct {
+		rule  faults.Rule
+		stage string // the stage that fails; "" when nothing may fail
+	}{
+		{faults.Rule{Stage: "compile", Kind: faults.KindError}, "compile"},
+		{faults.Rule{Stage: "profile.task", Index: 1, Kind: faults.KindPanic}, "profile"},
+		{faults.Rule{Stage: "mapping", Kind: faults.KindError}, "mapping"},
+		{faults.Rule{Stage: "clustering.task", Kind: faults.KindPanic}, "clustering"},
+		{faults.Rule{Stage: "evaluate.task", Index: 2, Kind: faults.KindPanic}, "evaluate"},
+		{faults.Rule{Stage: "clustering.task", Kind: faults.KindDelay, Delay: 2 * time.Millisecond}, ""},
+	} {
+		t.Run(tc.rule.Stage+"/"+tc.rule.Kind.String(), func(t *testing.T) {
+			runIsolated(t, testConfig(isolationBenchmarks...), base, tc.rule, tc.stage)
+		})
 	}
 }
 
-// A deterministic failure (unknown benchmark) must not be retried, and
-// the rest of the suite must complete: partial results plus an explicit
+// A failing benchmark (here an unknown one) must not stop the rest of
+// the suite: it completes: partial results plus an explicit
 // failure record, returned alongside the joined error.
 func TestSuiteSurvivesFailingBenchmark(t *testing.T) {
 	o := obs.New()
 	ctx := obs.With(context.Background(), o)
-	cfg := retryConfig("gzip", "nosuch")
+	cfg := testConfig("gzip", "nosuch")
 	suite, err := RunCtx(ctx, cfg)
 	if err == nil {
 		t.Fatal("suite with an unknown benchmark reported success")
@@ -155,10 +142,6 @@ func TestSuiteSurvivesFailingBenchmark(t *testing.T) {
 	if n := o.Counter("pipeline.benchmarks_failed").Value(); n != 1 {
 		t.Fatalf("benchmarks_failed = %d, want 1", n)
 	}
-	// A deterministic failure must fail fast, not burn the retry budget.
-	if n := o.Counter("pipeline.retries").Value(); n != 0 {
-		t.Fatalf("retries = %d on a deterministic failure, want 0", n)
-	}
 }
 
 // Cancelling the suite context mid-run must abort promptly with a
@@ -170,9 +153,7 @@ func TestSuiteCancellation(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	cfg := testConfig("gcc", "apsi", "applu", "mcf")
-	cfg.Retry = RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond}
-	_, err := RunCtx(ctx, cfg)
+	_, err := RunCtx(ctx, testConfig("gcc", "apsi", "applu", "mcf"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled suite returned %v, want wrapped context.Canceled", err)
 	}
@@ -188,8 +169,8 @@ func TestSuiteCancellation(t *testing.T) {
 	}
 }
 
-// A hang fault with no stage deadline must be interruptible by the
-// parent context, and the cancellation must not be retried.
+// A hang fault must be interruptible by the parent context. (The
+// job-level deadline ends one too: jobqueue's TestJobDeadline.)
 func TestHangFaultYieldsToParentCancellation(t *testing.T) {
 	inj := faults.NewInjector(
 		faults.Rule{Stage: "vli", Index: 0, Kind: faults.KindHang},
@@ -199,17 +180,13 @@ func TestHangFaultYieldsToParentCancellation(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	o := obs.New()
 	start := time.Now()
-	_, err := runBenchmark(obs.With(faults.With(ctx, inj), o), "mcf", retryConfig("mcf"))
+	_, err := runBenchmark(faults.With(ctx, inj), "mcf", testConfig("mcf"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("hung benchmark returned %v, want wrapped context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
-	}
-	if n := o.Counter("pipeline.retries").Value(); n != 0 {
-		t.Fatalf("retries = %d after parent cancellation, want 0", n)
 	}
 }
 
@@ -235,15 +212,16 @@ func TestRunSpecDeterministic(t *testing.T) {
 }
 
 // A faulted run with a flight recorder attached must journal the stage
-// lifecycle, the fired fault, and the retry as structured events.
-func TestFlightRecorderJournalsFaultsAndRetries(t *testing.T) {
+// lifecycle up to the fault, the fired fault, and the stage's failure
+// as structured events.
+func TestFlightRecorderJournalsFaults(t *testing.T) {
 	inj := faults.NewInjector(
 		faults.Rule{Stage: "mapping", Index: 0, Kind: faults.KindError},
 	)
 	o := obs.New()
 	ctx := obs.With(faults.With(context.Background(), inj), o)
-	if _, err := runBenchmark(ctx, "gzip", retryConfig("gzip")); err != nil {
-		t.Fatal(err)
+	if _, err := runBenchmark(ctx, "gzip", testConfig("gzip")); err == nil {
+		t.Fatal("faulted benchmark succeeded")
 	}
 	kinds := map[string]int{}
 	for _, ev := range o.Events.Events() {
@@ -253,20 +231,18 @@ func TestFlightRecorderJournalsFaultsAndRetries(t *testing.T) {
 			if ev.Stage != "mapping" || !strings.Contains(ev.Detail, "error fault") {
 				t.Errorf("fault event = %+v", ev)
 			}
-		case "stage.retry":
-			if ev.Stage != "mapping" || ev.Benchmark != "gzip" {
-				t.Errorf("retry event = %+v", ev)
+		case "stage.fail":
+			if ev.Stage != "mapping" || ev.Benchmark != "gzip" || !strings.Contains(ev.Detail, "injected error fault") {
+				t.Errorf("fail event = %+v", ev)
 			}
 		}
 	}
-	// Seven stage envelopes start and finish (evaluate runs twice: walk
-	// 3 in prepare, the point statistics in pick); the faulted mapping
-	// attempt adds one extra start. The fault and the retry each appear
-	// exactly once, and nothing failed terminally.
-	if kinds["stage.start"] != 8 || kinds["stage.finish"] != 7 {
-		t.Errorf("stage lifecycle events = %v, want 8 starts / 7 finishes", kinds)
+	// compile and profile start and finish; mapping starts, takes the
+	// fault and fails; nothing after it runs.
+	if kinds["stage.start"] != 3 || kinds["stage.finish"] != 2 {
+		t.Errorf("stage lifecycle events = %v, want 3 starts / 2 finishes", kinds)
 	}
-	if kinds["fault"] != 1 || kinds["stage.retry"] != 1 || kinds["stage.fail"] != 0 {
+	if kinds["fault"] != 1 || kinds["stage.fail"] != 1 {
 		t.Errorf("event kinds = %v", kinds)
 	}
 }

@@ -86,21 +86,6 @@ type BenchmarkResult struct {
 	Primary int
 }
 
-// PipelineStages lists every fault-injection hook the per-benchmark
-// pipeline passes through, in execution order. Plain names fire once per
-// stage attempt (inside the stage's retry envelope); ".task" names fire
-// once per pool-fanned work unit inside that stage, so faults planted
-// there exercise the worker pool's panic isolation as well. "evaluate"
-// and "evaluate.task" fire in prepare's walk 3 and again in each pick's
-// point statistics. The chaos subcommand draws its random fault plans
-// from this list.
-var PipelineStages = []string{
-	"compile", "profile", "profile.task", "mapping", "vli",
-	"evaluate", "evaluate.task",
-	"clustering", "clustering.task", "sampler.stratify", "sampler.allocate",
-	"evaluate.walk",
-}
-
 // runPipeline evaluates one benchmark under every config in cfgs, which
 // differ only in pick-side settings (Config.prepareSide): prepare runs
 // once under cfgs[0], then pick runs once per config. A prepare failure
@@ -155,7 +140,7 @@ type walk3Result struct {
 func prepare(ctx context.Context, name string, gen func() (*program.Program, error), cfg Config) (*prepared, error) {
 	o := obs.From(ctx)
 	var bins []*compiler.Binary
-	err := runStage(ctx, cfg, name, "compile", func(sctx context.Context) error {
+	err := runStage(ctx, name, "compile", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "compile"})
 		_, cspan := obs.StartSpan(sctx, "stage.compile", name)
 		defer cspan.End()
@@ -177,7 +162,7 @@ func prepare(ctx context.Context, name string, gen func() (*program.Program, err
 
 	// Walk 3 per binary: full simulation with both interval attributions.
 	// Each binary owns its simulator and its walk3[bi] slot.
-	err = runStage(ctx, cfg, name, "evaluate", func(sctx context.Context) error {
+	err = runStage(ctx, name, "evaluate", func(sctx context.Context) error {
 		p.walk3 = make([]walk3Result, len(bins))
 		return cfg.workerPool.Run(len(bins), func(bi int) error {
 			if err := faults.Hit(sctx, "evaluate.task"); err != nil {
@@ -221,10 +206,10 @@ type Analysis struct {
 // Analyze runs walks 1 and 2 over one program's compiled binaries: each
 // binary's profile and FLI BBVs, the mappable points across them, and
 // the primary's VLI BBVs. Every stage runs in the suite's envelope
-// (runStage: fault hooks, retries under cfg.Retry, cfg.StageTimeout,
-// spans, progress and counters). Unset fields of cfg take the suite's
-// defaults. The walks fan out on the suite's pool, else on
-// cfg.SharedPool, else on a pool of cfg.Workers.
+// (runStage: fault hooks, panic isolation, spans, progress and
+// counters). Unset fields of cfg take the suite's defaults. The walks
+// fan out on the suite's pool, else on cfg.SharedPool, else on a pool
+// of cfg.Workers.
 func Analyze(ctx context.Context, bins []*compiler.Binary, cfg Config) (*Analysis, error) {
 	if len(bins) == 0 {
 		return nil, fmt.Errorf("experiment: no binaries to analyze")
@@ -243,7 +228,7 @@ func Analyze(ctx context.Context, bins []*compiler.Binary, cfg Config) (*Analysi
 	// counts instructions once; walk 3 cross-checks it. The walks are
 	// independent per binary, so they fan out on the pool; each writes
 	// its own a.Profiles[bi]/a.FLI[bi] slot.
-	err = runStage(ctx, cfg, name, "profile", func(sctx context.Context) error {
+	err = runStage(ctx, name, "profile", func(sctx context.Context) error {
 		a.Profiles = make([]*profile.Profile, len(bins))
 		a.FLI = make([]*profile.FLIResult, len(bins))
 		pctx, pspan := obs.StartSpan(sctx, "stage.profile", "")
@@ -273,7 +258,7 @@ func Analyze(ctx context.Context, bins []*compiler.Binary, cfg Config) (*Analysi
 	}
 
 	// Mappable points across all binaries.
-	err = runStage(ctx, cfg, name, "mapping", func(sctx context.Context) error {
+	err = runStage(ctx, name, "mapping", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "mapping"})
 		var err error
 		a.Mapping, err = mapping.FindCtx(sctx, a.Profiles, cfg.Mapping)
@@ -285,7 +270,7 @@ func Analyze(ctx context.Context, bins []*compiler.Binary, cfg Config) (*Analysi
 
 	// Walk 2 (primary only): VLI BBV collection at mappable markers.
 	primary := bins[a.Primary]
-	err = runStage(ctx, cfg, name, "vli", func(sctx context.Context) error {
+	err = runStage(ctx, name, "vli", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: name, Stage: "vli slicing"})
 		vctx, vspan := obs.StartSpan(sctx, "stage.vli_slicing", primary.Name)
 		defer vspan.End()
@@ -381,7 +366,7 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 	o := obs.From(ctx)
 	var fliPicks []*simpoint.Result
 	var vliPick *simpoint.Result
-	err := runStage(ctx, cfg, p.name, "clustering", func(sctx context.Context) error {
+	err := runStage(ctx, p.name, "clustering", func(sctx context.Context) error {
 		o.Emit(obs.PipelineEvent{Kind: "progress", Benchmark: p.name, Stage: "clustering"})
 		var err error
 		fliPicks, vliPick, err = selectPoints(sctx, cfg, p)
@@ -394,7 +379,7 @@ func pick(ctx context.Context, p *prepared, cfg Config) (*BenchmarkResult, error
 	// Walks 4/5 per binary and the method statistics. Each binary owns
 	// its Runs[bi] slot.
 	var res *BenchmarkResult
-	err = runStage(ctx, cfg, p.name, "evaluate", func(sctx context.Context) error {
+	err = runStage(ctx, p.name, "evaluate", func(sctx context.Context) error {
 		res = &BenchmarkResult{Name: p.name, Mapping: p.Mapping, Primary: p.Primary,
 			Runs: make([]*BinaryRun, len(p.Bins))}
 		return cfg.workerPool.Run(len(p.Bins), func(bi int) error {
@@ -693,13 +678,10 @@ type Suite struct {
 // clustering, simulator and pool counters. Without an observer nothing
 // is recorded and nothing is paid.
 //
-// Every stage runs inside a fault-tolerance envelope (see runStage):
-// panics are isolated into *pool.PanicError, Config.StageTimeout bounds
-// each attempt, and transient failures — injected faults from a
-// faults.Injector on the context, or stage deadline expiries — are
-// retried under Config.Retry. Stages are idempotent and deterministic,
-// so a run that succeeds after retries is bit-identical to an
-// undisturbed one.
+// Every stage runs once (see runStage): panics are isolated into
+// *pool.PanicError, and a failed stage fails its benchmark. Stages are
+// deterministic, so a failure would repeat; the checkpoint, not a
+// retry, is what recovers work after process death.
 //
 // Within a benchmark, the per-binary profile walks, the SimPoint sweeps,
 // and the per-binary evaluations run concurrently on the worker pool.
@@ -709,8 +691,7 @@ type Suite struct {
 // started by pool workers carry the stage span as parent through the
 // context, so concurrent work still nests under the benchmark root.
 //
-// The suite degrades gracefully: a benchmark that fails (after
-// exhausting its retries) is recorded in Suite.Failures and the rest of
+// The suite degrades gracefully: a benchmark that fails is recorded in Suite.Failures and the rest of
 // the suite keeps running. On failure RunCtx returns the partial Suite
 // alongside the joined error, so callers can report the completed
 // benchmarks with an explicit failure appendix.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xbsim/internal/faults"
-	"xbsim/internal/obs"
 	"xbsim/internal/sampler"
 )
 
@@ -128,36 +127,29 @@ func TestCompareSamplersRejectsBadBudget(t *testing.T) {
 	}
 }
 
-// TestStratifiedFaultRecovery checks the stratified phases as fault
-// stages: faults injected at sampler.stratify and sampler.allocate are
-// retried by the enclosing stage envelope, and the recovered run is
-// bit-identical to the fault-free baseline.
-func TestStratifiedFaultRecovery(t *testing.T) {
+// TestStratifiedFaultFailsOnlyItsBenchmark checks the stratified
+// phases as fault stages: a fault injected at sampler.stratify or
+// sampler.allocate fails the enclosing clustering stage of exactly one
+// benchmark, and the other is bit-identical to the fault-free run.
+func TestStratifiedFaultFailsOnlyItsBenchmark(t *testing.T) {
 	mk := func() Config {
-		cfg := retryConfig("gzip")
+		cfg := testConfig(isolationBenchmarks...)
 		cfg.Sampler = sampler.BackendStratified
 		cfg.SamplerBudget = 6
 		return cfg
 	}
-	baseline, err := runBenchmark(context.Background(), "gzip", mk())
+	clean, err := RunCtx(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.NewInjector(
-		faults.Rule{Stage: "sampler.stratify", Index: 0, Kind: faults.KindError},
-		faults.Rule{Stage: "sampler.allocate", Index: 1, Kind: faults.KindError},
-	)
-	o := obs.New()
-	ctx := obs.With(faults.With(context.Background(), inj), o)
-	res, err := runBenchmark(ctx, "gzip", mk())
-	if err != nil {
-		t.Fatalf("faulted run failed despite retries: %v", err)
-	}
-	if got, want := res.Fingerprint(), baseline.Fingerprint(); got != want {
-		t.Fatalf("faulted run diverged: %s != %s", got, want)
-	}
-	if n := o.Counter("pipeline.faults_injected").Value(); n != 2 {
-		t.Fatalf("faults_injected = %d, want 2", n)
+	base := fingerprints(clean)
+	for _, rule := range []faults.Rule{
+		{Stage: "sampler.stratify", Index: 0, Kind: faults.KindError},
+		{Stage: "sampler.allocate", Index: 1, Kind: faults.KindError},
+	} {
+		t.Run(rule.Stage, func(t *testing.T) {
+			runIsolated(t, mk(), base, rule, "clustering")
+		})
 	}
 }
 

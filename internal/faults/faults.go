@@ -8,10 +8,13 @@
 // The design mirrors internal/obs: everything is nil-safe, so a context
 // without an injector pays one context lookup and nothing else — the
 // production path has no build tags, no globals, and no cost beyond that
-// lookup. Schedules are deterministic: RandomPlan derives the whole plan
-// from a string key via internal/xrand, so the same key always injects
-// the same faults, which is what lets `xbsim chaos` assert that a
-// faulted-and-retried run is bit-identical to a fault-free one.
+// lookup. Schedules are explicit and deterministic: a rule names one
+// invocation of one hook, so a test knows exactly which stage fails.
+//
+// Nothing retries an injected fault: a faulted stage fails its
+// benchmark (or, at serve.crash, stops the queue as if the process had
+// died), which is what the tests of fault isolation and crash recovery
+// pin.
 package faults
 
 import (
@@ -19,19 +22,17 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"xbsim/internal/obs"
-	"xbsim/internal/xrand"
 )
 
 // Kind is the failure mode a rule injects.
 type Kind int
 
 const (
-	// KindError makes the hook return a transient *InjectedError.
+	// KindError makes the hook return an *InjectedError.
 	KindError Kind = iota
 	// KindPanic makes the hook panic with a *InjectedError value; the
 	// worker pool's panic isolation converts it into a *pool.PanicError
@@ -40,11 +41,11 @@ const (
 	// KindDelay makes the hook sleep for the rule's Delay, then succeed.
 	KindDelay
 	// KindHang makes the hook block until the context is done — the way
-	// to exercise per-stage deadlines (experiment.Config.StageTimeout).
+	// to exercise cancellation and job deadlines.
 	KindHang
 )
 
-// String returns the kind's flag-syntax name.
+// String returns the kind's name.
 func (k Kind) String() string {
 	switch k {
 	case KindError:
@@ -59,25 +60,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// parseKind is the inverse of Kind.String.
-func parseKind(s string) (Kind, error) {
-	switch s {
-	case "error":
-		return KindError, nil
-	case "panic":
-		return KindPanic, nil
-	case "delay":
-		return KindDelay, nil
-	case "hang":
-		return KindHang, nil
-	}
-	return 0, fmt.Errorf("faults: unknown kind %q (want error, panic, delay, or hang)", s)
-}
-
 // Rule injects one fault: the Index-th invocation (0-based) of the named
 // stage hook fires with the given kind. A rule fires at most once.
 type Rule struct {
-	// Stage names the hook (e.g. "profile", "clustering.task").
+	// Stage names the hook: a pipeline stage ("compile", "profile",
+	// "mapping", "vli", "evaluate", "clustering"), a pool-fanned unit
+	// inside one ("profile.task", "evaluate.task", "clustering.task"),
+	// "evaluate.walk", "sampler.stratify", "sampler.allocate", or the
+	// queue's "serve.crash".
 	Stage string
 	// Index is the invocation of that hook the fault fires on.
 	Index int
@@ -85,15 +75,6 @@ type Rule struct {
 	Kind Kind
 	// Delay is the stall duration for KindDelay rules.
 	Delay time.Duration
-}
-
-// String renders the rule in ParseRules syntax.
-func (r Rule) String() string {
-	s := fmt.Sprintf("%s@%d:%s", r.Stage, r.Index, r.Kind)
-	if r.Kind == KindDelay {
-		s += ":" + r.Delay.String()
-	}
-	return s
 }
 
 // InjectedError is the typed error every injected fault surfaces as.
@@ -137,8 +118,6 @@ type Injector struct {
 	rules map[string]Rule
 	// hits counts invocations per stage hook.
 	hits map[string]int
-	// injected counts rules that fired.
-	injected int
 }
 
 // NewInjector builds an injector from a schedule. Later rules on the
@@ -153,16 +132,6 @@ func NewInjector(rules ...Rule) *Injector {
 
 func slotKey(stage string, index int) string {
 	return stage + "\x00" + strconv.Itoa(index)
-}
-
-// Injected returns the number of rules that have fired so far.
-func (in *Injector) Injected() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected
 }
 
 // ctxKey keys the Injector in a context.
@@ -202,15 +171,12 @@ func (in *Injector) hit(ctx context.Context, stage string) error {
 	idx := in.hits[stage]
 	in.hits[stage] = idx + 1
 	rule, ok := in.rules[slotKey(stage, idx)]
-	if ok {
-		in.injected++
-	}
 	in.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	// Fired faults are observable per stage hook (so chaos runs show
-	// where the schedule landed) and as a flight-recorder event.
+	// Fired faults are observable per stage hook and as a
+	// flight-recorder event.
 	o := obs.From(ctx)
 	o.Counter("pipeline.faults_injected").Inc()
 	o.Counter("pipeline.faults_injected." + stage).Inc()
@@ -238,75 +204,4 @@ func (in *Injector) hit(ctx context.Context, stage string) error {
 		return ie
 	}
 	return ie
-}
-
-// RandomPlan derives a deterministic schedule of n faults from a string
-// key: the same (key, stages, n) always yields the same plan. Kinds are
-// weighted toward errors and panics (the retryable modes); delays are
-// short and hangs rare, since a hang costs a full stage deadline of wall
-// clock. Slot collisions resolve to the next free invocation index, so
-// the plan always holds exactly n rules.
-func RandomPlan(key string, stages []string, n int) []Rule {
-	rng := xrand.New("faults/" + key)
-	taken := map[string]bool{}
-	plan := make([]Rule, 0, n)
-	weights := []float64{0.45, 0.25, 0.2, 0.1} // error, panic, delay, hang
-	for i := 0; i < n; i++ {
-		stage := stages[rng.Intn(len(stages))]
-		idx := rng.Intn(4)
-		for taken[slotKey(stage, idx)] {
-			idx++
-		}
-		taken[slotKey(stage, idx)] = true
-		r := Rule{Stage: stage, Index: idx, Kind: Kind(rng.Pick(weights))}
-		if r.Kind == KindDelay {
-			r.Delay = time.Duration(1+rng.Intn(20)) * time.Millisecond
-		}
-		plan = append(plan, r)
-	}
-	return plan
-}
-
-// ParseRules parses a comma-separated explicit schedule, each element
-// "stage@index:kind" with an optional ":duration" for delay faults, e.g.
-// "profile@0:error,clustering.task@2:panic,vli@0:delay:25ms".
-func ParseRules(s string) ([]Rule, error) {
-	var rules []Rule
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		at := strings.IndexByte(part, '@')
-		if at < 1 {
-			return nil, fmt.Errorf("faults: rule %q: want stage@index:kind", part)
-		}
-		rest := strings.SplitN(part[at+1:], ":", 3)
-		if len(rest) < 2 {
-			return nil, fmt.Errorf("faults: rule %q: want stage@index:kind", part)
-		}
-		idx, err := strconv.Atoi(rest[0])
-		if err != nil || idx < 0 {
-			return nil, fmt.Errorf("faults: rule %q: bad invocation index %q", part, rest[0])
-		}
-		kind, err := parseKind(rest[1])
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Stage: part[:at], Index: idx, Kind: kind}
-		if kind == KindDelay {
-			r.Delay = 5 * time.Millisecond
-			if len(rest) == 3 {
-				d, err := time.ParseDuration(rest[2])
-				if err != nil || d < 0 {
-					return nil, fmt.Errorf("faults: rule %q: bad delay %q", part, rest[2])
-				}
-				r.Delay = d
-			}
-		} else if len(rest) == 3 {
-			return nil, fmt.Errorf("faults: rule %q: duration only applies to delay faults", part)
-		}
-		rules = append(rules, r)
-	}
-	return rules, nil
 }

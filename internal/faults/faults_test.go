@@ -18,8 +18,8 @@ func TestNilInjectorIsFree(t *testing.T) {
 		}
 	}
 	var in *Injector
-	if in.Injected() != 0 {
-		t.Fatal("nil injector reported state")
+	if err := in.hit(ctx, "profile"); err != nil {
+		t.Fatalf("nil injector injected: %v", err)
 	}
 }
 
@@ -46,8 +46,8 @@ func TestErrorFaultFiresOnExactInvocation(t *testing.T) {
 	if err := Hit(ctx, "mapping"); err != nil {
 		t.Fatalf("unaddressed stage injected: %v", err)
 	}
-	if got := in.Injected(); got != 1 {
-		t.Fatalf("Injected() = %d, want 1", got)
+	if got := in.hits["profile"]; got != 5 {
+		t.Fatalf("hits[profile] = %d, want 5", got)
 	}
 }
 
@@ -89,58 +89,5 @@ func TestDelayFaultSucceedsAfterStall(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Fatalf("delay fault returned after %v, want >= 5ms", elapsed)
-	}
-}
-
-func TestRandomPlanIsDeterministicAndCollisionFree(t *testing.T) {
-	stages := []string{"compile", "profile", "profile.task", "mapping", "clustering"}
-	a := RandomPlan("chaos/1/0", stages, 12)
-	b := RandomPlan("chaos/1/0", stages, 12)
-	if len(a) != 12 {
-		t.Fatalf("plan has %d rules, want 12", len(a))
-	}
-	seen := map[string]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("plans diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-		key := slotKey(a[i].Stage, a[i].Index)
-		if seen[key] {
-			t.Fatalf("duplicate slot %v", a[i])
-		}
-		seen[key] = true
-	}
-	if c := RandomPlan("chaos/1/1", stages, 12); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
-		t.Fatal("different keys produced the same plan prefix")
-	}
-}
-
-func TestParseRulesRoundTrip(t *testing.T) {
-	rules, err := ParseRules("profile@0:error, clustering.task@2:panic,vli@1:delay:25ms,evaluate@0:hang")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Rule{
-		{Stage: "profile", Index: 0, Kind: KindError},
-		{Stage: "clustering.task", Index: 2, Kind: KindPanic},
-		{Stage: "vli", Index: 1, Kind: KindDelay, Delay: 25 * time.Millisecond},
-		{Stage: "evaluate", Index: 0, Kind: KindHang},
-	}
-	if len(rules) != len(want) {
-		t.Fatalf("parsed %d rules, want %d", len(rules), len(want))
-	}
-	for i := range want {
-		if rules[i] != want[i] {
-			t.Fatalf("rule %d = %v, want %v", i, rules[i], want[i])
-		}
-		back, err := ParseRules(want[i].String())
-		if err != nil || len(back) != 1 || back[0] != want[i] {
-			t.Fatalf("rule %v does not round-trip through String(): %v %v", want[i], back, err)
-		}
-	}
-	for _, bad := range []string{"profile", "@0:error", "profile@x:error", "profile@0:boom", "profile@0:error:5ms", "profile@-1:error"} {
-		if _, err := ParseRules(bad); err == nil {
-			t.Fatalf("ParseRules(%q) succeeded, want error", bad)
-		}
 	}
 }

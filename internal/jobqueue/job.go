@@ -143,7 +143,7 @@ type Job struct {
 	// Error is the failure rendered as text (failed jobs only).
 	Error string `json:"error,omitempty"`
 	// SuiteFingerprint is the completed suite's digest (done jobs only) —
-	// the value the chaos harness compares across crash/resume runs.
+	// the value the crash-recovery tests compare across crash/resume runs.
 	SuiteFingerprint string `json:"suiteFingerprint,omitempty"`
 	// TraceID is the end-to-end correlation ID minted (or accepted from
 	// the client) at the first admission — the canonical trace every

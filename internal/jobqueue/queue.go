@@ -514,12 +514,24 @@ func (q *Queue) runJob(t *tracked) {
 		q.kill()
 		return
 	}
+	// The job is published done only once its done record is on disk
+	// and its journal says so: a client that sees it done can read the
+	// result and the job.done event, and no crash can take either back.
+	q.mu.Lock()
+	snap = j.clone()
+	q.mu.Unlock()
+	snap.State = StateDone
+	snap.Finished = time.Now()
+	snap.SuiteFingerprint = suite.Fingerprint()
+	if merr := q.spool.Move(snap, StateRunning, StateDone); merr != nil {
+		q.emitQueue("done commit failed: " + merr.Error())
+	}
+	t.events.Record(obs.PipelineEvent{Kind: "job.done", Detail: "done: " + snap.SuiteFingerprint})
 	q.mu.Lock()
 	j.State = StateDone
-	j.Finished = time.Now()
-	j.SuiteFingerprint = suite.Fingerprint()
+	j.Finished = snap.Finished
+	j.SuiteFingerprint = snap.SuiteFingerprint
 	q.observeDuration(j.Finished.Sub(start))
-	snap = j.clone()
 	// The completion metrics are recorded before the lock is released,
 	// so anyone who sees the job done also sees them.
 	q.o.Counter("serve.jobs.completed").Inc()
@@ -532,10 +544,6 @@ func (q *Queue) runJob(t *tracked) {
 	q.o.Histogram("serve.run_ms").Observe(uint64(snap.Finished.Sub(snap.Started).Milliseconds()))
 	q.o.Histogram("serve.submit_to_result_ms").Observe(uint64(snap.Finished.Sub(snap.Submitted).Milliseconds()))
 	q.mu.Unlock()
-	if merr := q.spool.Move(snap, StateRunning, StateDone); merr != nil {
-		q.emitQueue("done commit failed: " + merr.Error())
-	}
-	t.events.Record(obs.PipelineEvent{Kind: "job.done", Detail: "done: " + snap.SuiteFingerprint})
 }
 
 // failJob journals a terminal failure from whichever state the job was

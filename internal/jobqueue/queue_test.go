@@ -229,11 +229,8 @@ func TestFailedJobResubmit(t *testing.T) {
 // profile stage hangs until its context is done, so only the deadline can
 // end it; a job submitted after it must still run to done.
 func TestJobDeadline(t *testing.T) {
-	rules, err := faults.ParseRules("profile@0:hang")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fctx := faults.With(context.Background(), faults.NewInjector(rules...))
+	fctx := faults.With(context.Background(), faults.NewInjector(
+		faults.Rule{Stage: "profile", Index: 0, Kind: faults.KindHang}))
 	q := openQueue(t, fctx, t.TempDir(), obs.New())
 	defer q.Close()
 	req := benchRequest("gzip")
@@ -304,7 +301,7 @@ func countCheckpoints(t *testing.T, dir string) int {
 	return len(matches)
 }
 
-// The serve chaos acceptance test: crash the server at both
+// The in-process crash-recovery test: crash the queue at both
 // serve.crash points and via a raw mid-run Kill; in every case a
 // restart against the same spool completes the job with a result
 // fingerprint identical to a never-interrupted run.
@@ -325,11 +322,8 @@ func TestCrashRecoveryFingerprintIdentical(t *testing.T) {
 
 	crashAt := func(t *testing.T, invocation int, wantCkptHits bool) {
 		dir := t.TempDir()
-		rules, err := faults.ParseRules(formatCrashRule(invocation))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fctx := faults.With(context.Background(), faults.NewInjector(rules...))
+		fctx := faults.With(context.Background(), faults.NewInjector(
+			faults.Rule{Stage: "serve.crash", Index: invocation, Kind: faults.KindError}))
 		q := openQueue(t, fctx, dir, obs.New())
 		if _, _, err := q.Submit(req); err != nil {
 			t.Fatal(err)
@@ -409,10 +403,6 @@ func TestCrashRecoveryFingerprintIdentical(t *testing.T) {
 			t.Fatal("post-kill result bytes differ from uninterrupted run")
 		}
 	})
-}
-
-func formatCrashRule(invocation int) string {
-	return "serve.crash@" + string(rune('0'+invocation)) + ":error"
 }
 
 // Done jobs must survive restarts as cache entries: a reopened queue
@@ -528,10 +518,12 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// A job file written before experiment.Config lost DisableMemo must be
-// rejected by its format version, not misreported as corrupt.
+// A job file written before a change to experiment.Config's fields
+// (DisableMemo for v1, DisableWarming for v2, Retry and StageTimeout for
+// v3) must be rejected by its format version, not misreported as
+// corrupt.
 func TestOldSpoolVersionRejected(t *testing.T) {
-	for _, fixture := range []string{"v1-pending-job.json", "v2-pending-job.json"} {
+	for _, fixture := range []string{"v1-pending-job.json", "v2-pending-job.json", "v3-pending-job.json"} {
 		t.Run(fixture, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", fixture))
 			if err != nil {

@@ -17,10 +17,11 @@ import (
 // Spool is the on-disk job journal: one subdirectory per lifecycle
 // state holding one fingerprinted JSON file per job, a results
 // directory holding completed suites' exact report JSON bytes, and a
-// per-job checkpoint directory tree. All writes are atomic
-// (temp + rename in the same directory), mirroring the checkpoint
-// machinery, so a crash at any instant leaves whole files or no files —
-// never torn ones.
+// per-job checkpoint directory tree. All writes go through
+// atomicfile (temp + fsync + rename + directory fsync), like the
+// checkpoints, so a process death at any instant leaves whole files or
+// no files — never torn ones — and a write that returned survives an OS
+// crash.
 //
 //	<dir>/jobs/pending/<id>.json
 //	<dir>/jobs/running/<id>.json
@@ -41,7 +42,10 @@ type Spool struct {
 // v3: experiment.Config lost DisableWarming (the warming-off model is now
 // cold-start points, chosen by an unexported field), so a v2 job
 // re-marshals differently, for the same reason.
-const spoolVersion = 3
+// v4: experiment.Config lost Retry and StageTimeout (stages run once),
+// so a v3 job re-marshals without them and would fail its fingerprint
+// check the same way.
+const spoolVersion = 4
 
 // jobFile is the on-disk job record: the payload plus a recomputed-on-
 // load fingerprint, so a corrupt or hand-edited record is detected and

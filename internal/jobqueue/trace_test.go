@@ -22,11 +22,8 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	// hangs until Kill cancels it, so the run can never finish first.
 	req := benchRequest("mcf", "gzip")
 	const trace = "t-client-supplied"
-	rules, err := faults.ParseRules("profile@1:hang")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fctx := faults.With(context.Background(), faults.NewInjector(rules...))
+	fctx := faults.With(context.Background(), faults.NewInjector(
+		faults.Rule{Stage: "profile", Index: 1, Kind: faults.KindHang}))
 
 	q := openQueue(t, fctx, dir, obs.New())
 	j, cached, err := q.SubmitTraced(req, Submission{TraceID: trace, Tenant: "acme"})
@@ -256,11 +253,8 @@ func TestSLOHistogramsAndQueueGauges(t *testing.T) {
 // timeline's checkpoint-resume phases show the short-circuit.
 func TestTraceThroughDurabilityWindowCrash(t *testing.T) {
 	dir := t.TempDir()
-	rules, err := faults.ParseRules("serve.crash@1:error")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fctx := faults.With(context.Background(), faults.NewInjector(rules...))
+	fctx := faults.With(context.Background(), faults.NewInjector(
+		faults.Rule{Stage: "serve.crash", Index: 1, Kind: faults.KindError}))
 	q := openQueue(t, fctx, dir, obs.New())
 	req := benchRequest("mcf")
 	j, _, err := q.SubmitTraced(req, Submission{TraceID: "t-window"})

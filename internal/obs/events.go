@@ -14,7 +14,7 @@ import (
 )
 
 // PipelineEvent is one structured entry in the pipeline's flight
-// recorder: a stage starting, finishing, retrying, an injected fault
+// recorder: a stage starting, finishing or failing, an injected fault
 // firing, a checkpoint being loaded or saved, or a coarse progress
 // update. Events are small, flat, and JSON-stable — the same struct is
 // served live from the telemetry server's /events endpoint and
@@ -28,7 +28,7 @@ type PipelineEvent struct {
 	// Time is the recorder-assigned wall-clock timestamp.
 	Time time.Time `json:"time"`
 	// Kind classifies the event: "stage.start", "stage.finish",
-	// "stage.retry", "stage.fail", "fault", "checkpoint", "progress",
+	// "stage.fail", "panic", "fault", "checkpoint", "progress",
 	// "span.start", "span.end".
 	Kind string `json:"kind"`
 	// Benchmark, Binary, and Stage locate the event in the pipeline
@@ -306,10 +306,11 @@ func (r *Recorder) recordLocked(ev PipelineEvent) {
 	}
 }
 
-// rotateLocked renames the journal to its ".1" generation and starts a
-// fresh file; callers hold r.mu.
+// rotateLocked syncs the journal, renames it to its ".1" generation and
+// starts a fresh file; callers hold r.mu. The sync comes first, so the
+// renamed generation never outlives its contents in an OS crash.
 func (r *Recorder) rotateLocked() error {
-	if err := r.f.Close(); err != nil {
+	if err := errors.Join(r.f.Sync(), r.f.Close()); err != nil {
 		return err
 	}
 	if err := os.Rename(r.path, RotatedPath(r.path)); err != nil {

@@ -122,7 +122,7 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 	want := []PipelineEvent{
 		{Kind: "stage.start", Benchmark: "gcc", Stage: "profile"},
 		{Kind: "fault", Benchmark: "gcc", Stage: "profile.task", Detail: "panic"},
-		{Kind: "stage.retry", Benchmark: "gcc", Stage: "profile"},
+		{Kind: "stage.fail", Benchmark: "gcc", Stage: "profile"},
 		{Kind: "progress", Benchmark: "gcc", Done: 1, Total: 5},
 	}
 	for _, ev := range want {

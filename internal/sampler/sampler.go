@@ -70,8 +70,8 @@ type Config struct {
 
 // Sampler selects simulation points from an interval dataset. Pick must
 // be deterministic in (dataset, Config.Seed) — bit-identical output at
-// any worker count — because the invariant harness and the chaos smoke
-// pin its fingerprints.
+// any worker count — because the invariant harness and the
+// fault-isolation tests pin its fingerprints.
 type Sampler interface {
 	// Name returns the backend name, one of Backends().
 	Name() string

@@ -131,7 +131,7 @@ func Start(ctx context.Context, opts Options) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Queue exposes the underlying scheduler (tests, the chaos harness).
+// Queue exposes the underlying scheduler (tests).
 func (s *Server) Queue() *jobqueue.Queue { return s.q }
 
 // Draining reports whether graceful shutdown has begun.

@@ -321,3 +321,38 @@ func TestResolveSubmission(t *testing.T) {
 		t.Error("unknown preset accepted")
 	}
 }
+
+// A client that still sends the retired Retry and StageTimeout config
+// fields is accepted, and lands on the same job as the request without
+// them: both fields were always outside the config fingerprint.
+func TestRetiredConfigFieldsIgnored(t *testing.T) {
+	s := startTestServer(t, Options{})
+	base := "http://" + s.Addr()
+	plain, err := json.Marshal(SubmitRequest{Request: jobqueue.Request{Benchmarks: []string{"swim"}, Config: testConfig()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withRetired map[string]any
+	if err := json.Unmarshal(plain, &withRetired); err != nil {
+		t.Fatal(err)
+	}
+	cfg := withRetired["config"].(map[string]any)
+	cfg["Retry"] = map[string]any{"MaxRetries": 3, "BaseDelay": 5000000, "MaxDelay": 250000000}
+	cfg["StageTimeout"] = 10000000000
+
+	var ids []string
+	for _, body := range []any{withRetired, json.RawMessage(plain)} {
+		resp, data := postJSON(t, base+"/jobs", body)
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+		}
+		var sr SubmitResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sr.Job.ID)
+	}
+	if ids[0] == "" || ids[0] != ids[1] {
+		t.Fatalf("job IDs %q (retired fields) and %q (without) differ", ids[0], ids[1])
+	}
+}

@@ -13,7 +13,7 @@ import (
 // le="0" zeros bucket and +Inf, sorted within each kind.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := obs.NewRegistry()
-	r.Counter("pipeline.retries").Add(3)
+	r.Counter("pipeline.benchmarks_failed").Add(3)
 	r.Counter("blocks.total").Add(128)
 	r.Gauge("simpoint.chosen_k").Set(4)
 	h := r.Histogram("stage.mapping.duration_us")
@@ -27,8 +27,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 	want := `# TYPE xbsim_blocks_total_total counter
 xbsim_blocks_total_total 128
-# TYPE xbsim_pipeline_retries_total counter
-xbsim_pipeline_retries_total 3
+# TYPE xbsim_pipeline_benchmarks_failed_total counter
+xbsim_pipeline_benchmarks_failed_total 3
 # TYPE xbsim_simpoint_chosen_k gauge
 xbsim_simpoint_chosen_k 4
 # TYPE xbsim_stage_mapping_duration_us histogram

@@ -43,7 +43,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 // format with the versioned content type.
 func TestServerMetricsEndpoint(t *testing.T) {
 	s, o := startTestServer(t)
-	o.Counter("pipeline.retries").Add(2)
+	o.Counter("pipeline.benchmarks_failed").Add(2)
 	o.Histogram("stage.mapping.duration_us").Observe(500)
 
 	resp, body := get(t, "http://"+s.Addr()+"/metrics")
@@ -54,7 +54,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type %q", ct)
 	}
 	for _, want := range []string{
-		"xbsim_pipeline_retries_total 2",
+		"xbsim_pipeline_benchmarks_failed_total 2",
 		"# TYPE xbsim_stage_mapping_duration_us histogram",
 		`xbsim_stage_mapping_duration_us_bucket{le="+Inf"} 1`,
 	} {

@@ -85,8 +85,6 @@ type (
 	HierarchyConfig = cmpsim.HierarchyConfig
 	// ExperimentConfig parameterizes the paper-evaluation harness.
 	ExperimentConfig = experiment.Config
-	// RetryPolicy controls transient-failure retries per pipeline stage.
-	RetryPolicy = experiment.RetryPolicy
 	// Suite is a completed — possibly partial — paper evaluation.
 	Suite = experiment.Suite
 	// BenchmarkFailure records one benchmark a suite could not complete.
@@ -218,10 +216,10 @@ type Analysis struct {
 // which must be at least two compilations of one program. Unset fields
 // of cfg take the suite's defaults (FullExperimentConfig's 60k-instruction
 // intervals, SimPoint, the ref input); the fields that name benchmarks
-// or scale programs are ignored. Like the suite, every stage retries
-// transient failures under cfg.Retry and records spans, progress and
-// counters through the context's Observer. cfg's sampler settings apply
-// to the picks made from the result.
+// or scale programs are ignored. Like the suite, every stage runs once
+// and records spans, progress and counters through the context's
+// Observer. cfg's sampler settings apply to the picks made from the
+// result.
 func Analyze(ctx context.Context, bins []*Binary, cfg ExperimentConfig) (*Analysis, error) {
 	an, err := experiment.Analyze(ctx, bins, cfg)
 	if err != nil {
